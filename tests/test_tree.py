@@ -517,6 +517,59 @@ def test_apply_inverse_roundtrip_seeded():
             assert spec.apply(spec.apply_inverse(v)) == v
 
 
+def test_word_after_portrait_matches_oracles_seeded():
+    # the portrait acts first, then left multiplication by the word
+    rng = random.Random(21)
+    for _ in range(30):
+        w = [rng.randrange(3)]
+        while len(w) < 4 and rng.random() < 0.6:
+            w.append(rng.choice([c for c in range(3) if c != w[-1]]))
+        word = tuple(w)
+        sites = _random_regular_portrait(rng, T3, S3, 2).sites
+        smap = dict(sites)
+        spec = IsometrySpec(T3, word=word, sites=sites)
+        for v in T3.ball(5):
+            image = spec.apply(v)
+            assert image == oracle_translation_apply(
+                word, oracle_regular_apply(smap, v)
+            )
+            assert spec.apply_inverse(image) == v
+
+
+def test_spec_keeps_the_callers_site_order():
+    given = (((0,), Perm((1, 0, 2))), (ROOT, Perm((1, 0, 2))))
+    spec = IsometrySpec(T3, word=(2,), sites=given)
+    assert spec.sites == given
+    assert repr(spec) == (
+        "IsometrySpec(shape=TreeShape(kind='regular', degree=3), word=(2,), "
+        "sites=(((0,), Perm((1, 0, 2))), ((), Perm((1, 0, 2)))))"
+    )
+    namespace = {"IsometrySpec": IsometrySpec, "TreeShape": type(T3), "Perm": Perm}
+    again = eval(repr(spec), namespace)
+    assert again == spec
+    assert hash(again) == hash(spec)
+
+
+def test_exact_application_rejects_illegal_addresses():
+    rho = IsometrySpec(T3, sites=((ROOT, Perm((1, 2, 0))),))
+    moved = IsometrySpec(T3, word=(1, 2), sites=((ROOT, Perm((0, 2, 1))),))
+    flip = IsometrySpec(R2, sites=((ROOT, Perm((1, 0))),))
+    cases = [(T3, (0, 0)), (T3, (3,)), (R2, (2,))]
+    for shape, addr in cases:
+        specs = [flip] if shape is R2 else [rho, moved]
+        for spec in specs:
+            with pytest.raises(ValueError):
+                spec.apply(addr)
+            with pytest.raises(ValueError):
+                SpecWord.of(spec).apply(addr)
+        # the inverse checks the address it unrolls, after the word is
+        # stripped, so only word-free specs are bound to see it
+        with pytest.raises(ValueError):
+            specs[0].apply_inverse(addr)
+    with pytest.raises(ValueError):
+        moved.apply_inverse((3,))
+
+
 def test_rooted_apply_inverse_roundtrip_seeded():
     rng = random.Random(20)
     shape = rooted(3)
