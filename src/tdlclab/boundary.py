@@ -270,17 +270,15 @@ def goodshrink_construct(
     return kappa, report
 
 
-def _realized_tables(
-    words: list[SpecWord], radius: int
-) -> list[dict[Address, Address]]:
-    """Tables for displacement-zero words; levels are preserved, so the
+def _realized(words: list[SpecWord], radius: int) -> list[BallIsometry]:
+    """Ball tables of displacement-zero words; levels are preserved, so the
     tables compose within the ball without leaving it."""
     out = []
     for w in words:
-        tab = w.realize(radius)
-        if tab.displacement != 0:
+        iso = w.realize(radius)
+        if iso.displacement != 0:
             raise ValueError("witness does not fix the base vertex")
-        out.append(tab.table)
+        out.append(iso)
     return out
 
 
@@ -322,16 +320,11 @@ def nub_window(
     families = {
         i: [SpecWord.conjugate(g, u, i) for u in beta_gens] for i in idx
     }
-    tables = {
-        i: _realized_tables(families[i], depth + 1) for i in idx
-    }
-
-    supports_ok = True
-    for i in idx:
-        for tab, w in zip(tables[i], families[i]):
-            ball_iso = BallIsometry(shape, depth + 1, tab, check=False)
-            if not support_in(ball_iso, translates[i]):
-                supports_ok = False
+    realized = {i: _realized(families[i], depth + 1) for i in idx}
+    supports_ok = all(
+        support_in(iso, translates[i]) for i in idx for iso in realized[i]
+    )
+    tables = {i: [iso.table for iso in realized[i]] for i in idx}
 
     domain = list(shape.ball(depth))
     pair_checks = 0

@@ -642,6 +642,20 @@ def run_dynamics(args, spec: GroupSpec) -> tuple[dict, int]:
 # -- certify --------------------------------------------------------------------
 
 
+def _refuted_on(error: type[Exception], compute) -> dict:
+    """Run compute(); the given error becomes a refuted-at-depth result."""
+    try:
+        return compute()
+    except error as exc:
+        return {"verdict": "refuted_at_depth", "error": error.__name__, "reason": str(exc)}
+
+
+def _results_certificate(spec: GroupSpec, kind: str, parameters: dict, results: dict, out) -> dict:
+    """Certificate of a result: its checks, or the reason it was refuted."""
+    checks = results.get("checks", {"reason": results.get("reason", "")})
+    return _write_certificate(spec, kind, parameters, checks, results["verdict"], out)
+
+
 def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
     if spec.kind == "two-copy":
         raise ValueError("certificates work on single-tree specs only")
@@ -667,23 +681,14 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
         g = _resolve_element(spec, args.element, displacing=True)
         alpha = _attracting_clopen(spec, g, args.alpha)
         parameters = {"element": args.element, "alpha": str(alpha), "n0": args.n0}
-        try:
-            kappa, results = goodshrink_construct(
-                spec.local, g, alpha, spec.depth, n0=args.n0
-            )
-            results = dict(results)
-            results["kappa"] = str(kappa)
-        except NotSkewering as exc:
-            results = {
-                "verdict": "refuted_at_depth",
-                "error": "NotSkewering",
-                "reason": str(exc),
-            }
+
+        def construct() -> dict:
+            kappa, results = goodshrink_construct(spec.local, g, alpha, spec.depth, n0=args.n0)
+            return {**results, "kappa": str(kappa)}
+
+        results = _refuted_on(NotSkewering, construct)
         if results["verdict"] in ("verified", "refuted_at_depth"):
-            checks = results.get("checks", {"reason": results.get("reason", "")})
-            certs.append(
-                _write_certificate(spec, kind, parameters, checks, results["verdict"], args.out)
-            )
+            certs.append(_results_certificate(spec, kind, parameters, results, args.out))
     elif kind == "nub":
         g = _resolve_element(spec, args.element, displacing=True)
         if args.alpha is not None:
@@ -692,18 +697,11 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
             alpha = _attracting_clopen(spec, g, None)
             beta = alpha.minus(spec_image_clopen(g, alpha))
         parameters = {"element": args.element, "beta": str(beta), "m": args.m, "v_level": args.v_level}
-        try:
-            results = nub_window(spec.local, g, beta, args.v_level, args.m, spec.depth)
-        except DisjointnessFailure as exc:
-            results = {
-                "verdict": "refuted_at_depth",
-                "error": "DisjointnessFailure",
-                "reason": str(exc),
-            }
-        checks = results.get("checks", {"reason": results.get("reason", "")})
-        certs.append(
-            _write_certificate(spec, kind, parameters, checks, results["verdict"], args.out)
+        results = _refuted_on(
+            DisjointnessFailure,
+            lambda: nub_window(spec.local, g, beta, args.v_level, args.m, spec.depth),
         )
+        certs.append(_results_certificate(spec, kind, parameters, results, args.out))
     elif kind == "free-semigroup":
         ctx = build_context(spec)
         bound = args.length_bound if args.length_bound is not None else 8
@@ -719,20 +717,13 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
     elif kind == "tits-core":
         g = _resolve_element(spec, args.element, displacing=True)
         parameters = {"element": args.element}
-        try:
+
+        def core() -> dict:
             gens, results = tits_core_generators(spec.local, g, spec.depth)
-            results = dict(results)
-            results["generator_count"] = len(gens)
-        except NotSkewering as exc:
-            results = {
-                "verdict": "refuted_at_depth",
-                "error": "NotSkewering",
-                "reason": str(exc),
-            }
-        checks = results.get("checks", {"reason": results.get("reason", "")})
-        certs.append(
-            _write_certificate(spec, kind, parameters, checks, results["verdict"], args.out)
-        )
+            return {**results, "generator_count": len(gens)}
+
+        results = _refuted_on(NotSkewering, core)
+        certs.append(_results_certificate(spec, kind, parameters, results, args.out))
     else:  # orbit-join
         ctx = build_context(spec)
         addr = _parse_address(args.alpha, spec.shape) if args.alpha else sphere_list(spec.shape, 1)[0]

@@ -64,8 +64,7 @@ class ActionContext:
                 raise ValueError("generator names may not contain '~'")
             word = SpecWord.of(spec)
             self._gens[name] = word
-            site_depth = max((len(v) for v, _ in spec.sites), default=0)
-            radius = depth + 2 * abs(spec.displacement) + site_depth + 2
+            radius = depth + 2 * abs(spec.displacement) + spec.depth + 2
             square = SpecWord(shape, ((spec, 2),))
             if square.is_identity_on(radius):
                 self._inverse_names[name] = name

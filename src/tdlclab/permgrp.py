@@ -249,9 +249,6 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     # -- actions -------------------------------------------------------------
 
     def orbit(self, point: int) -> frozenset[int]:

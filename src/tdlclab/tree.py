@@ -7,25 +7,27 @@ the vertex set is the free product of degree many involutions, stepping
 along colour c from word w is free reduction of w plus c, and isometries
 may move the base vertex.
 
-Two element carriers live here.  IsometrySpec is an exact recipe, a word
-translation composed with a finitely supported portrait, applicable to
-addresses of any depth.  BallIsometry is a lookup table on a ball about
-the base vertex; composition and inversion shrink the reliable radius and
-anything past it raises PrecisionExhausted.
+Three element carriers live here.  IsometrySpec is the exact atom: a
+portrait, which decorates finitely many sites with colour permutations,
+followed by a word translation; it applies to addresses of any depth.
+SpecWord is a formal product of powers of atoms, evaluated factor by
+factor, so it stays exact too.  BallIsometry is a lookup table on a ball
+about the base vertex; composition and inversion shrink the reliable
+radius and anything past it raises PrecisionExhausted.
 
-Portrait semantics differ by shape kind.  Rooted portraits are classic:
-each decorated vertex permutes its own children independently.  Regular
-portraits are inherited: a decoration recolours every letter below its
-site until a deeper decoration overrides it, so a single site at the base
-vertex is a global recolouring.  A decoration at site v must agree with
-the inherited permutation on the colour of the edge from v back toward
-the base vertex, otherwise the letter map would break adjacency there;
-with undecorated ancestors this says the decoration fixes that colour.
+The portrait of an IsometrySpec acts differently by shape kind.  On
+rooted shapes it is classic: each decorated vertex permutes its own
+children independently.  On regular shapes it is inherited: a decoration
+recolours every letter below its site until a deeper decoration
+overrides it, so a single site at the base vertex is a global
+recolouring.  A decoration at site v must agree with the inherited
+permutation on the colour of the edge from v back toward the base
+vertex, otherwise the letter map would break adjacency there; with
+undecorated ancestors this says the decoration fixes that colour.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .boolalg import (
     ROOT,
@@ -62,115 +64,6 @@ def _adjacent(u: Address, v: Address) -> bool:
     if len(v) == len(u) + 1:
         return v[:-1] == u
     return False
-
-
-# -- portraits ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Portrait:
-    """Finitely supported decoration of vertices by colour permutations."""
-
-    shape: TreeShape
-    sites: tuple[tuple[Address, Perm], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for addr, perm in self.sites:
-            self.shape.require_legal(addr)
-            if perm.degree != self.shape.degree:
-                raise ValueError("decoration degree does not match the shape")
-            if addr in seen:
-                raise ValueError(f"duplicate site {addr!r}")
-            seen.add(addr)
-        object.__setattr__(
-            self,
-            "sites",
-            tuple(sorted(self.sites, key=lambda sp: (len(sp[0]), sp[0]))),
-        )
-        if self.shape.kind == "regular":
-            site_map = dict(self.sites)
-            for addr, perm in self.sites:
-                if addr == ROOT:
-                    continue
-                inherited = self._active(site_map, addr[:-1])
-                back = addr[-1]
-                want = inherited(back) if inherited is not None else back
-                if perm(back) != want:
-                    raise ValueError(
-                        f"site {addr!r} disagrees with its surroundings on "
-                        f"the return colour {back}"
-                    )
-
-    @staticmethod
-    def _active(site_map: dict, prefix: Address):
-        for k in range(len(prefix), -1, -1):
-            if prefix[:k] in site_map:
-                return site_map[prefix[:k]]
-        return None
-
-    @classmethod
-    def single(cls, shape: TreeShape, addr: Address, perm: Perm) -> "Portrait":
-        return cls(shape, ((tuple(addr), perm),))
-
-    @classmethod
-    def identity(cls, shape: TreeShape) -> "Portrait":
-        return cls(shape, ())
-
-    @cached_property
-    def site_map(self) -> dict:
-        return dict(self.sites)
-
-    @property
-    def depth(self) -> int:
-        return max((len(a) for a, _ in self.sites), default=0)
-
-    def apply(self, addr: Address) -> Address:
-        self.shape.require_legal(tuple(addr))
-        smap = self.site_map
-        if self.shape.kind == "rooted":
-            out = []
-            for j, x in enumerate(addr):
-                perm = smap.get(tuple(addr[:j]))
-                out.append(perm(x) if perm is not None else x)
-            return tuple(out)
-        active = smap.get(ROOT)
-        out = []
-        prefix: Address = ROOT
-        for x in addr:
-            out.append(active(x) if active is not None else x)
-            prefix = prefix + (x,)
-            if prefix in smap:
-                active = smap[prefix]
-        return tuple(out)
-
-    def apply_inverse(self, addr: Address) -> Address:
-        """Solve apply(y) == addr letter by letter.
-
-        The permutation acting on letter j depends only on the already
-        recovered domain prefix, so the preimage unrolls front to back.
-        """
-        self.shape.require_legal(tuple(addr))
-        smap = self.site_map
-        out: list[int] = []
-        if self.shape.kind == "rooted":
-            for z in addr:
-                perm = smap.get(tuple(out))
-                out.append(perm.inverse()(z) if perm is not None else z)
-            return tuple(out)
-        active = smap.get(ROOT)
-        prefix: Address = ROOT
-        for z in addr:
-            y = active.inverse()(z) if active is not None else z
-            out.append(y)
-            prefix = prefix + (y,)
-            if prefix in smap:
-                active = smap[prefix]
-        return tuple(out)
-
-    def ball(self, r: int) -> "BallIsometry":
-        table = {a: self.apply(a) for a in self.shape.ball(r)}
-        return BallIsometry(self.shape, r, table, check=False)
 
 
 # -- ball tables ---------------------------------------------------------------
@@ -254,14 +147,6 @@ class BallIsometry:
             raise AssertionError("image does not cover the inverse ball")
         return BallIsometry(self.shape, r, table, check=False)
 
-    def truncate(self, r: int) -> "BallIsometry":
-        if r > self.precision:
-            raise PrecisionExhausted(
-                f"cannot extend precision {self.precision} to {r}"
-            )
-        table = {a: b for a, b in self.table.items() if len(a) <= r}
-        return BallIsometry(self.shape, r, table, check=False)
-
     def local_action(self, v: Address) -> Perm:
         """Colour permutation induced at vertex v."""
         v = tuple(v)
@@ -309,50 +194,121 @@ class BallIsometry:
 # -- exact recipes -------------------------------------------------------------
 
 
+def _inherited(site_map: dict, prefix: Address):
+    """Decoration at the deepest decorated prefix, or None."""
+    for k in range(len(prefix), -1, -1):
+        if prefix[:k] in site_map:
+            return site_map[prefix[:k]]
+    return None
+
+
 @dataclass(frozen=True)
 class IsometrySpec:
     """Word translation after a portrait, exact at every depth.
 
-    On regular shapes ``word`` is a freely reduced colour word acting by
-    left multiplication on vertices; the portrait acts first.  Rooted
-    shapes admit no translations, so there the word must be empty.
+    ``sites`` pairs each decorated vertex with its colour permutation and
+    keeps the order it was given in.  On regular shapes ``word`` is a
+    freely reduced colour word acting by left multiplication on vertices;
+    the portrait acts first.  Rooted shapes admit no translations, so
+    there the word must be empty.
     """
 
     shape: TreeShape
     word: tuple[int, ...] = ()
     sites: tuple[tuple[Address, Perm], ...] = ()
-    portrait: Portrait = field(init=False, repr=False, compare=False)
+    site_map: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        shape = self.shape
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
         if word:
-            if self.shape.kind == "rooted":
+            if shape.kind == "rooted":
                 raise ValueError("rooted shapes admit no translations")
             for c in word:
-                if not 0 <= c < self.shape.degree:
+                if not 0 <= c < shape.degree:
                     raise ValueError(f"colour {c} out of range")
             if free_reduce(word) != word:
                 raise ValueError("word is not freely reduced")
-        object.__setattr__(
-            self, "portrait", Portrait(self.shape, tuple(self.sites))
-        )
+        site_map = {}
+        for addr, perm in self.sites:
+            shape.require_legal(addr)
+            if perm.degree != shape.degree:
+                raise ValueError("decoration degree does not match the shape")
+            if addr in site_map:
+                raise ValueError(f"duplicate site {addr!r}")
+            site_map[addr] = perm
+        if shape.kind == "regular":
+            for addr in sorted(site_map, key=lambda a: (len(a), a)):
+                if addr == ROOT:
+                    continue
+                inherited = _inherited(site_map, addr[:-1])
+                back = addr[-1]
+                want = inherited(back) if inherited is not None else back
+                if site_map[addr](back) != want:
+                    raise ValueError(
+                        f"site {addr!r} disagrees with its surroundings on "
+                        f"the return colour {back}"
+                    )
+        object.__setattr__(self, "site_map", site_map)
 
     @property
     def displacement(self) -> int:
         return len(self.word)
 
+    @property
+    def depth(self) -> int:
+        """Depth of the deepest decorated site."""
+        return max((len(a) for a, _ in self.sites), default=0)
+
     def apply(self, addr: Address) -> Address:
-        moved = self.portrait.apply(addr)
+        addr = tuple(addr)
+        self.shape.require_legal(addr)
+        smap = self.site_map
+        if self.shape.kind == "rooted":
+            out = []
+            for j, x in enumerate(addr):
+                perm = smap.get(addr[:j])
+                out.append(perm(x) if perm is not None else x)
+            return tuple(out)
+        out = []
+        active = smap.get(ROOT)
+        prefix: Address = ROOT
+        for x in addr:
+            out.append(active(x) if active is not None else x)
+            prefix = prefix + (x,)
+            if prefix in smap:
+                active = smap[prefix]
         if not self.word:
-            return moved
-        return free_reduce(self.word + moved)
+            return tuple(out)
+        return free_reduce(self.word + tuple(out))
 
     def apply_inverse(self, addr: Address) -> Address:
-        shifted = tuple(addr)
+        """Strip the word, then solve the portrait letter by letter.
+
+        The permutation acting on letter j depends only on the already
+        recovered domain prefix, so the preimage unrolls front to back.
+        """
+        addr = tuple(addr)
         if self.word:
-            shifted = free_reduce(tuple(reversed(self.word)) + shifted)
-        return self.portrait.apply_inverse(shifted)
+            addr = free_reduce(tuple(reversed(self.word)) + addr)
+        self.shape.require_legal(addr)
+        smap = self.site_map
+        out: list[int] = []
+        if self.shape.kind == "rooted":
+            for z in addr:
+                perm = smap.get(tuple(out))
+                out.append(perm.inverse()(z) if perm is not None else z)
+            return tuple(out)
+        active = smap.get(ROOT)
+        prefix: Address = ROOT
+        for z in addr:
+            y = active.inverse()(z) if active is not None else z
+            out.append(y)
+            prefix = prefix + (y,)
+            if prefix in smap:
+                active = smap[prefix]
+        return tuple(out)
 
     def realize(self, r: int) -> BallIsometry:
         table = {a: self.apply(a) for a in self.shape.ball(r)}
@@ -432,9 +388,6 @@ class SpecWord:
             self.shape,
             tuple((s, -e) for s, e in reversed(self.factors)),
         )
-
-    def then_power(self, g: IsometrySpec, k: int) -> "SpecWord":
-        return SpecWord(self.shape, self.factors + ((g, k),))
 
     def apply(self, addr: Address) -> Address:
         for spec, exp in reversed(self.factors):
@@ -541,12 +494,13 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
     points = sphere_list(shape, n)
     index = {a: i for i, a in enumerate(points)}
 
-    def as_perm(portrait: Portrait) -> Perm:
-        return Perm(tuple(index[portrait.apply(a)] for a in points))
+    def as_perm(v: Address, g: Perm) -> Perm:
+        spec = IsometrySpec(shape, sites=((v, g),))
+        return Perm(tuple(index[spec.apply(a)] for a in points))
 
     gens = []
     for g in local.pruned_gens:
-        gens.append(as_perm(Portrait.single(shape, ROOT, g)))
+        gens.append(as_perm(ROOT, g))
     for k in range(1, n):
         for v in shape.sphere(k):
             pool = (
@@ -554,7 +508,7 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
                 else _return_stabiliser(local, v[-1])
             )
             for g in pool.pruned_gens:
-                gens.append(as_perm(Portrait.single(shape, v, g)))
+                gens.append(as_perm(v, g))
     return FiniteGroup(len(points), gens)
 
 

@@ -15,7 +15,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def _tdlclab_imports(path: Path) -> list[tuple[str, str | None]]:
-    """(module, name) for each tdlclab import; name is None for plain imports."""
+    """(module, name) per tdlclab import; name is None for plain imports."""
     out = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
