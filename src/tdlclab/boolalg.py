@@ -267,7 +267,16 @@ class CylinderClopen:
             raise PrecisionError(
                 f"cannot refine depth-{self.depth} cover at depth {n}"
             )
-        return frozenset(_read(self.shape, n, self._mask(n), atoms=True))
+        return self.shadow(n)
+
+    def shadow(self, n: int) -> frozenset[Address]:
+        """The depth-n addresses whose cylinders meet this clopen.
+
+        Exact at any n: deeper cover addresses are cut to their depth-n
+        prefix, shallower ones spread over their depth-n descendants.
+        """
+        cut = {a[:n] for a in self.cover}
+        return frozenset(_read(self.shape, n, _mask_of(self.shape, cut, n), atoms=True))
 
     # -- Boolean operations --------------------------------------------------
 

@@ -758,9 +758,9 @@ def _stone_orbit_dot(ctx) -> str:
         if name.endswith("~"):
             continue
         for s in states:
-            image = ctx.image(name, ctx.state_clopen(s))
+            met = ctx.met_states(ctx.image(name, ctx.state_clopen(s)))
             for t in states:
-                if image.meets(ctx.state_clopen(t)):
+                if t in met:
                     lines.append(f'  {ids[s]} -> {ids[t]} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -113,11 +113,15 @@ class ActionContext:
             clopen = self.image(name, clopen)
         return clopen
 
+    def met_states(self, clopen: CylinderClopen) -> frozenset:
+        """The states whose cylinders meet the clopen."""
+        return clopen.shadow(self.depth)
+
     def top(self) -> CylinderClopen:
-        return CylinderClopen.cylinder(self.shape, ())
+        return CylinderClopen.top(self.shape)
 
     def zero(self) -> CylinderClopen:
-        return CylinderClopen.from_addresses(self.shape, [])
+        return CylinderClopen.zero(self.shape)
 
     def all_fix_base(self) -> bool:
         return self.max_displacement == 0
@@ -130,25 +134,14 @@ class PairClopen:
     left: CylinderClopen
     right: CylinderClopen
 
-    def meet(self, other: "PairClopen") -> "PairClopen":
-        return PairClopen(self.left.meet(other.left), self.right.meet(other.right))
-
     def join(self, other: "PairClopen") -> "PairClopen":
         return PairClopen(self.left.join(other.left), self.right.join(other.right))
-
-    def minus(self, other: "PairClopen") -> "PairClopen":
-        return PairClopen(
-            self.left.minus(other.left), self.right.minus(other.right)
-        )
 
     def leq(self, other: "PairClopen") -> bool:
         return self.left.leq(other.left) and self.right.leq(other.right)
 
     def lt(self, other: "PairClopen") -> bool:
         return self.leq(other) and self != other
-
-    def meets(self, other: "PairClopen") -> bool:
-        return self.left.meets(other.left) or self.right.meets(other.right)
 
     def measure(self) -> Fraction:
         return (self.left.measure() + self.right.measure()) / 2
@@ -216,6 +209,14 @@ class TwoCopyContext:
             self._image_memo[key] = got
         return got
 
+    def met_states(self, pair: PairClopen) -> frozenset:
+        """The copy-tagged states whose cylinders meet the pair."""
+        return frozenset(
+            (copy, s)
+            for copy, side in enumerate((pair.left, pair.right))
+            for s in self._base.met_states(side)
+        )
+
     def top(self) -> PairClopen:
         return PairClopen(self._top, self._top)
 
@@ -248,6 +249,27 @@ def reachable_images(ctx, start):
                 yield y, w + (name,)
 
 
+def _first_words(ctx, start, inside: bool = False) -> dict:
+    """State -> first breadth-first word whose image of ``start`` meets it.
+
+    With ``inside`` a state is recorded only when the image lies strictly
+    inside its cylinder.  The depth-n cylinders partition the boundary,
+    so that is an image meeting that one state and differing from its
+    cylinder.  The search stops once every state is recorded.
+    """
+    total = len(ctx.states())
+    found: dict = {}
+    for clopen, word in reachable_images(ctx, start):
+        met = ctx.met_states(clopen)
+        if inside and (len(met) != 1 or clopen == ctx.state_clopen(next(iter(met)))):
+            continue
+        for b in met:
+            found.setdefault(b, word)
+        if len(found) == total:
+            break
+    return found
+
+
 def check_minimal(ctx) -> dict:
     """Every ordered pair of depth-n cylinders linked by a short word.
 
@@ -256,18 +278,11 @@ def check_minimal(ctx) -> dict:
     counterexample.
     """
     states = ctx.states()
-    cylinders = {s: ctx.state_clopen(s) for s in states}
     witnesses: dict[str, list[str]] = {}
     counterexample = None
     longest = 0
     for a in states:
-        met: dict = {}
-        for clopen, word in reachable_images(ctx, cylinders[a]):
-            for b in states:
-                if b not in met and clopen.meets(cylinders[b]):
-                    met[b] = word
-            if len(met) == len(states):
-                break
+        met = _first_words(ctx, ctx.state_clopen(a))
         for b in states:
             if b in met:
                 key = f"{ctx.state_label(a)}->{ctx.state_label(b)}"
@@ -360,16 +375,9 @@ def minorising_set(ctx) -> dict:
     strictly below it.
     """
     states = ctx.states()
-    cylinders = {s: ctx.state_clopen(s) for s in states}
     coverage: dict = {}
     for c in states:
-        found: dict = {}
-        for clopen, word in reachable_images(ctx, cylinders[c]):
-            for b in states:
-                if b not in found and clopen.lt(cylinders[b]):
-                    found[b] = word
-            if len(found) == len(states):
-                break
+        found = _first_words(ctx, ctx.state_clopen(c), inside=True)
         coverage[c] = found
         if len(found) == len(states):
             return _minorising_report(ctx, [c], {b: (c, w) for b, w in found.items()})
@@ -428,22 +436,12 @@ def minorising_degree(ctx) -> dict:
     tracked as the set of depth-n cylinders it meets; the distinct
     minimal shadow sets are the invariant opens at depth, their count is
     the degree, and one candidate per open forms the reduced set.  When
-    the degree is one the dense-orbit consequence is replayed: every
-    state must reach every state.
+    the degree is one the dense-orbit consequence is read off the same
+    shadows: every state must reach every state.
     """
     base = minorising_set(ctx)
     states = ctx.states()
-    cylinders = {s: ctx.state_clopen(s) for s in states}
-    shadows: dict = {}
-    for c in states:
-        met = set()
-        for clopen, _ in reachable_images(ctx, cylinders[c]):
-            for b in states:
-                if b not in met and clopen.meets(cylinders[b]):
-                    met.add(b)
-            if len(met) == len(states):
-                break
-        shadows[c] = frozenset(met)
+    shadows = {c: frozenset(_first_words(ctx, ctx.state_clopen(c))) for c in states}
     distinct = sorted(set(shadows.values()), key=lambda s: sorted(map(ctx.state_label, s)))
     minimal_opens = [
         s for s in distinct
@@ -457,7 +455,7 @@ def minorising_degree(ctx) -> dict:
     assert len(reduced) == degree
     dense_check = None
     if degree == 1:
-        dense_check = check_minimal(ctx)["verdict"] == "minimal-at-depth"
+        dense_check = all(len(s) == len(states) for s in shadows.values())
     return {
         "verdict": "verified",
         "degree": degree,

@@ -33,9 +33,9 @@ class LocalClass:
 
     @property
     def kind(self) -> str:
-        if not self.region.cover:
+        if self.region.is_zero():
             return "zero"
-        if self.region.cover == frozenset({ROOT}):
+        if self.region.is_top():
             return "top"
         return "cylinder"
 
@@ -53,16 +53,16 @@ class LocalClass:
 
 def local_class(region: CylinderClopen, depth: int | None = None) -> LocalClass:
     if depth is None:
-        depth = max((len(a) for a in region.cover), default=0)
+        depth = region.depth
     return LocalClass(region, depth)
 
 
 def zero_class(shape: TreeShape, depth: int = 0) -> LocalClass:
-    return LocalClass(CylinderClopen.from_addresses(shape, []), depth)
+    return LocalClass(CylinderClopen.zero(shape), depth)
 
 
 def top_class(shape: TreeShape, depth: int = 0) -> LocalClass:
-    return LocalClass(CylinderClopen.cylinder(shape, ROOT), depth)
+    return LocalClass(CylinderClopen.top(shape), depth)
 
 
 def class_meet(a: LocalClass, b: LocalClass) -> LocalClass:
@@ -222,7 +222,7 @@ def decomposition_factors(
             for i in range(len(regions))
             for j in range(i + 1, len(regions))
         ),
-        "regions_cover_boundary": join_all.cover == frozenset({ROOT}),
+        "regions_cover_boundary": join_all.is_top(),
         "perp_of_each_is_join_of_rest": perp_cross,
     }
     star_orders = {}
@@ -316,8 +316,7 @@ def fixed_point_scan(ctx: ActionContext, depth: int | None = None) -> dict:
     if depth is None:
         depth = ctx.depth
     shape = ctx.shape
-    atoms = sphere_list(shape, depth)
-    remaining = list(atoms)
+    remaining = list(sphere_list(shape, depth))
     blocks: list[tuple] = []
     while remaining:
         seed = remaining[0]
@@ -328,11 +327,7 @@ def fixed_point_scan(ctx: ActionContext, depth: int | None = None) -> dict:
             for name in ctx.gen_names:
                 img = ctx.image(name, union)
                 if img != union:
-                    for a in atoms:
-                        if a not in block and img.meets(
-                            CylinderClopen.cylinder(shape, a)
-                        ):
-                            new.add(a)
+                    new |= img.shadow(depth) - block
             if not new:
                 break
             block |= new

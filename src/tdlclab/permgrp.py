@@ -645,8 +645,11 @@ def char_simple_decompose(g: FiniteGroup) -> tuple[str, int]:
 # -- block systems -----------------------------------------------------------
 
 
-def _minimal_congruence(g: FiniteGroup, a: int, b: int) -> tuple[frozenset[int], ...]:
-    parent = list(range(g.degree))
+def _congruence(degree: int, pairs, gens=()) -> tuple[frozenset[int], ...]:
+    """Sorted blocks of the finest partition of 0..degree-1 that joins
+    each given pair and, whenever x and y are joined, gen(x) and gen(y)
+    for every one of ``gens``."""
+    parent = list(range(degree))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -654,41 +657,29 @@ def _minimal_congruence(g: FiniteGroup, a: int, b: int) -> tuple[frozenset[int],
             x = parent[x]
         return x
 
-    queue = [(a, b)]
+    queue = list(pairs)
     while queue:
         x, y = queue.pop()
         rx, ry = find(x), find(y)
         if rx == ry:
             continue
         parent[max(rx, ry)] = min(rx, ry)
-        for gen in g.gens:
-            queue.append((gen(x), gen(y)))
+        queue.extend((gen(x), gen(y)) for gen in gens)
     blocks: dict[int, set[int]] = {}
-    for x in range(g.degree):
+    for x in range(degree):
         blocks.setdefault(find(x), set()).add(x)
     return tuple(sorted(frozenset(v) for v in blocks.values()))
+
+
+def _minimal_congruence(g: FiniteGroup, a: int, b: int) -> tuple[frozenset[int], ...]:
+    return _congruence(g.degree, [(a, b)], g.gens)
 
 
 def _join_congruences(g, p1, p2) -> tuple[frozenset[int], ...]:
-    parent = list(range(g.degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (p1, p2):
-        for block in part:
-            block = sorted(block)
-            for y in block[1:]:
-                rx, ry = find(block[0]), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    blocks: dict[int, set[int]] = {}
-    for x in range(g.degree):
-        blocks.setdefault(find(x), set()).add(x)
-    return tuple(sorted(frozenset(v) for v in blocks.values()))
+    return _congruence(
+        g.degree,
+        [(min(block), y) for part in (p1, p2) for block in part for y in block],
+    )
 
 
 def block_systems(g: FiniteGroup) -> list[tuple[frozenset[int], ...]]:

@@ -290,9 +290,10 @@ class IsometrySpec:
         recovered domain prefix, so the preimage unrolls front to back.
         """
         addr = tuple(addr)
+        # a legal address stays legal once the word is stripped
+        self.shape.require_legal(addr)
         if self.word:
             addr = free_reduce(tuple(reversed(self.word)) + addr)
-        self.shape.require_legal(addr)
         smap = self.site_map
         out: list[int] = []
         if self.shape.kind == "rooted":

@@ -214,6 +214,22 @@ def test_algebra_matches_set_model_to_depth_6():
             assert expand(got, k) == _expand_addresses(shape, addrs, k)
 
 
+def test_shadow_matches_set_model_and_cylinder_scan():
+    rng = random.Random(29)
+    for shape in (T3, R2, rooted(3)):
+        sample = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
+        sample += [random_clopen(rng, shape, 6) for _ in range(25)]
+        for x in sample:
+            for n in (0, 1, 3, 5):
+                ends = expand(x, max(n, x.depth))
+                assert x.shadow(n) == {a[:n] for a in ends}
+                scan = [
+                    b for b in shape.sphere(n)
+                    if x.meets(CylinderClopen.cylinder(shape, b))
+                ]
+                assert x.shadow(n) == frozenset(scan)
+
+
 def test_leq_matches_set_model_seeded():
     rng = random.Random(3)
     for _ in range(150):

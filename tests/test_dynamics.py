@@ -13,6 +13,7 @@ from tdlclab.errors import SearchExhausted
 from tdlclab.permgrp import Perm, symmetric_group
 from tdlclab.tree import IsometrySpec, hyperbolic_isometry, spec_image_clopen
 from tdlclab import dynamics as dy
+from tdlclab import localstruct as ls
 
 T3 = regular(3)
 S3 = symmetric_group(3)
@@ -188,6 +189,46 @@ def test_minorising_degree_two_copy():
     sides = [set(label.split(":")[0] for label in open_) for open_ in report["invariant_opens"]]
     assert sides == [{"0"}, {"1"}]
     assert report["dense_orbit_check"] is None
+
+
+def test_met_states_match_a_cylinder_scan():
+    one = dy.translation_rotation_context(S3, depth=2, word_bound=4)
+    two = dy.two_copy_product_context(S3, depth=2, word_bound=4)
+    for start in one.states():
+        for clopen, _ in dy.reachable_images(one, one.state_clopen(start)):
+            scan = {s for s in one.states() if clopen.meets(cyl(*s))}
+            assert one.met_states(clopen) == scan
+    for start in two.states():
+        for pair, _ in dy.reachable_images(two, two.state_clopen(start)):
+            sides = (pair.left, pair.right)
+            scan = {(c, s) for c, s in two.states() if sides[c].meets(cyl(*s))}
+            assert two.met_states(pair) == scan
+
+
+_DEGREE_CONTEXTS = {
+    "translation-rotation-2": (lambda: dy.translation_rotation_context(S3, depth=2), 1),
+    "translation-rotation-3": (lambda: dy.translation_rotation_context(S3, depth=3), 1),
+    "skewering": (lambda: dy.skewering_context(S3), 1),
+    # measure-preserving rotations never shrink a cylinder strictly, so
+    # no minorising set exists and the degree search gives up
+    "rotations-only": (lambda: dy.rotation_context(S3), None),
+    "half-tree-stabiliser": (lambda: ls.half_tree_stabiliser_context(S3, 0, depth=2), None),
+    "two-copy": (lambda: dy.two_copy_product_context(S3, depth=2), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGREE_CONTEXTS))
+def test_dense_orbit_check_agrees_with_check_minimal(name):
+    make, degree = _DEGREE_CONTEXTS[name]
+    ctx = make()
+    if degree is None:
+        with pytest.raises(SearchExhausted):
+            dy.minorising_degree(ctx)
+        return
+    report = dy.minorising_degree(ctx)
+    assert report["degree"] == degree
+    minimal = dy.check_minimal(ctx)["verdict"] == "minimal-at-depth"
+    assert report["dense_orbit_check"] == (minimal if degree == 1 else None)
 
 
 # ------------------------------------------------------------- compression

@@ -566,13 +566,16 @@ def test_exact_application_rejects_illegal_addresses():
             with pytest.raises(ValueError):
                 spec.apply(addr)
             with pytest.raises(ValueError):
+                spec.apply_inverse(addr)
+            with pytest.raises(ValueError):
                 SpecWord.of(spec).apply(addr)
-        # the inverse checks the address it unrolls, after the word is
-        # stripped, so only word-free specs are bound to see it
-        with pytest.raises(ValueError):
-            specs[0].apply_inverse(addr)
+    # the illegal pair cancels against the word, so it must be caught
+    # before the word is stripped
+    t0 = hyperbolic_isometry(T3, (0,))
     with pytest.raises(ValueError):
-        moved.apply_inverse((3,))
+        t0.apply_inverse((0, 0))
+    with pytest.raises(ValueError):
+        SpecWord(T3, ((t0, -1),)).apply((0, 0))
 
 
 def test_rooted_apply_inverse_roundtrip_seeded():
