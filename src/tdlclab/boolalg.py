@@ -156,13 +156,14 @@ def _mask_of(shape: TreeShape, addrs: Iterable[Address], n: int) -> int:
     Raises ValueError on an illegal address.
     """
     size = shape.sphere_size(n)
-    widths = [size // shape.sphere_size(k) for k in range(n + 1)]
+    # below depth 1 every vertex has this many children
+    branch = shape.degree if shape.kind == "rooted" else shape.degree - 1
     mask = 0
     for a in addrs:
         pos = _position(shape, a)
         if pos is None:
             raise ValueError(f"illegal address {a!r} for {shape}")
-        width = widths[len(a)]
+        width = branch ** (n - len(a)) if a else size
         mask |= ((1 << width) - 1) << (pos * width)
     return mask
 

@@ -341,7 +341,8 @@ def nub_window(
 
     g_word = SpecWord(shape, ((g, 1),))
     g_fwd = {v: g_word.apply(v) for v in shape.ball(depth + 1)}
-    g_inv = {v: g_word.inverse().apply(v) for v in domain}
+    g_word_inverse = g_word.inverse()
+    g_inv = {v: g_word_inverse.apply(v) for v in domain}
     shift_ok = True
     for pos, i in enumerate(idx[:-1]):
         nxt = tables[idx[pos + 1]]

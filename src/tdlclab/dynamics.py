@@ -437,9 +437,11 @@ def minorising_degree(ctx) -> dict:
     minimal shadow sets are the invariant opens at depth, their count is
     the degree, and one candidate per open forms the reduced set.  When
     the degree is one the dense-orbit consequence is read off the same
-    shadows: every state must reach every state.
+    shadows: every state must reach every state.  When every generator
+    fixes the base vertex no translate shrinks strictly, so there is no
+    initial minorising set to report and none is searched for.
     """
-    base = minorising_set(ctx)
+    initial = None if ctx.all_fix_base() else minorising_set(ctx)["set"]
     states = ctx.states()
     shadows = {c: frozenset(_first_words(ctx, ctx.state_clopen(c))) for c in states}
     distinct = sorted(set(shadows.values()), key=lambda s: sorted(map(ctx.state_label, s)))
@@ -463,7 +465,7 @@ def minorising_degree(ctx) -> dict:
             sorted(ctx.state_label(b) for b in s) for s in minimal_opens
         ],
         "reduced_set": [ctx.state_label(c) for c in reduced],
-        "initial_set": base["set"],
+        "initial_set": initial,
         "dense_orbit_check": dense_check,
         "depth": ctx.depth,
         "word_bound": ctx.word_bound,

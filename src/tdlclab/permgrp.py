@@ -23,13 +23,26 @@ DEFAULT_CAP = 2**20
 class Perm:
     """Permutation of {0..degree-1}; (p * q)(x) = p(q(x))."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_inverse")
 
     def __init__(self, images: tuple[int, ...] | list[int]) -> None:
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation: {images!r}")
-        object.__setattr__(self, "images", images)
+        self.images = images
+        self._inverse = None
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap images already known to form a permutation, unchecked.
+
+        Only products, conjugates and inverses of permutations come
+        through here.
+        """
+        p = object.__new__(cls)
+        p.images = images
+        p._inverse = None
+        return p
 
     @property
     def degree(self) -> int:
@@ -39,16 +52,20 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if other.degree != self.degree:
+        mine, theirs = self.images, other.images
+        if len(theirs) != len(mine):
             raise ValueError("degree mismatch")
-        mine = self.images
-        return Perm(tuple(mine[y] for y in other.images))
+        return Perm._trusted(tuple([mine[y] for y in theirs]))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm(tuple(inv))
+        """The inverse permutation, built once and then kept."""
+        inv = self._inverse
+        if inv is None:
+            images = [0] * len(self.images)
+            for x, y in enumerate(self.images):
+                images[y] = x
+            inv = self._inverse = Perm._trusted(tuple(images))
+        return inv
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
@@ -63,7 +80,11 @@ class Perm:
         return out
 
     def conjugate_by(self, g: "Perm") -> "Perm":
-        return g * self * g.inverse()
+        """g * self * g^-1, composed in one pass."""
+        mine, theirs = self.images, g.images
+        if len(theirs) != len(mine):
+            raise ValueError("degree mismatch")
+        return Perm._trusted(tuple([theirs[mine[y]] for y in g.inverse().images]))
 
     def is_identity(self) -> bool:
         return all(i == x for x, i in enumerate(self.images))
@@ -285,24 +306,27 @@ class FiniteGroup:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[frozenset[Perm], ...]:
-        seen: set[Perm] = set()
+        # BFS on image tuples, z = g y g^-1: a conjugate that is already
+        # known builds no Perm.
+        pairs = [(g.images, g.inverse().images) for g in self.gens]
+        seen: set[tuple[int, ...]] = set()
         classes = []
         for x in self.element_list:
-            if x in seen:
+            if x.images in seen:
                 continue
-            orb = {x}
-            frontier = [x]
+            orb = {x.images: x}
+            frontier = [x.images]
             while frontier:
                 fresh = []
                 for y in frontier:
-                    for g in self.gens:
-                        z = y.conjugate_by(g)
+                    for g, g_inv in pairs:
+                        z = tuple([g[y[k]] for k in g_inv])
                         if z not in orb:
-                            orb.add(z)
+                            orb[z] = Perm._trusted(z)
                             fresh.append(z)
                 frontier = fresh
-            seen |= orb
-            classes.append(frozenset(orb))
+            seen.update(orb)
+            classes.append(frozenset(orb.values()))
         return tuple(classes)
 
     def subgroup(self, gens: list[Perm] | tuple[Perm, ...]) -> "FiniteGroup":

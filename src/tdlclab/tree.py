@@ -15,6 +15,14 @@ factor, so it stays exact too.  BallIsometry is a lookup table on a ball
 about the base vertex; composition and inversion shrink the reliable
 radius and anything past it raises PrecisionExhausted.
 
+Legality of an address is checked once, at the public entry:
+IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
+on an illegal address, then run unchecked code, because the image of a
+legal address is legal.  SpecWord applies its factors through the
+unchecked IsometrySpec._apply and _apply_inverse.  Each portrait site is
+compiled once, when the spec is built, to the forward and inverse image
+tuples of its colour permutation.
+
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
 children independently.  On regular shapes it is inherited: a decoration
@@ -250,7 +258,12 @@ class IsometrySpec:
                         f"site {addr!r} disagrees with its surroundings on "
                         f"the return colour {back}"
                     )
-        object.__setattr__(self, "site_map", site_map)
+        # each site compiled once to its forward and inverse image tuples
+        compiled = {
+            addr: (perm.images, perm.inverse().images)
+            for addr, perm in site_map.items()
+        }
+        object.__setattr__(self, "site_map", compiled)
 
     @property
     def displacement(self) -> int:
@@ -264,51 +277,59 @@ class IsometrySpec:
     def apply(self, addr: Address) -> Address:
         addr = tuple(addr)
         self.shape.require_legal(addr)
+        return self._apply(addr)
+
+    def apply_inverse(self, addr: Address) -> Address:
+        addr = tuple(addr)
+        self.shape.require_legal(addr)
+        return self._apply_inverse(addr)
+
+    def _apply(self, addr: Address) -> Address:
+        """Image of an address already known to be legal."""
         smap = self.site_map
         if self.shape.kind == "rooted":
             out = []
             for j, x in enumerate(addr):
-                perm = smap.get(addr[:j])
-                out.append(perm(x) if perm is not None else x)
+                site = smap.get(addr[:j])
+                out.append(site[0][x] if site is not None else x)
             return tuple(out)
         out = []
-        active = smap.get(ROOT)
+        site = smap.get(ROOT)
         prefix: Address = ROOT
         for x in addr:
-            out.append(active(x) if active is not None else x)
+            out.append(site[0][x] if site is not None else x)
             prefix = prefix + (x,)
             if prefix in smap:
-                active = smap[prefix]
+                site = smap[prefix]
         if not self.word:
             return tuple(out)
         return free_reduce(self.word + tuple(out))
 
-    def apply_inverse(self, addr: Address) -> Address:
+    def _apply_inverse(self, addr: Address) -> Address:
         """Strip the word, then solve the portrait letter by letter.
 
         The permutation acting on letter j depends only on the already
         recovered domain prefix, so the preimage unrolls front to back.
+        The address must be legal; it stays legal once the word is
+        stripped.
         """
-        addr = tuple(addr)
-        # a legal address stays legal once the word is stripped
-        self.shape.require_legal(addr)
         if self.word:
             addr = free_reduce(tuple(reversed(self.word)) + addr)
         smap = self.site_map
         out: list[int] = []
         if self.shape.kind == "rooted":
             for z in addr:
-                perm = smap.get(tuple(out))
-                out.append(perm.inverse()(z) if perm is not None else z)
+                site = smap.get(tuple(out))
+                out.append(site[1][z] if site is not None else z)
             return tuple(out)
-        active = smap.get(ROOT)
+        site = smap.get(ROOT)
         prefix: Address = ROOT
         for z in addr:
-            y = active.inverse()(z) if active is not None else z
+            y = site[1][z] if site is not None else z
             out.append(y)
             prefix = prefix + (y,)
             if prefix in smap:
-                active = smap[prefix]
+                site = smap[prefix]
         return tuple(out)
 
     def realize(self, r: int) -> BallIsometry:
@@ -391,13 +412,16 @@ class SpecWord:
         )
 
     def apply(self, addr: Address) -> Address:
+        # checked once here: images of a legal address are legal
+        addr = tuple(addr)
+        self.shape.require_legal(addr)
         for spec, exp in reversed(self.factors):
             if exp >= 0:
                 for _ in range(exp):
-                    addr = spec.apply(addr)
+                    addr = spec._apply(addr)
             else:
                 for _ in range(-exp):
-                    addr = spec.apply_inverse(addr)
+                    addr = spec._apply_inverse(addr)
         return addr
 
     def apply_inverse(self, addr: Address) -> Address:

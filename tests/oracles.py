@@ -35,6 +35,31 @@ def oracle_normal_subgroups(g: FiniteGroup) -> list[frozenset[Perm]]:
     return sorted(out, key=lambda s: (len(s), sorted(p.images for p in s)))
 
 
+def oracle_element_set(g: FiniteGroup) -> frozenset[Perm]:
+    """Generators and identity closed under all pairwise products, on raw
+    image tuples, until nothing new appears."""
+    elems = {tuple(range(g.degree))} | {p.images for p in g.gens}
+    while True:
+        products = {tuple(a[k] for k in b) for a in elems for b in elems}
+        if products <= elems:
+            return frozenset(Perm(e) for e in elems)
+        elems |= products
+
+
+def oracle_conjugacy_classes(g: FiniteGroup) -> set[frozenset[Perm]]:
+    """{h x h^-1 : h in G} for each x, composed on raw image tuples."""
+    classes = set()
+    for x in g.element_set:
+        cls = set()
+        for h in g.element_set:
+            h_inv = [0] * g.degree
+            for a, b in enumerate(h.images):
+                h_inv[b] = a
+            cls.add(Perm(tuple(h.images[x.images[h_inv[y]]] for y in range(g.degree))))
+        classes.add(frozenset(cls))
+    return classes
+
+
 def _is_pi(n: int, pi) -> bool:
     return all(p in pi for p in prime_factors(n))
 

@@ -212,6 +212,20 @@ def test_dynamics_degree_two_copy(spec_file, capsys):
     assert report["results"]["degree"] == 2
 
 
+def test_dynamics_degree_rotations_only_exits_zero(spec_file, capsys):
+    # every generator fixes the base vertex: no minorising set is searched
+    code, report, _ = run_cli(
+        capsys, "dynamics", "degree", spec_file(ROTONLY), "--depth", "2"
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["verdict"] == "verified"
+    assert results["initial_set"] is None
+    # the root recolourings by Sym(3) permute the six depth-2 vertices
+    # transitively, so there is one invariant open
+    assert results["degree"] == 1
+
+
 def test_dynamics_skewering_and_measure_infeasible(spec_file, capsys):
     code, report, _ = run_cli(capsys, "dynamics", "skewering", spec_file(US3))
     assert code == 0

@@ -210,22 +210,41 @@ _DEGREE_CONTEXTS = {
     "translation-rotation-3": (lambda: dy.translation_rotation_context(S3, depth=3), 1),
     "skewering": (lambda: dy.skewering_context(S3), 1),
     # measure-preserving rotations never shrink a cylinder strictly, so
-    # no minorising set exists and the degree search gives up
+    # there is no minorising set; the degree counts the state orbits
     "rotations-only": (lambda: dy.rotation_context(S3), None),
     "half-tree-stabiliser": (lambda: ls.half_tree_stabiliser_context(S3, 0, depth=2), None),
     "two-copy": (lambda: dy.two_copy_product_context(S3, depth=2), 2),
 }
 
 
+def _state_orbit_count(ctx):
+    """Orbits of the generators on the depth-n states, by union-find;
+    only meaningful when every generator fixes the base vertex."""
+    parent = {s: s for s in ctx.states()}
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for name in ctx.gen_names:
+        word = ctx.generator(name)
+        for s in ctx.states():
+            parent[find(s)] = find(word.apply(s))
+    return len({find(s) for s in ctx.states()})
+
+
 @pytest.mark.parametrize("name", sorted(_DEGREE_CONTEXTS))
 def test_dense_orbit_check_agrees_with_check_minimal(name):
     make, degree = _DEGREE_CONTEXTS[name]
     ctx = make()
-    if degree is None:
-        with pytest.raises(SearchExhausted):
-            dy.minorising_degree(ctx)
-        return
     report = dy.minorising_degree(ctx)
+    if degree is None:
+        assert ctx.all_fix_base()
+        assert report["initial_set"] is None
+        degree = _state_orbit_count(ctx)
+    else:
+        assert report["initial_set"] == dy.minorising_set(ctx)["set"]
     assert report["degree"] == degree
     minimal = dy.check_minimal(ctx)["verdict"] == "minimal-at-depth"
     assert report["dense_orbit_check"] == (minimal if degree == 1 else None)

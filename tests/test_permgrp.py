@@ -41,6 +41,8 @@ from tdlclab.permgrp import (
 from oracles import (
     corpus,
     oracle_composition_factors,
+    oracle_conjugacy_classes,
+    oracle_element_set,
     oracle_derived,
     oracle_melnikov,
     oracle_normal_subgroups,
@@ -57,6 +59,67 @@ def test_perm_mul_applies_right_first():
     q = Perm.from_cycles(3, (1, 2))
     assert (p * q)(1) == p(q(1)) == p(2) == 2
     assert (p * q)(2) == p(1) == 0
+
+
+def _random_perm(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Perm(tuple(images))
+
+
+def test_products_and_inverses_match_the_validating_constructor_seeded():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        p, q = _random_perm(rng, n), _random_perm(rng, n)
+        product = Perm(tuple(p.images[y] for y in q.images))
+        inverse = Perm(tuple(p.images.index(x) for x in range(n)))
+        for fast, slow in (
+            (p * q, product),
+            (p.inverse(), inverse),
+            (q.conjugate_by(p), Perm(tuple(product.images[y] for y in inverse.images))),
+        ):
+            assert fast == slow and hash(fast) == hash(slow)
+            assert type(fast.images) is tuple and fast.degree == n
+
+
+def test_inverse_inverts_and_is_stable_seeded():
+    rng = random.Random(12)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        p = _random_perm(rng, n)
+        first = p.inverse()
+        assert (first * p).is_identity() and (p * first).is_identity()
+        assert p.inverse() == first
+        assert first.inverse() == p
+        assert p ** -3 == first * first * first
+
+
+def test_validating_paths_still_reject():
+    with pytest.raises(ValueError):
+        Perm((0, 0, 1))
+    with pytest.raises(ValueError):
+        Perm((1, 2))
+    with pytest.raises(ValueError):
+        Perm((1, 0)) * Perm((0, 2, 1))
+    with pytest.raises(ValueError):
+        Perm((1, 0)).conjugate_by(Perm((0, 2, 1)))
+
+
+def test_closure_matches_oracle_on_corpus():
+    groups = dict(corpus(), C2wr3=wreath_c2_tower(3))
+    for name, g in groups.items():
+        assert g.element_set == oracle_element_set(g), name
+        pruned = g.pruned_gens
+        assert set(pruned) <= set(g.gens), name
+        assert FiniteGroup(g.degree, pruned).element_set == g.element_set, name
+
+
+def test_conjugacy_classes_match_oracle_on_corpus():
+    for name, g in corpus().items():
+        classes = g.conjugacy_classes
+        assert len(classes) == len(set(classes)), name
+        assert set(classes) == oracle_conjugacy_classes(g), name
 
 
 def test_cycle_notation_roundtrip_seeded():
