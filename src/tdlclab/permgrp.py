@@ -306,27 +306,24 @@ class FiniteGroup:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[frozenset[Perm], ...]:
-        # BFS on image tuples, z = g y g^-1: a conjugate that is already
-        # known builds no Perm.
-        pairs = [(g.images, g.inverse().images) for g in self.gens]
-        seen: set[tuple[int, ...]] = set()
+        seen: set[Perm] = set()
         classes = []
         for x in self.element_list:
-            if x.images in seen:
+            if x in seen:
                 continue
-            orb = {x.images: x}
-            frontier = [x.images]
+            orb = {x}
+            frontier = [x]
             while frontier:
                 fresh = []
                 for y in frontier:
-                    for g, g_inv in pairs:
-                        z = tuple([g[y[k]] for k in g_inv])
+                    for g in self.gens:
+                        z = y.conjugate_by(g)
                         if z not in orb:
-                            orb[z] = Perm._trusted(z)
+                            orb.add(z)
                             fresh.append(z)
                 frontier = fresh
-            seen.update(orb)
-            classes.append(frozenset(orb.values()))
+            seen |= orb
+            classes.append(frozenset(orb))
         return tuple(classes)
 
     def subgroup(self, gens: list[Perm] | tuple[Perm, ...]) -> "FiniteGroup":

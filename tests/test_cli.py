@@ -60,6 +60,15 @@ depth = 2
 word_bound = 4
 """
 
+ROOTED_BINARY = """\
+[tree]
+kind = rooted
+degree = 2
+
+[local_group]
+generators = (0 1)
+"""
+
 TWOCOPY = """\
 [tree]
 kind = two-copy
@@ -177,9 +186,8 @@ def test_report_local_eta_and_orbit_bounds(spec_file, capsys):
 
 
 def test_report_local_rooted_binary(spec_file, capsys):
-    text = "[tree]\nkind = rooted\ndegree = 2\n\n[local_group]\ngenerators = (0 1)\n"
     code, report, _ = run_cli(
-        capsys, "report-local", spec_file(text), "--depths", "1..3"
+        capsys, "report-local", spec_file(ROOTED_BINARY), "--depths", "1..3"
     )
     assert code == 0
     results = report["results"]

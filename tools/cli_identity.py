@@ -1,6 +1,6 @@
 """Compare CLI output of this checkout with another one, byte for byte.
 
-    python3 tools/cli_identity.py --base PATH [--timeout SECONDS]
+    python3 tools/cli_identity.py --base PATH
 
 PATH is the root of another tdlclab checkout, for instance an exported
 parent commit.  Each case below runs once per checkout, both at the same
@@ -21,42 +21,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-SPECS = {
-    "elements": """\
-[tree]
-kind = regular
-degree = 3
+sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
+from test_cli import ROOTED_BINARY, US3, US3_ELEMENTS  # noqa: E402
 
-[local_group]
-generators = (0 1 2), (0 1)
-
-[elements]
-g = hyperbolic axis=0
-u1 = portrait 01:(0 2)
-rho = portrait root:(0 1 2)
-c = word g u1 g~
-
-[limits]
-depth = 3
-word_bound = 6
-""",
-    "rooted-binary": """\
-[tree]
-kind = rooted
-degree = 2
-
-[local_group]
-generators = (0 1)
-""",
-    "regular-sym3": """\
-[tree]
-kind = regular
-degree = 3
-
-[local_group]
-generators = (0 1 2), (0 1)
-""",
-}
+SPECS = {"elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY, "regular-sym3": US3}
+TIMEOUT_S = 900.0
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -87,8 +56,8 @@ def start(root: Path, spec: str, argv: list[str], workdir: Path) -> subprocess.P
     )
 
 
-def finish(proc: subprocess.Popen, workdir: Path, timeout: float) -> tuple:
-    stdout, stderr = proc.communicate(timeout=timeout)
+def finish(proc: subprocess.Popen, workdir: Path) -> tuple:
+    stdout, stderr = proc.communicate(timeout=TIMEOUT_S)
     cert = workdir / "cert.json"
     return proc.returncode, stdout, stderr, cert.read_bytes() if cert.exists() else None
 
@@ -96,7 +65,6 @@ def finish(proc: subprocess.Popen, workdir: Path, timeout: float) -> tuple:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="root of the other checkout")
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per case")
     args = parser.parse_args()
     same = 0
     todo = cases()
@@ -106,7 +74,7 @@ def main() -> int:
             procs = [start(args.base.resolve(), spec, argv, dirs[0]),
                      start(HERE, spec, argv, dirs[1])]
             try:
-                base, head = (finish(p, d, args.timeout) for p, d in zip(procs, dirs))
+                base, head = (finish(p, d) for p, d in zip(procs, dirs))
             except subprocess.TimeoutExpired:
                 for p in procs:
                     p.kill()
