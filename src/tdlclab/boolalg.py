@@ -376,20 +376,6 @@ class DepthPartition:
         if not total.is_top():
             raise ValueError("partition does not cover the boundary")
 
-    @staticmethod
-    def at_depth(shape: TreeShape, n: int) -> "DepthPartition":
-        parts = tuple(
-            CylinderClopen.cylinder(shape, a) for a in shape.sphere(max(n, 1))
-        )
-        return DepthPartition(shape, parts)
-
-
-def measure_weights(shape: TreeShape, n: int) -> dict[Address, Fraction]:
-    """Exact uniform weights of the depth-n cylinders; they sum to 1."""
-    if n < 1:
-        raise ValueError("weights are defined for depth >= 1")
-    return {a: shape.address_weight(a) for a in shape.sphere(n)}
-
 
 # -- textual form -----------------------------------------------------------
 #

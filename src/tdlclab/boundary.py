@@ -66,6 +66,21 @@ def support_in(iso: BallIsometry, region: CylinderClopen) -> bool:
     )
 
 
+def tables_commute(family_a, family_b, domain) -> bool:
+    """Every table of one family commutes with every table of the other
+    at each point of the domain.
+
+    Tables are vertex maps (or index tuples) that send the domain into
+    itself, such as the tables of isometries fixing the base vertex.
+    """
+    return all(
+        fu[fv[x]] == fv[fu[x]]
+        for fu in family_a
+        for fv in family_b
+        for x in domain
+    )
+
+
 def half_tree_fixator(
     shape: TreeShape, local: FiniteGroup, colour: int, max_depth: int
 ) -> dict:
@@ -227,14 +242,9 @@ def goodshrink_construct(
     # g^n0.beta witnesses; when every witness fixes the base vertex the
     # tables permute each sphere and compose inside the checked ball,
     # and a witness moving the base vertex already refutes the product
-    domain = list(shape.ball(check_radius))
-    commute = all(t[ROOT] == ROOT for t in conj_tables + beta_tables)
-    if commute:
-        for fu in conj_tables:
-            for fv in beta_tables:
-                for x in domain:
-                    if fu[fv[x]] != fv[fu[x]]:
-                        commute = False
+    commute = all(t[ROOT] == ROOT for t in conj_tables + beta_tables) and tables_commute(
+        conj_tables, beta_tables, list(shape.ball(check_radius))
+    )
 
     contractions = [
         contraction_certificate(g, u, depth) for u in kappa_gens
@@ -306,13 +316,13 @@ def nub_window(
     translates = {
         i: spec_image_clopen(SpecWord(shape, ((g, i),)), beta) for i in idx
     }
-    for i in idx:
-        for j in idx:
-            if i < j and translates[i].meets(translates[j]):
-                raise DisjointnessFailure(
-                    f"translates at {i} and {j} overlap: "
-                    f"{translates[i]} vs {translates[j]}"
-                )
+    pairs = [(i, j) for i in idx for j in idx if i < j]
+    for i, j in pairs:
+        if translates[i].meets(translates[j]):
+            raise DisjointnessFailure(
+                f"translates at {i} and {j} overlap: "
+                f"{translates[i]} vs {translates[j]}"
+            )
 
     beta_gens = rist_generators(local, beta, v_level)
     if not beta_gens:
@@ -320,29 +330,23 @@ def nub_window(
     families = {
         i: [SpecWord.conjugate(g, u, i) for u in beta_gens] for i in idx
     }
-    realized = {i: _realized(families[i], depth + 1) for i in idx}
+    # g^-1 moves a depth-n vertex at most d = displacement deeper, so the
+    # witness tables and g's forward table are realized at depth + d,
+    # and g's inverse table, read off the forward one, covers the depth ball
+    reach = depth + max(1, g.displacement)
+    realized = {i: _realized(families[i], reach) for i in idx}
     supports_ok = all(
         support_in(iso, translates[i]) for i in idx for iso in realized[i]
     )
     tables = {i: [iso.table for iso in realized[i]] for i in idx}
 
     domain = list(shape.ball(depth))
-    pair_checks = 0
-    commute_ok = True
-    for ai in range(len(idx)):
-        for aj in range(ai + 1, len(idx)):
-            i, j = idx[ai], idx[aj]
-            pair_checks += 1
-            for fu in tables[i]:
-                for fv in tables[j]:
-                    for x in domain:
-                        if fu[fv[x]] != fv[fu[x]]:
-                            commute_ok = False
+    commute_ok = all(
+        tables_commute(tables[i], tables[j], domain) for i, j in pairs
+    )
 
-    g_word = SpecWord(shape, ((g, 1),))
-    g_fwd = {v: g_word.apply(v) for v in shape.ball(depth + 1)}
-    g_word_inverse = g_word.inverse()
-    g_inv = {v: g_word_inverse.apply(v) for v in domain}
+    g_ball = g.realize(reach)
+    g_fwd, g_inv = g_ball.table, g_ball.inverse().table
     shift_ok = True
     for pos, i in enumerate(idx[:-1]):
         nxt = tables[idx[pos + 1]]
@@ -362,7 +366,7 @@ def nub_window(
         "v_level": v_level,
         "depth": depth,
         "factor_count": len(idx),
-        "factor_pair_checks": pair_checks,
+        "factor_pair_checks": len(pairs),
         "witnesses_per_factor": len(beta_gens),
         "translates": {str(i): str(translates[i]) for i in idx},
         "checks": checks,

@@ -28,19 +28,6 @@ class NotTransitive(ValueError):
     """A point action required to be transitive is not."""
 
 
-class NotTransitiveAtRadius(ValueError):
-    """Generator words within the bound do not cover the requested ball."""
-
-    def __init__(self, radius: int, bound: int, missing: object) -> None:
-        super().__init__(
-            f"orbit of the base vertex misses part of the radius-{radius} ball "
-            f"at word bound {bound}"
-        )
-        self.radius = radius
-        self.bound = bound
-        self.missing = missing
-
-
 class DecompositionNotFound(ValueError):
     """No direct decomposition of the requested form exists."""
 

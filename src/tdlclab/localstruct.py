@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolalg import CylinderClopen, TreeShape, sphere_list
-from .boundary import region_vertices, rist_generators
+from .boundary import region_vertices, rist_generators, tables_commute
 from .dynamics import ActionContext, orbit_join
-from .permgrp import FiniteGroup, Perm
-from .tree import IsometrySpec, level_group, level_order
+from .permgrp import FiniteGroup
+from .tree import IsometrySpec, level_group, level_order, sphere_permutation
 
 ROOT: tuple = ()
 
@@ -95,14 +95,6 @@ def _rist_level_order(local: FiniteGroup, region: CylinderClopen, n: int) -> int
     return total
 
 
-def _sphere_table(spec: IsometrySpec, points) -> dict:
-    return {p: spec.apply(p) for p in points}
-
-
-def _as_level_perm(spec: IsometrySpec, points, index) -> Perm:
-    return Perm(tuple(index[spec.apply(p)] for p in points))
-
-
 def perp(
     local: FiniteGroup,
     a: LocalClass,
@@ -135,12 +127,12 @@ def perp(
         index = {p: i for i, p in enumerate(points)}
         gens_a = rist_generators(local, a.region, d - 1) if d > 1 else []
         gens_b = rist_generators(local, complement.region, d - 1) if d > 1 else []
-        tables_a = [_sphere_table(g, points) for g in gens_a]
-        tables_b = [_sphere_table(g, points) for g in gens_b]
-        commute = all(
-            all(ta[tb[p]] == tb[ta[p]] for p in points)
-            for ta in tables_a
-            for tb in tables_b
+        perms_a = [sphere_permutation(g, points, index) for g in gens_a]
+        perms_b = [sphere_permutation(g, points, index) for g in gens_b]
+        commute = tables_commute(
+            [p.images for p in perms_a],
+            [p.images for p in perms_b],
+            range(len(points)),
         )
         order_a = _rist_level_order(local, a.region, d)
         order_b = _rist_level_order(local, complement.region, d)
@@ -159,11 +151,9 @@ def perp(
             report["verdict"] = "refuted_at_depth"
         if level <= realize_cap:
             group = level_group(shape, local, d)
-            sub_a = group.subgroup([_as_level_perm(g, points, index) for g in gens_a])
-            sub_b = group.subgroup([_as_level_perm(g, points, index) for g in gens_b])
-            both = group.subgroup(
-                [_as_level_perm(g, points, index) for g in gens_a + gens_b]
-            )
+            sub_a = group.subgroup(perms_a)
+            sub_b = group.subgroup(perms_b)
+            both = group.subgroup(perms_a + perms_b)
             entry["realized"] = True
             entry["realized_orders_match"] = (
                 sub_a.order == order_a and sub_b.order == order_b
@@ -280,7 +270,7 @@ def _realize_star_decomposition(
     subs = []
     for r in regions:
         gens = rist_generators(local, r, d - 1) if d > 1 else []
-        subs.append(group.subgroup([_as_level_perm(g, points, index) for g in gens]))
+        subs.append(group.subgroup([sphere_permutation(g, points, index) for g in gens]))
     commute = True
     trivial = True
     for i in range(len(subs)):

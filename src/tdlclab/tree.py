@@ -19,9 +19,13 @@ Legality of an address is checked once, at the public entry:
 IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
 on an illegal address, then run unchecked code, because the image of a
 legal address is legal.  SpecWord applies its factors through the
-unchecked IsometrySpec._apply and _apply_inverse.  Each portrait site is
-compiled once, when the spec is built, to the forward and inverse image
-tuples of its colour permutation.
+unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
+address check at all: realize and is_identity_on walk shape.ball(r),
+whose vertices are legal by construction, through the unchecked _apply,
+and realize then validates the finished table as a BallIsometry (domain,
+injectivity, legal images, adjacency).  Each portrait site is compiled
+once, when the spec is built, to the forward and inverse image tuples of
+its colour permutation; below the deepest site no lookup is made.
 
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
@@ -45,7 +49,7 @@ from .boolalg import (
     format_address,
     sphere_list,
 )
-from .errors import NotTransitiveAtRadius, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .permgrp import FiniteGroup, Perm, prime_factors
 
 
@@ -116,10 +120,6 @@ class BallIsometry:
             if not _adjacent(self.table[b[:-1]], self.table[b]):
                 raise ValueError(f"images of edge at {b!r} are not adjacent")
 
-    @classmethod
-    def identity(cls, shape: TreeShape, r: int) -> "BallIsometry":
-        return cls(shape, r, {a: a for a in shape.ball(r)}, check=False)
-
     @property
     def displacement(self) -> int:
         return len(self.table[ROOT])
@@ -174,23 +174,12 @@ class BallIsometry:
                     images[c] = iv[-1]
         return Perm(tuple(images[c] for c in self.shape.colours()))
 
-    def is_identity(self) -> bool:
-        return all(a == b for a, b in self.table.items())
-
     def is_identity_on(self, r: int) -> bool:
         if r > self.precision:
             raise PrecisionExhausted(
                 f"ball {r} not covered at precision {self.precision}"
             )
         return all(a == b for a, b in self.table.items() if len(a) <= r)
-
-    def agrees_with(self, other: "BallIsometry", r: int) -> bool:
-        if r > min(self.precision, other.precision):
-            raise PrecisionExhausted(f"ball {r} not covered by both tables")
-        return all(
-            self.table[a] == other.table[a]
-            for a in self.shape.ball(r)
-        )
 
     def __repr__(self) -> str:
         return (
@@ -225,6 +214,8 @@ class IsometrySpec:
     word: tuple[int, ...] = ()
     sites: tuple[tuple[Address, Perm], ...] = ()
     site_map: dict = field(init=False, repr=False, compare=False)
+    # depth of the deepest decorated site; no lookup can match below it
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = self.shape
@@ -264,15 +255,11 @@ class IsometrySpec:
             for addr, perm in site_map.items()
         }
         object.__setattr__(self, "site_map", compiled)
+        object.__setattr__(self, "depth", max(map(len, site_map), default=0))
 
     @property
     def displacement(self) -> int:
         return len(self.word)
-
-    @property
-    def depth(self) -> int:
-        """Depth of the deepest decorated site."""
-        return max((len(a) for a, _ in self.sites), default=0)
 
     def apply(self, addr: Address) -> Address:
         addr = tuple(addr)
@@ -285,22 +272,29 @@ class IsometrySpec:
         return self._apply_inverse(addr)
 
     def _apply(self, addr: Address) -> Address:
-        """Image of an address already known to be legal."""
-        smap = self.site_map
+        """Image of an address already known to be legal.
+
+        Sites are looked up only down to the deepest one.  Below it a
+        rooted letter is fixed and a regular letter is recoloured by the
+        site inherited there.
+        """
+        smap, reach = self.site_map, self.depth
         if self.shape.kind == "rooted":
             out = []
-            for j, x in enumerate(addr):
+            for j, x in enumerate(addr[: reach + 1]):
                 site = smap.get(addr[:j])
                 out.append(site[0][x] if site is not None else x)
-            return tuple(out)
+            return tuple(out) + addr[reach + 1:]
         out = []
         site = smap.get(ROOT)
         prefix: Address = ROOT
-        for x in addr:
+        for x in addr[:reach]:
             out.append(site[0][x] if site is not None else x)
             prefix = prefix + (x,)
             if prefix in smap:
                 site = smap[prefix]
+        tail = addr[reach:]
+        out.extend(tail if site is None else [site[0][x] for x in tail])
         if not self.word:
             return tuple(out)
         return free_reduce(self.word + tuple(out))
@@ -309,32 +303,41 @@ class IsometrySpec:
         """Strip the word, then solve the portrait letter by letter.
 
         The permutation acting on letter j depends only on the already
-        recovered domain prefix, so the preimage unrolls front to back.
-        The address must be legal; it stays legal once the word is
-        stripped.
+        recovered domain prefix, so the preimage unrolls front to back,
+        with lookups down to the deepest site as in _apply.  The address
+        must be legal; it stays legal once the word is stripped.
         """
         if self.word:
             addr = free_reduce(tuple(reversed(self.word)) + addr)
-        smap = self.site_map
+        smap, reach = self.site_map, self.depth
         out: list[int] = []
         if self.shape.kind == "rooted":
-            for z in addr:
+            for z in addr[: reach + 1]:
                 site = smap.get(tuple(out))
                 out.append(site[1][z] if site is not None else z)
-            return tuple(out)
+            return tuple(out) + addr[reach + 1:]
         site = smap.get(ROOT)
         prefix: Address = ROOT
-        for z in addr:
+        for z in addr[:reach]:
             y = site[1][z] if site is not None else z
             out.append(y)
             prefix = prefix + (y,)
             if prefix in smap:
                 site = smap[prefix]
+        tail = addr[reach:]
+        out.extend(tail if site is None else [site[1][z] for z in tail])
         return tuple(out)
 
     def realize(self, r: int) -> BallIsometry:
-        table = {a: self.apply(a) for a in self.shape.ball(r)}
-        return BallIsometry(self.shape, r, table, check=True)
+        return BallIsometry(self.shape, r, dict(_ball_images(self, r)))
+
+
+def _ball_images(mover, r: int):
+    """(vertex, image) over the radius-r ball, through the unchecked
+    _apply: ball vertices are legal by construction."""
+    image = mover._apply
+    for a in mover.shape.ball(r):
+        yield a, image(a)
 
 
 def hyperbolic_isometry(shape: TreeShape, axis) -> IsometrySpec:
@@ -415,6 +418,9 @@ class SpecWord:
         # checked once here: images of a legal address are legal
         addr = tuple(addr)
         self.shape.require_legal(addr)
+        return self._apply(addr)
+
+    def _apply(self, addr: Address) -> Address:
         for spec, exp in reversed(self.factors):
             if exp >= 0:
                 for _ in range(exp):
@@ -432,18 +438,21 @@ class SpecWord:
         return len(self.apply(ROOT))
 
     def realize(self, r: int) -> BallIsometry:
-        table = {a: self.apply(a) for a in self.shape.ball(r)}
-        return BallIsometry(self.shape, r, table, check=True)
+        return BallIsometry(self.shape, r, dict(_ball_images(self, r)))
 
     def is_identity_on(self, r: int) -> bool:
-        return all(self.apply(a) == a for a in self.shape.ball(r))
+        return all(a == b for a, b in _ball_images(self, r))
 
 
 def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
     """Forward image of a clopen under an exact recipe.
 
-    Same refinement rule as image_clopen, but evaluated through exact
-    applications instead of a truncated table, so depth never runs out.
+    The clopen is refined to atoms of depth at least the displacement
+    plus one, so every atom lies strictly beyond the segment from the
+    base vertex to its image.  Past that segment the image of the
+    cylinder at an atom b is exactly the cylinder at the image of b, so
+    the image clopen is covered by the images of the atoms.  Exact
+    application means depth never runs out.
     """
     if clopen.is_zero():
         return clopen
@@ -451,39 +460,6 @@ def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
     depth = max(clopen.depth, disp + 1)
     images = [mover.apply(atom) for atom in clopen.refine(depth)]
     return CylinderClopen.from_addresses(clopen.shape, images)
-
-
-# -- boundary images -----------------------------------------------------------
-
-
-def image_clopen(iso: BallIsometry, clopen: CylinderClopen) -> CylinderClopen:
-    """Forward image of a cylinder clopen set under the isometry.
-
-    Atoms are refined until their images lie strictly beyond the segment
-    from the base vertex to its image; past that point the image of the
-    cylinder at b is exactly the cylinder at the image of b.
-    """
-    if iso.shape != clopen.shape:
-        raise ValueError("shape mismatch")
-    if clopen.is_zero():
-        return clopen
-    depth = max(clopen.depth, iso.displacement + 1)
-    if depth > iso.precision:
-        raise PrecisionExhausted(
-            f"need depth {depth} atoms, have precision {iso.precision}"
-        )
-    base_path = iso.table[ROOT]
-    images = []
-    for atom in clopen.refine(depth):
-        img = iso.table[atom]
-        if len(img) <= len(base_path) and base_path[: len(img)] == img:
-            raise AssertionError("image atom landed on the displacement path")
-        images.append(img)
-    return CylinderClopen.from_addresses(iso.shape, images)
-
-
-def preimage_clopen(iso: BallIsometry, clopen: CylinderClopen) -> CylinderClopen:
-    return image_clopen(iso.inverse(), clopen)
 
 
 # -- the universal group at finite depth ----------------------------------------
@@ -503,6 +479,12 @@ def _return_stabiliser(local: FiniteGroup, colour: int) -> FiniteGroup:
     return local.point_stabilizer(colour)
 
 
+def sphere_permutation(spec: IsometrySpec, points, index: dict) -> Perm:
+    """Permutation of a sphere by a recipe that fixes the base vertex;
+    ``index`` numbers the sphere's ``points``."""
+    return Perm(tuple(index[spec._apply(a)] for a in points))
+
+
 def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
     """Depth-n truncation as a permutation group on the n-sphere.
 
@@ -520,8 +502,7 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
     index = {a: i for i, a in enumerate(points)}
 
     def as_perm(v: Address, g: Perm) -> Perm:
-        spec = IsometrySpec(shape, sites=((v, g),))
-        return Perm(tuple(index[spec.apply(a)] for a in points))
+        return sphere_permutation(IsometrySpec(shape, sites=((v, g),)), points, index)
 
     gens = []
     for g in local.pruned_gens:
@@ -634,58 +615,6 @@ def sphere_orbit_classes(
     return {
         "classes": classes,
         "counts": {k: len(v) for k, v in classes.items()},
-    }
-
-
-def realized_sphere_orbits(
-    shape: TreeShape, local: FiniteGroup, n: int
-) -> int:
-    return len(level_group(shape, local, n).orbits())
-
-
-# -- transitivity witnesses ------------------------------------------------------
-
-
-def transitive_generators(shape: TreeShape) -> dict[str, IsometrySpec]:
-    """One colour-word generator per neighbour of the base vertex.
-
-    Left multiplications have trivial local actions, so they witness
-    vertex transitivity inside the universal group of any local group.
-    """
-    if shape.kind != "regular":
-        raise ValueError("vertex transitivity needs a regular shape")
-    return {
-        f"m{c}": colour_word_isometry(shape, (c,))
-        for c in shape.colours()
-    }
-
-
-def covering_words(
-    shape: TreeShape, gens: dict[str, IsometrySpec], radius: int, bound: int
-) -> dict[Address, tuple[str, ...]]:
-    """Generator words carrying the base vertex onto the radius ball.
-
-    Breadth-first over exact applications; raises NotTransitiveAtRadius
-    when some vertex stays unreached by words within the length bound.
-    """
-    reached: dict[Address, tuple[str, ...]] = {ROOT: ()}
-    frontier = [ROOT]
-    for _ in range(bound):
-        fresh = []
-        for v in frontier:
-            for name, g in gens.items():
-                w = g.apply(v)
-                if w not in reached:
-                    reached[w] = (name,) + reached[v]
-                    fresh.append(w)
-        frontier = fresh
-        if not frontier:
-            break
-    missing = [v for v in shape.ball(radius) if v not in reached]
-    if missing:
-        raise NotTransitiveAtRadius(radius, bound, missing)
-    return {
-        v: reached[v] for v in shape.ball(radius)
     }
 
 

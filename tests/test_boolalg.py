@@ -16,7 +16,6 @@ from tdlclab.boolalg import (
     CylinderClopen,
     DepthPartition,
     format_clopen,
-    measure_weights,
     parse_clopen,
     regular,
     rooted,
@@ -246,7 +245,8 @@ def test_leq_matches_set_model_seeded():
 def test_measure_weights_sum_to_one():
     for shape in (T3, R2, rooted(3)):
         for n in (1, 2, 3):
-            assert sum(measure_weights(shape, n).values()) == 1
+            weights = [shape.address_weight(a) for a in shape.sphere(n)]
+            assert sum(weights) == 1
 
 
 def test_measure_examples_t3():
@@ -271,7 +271,9 @@ def test_measure_is_additive_seeded():
 
 
 def test_depth_partition_valid():
-    part = DepthPartition.at_depth(T3, 2)
+    part = DepthPartition(
+        T3, tuple(CylinderClopen.cylinder(T3, a) for a in T3.sphere(2))
+    )
     assert len(part.parts) == 6
 
 

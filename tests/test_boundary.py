@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tdlclab.boolalg import CylinderClopen, regular
+from tdlclab.boolalg import ROOT, CylinderClopen, regular, rooted
 from tdlclab.boundary import (
     contraction_certificate,
     goodshrink_construct,
@@ -14,12 +14,13 @@ from tdlclab.boundary import (
     nub_window,
     rist_generators,
     support_in,
+    tables_commute,
     tits_core_generators,
 )
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import DisjointnessFailure, NotSkewering
 from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
-from tdlclab.tree import IsometrySpec, hyperbolic_isometry
+from tdlclab.tree import IsometrySpec, hyperbolic_isometry, spec_image_clopen
 
 from util import random_clopen
 
@@ -71,6 +72,23 @@ def test_rist_of_disjoint_regions_commutes_elementwise():
     for fu in tabs_a:
         for fv in tabs_b:
             assert all(fu[fv[x]] == fv[fu[x]] for x in ball)
+
+
+def test_tables_commute_refutes_witnesses_at_one_vertex():
+    # two single-site witnesses at the same vertex whose decorations do
+    # not commute; disjointly supported witnesses do commute
+    radius = 4
+    for shape, v in ((T3, ROOT), (rooted(3), (1,))):
+        ball = list(shape.ball(radius))
+        a = IsometrySpec(shape, sites=((v, SWAP01),)).realize(radius).table
+        b = IsometrySpec(shape, sites=((v, SWAP12),)).realize(radius).table
+        assert not tables_commute([a], [b], ball)
+        assert tables_commute([a], [a], ball)
+    ball = list(T3.ball(radius))
+    u = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(radius).table
+    w = IsometrySpec(T3, sites=(((0, 2), SWAP01),)).realize(radius).table
+    assert tables_commute([u], [w], ball)
+    assert tables_commute([u, w], [u, w], ball)
 
 
 def test_rist_of_meet_is_generatorwise_intersection():
@@ -198,6 +216,19 @@ def test_nub_window_m3_translates_and_checks():
         "2": "{0102}",
         "3": "{01012}",
     }
+
+
+@pytest.mark.parametrize("axis", [(0,), (0, 1), (0, 1, 2)])
+def test_nub_window_verified_for_every_translation_length(axis):
+    # g^-1 moves a depth-n vertex up to len(axis) levels deeper, so the
+    # window's tables must reach past the depth ball by the displacement
+    g = hyperbolic_isometry(T3, axis)
+    alpha = CylinderClopen.cylinder(T3, axis[:1])
+    beta = alpha.minus(spec_image_clopen(g, alpha))
+    rep = nub_window(S3, g, beta, 3, 2, 4)
+    assert rep["verdict"] == "verified"
+    assert all(rep["checks"].values())
+    assert rep["factor_pair_checks"] == 10
 
 
 def test_nub_window_m0_is_vacuous():

@@ -345,6 +345,20 @@ def test_certify_nub_window(spec_file, capsys, tmp_path):
     assert report["results"]["verdict"] == "verified"
 
 
+@pytest.mark.parametrize("axis", ["01", "012"])
+def test_certify_nub_longer_translation_exits_zero(spec_file, capsys, tmp_path, axis):
+    # a translation of length d needs tables reaching d levels past the
+    # depth ball; a shorter table used to raise KeyError (exit 2)
+    text = US3_ELEMENTS.replace("g = hyperbolic axis=0\n", f"g = hyperbolic axis={axis}\n")
+    code, report, _ = run_cli(
+        capsys,
+        "certify", "nub", spec_file(text), "--element", "g",
+        "--out", str(tmp_path / "nub.cert.json"),
+    )
+    assert code == 0
+    assert report["results"]["verdict"] == "verified"
+
+
 # -------------------------------------------------------------------- export
 
 

@@ -1,4 +1,4 @@
-"""The demos import only names the package still provides.
+"""The demos and `tdlclab.__all__` name only what the package provides.
 
 The demos are slow and no test runs them, so a removed export would
 break them silently; this reads their imports without executing them.
@@ -43,3 +43,10 @@ def test_demo_imports_resolve(path):
         mod = importlib.import_module(module)
         if name is not None:
             assert hasattr(mod, name), f"{path.name}: {module} has no {name}"
+
+
+def test_public_names_resolve():
+    import tdlclab
+
+    missing = [name for name in tdlclab.__all__ if not hasattr(tdlclab, name)]
+    assert not missing, f"tdlclab.__all__ names missing attributes: {missing}"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tdlclab.boolalg import ROOT, CylinderClopen, parse_clopen, regular, rooted
-from tdlclab.errors import NotTransitiveAtRadius, PrecisionExhausted
+from tdlclab.errors import PrecisionExhausted
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
@@ -11,28 +11,23 @@ from tdlclab.permgrp import (
     symmetric_group,
 )
 from tdlclab.tree import (
-    BallIsometry,
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
     colour_word_isometry,
     congruence_kernel,
-    covering_words,
     free_reduce,
     hyperbolic_isometry,
-    image_clopen,
     in_universal_group,
     level_group,
     level_order,
     local_prime_content,
-    preimage_clopen,
-    realized_sphere_orbits,
     schreier_dot,
     spec_image_clopen,
     sphere_orbit_classes,
-    transitive_generators,
 )
 from tree_oracles import (
+    oracle_image_clopen,
     oracle_level_order,
     oracle_local_action,
     oracle_regular_apply,
@@ -263,7 +258,8 @@ def test_unit_translation_images():
 def test_unit_translation_square_is_word():
     t0 = hyperbolic_isometry(T3, (0,)).realize(7)
     m01 = colour_word_isometry(T3, (0, 1)).realize(7)
-    assert (t0 * t0).agrees_with(m01, 5)
+    square = t0 * t0
+    assert all(square.table[a] == m01.table[a] for a in T3.ball(5))
 
 
 def test_unit_translation_local_actions_constant():
@@ -308,43 +304,61 @@ def test_displacements():
 
 
 def test_translation_moves_half_tree_inside_itself():
-    t0 = hyperbolic_isometry(T3, (0,)).realize(6)
+    t0 = hyperbolic_isometry(T3, (0,))
     alpha = CylinderClopen.cylinder(T3, (0,))
-    moved = image_clopen(t0, alpha)
+    moved = spec_image_clopen(t0, alpha)
     assert moved == parse_clopen(T3, "{01}")
+    assert moved == oracle_image_clopen(t0.realize(6).table, alpha)
     assert moved.lt(alpha)
     beta = alpha.minus(moved)
     assert beta == parse_clopen(T3, "{02}")
-    back = preimage_clopen(t0, moved)
+    back = spec_image_clopen(SpecWord(T3, ((t0, -1),)), moved)
     assert back == alpha
+    assert back == oracle_image_clopen(t0.realize(6).inverse().table, moved)
 
 
 def test_image_clopen_respects_boolean_structure_seeded():
     rng = random.Random(17)
     t0 = hyperbolic_isometry(T3, (0,))
-    specs = [
+    rho = IsometrySpec(T3, sites=((ROOT, Perm((2, 0, 1))),))
+    m12 = colour_word_isometry(T3, (1, 2))
+    movers = [
         t0,
-        colour_word_isometry(T3, (1, 2)),
-        IsometrySpec(T3, sites=((ROOT, Perm((2, 0, 1))),)),
+        m12,
+        rho,
+        SpecWord(T3, ((t0, -2),)),
+        SpecWord.conjugate(t0, rho, 1),
+        SpecWord(T3, ((m12, 1), (rho, -1), (t0, 1))),
     ]
     for _ in range(40):
-        g = rng.choice(specs).realize(8)
+        g = rng.choice(movers)
+        table = g.realize(8).table
         atoms = [a for a in T3.sphere(2) if rng.random() < 0.5]
         c = CylinderClopen.from_addresses(T3, atoms)
-        img = image_clopen(g, c)
+        img = spec_image_clopen(g, c)
+        assert img == oracle_image_clopen(table, c)
         assert img.measure() >= 0
-        assert image_clopen(g, c.complement()) == img.complement()
+        assert spec_image_clopen(g, c.complement()) == img.complement()
         d = CylinderClopen.cylinder(T3, (rng.randrange(3),))
-        assert image_clopen(g, c.meet(d)) == img.meet(image_clopen(g, d))
+        assert spec_image_clopen(g, c.meet(d)) == img.meet(
+            spec_image_clopen(g, d)
+        )
 
 
 def test_image_clopen_identity_and_top():
-    g = BallIsometry.identity(T3, 4)
     top = CylinderClopen.top(T3)
-    assert image_clopen(g, top) == top
-    t0 = hyperbolic_isometry(T3, (0,)).realize(5)
-    assert image_clopen(t0, top) == top
-    assert image_clopen(t0, CylinderClopen.zero(T3)).is_zero()
+    zero = CylinderClopen.zero(T3)
+    identity = IsometrySpec(T3)
+    assert spec_image_clopen(identity, top) == top
+    assert oracle_image_clopen({a: a for a in T3.ball(1)}, top) == top
+    t0 = hyperbolic_isometry(T3, (0,))
+    for mover in (t0, SpecWord.of(t0, t0)):
+        assert spec_image_clopen(mover, top) == top
+        assert oracle_image_clopen(mover.realize(5).table, top) == top
+        assert spec_image_clopen(mover, zero).is_zero()
+    half = CylinderClopen.cylinder(T3, (1,))
+    assert spec_image_clopen(identity, half) == half
+    assert spec_image_clopen(SpecWord.commutator(t0, identity), half) == half
 
 
 # -- universal groups at finite depth -----------------------------------------------
@@ -433,14 +447,14 @@ def test_sphere_orbits_transitive_local_group():
     info = sphere_orbit_classes(T3, S3, 4)
     assert info["counts"] == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
     for n in (1, 2, 3):
-        assert realized_sphere_orbits(T3, S3, n) == 1
+        assert len(level_group(T3, S3, n).orbits()) == 1
 
 
 def test_sphere_orbits_structural_matches_realized():
     f = FiniteGroup(3, [Perm((1, 0, 2))])  # swaps colours 0,1 only
     info = sphere_orbit_classes(T3, f, 3)
     for n in (1, 2, 3):
-        assert realized_sphere_orbits(T3, f, n) == info["counts"][n]
+        assert len(level_group(T3, f, n).orbits()) == info["counts"][n]
 
 
 def test_sphere_orbit_bound_past_the_base():
@@ -455,26 +469,6 @@ def test_sphere_orbit_bound_past_the_base():
             c for c in info["classes"][len(rep) + 1] if c[: len(rep)] == rep
         ]
         assert len(kids) <= T3.degree - 1
-
-
-# -- transitivity witnesses -------------------------------------------------------
-
-
-def test_transitive_generators_cover_ball():
-    gens = transitive_generators(T3)
-    words = covering_words(T3, gens, 4, 8)
-    for v in T3.ball(4):
-        assert v in words
-        assert len(words[v]) == len(v)
-        assert len(words[v]) <= 8
-
-
-def test_transitivity_failure_reported():
-    rho = IsometrySpec(T3, sites=((ROOT, Perm((1, 2, 0))),))
-    with pytest.raises(NotTransitiveAtRadius) as exc:
-        covering_words(T3, {"rho": rho}, 2, 4)
-    assert exc.value.radius == 2
-    assert (0,) in exc.value.missing
 
 
 # -- graph exports ----------------------------------------------------------------
@@ -599,7 +593,7 @@ def test_spec_word_matches_table_algebra():
         * t0.realize(8).inverse()
     )
     exact = w.realize(tables.precision)
-    assert exact.agrees_with(tables, tables.precision)
+    assert exact.table == tables.table
     assert w.inverse().apply(w.apply((0, 2, 1))) == (0, 2, 1)
 
 
@@ -610,10 +604,54 @@ def test_spec_word_commutator_of_disjoint_supports():
     assert SpecWord.commutator(u, v).is_identity_on(6)
 
 
+def _random_movers(rng, shape):
+    """Seeded specs, then words in them with negative exponents, including
+    words that cancel to the identity."""
+    specs = []
+    for _ in range(8):
+        if shape.kind == "rooted":
+            specs.append(_random_rooted_portrait(rng, shape, 2))
+            continue
+        sites = _random_regular_portrait(rng, shape, S3, 2).sites
+        word = []
+        while len(word) < 3 and rng.random() < 0.5:
+            word.append(rng.choice([c for c in range(3) if not word or c != word[-1]]))
+        specs.append(IsometrySpec(shape, word=tuple(word), sites=sites))
+    words = []
+    for _ in range(12):
+        factors = tuple(
+            (rng.choice(specs), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 3))
+        )
+        words.append(SpecWord(shape, factors))
+    words += [SpecWord(shape, ((s, 1), (s, -1))) for s in specs[:3]]
+    words += [w.inverse() for w in words[:4]]
+    return specs, words
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_realize_and_identity_check_match_checked_apply_seeded(shape):
+    rng = random.Random(23)
+    specs, words = _random_movers(rng, shape)
+    r = 4 if shape is T3 else 5
+    ball = list(shape.ball(r))
+    verdicts = set()
+    for mover in specs + words:
+        table = mover.realize(r).table
+        assert table == {a: mover.apply(a) for a in ball}
+        if isinstance(mover, SpecWord):
+            fixed = all(table[a] == a for a in ball)
+            assert mover.is_identity_on(r) == fixed
+            verdicts.add(fixed)
+    assert verdicts == {True, False}
+
+
 def test_spec_image_clopen_matches_table_transport():
     t0 = hyperbolic_isometry(T3, (0,))
     alpha = CylinderClopen.cylinder(T3, (0,))
-    assert spec_image_clopen(t0, alpha) == image_clopen(t0.realize(6), alpha)
+    assert spec_image_clopen(t0, alpha) == oracle_image_clopen(
+        t0.realize(6).table, alpha
+    )
     w = SpecWord.of(t0, t0)
     assert spec_image_clopen(w, alpha) == parse_clopen(T3, "{010}")
     back = SpecWord(T3, ((t0, -1),))

@@ -1,13 +1,17 @@
 """Slow reference evaluators for tree isometries.
 
 Kept deliberately naive and structurally different from the library code:
-portraits are applied by rescanning ancestor decorations per letter, and
-word translations by explicit stack reduction on the concatenated word.
+portraits are applied by rescanning ancestor decorations per letter,
+word translations by explicit stack reduction on the concatenated word,
+and clopens are transported by a finite vertex table over the set-model
+expansion instead of exact application of refined atoms.
 """
 from __future__ import annotations
 
-from tdlclab.boolalg import ROOT, TreeShape
+from tdlclab.boolalg import ROOT, CylinderClopen, TreeShape
 from tdlclab.permgrp import Perm
+
+from util import expand
 
 
 def oracle_rooted_apply(sites: dict, addr: tuple) -> tuple:
@@ -84,3 +88,25 @@ def oracle_level_order(shape: TreeShape, f, n: int) -> int:
             fixing = sum(1 for x in f.element_list if x(v[-1]) == v[-1])
             total *= fixing
     return total
+
+
+def oracle_image_clopen(table: dict, clopen: CylinderClopen) -> CylinderClopen:
+    """Forward image of a clopen read off a vertex table.
+
+    The clopen is expanded to the sphere one level past the image of the
+    base vertex (or its own depth, if deeper).  Those atoms lie beyond
+    the segment from the base vertex to its image, so each cylinder maps
+    onto the cylinder at its table image; the table must cover the
+    sphere, else KeyError.
+    """
+    if clopen.is_zero():
+        return clopen
+    base_path = table[ROOT]
+    n = max(clopen.depth, len(base_path) + 1)
+    images = []
+    for atom in sorted(expand(clopen, n)):
+        img = table[atom]
+        if base_path[: len(img)] == img:
+            raise AssertionError("image atom landed on the displacement path")
+        images.append(img)
+    return CylinderClopen.from_addresses(clopen.shape, images)
