@@ -18,6 +18,7 @@ from .tree import (
     IsometrySpec,
     SpecWord,
     in_universal_group,
+    site_group,
     spec_image_clopen,
 )
 
@@ -37,19 +38,15 @@ def rist_generators(
     local: FiniteGroup, region: CylinderClopen, max_depth: int
 ) -> list[IsometrySpec]:
     """Single-site witnesses for the rigid stabiliser, one per generator
-    of the return-colour stabiliser at each vertex inside the region."""
+    of the site group at each vertex inside the region."""
     shape = region.shape
     if local.degree != shape.degree:
         raise ValueError("local group degree does not match the shape")
-    out = []
-    for v in region_vertices(region, max_depth):
-        if v == ROOT or shape.kind == "rooted":
-            pool = local.pruned_gens
-        else:
-            pool = local.point_stabilizer(v[-1]).pruned_gens
-        for perm in pool:
-            out.append(IsometrySpec(shape, sites=((v, perm),)))
-    return out
+    return [
+        IsometrySpec(shape, sites=((v, perm),))
+        for v in region_vertices(region, max_depth)
+        for perm in site_group(shape, local, v).pruned_gens
+    ]
 
 
 def support_in(iso: BallIsometry, region: CylinderClopen) -> bool:
@@ -105,22 +102,21 @@ def contraction_certificate(
     g: IsometrySpec,
     u: IsometrySpec,
     ball_radius: int,
-    k_max: int | None = None,
     direction: int = 1,
 ) -> dict:
     """Smallest k with g^k u g^-k trivial on the given ball.
 
     Trivial on the radius-n ball means the conjugate fixes every vertex
     to depth n + 1, so its local actions down to depth n are all
-    trivial.  After the onset the next three powers are rechecked; the
+    trivial.  Powers are searched up to k_max = ball_radius + 4.  After
+    the onset the next three powers within that bound are rechecked; the
     conjugated support only moves deeper, so a non-monotone onset would
     expose a bookkeeping bug.  When no power within k_max works the
     verdict reports that the search bound was the obstruction.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    if k_max is None:
-        k_max = ball_radius + 4
+    k_max = ball_radius + 4
     check_radius = ball_radius + 1
     onset = None
     for k in range(k_max + 1):
@@ -140,7 +136,7 @@ def contraction_certificate(
         }
     tail = [
         SpecWord.conjugate(g, u, direction * j).is_identity_on(check_radius)
-        for j in range(onset, min(onset + 4, k_max + 1))
+        for j in range(onset + 1, min(onset + 4, k_max + 1))
     ]
     return {
         "k": onset,
@@ -182,7 +178,6 @@ def goodshrink_construct(
     alpha: CylinderClopen,
     depth: int,
     n0: int | None = None,
-    u_level: int | None = None,
 ) -> tuple[CylinderClopen, dict]:
     """Contraction-friendly shrinking data for a skewered clopen.
 
@@ -190,17 +185,15 @@ def goodshrink_construct(
     working depth, with the interior of the full forward intersection
     (empty at any finite stage, recorded as the excluded-interior
     marker) removed only notionally.  Four checks run on generators
-    realized at u_level: conjugation by g maps the rigid stabiliser of
-    kappa into itself, the rigid stabiliser of g^n0.beta sits inside
-    kappa, the kappa and beta factors commute elementwise, and every
-    kappa witness carries a contraction certificate.  n0 defaults to a
-    bounded search along the image chain; the chain itself is verified
-    strictly decreasing over a 2*depth window, which rules out stalls
-    and escapes.
+    realized at the working depth: conjugation by g maps the rigid
+    stabiliser of kappa into itself, the rigid stabiliser of g^n0.beta
+    sits inside kappa, the kappa and beta factors commute elementwise,
+    and every kappa witness carries a contraction certificate.  n0
+    defaults to a bounded search along the image chain; the chain itself
+    is verified strictly decreasing over a 2*depth window, which rules
+    out stalls and escapes.
     """
     shape = alpha.shape
-    if u_level is None:
-        u_level = depth
     galpha = spec_image_clopen(g, alpha)
     if not galpha.lt(alpha):
         raise NotSkewering(
@@ -214,7 +207,7 @@ def goodshrink_construct(
         raise ValueError("n0 outside the verified window")
     kappa = chain[n0]
 
-    kappa_gens = rist_generators(local, kappa, u_level)
+    kappa_gens = rist_generators(local, kappa, depth)
     check_radius = depth + 2
 
     conj_into_kappa = []
@@ -230,7 +223,7 @@ def goodshrink_construct(
     for _ in range(n0):
         gn0_beta = spec_image_clopen(g, gn0_beta)
     product_inside = gn0_beta.leq(kappa)
-    beta_factor_gens = rist_generators(local, gn0_beta, u_level)
+    beta_factor_gens = rist_generators(local, gn0_beta, depth)
     beta_tables = []
     product_gens_inside = []
     for v in beta_factor_gens:
@@ -266,7 +259,7 @@ def goodshrink_construct(
         "kappa": str(kappa),
         "n0": n0,
         "depth": depth,
-        "u_level": u_level,
+        "u_level": depth,
         "check_radius": check_radius,
         "chain_measures": [c.measure() for c in chain],
         "kappa_generators": len(kappa_gens),
@@ -435,13 +428,10 @@ def tits_core_generators(
     ]
 
     cone = _cone_vertex(beta_f)
-    rotations = []
-    if cone == ROOT or shape.kind == "rooted":
-        pool = local.pruned_gens
-    else:
-        pool = local.point_stabilizer(cone[-1]).pruned_gens
-    for perm in pool:
-        rotations.append(IsometrySpec(shape, sites=((cone, perm),)))
+    rotations = [
+        IsometrySpec(shape, sites=((cone, perm),))
+        for perm in site_group(shape, local, cone).pruned_gens
+    ]
     for perm in local.pruned_gens:
         if all(perm(c) == c for c in cone):
             rotations.append(IsometrySpec(shape, sites=((ROOT, perm),)))

@@ -80,6 +80,7 @@ from .tree import (
     level_order,
     local_prime_content,
     schreier_dot,
+    site_group,
     spec_image_clopen,
     sphere_orbit_classes,
 )
@@ -371,7 +372,7 @@ def build_context(spec: GroupSpec):
     }
     if gens:
         return dynamics.ActionContext(
-            spec.shape, spec.local, gens, spec.depth, spec.word_bound, label="spec"
+            spec.shape, spec.local, gens, spec.depth, spec.word_bound
         )
     if spec.shape.kind == "regular":
         return dynamics.translation_rotation_context(
@@ -384,7 +385,7 @@ def build_context(spec: GroupSpec):
     if not site_gens:
         raise ValueError("spec yields no generators for a dynamics context")
     return dynamics.ActionContext(
-        spec.shape, spec.local, site_gens, spec.depth, spec.word_bound, label="spec"
+        spec.shape, spec.local, site_gens, spec.depth, spec.word_bound
     )
 
 
@@ -484,12 +485,9 @@ def _emit(report: dict, args) -> None:
 def _kernel_orbit_bound(shape: TreeShape, local: FiniteGroup, reps) -> int:
     sizes = [1]
     for rep in reps:
-        if shape.kind == "regular" and rep != ROOT:
-            pool = local.point_stabilizer(rep[-1])
-        else:
-            pool = local
         letters = set(shape.child_letters(rep))
-        sizes.extend(len(orb & letters) for orb in pool.orbits() if orb & letters)
+        orbits = site_group(shape, local, rep).orbits()
+        sizes.extend(len(orb & letters) for orb in orbits if orb & letters)
     return max(sizes)
 
 
@@ -513,7 +511,8 @@ def _level_factors(shape: TreeShape, local: FiniteGroup, n: int) -> list[str]:
         return sorted(factors)
     counts = {c: 1 for c in shape.colours()}
     stab_factors = {
-        c: composition_factors(local.point_stabilizer(c)) for c in shape.colours()
+        c: composition_factors(site_group(shape, local, (c,)))
+        for c in shape.colours()
     }
     for _ in range(1, n):
         for c, cnt in counts.items():

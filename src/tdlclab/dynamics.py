@@ -19,7 +19,13 @@ from fractions import Fraction
 from .boolalg import CylinderClopen, TreeShape, sphere_list
 from .errors import SearchExhausted
 from .permgrp import FiniteGroup
-from .tree import IsometrySpec, SpecWord, hyperbolic_isometry, spec_image_clopen
+from .tree import (
+    IsometrySpec,
+    SpecWord,
+    hyperbolic_isometry,
+    site_group,
+    spec_image_clopen,
+)
 
 Word = tuple[str, ...]
 
@@ -34,9 +40,7 @@ class ActionContext:
     Generator words are applied in listed order (the first name acts
     first).  Inverses are added automatically with a trailing tilde
     unless the generator is an involution on a ball comfortably larger
-    than anything the word bound can reach; the recorded precision
-    budget depth + bound * max displacement states how far realized
-    tables would have to extend, though evaluation itself is exact.
+    than anything the word bound can reach.
     """
 
     def __init__(
@@ -46,7 +50,6 @@ class ActionContext:
         generators: dict[str, IsometrySpec],
         depth: int,
         word_bound: int = 8,
-        label: str = "",
     ) -> None:
         if depth < 1:
             raise ValueError("depth must be at least 1")
@@ -56,7 +59,6 @@ class ActionContext:
         self.local = local
         self.depth = depth
         self.word_bound = word_bound
-        self.label = label or "action"
         self._gens: dict[str, SpecWord] = {}
         self._inverse_names: dict[str, str] = {}
         for name, spec in generators.items():
@@ -76,7 +78,6 @@ class ActionContext:
         self.max_displacement = max(
             abs(w.displacement) for w in self._gens.values()
         )
-        self.precision_budget = depth + word_bound * self.max_displacement
         self._image_memo: dict[tuple[str, CylinderClopen], CylinderClopen] = {}
 
     def generator(self, name: str) -> SpecWord:
@@ -164,14 +165,12 @@ class TwoCopyContext:
         generators: dict[str, IsometrySpec],
         depth: int,
         word_bound: int = 8,
-        label: str = "",
     ) -> None:
         base0 = ActionContext(shape, local, generators, depth, word_bound)
         self.shape = shape
         self.local = local
         self.depth = depth
         self.word_bound = word_bound
-        self.label = label or "two-copy"
         self._base = base0
         self.gen_names = tuple(
             f"{name}@{copy}" for copy in (0, 1) for name in base0.gen_names
@@ -762,7 +761,7 @@ def _phase_one_feasible(
     return True, solution
 
 
-def invariant_measure_search(ctx: ActionContext, depth: int | None = None) -> dict:
+def invariant_measure_search(ctx: ActionContext) -> dict:
     """Exact feasibility of a generator-invariant probability on cylinders.
 
     Variables are the atoms one displacement level below the working
@@ -774,8 +773,7 @@ def invariant_measure_search(ctx: ActionContext, depth: int | None = None) -> di
     """
     if not isinstance(ctx, ActionContext):
         raise TypeError("measure search runs on the single-tree context")
-    if depth is None:
-        depth = ctx.depth
+    depth = ctx.depth
     shape = ctx.shape
     level = depth + ctx.max_displacement
     atoms = sphere_list(shape, level)
@@ -862,7 +860,6 @@ def translation_rotation_context(
     local: FiniteGroup,
     depth: int = 3,
     word_bound: int = 6,
-    label: str = "",
 ) -> ActionContext:
     """Translations along every colour plus the local recolourings and
     one deeper site rotation; the standard transitive working context."""
@@ -872,19 +869,16 @@ def translation_rotation_context(
         gens[f"t{c}"] = hyperbolic_isometry(shape, (c,))
     for k, perm in enumerate(local.pruned_gens):
         gens[f"rho{k}"] = IsometrySpec(shape, sites=(((), perm),))
-    stab = local.point_stabilizer(0)
+    stab = site_group(shape, local, (0,))
     for k, perm in enumerate(stab.pruned_gens):
         gens[f"s{k}"] = IsometrySpec(shape, sites=(((0,), perm),))
-    return ActionContext(
-        shape, local, gens, depth, word_bound, label or "translations+rotations"
-    )
+    return ActionContext(shape, local, gens, depth, word_bound)
 
 
 def skewering_context(
     local: FiniteGroup,
     depth: int = 2,
     word_bound: int = 6,
-    label: str = "",
 ) -> ActionContext:
     """One translation plus rotations that leave no finite end orbit.
 
@@ -895,22 +889,19 @@ def skewering_context(
     shape = _shape_for(local)
     order = list(local.pruned_gens)
     cycle = next((p for p in order if all(p(c) != c for c in shape.colours())), order[0])
-    stab = local.point_stabilizer(0)
+    stab = site_group(shape, local, (0,))
     gens = {
         "t0": hyperbolic_isometry(shape, (0,)),
         "s0": IsometrySpec(shape, sites=(((0,), stab.pruned_gens[0]),)),
         "rho": IsometrySpec(shape, sites=(((), cycle),)),
     }
-    return ActionContext(
-        shape, local, gens, depth, word_bound, label or "skewering"
-    )
+    return ActionContext(shape, local, gens, depth, word_bound)
 
 
 def rotation_context(
     local: FiniteGroup,
     depth: int = 2,
     word_bound: int = 4,
-    label: str = "",
 ) -> ActionContext:
     """Base-fixing recolourings only; every orbit is finite."""
     shape = _shape_for(local)
@@ -918,16 +909,13 @@ def rotation_context(
         f"rho{k}": IsometrySpec(shape, sites=(((), perm),))
         for k, perm in enumerate(local.pruned_gens)
     }
-    return ActionContext(
-        shape, local, gens, depth, word_bound, label or "rotations-only"
-    )
+    return ActionContext(shape, local, gens, depth, word_bound)
 
 
 def two_copy_product_context(
     local: FiniteGroup,
     depth: int = 2,
     word_bound: int = 6,
-    label: str = "",
 ) -> TwoCopyContext:
     """Two boundary copies with the translation context acting copy-wise."""
     shape = _shape_for(local)
@@ -936,9 +924,7 @@ def two_copy_product_context(
         gens[f"t{c}"] = hyperbolic_isometry(shape, (c,))
     for k, perm in enumerate(local.pruned_gens):
         gens[f"rho{k}"] = IsometrySpec(shape, sites=(((), perm),))
-    return TwoCopyContext(
-        shape, local, gens, depth, word_bound, label or "two-copy product"
-    )
+    return TwoCopyContext(shape, local, gens, depth, word_bound)
 
 
 def _shape_for(local: FiniteGroup) -> TreeShape:

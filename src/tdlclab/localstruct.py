@@ -14,10 +14,19 @@ from dataclasses import dataclass
 from .boolalg import CylinderClopen, TreeShape, sphere_list
 from .boundary import region_vertices, rist_generators, tables_commute
 from .dynamics import ActionContext, orbit_join
-from .permgrp import FiniteGroup
-from .tree import IsometrySpec, level_group, level_order, sphere_permutation
+from .permgrp import FiniteGroup, Perm
+from .tree import (
+    IsometrySpec,
+    congruence_kernel,
+    level_group,
+    level_order,
+    site_group,
+    sphere_permutation,
+)
 
 ROOT: tuple = ()
+# level truncations up to this order are also closed explicitly
+_REALIZE_CAP = 5000
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,28 +88,28 @@ def class_join(a: LocalClass, b: LocalClass) -> LocalClass:
     return class_perp(class_meet(class_perp(a), class_perp(b)))
 
 
-def _site_factor(local: FiniteGroup, shape: TreeShape, v) -> int:
-    if v == ROOT or shape.kind == "rooted":
-        return local.order
-    return local.point_stabilizer(v[-1]).order
-
-
 def _rist_level_order(local: FiniteGroup, region: CylinderClopen, n: int) -> int:
     """Order of the depth-n truncation of the rigid stabiliser, counted
     site by site over the vertices inside the region."""
     shape = region.shape
     total = 1
     for v in region_vertices(region, n - 1):
-        total *= _site_factor(local, shape, v)
+        total *= site_group(shape, local, v).order
     return total
 
 
-def perp(
-    local: FiniteGroup,
-    a: LocalClass,
-    max_depth: int,
-    realize_cap: int = 5000,
-) -> dict:
+def _witness_perms(local: FiniteGroup, region: CylinderClopen, d: int) -> list[Perm]:
+    """The region's rigid witnesses above depth d, as permutations of the
+    d-sphere numbered in sphere_list order."""
+    points = sphere_list(region.shape, d)
+    index = {p: i for i, p in enumerate(points)}
+    return [
+        sphere_permutation(g, points, index)
+        for g in rist_generators(local, region, d - 1)
+    ]
+
+
+def perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
     """Complement class with commutation and co-generation evidence.
 
     At every depth up to the bound the rigid-stabiliser witnesses of the
@@ -123,16 +132,12 @@ def perp(
         return report
 
     for d in range(1, max_depth + 1):
-        points = sphere_list(shape, d)
-        index = {p: i for i, p in enumerate(points)}
-        gens_a = rist_generators(local, a.region, d - 1) if d > 1 else []
-        gens_b = rist_generators(local, complement.region, d - 1) if d > 1 else []
-        perms_a = [sphere_permutation(g, points, index) for g in gens_a]
-        perms_b = [sphere_permutation(g, points, index) for g in gens_b]
+        perms_a = _witness_perms(local, a.region, d)
+        perms_b = _witness_perms(local, complement.region, d)
         commute = tables_commute(
             [p.images for p in perms_a],
             [p.images for p in perms_b],
-            range(len(points)),
+            range(shape.sphere_size(d)),
         )
         order_a = _rist_level_order(local, a.region, d)
         order_b = _rist_level_order(local, complement.region, d)
@@ -149,7 +154,7 @@ def perp(
         if rem != 0:
             entry["commutation"] = False
             report["verdict"] = "refuted_at_depth"
-        if level <= realize_cap:
+        if level <= _REALIZE_CAP:
             group = level_group(shape, local, d)
             sub_a = group.subgroup(perms_a)
             sub_b = group.subgroup(perms_b)
@@ -174,10 +179,7 @@ def perp(
 
 
 def decomposition_factors(
-    shape: TreeShape,
-    local: FiniteGroup,
-    depth: int,
-    realize_cap: int = 5000,
+    shape: TreeShape, local: FiniteGroup, depth: int
 ) -> tuple[list[LocalClass], dict]:
     """Star-stabiliser truncation split into half-tree rigid factors.
 
@@ -231,7 +233,7 @@ def decomposition_factors(
         }
         if product != star_order:
             verdict = "refuted_at_depth"
-        if level_order(shape, local, d) <= realize_cap:
+        if level_order(shape, local, d) <= _REALIZE_CAP:
             entry = _realize_star_decomposition(shape, local, d, regions)
             star_orders[d].update(entry)
             realized_depths.append(d)
@@ -259,18 +261,9 @@ def _join_classes(classes: list[LocalClass]) -> LocalClass:
 def _realize_star_decomposition(
     shape: TreeShape, local: FiniteGroup, d: int, regions
 ) -> dict:
-    points = sphere_list(shape, d)
-    index = {p: i for i, p in enumerate(points)}
     group = level_group(shape, local, d)
-    star_elems = [
-        g for g in group.element_set
-        if all(points[g(index[p])][:1] == p[:1] for p in points)
-    ]
-    star = group.subgroup_from_elements(star_elems)
-    subs = []
-    for r in regions:
-        gens = rist_generators(local, r, d - 1) if d > 1 else []
-        subs.append(group.subgroup([sphere_permutation(g, points, index) for g in gens]))
+    star = congruence_kernel(group, shape, d, 1)
+    subs = [group.subgroup(_witness_perms(local, r, d)) for r in regions]
     commute = True
     trivial = True
     for i in range(len(subs)):
@@ -278,10 +271,12 @@ def _realize_star_decomposition(
             pair = group.subgroup(list(subs[i].gens) + list(subs[j].gens))
             if pair.order != subs[i].order * subs[j].order:
                 trivial = False
-            for x in subs[i].gens:
-                for y in subs[j].gens:
-                    if x * y != y * x:
-                        commute = False
+            if not tables_commute(
+                [x.images for x in subs[i].gens],
+                [y.images for y in subs[j].gens],
+                range(shape.sphere_size(d)),
+            ):
+                commute = False
     all_gens = [g for s in subs for g in s.gens]
     generated = group.subgroup(all_gens)
     return {
@@ -292,7 +287,7 @@ def _realize_star_decomposition(
     }
 
 
-def fixed_point_scan(ctx: ActionContext, depth: int | None = None) -> dict:
+def fixed_point_scan(ctx: ActionContext) -> dict:
     """Invariant cylinder classes of the context at truncation depth.
 
     The invariant clopens form a Boolean subalgebra, hence are exactly
@@ -303,8 +298,7 @@ def fixed_point_scan(ctx: ActionContext, depth: int | None = None) -> dict:
     """
     if not isinstance(ctx, ActionContext):
         raise TypeError("fixed-point scan runs on the single-tree context")
-    if depth is None:
-        depth = ctx.depth
+    depth = ctx.depth
     shape = ctx.shape
     remaining = list(sphere_list(shape, depth))
     blocks: list[tuple] = []
@@ -347,13 +341,10 @@ def fixed_point_scan(ctx: ActionContext, depth: int | None = None) -> dict:
     }
 
 
-def commensurated_check(
-    ctx: ActionContext, a: LocalClass, depth: int | None = None
-) -> dict:
+def commensurated_check(ctx: ActionContext, a: LocalClass) -> dict:
     """Generator invariance of the class region, with the orbit join
     attached as the obstruction when invariance fails."""
-    if depth is None:
-        depth = ctx.depth
+    depth = ctx.depth
     if a.kind in ("zero", "top"):
         return {
             "verdict": "commensurated-at-depth",
@@ -403,6 +394,4 @@ def half_tree_stabiliser_context(
         gens[f"b{k}"] = spec
     for k, perm in enumerate(local.point_stabilizer(colour).pruned_gens):
         gens[f"r{k}"] = IsometrySpec(shape, sites=((ROOT, perm),))
-    return ActionContext(
-        shape, local, gens, depth, word_bound, f"half-tree-{colour}-stabiliser"
-    )
+    return ActionContext(shape, local, gens, depth, word_bound)

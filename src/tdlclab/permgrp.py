@@ -363,17 +363,21 @@ class FiniteGroup:
             sorted(lattice.values(), key=lambda s: (s.order, s.element_list))
         )
 
-    def is_normal(self, other: "FiniteGroup") -> bool:
-        # conjugation by a fixed g is an automorphism, so stability of a
-        # generating set of the subgroup under generators of self suffices
-        if not self.contains_group(other):
-            return False
+    def normalises(self, other: "FiniteGroup") -> bool:
+        """Every element of self conjugates other onto itself.
+
+        Conjugation by a fixed g is an automorphism, so it suffices that
+        each generator of self sends each generator of other into other.
+        """
         elems = other.element_set
         return all(
             x.conjugate_by(g) in elems
             for x in other.pruned_gens
             for g in self.pruned_gens
         )
+
+    def is_normal(self, other: "FiniteGroup") -> bool:
+        return self.contains_group(other) and self.normalises(other)
 
     # -- derived structure ---------------------------------------------------------
 
@@ -478,19 +482,26 @@ def is_pi_number(n: int, pi: frozenset[int] | set[int]) -> bool:
 # -- lattice-driven invariants ----------------------------------------------
 
 
-def pi_core(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
-    """Largest normal subgroup whose order uses only primes in pi."""
-    pi = frozenset(pi)
-    key = ("pi_core", pi)
+def _largest_normal(g: FiniteGroup, key: tuple, keep) -> FiniteGroup:
+    """The normal subgroup of g passing ``keep`` that contains all others
+    passing it, memoised under key.  Products of two such subgroups pass
+    again for the properties used here, so a candidate it does not
+    contain is a fault."""
     if key in g.invariant_memo:
         return g.invariant_memo[key]
-    candidates = [n for n in g.normal_subgroups if is_pi_number(n.order, pi)]
+    candidates = [n for n in g.normal_subgroups if keep(n)]
     best = max(candidates, key=lambda n: (n.order, n.element_list))
     for n in candidates:
         if not best.contains_group(n):
-            raise AssertionError("pi-subgroup lattice is not directed upward")
+            raise AssertionError(f"{key[0]}: no largest normal subgroup")
     g.invariant_memo[key] = best
     return best
+
+
+def pi_core(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
+    """Largest normal subgroup whose order uses only primes in pi."""
+    pi = frozenset(pi)
+    return _largest_normal(g, ("pi_core", pi), lambda n: is_pi_number(n.order, pi))
 
 
 def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
@@ -516,16 +527,8 @@ def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
 
 
 def prosoluble_core(g: FiniteGroup) -> FiniteGroup:
-    key = ("prosoluble_core",)
-    if key in g.invariant_memo:
-        return g.invariant_memo[key]
-    candidates = [n for n in g.normal_subgroups if n.is_soluble()]
-    best = max(candidates, key=lambda n: (n.order, n.element_list))
-    for n in candidates:
-        if not best.contains_group(n):
-            raise AssertionError("soluble radical is not unique-maximal")
-    g.invariant_memo[key] = best
-    return best
+    """Largest soluble normal subgroup, the soluble radical."""
+    return _largest_normal(g, ("prosoluble_core",), FiniteGroup.is_soluble)
 
 
 def prosoluble_residual(g: FiniteGroup) -> FiniteGroup:
@@ -790,17 +793,8 @@ def wielandt_check(
     if not is_subnormal_chain(chain):
         raise ValueError("chain is not subnormal")
     s = chain[-1]
-
-    def normalises(outer: FiniteGroup, inner: FiniteGroup) -> bool:
-        inner_set = inner.element_set
-        return all(
-            x.conjugate_by(a) in inner_set
-            for a in outer.element_list
-            for x in inner.gens
-        )
-
-    pi_ok = normalises(pi_core(g, pi), pi_residual(s, pi))
-    sol_ok = normalises(prosoluble_core(g), prosoluble_residual(s))
+    pi_ok = pi_core(g, pi).normalises(pi_residual(s, pi))
+    sol_ok = prosoluble_core(g).normalises(prosoluble_residual(s))
     return {"pi": pi_ok, "prosoluble": sol_ok, "holds": pi_ok and sol_ok}
 
 

@@ -23,9 +23,13 @@ unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
 address check at all: realize and is_identity_on walk shape.ball(r),
 whose vertices are legal by construction, through the unchecked _apply,
 and realize then validates the finished table as a BallIsometry (domain,
-injectivity, legal images, adjacency).  Each portrait site is compiled
-once, when the spec is built, to the forward and inverse image tuples of
-its colour permutation; below the deepest site no lookup is made.
+injectivity, legal images, adjacency).  spec_image_clopen likewise
+checks only that the clopen lives on the recipe's shape, then applies
+the clopen's atoms, legal by construction, through _apply;
+CylinderClopen.from_addresses still rejects any illegal image.  Each
+portrait site is compiled once, when the spec is built, to the forward
+and inverse image tuples of its colour permutation; below the deepest
+site no lookup is made.
 
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
@@ -430,9 +434,6 @@ class SpecWord:
                     addr = spec._apply_inverse(addr)
         return addr
 
-    def apply_inverse(self, addr: Address) -> Address:
-        return self.inverse().apply(addr)
-
     @property
     def displacement(self) -> int:
         return len(self.apply(ROOT))
@@ -454,11 +455,13 @@ def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
     the image clopen is covered by the images of the atoms.  Exact
     application means depth never runs out.
     """
+    if clopen.shape != mover.shape:
+        raise ValueError("clopen and recipe live on different shapes")
     if clopen.is_zero():
         return clopen
-    disp = len(mover.apply(ROOT))
-    depth = max(clopen.depth, disp + 1)
-    images = [mover.apply(atom) for atom in clopen.refine(depth)]
+    image = mover._apply  # atoms of a canonical clopen are legal addresses
+    depth = max(clopen.depth, len(image(ROOT)) + 1)
+    images = [image(atom) for atom in clopen.refine(depth)]
     return CylinderClopen.from_addresses(clopen.shape, images)
 
 
@@ -475,8 +478,16 @@ def in_universal_group(iso: BallIsometry, local: FiniteGroup) -> bool:
     )
 
 
-def _return_stabiliser(local: FiniteGroup, colour: int) -> FiniteGroup:
-    return local.point_stabilizer(colour)
+def site_group(shape: TreeShape, local: FiniteGroup, v: Address) -> FiniteGroup:
+    """Colour permutations a single-site decoration at v may carry.
+
+    The whole local group at the base vertex and on rooted shapes; below
+    the base vertex of a regular shape, the stabiliser of v's return
+    colour, so the decoration extends by the identity toward the base.
+    """
+    if v == ROOT or shape.kind == "rooted":
+        return local
+    return local.point_stabilizer(v[-1])
 
 
 def sphere_permutation(spec: IsometrySpec, points, index: dict) -> Perm:
@@ -489,10 +500,9 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
     """Depth-n truncation as a permutation group on the n-sphere.
 
     Rooted: the full iterated wreath product of the local group.  Regular:
-    the truncation of the base-vertex stabiliser, generated by a global
-    recolouring for each local generator plus, at every deeper vertex,
-    single-site decorations running over the stabiliser of the return
-    colour.
+    the truncation of the base-vertex stabiliser.  Either way it is
+    generated by single-site decorations at the vertices above depth n,
+    each running over the generators of its site group.
     """
     if local.degree != shape.degree:
         raise ValueError("local group degree does not match the shape")
@@ -500,21 +510,11 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
         raise ValueError("need depth at least 1")
     points = sphere_list(shape, n)
     index = {a: i for i, a in enumerate(points)}
-
-    def as_perm(v: Address, g: Perm) -> Perm:
-        return sphere_permutation(IsometrySpec(shape, sites=((v, g),)), points, index)
-
-    gens = []
-    for g in local.pruned_gens:
-        gens.append(as_perm(ROOT, g))
-    for k in range(1, n):
-        for v in shape.sphere(k):
-            pool = (
-                local if shape.kind == "rooted"
-                else _return_stabiliser(local, v[-1])
-            )
-            for g in pool.pruned_gens:
-                gens.append(as_perm(v, g))
+    gens = [
+        sphere_permutation(IsometrySpec(shape, sites=((v, g),)), points, index)
+        for v in shape.ball(n - 1)
+        for g in site_group(shape, local, v).pruned_gens
+    ]
     return FiniteGroup(len(points), gens)
 
 
@@ -526,10 +526,10 @@ def level_order(shape: TreeShape, local: FiniteGroup, n: int) -> int:
         return local.order ** shape.ball_size(n - 1)
     total = local.order
     q = shape.degree
+    per_colour = 1
+    for c in shape.colours():
+        per_colour *= site_group(shape, local, (c,)).order
     for k in range(1, n):
-        per_colour = 1
-        for c in shape.colours():
-            per_colour *= _return_stabiliser(local, c).order
         # every colour occurs as a return colour of (q-1)**(k-1) vertices
         total *= per_colour ** ((q - 1) ** (k - 1))
     return total
@@ -602,12 +602,8 @@ def sphere_orbit_classes(
     for k in range(depth):
         nxt = []
         for rep in classes[k]:
-            if shape.kind == "regular" and rep != ROOT:
-                pool = _return_stabiliser(local, rep[-1])
-            else:
-                pool = local
             letters = set(shape.child_letters(rep))
-            for orb in pool.orbits():
+            for orb in site_group(shape, local, rep).orbits():
                 shared = sorted(orb & letters)
                 if shared:
                     nxt.append(rep + (shared[0],))

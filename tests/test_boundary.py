@@ -158,7 +158,7 @@ def test_contraction_identity_contracts_at_zero():
 def test_contraction_elliptic_conjugator_refuted_within_bounds():
     rho = IsometrySpec(T3, sites=(((), SWAP01),))
     u = IsometrySpec(T3, sites=(((0,), SWAP12),))
-    cert = contraction_certificate(rho, u, 3, k_max=8)
+    cert = contraction_certificate(rho, u, 3)
     assert cert["verdict"] == "no-contraction-within-bounds"
     assert cert["k"] is None
 

@@ -36,7 +36,6 @@ def test_context_adds_inverses_and_detects_involutions():
     assert ctx.inverse_name("t0~") == "t0"
     assert ctx.inverse_name("rho0") == "rho0"
     assert ctx.word(("t0", "t0~")).is_identity_on(6)
-    assert ctx.precision_budget == 3 + 6 * 1
 
 
 def test_context_rejects_bad_parameters():

@@ -395,3 +395,26 @@ def test_core_refinement_seeded():
 def test_prime_factors():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert prime_factors(97) == {97: 1}
+
+
+def _oracle_normalises(outer, inner) -> bool:
+    inner_set = inner.element_set
+    return all(
+        a * x * a.inverse() in inner_set
+        for a in outer.element_set
+        for x in inner_set
+    )
+
+
+def test_normalises_matches_elementwise_oracle_on_corpus():
+    rng = random.Random(14)
+    outcomes = set()
+    for name, g in corpus().items():
+        cyclic = [g.subgroup([x]) for x in rng.sample(g.element_list, 4)]
+        subs = [g, *g.normal_subgroups, *cyclic]
+        for outer in subs:
+            for inner in subs:
+                want = _oracle_normalises(outer, inner)
+                assert outer.normalises(inner) == want, name
+                outcomes.add(want)
+    assert outcomes == {True, False}

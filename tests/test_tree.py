@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tdlclab.boolalg import ROOT, CylinderClopen, parse_clopen, regular, rooted
+from tdlclab.boundary import support_in
 from tdlclab.errors import PrecisionExhausted
 from tdlclab.permgrp import (
     FiniteGroup,
@@ -23,6 +24,7 @@ from tdlclab.tree import (
     level_order,
     local_prime_content,
     schreier_dot,
+    site_group,
     spec_image_clopen,
     sphere_orbit_classes,
 )
@@ -361,6 +363,15 @@ def test_image_clopen_identity_and_top():
     assert spec_image_clopen(SpecWord.commutator(t0, identity), half) == half
 
 
+def test_image_clopen_rejects_a_clopen_of_another_shape():
+    rho = IsometrySpec(T3, sites=((ROOT, Perm((1, 2, 0))),))
+    t0 = hyperbolic_isometry(T3, (0,))
+    for mover in (rho, t0, SpecWord.of(t0, rho)):
+        for clopen in (CylinderClopen.cylinder(rooted(3), (0,)), CylinderClopen.top(R2)):
+            with pytest.raises(ValueError):
+                spec_image_clopen(mover, clopen)
+
+
 # -- universal groups at finite depth -----------------------------------------------
 
 
@@ -659,3 +670,25 @@ def test_spec_image_clopen_matches_table_transport():
     assert spec_image_clopen(back, alpha) == parse_clopen(T3, "{0,2}")
     beta = parse_clopen(T3, "{02}")
     assert spec_image_clopen(back, beta) == parse_clopen(T3, "{2}")
+
+
+@pytest.mark.parametrize(
+    "shape, local",
+    [(T3, S3), (T3, C3), (R2, C2), (rooted(3), C3)],
+    ids=["T3-S3", "T3-C3", "R2-C2", "R3-C3"],
+)
+def test_site_group_matches_the_return_colour_rule(shape, local):
+    for v in shape.ball(3):
+        below_base = shape.kind == "regular" and v != ROOT
+        want = {p for p in local.element_set if not below_base or p(v[-1]) == v[-1]}
+        group = site_group(shape, local, v)
+        assert group.element_set == want, v
+        cylinder = CylinderClopen.cylinder(shape, v)
+        for p in local.element_list:
+            if p in want:
+                # realize validates the table as a BallIsometry
+                iso = IsometrySpec(shape, sites=((v, p),)).realize(len(v) + 2)
+                assert support_in(iso, cylinder), (v, p)
+            else:
+                with pytest.raises(ValueError):
+                    IsometrySpec(shape, sites=((v, p),))

@@ -4,10 +4,12 @@
 
 PATH is the root of another tdlclab checkout, for instance an exported
 parent commit.  Each case below runs once per checkout, both at the same
-time, as ``python3 -m tdlclab.cli`` with that checkout's ``src`` on
-``PYTHONPATH`` and a fresh working directory holding the spec file.
-Stdout, stderr, the exit code and, for ``certify``, the certificate
-bytes must be identical.  One line is printed per case, then a count;
+time, with that checkout's ``src`` on ``PYTHONPATH`` in a fresh working
+directory: a CLI case as ``python3 -m tdlclab.cli`` next to the spec
+file, a demo case as the checkout's own ``demos/0*.py`` script.  The
+demos reach library calls that no CLI command makes.  Stdout, stderr,
+the exit code and, for ``certify``, the certificate bytes must be
+identical.  One line is printed per case, then a count;
 the exit code is 0 when every case is identical and 1 otherwise.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+DEMOS = sorted(p.relative_to(HERE).as_posix() for p in (HERE / "demos").glob("0*.py"))
 
 sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
 from test_cli import ROOTED_BINARY, US3, US3_ELEMENTS  # noqa: E402
@@ -41,17 +44,22 @@ def cases() -> list[tuple[str, list[str]]]:
     for spec in ("elements", "regular-sym3"):
         for depth in (2, 3):
             out.append((spec, ["dynamics", "degree", "spec.ini", "--depth", str(depth)]))
+    out.extend(("demo", [demo]) for demo in DEMOS)
     return out
 
 
 def start(root: Path, spec: str, argv: list[str], workdir: Path) -> subprocess.Popen:
     workdir.mkdir()
-    (workdir / "spec.ini").write_text(SPECS[spec])
-    if argv[0] == "certify":
-        argv = [*argv, "--out", "cert.json"]
+    if spec == "demo":
+        command = [sys.executable, str(root / argv[0])]
+    else:
+        (workdir / "spec.ini").write_text(SPECS[spec])
+        if argv[0] == "certify":
+            argv = [*argv, "--out", "cert.json"]
+        command = [sys.executable, "-m", "tdlclab.cli", *argv]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return subprocess.Popen(
-        [sys.executable, "-m", "tdlclab.cli", *argv],
+        command,
         cwd=workdir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
 
