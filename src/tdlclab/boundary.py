@@ -10,7 +10,7 @@ balls whose radius is recorded in the report.
 """
 from __future__ import annotations
 
-from .boolalg import ROOT, Address, CylinderClopen, TreeShape
+from .boolalg import ROOT, Address, CylinderClopen, TreeShape, format_address
 from .errors import DisjointnessFailure, NotSkewering
 from .permgrp import FiniteGroup
 from .tree import (
@@ -398,24 +398,20 @@ def tits_core_generators(
     local: FiniteGroup,
     g: IsometrySpec,
     depth: int,
-    alpha: CylinderClopen | None = None,
 ) -> tuple[list[IsometrySpec], dict]:
     """Rigid-stabiliser witnesses certified on both sides of a translation.
 
-    The returned generators realize rist(beta) on the attracting side,
-    each with a contraction certificate under g; the report carries the
-    mirror family on the repelling side certified under the inverse,
-    plus a normalisation check: rotations fixing beta's cone vertex
-    conjugate witnesses to elements supported back in beta and allowed
-    by the local group.
+    alpha is the first depth-1 cylinder that g moves strictly inside
+    itself, and beta is alpha minus its image.  The returned generators
+    realize rist(beta) on the attracting side, each with a contraction
+    certificate under g; the report carries the mirror family on the
+    repelling side certified under the inverse, plus a normalisation
+    check: rotations fixing beta's cone vertex conjugate witnesses to
+    elements supported back in beta and allowed by the local group.
     """
     shape = g.shape
-    if alpha is None:
-        alpha = _attracting_half_tree(g, 1)
-    galpha = spec_image_clopen(g, alpha)
-    if not galpha.lt(alpha):
-        raise NotSkewering(f"{alpha} is not moved inside itself")
-    beta_f = alpha.minus(galpha)
+    alpha = _attracting_half_tree(g, 1)
+    beta_f = alpha.minus(spec_image_clopen(g, alpha))
     gens_f = rist_generators(local, beta_f, depth)
     certs_f = [contraction_certificate(g, u, depth) for u in gens_f]
 
@@ -439,9 +435,7 @@ def tits_core_generators(
     norm_ok = True
     for rho in rotations:
         for u in gens_f:
-            tab = SpecWord(
-                shape, ((rho, 1), (u, 1), (rho, -1))
-            ).realize(depth + 2)
+            tab = SpecWord.conjugate(rho, u, 1).realize(depth + 2)
             if not (
                 support_in(tab, beta_f) and in_universal_group(tab, local)
             ):
@@ -462,7 +456,7 @@ def tits_core_generators(
         "beta_forward": str(beta_f),
         "alpha_backward": str(alpha_b),
         "beta_backward": str(beta_b),
-        "cone_vertex": "".join(str(c) for c in cone) or "v0",
+        "cone_vertex": format_address(shape, cone) or "v0",
         "rotation_count": len(rotations),
         "depth": depth,
         "forward_onsets": [c["k"] for c in certs_f],

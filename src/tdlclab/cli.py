@@ -314,19 +314,15 @@ class _SpecParser:
         names = rest.split()
         if not names:
             self.fail("word needs at least one element name", lineno, col)
-        factors: tuple = ()
+        factors = []
         # listed order acts first, so the rightmost name lands leftmost
         for token in reversed(names):
             base, invert = (token[:-1], True) if token.endswith("~") else (token, False)
             element = spec.elements.get(base)
             if element is None:
                 self.fail(f"word references unknown element {base!r}", lineno, col)
-            if isinstance(element, SpecWord):
-                chunk = element.inverse().factors if invert else element.factors
-            else:
-                chunk = ((element, -1 if invert else 1),)
-            factors = factors + chunk
-        return SpecWord(spec.shape, factors)
+            factors.append((element, -1 if invert else 1))
+        return SpecWord(spec.shape, tuple(factors))
 
     def parse_limits(self, spec: GroupSpec) -> None:
         for lineno, key_col, key, value_col, value in self.entries["limits"]:
@@ -499,7 +495,8 @@ def _level_factors(shape: TreeShape, local: FiniteGroup, n: int) -> list[str]:
 
     Each level kernel is the direct product of one site pool per vertex
     of the previous sphere, so its factors join those of the quotient.
-    Vertex counts per return colour follow the non-backtracking walk.
+    Each colour is the return colour of (q-1)**(k-1) vertices at level k,
+    the count ``level_order`` uses.
     """
     factors = list(composition_factors(local))
     if shape.kind == "rooted":
@@ -509,18 +506,13 @@ def _level_factors(shape: TreeShape, local: FiniteGroup, n: int) -> list[str]:
             factors.extend(base * count)
             count *= shape.degree
         return sorted(factors)
-    counts = {c: 1 for c in shape.colours()}
-    stab_factors = {
-        c: composition_factors(site_group(shape, local, (c,)))
+    stab_factors = [
+        composition_factors(site_group(shape, local, (c,)))
         for c in shape.colours()
-    }
-    for _ in range(1, n):
-        for c, cnt in counts.items():
-            factors.extend(stab_factors[c] * cnt)
-        counts = {
-            c: sum(cnt for c2, cnt in counts.items() if c2 != c)
-            for c in shape.colours()
-        }
+    ]
+    for k in range(1, n):
+        for pool in stab_factors:
+            factors.extend(pool * (shape.degree - 1) ** (k - 1))
     return sorted(factors)
 
 
@@ -624,10 +616,9 @@ def run_dynamics(args, spec: GroupSpec) -> tuple[dict, int]:
         eta = xi
         while eta == xi:
             eta = rng.choice(states)
-        target_addr = args.target or "".join(map(str, states[0][: min(2, spec.depth)]))
-        target = CylinderClopen.cylinder(
-            spec.shape, _parse_address(target_addr, spec.shape)
-        )
+        default = states[0][: min(2, spec.depth)]
+        addr = _parse_address(args.target, spec.shape) if args.target else default
+        target = CylinderClopen.cylinder(spec.shape, addr)
         parameters["target"] = str(target)
         results = dynamics.pair_compression(ctx, xi, eta, target)
     elif args.check == "measure":

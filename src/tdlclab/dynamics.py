@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolalg import CylinderClopen, TreeShape, sphere_list
+from .boolalg import CylinderClopen, TreeShape, format_address, sphere_list
 from .errors import SearchExhausted
 from .permgrp import FiniteGroup
 from .tree import (
@@ -87,10 +87,7 @@ class ActionContext:
         return self._inverse_names[name]
 
     def word(self, names: Word) -> SpecWord:
-        factors: tuple = ()
-        for name in reversed(names):
-            factors = factors + self._gens[name].factors
-        return SpecWord(self.shape, factors)
+        return SpecWord(self.shape, tuple((self._gens[n], 1) for n in reversed(names)))
 
     def states(self) -> tuple:
         return sphere_list(self.shape, self.depth)
@@ -99,7 +96,7 @@ class ActionContext:
         return CylinderClopen.cylinder(self.shape, state)
 
     def state_label(self, state) -> str:
-        return "".join(str(c) for c in state)
+        return format_address(self.shape, state)
 
     def image(self, name: str, clopen):
         key = (name, clopen)
@@ -226,26 +223,33 @@ class TwoCopyContext:
         return self._base.all_fix_base()
 
 
-def reachable_images(ctx, start):
-    """BFS over exact word-images of a clopen, deduplicated by value.
-
-    Yields (clopen, word) pairs in breadth-first order starting with
-    (start, ()).  Words longer than the context bound are not expanded.
-    """
+def _bfs(names, bound, image, start):
+    """Breadth-first (state, word) pairs from (start, ()), deduplicated by
+    value; ``image(name, state)`` is one step and words of length
+    ``bound`` are not expanded."""
     seen = {start: ()}
     queue = deque([start])
     yield start, ()
     while queue:
         x = queue.popleft()
         w = seen[x]
-        if len(w) >= ctx.word_bound:
+        if len(w) >= bound:
             continue
-        for name in ctx.gen_names:
-            y = ctx.image(name, x)
+        for name in names:
+            y = image(name, x)
             if y not in seen:
                 seen[y] = w + (name,)
                 queue.append(y)
                 yield y, w + (name,)
+
+
+def reachable_images(ctx, start):
+    """BFS over exact word-images of a clopen, deduplicated by value.
+
+    Yields (clopen, word) pairs in breadth-first order starting with
+    (start, ()).  Words longer than the context bound are not expanded.
+    """
+    yield from _bfs(ctx.gen_names, ctx.word_bound, ctx.image, start)
 
 
 def _first_words(ctx, start, inside: bool = False) -> dict:
@@ -501,6 +505,9 @@ def pair_compression(ctx, xi, eta, target) -> dict:
         raise ValueError("target clopen is zero")
     start = (ctx.state_clopen(xi), ctx.state_clopen(eta))
 
+    def step(name, pair):
+        return ctx.image(name, pair[0]), ctx.image(name, pair[1])
+
     def done(pair) -> bool:
         return pair[0].leq(target) and pair[1].leq(target)
 
@@ -510,7 +517,7 @@ def pair_compression(ctx, xi, eta, target) -> dict:
     for name in ctx.gen_names:
         cur = start
         for k in range(1, ctx.word_bound + 1):
-            cur = (ctx.image(name, cur[0]), ctx.image(name, cur[1]))
+            cur = step(name, cur)
             if done(cur):
                 return _schedule(ctx, xi, eta, target, (name,) * k, "power")
 
@@ -522,37 +529,24 @@ def pair_compression(ctx, xi, eta, target) -> dict:
         for name in ctx.gen_names:
             if name == rot:
                 continue
-            cur = (ctx.image(rot, start[0]), ctx.image(rot, start[1]))
+            cur = step(rot, start)
             word: Word = (rot,)
             for k in range(1, ctx.word_bound):
-                cur = (ctx.image(name, cur[0]), ctx.image(name, cur[1]))
+                cur = step(name, cur)
                 word = word + (name,)
                 if done(cur):
                     return _schedule(ctx, xi, eta, target, word, "rotation+power")
             cur = start
             for k in range(1, ctx.word_bound):
-                cur = (ctx.image(name, cur[0]), ctx.image(name, cur[1]))
-                last = (ctx.image(rot, cur[0]), ctx.image(rot, cur[1]))
-                if done(last):
+                cur = step(name, cur)
+                if done(step(rot, cur)):
                     return _schedule(
                         ctx, xi, eta, target, (name,) * k + (rot,), "power+rotation"
                     )
 
-    seen = {start: ()}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        w = seen[pair]
-        if len(w) >= ctx.word_bound:
-            continue
-        for name in ctx.gen_names:
-            nxt = (ctx.image(name, pair[0]), ctx.image(name, pair[1]))
-            if nxt in seen:
-                continue
-            seen[nxt] = w + (name,)
-            if done(nxt):
-                return _schedule(ctx, xi, eta, target, w + (name,), "bfs")
-            queue.append(nxt)
+    for pair, word in _bfs(ctx.gen_names, ctx.word_bound, step, start):
+        if done(pair):
+            return _schedule(ctx, xi, eta, target, word, "bfs")
     raise SearchExhausted(
         f"compression of ({ctx.state_label(xi)}, {ctx.state_label(eta)}) "
         f"into {target}",
@@ -597,7 +591,7 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
             "base-fixing rotation separating the skewering image", ctx.word_bound
         )
     r = ctx.generator(rotation)
-    h = SpecWord(ctx.shape, r.factors + g.factors + r.inverse().factors)
+    h = SpecWord.conjugate(r, g, 1)
     halpha = spec_image_clopen(h, alpha)
 
     table: dict[str, CylinderClopen] = {"": alpha}
@@ -805,9 +799,7 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
             "depth": depth,
             "atom_level": level,
             "uniform": True,
-            "weights": {
-                "".join(map(str, a)): uniform for a in atoms
-            },
+            "weights": {format_address(shape, a): uniform for a in atoms},
         }
 
     feasible, solution = _phase_one_feasible(rows, len(atoms))
@@ -818,7 +810,7 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
             "atom_level": level,
             "uniform": False,
             "weights": {
-                "".join(map(str, a)): solution.get(j, Fraction(0))
+                format_address(shape, a): solution.get(j, Fraction(0))
                 for a, j in index.items()
             },
         }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolalg import CylinderClopen, TreeShape, sphere_list
+from .boolalg import CylinderClopen, TreeShape, format_address, sphere_list
 from .boundary import region_vertices, rist_generators, tables_commute
 from .dynamics import ActionContext, orbit_join
 from .permgrp import FiniteGroup, Perm
@@ -334,7 +334,7 @@ def fixed_point_scan(ctx: ActionContext) -> dict:
         "verdict": "exactly-zero-and-top" if k == 1 else "proper-invariant-classes",
         "depth": depth,
         "block_count": k,
-        "blocks": [["".join(map(str, a)) for a in b] for b in blocks],
+        "blocks": [[format_address(shape, a) for a in b] for b in blocks],
         "fixed_class_count": count,
         "classes": classes,
         "scope": "over cylinder classes",

@@ -11,6 +11,7 @@ lexicographic order on permutation image tuples.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 
@@ -90,11 +91,7 @@ class Perm:
         return all(i == x for x, i in enumerate(self.images))
 
     def order(self) -> int:
-        n, p = 1, self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -330,8 +327,7 @@ class FiniteGroup:
         return FiniteGroup(self.degree, tuple(gens), cap=self.cap)
 
     def subgroup_from_elements(self, elems) -> "FiniteGroup":
-        sub = FiniteGroup(self.degree, tuple(sorted(elems)), cap=self.cap)
-        return sub
+        return FiniteGroup(self.degree, tuple(sorted(elems)), cap=self.cap)
 
     @cached_property
     def normal_subgroups(self) -> tuple["FiniteGroup", ...]:
@@ -409,18 +405,8 @@ class FiniteGroup:
     def derived_subgroup(self) -> "FiniteGroup":
         return self._derived
 
-    @cached_property
-    def _soluble(self) -> bool:
-        g = self
-        while g.order > 1:
-            d = g.derived_subgroup()
-            if d.order == g.order:
-                return False
-            g = d
-        return True
-
     def is_soluble(self) -> bool:
-        return self._soluble
+        return prosoluble_residual(self).order == 1
 
     @cached_property
     def invariant_memo(self) -> dict:
@@ -513,17 +499,12 @@ def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
     abelian sections.
     """
     pi = frozenset(pi)
-    key = ("pi_residual", pi)
-    if key in g.invariant_memo:
-        return g.invariant_memo[key]
     seeds = tuple(
         x
         for x in g.element_list
         if all(p not in pi for p in prime_factors(x.order()))
     )
-    out = g.subgroup(seeds)
-    g.invariant_memo[key] = out
-    return out
+    return g.subgroup(seeds)
 
 
 def prosoluble_core(g: FiniteGroup) -> FiniteGroup:
@@ -695,31 +676,23 @@ def _congruence(degree: int, pairs, gens=()) -> tuple[frozenset[int], ...]:
     return tuple(sorted(frozenset(v) for v in blocks.values()))
 
 
-def _minimal_congruence(g: FiniteGroup, a: int, b: int) -> tuple[frozenset[int], ...]:
-    return _congruence(g.degree, [(a, b)], g.gens)
-
-
-def _join_congruences(g, p1, p2) -> tuple[frozenset[int], ...]:
-    return _congruence(
-        g.degree,
-        [(min(block), y) for part in (p1, p2) for block in part for y in block],
-    )
-
-
 def block_systems(g: FiniteGroup) -> list[tuple[frozenset[int], ...]]:
     """All nontrivial proper block systems of a transitive action."""
     if not g.is_transitive():
         raise NotTransitive("block systems need a transitive action")
     minimal = set()
     for b in range(1, g.degree):
-        minimal.add(_minimal_congruence(g, 0, b))
+        minimal.add(_congruence(g.degree, [(0, b)], g.gens))
     systems = set(minimal)
     frontier = list(minimal)
     while frontier:
         fresh = []
         for s in frontier:
             for m in minimal:
-                joined = _join_congruences(g, s, m)
+                joined = _congruence(
+                    g.degree,
+                    [(min(block), y) for part in (s, m) for block in part for y in block],
+                )
                 if joined not in systems:
                     systems.add(joined)
                     fresh.append(joined)
@@ -863,12 +836,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 def quaternion_group() -> FiniteGroup:
     """Q8 in its regular representation on 8 points."""
     # elements 1, -1, i, -i, j, -j, k, -k indexed 0..7
-    mult = {}
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def neg(a: int) -> int:
-        return a ^ 1
-
     table = {
         ("i", "i"): "-1",
         ("j", "j"): "-1",

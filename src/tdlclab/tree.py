@@ -11,9 +11,11 @@ Three element carriers live here.  IsometrySpec is the exact atom: a
 portrait, which decorates finitely many sites with colour permutations,
 followed by a word translation; it applies to addresses of any depth.
 SpecWord is a formal product of powers of atoms, evaluated factor by
-factor, so it stays exact too.  BallIsometry is a lookup table on a ball
-about the base vertex; composition and inversion shrink the reliable
-radius and anything past it raises PrecisionExhausted.
+factor, so it stays exact too; a factor that is itself a word is spelled
+out when the SpecWord is built, so its factors are always atoms.
+BallIsometry is a lookup table on a ball about the base vertex;
+composition and inversion shrink the reliable radius and anything past
+it raises PrecisionExhausted.
 
 Legality of an address is checked once, at the public entry:
 IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
@@ -390,11 +392,23 @@ class SpecWord:
 
     Conjugates and commutators of recipes stay exactly evaluable at any
     depth this way, with no precision loss: a ball table of the product
-    is built by applying each factor pointwise.
+    is built by applying each factor pointwise.  A factor may itself be a
+    SpecWord; it is spelled out when the product is built, a power e >= 0
+    as its factors repeated e times and a power e < 0 as its inverse's
+    factors repeated -e times, so ``factors`` holds IsometrySpec atoms.
     """
 
     shape: TreeShape
     factors: tuple[tuple[IsometrySpec, int], ...]
+
+    def __post_init__(self) -> None:
+        atoms: list = []
+        for f, e in self.factors:
+            if isinstance(f, SpecWord):
+                atoms.extend((f if e >= 0 else f.inverse()).factors * abs(e))
+            else:
+                atoms.append((f, e))
+        object.__setattr__(self, "factors", tuple(atoms))
 
     @classmethod
     def of(cls, *specs: IsometrySpec) -> "SpecWord":
@@ -619,6 +633,8 @@ def sphere_orbit_classes(
 
 def schreier_dot(group: FiniteGroup, point: int) -> str:
     """Schreier graph of the orbit of a point, one edge per generator."""
+    if not 0 <= point < group.degree:
+        raise ValueError(f"point {point} is not in 0..{group.degree - 1}")
     orbit = sorted(group.orbit(point))
     lines = ["digraph schreier {"]
     for x in orbit:

@@ -43,6 +43,9 @@ word_bound = 6
 seed = 7
 """
 
+# US3_ELEMENTS plus a word element, itself a product of two letters
+US3_WORD = US3_ELEMENTS.replace("c = word g u1 g~\n", "c = word g u1 g~\nh = word g g\n")
+
 ROTONLY = """\
 [tree]
 kind = regular
@@ -359,6 +362,31 @@ def test_certify_nub_longer_translation_exits_zero(spec_file, capsys, tmp_path, 
     assert report["results"]["verdict"] == "verified"
 
 
+@pytest.mark.parametrize(
+    "kind, extra",
+    [("goodshrink", []), ("nub", []), ("contraction", ["--u", "u1"])],
+)
+def test_certify_word_element_exits_zero(spec_file, capsys, tmp_path, kind, extra):
+    # a word element's inverse used to crash with AttributeError (exit 1)
+    code, report, _ = run_cli(
+        capsys,
+        "certify", kind, spec_file(US3_WORD), "--element", "h", *extra,
+        "--out", str(tmp_path / "w.cert.json"),
+    )
+    assert code == 0
+    assert report["results"]["verdict"] in ("verified", "contracts")
+
+
+def test_certify_tits_core_word_element_reports(spec_file, capsys, tmp_path):
+    code, report, _ = run_cli(
+        capsys,
+        "certify", "tits-core", spec_file(US3_WORD), "--element", "h",
+        "--out", str(tmp_path / "tc.cert.json"),
+    )
+    assert code in (0, 1)
+    assert report["results"]["verdict"] in ("verified", "refuted_at_depth")
+
+
 # -------------------------------------------------------------------- export
 
 
@@ -383,6 +411,16 @@ def test_export_schreier_s4(spec_file, capsys, tmp_path):
     )
     assert code == 0
     assert report["results"]["nodes"] == 4
+
+
+@pytest.mark.parametrize("point", ["99", "-1"])
+def test_export_schreier_rejects_a_point_off_the_local_action(spec_file, capsys, point):
+    code, _, captured = run_cli(
+        capsys, "export", "schreier", spec_file(US3), f"--point={point}"
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert f"point {point}" in captured.err
 
 
 def test_export_stone_orbit_to_stdout(spec_file, capsys):

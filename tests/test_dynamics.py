@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from tdlclab.boolalg import CylinderClopen, regular
+from tdlclab.boolalg import ROOT, CylinderClopen, regular
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import SearchExhausted
-from tdlclab.permgrp import Perm, symmetric_group
+from tdlclab.permgrp import FiniteGroup, Perm, symmetric_group
 from tdlclab.tree import IsometrySpec, hyperbolic_isometry, spec_image_clopen
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
@@ -291,6 +291,15 @@ def test_pair_compression_rejects_zero_target():
         dy.pair_compression(ctx, (1, 2), (2, 1), CylinderClopen.from_addresses(T3, []))
 
 
+def test_pair_compression_exhausts_when_no_word_compresses():
+    # base-fixing rotations permute the depth-2 sphere, so two distinct
+    # states never land in one depth-2 cylinder, whatever the word
+    ctx = dy.rotation_context(S3, depth=2, word_bound=4)
+    xi, eta = ctx.states()[:2]
+    with pytest.raises(SearchExhausted):
+        dy.pair_compression(ctx, xi, eta, cyl(0, 1))
+
+
 def test_pair_compression_seeded_deep_pairs():
     ctx = dy.translation_rotation_context(S3, depth=6, word_bound=8)
     rng = random.Random(11)
@@ -435,6 +444,19 @@ def test_averaged_point_mass_survives_a_lone_axis():
     assert sum(weights.values()) == 1
     assert weights["010"] == Fraction(1, 2)
     assert weights["101"] == Fraction(1, 2)
+
+
+def test_labels_and_weights_stay_distinct_above_degree_ten():
+    # at degree 12 the states (1, 11) and (11, 1) must not share a label
+    shape = regular(12)
+    cycle = Perm(tuple((c + 1) % 12 for c in range(12)))
+    gens = {"r": IsometrySpec(shape, sites=((ROOT, cycle),))}
+    ctx = dy.ActionContext(shape, FiniteGroup(12, [cycle]), gens, depth=2)
+    states = ctx.states()
+    assert len({ctx.state_label(s) for s in states}) == len(states) == 132
+    report = dy.invariant_measure_search(ctx)
+    assert len(report["weights"]) == 132
+    assert sum(report["weights"].values()) == 1
 
 
 # -------------------------------------------------------------------- replay

@@ -39,6 +39,7 @@ from tdlclab.permgrp import (
 )
 
 from oracles import (
+    _oracle_soluble,
     corpus,
     oracle_composition_factors,
     oracle_conjugacy_classes,
@@ -104,6 +105,15 @@ def test_validating_paths_still_reject():
         Perm((1, 0)) * Perm((0, 2, 1))
     with pytest.raises(ValueError):
         Perm((1, 0)).conjugate_by(Perm((0, 2, 1)))
+
+
+def test_perm_order_is_the_least_identity_power_on_corpus():
+    for name, g in corpus().items():
+        for p in g.element_list:
+            n = 1
+            while not (p ** n).is_identity():
+                n += 1
+            assert p.order() == n, (name, p)
 
 
 def test_closure_matches_oracle_on_corpus():
@@ -246,6 +256,16 @@ def test_invariants_match_oracle_on_corpus():
         assert sorted(composition_factors(g)) == sorted(
             oracle_composition_factors(g)
         ), name
+
+
+def test_is_soluble_matches_oracle_on_corpus():
+    verdicts = set()
+    for name, g in corpus().items():
+        for sub in (g, *g.normal_subgroups):
+            want = _oracle_soluble(sub, sub.element_set)
+            assert sub.is_soluble() == want, name
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_composition_factors_invariant_under_conjugation():

@@ -498,6 +498,12 @@ def test_schreier_graph_of_natural_action():
     assert dot.rstrip().endswith("}")
 
 
+@pytest.mark.parametrize("point", [4, -1])
+def test_schreier_graph_rejects_a_point_off_the_action(point):
+    with pytest.raises(ValueError):
+        schreier_dot(symmetric_group(4), point)
+
+
 def test_cayley_abels_path_for_transitive_local_group():
     dot = cayley_abels_dot(T3, S3, 3)
     node_lines = [line for line in dot.splitlines() if "label=" in line]
@@ -655,6 +661,38 @@ def test_realize_and_identity_check_match_checked_apply_seeded(shape):
             assert mover.is_identity_on(r) == fixed
             verdicts.add(fixed)
     assert verdicts == {True, False}
+
+
+def _apply_power(mover, e, addr):
+    """Checked application of mover**e, a word's inverse built as a word."""
+    for _ in range(abs(e)):
+        if e > 0:
+            addr = mover.apply(addr)
+        elif isinstance(mover, SpecWord):
+            addr = mover.inverse().apply(addr)
+        else:
+            addr = mover.apply_inverse(addr)
+    return addr
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_spec_word_spells_out_word_factors_seeded(shape):
+    rng = random.Random(29)
+    specs, words = _random_movers(rng, shape)
+    ball = list(shape.ball(5))
+    for k in range(6):
+        factors = ((words[k], 2), (specs[k], 1), (words[k + 6], -1), (words[-1 - k], -3))
+        product = SpecWord(shape, factors)
+        conj = SpecWord.conjugate(words[k], specs[k], 2)
+        for w in (product, conj):
+            assert all(isinstance(f, IsometrySpec) for f, _ in w.factors)
+        for a in ball:
+            want = a
+            for mover, e in reversed(factors):
+                want = _apply_power(mover, e, want)
+            assert product.apply(a) == want
+            inner = specs[k].apply(_apply_power(words[k], -2, a))
+            assert conj.apply(a) == _apply_power(words[k], 2, inner)
 
 
 def test_spec_image_clopen_matches_table_transport():
