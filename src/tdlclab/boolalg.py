@@ -389,14 +389,18 @@ def format_address(shape: TreeShape, addr: Address) -> str:
     return ".".join(str(c) for c in addr)
 
 
-def parse_address(shape: TreeShape, text: str) -> Address:
+def read_address(shape: TreeShape, text: str) -> Address:
+    """Unchecked letters of ``format_address`` text: split on dots above
+    degree 10, else one digit per letter with dots between them allowed."""
     text = text.strip()
-    if not text:
-        raise ValueError("empty address token")
-    if "." in text:
-        addr = tuple(int(part) for part in text.split("."))
-    else:
-        addr = tuple(int(ch) for ch in text)
+    parts = text.split(".") if shape.degree > 10 or "." in text else text
+    if not text or not all(map(str.isdecimal, parts)):
+        raise ValueError(f"address must be digits, got {text!r}")
+    return tuple(int(part) for part in parts)
+
+
+def parse_address(shape: TreeShape, text: str) -> Address:
+    addr = read_address(shape, text)
     shape.require_legal(addr)
     return addr
 

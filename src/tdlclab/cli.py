@@ -25,8 +25,9 @@ elements section names exact isometry recipes: ``hyperbolic axis=W``
 translates along the axis spelled by the colour word W, ``portrait``
 lists recolouring sites as ``addr:(cycles)`` with ``root`` for the base
 vertex, and ``word`` composes previously defined names (first name acts
-first, trailing ``~`` inverts).  Two-copy specs take no elements; the
-diagonal product context fixes its own generators.
+first, trailing ``~`` inverts).  W and addr are written as reports write
+addresses, with dots between letters above degree 10.  Two-copy specs
+take no elements; the diagonal product context fixes its own generators.
 
 Machine output is one canonical JSON report on stdout; human trace
 lines go to stderr, or replace the report entirely under
@@ -44,7 +45,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .boolalg import ROOT, Address, CylinderClopen, TreeShape, regular, rooted, sphere_list
+from .boolalg import (
+    ROOT,
+    Address,
+    CylinderClopen,
+    TreeShape,
+    parse_address,
+    read_address,
+    regular,
+    rooted,
+    sphere_list,
+)
 from .boundary import (
     contraction_certificate,
     goodshrink_construct,
@@ -106,7 +117,7 @@ _VERDICT_EXIT = {
 }
 
 _SECTIONS = ("tree", "local_group", "elements", "limits")
-_AXIS_RE = re.compile(r"^axis\s*=\s*([0-9]+)$")
+_AXIS_RE = re.compile(r"^axis\s*=\s*([0-9.]+)$")
 _WINDOW_RE = re.compile(r"^([0-9]+)\.\.([0-9]+)$")
 
 
@@ -278,9 +289,8 @@ class _SpecParser:
         m = _AXIS_RE.match(rest)
         if not m:
             self.fail("hyperbolic takes 'axis=<colour word>'", lineno, col)
-        axis = tuple(int(ch) for ch in m.group(1))
         try:
-            return hyperbolic_isometry(shape, axis)
+            return hyperbolic_isometry(shape, read_address(shape, m.group(1)))
         except ValueError as exc:
             self.fail(str(exc), lineno, col)
 
@@ -292,11 +302,9 @@ class _SpecParser:
             addr_text, sep, perm_text = token.partition(":")
             if not sep:
                 self.fail(f"site {token!r} wants 'addr:(cycles)'", lineno, col + offset)
-            if addr_text == "root":
-                addr: Address = ()
-            elif addr_text.isdigit():
-                addr = tuple(int(ch) for ch in addr_text)
-            else:
+            try:
+                addr = ROOT if addr_text == "root" else read_address(shape, addr_text)
+            except ValueError:
                 self.fail(f"bad site address {addr_text!r}", lineno, col + offset)
             try:
                 perm = parse_perm(perm_text, shape.degree)
@@ -403,9 +411,7 @@ def _resolve_element(spec: GroupSpec, name: str | None, displacing: bool):
 def _parse_address(text: str, shape: TreeShape) -> Address:
     if text in ("", "root"):
         return ROOT
-    if not text.isdigit():
-        raise ValueError(f"address must be digits, got {text!r}")
-    return tuple(int(ch) for ch in text)
+    return parse_address(shape, text)
 
 
 def _attracting_clopen(spec: GroupSpec, g, flag: str | None) -> CylinderClopen:

@@ -29,6 +29,8 @@ from .tree import (
 
 Word = tuple[str, ...]
 
+_RHS = -1  # the right-side key of a sparse simplex row
+
 
 def _is_zero(clopen) -> bool:
     return clopen.measure() == 0
@@ -196,8 +198,6 @@ class TwoCopyContext:
         got = self._image_memo.get(key)
         if got is None:
             base, copy = name.rsplit("@", 1)
-            if copy.endswith("~"):
-                base, copy = base + "~", copy[:-1]
             if copy == "0":
                 got = PairClopen(self._base.image(base, pair.left), pair.right)
             else:
@@ -694,65 +694,57 @@ def orbit_join(ctx, alpha) -> dict:
 def _phase_one_feasible(
     rows: list[tuple[dict[int, Fraction], Fraction]], nvars: int
 ) -> tuple[bool, dict[int, Fraction]]:
-    """Exact phase-one simplex with Bland's rule; equalities, x >= 0."""
-    m = len(rows)
-    width = nvars + m
-    tableau: list[list[Fraction]] = []
+    """Exact phase-one simplex with Bland's rule; equalities, x >= 0.
+
+    The tableau is sparse: each row, the objective row included, is a
+    ``{column: Fraction}`` dict without zeros.  Column ``nvars + i`` is
+    row i's artificial variable and the reserved key ``_RHS`` holds the
+    right side, made nonnegative by negating the row.
+    """
+    tableau: list[dict[int, Fraction]] = []
+    obj: dict[int, Fraction] = {}
     for i, (coeffs, rhs) in enumerate(rows):
-        if rhs < 0:
-            coeffs = {j: -v for j, v in coeffs.items()}
-            rhs = -rhs
-        row = [Fraction(0)] * (width + 1)
-        for j, v in coeffs.items():
-            row[j] = v
+        sign = -1 if rhs < 0 else 1
+        row = {j: sign * v for j, v in {**coeffs, _RHS: rhs}.items() if v}
+        for j, v in row.items():
+            obj[j] = obj.get(j, 0) + v
         row[nvars + i] = Fraction(1)
-        row[width] = rhs
         tableau.append(row)
-    basis = [nvars + i for i in range(m)]
-    obj = [Fraction(0)] * (width + 1)
-    for row in tableau:
-        for j in range(nvars):
-            obj[j] += row[j]
-        obj[width] += row[width]
+    obj = {j: v for j, v in obj.items() if v}
+    basis = [nvars + i for i in range(len(rows))]
 
     while True:
-        enter = next((j for j in range(nvars) if obj[j] > 0), None)
+        enter = min(
+            (j for j, v in obj.items() if 0 <= j < nvars and v > 0), default=None
+        )
         if enter is None:
             break
-        pivot_row = None
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][width] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    pivot_row = i
-        if pivot_row is None:
+        ratios = [
+            (row.get(_RHS, Fraction(0)) / row[enter], basis[i], i)
+            for i, row in enumerate(tableau)
+            if row.get(enter, 0) > 0
+        ]
+        if not ratios:
             break
-        prow = tableau[pivot_row]
-        factor = prow[enter]
-        tableau[pivot_row] = [v / factor for v in prow]
-        prow = tableau[pivot_row]
-        for i in range(m):
-            if i != pivot_row and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [
-                    v - f * p for v, p in zip(tableau[i], prow)
-                ]
-        f = obj[enter]
-        if f != 0:
-            obj = [v - f * p for v, p in zip(obj, prow)]
+        pivot_row = min(ratios)[2]
+        factor = tableau[pivot_row][enter]
+        prow = {j: v / factor for j, v in tableau[pivot_row].items()}
+        tableau[pivot_row] = prow
+        for row in (*tableau, obj):
+            f = row.get(enter)
+            if f is None or row is prow:
+                continue
+            for j, p in prow.items():
+                v = row.pop(j, 0) - f * p
+                if v:
+                    row[j] = v
         basis[pivot_row] = enter
 
-    if obj[width] != 0:
+    if obj.get(_RHS):
         return False, {}
-    solution: dict[int, Fraction] = {}
-    for i, b in enumerate(basis):
-        if b < nvars:
-            solution[b] = tableau[i][width]
-    return True, solution
+    return True, {
+        b: row.get(_RHS, Fraction(0)) for b, row in zip(basis, tableau) if b < nvars
+    }
 
 
 def invariant_measure_search(ctx: ActionContext) -> dict:
@@ -773,19 +765,15 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
     atoms = sphere_list(shape, level)
     index = {a: j for j, a in enumerate(atoms)}
 
-    rows: list[tuple[dict[int, Fraction], Fraction]] = []
-    rows.append(({j: Fraction(1) for j in range(len(atoms))}, Fraction(1)))
     one = Fraction(1)
+    rows = [({j: one for j in range(len(atoms))}, one)]
     for name in ctx.gen_names:
         for c in sphere_list(shape, depth):
             cyl = CylinderClopen.cylinder(shape, c)
-            img = ctx.image(name, cyl)
-            coeffs: dict[int, Fraction] = {}
-            for a in img.refine(level):
-                coeffs[index[a]] = coeffs.get(index[a], Fraction(0)) + one
-            for a in cyl.refine(level):
-                coeffs[index[a]] = coeffs.get(index[a], Fraction(0)) - one
-            coeffs = {j: v for j, v in coeffs.items() if v != 0}
+            inside = cyl.refine(level)
+            image = ctx.image(name, cyl).refine(level)
+            coeffs = {index[a]: one for a in image - inside}
+            coeffs.update({index[a]: -one for a in inside - image})
             if coeffs:
                 rows.append((coeffs, Fraction(0)))
 

@@ -1,4 +1,4 @@
-"""Independent oracles for the group engine.
+"""Independent oracles for the group engine and the measure LP.
 
 The normal-subgroup oracle enumerates every union of conjugacy classes
 and keeps the ones that happen to be subgroups.  That is exhaustive and
@@ -6,11 +6,21 @@ plainly correct (a normal subgroup is exactly a class-closed subgroup),
 and it shares no code path with the engine's closure-join lattice.
 The derived-series oracle closes over all commutators, not just
 generator commutators.
+
+The phase-one oracle is the dense simplex tableau the measure search
+used before it moved to sparse rows: one list per row, as wide as the
+variables plus one artificial column per row, rewritten in full at
+every pivot.  It makes the same pivots, so it must return the same
+``(feasible, solution)`` as ``dynamics._phase_one_feasible``.  Its rows
+come from the measure search's former builder, which summed +1 per image
+atom and -1 per cylinder atom and then dropped the zeros.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
+from tdlclab.boolalg import CylinderClopen, sphere_list
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
 
 
@@ -159,6 +169,92 @@ def oracle_composition_factors(g: FiniteGroup) -> list[str]:
         out.append(_oracle_label(current, current.quotient(sub).element_set))
         current = sub
     return out
+
+
+def oracle_phase_one_feasible(
+    rows: list[tuple[dict[int, Fraction], Fraction]], nvars: int
+) -> tuple[bool, dict[int, Fraction]]:
+    """Exact phase-one simplex with Bland's rule; equalities, x >= 0."""
+    m = len(rows)
+    width = nvars + m
+    tableau: list[list[Fraction]] = []
+    for i, (coeffs, rhs) in enumerate(rows):
+        if rhs < 0:
+            coeffs = {j: -v for j, v in coeffs.items()}
+            rhs = -rhs
+        row = [Fraction(0)] * (width + 1)
+        for j, v in coeffs.items():
+            row[j] = v
+        row[nvars + i] = Fraction(1)
+        row[width] = rhs
+        tableau.append(row)
+    basis = [nvars + i for i in range(m)]
+    obj = [Fraction(0)] * (width + 1)
+    for row in tableau:
+        for j in range(nvars):
+            obj[j] += row[j]
+        obj[width] += row[width]
+
+    while True:
+        enter = next((j for j in range(nvars) if obj[j] > 0), None)
+        if enter is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][width] / a
+                key = (ratio, basis[i])
+                if best is None or key < best:
+                    best = key
+                    pivot_row = i
+        if pivot_row is None:
+            break
+        prow = tableau[pivot_row]
+        factor = prow[enter]
+        tableau[pivot_row] = [v / factor for v in prow]
+        prow = tableau[pivot_row]
+        for i in range(m):
+            if i != pivot_row and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [
+                    v - f * p for v, p in zip(tableau[i], prow)
+                ]
+        f = obj[enter]
+        if f != 0:
+            obj = [v - f * p for v, p in zip(obj, prow)]
+        basis[pivot_row] = enter
+
+    if obj[width] != 0:
+        return False, {}
+    solution: dict[int, Fraction] = {}
+    for i, b in enumerate(basis):
+        if b < nvars:
+            solution[b] = tableau[i][width]
+    return True, solution
+
+
+def oracle_invariance_rows(ctx) -> tuple[list, int]:
+    """The rows and variable count of ``invariant_measure_search``'s LP."""
+    level = ctx.depth + ctx.max_displacement
+    atoms = sphere_list(ctx.shape, level)
+    index = {a: j for j, a in enumerate(atoms)}
+    rows = [({j: Fraction(1) for j in range(len(atoms))}, Fraction(1))]
+    one = Fraction(1)
+    for name in ctx.gen_names:
+        for c in sphere_list(ctx.shape, ctx.depth):
+            cyl = CylinderClopen.cylinder(ctx.shape, c)
+            img = ctx.image(name, cyl)
+            coeffs: dict[int, Fraction] = {}
+            for a in img.refine(level):
+                coeffs[index[a]] = coeffs.get(index[a], Fraction(0)) + one
+            for a in cyl.refine(level):
+                coeffs[index[a]] = coeffs.get(index[a], Fraction(0)) - one
+            coeffs = {j: v for j, v in coeffs.items() if v != 0}
+            if coeffs:
+                rows.append((coeffs, Fraction(0)))
+    return rows, len(atoms)
 
 
 # -- shared corpus -----------------------------------------------------------

@@ -15,7 +15,9 @@ import pytest
 from tdlclab.boolalg import (
     CylinderClopen,
     DepthPartition,
+    format_address,
     format_clopen,
+    parse_address,
     parse_clopen,
     regular,
     rooted,
@@ -303,6 +305,21 @@ def test_parse_format_roundtrip_seeded():
         shape = rng.choice([T3, R2])
         a = random_clopen(rng, shape, 4)
         assert parse_clopen(shape, format_clopen(a)) == a
+
+
+def test_address_text_round_trips_above_degree_ten():
+    t12, r11 = regular(12), rooted(11)
+    assert format_address(t12, (10,)) == "10"
+    assert parse_address(t12, "10") == (10,)
+    for shape, addrs in (
+        (t12, [(10,)]),
+        (t12, [(1, 11), (11, 1)]),
+        (r11, [(1, 0), (10,)]),
+    ):
+        c = clop(shape, *addrs)
+        assert parse_clopen(shape, str(c)) == c
+    # at degree 10 or less one digit is one letter, and dots are accepted
+    assert parse_address(T3, "01") == parse_address(T3, "0.1") == (0, 1)
 
 
 def test_parse_rejects_illegal_address():

@@ -63,6 +63,38 @@ depth = 2
 word_bound = 4
 """
 
+# one translation and the swap of its two axis ends: a finite invariant
+# measure exists, and its weights are not uniform
+LONE_AXIS = """\
+[tree]
+kind = regular
+degree = 3
+
+[local_group]
+generators = (1 2), (0 1 2)
+
+[elements]
+t = hyperbolic axis=0
+swap = portrait root:(0 1)
+"""
+
+# degree 12: addresses with a colour of 10 or more are written with dots
+DEG12 = """\
+[tree]
+kind = regular
+degree = 12
+
+[local_group]
+generators = (0 1 2 3 4 5 6 7 8 9 10 11)
+
+[elements]
+r = portrait root:(0 1 2 3 4 5 6 7 8 9 10 11)
+t = hyperbolic axis=0
+
+[limits]
+word_bound = 4
+"""
+
 ROOTED_BINARY = """\
 [tree]
 kind = rooted
@@ -161,6 +193,13 @@ def test_parse_rejects_bad_portrait_site():
     assert "return colour" in str(err.value)
 
 
+def test_parse_reads_dotted_sites_and_axes_above_degree_ten():
+    text = DEG12.replace("t =", "u = portrait 1.11:(0 2)\nt =").replace("axis=0", "axis=11")
+    elements = cli.parse_spec_text(text).elements
+    assert elements["u"].apply((1, 11, 0)) == (1, 11, 2)
+    assert elements["t"].apply(()) == (11,)
+
+
 def test_parse_rejects_elements_on_two_copy():
     text = TWOCOPY + "\n[elements]\ng = hyperbolic axis=0\n"
     with pytest.raises(SpecFileError) as err:
@@ -215,6 +254,34 @@ def test_dynamics_measure_rotation_only_feasible(spec_file, capsys):
     assert results["verdict"] == "feasible"
     assert results["uniform"] is True
     assert set(results["weights"].values()) == {"1/6"}
+
+
+def test_dynamics_measure_lone_axis_feasible_off_uniform(spec_file, capsys):
+    code, report, _ = run_cli(
+        capsys, "dynamics", "measure", spec_file(LONE_AXIS), "--depth", "2"
+    )
+    assert code == 1
+    results = report["results"]
+    assert results["verdict"] == "feasible"
+    assert results["uniform"] is False
+    # an atom off the axis keeps the Fraction zero, written "0/1"
+    assert set(results["weights"].values()) == {"1/2", "0/1"}
+
+
+@pytest.mark.parametrize(
+    "spec, argv, verdict",
+    [
+        (DEG12, ["proximal", "--depth", "2", "--target", "1.11"], "verified"),
+        (DEG12.replace("t =", "u = portrait 1.11:(0 2)\nt ="), ["measure", "--depth", "1"],
+         "infeasible"),
+        (DEG12.replace("axis=0", "axis=11"), ["measure", "--depth", "1"], "infeasible"),
+    ],
+    ids=["target", "portrait-site", "axis"],
+)
+def test_dotted_addresses_above_degree_ten(spec_file, capsys, spec, argv, verdict):
+    code, report, _ = run_cli(capsys, "dynamics", argv[0], spec_file(spec), *argv[1:])
+    assert code == 0
+    assert report["results"]["verdict"] == verdict
 
 
 def test_dynamics_degree_two_copy(spec_file, capsys):

@@ -15,6 +15,8 @@ from tdlclab.tree import IsometrySpec, hyperbolic_isometry, spec_image_clopen
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
 
+from oracles import oracle_invariance_rows, oracle_phase_one_feasible
+
 T3 = regular(3)
 S3 = symmetric_group(3)
 
@@ -429,21 +431,91 @@ def test_skewering_plus_minimal_forces_infeasibility():
     assert dy.invariant_measure_search(ctx)["verdict"] == "infeasible"
 
 
-def test_averaged_point_mass_survives_a_lone_axis():
+def _lone_axis_context():
     # one translation plus the swap of its two axis ends: the pair of
     # axis directions is preserved, so a finite invariant measure exists
     gens = {
         "t0": hyperbolic_isometry(T3, (0,)),
         "swap": IsometrySpec(T3, sites=(((), Perm((1, 0, 2))),)),
     }
-    ctx = dy.ActionContext(T3, S3, gens, depth=2, word_bound=6)
-    report = dy.invariant_measure_search(ctx)
+    return dy.ActionContext(T3, S3, gens, depth=2, word_bound=6)
+
+
+def test_averaged_point_mass_survives_a_lone_axis():
+    report = dy.invariant_measure_search(_lone_axis_context())
     assert report["verdict"] == "feasible"
     assert report["uniform"] is False
     weights = report["weights"]
     assert sum(weights.values()) == 1
     assert weights["010"] == Fraction(1, 2)
     assert weights["101"] == Fraction(1, 2)
+
+
+def _random_system(rng):
+    """Mixed-sign rows; half of them are built to have the solution x."""
+    nvars, m = rng.randint(1, 6), rng.randint(1, 6)
+    x = [Fraction(rng.randint(0, 2)) for _ in range(nvars)]
+    solvable = rng.random() < 0.5
+    rows = []
+    for _ in range(m):
+        coeffs = {
+            j: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for j in range(nvars)
+            if rng.random() < 0.7
+        }
+        if solvable:
+            rhs = sum((v * x[j] for j, v in coeffs.items()), Fraction(0))
+        else:
+            rhs = Fraction(rng.randint(-3, 3))
+        rows.append((coeffs, rhs))
+    return rows, nvars
+
+
+def _assert_solvers_agree(rows, nvars):
+    got = dy._phase_one_feasible(rows, nvars)
+    assert got == oracle_phase_one_feasible(rows, nvars)
+    assert all(type(v) is Fraction for v in got[1].values())
+    return got
+
+
+def test_sparse_phase_one_matches_dense_oracle_seeded():
+    rng = random.Random(11)
+    verdicts, signs = set(), set()
+    for _ in range(300):
+        rows, nvars = _random_system(rng)
+        verdicts.add(_assert_solvers_agree(rows, nvars)[0])
+        signs.update((rhs > 0) - (rhs < 0) for _, rhs in rows)
+    assert verdicts == {True, False}
+    assert signs == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize(
+    "make",
+    [dy.translation_rotation_context, dy.skewering_context, dy.rotation_context],
+)
+def test_sparse_phase_one_matches_dense_oracle_on_contexts(make, depth):
+    _assert_solvers_agree(*oracle_invariance_rows(make(S3, depth=depth)))
+
+
+def test_sparse_phase_one_matches_dense_oracle_off_uniform():
+    feasible, solution = _assert_solvers_agree(
+        *oracle_invariance_rows(_lone_axis_context())
+    )
+    assert feasible
+    assert len(set(solution.values())) > 1
+
+
+def test_measure_rows_match_the_summed_rows(monkeypatch):
+    seen = []
+    solve = dy._phase_one_feasible
+    monkeypatch.setattr(
+        dy, "_phase_one_feasible", lambda *system: seen.append(system) or solve(*system)
+    )
+    contexts = [_lone_axis_context(), dy.skewering_context(S3, depth=3)]
+    for ctx in contexts:
+        dy.invariant_measure_search(ctx)
+    assert seen == [oracle_invariance_rows(ctx) for ctx in contexts]
 
 
 def test_labels_and_weights_stay_distinct_above_degree_ten():

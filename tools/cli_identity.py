@@ -25,10 +25,10 @@ HERE = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.relative_to(HERE).as_posix() for p in (HERE / "demos").glob("0*.py"))
 
 sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
-from test_cli import ROOTED_BINARY, TWOCOPY, US3, US3_ELEMENTS  # noqa: E402
+from test_cli import LONE_AXIS, ROOTED_BINARY, TWOCOPY, US3, US3_ELEMENTS  # noqa: E402
 
 SPECS = {"elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY, "regular-sym3": US3,
-         "two-copy": TWOCOPY}
+         "two-copy": TWOCOPY, "lone-axis": LONE_AXIS}
 TIMEOUT_S = 900.0
 
 
@@ -50,6 +50,8 @@ def cases() -> list[tuple[str, list[str]]]:
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
     for check in ("minimal", "degree"):
         out.append(("two-copy", ["dynamics", check, "spec.ini"]))
+    for spec, depth in (("lone-axis", 2), ("lone-axis", 3), ("regular-sym3", 5)):
+        out.append((spec, ["dynamics", "measure", "spec.ini", "--depth", str(depth)]))
     out.append(("regular-sym3", ["certify", "orbit-join", "spec.ini"]))
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
