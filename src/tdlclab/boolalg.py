@@ -69,11 +69,7 @@ class TreeShape:
         return tuple(addr + (c,) for c in self.child_letters(addr))
 
     def is_legal(self, addr: Address) -> bool:
-        if any(not (0 <= a < self.degree) for a in addr):
-            return False
-        if self.kind == "regular":
-            return all(a != b for a, b in zip(addr, addr[1:]))
-        return True
+        return _position(self, addr) is not None
 
     def require_legal(self, addr: Address) -> None:
         if not self.is_legal(addr):
@@ -104,12 +100,7 @@ class TreeShape:
 
     def address_weight(self, addr: Address) -> Fraction:
         """Uniform-measure weight of the cylinder at ``addr``."""
-        k = len(addr)
-        if k == 0:
-            return Fraction(1)
-        if self.kind == "rooted":
-            return Fraction(1, self.degree**k)
-        return Fraction(1, self.degree * (self.degree - 1) ** (k - 1))
+        return Fraction(1, self.sphere_size(len(addr)))
 
 
 def rooted(degree: int) -> TreeShape:
@@ -224,16 +215,12 @@ class CylinderClopen:
     @staticmethod
     def cylinder(shape: TreeShape, addr: Address) -> "CylinderClopen":
         shape.require_legal(addr)
-        if addr == ROOT:
-            return CylinderClopen.top(shape)
         return CylinderClopen(shape, frozenset({addr}))
 
     @staticmethod
     def from_addresses(shape: TreeShape, addrs: Iterable[Address]) -> "CylinderClopen":
         material = [tuple(a) for a in addrs]
-        if not material:
-            return CylinderClopen.zero(shape)
-        n = max(map(len, material))
+        n = max(map(len, material), default=0)
         return CylinderClopen._from_mask(shape, n, _mask_of(shape, material, n))
 
     @staticmethod
@@ -280,62 +267,44 @@ class CylinderClopen:
         return frozenset(_read(self.shape, n, _mask_of(self.shape, cut, n), atoms=True))
 
     # -- Boolean operations --------------------------------------------------
+    #
+    # Each operation is one int operation on the two depth-n masks, n the
+    # larger depth: zero is the mask 0 and TOP the full mask, so neither
+    # needs a case of its own.
 
-    def _common_depth(self, other: "CylinderClopen") -> int:
-        return max(self.depth, other.depth, 1)
+    def _masks(self, other: "CylinderClopen") -> tuple[int, int, int]:
+        if self.shape != other.shape:
+            raise ValueError("mixed tree shapes in one operation")
+        n = max(self.depth, other.depth)
+        return n, self._mask(n), other._mask(n)
 
     def meet(self, other: "CylinderClopen") -> "CylinderClopen":
-        self._check_shape(other)
-        if self.is_zero() or other.is_zero():
-            return CylinderClopen.zero(self.shape)
-        n = self._common_depth(other)
-        return CylinderClopen._from_mask(self.shape, n, self._mask(n) & other._mask(n))
+        n, a, b = self._masks(other)
+        return CylinderClopen._from_mask(self.shape, n, a & b)
 
     def join(self, other: "CylinderClopen") -> "CylinderClopen":
-        self._check_shape(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        n = self._common_depth(other)
-        return CylinderClopen._from_mask(self.shape, n, self._mask(n) | other._mask(n))
+        n, a, b = self._masks(other)
+        return CylinderClopen._from_mask(self.shape, n, a | b)
+
+    def minus(self, other: "CylinderClopen") -> "CylinderClopen":
+        n, a, b = self._masks(other)
+        return CylinderClopen._from_mask(self.shape, n, a & ~b)
 
     def complement(self) -> "CylinderClopen":
-        if self.is_zero():
-            return CylinderClopen.top(self.shape)
-        if self.is_top():
-            return CylinderClopen.zero(self.shape)
         n = self.depth
         full = (1 << self.shape.sphere_size(n)) - 1
         return CylinderClopen._from_mask(self.shape, n, self._mask(n) ^ full)
 
-    def minus(self, other: "CylinderClopen") -> "CylinderClopen":
-        return self.meet(other.complement())
-
     def leq(self, other: "CylinderClopen") -> bool:
-        self._check_shape(other)
-        if self.is_zero():
-            return True
-        if other.is_top():
-            return True
-        if other.is_zero():
-            return False
-        n = self._common_depth(other)
-        return self._mask(n) & ~other._mask(n) == 0
+        _, a, b = self._masks(other)
+        return a & ~b == 0
 
     def lt(self, other: "CylinderClopen") -> bool:
         return self.leq(other) and self != other
 
     def meets(self, other: "CylinderClopen") -> bool:
-        self._check_shape(other)
-        if self.is_zero() or other.is_zero():
-            return False
-        n = self._common_depth(other)
-        return self._mask(n) & other._mask(n) != 0
-
-    def _check_shape(self, other: "CylinderClopen") -> None:
-        if self.shape != other.shape:
-            raise ValueError("mixed tree shapes in one operation")
+        _, a, b = self._masks(other)
+        return a & b != 0
 
     # -- measure --------------------------------------------------------------
 
@@ -430,10 +399,6 @@ def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:
 
 
 @lru_cache(maxsize=None)
-def _sphere_list(shape: TreeShape, n: int) -> tuple[Address, ...]:
-    return tuple(shape.sphere(n))
-
-
 def sphere_list(shape: TreeShape, n: int) -> tuple[Address, ...]:
     """Cached lexicographically ordered depth-n sphere."""
-    return _sphere_list(shape, n)
+    return tuple(shape.sphere(n))

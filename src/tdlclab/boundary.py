@@ -189,8 +189,8 @@ def goodshrink_construct(
     stabiliser of kappa into itself, the rigid stabiliser of g^n0.beta
     sits inside kappa, the kappa and beta factors commute elementwise,
     and every kappa witness carries a contraction certificate.  n0
-    defaults to a bounded search along the image chain; the chain itself
-    is verified strictly decreasing over a 2*depth window, which rules
+    defaults to 1 and must lie in 1..2*depth; the chain itself is
+    verified strictly decreasing over that 2*depth window, which rules
     out stalls and escapes.
     """
     shape = alpha.shape
@@ -406,8 +406,11 @@ def tits_core_generators(
     realize rist(beta) on the attracting side, each with a contraction
     certificate under g; the report carries the mirror family on the
     repelling side certified under the inverse, plus a normalisation
-    check: rotations fixing beta's cone vertex conjugate witnesses to
-    elements supported back in beta and allowed by the local group.
+    check: the rotations at beta's cone vertex that map beta onto
+    itself conjugate witnesses to elements supported back in beta and
+    allowed by the local group.  A rotation rho that moves beta cannot
+    pass, since rho rist(beta) rho^-1 is rist(rho beta); it is not
+    checked and not counted in ``rotation_count``.
     """
     shape = g.shape
     alpha = _attracting_half_tree(g, 1)
@@ -431,6 +434,7 @@ def tits_core_generators(
     for perm in local.pruned_gens:
         if all(perm(c) == c for c in cone):
             rotations.append(IsometrySpec(shape, sites=((ROOT, perm),)))
+    rotations = [rho for rho in rotations if spec_image_clopen(rho, beta_f) == beta_f]
 
     norm_ok = True
     for rho in rotations:

@@ -32,10 +32,6 @@ Word = tuple[str, ...]
 _RHS = -1  # the right-side key of a sparse simplex row
 
 
-def _is_zero(clopen) -> bool:
-    return clopen.measure() == 0
-
-
 class ActionContext:
     """Named generators acting on one tree boundary.
 
@@ -143,8 +139,8 @@ class PairClopen:
     def lt(self, other: "PairClopen") -> bool:
         return self.leq(other) and self != other
 
-    def measure(self) -> Fraction:
-        return (self.left.measure() + self.right.measure()) / 2
+    def is_zero(self) -> bool:
+        return self.left.is_zero() and self.right.is_zero()
 
     def __str__(self) -> str:
         return f"[0:{self.left} 1:{self.right}]"
@@ -176,7 +172,9 @@ class TwoCopyContext:
         )
         self._zero = base0.zero()
         self._top = base0.top()
-        self._image_memo: dict = {}
+        # no memo of its own: each side's image is memoised in the base
+        # context, whose memo bench/tracer.py reads for its hit count
+        self._image_memo = base0._image_memo
 
     def states(self) -> tuple:
         inner = self._base.states()
@@ -194,16 +192,10 @@ class TwoCopyContext:
         return f"{copy}:{self._base.state_label(addr)}"
 
     def image(self, name: str, pair: PairClopen) -> PairClopen:
-        key = (name, pair)
-        got = self._image_memo.get(key)
-        if got is None:
-            base, copy = name.rsplit("@", 1)
-            if copy == "0":
-                got = PairClopen(self._base.image(base, pair.left), pair.right)
-            else:
-                got = PairClopen(pair.left, self._base.image(base, pair.right))
-            self._image_memo[key] = got
-        return got
+        base, copy = name.rsplit("@", 1)
+        if copy == "0":
+            return PairClopen(self._base.image(base, pair.left), pair.right)
+        return PairClopen(pair.left, self._base.image(base, pair.right))
 
     def met_states(self, pair: PairClopen) -> frozenset:
         """The copy-tagged states whose cylinders meet the pair."""
@@ -501,7 +493,7 @@ def pair_compression(ctx, xi, eta, target) -> dict:
     pair BFS is the fallback; it is exact but explores the product of
     the two image orbits.
     """
-    if _is_zero(target):
+    if target.is_zero():
         raise ValueError("target clopen is zero")
     start = (ctx.state_clopen(xi), ctx.state_clopen(eta))
 
@@ -649,7 +641,7 @@ def orbit_join(ctx, alpha) -> dict:
     greedily picks translate witnesses from the breadth-first image
     enumeration until their join recovers the saturation.
     """
-    if _is_zero(alpha):
+    if alpha.is_zero():
         raise ValueError("orbit join needs a nonzero starting clopen")
     beta = alpha
     rounds = 0

@@ -471,8 +471,6 @@ def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
     """
     if clopen.shape != mover.shape:
         raise ValueError("clopen and recipe live on different shapes")
-    if clopen.is_zero():
-        return clopen
     image = mover._apply  # atoms of a canonical clopen are legal addresses
     depth = max(clopen.depth, len(image(ROOT)) + 1)
     images = [image(atom) for atom in clopen.refine(depth)]

@@ -7,6 +7,7 @@ then frozen.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -190,19 +191,27 @@ def _assert_canonical(shape, cover):
 
 def test_algebra_matches_set_model_to_depth_6():
     rng = random.Random(19)
-    for shape in (T3, R2, rooted(3)):
-        for _ in range(60):
-            a = random_clopen(rng, shape, 6)
-            b = random_clopen(rng, shape, 6)
-            n = max(a.depth, b.depth, 1)
+    for shape in (T3, R2, rooted(3), regular(4)):
+        # zero and TOP meet every operand, both ways round, with the rest
+        pool = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
+        pool += [random_clopen(rng, shape, 6) for _ in range(8)]
+        pairs = [(a, b) for a in pool[:2] for b in pool]
+        pairs += [(b, a) for a in pool[:2] for b in pool[2:]]
+        pairs += [(random_clopen(rng, shape, 6), random_clopen(rng, shape, 6)) for _ in range(60)]
+        for a, b in pairs:
+            n = max(a.depth, b.depth)
             ea, eb = expand(a, n), expand(b, n)
             everything = _expand_addresses(shape, [()], n)
             assert a.refine(n) == ea
             assert expand(a.complement(), n) == everything - ea
+            assert expand(a.meet(b), n) == ea & eb
+            assert expand(a.join(b), n) == ea | eb
+            assert expand(a.minus(b), n) == ea - eb
             assert a.leq(b) == (ea <= eb)
+            assert a.lt(b) == (ea < eb)
             assert a.meets(b) == bool(ea & eb)
-            assert a.meet(b).leq(a)
             assert a.meets(a) == bool(ea)
+        for _ in range(60):
             # mixed-depth input with shadowed and complete-family addresses
             k = rng.randint(1, 6)
             sphere = sorted(_expand_addresses(shape, [()], k))
@@ -327,6 +336,18 @@ def test_parse_rejects_illegal_address():
         parse_clopen(T3, "{00}")  # repeated colour is illegal on T3
     with pytest.raises(ValueError):
         parse_clopen(R2, "{07}")
+
+
+def test_is_legal_matches_naive_rule_exhaustively():
+    for shape in (R2, rooted(3), T3, regular(4)):
+        letters = range(-1, shape.degree + 1)
+        for k in range(4):
+            for addr in itertools.product(letters, repeat=k):
+                in_range = all(0 <= a < shape.degree for a in addr)
+                no_repeat = shape.kind == "rooted" or all(
+                    a != b for a, b in zip(addr, addr[1:])
+                )
+                assert shape.is_legal(addr) == (in_range and no_repeat), addr
 
 
 def test_from_addresses_rejects_illegal_address():

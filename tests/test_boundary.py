@@ -262,6 +262,20 @@ def test_tits_core_generators_certified_both_ways():
     assert rep["forward_onsets"] == rep["backward_onsets"]
 
 
+def test_tits_core_verifies_a_translation_of_length_two():
+    # beta = {012,02} has cone vertex 0, and the (1 2) rotation there swaps
+    # 01 and 02: it maps rist(beta) onto rist({021,01}), never back into
+    # beta, so it is not a normaliser to check
+    g = hyperbolic_isometry(T3, (0, 1))
+    gens, rep = tits_core_generators(S3, g, 3)
+    assert rep["beta_forward"] == "{012,02}"
+    assert rep["cone_vertex"] == "0"
+    assert rep["rotation_count"] == 0
+    assert all(rep["checks"].values())
+    assert rep["verdict"] == "verified"
+    assert gens
+
+
 def test_tits_core_rejects_elliptic_elements():
     rho = IsometrySpec(T3, sites=(((), SWAP01),))
     with pytest.raises(NotSkewering):

@@ -454,6 +454,28 @@ def test_certify_tits_core_word_element_reports(spec_file, capsys, tmp_path):
     assert report["results"]["verdict"] in ("verified", "refuted_at_depth")
 
 
+@pytest.mark.parametrize(
+    "text, element",
+    [
+        (US3_ELEMENTS.replace("g = hyperbolic axis=0\n", "g = hyperbolic axis=01\n"), "g"),
+        (US3_WORD, "h"),
+    ],
+    ids=["axis-01", "word-gg"],
+)
+def test_certify_tits_core_length_two_translation_exits_zero(
+    spec_file, capsys, tmp_path, text, element
+):
+    # rotations that move beta used to fail the normalisation check (exit 1)
+    code, report, _ = run_cli(
+        capsys,
+        "certify", "tits-core", spec_file(text), "--element", element,
+        "--out", str(tmp_path / "tc.cert.json"),
+    )
+    assert code == 0
+    assert report["results"]["verdict"] == "verified"
+    assert report["results"]["rotation_count"] == 0
+
+
 # -------------------------------------------------------------------- export
 
 

@@ -381,8 +381,10 @@ def test_orbit_join_top_needs_no_witnesses():
 
 def test_orbit_join_rejects_zero():
     ctx = dy.translation_rotation_context(S3, depth=2, word_bound=6)
-    with pytest.raises(ValueError):
-        dy.orbit_join(ctx, ctx.zero())
+    two = dy.two_copy_product_context(S3, depth=2, word_bound=6)
+    for context in (ctx, two):
+        with pytest.raises(ValueError):
+            dy.orbit_join(context, context.zero())
 
 
 def test_orbit_join_two_copy_stays_proper():

@@ -45,7 +45,7 @@ def cases() -> list[tuple[str, list[str]]]:
     for spec in ("elements", "regular-sym3"):
         for depth in (2, 3):
             out.append((spec, ["dynamics", "degree", "spec.ini", "--depth", str(depth)]))
-    for check in ("proximal", "measure"):
+    for check in ("proximal", "measure", "minimal", "skewering", "minorising"):
         for depth in (3, 4):
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
     for check in ("minimal", "degree"):
