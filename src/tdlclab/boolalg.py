@@ -69,7 +69,12 @@ class TreeShape:
         return tuple(addr + (c,) for c in self.child_letters(addr))
 
     def is_legal(self, addr: Address) -> bool:
-        return _position(self, addr) is not None
+        allowed = self._after[-1]
+        for a in addr:
+            if a not in allowed:
+                return False
+            allowed = self._after[a]
+        return True
 
     def require_legal(self, addr: Address) -> None:
         if not self.is_legal(addr):
@@ -111,82 +116,44 @@ def regular(degree: int) -> TreeShape:
     return TreeShape("regular", degree)
 
 
-# -- depth-n bitsets -----------------------------------------------------
+# -- canonical covers ----------------------------------------------------
 #
-# At depth n a clopen is an int with one bit per address of the depth-n
-# sphere: bit i stands for sphere_list(shape, n)[i].  The sphere is in
-# lexicographic order, so the depth-n descendants of a shallower address
-# fill one contiguous run of bits, located by arithmetic on the address.
-# No table of runs is kept: images under tree words reach depth 15 on the
-# 3-regular tree, where a table of the whole ball holds tens of megabytes.
+# Every operation works on the canonical covers themselves.  Two cylinders
+# meet exactly when one address is a prefix of the other, and a canonical
+# cover holds a prefix (itself included) of every cylinder inside its
+# clopen: otherwise the deepest cover address below that cylinder would
+# have its whole sibling family in the cover, and a canonical cover never
+# does.  So the cylinder at ``addr`` lies inside a clopen exactly when
+# ``_covered(addr, cover)``, and no operation needs a depth-n expansion.
 
 
-def _position(shape: TreeShape, addr: Address) -> int | None:
-    """Index of ``addr`` in the sphere of its length, or None if illegal."""
-    d = shape.degree
-    pos = 0
-    if shape.kind == "rooted":
-        for a in addr:
-            if not 0 <= a < d:
-                return None
-            pos = pos * d + a
-        return pos
-    prev = None
-    for a in addr:
-        if not 0 <= a < d or a == prev:
-            return None
-        # below v0 the children carry the q-1 letters other than ``prev``
-        pos = a if prev is None else pos * (d - 1) + a - (a > prev)
-        prev = a
-    return pos
+def _covered(addr: Address, cover: frozenset[Address]) -> bool:
+    """Whether some prefix of ``addr``, itself included, is in ``cover``."""
+    return any(addr[:k] in cover for k in range(len(addr) + 1))
 
 
-def _mask_of(shape: TreeShape, addrs: Iterable[Address], n: int) -> int:
-    """Depth-n bitset of a union of cylinders of length <= n.
+def _canonical(shape: TreeShape, addrs: Iterable[Address]) -> frozenset[Address]:
+    """Canonical cover of a union of legal cylinders.
 
-    Raises ValueError on an illegal address.
+    In lexicographic order every address follows its prefixes, so an
+    address below the last kept one is dropped, and a family is complete
+    when its last letter arrives on top of the rest of it: it is merged
+    into its parent, which may complete the family above in turn.
     """
-    size = shape.sphere_size(n)
-    # below depth 1 every vertex has this many children
-    branch = shape.degree if shape.kind == "rooted" else shape.degree - 1
-    mask = 0
-    for a in addrs:
-        pos = _position(shape, a)
-        if pos is None:
-            raise ValueError(f"illegal address {a!r} for {shape}")
-        width = branch ** (n - len(a)) if a else size
-        mask |= ((1 << width) - 1) << (pos * width)
-    return mask
-
-
-def _read(shape: TreeShape, n: int, mask: int, atoms: bool) -> list[Address]:
-    """Addresses read top-down from a depth-n bitset.
-
-    A vertex whose run is full is emitted, an empty run is skipped, and a
-    mixed run descends to the children: with ``atoms`` false this yields
-    the canonical antichain.  With ``atoms`` true full runs descend too,
-    down to the depth-n addresses of the set bits.
-    """
-    size = shape.sphere_size(n)
-    if mask == (1 << size) - 1 and not (atoms and n):
-        return [ROOT]
-    out: list[Address] = []
-    stack = [(ROOT, mask, size)] if mask else []
-    while stack:
-        addr, run, width = stack.pop()
-        letters = shape.child_letters(addr)
-        width //= len(letters)
-        ones = (1 << width) - 1
-        descend = atoms and len(addr) + 1 < n
-        # the children's runs tile the parent's, lowest letter lowest
-        for c in letters:
-            part = run & ones
-            run >>= width
-            if part == ones and not descend:
-                out.append(addr + (c,))
-            elif part:
-                stack.append((addr + (c,), part, width))
-    return out
+    kept: list[Address] = []
+    for a in sorted(addrs):
+        if kept and a[: len(kept[-1])] == kept[-1]:
+            continue
+        while a:
+            parent = a[:-1]
+            letters = shape.child_letters(parent)
+            k = len(letters) - 1
+            if a[-1] != letters[-1] or kept[-k:] != [parent + (c,) for c in letters[:-1]]:
+                break
+            del kept[-k:]
+            a = parent
+        kept.append(a)
+    return frozenset(kept)
 
 
 @dataclass(frozen=True)
@@ -194,9 +161,10 @@ class CylinderClopen:
     """Canonical clopen subset of the boundary of ``shape``.
 
     ``cover`` is a canonical antichain; TOP is stored as the singleton
-    cover {()} and rendered as the distinguished value.  The Boolean
-    operations work on depth-n bitsets and read the cover back from the
-    result, so equality, hashing and text only ever see the cover.
+    cover {()} and rendered as the distinguished value.  The cover is the
+    only representation: the Boolean operations read and build canonical
+    covers directly through the prefix rule above, so equality, hashing
+    and text only ever see the cover.
     """
 
     shape: TreeShape
@@ -220,16 +188,9 @@ class CylinderClopen:
     @staticmethod
     def from_addresses(shape: TreeShape, addrs: Iterable[Address]) -> "CylinderClopen":
         material = [tuple(a) for a in addrs]
-        n = max(map(len, material), default=0)
-        return CylinderClopen._from_mask(shape, n, _mask_of(shape, material, n))
-
-    @staticmethod
-    def _from_mask(shape: TreeShape, n: int, mask: int) -> "CylinderClopen":
-        return CylinderClopen(shape, frozenset(_read(shape, n, mask, atoms=False)))
-
-    def _mask(self, n: int) -> int:
-        """This clopen as a depth-n bitset; n is at least its depth."""
-        return _mask_of(self.shape, self.cover, n)
+        for a in material:
+            shape.require_legal(a)
+        return CylinderClopen(shape, _canonical(shape, material))
 
     # -- predicates --------------------------------------------------------
 
@@ -263,48 +224,59 @@ class CylinderClopen:
         Exact at any n: deeper cover addresses are cut to their depth-n
         prefix, shallower ones spread over their depth-n descendants.
         """
-        cut = {a[:n] for a in self.cover}
-        return frozenset(_read(self.shape, n, _mask_of(self.shape, cut, n), atoms=True))
+        out: set[Address] = set()
+        for a in self.cover:
+            level = [a[:n]]
+            for _ in range(n - len(a)):
+                level = [b + (c,) for b in level for c in self.shape.child_letters(b)]
+            out.update(level)
+        return frozenset(out)
 
     # -- Boolean operations --------------------------------------------------
-    #
-    # Each operation is one int operation on the two depth-n masks, n the
-    # larger depth: zero is the mask 0 and TOP the full mask, so neither
-    # needs a case of its own.
 
-    def _masks(self, other: "CylinderClopen") -> tuple[int, int, int]:
+    def _same_shape(self, other: "CylinderClopen") -> None:
         if self.shape != other.shape:
             raise ValueError("mixed tree shapes in one operation")
-        n = max(self.depth, other.depth)
-        return n, self._mask(n), other._mask(n)
 
     def meet(self, other: "CylinderClopen") -> "CylinderClopen":
-        n, a, b = self._masks(other)
-        return CylinderClopen._from_mask(self.shape, n, a & b)
+        # the deeper address of each meeting pair; already canonical
+        self._same_shape(other)
+        a, b = self.cover, other.cover
+        out = {x for x in a if _covered(x, b)} | {y for y in b if _covered(y, a)}
+        return CylinderClopen(self.shape, frozenset(out))
 
     def join(self, other: "CylinderClopen") -> "CylinderClopen":
-        n, a, b = self._masks(other)
-        return CylinderClopen._from_mask(self.shape, n, a | b)
+        self._same_shape(other)
+        return CylinderClopen(self.shape, _canonical(self.shape, self.cover | other.cover))
 
     def minus(self, other: "CylinderClopen") -> "CylinderClopen":
-        n, a, b = self._masks(other)
-        return CylinderClopen._from_mask(self.shape, n, a & ~b)
+        return self.meet(other.complement())
 
     def complement(self) -> "CylinderClopen":
-        n = self.depth
-        full = (1 << self.shape.sphere_size(n)) - 1
-        return CylinderClopen._from_mask(self.shape, n, self._mask(n) ^ full)
+        """The children of the cover's proper prefixes that are neither
+        prefixes nor cover addresses; zero has no prefixes at all."""
+        if not self.cover:
+            return CylinderClopen.top(self.shape)
+        prefixes = {a[:k] for a in self.cover for k in range(len(a))}
+        out = {
+            child
+            for p in prefixes
+            for c in self.shape.child_letters(p)
+            if (child := p + (c,)) not in prefixes and child not in self.cover
+        }
+        return CylinderClopen(self.shape, frozenset(out))
 
     def leq(self, other: "CylinderClopen") -> bool:
-        _, a, b = self._masks(other)
-        return a & ~b == 0
+        self._same_shape(other)
+        return all(_covered(x, other.cover) for x in self.cover)
 
     def lt(self, other: "CylinderClopen") -> bool:
         return self.leq(other) and self != other
 
     def meets(self, other: "CylinderClopen") -> bool:
-        _, a, b = self._masks(other)
-        return a & b != 0
+        self._same_shape(other)
+        a, b = self.cover, other.cover
+        return any(_covered(x, b) for x in a) or any(_covered(y, a) for y in b)
 
     # -- measure --------------------------------------------------------------
 

@@ -102,6 +102,7 @@ EXIT_REFUTED = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_EXHAUSTED = 4
+EXIT_SOFTWARE = 70  # an internal fault, never a verdict
 
 _VERDICT_EXIT = {
     "verified": EXIT_VERIFIED,
@@ -893,6 +894,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     if report:
         _emit(report, args)
     return code

@@ -203,10 +203,14 @@ def test_algebra_matches_set_model_to_depth_6():
             ea, eb = expand(a, n), expand(b, n)
             everything = _expand_addresses(shape, [()], n)
             assert a.refine(n) == ea
-            assert expand(a.complement(), n) == everything - ea
-            assert expand(a.meet(b), n) == ea & eb
-            assert expand(a.join(b), n) == ea | eb
-            assert expand(a.minus(b), n) == ea - eb
+            comp, meet, join, minus = a.complement(), a.meet(b), a.join(b), a.minus(b)
+            # canonical form is unique, so this pins the cover itself down too
+            for got in (comp, meet, join, minus):
+                _assert_canonical(shape, got.cover)
+            assert expand(comp, n) == everything - ea
+            assert expand(meet, n) == ea & eb
+            assert expand(join, n) == ea | eb
+            assert expand(minus, n) == ea - eb
             assert a.leq(b) == (ea <= eb)
             assert a.lt(b) == (ea < eb)
             assert a.meets(b) == bool(ea & eb)
@@ -222,6 +226,40 @@ def test_algebra_matches_set_model_to_depth_6():
             got = CylinderClopen.from_addresses(shape, addrs)
             _assert_canonical(shape, got.cover)
             assert expand(got, k) == _expand_addresses(shape, addrs, k)
+            # input order and repeats do not matter
+            shuffled = addrs + rng.sample(addrs, min(len(addrs), 3))
+            rng.shuffle(shuffled)
+            assert CylinderClopen.from_addresses(shape, shuffled) == got
+
+
+def test_depth_12_cylinders_at_degree_12():
+    # a depth-12 sphere of degree 12 has over 10**12 addresses; every
+    # operation here must stay the size of the covers
+    for shape in (regular(12), rooted(12)):
+        deep = tuple(i % 2 for i in range(12))
+        a = CylinderClopen.cylinder(shape, deep)
+        b = CylinderClopen.cylinder(shape, deep[:6])
+        other = (1,) + deep[:11]
+        c = CylinderClopen.cylinder(shape, other)
+        assert a.leq(b) and a.lt(b) and not b.leq(a)
+        assert a.meets(b) and b.meets(a) and not a.meets(c)
+        assert a.meet(b) == a and a.meet(c).is_zero()
+        assert a.join(b) == b and a.join(c).cover == {deep, other}
+        rest = b.minus(a)
+        assert not rest.meets(a) and rest.join(a) == b and a.minus(b).is_zero()
+        comp = a.complement()
+        # the siblings of every proper prefix's next letter
+        assert len(comp.cover) == sum(len(_letters(shape, deep[:k])) - 1 for k in range(12))
+        assert comp.complement() == a and not comp.meets(a) and a.join(comp).is_top()
+        assert a.measure() + comp.measure() == 1
+        assert a.shadow(3) == {deep[:3]}
+        assert comp.shadow(3) == _expand_addresses(shape, [()], 3)
+        # the complement's cover with the cylinder merges level by level up to TOP
+        assert CylinderClopen.from_addresses(shape, [deep, *comp.cover]).is_top()
+        family = [deep[:11] + (x,) for x in sorted(_letters(shape, deep[:11]), reverse=True)]
+        assert CylinderClopen.from_addresses(shape, family + [deep]) == CylinderClopen.cylinder(
+            shape, deep[:11]
+        )
 
 
 def test_shadow_matches_set_model_and_cylinder_scan():

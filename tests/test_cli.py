@@ -275,8 +275,11 @@ def test_dynamics_measure_lone_axis_feasible_off_uniform(spec_file, capsys):
         (DEG12.replace("t =", "u = portrait 1.11:(0 2)\nt ="), ["measure", "--depth", "1"],
          "infeasible"),
         (DEG12.replace("axis=0", "axis=11"), ["measure", "--depth", "1"], "infeasible"),
+        # the powers of t push a depth-2 cylinder down to depth 10
+        (DEG12.replace("axis=0", "axis=11").replace("word_bound = 4", "word_bound = 8"),
+         ["proximal", "--depth", "2", "--target", "1.11"], "verified"),
     ],
-    ids=["target", "portrait-site", "axis"],
+    ids=["target", "portrait-site", "axis", "deep-images"],
 )
 def test_dotted_addresses_above_degree_ten(spec_file, capsys, spec, argv, verdict):
     code, report, _ = run_cli(capsys, "dynamics", argv[0], spec_file(spec), *argv[1:])
@@ -534,6 +537,18 @@ def test_cap_only_tightens(spec_file, capsys, monkeypatch):
     monkeypatch.setenv("TDLC_CAP", str(2**30))
     code, _, _ = run_cli(capsys, "dynamics", "minimal", spec_file(US3))
     assert code == 0
+
+
+@pytest.mark.parametrize("fault", [AssertionError("broken invariant"), MemoryError()])
+def test_internal_fault_exits_70_not_refuted(spec_file, capsys, monkeypatch, fault):
+    def handler(args, spec):
+        raise fault
+
+    monkeypatch.setitem(cli._HANDLERS, "dynamics", handler)
+    code, report, captured = run_cli(capsys, "dynamics", "minimal", spec_file(US3))
+    assert code == 70
+    assert report is None
+    assert captured.err.startswith(f"internal error: {type(fault).__name__}")
 
 
 def test_exit_code_missing_file(capsys):

@@ -50,6 +50,9 @@ def cases() -> list[tuple[str, list[str]]]:
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
     for check in ("minimal", "degree"):
         out.append(("two-copy", ["dynamics", check, "spec.ini"]))
+        # far deeper word images than the depth-3/4 cases above
+        for depth in (5, 6):
+            out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
     for spec, depth in (("lone-axis", 2), ("lone-axis", 3), ("regular-sym3", 5)):
         out.append((spec, ["dynamics", "measure", "spec.ini", "--depth", str(depth)]))
     out.append(("regular-sym3", ["certify", "orbit-join", "spec.ini"]))
