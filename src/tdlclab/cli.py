@@ -879,6 +879,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             spec.seed = args.seed
         report, code = _HANDLERS[args.command](args, spec)
+        if report:
+            _emit(report, args)
     except SpecFileError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -897,8 +899,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
-    if report:
-        _emit(report, args)
     return code
 
 

@@ -2,11 +2,12 @@
 
 Everything here is desk scale by design: groups are materialised as full
 element sets behind a hard cap (default 2**20), normal subgroups are
-generated as joins of conjugacy-class closures, and the structural
-invariants (cores, residuals, the intersection of maximal normal
-subgroups, composition factors) are read off the lattice.  No
-Schreier-Sims machinery; determinism everywhere, with ties broken by the
-lexicographic order on permutation image tuples.
+found as product-closed unions of conjugacy classes without closing
+any of them element by element, and the structural invariants (cores,
+residuals, the intersection of maximal normal subgroups, composition
+factors) are read off the lattice.  No Schreier-Sims machinery;
+determinism everywhere, with ties broken by the lexicographic order on
+permutation image tuples.
 """
 from __future__ import annotations
 
@@ -212,8 +213,9 @@ class FiniteGroup:
 
     # -- closure -------------------------------------------------------------
 
-    @cached_property
-    def element_set(self) -> frozenset[Perm]:
+    def _close(self) -> frozenset[Perm]:
+        """The element set; the generators kept on the way become
+        ``pruned_gens``."""
         # Incremental closure with generator pruning: a generator already in
         # the closure-so-far adds nothing, and dropping it keeps the BFS cost
         # at |G| * (a dozen kept generators) even when callers pass whole
@@ -242,9 +244,14 @@ class FiniteGroup:
         return frozenset(seen)
 
     @cached_property
+    def element_set(self) -> frozenset[Perm]:
+        return self._close()
+
+    @cached_property
     def pruned_gens(self) -> tuple[Perm, ...]:
         """Non-redundant generating subset found while closing."""
-        self.element_set
+        # A normal-lattice member knows its element set without a closure.
+        self.__dict__.setdefault("element_set", self._close())
         return self.__dict__["pruned_gens"]
 
     @cached_property
@@ -313,7 +320,7 @@ class FiniteGroup:
             while frontier:
                 fresh = []
                 for y in frontier:
-                    for g in self.gens:
+                    for g in self.pruned_gens:
                         z = y.conjugate_by(g)
                         if z not in orb:
                             orb.add(z)
@@ -331,33 +338,54 @@ class FiniteGroup:
 
     @cached_property
     def normal_subgroups(self) -> tuple["FiniteGroup", ...]:
-        """All normal subgroups, as joins of conjugacy-class closures."""
-        class_closures = []
-        seen_sets: set[frozenset[Perm]] = set()
-        for cls in self.conjugacy_classes:
-            sub = self.subgroup(tuple(sorted(cls)))
-            if sub.element_set not in seen_sets:
-                seen_sets.add(sub.element_set)
-                class_closures.append(sub)
-        trivial = self.subgroup(())
-        lattice: dict[frozenset[Perm], FiniteGroup] = {
-            trivial.element_set: trivial
-        }
+        """All normal subgroups, found as unions of conjugacy classes.
+
+        A normal subgroup is a union of classes closed under products.
+        The product set of classes i and j is the union of the classes met
+        by ``rep_i * C_j``, so one table of those class masks, k * |G|
+        products for k classes, turns every normal closure into a fixpoint
+        on k-bit masks.  The lattice is searched breadth first from the
+        trivial group, joining each member found with each class closure
+        in class order.  A member's generators are the class generators
+        along its search path, and its element set is the union of its
+        classes.
+        """
+        classes = self.conjugacy_classes
+        # Image tuples, not Perms: the table is the lattice's one hot loop.
+        class_of = {x.images: i for i, cls in enumerate(classes) for x in cls}
+        support = []
+        for cls in classes:
+            rep = next(iter(cls)).images
+            row = [0] * len(classes)
+            for xs, j in class_of.items():
+                row[j] |= 1 << class_of[tuple([rep[y] for y in xs])]
+            support.append(row)
+        trivial = 1 << class_of[self.identity().images]
+        class_closures: dict[int, tuple[Perm, ...]] = {}
+        for i, cls in enumerate(classes):
+            mask = _class_closure(support, trivial, 1 << i)
+            class_closures.setdefault(mask, tuple(sorted(cls)))
+        lattice: dict[int, tuple[Perm, ...]] = {trivial: ()}
         frontier = [trivial]
         while frontier:
             fresh = []
             for known in frontier:
-                for cc in class_closures:
-                    if cc.element_set <= known.element_set:
+                for mask, gens in class_closures.items():
+                    if mask & ~known == 0:
                         continue
-                    joined = self.subgroup(known.gens + cc.gens)
-                    if joined.element_set not in lattice:
-                        lattice[joined.element_set] = joined
+                    joined = _class_closure(support, known, mask)
+                    if joined not in lattice:
+                        lattice[joined] = lattice[known] + gens
                         fresh.append(joined)
             frontier = fresh
-        return tuple(
-            sorted(lattice.values(), key=lambda s: (s.order, s.element_list))
-        )
+        members = []
+        for mask, gens in lattice.items():
+            member = self.subgroup(gens)
+            member.__dict__["element_set"] = frozenset().union(
+                *(cls for i, cls in enumerate(classes) if mask >> i & 1)
+            )
+            members.append(member)
+        return tuple(sorted(members, key=lambda s: (s.order, s.element_list)))
 
     def normalises(self, other: "FiniteGroup") -> bool:
         """Every element of self conjugates other onto itself.
@@ -443,6 +471,32 @@ class FiniteGroup:
                 )
             )
         return FiniteGroup(len(rep_list), images, cap=self.cap)
+
+
+def _class_closure(support: list[list[int]], closed: int, extra: int) -> int:
+    """Smallest product-closed class mask holding a closed mask and extra.
+
+    ``support[i][j]`` is the mask of classes in the product of classes i
+    and j.  Each class outside ``closed`` is taken once, when it joins
+    the mask, and multiplied with everything already in it.  So every
+    pair meets in one order at least, and one order is enough: classes
+    are normal sets, so ``C_i C_j == C_j C_i``.
+    """
+    mask = closed | extra
+    todo = _bits(extra & ~closed)
+    while todo:
+        row = support[todo.pop()]
+        new = 0
+        for j in _bits(mask):
+            new |= row[j]
+        new &= ~mask
+        mask |= new
+        todo.extend(_bits(new))
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # -- number-theoretic helpers ----------------------------------------------

@@ -3,7 +3,12 @@
 The normal-subgroup oracle enumerates every union of conjugacy classes
 and keeps the ones that happen to be subgroups.  That is exhaustive and
 plainly correct (a normal subgroup is exactly a class-closed subgroup),
-and it shares no code path with the engine's closure-join lattice.
+and it shares no code path with the engine's class-mask lattice.
+The join-of-closures oracle is the lattice search the engine used
+before it moved to class masks: it closes the subgroup generated by
+each class, then closes every join along a breadth-first search.  It
+builds the same members with the same generators in the same order,
+so it pins down the engine's output object for object.
 The derived-series oracle closes over all commutators, not just
 generator commutators.
 
@@ -43,6 +48,31 @@ def oracle_normal_subgroups(g: FiniteGroup) -> list[frozenset[Perm]]:
             if _is_subgroup(elems):
                 out.append(elems)
     return sorted(out, key=lambda s: (len(s), sorted(p.images for p in s)))
+
+
+def oracle_lattice_by_joins(g: FiniteGroup) -> tuple[FiniteGroup, ...]:
+    class_closures = []
+    seen_sets: set[frozenset[Perm]] = set()
+    for cls in g.conjugacy_classes:
+        sub = g.subgroup(tuple(sorted(cls)))
+        if sub.element_set not in seen_sets:
+            seen_sets.add(sub.element_set)
+            class_closures.append(sub)
+    trivial = g.subgroup(())
+    lattice = {trivial.element_set: trivial}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for known in frontier:
+            for cc in class_closures:
+                if cc.element_set <= known.element_set:
+                    continue
+                joined = g.subgroup(known.gens + cc.gens)
+                if joined.element_set not in lattice:
+                    lattice[joined.element_set] = joined
+                    fresh.append(joined)
+        frontier = fresh
+    return tuple(sorted(lattice.values(), key=lambda s: (s.order, s.element_list)))
 
 
 def oracle_element_set(g: FiniteGroup) -> frozenset[Perm]:

@@ -551,6 +551,17 @@ def test_internal_fault_exits_70_not_refuted(spec_file, capsys, monkeypatch, fau
     assert captured.err.startswith(f"internal error: {type(fault).__name__}")
 
 
+def test_unwritable_report_exits_2_not_refuted(spec_file, capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, report, captured = run_cli(
+        capsys, "dynamics", "proximal", spec_file(US3), "--out", str(out)
+    )
+    assert code == 2
+    assert report["results"]["verdict"] == "verified"
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert not out.exists()
+
+
 def test_exit_code_missing_file(capsys):
     code = cli.main(["dynamics", "minimal", "no-such.spec"])
     captured = capsys.readouterr()

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from tdlclab.boolalg import rooted
 from tdlclab.errors import ClosureCapExceeded, DecompositionNotFound, NotTransitive
 from tdlclab.permgrp import (
     FiniteGroup,
@@ -37,6 +38,7 @@ from tdlclab.permgrp import (
     wreath_c2_tower,
     wielandt_check,
 )
+from tdlclab.tree import level_group
 
 from oracles import (
     _oracle_soluble,
@@ -45,6 +47,7 @@ from oracles import (
     oracle_conjugacy_classes,
     oracle_element_set,
     oracle_derived,
+    oracle_lattice_by_joins,
     oracle_melnikov,
     oracle_normal_subgroups,
     oracle_pi_core,
@@ -130,6 +133,9 @@ def test_conjugacy_classes_match_oracle_on_corpus():
         classes = g.conjugacy_classes
         assert len(classes) == len(set(classes)), name
         assert set(classes) == oracle_conjugacy_classes(g), name
+        # the whole element list as generators: same classes, same order
+        whole = g.subgroup_from_elements(g.element_set)
+        assert whole.conjugacy_classes == classes, name
 
 
 def test_cycle_notation_roundtrip_seeded():
@@ -188,6 +194,30 @@ def test_normal_lattice_matches_oracle_on_corpus():
         )
         theirs = oracle_normal_subgroups(g)
         assert mine == theirs, name
+
+
+def test_normal_lattice_matches_the_join_of_closures_oracle():
+    groups = dict(
+        corpus(),
+        C2wr3=wreath_c2_tower(3),
+        level1296=level_group(rooted(3), symmetric_group(3), 2),
+    )
+    for name, g in groups.items():
+        mine = g.normal_subgroups
+        theirs = oracle_lattice_by_joins(g)
+        assert [(n.order, n.element_list, n.gens) for n in mine] == [
+            (n.order, n.element_list, n.gens) for n in theirs
+        ], name
+        for n in mine:
+            assert n.pruned_gens == FiniteGroup(n.degree, n.gens).pruned_gens, name
+
+
+def test_normal_lattice_closes_no_member(monkeypatch):
+    groups = [symmetric_group(4), wreath_c2_tower(3)]
+    for g in groups:
+        g.conjugacy_classes
+    monkeypatch.setattr(FiniteGroup, "_close", lambda self: pytest.fail("closed a member"))
+    assert [len(g.normal_subgroups) for g in groups] == [4, 28]
 
 
 def test_normal_closure_examples():
