@@ -17,7 +17,9 @@ from .tree import (
     BallIsometry,
     IsometrySpec,
     SpecWord,
+    conjugate_tables,
     in_universal_group,
+    pullbacks,
     site_group,
     spec_image_clopen,
 )
@@ -54,13 +56,10 @@ def support_in(iso: BallIsometry, region: CylinderClopen) -> bool:
 
     Fixing those vertices pins every ray to an end outside the region,
     so at the realized precision this is exactly "trivial off the
-    region".
+    region".  The table's domain is the ball, so this reads only the
+    vertices the table moves: each must lie inside the region.
     """
-    return all(
-        iso.table[v] == v
-        for v in iso.shape.ball(iso.precision)
-        if not inside(region, v)
-    )
+    return all(inside(region, v) for v, w in iso.table.items() if v != w)
 
 
 def tables_commute(family_a, family_b, domain) -> bool:
@@ -69,12 +68,20 @@ def tables_commute(family_a, family_b, domain) -> bool:
 
     Tables are vertex maps (or index tuples) that send the domain into
     itself, such as the tables of isometries fixing the base vertex.
+    Only the points that one of the two tables moves are checked: both
+    sides of fu(fv(x)) = fv(fu(x)) are x at a point that neither moves.
     """
+    domain = list(domain)
+
+    def moved(family):
+        return [(f, {x for x in domain if f[x] != x}) for f in family]
+
+    moved_b = moved(family_b)
     return all(
         fu[fv[x]] == fv[fu[x]]
-        for fu in family_a
-        for fv in family_b
-        for x in domain
+        for fu, mu in moved(family_a)
+        for fv, mv in moved_b
+        for x in mu | mv
     )
 
 
@@ -104,12 +111,26 @@ def contraction_certificate(
     ball_radius: int,
     direction: int = 1,
 ) -> dict:
-    """Smallest k with g^k u g^-k trivial on the given ball.
+    """Smallest k with g^k u g^-k trivial on the given ball; the
+    certificate of ``contraction_certificates`` for a single u."""
+    return contraction_certificates(g, [u], ball_radius, direction)[0]
+
+
+def contraction_certificates(
+    g: IsometrySpec,
+    us,
+    ball_radius: int,
+    direction: int = 1,
+) -> list[dict]:
+    """For each u, the smallest k with g^k u g^-k trivial on the given
+    ball (k counted along ``direction``).
 
     Trivial on the radius-n ball means the conjugate fixes every vertex
     to depth n + 1, so its local actions down to depth n are all
-    trivial.  Powers are searched up to k_max = ball_radius + 4.  After
-    the onset the next three powers within that bound are rechecked; the
+    trivial.  That holds exactly when u fixes the pull-back g^-k of the
+    radius n + 1 ball, and one sequence of pull-backs serves every u.
+    Powers are searched up to k_max = ball_radius + 4.  After the onset
+    the next three powers within that bound are rechecked; the
     conjugated support only moves deeper, so a non-monotone onset would
     expose a bookkeeping bug.  When no power within k_max works the
     verdict reports that the search bound was the obstruction.
@@ -118,35 +139,36 @@ def contraction_certificate(
         raise ValueError("direction must be +1 or -1")
     k_max = ball_radius + 4
     check_radius = ball_radius + 1
-    onset = None
+    onsets: list = [None] * len(us)
+    tails: list[list[bool]] = [[] for _ in us]
+    stop = [k_max + 1] * len(us)  # powers past this one are not needed
+    pulled = pullbacks(g, direction, check_radius)
     for k in range(k_max + 1):
-        w = SpecWord.conjugate(g, u, direction * k)
-        if w.is_identity_on(check_radius):
-            onset = k
+        live = [i for i in range(len(us)) if k < stop[i]]
+        if not live:
             break
-    if onset is None:
-        return {
-            "k": None,
+        points = next(pulled)
+        for i in live:
+            image = us[i]._apply
+            trivial = all(image(x) == x for x in points)
+            if onsets[i] is not None:
+                tails[i].append(trivial)
+            elif trivial:
+                onsets[i] = k
+                stop[i] = min(k + 4, k_max + 1)
+    out = []
+    for onset, tail in zip(onsets, tails):
+        monotone = onset is not None and all(tail)
+        out.append({
+            "k": onset,
             "k_max": k_max,
             "ball": ball_radius,
             "checked_radius": check_radius,
             "direction": direction,
-            "onset_monotone": False,
-            "verdict": "no-contraction-within-bounds",
-        }
-    tail = [
-        SpecWord.conjugate(g, u, direction * j).is_identity_on(check_radius)
-        for j in range(onset + 1, min(onset + 4, k_max + 1))
-    ]
-    return {
-        "k": onset,
-        "k_max": k_max,
-        "ball": ball_radius,
-        "checked_radius": check_radius,
-        "direction": direction,
-        "onset_monotone": all(tail),
-        "verdict": "contracts" if all(tail) else "no-contraction-within-bounds",
-    }
+            "onset_monotone": monotone,
+            "verdict": "contracts" if monotone else "no-contraction-within-bounds",
+        })
+    return out
 
 
 def _shrinking_chain(
@@ -210,14 +232,12 @@ def goodshrink_construct(
     kappa_gens = rist_generators(local, kappa, depth)
     check_radius = depth + 2
 
-    conj_into_kappa = []
-    conj_tables = []
-    for u in kappa_gens:
-        tab = SpecWord.conjugate(g, u, 1).realize(check_radius)
-        conj_into_kappa.append(
-            support_in(tab, kappa) and in_universal_group(tab, local)
-        )
-        conj_tables.append(tab.table)
+    conj_isos = conjugate_tables(g, 1, kappa_gens, check_radius)
+    conj_into_kappa = [
+        support_in(tab, kappa) and in_universal_group(tab, local)
+        for tab in conj_isos
+    ]
+    conj_tables = [tab.table for tab in conj_isos]
 
     gn0_beta = beta
     for _ in range(n0):
@@ -239,9 +259,7 @@ def goodshrink_construct(
         conj_tables, beta_tables, list(shape.ball(check_radius))
     )
 
-    contractions = [
-        contraction_certificate(g, u, depth) for u in kappa_gens
-    ]
+    contractions = contraction_certificates(g, kappa_gens, depth)
 
     checks = {
         "image_strictly_inside": True,
@@ -273,18 +291,6 @@ def goodshrink_construct(
     return kappa, report
 
 
-def _realized(words: list[SpecWord], radius: int) -> list[BallIsometry]:
-    """Ball tables of displacement-zero words; levels are preserved, so the
-    tables compose within the ball without leaving it."""
-    out = []
-    for w in words:
-        iso = w.realize(radius)
-        if iso.displacement != 0:
-            raise ValueError("witness does not fix the base vertex")
-        out.append(iso)
-    return out
-
-
 def nub_window(
     local: FiniteGroup,
     g: IsometrySpec,
@@ -302,7 +308,9 @@ def nub_window(
     family by g reproduces the (i+1)-st within the realized ball.  All
     factor checks run on precomputed vertex tables; the witnesses fix
     the base vertex, so their tables permute each sphere and compose
-    without precision loss.
+    without precision loss.  The tables of family i come from
+    ``conjugate_tables``, so its witnesses share one pull-back g^-i of the
+    ball, and the commutation checks read only the points a table moves.
     """
     shape = beta.shape
     idx = list(range(-m, m + 1))
@@ -320,14 +328,13 @@ def nub_window(
     beta_gens = rist_generators(local, beta, v_level)
     if not beta_gens:
         raise ValueError("rigid stabiliser of beta has no realized witnesses")
-    families = {
-        i: [SpecWord.conjugate(g, u, i) for u in beta_gens] for i in idx
-    }
     # g^-1 moves a depth-n vertex at most d = displacement deeper, so the
     # witness tables and g's forward table are realized at depth + d,
     # and g's inverse table, read off the forward one, covers the depth ball
     reach = depth + max(1, g.displacement)
-    realized = {i: _realized(families[i], reach) for i in idx}
+    realized = {i: conjugate_tables(g, i, beta_gens, reach) for i in idx}
+    if any(iso.displacement != 0 for i in idx for iso in realized[i]):
+        raise ValueError("witness does not fix the base vertex")
     supports_ok = all(
         support_in(iso, translates[i]) for i in idx for iso in realized[i]
     )
@@ -416,15 +423,13 @@ def tits_core_generators(
     alpha = _attracting_half_tree(g, 1)
     beta_f = alpha.minus(spec_image_clopen(g, alpha))
     gens_f = rist_generators(local, beta_f, depth)
-    certs_f = [contraction_certificate(g, u, depth) for u in gens_f]
+    certs_f = contraction_certificates(g, gens_f, depth)
 
     alpha_b = _attracting_half_tree(g, -1)
     back = SpecWord(shape, ((g, -1),))
     beta_b = alpha_b.minus(spec_image_clopen(back, alpha_b))
     gens_b = rist_generators(local, beta_b, depth)
-    certs_b = [
-        contraction_certificate(g, u, depth, direction=-1) for u in gens_b
-    ]
+    certs_b = contraction_certificates(g, gens_b, depth, direction=-1)
 
     cone = _cone_vertex(beta_f)
     rotations = [
@@ -436,14 +441,11 @@ def tits_core_generators(
             rotations.append(IsometrySpec(shape, sites=((ROOT, perm),)))
     rotations = [rho for rho in rotations if spec_image_clopen(rho, beta_f) == beta_f]
 
-    norm_ok = True
-    for rho in rotations:
-        for u in gens_f:
-            tab = SpecWord.conjugate(rho, u, 1).realize(depth + 2)
-            if not (
-                support_in(tab, beta_f) and in_universal_group(tab, local)
-            ):
-                norm_ok = False
+    norm_ok = all(
+        support_in(tab, beta_f) and in_universal_group(tab, local)
+        for rho in rotations
+        for tab in conjugate_tables(rho, 1, gens_f, depth + 2)
+    )
 
     checks = {
         "forward_witnesses_contract": all(

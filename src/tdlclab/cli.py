@@ -67,6 +67,7 @@ from .errors import (
     ClosureCapExceeded,
     DisjointnessFailure,
     NotSkewering,
+    PrecisionExhausted,
     SearchExhausted,
     SpecFileError,
 )
@@ -889,6 +890,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CAP
     except SearchExhausted as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_EXHAUSTED
+    except PrecisionExhausted as exc:
+        # a ValueError, but a bound ran out: not a spec error
+        print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except NotSkewering as exc:
         print(f"refuted: {exc}", file=sys.stderr)

@@ -33,6 +33,13 @@ portrait site is compiled once, when the spec is built, to the forward
 and inverse image tuples of its colour permutation; below the deepest
 site no lookup is made.
 
+Conjugates g^k u g^-k take a shorter path than walking every letter of
+the word at every ball vertex.  pullbacks walks the ball back under g
+one power at a time, unchecked, and every u shares that pull-back: the
+conjugate fixes a exactly when u fixes x = g^-k(a).  conjugate_tables
+then walks g^k forward only from the points that u moves, and validates
+each finished table as realize does.
+
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
 children independently.  On regular shapes it is inherited: a decoration
@@ -46,6 +53,7 @@ undecorated ancestors this says the decoration fixes that colour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .boolalg import (
     ROOT,
@@ -457,6 +465,45 @@ class SpecWord:
 
     def is_identity_on(self, r: int) -> bool:
         return all(a == b for a, b in _ball_images(self, r))
+
+
+# -- conjugates through pull-backs ----------------------------------------------
+
+
+def pullbacks(g, sign: int, r: int):
+    """The pull-backs g^-(sign k)(B_r) for k = 0, 1, ..., without end.
+
+    Each is a tuple aligned with ``shape.ball(r)`` and is one exact step
+    of g^-sign from the last, so g may be an atom or a word.
+    """
+    back = SpecWord(g.shape, ((g, -sign),))._apply
+    points = tuple(g.shape.ball(r))
+    while True:
+        yield points
+        points = tuple(map(back, points))
+
+
+def conjugate_tables(g, k: int, us, r: int) -> list[BallIsometry]:
+    """Radius-r ball tables of the conjugates g^k u g^-k, one per u.
+
+    All of them share one pull-back: the conjugate fixes a exactly when
+    u fixes x = g^-k(a), and otherwise sends a to g^k(u(x)), so g^k is
+    walked only from the points that u moves.  Each table is validated
+    as a BallIsometry.
+    """
+    shape = g.shape
+    ball = tuple(shape.ball(r))
+    pulled = next(islice(pullbacks(g, 1 if k >= 0 else -1, r), abs(k), None))
+    forth = SpecWord(shape, ((g, k),))._apply
+    tables = []
+    for u in us:
+        image = u._apply
+        table = {}
+        for a, x in zip(ball, pulled):
+            y = image(x)
+            table[a] = a if y == x else forth(y)
+        tables.append(BallIsometry(shape, r, table))
+    return tables
 
 
 def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:

@@ -19,6 +19,14 @@ every pivot.  It makes the same pivots, so it must return the same
 ``(feasible, solution)`` as ``dynamics._phase_one_feasible``.  Its rows
 come from the measure search's former builder, which summed +1 per image
 atom and -1 per cylinder atom and then dropped the zeros.
+
+The contraction oracle is the per-u search ``contraction_certificate``
+made before conjugates went through shared pull-backs: it builds each
+conjugate g^k u g^-k as a word and walks every letter of it at every
+vertex of the checked ball.  The commutation oracle checks every point
+of the domain, and the support oracle every vertex of the ball outside
+the region, where ``tables_commute`` and ``support_in`` read only the
+points a table moves.
 """
 from __future__ import annotations
 
@@ -27,6 +35,7 @@ from fractions import Fraction
 
 from tdlclab.boolalg import CylinderClopen, sphere_list
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
+from tdlclab.tree import SpecWord
 
 
 def _is_subgroup(elems: frozenset[Perm]) -> bool:
@@ -285,6 +294,52 @@ def oracle_invariance_rows(ctx) -> tuple[list, int]:
             if coeffs:
                 rows.append((coeffs, Fraction(0)))
     return rows, len(atoms)
+
+
+def oracle_contraction_certificate(g, u, ball_radius: int, direction: int = 1) -> dict:
+    """``contraction_certificate`` with every conjugate walked as a word."""
+    k_max = ball_radius + 4
+    check_radius = ball_radius + 1
+    onset = None
+    for k in range(k_max + 1):
+        if SpecWord.conjugate(g, u, direction * k).is_identity_on(check_radius):
+            onset = k
+            break
+    tail = [] if onset is None else [
+        SpecWord.conjugate(g, u, direction * j).is_identity_on(check_radius)
+        for j in range(onset + 1, min(onset + 4, k_max + 1))
+    ]
+    monotone = onset is not None and all(tail)
+    return {
+        "k": onset,
+        "k_max": k_max,
+        "ball": ball_radius,
+        "checked_radius": check_radius,
+        "direction": direction,
+        "onset_monotone": monotone,
+        "verdict": "contracts" if monotone else "no-contraction-within-bounds",
+    }
+
+
+def oracle_tables_commute(family_a, family_b, domain) -> bool:
+    """Pairwise commutation checked at every point of the domain."""
+    domain = list(domain)
+    return all(
+        fu[fv[x]] == fv[fu[x]]
+        for fu in family_a
+        for fv in family_b
+        for x in domain
+    )
+
+
+def oracle_support_in(iso, region) -> bool:
+    """Every ball vertex outside the region is fixed, checked one by one."""
+    cover = region.cover
+    return all(
+        iso.table[v] == v
+        for v in iso.shape.ball(iso.precision)
+        if not any(v[:k] in cover for k in range(len(v) + 1))
+    )
 
 
 # -- shared corpus -----------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from tdlclab.boolalg import ROOT, CylinderClopen, regular, rooted
 from tdlclab.boundary import (
     contraction_certificate,
+    contraction_certificates,
     goodshrink_construct,
     half_tree_fixator,
     inside,
@@ -20,8 +21,16 @@ from tdlclab.boundary import (
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import DisjointnessFailure, NotSkewering
 from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
-from tdlclab.tree import IsometrySpec, hyperbolic_isometry, spec_image_clopen
+from tdlclab.tree import (
+    IsometrySpec,
+    SpecWord,
+    conjugate_tables,
+    hyperbolic_isometry,
+    site_group,
+    spec_image_clopen,
+)
 
+from oracles import oracle_contraction_certificate, oracle_support_in, oracle_tables_commute
 from util import random_clopen
 
 T3 = regular(3)
@@ -57,6 +66,29 @@ def test_rist_generators_fix_complement_pointwise():
             assert g.apply(v) == v
 
 
+def test_support_in_matches_full_ball_oracle_seeded():
+    # witnesses, their conjugates by a translation, the translation and
+    # a root rotation, down to radius 1, against seeded regions that do
+    # and do not hold the support
+    rng = random.Random(47)
+    radius = 4
+    gens = rist_generators(S3, HALF0, 3)
+    inside_half = [g.realize(radius) for g in gens]
+    inside_half += conjugate_tables(T0, 1, gens, radius)
+    rho = IsometrySpec(T3, sites=(((), SWAP01),))
+    isos = inside_half + [g.realize(r) for g in (T0, rho) for r in (1, 2, radius)]
+    verdicts = set()
+    for _ in range(12):
+        region = random_clopen(rng, T3, 3)
+        for iso in isos:
+            got = support_in(iso, region)
+            assert got == oracle_support_in(iso, region)
+            verdicts.add(got)
+    for iso in inside_half:
+        assert support_in(iso, HALF0) and oracle_support_in(iso, HALF0)
+    assert verdicts == {True, False}
+
+
 def test_rist_of_disjoint_regions_commutes_elementwise():
     # the depth-6 witness lists contain every shallower list, so one
     # pass at the deepest level covers all depths up to six; tables are
@@ -89,6 +121,33 @@ def test_tables_commute_refutes_witnesses_at_one_vertex():
     w = IsometrySpec(T3, sites=(((0, 2), SWAP01),)).realize(radius).table
     assert tables_commute([u], [w], ball)
     assert tables_commute([u, w], [u, w], ball)
+
+
+def test_tables_commute_matches_full_domain_oracle_seeded():
+    # witness families on disjoint, nested and equal regions, as vertex
+    # tables, and seeded permutations of S4 as index tuples
+    radius = 4
+    ball = list(T3.ball(radius))
+    regions = [HALF0, HALF0.complement(), BETA, CylinderClopen.cylinder(T3, (0, 1))]
+    families = [
+        [g.realize(radius).table for g in rist_generators(S3, region, 3)]
+        for region in regions
+    ]
+    verdicts = set()
+    for fa in families:
+        for fb in families:
+            got = tables_commute(fa, fb, ball)
+            assert got == oracle_tables_commute(fa, fb, ball)
+            verdicts.add(got)
+    rng = random.Random(41)
+    perms = [tuple(rng.sample(range(4), 4)) for _ in range(12)]
+    identity = tuple(range(4))
+    for n in range(0, 12, 3):
+        fa, fb = perms[n:n + 2] + [identity], perms[n + 1:n + 3]
+        got = tables_commute(fa, fb, range(4))
+        assert got == oracle_tables_commute(fa, fb, range(4))
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_rist_of_meet_is_generatorwise_intersection():
@@ -168,6 +227,36 @@ def test_contraction_certificate_replays_bit_exactly():
     first = contraction_certificate(T0, u, 3)
     again = contraction_certificate(T0, u, 3)
     assert canonical_json(first) == canonical_json(again)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_contraction_certificates_match_walked_oracle(direction):
+    # translations of length one and two, a translation given as a word,
+    # and an elliptic conjugator; witnesses on both half-trees, seeded
+    # portraits and the identity, so every verdict and onset kind occurs
+    rng = random.Random(43)
+    us = rist_generators(S3, HALF0, 2) + rist_generators(S3, HALF0.complement(), 1)
+    us.append(IsometrySpec(T3))
+    ball = list(T3.ball(3))
+    for _ in range(4):
+        v = rng.choice(ball)
+        us.append(IsometrySpec(T3, sites=((v, rng.choice(site_group(T3, S3, v).element_list)),)))
+    conjugators = [
+        T0,
+        hyperbolic_isometry(T3, (0, 1)),
+        SpecWord.of(T0, T0),
+        IsometrySpec(T3, sites=(((), SWAP01),)),
+    ]
+    verdicts = set()
+    for g in conjugators:
+        for n in (1, 2, 3):
+            got = contraction_certificates(g, us, n, direction)
+            want = [oracle_contraction_certificate(g, u, n, direction) for u in us]
+            assert got == want, (g, n)
+            assert got[0] == contraction_certificate(g, us[0], n, direction)
+            verdicts.update((c["verdict"], c["onset_monotone"]) for c in got)
+    assert ("contracts", True) in verdicts
+    assert ("no-contraction-within-bounds", False) in verdicts
 
 
 def test_goodshrink_verified_on_attracting_half_tree():

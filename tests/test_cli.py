@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from tdlclab import cli
-from tdlclab.errors import SpecFileError
+from tdlclab.errors import PrecisionExhausted, SpecFileError
 
 US3 = """\
 [tree]
@@ -549,6 +549,20 @@ def test_internal_fault_exits_70_not_refuted(spec_file, capsys, monkeypatch, fau
     assert code == 70
     assert report is None
     assert captured.err.startswith(f"internal error: {type(fault).__name__}")
+
+
+def test_precision_exhausted_exits_4_not_spec_error(spec_file, capsys, monkeypatch):
+    # PrecisionExhausted is a ValueError, which used to exit 2
+    def handler(args, spec):
+        raise PrecisionExhausted("ball 5 not covered at precision 3")
+
+    monkeypatch.setitem(cli._HANDLERS, "certify", handler)
+    code, report, captured = run_cli(
+        capsys, "certify", "contraction", spec_file(US3_ELEMENTS), "--element", "g"
+    )
+    assert code == 4
+    assert report is None
+    assert captured.err.startswith("precision exhausted: ball 5")
 
 
 def test_unwritable_report_exits_2_not_refuted(spec_file, capsys, tmp_path):

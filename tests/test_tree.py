@@ -17,12 +17,14 @@ from tdlclab.tree import (
     cayley_abels_dot,
     colour_word_isometry,
     congruence_kernel,
+    conjugate_tables,
     free_reduce,
     hyperbolic_isometry,
     in_universal_group,
     level_group,
     level_order,
     local_prime_content,
+    pullbacks,
     schreier_dot,
     site_group,
     spec_image_clopen,
@@ -661,6 +663,50 @@ def test_realize_and_identity_check_match_checked_apply_seeded(shape):
             assert mover.is_identity_on(r) == fixed
             verdicts.add(fixed)
     assert verdicts == {True, False}
+
+
+def _conjugators(rng, shape):
+    """Seeded conjugators: on T3 a translation, the same translation as a
+    word, a root rotation and a seeded word; on rooted shapes portraits."""
+    if shape.kind == "rooted":
+        return [_random_rooted_portrait(rng, shape, 2) for _ in range(3)]
+    t0 = hyperbolic_isometry(shape, (0,))
+    rho = IsometrySpec(shape, sites=((ROOT, Perm((1, 2, 0))),))
+    _, words = _random_movers(rng, shape)
+    return [t0, SpecWord.of(t0, t0), rho, words[0]]
+
+
+def _seeded_portraits(rng, shape, count):
+    if shape.kind == "rooted":
+        return [_random_rooted_portrait(rng, shape, 3) for _ in range(count)]
+    return [_random_regular_portrait(rng, shape, S3, 3) for _ in range(count)]
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_pullbacks_step_one_power_at_a_time_seeded(shape):
+    rng = random.Random(31)
+    r = 3
+    ball = list(shape.ball(r))
+    for g in _conjugators(rng, shape):
+        for sign in (1, -1):
+            for k, points in zip(range(4), pullbacks(g, sign, r)):
+                back = SpecWord(shape, ((g, -sign * k),))
+                assert points == tuple(back.apply(a) for a in ball)
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_conjugate_tables_match_walked_conjugates_seeded(shape):
+    rng = random.Random(37)
+    us = _seeded_portraits(rng, shape, 5) + [IsometrySpec(shape)]
+    r = 3
+    moved = set()
+    for g in _conjugators(rng, shape):
+        for k in range(-3, 4):
+            got = [iso.table for iso in conjugate_tables(g, k, us, r)]
+            want = [SpecWord.conjugate(g, u, k).realize(r).table for u in us]
+            assert got == want, (g, k)
+            moved.update(any(a != b for a, b in t.items()) for t in got)
+    assert moved == {True, False}
 
 
 def _apply_power(mover, e, addr):

@@ -25,21 +25,23 @@ HERE = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.relative_to(HERE).as_posix() for p in (HERE / "demos").glob("0*.py"))
 
 sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
-from test_cli import LONE_AXIS, ROOTED_BINARY, TWOCOPY, US3, US3_ELEMENTS  # noqa: E402
+from test_cli import LONE_AXIS, ROOTED_BINARY, TWOCOPY, US3, US3_ELEMENTS, US3_WORD  # noqa: E402
 
 SPECS = {"elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY, "regular-sym3": US3,
-         "two-copy": TWOCOPY, "lone-axis": LONE_AXIS}
+         "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD}
 TIMEOUT_S = 900.0
 
 
 def cases() -> list[tuple[str, list[str]]]:
     out = []
-    for depth in range(4, 8):
-        d = ["--depth", str(depth)]
-        for kind in ("goodshrink", "nub", "tits-core"):
-            out.append(("elements", ["certify", kind, "spec.ini", "--element", "g", *d]))
-        out.append(("elements", ["certify", "contraction", "spec.ini",
-                                 "--element", "g", "--u", "u1", "--ball", "4", *d]))
+    # the word element h = g g reaches conjugates through a word conjugator
+    for spec, element, depths in (("elements", "g", range(4, 8)), ("word", "h", (4, 5))):
+        for depth in depths:
+            d = ["--depth", str(depth)]
+            for kind in ("goodshrink", "nub", "tits-core"):
+                out.append((spec, ["certify", kind, "spec.ini", "--element", element, *d]))
+            out.append((spec, ["certify", "contraction", "spec.ini",
+                               "--element", element, "--u", "u1", "--ball", "4", *d]))
     for spec in ("rooted-binary", "regular-sym3"):
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..4"]))
     for spec in ("elements", "regular-sym3"):
