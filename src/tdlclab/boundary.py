@@ -10,6 +10,8 @@ balls whose radius is recorded in the report.
 """
 from __future__ import annotations
 
+from itertools import islice
+
 from .boolalg import ROOT, Address, CylinderClopen, TreeShape, format_address
 from .errors import DisjointnessFailure, NotSkewering
 from .permgrp import FiniteGroup
@@ -137,6 +139,8 @@ def contraction_certificates(
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
+    if ball_radius < 0:
+        raise ValueError(f"ball radius must be at least 0, got {ball_radius}")
     k_max = ball_radius + 4
     check_radius = ball_radius + 1
     onsets: list = [None] * len(us)
@@ -312,6 +316,8 @@ def nub_window(
     ``conjugate_tables``, so its witnesses share one pull-back g^-i of the
     ball, and the commutation checks read only the points a table moves.
     """
+    if m < 0:
+        raise ValueError(f"window half-width must be at least 0, got {m}")
     shape = beta.shape
     idx = list(range(-m, m + 1))
     translates = {
@@ -329,8 +335,8 @@ def nub_window(
     if not beta_gens:
         raise ValueError("rigid stabiliser of beta has no realized witnesses")
     # g^-1 moves a depth-n vertex at most d = displacement deeper, so the
-    # witness tables and g's forward table are realized at depth + d,
-    # and g's inverse table, read off the forward one, covers the depth ball
+    # witness tables and g's forward table are realized at depth + d; g^-1
+    # on the depth ball is its first exact pull-back
     reach = depth + max(1, g.displacement)
     realized = {i: conjugate_tables(g, i, beta_gens, reach) for i in idx}
     if any(iso.displacement != 0 for i in idx for iso in realized[i]):
@@ -345,14 +351,14 @@ def nub_window(
         tables_commute(tables[i], tables[j], domain) for i, j in pairs
     )
 
-    g_ball = g.realize(reach)
-    g_fwd, g_inv = g_ball.table, g_ball.inverse().table
+    g_fwd = g.realize(reach).table
+    g_inv = next(islice(pullbacks(g, 1, depth), 1, None))
     shift_ok = True
     for pos, i in enumerate(idx[:-1]):
         nxt = tables[idx[pos + 1]]
         for fu, ft in zip(tables[i], nxt):
-            for x in domain:
-                if g_fwd[fu[g_inv[x]]] != ft[x]:
+            for x, y in zip(domain, g_inv):
+                if g_fwd[fu[y]] != ft[x]:
                     shift_ok = False
 
     checks = {

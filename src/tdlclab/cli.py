@@ -32,7 +32,11 @@ take no elements; the diagonal product context fixes its own generators.
 Machine output is one canonical JSON report on stdout; human trace
 lines go to stderr, or replace the report entirely under
 ``--format text``.  Exit codes: 0 verified, 1 refuted at this depth,
-2 malformed input, 3 closure cap exceeded, 4 search exhausted.
+2 malformed input (a negative certify bound included), 3 closure cap
+exceeded, 4 search exhausted or a ball table asked past its precision
+(PrecisionExhausted), 70 internal fault.  Only the hyperbolic and
+portrait elements act as dynamics generators; a word adds nothing to
+the group they generate and is reached with ``--element``.
 """
 from __future__ import annotations
 

@@ -559,6 +559,8 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     distinct alpha-stabiliser cosets, witnessing discreteness of the
     generated pair.
     """
+    if length_bound < 0:
+        raise ValueError(f"length bound must be at least 0, got {length_bound}")
     sk = skewering_search(ctx)
     if sk["verdict"] != "found":
         raise SearchExhausted("skewering pair for the free subsemigroup", ctx.word_bound)

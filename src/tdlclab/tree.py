@@ -13,21 +13,22 @@ followed by a word translation; it applies to addresses of any depth.
 SpecWord is a formal product of powers of atoms, evaluated factor by
 factor, so it stays exact too; a factor that is itself a word is spelled
 out when the SpecWord is built, so its factors are always atoms.
-BallIsometry is a lookup table on a ball about the base vertex;
-composition and inversion shrink the reliable radius and anything past
-it raises PrecisionExhausted.
+BallIsometry is the validated table of an exact element on a ball about
+the base vertex; products and inverses are formed exactly before
+tabulating, and a local action past the precision raises
+PrecisionExhausted.
 
 Legality of an address is checked once, at the public entry:
 IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
 on an illegal address, then run unchecked code, because the image of a
 legal address is legal.  SpecWord applies its factors through the
 unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
-address check at all: realize and is_identity_on walk shape.ball(r),
-whose vertices are legal by construction, through the unchecked _apply,
-and realize then validates the finished table as a BallIsometry (domain,
-injectivity, legal images, adjacency).  spec_image_clopen likewise
-checks only that the clopen lives on the recipe's shape, then applies
-the clopen's atoms, legal by construction, through _apply;
+address check at all: realize and SpecWord.is_identity_on walk
+shape.ball(r), whose vertices are legal by construction, through the
+unchecked _apply, and every BallIsometry validates its table when it is
+built (domain, injectivity, legal images, adjacency).  spec_image_clopen
+likewise checks only that the clopen lives on the recipe's shape, then
+applies the clopen's atoms, legal by construction, through _apply;
 CylinderClopen.from_addresses still rejects any illegal image.  Each
 portrait site is compiled once, when the spec is built, to the forward
 and inverse image tuples of its colour permutation; below the deepest
@@ -96,24 +97,21 @@ def _adjacent(u: Address, v: Address) -> bool:
 
 
 class BallIsometry:
-    """Isometry of the vertex tree known on the radius ``precision`` ball."""
+    """Validated table of an exact element on the radius ``precision`` ball.
+
+    Products and inverses are formed exactly, as a SpecWord, before
+    tabulating; a table is a read-only result.
+    """
 
     __slots__ = ("shape", "precision", "table")
 
-    def __init__(
-        self,
-        shape: TreeShape,
-        precision: int,
-        table: dict,
-        check: bool = True,
-    ) -> None:
+    def __init__(self, shape: TreeShape, precision: int, table: dict) -> None:
         if precision < 0:
             raise PrecisionExhausted("negative precision")
         self.shape = shape
         self.precision = precision
         self.table = dict(table)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         shape = self.shape
@@ -138,37 +136,6 @@ class BallIsometry:
     def displacement(self) -> int:
         return len(self.table[ROOT])
 
-    def apply(self, addr: Address) -> Address:
-        addr = tuple(addr)
-        if len(addr) > self.precision:
-            raise PrecisionExhausted(
-                f"address depth {len(addr)} exceeds precision {self.precision}"
-            )
-        return self.table[addr]
-
-    def __mul__(self, other: "BallIsometry") -> "BallIsometry":
-        """Composition, self after other."""
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        r = min(other.precision, self.precision - other.displacement)
-        if r < 0:
-            raise PrecisionExhausted("composition leaves no reliable ball")
-        table = {
-            a: self.table[b]
-            for a, b in other.table.items()
-            if len(a) <= r
-        }
-        return BallIsometry(self.shape, r, table, check=False)
-
-    def inverse(self) -> "BallIsometry":
-        r = self.precision - self.displacement
-        if r < 0:
-            raise PrecisionExhausted("inverse leaves no reliable ball")
-        table = {b: a for a, b in self.table.items() if len(b) <= r}
-        if len(table) != self.shape.ball_size(r):
-            raise AssertionError("image does not cover the inverse ball")
-        return BallIsometry(self.shape, r, table, check=False)
-
     def local_action(self, v: Address) -> Perm:
         """Colour permutation induced at vertex v."""
         v = tuple(v)
@@ -187,13 +154,6 @@ class BallIsometry:
                 else:
                     images[c] = iv[-1]
         return Perm(tuple(images[c] for c in self.shape.colours()))
-
-    def is_identity_on(self, r: int) -> bool:
-        if r > self.precision:
-            raise PrecisionExhausted(
-                f"ball {r} not covered at precision {self.precision}"
-            )
-        return all(a == b for a, b in self.table.items() if len(a) <= r)
 
     def __repr__(self) -> str:
         return (

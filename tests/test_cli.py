@@ -240,6 +240,13 @@ def test_report_local_rooted_binary(spec_file, capsys):
 # ------------------------------------------------------------------ dynamics
 
 
+def test_word_elements_are_not_dynamics_generators():
+    # c = g u1 g~ is a product of earlier elements and adds no generator;
+    # involutions get no separate inverse
+    ctx = cli.build_context(cli.parse_spec_text(US3_ELEMENTS))
+    assert ctx.gen_names == ("g", "g~", "u1", "rho", "rho~")
+
+
 def test_dynamics_minimal_standard_context(spec_file, capsys):
     code, report, captured = run_cli(capsys, "dynamics", "minimal", spec_file(US3))
     assert code == 0
@@ -416,6 +423,46 @@ def test_certify_nub_window(spec_file, capsys, tmp_path):
     )
     assert code == 0
     assert report["results"]["verdict"] == "verified"
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (US3_ELEMENTS, ["contraction", "--element", "g", "--u", "u1", "--ball", "-3"]),
+        (US3_ELEMENTS, ["nub", "--element", "g", "--m", "-1"]),
+        (US3, ["free-semigroup", "--L", "-1"]),
+    ],
+    ids=["ball", "m", "L"],
+)
+def test_certify_negative_bound_exits_2_without_certificate(
+    spec_file, capsys, tmp_path, spec, argv
+):
+    # a negative bound used to verify vacuously on an empty window
+    out = tmp_path / "neg.cert.json"
+    code, report, captured = run_cli(
+        capsys, "certify", argv[0], spec_file(spec), *argv[1:], "--out", str(out)
+    )
+    assert code == 2
+    assert report is None
+    assert "at least 0" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (US3_ELEMENTS, ["nub", "--element", "g", "--m", "0"]),
+        (US3, ["free-semigroup", "--L", "0"]),
+    ],
+    ids=["m", "L"],
+)
+def test_certify_zero_bound_still_verifies(spec_file, capsys, tmp_path, spec, argv):
+    out = tmp_path / "zero.cert.json"
+    code, report, _ = run_cli(
+        capsys, "certify", argv[0], spec_file(spec), *argv[1:], "--out", str(out)
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["verdict"] == "verified"
 
 
 @pytest.mark.parametrize("axis", ["01", "012"])

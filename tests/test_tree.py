@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -12,6 +13,7 @@ from tdlclab.permgrp import (
     symmetric_group,
 )
 from tdlclab.tree import (
+    BallIsometry,
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
@@ -31,7 +33,9 @@ from tdlclab.tree import (
     sphere_orbit_classes,
 )
 from tree_oracles import (
+    oracle_compose_tables,
     oracle_image_clopen,
+    oracle_invert_table,
     oracle_level_order,
     oracle_local_action,
     oracle_regular_apply,
@@ -167,46 +171,56 @@ def test_local_actions_match_oracle_seeded():
             )
 
 
-# -- ball isometry algebra -------------------------------------------------------
+# -- exact products against the table algebra ------------------------------------
 
 
 def test_compose_matches_pointwise():
     rng = random.Random(14)
     for _ in range(30):
-        g = _random_regular_portrait(rng, T3, S3, 2).realize(6)
-        h = _random_regular_portrait(rng, T3, S3, 2).realize(6)
-        gh = g * h
+        g = _random_regular_portrait(rng, T3, S3, 2)
+        h = _random_regular_portrait(rng, T3, S3, 2)
+        gh = SpecWord.of(g, h).realize(6)
         assert gh.precision == 6
+        assert gh.table == oracle_compose_tables(
+            g.realize(6).table, h.realize(6).table
+        )
         for v in T3.ball(6):
-            assert gh.apply(v) == g.apply(h.apply(v))
-
-
-def test_compose_precision_drops_with_displacement():
-    t0 = hyperbolic_isometry(T3, (0,))
-    g = t0.realize(6)
-    h = t0.realize(6)
-    gh = g * h
-    assert g.displacement == 1
-    assert gh.precision == 5
-    assert gh.displacement == 2
+            assert gh.table[v] == g.apply(h.apply(v))
 
 
 def test_inverse_roundtrip_and_precision():
-    t0 = hyperbolic_isometry(T3, (0,)).realize(6)
-    inv = t0.inverse()
-    assert inv.precision == 5
-    assert (inv * t0).is_identity_on(4)
-    assert (t0 * inv).is_identity_on(4)
+    t0 = hyperbolic_isometry(T3, (0,))
+    fwd = t0.realize(6)
+    inv = SpecWord(T3, ((t0, -1),)).realize(6)
+    # the exact inverse keeps the whole ball; the inverted table reaches
+    # only the radius the displacement leaves
+    assert inv.precision == 6
+    table_inv = oracle_invert_table(fwd.table)
+    assert set(T3.ball(5)) <= set(table_inv)
+    assert not set(T3.ball(6)) <= set(table_inv)
+    assert all(inv.table[a] == table_inv[a] for a in T3.ball(5))
+    after = oracle_compose_tables(inv.table, fwd.table)
+    before = oracle_compose_tables(fwd.table, inv.table)
+    assert all(after[a] == a == before[a] for a in T3.ball(4))
+    assert SpecWord(T3, ((t0, 1), (t0, -1))).realize(6).table == {
+        a: a for a in T3.ball(6)
+    }
 
 
 def test_precision_exhaustion_raises():
-    t0 = hyperbolic_isometry(T3, (0,)).realize(2)
+    t0 = hyperbolic_isometry(T3, (0,))
+    iso = t0.realize(2)
     with pytest.raises(PrecisionExhausted):
-        t0.apply((0, 1, 0))
-    g = t0
+        iso.local_action((0, 1))
     with pytest.raises(PrecisionExhausted):
-        while True:
-            g = g * t0
+        BallIsometry(T3, -1, {})
+    # table powers run out of base vertex; exact powers never do
+    power, k = iso.table, 1
+    while ROOT in power:
+        power, k = oracle_compose_tables(power, iso.table), k + 1
+    assert k == 4  # the radius-2 table of t0^4 no longer covers the base
+    for e in range(1, k + 3):
+        assert SpecWord(T3, ((t0, e),)).realize(2).displacement == e
 
 
 def test_cocycle_identity_seeded():
@@ -228,15 +242,38 @@ def test_cocycle_identity_seeded():
                     sites=_random_regular_portrait(rng, T3, S3, 1).sites,
                 )
             )
-        g = rng.choice(specs).realize(8)
-        h = rng.choice(specs).realize(8)
-        gh = g * h
+        g_spec, h_spec = rng.choice(specs), rng.choice(specs)
+        g, h = g_spec.realize(8), h_spec.realize(8)
+        gh = SpecWord.of(g_spec, h_spec).realize(8)
+        composed = oracle_compose_tables(g.table, h.table)
+        assert all(gh.table[a] == b for a, b in composed.items())
         for v in T3.ball(3):
             lhs = gh.local_action(v)
-            rhs = g.local_action(h.apply(v)) * h.local_action(v)
+            rhs = g.local_action(h.table[v]) * h.local_action(v)
             assert lhs == rhs
             checked += 1
     assert checked >= 500
+
+
+# -- table validation: every ball table passes one gate ---------------------------
+
+
+@pytest.mark.parametrize(
+    "shape, precision, changes, message",
+    [
+        (T3, 1, {(2, 0): (2, 0)}, "domain is not the stated ball"),
+        (T3, 1, {(1,): (0,)}, "not injective"),
+        (T3, 1, {(1,): (3,)}, "illegal address"),
+        (R2, 0, {(): (1,)}, "must fix the root"),
+        (T3, 1, {(2,): (1, 0)}, "not adjacent"),
+    ],
+    ids=["domain", "injective", "illegal", "rooted-root", "adjacent"],
+)
+def test_ball_table_rejections(shape, precision, changes, message):
+    table = {a: a for a in shape.ball(precision)}
+    BallIsometry(shape, precision, table)  # the unchanged table passes
+    with pytest.raises(ValueError, match=message):
+        BallIsometry(shape, precision, {**table, **changes})
 
 
 # -- translations -----------------------------------------------------------------
@@ -260,10 +297,14 @@ def test_unit_translation_images():
 
 
 def test_unit_translation_square_is_word():
-    t0 = hyperbolic_isometry(T3, (0,)).realize(7)
+    t0 = hyperbolic_isometry(T3, (0,))
     m01 = colour_word_isometry(T3, (0, 1)).realize(7)
-    square = t0 * t0
-    assert all(square.table[a] == m01.table[a] for a in T3.ball(5))
+    square = SpecWord(T3, ((t0, 2),)).realize(7)
+    assert square.table == m01.table
+    assert t0.realize(7).displacement == 1
+    assert square.displacement == 2
+    table_square = oracle_compose_tables(t0.realize(7).table, t0.realize(7).table)
+    assert all(table_square[a] == m01.table[a] for a in T3.ball(6))
 
 
 def test_unit_translation_local_actions_constant():
@@ -318,7 +359,12 @@ def test_translation_moves_half_tree_inside_itself():
     assert beta == parse_clopen(T3, "{02}")
     back = spec_image_clopen(SpecWord(T3, ((t0, -1),)), moved)
     assert back == alpha
-    assert back == oracle_image_clopen(t0.realize(6).inverse().table, moved)
+    assert back == oracle_image_clopen(
+        SpecWord(T3, ((t0, -1),)).realize(6).table, moved
+    )
+    assert back == oracle_image_clopen(
+        oracle_invert_table(t0.realize(6).table), moved
+    )
 
 
 def test_image_clopen_respects_boolean_structure_seeded():
@@ -391,11 +437,17 @@ def test_membership_in_universal_groups():
 def test_universal_membership_closed_under_product_seeded():
     rng = random.Random(18)
     for _ in range(20):
-        g = _random_regular_portrait(rng, T3, S3, 2).realize(6)
-        h = _random_regular_portrait(rng, T3, S3, 2).realize(6)
-        assert in_universal_group(g, S3)
-        assert in_universal_group(g * h, S3)
-        assert in_universal_group(g.inverse(), S3)
+        g = _random_regular_portrait(rng, T3, S3, 2)
+        h = _random_regular_portrait(rng, T3, S3, 2)
+        gt, ht = g.realize(6), h.realize(6)
+        assert in_universal_group(gt, S3)
+        product = SpecWord.of(g, h).realize(6)
+        inverse = SpecWord(T3, ((g, -1),)).realize(6)
+        assert in_universal_group(product, S3)
+        assert in_universal_group(inverse, S3)
+        # portraits fix the base vertex, so the table algebra keeps the ball
+        assert product.table == oracle_compose_tables(gt.table, ht.table)
+        assert inverse.table == oracle_invert_table(gt.table)
 
 
 def test_level_orders_match_sitewise_count():
@@ -604,15 +656,21 @@ def test_spec_word_matches_table_algebra():
     t0 = hyperbolic_isometry(T3, (0,))
     rho = IsometrySpec(T3, sites=((ROOT, Perm((2, 0, 1))),))
     w = SpecWord.conjugate(t0, rho, 2)
-    tables = (
-        t0.realize(9)
-        * t0.realize(9)
-        * rho.realize(9)
-        * t0.realize(9).inverse()
-        * t0.realize(8).inverse()
+    forward = t0.realize(9).table
+    tables = reduce(
+        oracle_compose_tables,
+        [
+            forward,
+            forward,
+            rho.realize(9).table,
+            oracle_invert_table(forward),
+            oracle_invert_table(t0.realize(8).table),
+        ],
     )
-    exact = w.realize(tables.precision)
-    assert exact.table == tables.table
+    exact = w.realize(6)
+    assert exact.displacement == 4
+    assert exact.table == {a: tables[a] for a in T3.ball(6)}
+    assert not set(T3.ball(7)) <= set(tables)
     assert w.inverse().apply(w.apply((0, 2, 1))) == (0, 2, 1)
 
 

@@ -4,7 +4,10 @@ Kept deliberately naive and structurally different from the library code:
 portraits are applied by rescanning ancestor decorations per letter,
 word translations by explicit stack reduction on the concatenated word,
 and clopens are transported by a finite vertex table over the set-model
-expansion instead of exact application of refined atoms.
+expansion instead of exact application of refined atoms.  Products and
+inverses of ball tables are the table algebra the library gave up for
+exact words: a composed or inverted table only knows the vertices its
+operands cover, so it shrinks by the displacement.
 """
 from __future__ import annotations
 
@@ -73,6 +76,17 @@ def oracle_local_action(shape: TreeShape, apply_fn, v: tuple) -> Perm:
         else:
             raise AssertionError("images of neighbours are not adjacent")
     return Perm(tuple(images[c] for c in shape.colours()))
+
+
+def oracle_compose_tables(outer: dict, inner: dict) -> dict:
+    """Table of outer after inner, on the vertices whose inner image
+    outer covers."""
+    return {a: outer[b] for a, b in inner.items() if b in outer}
+
+
+def oracle_invert_table(table: dict) -> dict:
+    """Inverse table, on the images the table reaches."""
+    return {b: a for a, b in table.items()}
 
 
 def oracle_level_order(shape: TreeShape, f, n: int) -> int:

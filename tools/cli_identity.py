@@ -42,6 +42,9 @@ def cases() -> list[tuple[str, list[str]]]:
                 out.append((spec, ["certify", kind, "spec.ini", "--element", element, *d]))
             out.append((spec, ["certify", "contraction", "spec.ini",
                                "--element", element, "--u", "u1", "--ball", "4", *d]))
+    # the nub shift check at the bench's depth and at a narrow and a wide window
+    for extra in (["--depth", "8"], ["--depth", "6", "--m", "1"], ["--depth", "6", "--m", "5"]):
+        out.append(("elements", ["certify", "nub", "spec.ini", "--element", "g", *extra]))
     for spec in ("rooted-binary", "regular-sym3"):
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..4"]))
     for spec in ("elements", "regular-sym3"):
