@@ -5,9 +5,11 @@ element sets behind a hard cap (default 2**20), normal subgroups are
 found as product-closed unions of conjugacy classes without closing
 any of them element by element, and the structural invariants (cores,
 residuals, the intersection of maximal normal subgroups, composition
-factors) are read off the lattice.  No Schreier-Sims machinery;
-determinism everywhere, with ties broken by the lexicographic order on
-permutation image tuples.
+factors) are read off the lattice.  No Schreier-Sims machinery: the one
+use of Schreier's lemma is tree.congruence_kernel, which generates a
+level group's congruence kernel from Schreier generators without closing
+the level group.  Determinism everywhere, with ties broken by the
+lexicographic order on permutation image tuples.
 """
 from __future__ import annotations
 

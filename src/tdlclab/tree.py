@@ -61,6 +61,7 @@ from .boolalg import (
     Address,
     CylinderClopen,
     TreeShape,
+    ball_set,
     format_address,
     sphere_list,
 )
@@ -114,22 +115,21 @@ class BallIsometry:
         self._validate()
 
     def _validate(self) -> None:
-        shape = self.shape
-        want = set(shape.ball(self.precision))
-        if set(self.table) != want:
+        shape, table = self.shape, self.table
+        ball = ball_set(shape, self.precision)
+        if table.keys() != ball:
             raise ValueError("table domain is not the stated ball")
-        images = set()
-        for a, b in self.table.items():
+        images = set(table.values())
+        if len(images) != len(table):
+            raise ValueError("table is not injective")
+        for b in images - ball:  # ball vertices are legal
             shape.require_legal(b)
-            if b in images:
-                raise ValueError("table is not injective")
-            images.add(b)
-        if shape.kind == "rooted" and self.table[ROOT] != ROOT:
+        if shape.kind == "rooted" and table[ROOT] != ROOT:
             raise ValueError("rooted isometries must fix the root")
-        for b in self.table:
+        for b in table:
             if b == ROOT:
                 continue
-            if not _adjacent(self.table[b[:-1]], self.table[b]):
+            if not _adjacent(table[b[:-1]], table[b]):
                 raise ValueError(f"images of edge at {b!r} are not adjacent")
 
     @property
@@ -141,19 +141,20 @@ class BallIsometry:
         v = tuple(v)
         if len(v) + 1 > self.precision:
             raise PrecisionExhausted(f"no room around {v!r}")
-        iv = self.table[v]
-        images = {}
-        if self.shape.kind == "rooted":
-            for c in self.shape.colours():
-                images[c] = self.table[v + (c,)][-1]
-        else:
-            for c in self.shape.colours():
-                inb = self.table[step(self.shape, v, c)]
-                if len(inb) == len(iv) + 1:
-                    images[c] = inb[-1]
-                else:
-                    images[c] = iv[-1]
-        return Perm(tuple(images[c] for c in self.shape.colours()))
+        return Perm(self._local_images(v))
+
+    def _local_images(self, v: Address) -> tuple[int, ...]:
+        """Image tuple of the local action at a vertex inside the ball."""
+        table, shape = self.table, self.shape
+        if shape.kind == "rooted":
+            return tuple([table[v + (c,)][-1] for c in shape.colours()])
+        iv = table[v]
+        below = len(iv) + 1
+        out = []
+        for c in shape.colours():
+            inb = table[step(shape, v, c)]
+            out.append(inb[-1] if len(inb) == below else iv[-1])
+        return tuple(out)
 
     def __repr__(self) -> str:
         return (
@@ -488,12 +489,16 @@ def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
 
 
 def in_universal_group(iso: BallIsometry, local: FiniteGroup) -> bool:
-    """All realized local actions lie in the given colour group."""
+    """All realized local actions lie in the given colour group.
+
+    Local actions are compared as image tuples, so no Perm is built.
+    """
     if local.degree != iso.shape.degree:
         raise ValueError("local group degree does not match the shape")
+    allowed = {p.images for p in local.element_set}
+    inner = iso.precision - 1
     return all(
-        iso.local_action(v) in local
-        for v in iso.shape.ball(iso.precision - 1)
+        iso._local_images(v) in allowed for v in iso.table if len(v) <= inner
     )
 
 
@@ -587,17 +592,60 @@ def local_prime_content(
 def congruence_kernel(
     group: FiniteGroup, shape: TreeShape, n: int, k: int
 ) -> FiniteGroup:
-    """Elements of a depth-n level group acting trivially down to depth k."""
+    """Elements of a depth-n level group acting trivially down to depth k.
+
+    Built by Schreier's lemma (Seress, *Permutation Group Algorithms*,
+    2003, Lemma 4.2.1), so ``group`` is never closed.  A breadth-first
+    search over the action on the depth-k vertices keeps one
+    representative per image of that action: an element is keyed by the
+    depth-k prefixes of its images at one sphere point below each depth-k
+    vertex.  When a product s * t of a generator and a representative
+    repeats the key of a representative r, the Schreier generator
+    r^-1 * (s * t) acts trivially down to depth k, and these generate the
+    kernel.  The returned group's ``gens`` are those Schreier generators
+    in search order, duplicates and the identity dropped.  This costs
+    |G : K| * |S| products for the generators S of ``group``.
+    """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     points = sphere_list(shape, n)
-    members = []
-    for e in group.element_list:
-        if all(
-            points[e(i)][:k] == points[i][:k] for i in range(len(points))
-        ):
-            members.append(e)
-    return group.subgroup_from_elements(members)
+    if group.degree != len(points):
+        raise ValueError(
+            f"group has degree {group.degree}, but the depth-{n} sphere "
+            f"has {len(points)} points"
+        )
+    if k == n:
+        # a permutation group acts faithfully on the points it permutes
+        return FiniteGroup(group.degree, (), cap=group.cap)
+    index = {v: j for j, v in enumerate(sphere_list(shape, k))}
+    block = [index[a[:k]] for a in points]
+    probe: dict[int, int] = {}
+    for i, b in enumerate(block):
+        probe.setdefault(b, i)
+    probes = tuple(probe.values())
+
+    def key(x: Perm) -> tuple[int, ...]:
+        images = x.images
+        return tuple([block[images[i]] for i in probes])
+
+    identity = group.identity()
+    reps = {key(identity): identity}
+    schreier: dict[Perm, None] = {}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for t in frontier:
+            for s in group.gens:
+                x = s * t
+                kx = key(x)
+                r = reps.get(kx)
+                if r is None:
+                    reps[kx] = x
+                    fresh.append(x)
+                else:
+                    schreier[r.inverse() * x] = None
+        frontier = fresh
+    return FiniteGroup(group.degree, tuple(schreier), cap=group.cap)
 
 
 # -- orbit structure -----------------------------------------------------------

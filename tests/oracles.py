@@ -27,6 +27,11 @@ vertex of the checked ball.  The commutation oracle checks every point
 of the domain, and the support oracle every vertex of the ball outside
 the region, where ``tables_commute`` and ``support_in`` read only the
 points a table moves.
+
+The congruence-kernel oracle is the element filter
+``tree.congruence_kernel`` used before it moved to Schreier generators:
+it closes the whole level group and keeps every element that fixes each
+sphere point's depth-k prefix.
 """
 from __future__ import annotations
 
@@ -340,6 +345,17 @@ def oracle_support_in(iso, region) -> bool:
         for v in iso.shape.ball(iso.precision)
         if not any(v[:k] in cover for k in range(len(v) + 1))
     )
+
+
+def oracle_congruence_kernel(group: FiniteGroup, shape, n: int, k: int) -> FiniteGroup:
+    """Close the level group and keep the elements trivial down to depth k."""
+    prefixes = [a[:k] for a in sphere_list(shape, n)]
+    members = [
+        e
+        for e in group.element_list
+        if all(prefixes[j] == prefixes[i] for i, j in enumerate(e.images))
+    ]
+    return group.subgroup_from_elements(members)
 
 
 # -- shared corpus -----------------------------------------------------------

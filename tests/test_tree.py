@@ -3,7 +3,14 @@ from functools import reduce
 
 import pytest
 
-from tdlclab.boolalg import ROOT, CylinderClopen, parse_clopen, regular, rooted
+from tdlclab.boolalg import (
+    ROOT,
+    CylinderClopen,
+    parse_clopen,
+    regular,
+    rooted,
+    sphere_list,
+)
 from tdlclab.boundary import support_in
 from tdlclab.errors import PrecisionExhausted
 from tdlclab.permgrp import (
@@ -32,6 +39,7 @@ from tdlclab.tree import (
     spec_image_clopen,
     sphere_orbit_classes,
 )
+from oracles import oracle_congruence_kernel
 from tree_oracles import (
     oracle_compose_tables,
     oracle_image_clopen,
@@ -434,6 +442,35 @@ def test_membership_in_universal_groups():
     assert in_universal_group(rho, C3)
 
 
+def test_universal_membership_matches_local_actions_seeded():
+    rng = random.Random(31)
+    swap_site = IsometrySpec(T3, sites=((ROOT, Perm((1, 0, 2))),)).realize(4)
+    tables = [
+        swap_site,
+        hyperbolic_isometry(T3, (0,)).realize(5),
+        colour_word_isometry(T3, (0, 1)).realize(5),
+        BallIsometry(R2, 0, {ROOT: ROOT}),
+    ]
+    for _ in range(12):
+        local = rng.choice([S3, C3])
+        portrait = _random_regular_portrait(rng, T3, local, 2)
+        tables.append(portrait.realize(rng.randint(1, 5)))
+    for _ in range(6):
+        tables.append(_random_rooted_portrait(rng, R2, 2).realize(rng.randint(1, 4)))
+    verdicts = []
+    for iso in tables:
+        pools = (S3, C3, FiniteGroup(3, [])) if iso.shape == T3 else (C2, FiniteGroup(2, []))
+        for local in pools:
+            want = all(
+                iso.local_action(v) in local
+                for v in iso.shape.ball(iso.precision - 1)
+            )
+            assert in_universal_group(iso, local) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+    assert not in_universal_group(swap_site, C3)  # a transposition is not in C3
+
+
 def test_universal_membership_closed_under_product_seeded():
     rng = random.Random(18)
     for _ in range(20):
@@ -503,6 +540,76 @@ def test_congruence_kernel_example():
     u0 = congruence_kernel(w2, R2, 2, 0)
     assert u0.same_group(w2)
     assert w2.quotient(u1).order == 2
+
+
+@pytest.mark.parametrize(
+    "shape, local, depth",
+    [(R2, C2, 4), (T3, S3, 3), (rooted(3), S3, 2), (T3, C3, 3)],
+    ids=["rooted2-C2", "regular3-S3", "rooted3-S3", "regular3-C3"],
+)
+def test_congruence_kernel_matches_element_filter(shape, local, depth):
+    for n in range(1, depth + 1):
+        group = level_group(shape, local, n)
+        for k in range(n + 1):
+            fast = congruence_kernel(group, shape, n, k)
+            slow = oracle_congruence_kernel(group, shape, n, k)
+            assert fast.element_set == slow.element_set, (n, k)
+            assert fast.orbits() == slow.orbits(), (n, k)
+
+
+def _odometer(n):
+    """The binary adding machine on the depth-n sphere, as a cyclic group.
+
+    Its kernel below depth k is generated by its 2^k-th power alone, a
+    Schreier generator that only the last layer of the search yields.
+    """
+    points = sphere_list(R2, n)
+    index = {a: i for i, a in enumerate(points)}
+
+    def add_one(a):
+        a = list(a)
+        for j in range(len(a)):
+            a[j] ^= 1
+            if a[j]:
+                break
+        return tuple(a)
+
+    return FiniteGroup(len(points), [Perm(tuple(index[add_one(a)] for a in points))])
+
+
+def test_congruence_kernel_of_the_odometer():
+    for n in range(1, 5):
+        group = _odometer(n)
+        for k in range(n + 1):
+            fast = congruence_kernel(group, R2, n, k)
+            slow = oracle_congruence_kernel(group, R2, n, k)
+            assert fast.element_set == slow.element_set, (n, k)
+            assert fast.orbits() == slow.orbits(), (n, k)
+            # the kernel is the odometer below each depth-k vertex
+            width = 2 ** (n - k)
+            assert fast.order == width
+            assert fast.orbits() == [
+                frozenset(range(i, i + width)) for i in range(0, 2**n, width)
+            ]
+
+
+def test_congruence_kernel_never_closes_the_level_group(monkeypatch):
+    group = level_group(R2, C2, 4)
+
+    def refuse():
+        raise AssertionError("the level group was closed")
+
+    monkeypatch.setattr(group, "_close", refuse)
+    kern = congruence_kernel(group, R2, 4, 3)
+    assert kern.orbits() == [frozenset({i, i + 1}) for i in range(0, 16, 2)]
+    assert kern.order == 256
+
+
+@pytest.mark.parametrize("n", [2, 4], ids=["too-deep", "too-shallow"])
+def test_congruence_kernel_rejects_a_level_group_of_another_depth(n):
+    group = level_group(R2, C2, 3)
+    with pytest.raises(ValueError, match="depth-.* sphere has"):
+        congruence_kernel(group, R2, n, 1)
 
 
 # -- orbit structure ------------------------------------------------------------
