@@ -294,30 +294,6 @@ class CylinderClopen:
         return sorted(self.cover)
 
 
-# -- depth partitions -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DepthPartition:
-    """A finite list of pairwise disjoint nonzero clopens joining to TOP."""
-
-    shape: TreeShape
-    parts: tuple[CylinderClopen, ...]
-
-    def __post_init__(self) -> None:
-        total = CylinderClopen.zero(self.shape)
-        for i, p in enumerate(self.parts):
-            if p.shape != self.shape:
-                raise ValueError("partition part over a different shape")
-            if p.is_zero():
-                raise ValueError("partition contains the zero clopen")
-            if total.meets(p):
-                raise ValueError(f"partition parts overlap at index {i}")
-            total = total.join(p)
-        if not total.is_top():
-            raise ValueError("partition does not cover the boundary")
-
-
 # -- textual form -----------------------------------------------------------
 #
 # {} is zero, TOP is the full boundary, otherwise {01,02} style covers with

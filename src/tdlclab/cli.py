@@ -32,8 +32,10 @@ take no elements; the diagonal product context fixes its own generators.
 Machine output is one canonical JSON report on stdout; human trace
 lines go to stderr, or replace the report entirely under
 ``--format text``.  Exit codes: 0 verified, 1 refuted at this depth,
-2 malformed input (a negative certify bound included), 3 closure cap
-exceeded, 4 search exhausted or a ball table asked past its precision
+2 malformed input (a point outside any cycle, ``--depth`` or
+``--word-bound`` below 1, ``--seed`` below 0 and a negative certify
+bound included; an unwritable report too), 3 closure cap exceeded,
+4 search exhausted or a ball table asked past its precision
 (PrecisionExhausted), 70 internal fault.  Only the hyperbolic and
 portrait elements act as dynamics generators; a word adds nothing to
 the group they generate and is reached with ``--element``.
@@ -873,16 +875,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cap = _cap_from_env()
         spec = load_spec(args.spec, cap)
-        if args.depth is not None:
-            if args.depth < 1:
-                raise ValueError("--depth must be at least 1")
-            spec.depth = args.depth
-        if args.word_bound is not None:
-            if args.word_bound < 1:
-                raise ValueError("--word-bound must be at least 1")
-            spec.word_bound = args.word_bound
-        if args.seed is not None:
-            spec.seed = args.seed
+        # the same minimums as the [limits] keys they override
+        for key, minimum in (("depth", 1), ("word_bound", 1), ("seed", 0)):
+            value = getattr(args, key)
+            if value is not None:
+                if value < minimum:
+                    flag = "--" + key.replace("_", "-")
+                    raise ValueError(f"{flag} must be at least {minimum}")
+                setattr(spec, key, value)
         report, code = _HANDLERS[args.command](args, spec)
         if report:
             _emit(report, args)

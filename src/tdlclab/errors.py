@@ -24,14 +24,6 @@ class ClosureCapExceeded(RuntimeError):
         self.cap = cap
 
 
-class NotTransitive(ValueError):
-    """A point action required to be transitive is not."""
-
-
-class DecompositionNotFound(ValueError):
-    """No direct decomposition of the requested form exists."""
-
-
 class NotSkewering(ValueError):
     """The element does not move the given clopen strictly inside itself."""
 

@@ -13,12 +13,10 @@ lexicographic order on permutation image tuples.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, total_ordering
 
-from .errors import ClosureCapExceeded, DecompositionNotFound, NotTransitive
+from .errors import ClosureCapExceeded
 
 DEFAULT_CAP = 2**20
 
@@ -182,6 +180,8 @@ def parse_perm(text: str, degree: int) -> Perm:
             cycles.append(tuple(current))
             depth_open = False
         elif ch.isdigit():
+            if not depth_open:
+                raise ValueError(f"point outside a cycle in {text!r}")
             token += ch
         elif ch in " ,":
             flush_token()
@@ -300,9 +300,6 @@ class FiniteGroup:
             out.append(orb)
             left -= orb
         return out
-
-    def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
 
     def point_stabilizer(self, point: int) -> "FiniteGroup":
         elems = [g for g in self.element_list if g(point) == point]
@@ -686,122 +683,7 @@ def _is_semisimple(g: FiniteGroup) -> bool:
     return _internal_product_of_simples(g) is not None
 
 
-def char_simple_decompose(g: FiniteGroup) -> tuple[str, int]:
-    """Exhibit a characteristically simple group as F^k; (label(F), k)."""
-    if g.order == 1:
-        raise DecompositionNotFound("the trivial group has no simple factor")
-    factors = _internal_product_of_simples(g)
-    if factors is None:
-        raise DecompositionNotFound(
-            "not an internal direct product of minimal normal subgroups"
-        )
-    labels = {simple_label(f) for f in factors}
-    if len(labels) > 1:
-        raise DecompositionNotFound(
-            f"simple factors differ: {sorted(labels)}"
-        )
-    return labels.pop(), len(factors)
-
-
-# -- block systems -----------------------------------------------------------
-
-
-def _congruence(degree: int, pairs, gens=()) -> tuple[frozenset[int], ...]:
-    """Sorted blocks of the finest partition of 0..degree-1 that joins
-    each given pair and, whenever x and y are joined, gen(x) and gen(y)
-    for every one of ``gens``."""
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = list(pairs)
-    while queue:
-        x, y = queue.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[max(rx, ry)] = min(rx, ry)
-        queue.extend((gen(x), gen(y)) for gen in gens)
-    blocks: dict[int, set[int]] = {}
-    for x in range(degree):
-        blocks.setdefault(find(x), set()).add(x)
-    return tuple(sorted(frozenset(v) for v in blocks.values()))
-
-
-def block_systems(g: FiniteGroup) -> list[tuple[frozenset[int], ...]]:
-    """All nontrivial proper block systems of a transitive action."""
-    if not g.is_transitive():
-        raise NotTransitive("block systems need a transitive action")
-    minimal = set()
-    for b in range(1, g.degree):
-        minimal.add(_congruence(g.degree, [(0, b)], g.gens))
-    systems = set(minimal)
-    frontier = list(minimal)
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for m in minimal:
-                joined = _congruence(
-                    g.degree,
-                    [(min(block), y) for part in (s, m) for block in part for y in block],
-                )
-                if joined not in systems:
-                    systems.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    out = [
-        s
-        for s in systems
-        if 1 < len(s) < g.degree
-    ]
-    return sorted(out, key=lambda s: (len(s), s))
-
-
-def is_primitive(g: FiniteGroup) -> bool:
-    if not g.is_transitive():
-        raise NotTransitive("primitivity needs a transitive action")
-    return not block_systems(g)
-
-
-def is_quasi_primitive(g: FiniteGroup) -> bool:
-    """Every nontrivial normal subgroup acts transitively."""
-    if not g.is_transitive():
-        raise NotTransitive("quasi-primitivity needs a transitive action")
-    for n in g.normal_subgroups:
-        if n.order == 1:
-            continue
-        if len(n.orbit(0)) != g.degree:
-            return False
-    return True
-
-
 # -- named checks from the structure theory ----------------------------------
-
-
-def fitting_check(
-    g: FiniteGroup, a: FiniteGroup, n: FiniteGroup, x: Perm
-) -> dict:
-    """If [A, xAx^-1] = 1 for some x in a normal N, then [A,A] <= N."""
-    if not g.is_normal(n):
-        raise ValueError("N must be normal in G")
-    if x not in n:
-        raise ValueError("x must lie in N")
-    conj = [p.conjugate_by(x) for p in a.element_list]
-    hypothesis = all(
-        (p * q * p.inverse() * q.inverse()).is_identity()
-        for p in a.element_list
-        for q in conj
-    )
-    conclusion = n.contains_group(a.derived_subgroup())
-    return {
-        "hypothesis": hypothesis,
-        "conclusion": conclusion,
-        "holds": (not hypothesis) or conclusion,
-    }
 
 
 def is_subnormal_chain(chain: list[FiniteGroup]) -> bool:
@@ -825,33 +707,6 @@ def wielandt_check(
     pi_ok = pi_core(g, pi).normalises(pi_residual(s, pi))
     sol_ok = prosoluble_core(g).normalises(prosoluble_residual(s))
     return {"pi": pi_ok, "prosoluble": sol_ok, "holds": pi_ok and sol_ok}
-
-
-def core_refinement_check(
-    g: FiniteGroup,
-    u: FiniteGroup,
-    v: FiniteGroup,
-    pi: set[int] | frozenset[int],
-) -> dict:
-    """Containments O_pi(U) ∩ W <= O_pi(W) <= O_pi(V) for W = core_V(U ∩ V)."""
-    inter = u.element_set & v.element_set
-    w_elems = set(inter)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(w_elems):
-            for gen in v.gens:
-                if x.conjugate_by(gen) not in w_elems:
-                    w_elems.discard(x)
-                    changed = True
-                    break
-    w = g.subgroup_from_elements(w_elems)
-    o_u = pi_core(u, pi)
-    o_w = pi_core(w, pi)
-    o_v = pi_core(v, pi)
-    first = (o_u.element_set & w.element_set) <= o_w.element_set
-    second = o_v.contains_group(o_w)
-    return {"first": first, "second": second, "holds": first and second}
 
 
 # -- standard constructions ----------------------------------------------------

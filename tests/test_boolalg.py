@@ -15,7 +15,6 @@ import pytest
 
 from tdlclab.boolalg import (
     CylinderClopen,
-    DepthPartition,
     format_address,
     format_clopen,
     parse_address,
@@ -314,26 +313,6 @@ def test_measure_is_additive_seeded():
         assert a.measure() + b.measure() == a.join(b).measure() + a.meet(
             b
         ).measure()
-
-
-# -- partitions ------------------------------------------------------------------
-
-
-def test_depth_partition_valid():
-    part = DepthPartition(
-        T3, tuple(CylinderClopen.cylinder(T3, a) for a in T3.sphere(2))
-    )
-    assert len(part.parts) == 6
-
-
-def test_partition_rejects_overlap():
-    with pytest.raises(ValueError):
-        DepthPartition(T3, (clop(T3, (0,)), clop(T3, (0, 1)), clop(T3, (1,))))
-
-
-def test_partition_rejects_gap():
-    with pytest.raises(ValueError):
-        DepthPartition(T3, (clop(T3, (0,)), clop(T3, (1,))))
 
 
 # -- textual form -------------------------------------------------------------------

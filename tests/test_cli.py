@@ -630,6 +630,17 @@ def test_exit_code_missing_file(capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--depth", "0"), ("--word-bound", "0"), ("--seed", "-1")]
+)
+def test_override_below_minimum_exits_2_without_report(spec_file, capsys, flag, value):
+    # a spec's [limits] rejects these values; the flags must too
+    code, _, captured = run_cli(capsys, "dynamics", "proximal", spec_file(US3), flag, value)
+    assert code == 2
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_console_entry_point_subprocess(spec_file):
     proc = subprocess.run(
         [sys.executable, "-m", "tdlclab.cli", "dynamics", "minimal", spec_file(US3)],

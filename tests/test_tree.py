@@ -534,9 +534,8 @@ def test_congruence_kernel_example():
     assert w2.order == 8
     u1 = congruence_kernel(w2, R2, 2, 1)
     assert u1.order == 4
-    from tdlclab.permgrp import char_simple_decompose
-
-    assert char_simple_decompose(u1) == ("C2", 2)
+    # order 4 and exponent 2: u1 is C2 x C2
+    assert all(x.order() <= 2 for x in u1.element_set)
     u0 = congruence_kernel(w2, R2, 2, 0)
     assert u0.same_group(w2)
     assert w2.quotient(u1).order == 2
