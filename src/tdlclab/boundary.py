@@ -423,7 +423,9 @@ def tits_core_generators(
     itself conjugate witnesses to elements supported back in beta and
     allowed by the local group.  A rotation rho that moves beta cannot
     pass, since rho rist(beta) rho^-1 is rist(rho beta); it is not
-    checked and not counted in ``rotation_count``.
+    checked and not counted in ``rotation_count``.  When no rotation maps
+    beta onto itself (``rotation_count`` 0) there is nothing to normalise,
+    and ``cone_rotations_normalise`` is left out of ``checks``.
     """
     shape = g.shape
     alpha = _attracting_half_tree(g, 1)
@@ -447,12 +449,6 @@ def tits_core_generators(
             rotations.append(IsometrySpec(shape, sites=((ROOT, perm),)))
     rotations = [rho for rho in rotations if spec_image_clopen(rho, beta_f) == beta_f]
 
-    norm_ok = all(
-        support_in(tab, beta_f) and in_universal_group(tab, local)
-        for rho in rotations
-        for tab in conjugate_tables(rho, 1, gens_f, depth + 2)
-    )
-
     checks = {
         "forward_witnesses_contract": all(
             c["verdict"] == "contracts" for c in certs_f
@@ -460,9 +456,14 @@ def tits_core_generators(
         "backward_witnesses_contract": all(
             c["verdict"] == "contracts" for c in certs_b
         ),
-        "cone_rotations_normalise": norm_ok,
         "witness_families_nonempty": bool(gens_f) and bool(gens_b),
     }
+    if rotations:
+        checks["cone_rotations_normalise"] = all(
+            support_in(tab, beta_f) and in_universal_group(tab, local)
+            for rho in rotations
+            for tab in conjugate_tables(rho, 1, gens_f, depth + 2)
+        )
     report = {
         "alpha_forward": str(alpha),
         "beta_forward": str(beta_f),

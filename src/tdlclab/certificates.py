@@ -20,6 +20,8 @@ SCHEMA_VERSION = 1
 
 def normalise(value):
     """Fold library and container types onto plain JSON values."""
+    if isinstance(value, str):  # the commonest leaf, tested first
+        return value
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
@@ -36,8 +38,6 @@ def normalise(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return value
-    if isinstance(value, str):
         return value
     if isinstance(value, float):
         raise TypeError("floats have no canonical bytes; use Fraction")

@@ -437,8 +437,9 @@ def _envelope(command: str, spec: GroupSpec, parameters: dict, results: dict,
         "command": command,
         "tool_version": __version__,
         "spec_hash": spec_hash(spec.text),
-        "parameters": normalise(parameters),
-        "results": normalise(results),
+        # canonical_json in _emit normalises once; the text format too
+        "parameters": parameters,
+        "results": results,
         "certificates": certificates or [],
         "bounds": {
             "depth": spec.depth,
@@ -482,7 +483,7 @@ def _emit(report: dict, args) -> None:
         verdict = report["results"].get("verdict", "done")
         print(f"# {report['command']}: {verdict}", file=sys.stderr)
     else:
-        for line in _flatten(report):
+        for line in _flatten(normalise(report)):
             print(line)
     out = getattr(args, "out", None)
     if out and args.command != "certify":

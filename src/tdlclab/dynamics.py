@@ -6,9 +6,13 @@ Searches are breadth-first by word length with a fixed generator order,
 so the first witness is deterministic.  Image states are deduplicated on
 the exact clopen value: every enumerated set is the exact image of the
 starting set under the recorded word, which keeps reachability sound
-for end-level claims.  A search that closes its orbit below the word
-bound refutes; one that is cut off by the bound reports exhaustion, and
-the two outcomes are never conflated.
+for end-level claims.  On one tree the word-image searches key a
+one-cylinder clopen by its vertex, the address tuple, and every other
+state by its clopen; the two never name the same value, and a vertex
+deeper than a generator's displacement moves by applying the generator
+to its address.  On two copies every state is a pair.  A search that
+closes its orbit below the word bound refutes; one that is cut off by
+the bound reports exhaustion, and the two outcomes are never conflated.
 """
 from __future__ import annotations
 
@@ -30,6 +34,14 @@ from .tree import (
 Word = tuple[str, ...]
 
 _RHS = -1  # the right-side key of a sparse simplex row
+
+
+def _state_of(clopen: CylinderClopen):
+    """The search state of a clopen: its vertex when it is one cylinder."""
+    if len(clopen.cover) == 1:
+        (vertex,) = clopen.cover
+        return vertex
+    return clopen
 
 
 class ActionContext:
@@ -59,23 +71,28 @@ class ActionContext:
         self.word_bound = word_bound
         self._gens: dict[str, SpecWord] = {}
         self._inverse_names: dict[str, str] = {}
+        # each generator's spec map on an address, for vertex steps; the
+        # one-factor SpecWord._apply costs 3.2 us a step against 2.5 us,
+        # about 1 s of the 1.5 million steps of check_minimal at depth 8
+        self._vertex_image: dict = {}
         for name, spec in generators.items():
             if "~" in name:
                 raise ValueError("generator names may not contain '~'")
             word = SpecWord.of(spec)
             self._gens[name] = word
+            self._vertex_image[name] = spec._apply
             radius = depth + 2 * abs(spec.displacement) + spec.depth + 2
             square = SpecWord(shape, ((spec, 2),))
             if square.is_identity_on(radius):
                 self._inverse_names[name] = name
             else:
                 self._gens[name + "~"] = word.inverse()
+                self._vertex_image[name + "~"] = spec._apply_inverse
                 self._inverse_names[name] = name + "~"
                 self._inverse_names[name + "~"] = name
         self.gen_names = tuple(self._gens)
-        self.max_displacement = max(
-            abs(w.displacement) for w in self._gens.values()
-        )
+        self._displacement = {name: w.displacement for name, w in self._gens.items()}
+        self.max_displacement = max(self._displacement.values())
         self._image_memo: dict[tuple[str, CylinderClopen], CylinderClopen] = {}
 
     def generator(self, name: str) -> SpecWord:
@@ -91,7 +108,14 @@ class ActionContext:
         return sphere_list(self.shape, self.depth)
 
     def state_clopen(self, state) -> CylinderClopen:
-        return CylinderClopen.cylinder(self.shape, state)
+        """The clopen of a search state: a vertex stands for its cylinder."""
+        if type(state) is tuple:
+            return CylinderClopen.cylinder(self.shape, state)
+        return state
+
+    def search_state(self, state):
+        """The word-image search state of a depth-n state: its vertex."""
+        return state
 
     def state_label(self, state) -> str:
         return format_address(self.shape, state)
@@ -109,9 +133,27 @@ class ActionContext:
             clopen = self.image(name, clopen)
         return clopen
 
-    def met_states(self, clopen: CylinderClopen) -> frozenset:
-        """The states whose cylinders meet the clopen."""
-        return clopen.shadow(self.depth)
+    def met_states(self, state) -> frozenset:
+        """The states whose cylinders meet a clopen or a vertex's cylinder."""
+        if type(state) is tuple and len(state) >= self.depth:
+            return frozenset((state[: self.depth],))
+        return self.state_clopen(state).shadow(self.depth)
+
+    def _step(self, name: str, state):
+        """One search step.  The cylinder at a vertex deeper than the
+        generator's displacement is its own atom in ``spec_image_clopen``,
+        so its image is the cylinder at the image vertex; any other state
+        goes through the memoised image, and a one-cylinder image becomes
+        a vertex again."""
+        if type(state) is tuple and len(state) > self._displacement[name]:
+            return self._vertex_image[name](state)
+        return _state_of(self.image(name, self.state_clopen(state)))
+
+    def _strictly_inside(self, state, addr) -> bool:
+        """Whether a search state lies strictly inside the cylinder at addr."""
+        if type(state) is tuple:
+            return len(state) > len(addr) and state[: len(addr)] == addr
+        return state.lt(self.state_clopen(addr))
 
     def top(self) -> CylinderClopen:
         return CylinderClopen.top(self.shape)
@@ -187,6 +229,10 @@ class TwoCopyContext:
             return PairClopen(cyl, self._zero)
         return PairClopen(self._zero, cyl)
 
+    def search_state(self, state) -> PairClopen:
+        """The word-image search state of a copy-tagged state: its pair."""
+        return self.state_clopen(state)
+
     def state_label(self, state) -> str:
         copy, addr = state
         return f"{copy}:{self._base.state_label(addr)}"
@@ -204,6 +250,12 @@ class TwoCopyContext:
             for copy, side in enumerate((pair.left, pair.right))
             for s in self._base.met_states(side)
         )
+
+    @property
+    def _step(self):
+        """The search step on pairs: the image itself, with no frame of
+        its own on every step."""
+        return self.image
 
     def top(self) -> PairClopen:
         return PairClopen(self._top, self._top)
@@ -245,18 +297,21 @@ def reachable_images(ctx, start):
 
 
 def _first_words(ctx, start, inside: bool = False) -> dict:
-    """State -> first breadth-first word whose image of ``start`` meets it.
+    """State -> first breadth-first word whose image of the cylinder at
+    the state ``start`` meets it.
 
     With ``inside`` a state is recorded only when the image lies strictly
     inside its cylinder.  The depth-n cylinders partition the boundary,
     so that is an image meeting that one state and differing from its
-    cylinder.  The search stops once every state is recorded.
+    cylinder; search states name each clopen once, so they are compared
+    as states.  The search stops once every state is recorded.
     """
     total = len(ctx.states())
     found: dict = {}
-    for clopen, word in reachable_images(ctx, start):
-        met = ctx.met_states(clopen)
-        if inside and (len(met) != 1 or clopen == ctx.state_clopen(next(iter(met)))):
+    search = _bfs(ctx.gen_names, ctx.word_bound, ctx._step, ctx.search_state(start))
+    for state, word in search:
+        met = ctx.met_states(state)
+        if inside and (len(met) != 1 or state == ctx.search_state(next(iter(met)))):
             continue
         for b in met:
             found.setdefault(b, word)
@@ -273,18 +328,18 @@ def check_minimal(ctx) -> dict:
     counterexample.
     """
     states = ctx.states()
+    labels = {s: ctx.state_label(s) for s in states}
     witnesses: dict[str, list[str]] = {}
     counterexample = None
     longest = 0
     for a in states:
-        met = _first_words(ctx, ctx.state_clopen(a))
+        met = _first_words(ctx, a)
         for b in states:
             if b in met:
-                key = f"{ctx.state_label(a)}->{ctx.state_label(b)}"
-                witnesses[key] = list(met[b])
+                witnesses[f"{labels[a]}->{labels[b]}"] = list(met[b])
                 longest = max(longest, len(met[b]))
             elif counterexample is None:
-                counterexample = [ctx.state_label(a), ctx.state_label(b)]
+                counterexample = [labels[a], labels[b]]
     minimal = counterexample is None
     return {
         "verdict": "minimal-at-depth" if minimal else "not-minimal-at-depth",
@@ -319,17 +374,14 @@ def skewering_search(ctx) -> dict:
             "word_bound": ctx.word_bound,
             "candidates_tested": 0,
         }
-    candidates = [
-        CylinderClopen.cylinder(shape, addr)
-        for k in range(1, ctx.depth + 1)
-        for addr in sphere_list(shape, k)
-    ]
+    candidates = [addr for k in range(1, ctx.depth + 1) for addr in sphere_list(shape, k)]
     all_saturated = True
-    for alpha in candidates:
+    for a in candidates:
         saturated = True
-        for clopen, word in reachable_images(ctx, alpha):
-            if word and clopen.lt(alpha):
-                galpha = clopen
+        for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx._step, a):
+            if word and ctx._strictly_inside(state, a):
+                alpha = ctx.state_clopen(a)
+                galpha = ctx.state_clopen(state)
                 return {
                     "verdict": "found",
                     "word": list(word),
@@ -372,7 +424,7 @@ def minorising_set(ctx) -> dict:
     states = ctx.states()
     coverage: dict = {}
     for c in states:
-        found = _first_words(ctx, ctx.state_clopen(c), inside=True)
+        found = _first_words(ctx, c, inside=True)
         coverage[c] = found
         if len(found) == len(states):
             return _minorising_report(ctx, [c], {b: (c, w) for b, w in found.items()})
@@ -438,7 +490,7 @@ def minorising_degree(ctx) -> dict:
     """
     initial = None if ctx.all_fix_base() else minorising_set(ctx)["set"]
     states = ctx.states()
-    shadows = {c: frozenset(_first_words(ctx, ctx.state_clopen(c))) for c in states}
+    shadows = {c: frozenset(_first_words(ctx, c)) for c in states}
     distinct = sorted(set(shadows.values()), key=lambda s: sorted(map(ctx.state_label, s)))
     minimal_opens = [
         s for s in distinct

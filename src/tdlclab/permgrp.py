@@ -657,30 +657,22 @@ def minimal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
     return out
 
 
-def _internal_product_of_simples(g: FiniteGroup):
-    """Greedy internal direct product of minimal normal subgroups, or None."""
-    mins = minimal_normal_subgroups(g)
-    picked = []
+def _is_semisimple(g: FiniteGroup) -> bool:
+    """Whether the minimal normal subgroups, each simple, join greedily
+    into an internal direct product that is all of g."""
+    if g.order == 1:
+        return True
     current = g.subgroup(())
-    for m in mins:
+    for m in minimal_normal_subgroups(g):
         if not is_simple(m):
-            return None
+            return False
         if current.element_set & m.element_set != {g.identity()}:
             continue
         joined = g.subgroup(tuple(current.gens) + tuple(m.gens))
         if joined.order != current.order * m.order:
-            return None
-        picked.append(m)
+            return False
         current = joined
-    if current.order != g.order:
-        return None
-    return picked
-
-
-def _is_semisimple(g: FiniteGroup) -> bool:
-    if g.order == 1:
-        return True
-    return _internal_product_of_simples(g) is not None
+    return current.order == g.order
 
 
 # -- named checks from the structure theory ----------------------------------

@@ -79,6 +79,15 @@ def free_reduce(word) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _join_reduced(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """``free_reduce(left + right)`` for two freely reduced words: letters
+    cancel only where the two words meet."""
+    k, most = 0, min(len(left), len(right))
+    while k < most and left[-1 - k] == right[k]:
+        k += 1
+    return left[: len(left) - k] + right[k:]
+
+
 def step(shape: TreeShape, addr: Address, colour: int) -> Address:
     """Neighbour of addr in direction colour (regular shapes only)."""
     if addr and addr[-1] == colour:
@@ -272,7 +281,7 @@ class IsometrySpec:
         out.extend(tail if site is None else [site[0][x] for x in tail])
         if not self.word:
             return tuple(out)
-        return free_reduce(self.word + tuple(out))
+        return _join_reduced(self.word, tuple(out))  # out is legal, so reduced
 
     def _apply_inverse(self, addr: Address) -> Address:
         """Strip the word, then solve the portrait letter by letter.
@@ -283,7 +292,7 @@ class IsometrySpec:
         must be legal; it stays legal once the word is stripped.
         """
         if self.word:
-            addr = free_reduce(tuple(reversed(self.word)) + addr)
+            addr = _join_reduced(self.word[::-1], addr)
         smap, reach = self.site_map, self.depth
         out: list[int] = []
         if self.shape.kind == "rooted":

@@ -28,6 +28,12 @@ of the domain, and the support oracle every vertex of the ball outside
 the region, where ``tables_commute`` and ``support_in`` read only the
 points a table moves.
 
+The first-words and skewering oracles are the word-image searches as
+they were before one-cylinder states became vertices: every state is a
+clopen (a pair on two copies), and every step goes through the
+context's memoised ``image``, so every image is refined, moved atom by
+atom and put back in canonical form.
+
 The congruence-kernel oracle is the element filter
 ``tree.congruence_kernel`` used before it moved to Schreier generators:
 it closes the whole level group and keeps every element that fixes each
@@ -39,6 +45,7 @@ import itertools
 from fractions import Fraction
 
 from tdlclab.boolalg import CylinderClopen, sphere_list
+from tdlclab.dynamics import reachable_images
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
 from tdlclab.tree import SpecWord
 
@@ -299,6 +306,37 @@ def oracle_invariance_rows(ctx) -> tuple[list, int]:
             if coeffs:
                 rows.append((coeffs, Fraction(0)))
     return rows, len(atoms)
+
+
+def oracle_first_words(ctx, start, inside: bool = False) -> dict:
+    """``dynamics._first_words`` on clopen states; ``start`` is a clopen."""
+    total = len(ctx.states())
+    found: dict = {}
+    for clopen, word in reachable_images(ctx, start):
+        met = ctx.met_states(clopen)
+        if inside and (len(met) != 1 or clopen == ctx.state_clopen(next(iter(met)))):
+            continue
+        for b in met:
+            found.setdefault(b, word)
+        if len(found) == total:
+            break
+    return found
+
+
+def oracle_skewering(ctx) -> dict:
+    """``skewering_search`` on clopen states: the first word, alpha and
+    galpha strictly inside alpha, else whether every candidate's orbit
+    closed below the bound."""
+    all_saturated = True
+    for k in range(1, ctx.depth + 1):
+        for addr in sphere_list(ctx.shape, k):
+            alpha = CylinderClopen.cylinder(ctx.shape, addr)
+            for clopen, word in reachable_images(ctx, alpha):
+                if word and clopen.lt(alpha):
+                    return {"word": list(word), "alpha": alpha, "galpha": clopen}
+                if len(word) >= ctx.word_bound:
+                    all_saturated = False
+    return {"saturated": all_saturated}
 
 
 def oracle_contraction_certificate(g, u, ball_radius: int, direction: int = 1) -> dict:

@@ -348,18 +348,21 @@ def test_tits_core_generators_certified_both_ways():
     assert rep["beta_backward"] == "{12}"
     assert rep["cone_vertex"] == "02"
     assert rep["rotation_count"] >= 1
+    assert rep["checks"]["cone_rotations_normalise"] is True
     assert rep["forward_onsets"] == rep["backward_onsets"]
 
 
 def test_tits_core_verifies_a_translation_of_length_two():
     # beta = {012,02} has cone vertex 0, and the (1 2) rotation there swaps
     # 01 and 02: it maps rist(beta) onto rist({021,01}), never back into
-    # beta, so it is not a normaliser to check
+    # beta, so it is not a normaliser to check, and with no rotation left
+    # the normalisation check is left out, not reported as passed
     g = hyperbolic_isometry(T3, (0, 1))
     gens, rep = tits_core_generators(S3, g, 3)
     assert rep["beta_forward"] == "{012,02}"
     assert rep["cone_vertex"] == "0"
     assert rep["rotation_count"] == 0
+    assert "cone_rotations_normalise" not in rep["checks"]
     assert all(rep["checks"].values())
     assert rep["verdict"] == "verified"
     assert gens

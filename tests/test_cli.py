@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from tdlclab import cli
+from tdlclab.certificates import canonical_json, normalise
 from tdlclab.errors import PrecisionExhausted, SpecFileError
 
 US3 = """\
@@ -515,15 +516,62 @@ def test_certify_tits_core_word_element_reports(spec_file, capsys, tmp_path):
 def test_certify_tits_core_length_two_translation_exits_zero(
     spec_file, capsys, tmp_path, text, element
 ):
-    # rotations that move beta used to fail the normalisation check (exit 1)
+    # rotations that move beta used to fail the normalisation check (exit 1);
+    # with none left to check, neither report nor certificate claims it passed
+    out = tmp_path / "tc.cert.json"
     code, report, _ = run_cli(
         capsys,
         "certify", "tits-core", spec_file(text), "--element", element,
-        "--out", str(tmp_path / "tc.cert.json"),
+        "--out", str(out),
     )
     assert code == 0
     assert report["results"]["verdict"] == "verified"
     assert report["results"]["rotation_count"] == 0
+    assert "cone_rotations_normalise" not in report["results"]["checks"]
+    assert "cone_rotations_normalise" not in json.loads(out.read_text())["checks"]
+
+
+# ------------------------------------------------------------ serialisation
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (US3_ELEMENTS, ["dynamics", "minimal", "--depth", "3"]),
+        # Fraction weights, which normalise writes as text
+        (LONE_AXIS, ["dynamics", "measure", "--depth", "2"]),
+        (US3_ELEMENTS, ["certify", "goodshrink", "--element", "g"]),
+    ],
+    ids=["minimal", "measure", "certify"],
+)
+def test_one_normalise_pass_writes_what_two_passes_wrote(
+    spec_file, capsys, tmp_path, monkeypatch, text, argv
+):
+    # the envelope keeps raw results and canonical_json normalises them
+    # once; the bytes must equal those of the normalised envelope that the
+    # CLI used to serialise, and the text format must show the same values
+    reports, certs = [], []
+    emit, make_cert = cli._emit, cli.certificate
+    monkeypatch.setattr(cli, "_emit", lambda report, args: reports.append(report) or emit(report, args))
+    monkeypatch.setattr(cli, "certificate", lambda **kw: certs.append(make_cert(**kw)) or certs[-1])
+    out = tmp_path / "c.cert.json"
+    argv = [*argv[:2], spec_file(text), *argv[2:], "--out", str(out)]
+    code = cli.main(argv)
+    payload = capsys.readouterr().out
+    assert code in (0, 1)  # a feasible measure is the refuted verdict
+    (report,) = reports
+    assert payload == canonical_json(normalise(report)) + "\n"
+    if argv[1] == "measure":
+        assert report["results"]["uniform"] is False
+    if argv[0] == "certify":
+        (cert,) = certs
+        assert out.read_text() == canonical_json(normalise(cert)) + "\n"
+    else:
+        assert out.read_text() == payload
+        assert not certs
+    assert cli.main([*argv, "--format", "text"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines) == sorted(cli._flatten(json.loads(payload)))
 
 
 # -------------------------------------------------------------------- export

@@ -11,11 +11,16 @@ from tdlclab.boolalg import ROOT, CylinderClopen, regular
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import SearchExhausted
 from tdlclab.permgrp import FiniteGroup, Perm, symmetric_group
-from tdlclab.tree import IsometrySpec, hyperbolic_isometry, spec_image_clopen
+from tdlclab.tree import IsometrySpec, hyperbolic_isometry, site_group, spec_image_clopen
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
 
-from oracles import oracle_invariance_rows, oracle_phase_one_feasible
+from oracles import (
+    oracle_first_words,
+    oracle_invariance_rows,
+    oracle_phase_one_feasible,
+    oracle_skewering,
+)
 
 T3 = regular(3)
 S3 = symmetric_group(3)
@@ -249,6 +254,105 @@ def test_dense_orbit_check_agrees_with_check_minimal(name):
     assert report["degree"] == degree
     minimal = dy.check_minimal(ctx)["verdict"] == "minimal-at-depth"
     assert report["dense_orbit_check"] == (minimal if degree == 1 else None)
+
+
+# ------------------------------------------------- vertex states vs clopens
+
+
+def _axis01_context(depth):
+    # displacement 2: a vertex of length 2 is not its own atom, so it
+    # moves through the clopen path
+    gens = {
+        "g": hyperbolic_isometry(T3, (0, 1)),
+        "r": IsometrySpec(T3, sites=(((), S3.pruned_gens[0]),)),
+    }
+    return dy.ActionContext(T3, S3, gens, depth=depth, word_bound=5)
+
+
+_VERTEX_CONTEXTS = {
+    **{
+        f"translation-rotation-{n}": (lambda n=n: dy.translation_rotation_context(S3, depth=n))
+        for n in (2, 3, 4, 5)
+    },
+    **{f"axis01-{n}": (lambda n=n: _axis01_context(n)) for n in (2, 3)},
+    "skewering-3": lambda: dy.skewering_context(S3, depth=3),
+    "rotations-only-2": lambda: dy.rotation_context(S3, depth=2),
+    "rotations-only-3": lambda: dy.rotation_context(S3, depth=3),
+    "two-copy-2": lambda: dy.two_copy_product_context(S3, depth=2),
+    "two-copy-3": lambda: dy.two_copy_product_context(S3, depth=3, word_bound=4),
+}
+
+
+def _assert_searches_match_oracles(ctx):
+    for inside in (False, True):
+        for a in ctx.states():
+            want = oracle_first_words(ctx, ctx.state_clopen(a), inside)
+            assert dy._first_words(ctx, a, inside) == want, (a, inside)
+    if isinstance(ctx, dy.TwoCopyContext):
+        return None
+    report = dy.skewering_search(ctx)
+    if ctx.all_fix_base():
+        assert report["verdict"] == "refuted_at_depth"
+        return report["verdict"]
+    want = oracle_skewering(ctx)
+    if report["verdict"] == "found":
+        got = {k: report[k] for k in ("word", "alpha", "galpha")}
+    else:
+        got = {"saturated": report["verdict"] == "refuted_at_depth"}
+    assert got == want
+    return report["verdict"]
+
+
+@pytest.mark.parametrize("name", sorted(_VERTEX_CONTEXTS))
+def test_vertex_searches_match_clopen_oracles(name):
+    _assert_searches_match_oracles(_VERTEX_CONTEXTS[name]())
+
+
+def _random_context(rng):
+    """One to three random translations, edge inversions and single-site
+    rotations on the 3-regular tree, at depth 1 to 3."""
+    gens = {}
+    for k in range(rng.randint(1, 3)):
+        kind = rng.choice(("axis", "inversion", "site"))
+        if kind == "axis":
+            length = rng.randint(1, 3)
+            while True:
+                axis = tuple(rng.randrange(3) for _ in range(length))
+                if all(x != y for x, y in zip(axis, axis[1:])) and (
+                    length == 1 or axis[0] != axis[-1]
+                ):
+                    break
+            gens[f"a{k}"] = hyperbolic_isometry(T3, axis)
+        elif kind == "inversion":
+            gens[f"m{k}"] = IsometrySpec(T3, word=(rng.randrange(3),))
+        else:
+            site = rng.choice([v for n in range(3) for v in T3.sphere(n)])
+            perm = rng.choice(sorted(site_group(T3, S3, site).element_set, key=str))
+            gens[f"s{k}"] = IsometrySpec(T3, sites=((site, perm),))
+    return dy.ActionContext(
+        T3, S3, gens, depth=rng.randint(1, 3), word_bound=rng.randint(1, 5)
+    )
+
+
+def test_vertex_searches_match_clopen_oracles_seeded():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(60):
+        verdicts.add(_assert_searches_match_oracles(_random_context(rng)))
+    assert verdicts == {"found", "refuted_at_depth", "not-found-within-bounds"}
+
+
+def test_check_minimal_moves_deep_vertices_without_clopen_images(monkeypatch):
+    # a one-cylinder state deeper than the mover's displacement is its own
+    # atom, so the search must never hand it to spec_image_clopen
+    def guarded(mover, clopen):
+        if len(clopen.cover) == 1 and clopen.depth > len(mover.apply(ROOT)):
+            raise AssertionError(f"clopen image of the deep cylinder {clopen}")
+        return spec_image_clopen(mover, clopen)
+
+    monkeypatch.setattr(dy, "spec_image_clopen", guarded)
+    ctx = dy.translation_rotation_context(S3, depth=5)
+    assert dy.check_minimal(ctx)["verdict"] == "minimal-at-depth"
 
 
 # ------------------------------------------------------------- compression

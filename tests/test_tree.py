@@ -21,6 +21,7 @@ from tdlclab.permgrp import (
 )
 from tdlclab.tree import (
     BallIsometry,
+    _join_reduced,
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
@@ -291,6 +292,18 @@ def test_free_reduce():
     assert free_reduce((0, 1, 1, 2)) == (0, 2)
     assert free_reduce((0, 0)) == ()
     assert free_reduce((0, 1, 0)) == (0, 1, 0)
+
+
+def test_join_reduced_matches_free_reduce_seeded():
+    # IsometrySpec applies its word by cancelling only at the junction of
+    # two reduced words
+    rng = random.Random(5)
+    words = [w for n in range(5) for w in T3.sphere(n)]
+    for _ in range(400):
+        left, right = rng.choice(words), rng.choice(words)
+        assert _join_reduced(left, right) == free_reduce(left + right)
+    assert _join_reduced((0, 1, 2), (2, 1, 0)) == ()
+    assert _join_reduced((0, 1), (1, 2)) == (0, 2)
 
 
 def test_unit_translation_images():

@@ -53,10 +53,11 @@ def cases() -> list[tuple[str, list[str]]]:
     for check in ("proximal", "measure", "minimal", "skewering", "minorising"):
         for depth in (3, 4):
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
-    for check in ("minimal", "degree"):
+    for check in ("minimal", "degree", "minorising"):
         out.append(("two-copy", ["dynamics", check, "spec.ini"]))
-        # far deeper word images than the depth-3/4 cases above
-        for depth in (5, 6):
+    # far deeper word images than the depth-3/4 cases above
+    for check, depths in (("minimal", (5, 6, 7)), ("degree", (5, 6, 7)), ("skewering", (5, 6))):
+        for depth in depths:
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
     for spec, depth in (("lone-axis", 2), ("lone-axis", 3), ("regular-sym3", 5)):
         out.append((spec, ["dynamics", "measure", "spec.ini", "--depth", str(depth)]))
