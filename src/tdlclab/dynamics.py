@@ -793,18 +793,42 @@ def _phase_one_feasible(
     }
 
 
-def invariant_measure_search(ctx: ActionContext) -> dict:
-    """Exact feasibility of a generator-invariant probability on cylinders.
+def _forcing_order(
+    rows: list[tuple[dict[int, Fraction], Fraction]], nvars: int
+) -> tuple[list[int], int]:
+    """LP presolve's forcing rule on the zero-rhs rows, for x >= 0.
 
-    Variables are the atoms one displacement level below the working
-    depth, so every generator image of a working cylinder is a union of
-    them.  The uniform weights are tried first; otherwise phase-one
-    simplex decides feasibility over the rationals.  An infeasible
-    system is explained by the skewering chain: invariance forces equal
-    weight on arbitrarily many pairwise-disjoint translates.
+    A zero-rhs row whose nonzero coefficients on live (not yet forced)
+    atoms all have one sign forces each of those atoms to 0, and every
+    row that holds a newly forced atom is queued again.  Returns the
+    indices of the rows that forced atoms, in the order they did, and
+    the number of atoms left live.
     """
-    if not isinstance(ctx, ActionContext):
-        raise TypeError("measure search runs on the single-tree context")
+    rows_of: list[list[int]] = [[] for _ in range(nvars)]
+    for i, (coeffs, rhs) in enumerate(rows):
+        if not rhs:
+            for j in coeffs:
+                rows_of[j].append(i)
+    live = [True] * nvars
+    queue = deque(i for i, (_, rhs) in enumerate(rows) if not rhs)
+    order = []
+    while queue:
+        i = queue.popleft()
+        coeffs = rows[i][0]
+        side = [j for j, v in coeffs.items() if v and live[j]]
+        if not side or len({coeffs[j] > 0 for j in side}) != 1:
+            continue
+        order.append(i)
+        for j in side:
+            live[j] = False
+            queue.extend(rows_of[j])
+    return order, sum(live)
+
+
+def _invariance_rows(ctx: ActionContext) -> tuple[list, int]:
+    """The unit-sum row, then one zero-rhs row per generator and working
+    cylinder C over the atoms one displacement level deeper: +1 on the
+    atoms of g·C outside C and -1 on those of C outside g·C."""
     depth = ctx.depth
     shape = ctx.shape
     level = depth + ctx.max_displacement
@@ -822,8 +846,33 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
             coeffs.update({index[a]: -one for a in inside - image})
             if coeffs:
                 rows.append((coeffs, Fraction(0)))
+    return rows, len(atoms)
 
-    uniform = Fraction(1, len(atoms))
+
+def invariant_measure_search(ctx: ActionContext) -> dict:
+    """Exact feasibility of a generator-invariant probability on cylinders.
+
+    Variables are the atoms one displacement level below the working
+    depth, so every generator image of a working cylinder is a union of
+    them.  The decision runs in three steps.  First the uniform weights
+    are tried.  Then the forcing rule: every weight is nonnegative, so an
+    invariance row with one side empty forces the atoms on its other side
+    to 0; when that forces every atom the unit-sum row cannot hold, and
+    the system is infeasible with no pivot.  Otherwise phase-one simplex
+    decides feasibility over the rationals on the unchanged rows, so a
+    feasible report keeps the vertex the full tableau reaches.  An
+    infeasible system is explained by the skewering chain: invariance
+    forces equal weight on arbitrarily many pairwise-disjoint translates.
+    """
+    if not isinstance(ctx, ActionContext):
+        raise TypeError("measure search runs on the single-tree context")
+    depth = ctx.depth
+    shape = ctx.shape
+    level = depth + ctx.max_displacement
+    rows, nvars = _invariance_rows(ctx)
+    atoms = sphere_list(shape, level)
+
+    uniform = Fraction(1, nvars)
     if all(
         sum(v * uniform for v in coeffs.values()) == rhs
         for coeffs, rhs in rows
@@ -836,7 +885,8 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
             "weights": {format_address(shape, a): uniform for a in atoms},
         }
 
-    feasible, solution = _phase_one_feasible(rows, len(atoms))
+    _, live = _forcing_order(rows, nvars)
+    feasible, solution = _phase_one_feasible(rows, nvars) if live else (False, {})
     if feasible:
         return {
             "verdict": "feasible",
@@ -845,7 +895,7 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
             "uniform": False,
             "weights": {
                 format_address(shape, a): solution.get(j, Fraction(0))
-                for a, j in index.items()
+                for j, a in enumerate(atoms)
             },
         }
 

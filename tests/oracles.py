@@ -18,7 +18,10 @@ variables plus one artificial column per row, rewritten in full at
 every pivot.  It makes the same pivots, so it must return the same
 ``(feasible, solution)`` as ``dynamics._phase_one_feasible``.  Its rows
 come from the measure search's former builder, which summed +1 per image
-atom and -1 per cylinder atom and then dropped the zeros.
+atom and -1 per cylinder atom and then dropped the zeros.  The forcing
+replay reads a forcing order as a certificate of infeasibility: it
+checks each listed row's sign condition on the atoms left live by the
+rows before it, and shares no code with the presolve that wrote it.
 
 The contraction oracle is the per-u search ``contraction_certificate``
 made before conjugates went through shared pull-backs: it builds each
@@ -306,6 +309,26 @@ def oracle_invariance_rows(ctx) -> tuple[list, int]:
             if coeffs:
                 rows.append((coeffs, Fraction(0)))
     return rows, len(atoms)
+
+
+def oracle_forcing_replay(rows, order, nvars: int) -> bool:
+    """Whether ``order`` forces every atom of the system to 0, for x >= 0.
+
+    Each listed row must have zero right side, and its nonzero
+    coefficients on the atoms not yet forced must be nonempty and of one
+    sign, so they force those atoms to 0.  Every atom must be forced at
+    the end, which the unit-sum row cannot survive.  One pass over the
+    listed rows.
+    """
+    forced = [False] * nvars
+    for i in order:
+        coeffs, rhs = rows[i]
+        side = [j for j, v in coeffs.items() if v and not forced[j]]
+        if rhs or len({coeffs[j] > 0 for j in side}) != 1:
+            return False
+        for j in side:
+            forced[j] = True
+    return all(forced)
 
 
 def oracle_first_words(ctx, start, inside: bool = False) -> dict:

@@ -324,6 +324,21 @@ def test_dynamics_skewering_and_measure_infeasible(spec_file, capsys):
     assert report["results"]["verdict"] == "infeasible"
 
 
+def test_dynamics_measure_decides_the_readme_spec_without_a_simplex(
+    spec_file, capsys, monkeypatch
+):
+    def refuse(*system):
+        raise AssertionError("the simplex was run")
+
+    monkeypatch.setattr(cli.dynamics, "_phase_one_feasible", refuse)
+    code, report, _ = run_cli(
+        capsys, "dynamics", "measure", spec_file(US3), "--depth", "6"
+    )
+    assert code == 0
+    assert report["results"]["verdict"] == "infeasible"
+    assert report["results"]["certificate"]["skewering_word"] == ["t0"]
+
+
 def test_dynamics_proximal_seeded(spec_file, capsys):
     code, report, _ = run_cli(
         capsys, "dynamics", "proximal", spec_file(US3), "--seed", "5"

@@ -17,6 +17,7 @@ from tdlclab import localstruct as ls
 
 from oracles import (
     oracle_first_words,
+    oracle_forcing_replay,
     oracle_invariance_rows,
     oracle_phase_one_feasible,
     oracle_skewering,
@@ -612,16 +613,84 @@ def test_sparse_phase_one_matches_dense_oracle_off_uniform():
     assert len(set(solution.values())) > 1
 
 
-def test_measure_rows_match_the_summed_rows(monkeypatch):
+def test_measure_rows_match_the_summed_rows():
+    contexts = [_lone_axis_context(), dy.skewering_context(S3, depth=3)]
+    assert [dy._invariance_rows(ctx) for ctx in contexts] == [
+        oracle_invariance_rows(ctx) for ctx in contexts
+    ]
+
+
+def test_lone_axis_reaches_the_simplex_with_the_summed_rows(monkeypatch):
+    # one atom stays live, so the unchanged rows go to the simplex
     seen = []
     solve = dy._phase_one_feasible
     monkeypatch.setattr(
         dy, "_phase_one_feasible", lambda *system: seen.append(system) or solve(*system)
     )
-    contexts = [_lone_axis_context(), dy.skewering_context(S3, depth=3)]
-    for ctx in contexts:
-        dy.invariant_measure_search(ctx)
-    assert seen == [oracle_invariance_rows(ctx) for ctx in contexts]
+    ctx = _lone_axis_context()
+    report = dy.invariant_measure_search(ctx)
+    assert seen == [oracle_invariance_rows(ctx)]
+    assert report["verdict"] == "feasible"
+    weights = report["weights"]
+    assert weights["010"] == weights["101"] == Fraction(1, 2)
+
+
+def _measure_like_system(rng):
+    """The unit row, then +-1 zero-rhs rows; half of the systems are
+    built to be solved by a nonzero 0/1 vector x scaled to sum 1."""
+    nvars = rng.randint(2, 8)
+    x = [rng.randint(0, 1) for _ in range(nvars)]
+    x[rng.randrange(nvars)] = 1
+    support = [j for j in range(nvars) if x[j]]
+    solvable = rng.random() < 0.5
+    rows = [({j: Fraction(1) for j in range(nvars)}, Fraction(1))]
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {
+            j: Fraction(rng.choice((-1, 1)))
+            for j in range(nvars)
+            if rng.random() < 0.5 and not (solvable and x[j])
+        }
+        if solvable:
+            # as many +1 as -1 atoms inside the support of x
+            picked = rng.sample(support, 2 * rng.randint(0, len(support) // 2))
+            half = len(picked) // 2
+            coeffs.update({j: Fraction(1) for j in picked[:half]})
+            coeffs.update({j: Fraction(-1) for j in picked[half:]})
+        if coeffs:
+            rows.append((coeffs, Fraction(0)))
+    return rows, nvars
+
+
+def test_forcing_never_refutes_a_feasible_system_seeded():
+    rng = random.Random(23)
+    outcomes = set()
+    for k in range(400):
+        if k % 2:
+            rows, nvars = _measure_like_system(rng)
+        else:
+            rows, nvars = _random_system(rng)
+            rows = [({j: Fraction(1) for j in range(nvars)}, Fraction(1)), *rows]
+        order, live = dy._forcing_order(rows, nvars)
+        feasible = oracle_phase_one_feasible(rows, nvars)[0]
+        assert not (feasible and not live)
+        assert oracle_forcing_replay(rows, order, nvars) == (not live)
+        outcomes.add(("forced" if not live else "live", feasible))
+    assert outcomes == {("forced", False), ("live", False), ("live", True)}
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize(
+    "make",
+    [dy.translation_rotation_context, dy.skewering_context, dy.rotation_context],
+)
+def test_forcing_order_replays_on_contexts(make, depth):
+    rows, nvars = oracle_invariance_rows(make(S3, depth=depth))
+    order, live = dy._forcing_order(rows, nvars)
+    # rotations preserve the uniform measure; the other two skewer
+    assert (live == 0) == (make is not dy.rotation_context)
+    assert oracle_forcing_replay(rows, order, nvars) == (live == 0)
+    # the last row forced atoms that no earlier row forced
+    assert not oracle_forcing_replay(rows, order[:-1], nvars)
 
 
 def test_labels_and_weights_stay_distinct_above_degree_ten():

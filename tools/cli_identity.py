@@ -59,8 +59,10 @@ def cases() -> list[tuple[str, list[str]]]:
     for check, depths in (("minimal", (5, 6, 7)), ("degree", (5, 6, 7)), ("skewering", (5, 6))):
         for depth in depths:
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
-    for spec, depth in (("lone-axis", 2), ("lone-axis", 3), ("regular-sym3", 5)):
-        out.append((spec, ["dynamics", "measure", "spec.ini", "--depth", str(depth)]))
+    # forced zeros decide every regular-sym3 depth; lone-axis reaches the simplex
+    for spec, depths in (("lone-axis", (2, 3)), ("regular-sym3", range(5, 10))):
+        for depth in depths:
+            out.append((spec, ["dynamics", "measure", "spec.ini", "--depth", str(depth)]))
     out.append(("regular-sym3", ["certify", "orbit-join", "spec.ini"]))
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
