@@ -1,7 +1,11 @@
-"""Finite permutation groups by exhaustive element closure.
+"""Finite permutation groups by closures grown on image tuples.
 
 Everything here is desk scale by design: groups are materialised as full
-element sets behind a hard cap (default 2**20), normal subgroups are
+element sets behind a hard cap (default 2**20).  One kernel, ``_grow``,
+closes a set of image tuples under new generators by breadth-first
+search, and it resumes from a closed set: ``FiniteGroup`` closes from
+the identity with it, and ``normal_closure`` grows one set over its
+rounds instead of closing again from nothing.  Normal subgroups are
 found as product-closed unions of conjugacy classes without closing
 any of them element by element, and the structural invariants (cores,
 residuals, the intersection of maximal normal subgroups, composition
@@ -14,11 +18,20 @@ lexicographic order on permutation image tuples.
 from __future__ import annotations
 
 import math
-from functools import cached_property, total_ordering
+from functools import cache, cached_property, total_ordering
+from operator import attrgetter
 
 from .errors import ClosureCapExceeded
 
 DEFAULT_CAP = 2**20
+
+
+_images = attrgetter("images")
+
+
+@cache
+def _identity_images(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
 
 
 @total_ordering
@@ -89,10 +102,22 @@ class Perm:
         return Perm._trusted(tuple([theirs[mine[y]] for y in g.inverse().images]))
 
     def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
-        return math.lcm(*map(len, self.cycles()))
+        images = self.images
+        seen = bytearray(len(images))
+        out = 1
+        for start, x in enumerate(images):
+            if x == start or seen[start]:
+                continue
+            length = 1
+            while x != start:
+                seen[x] = 1
+                x = images[x]
+                length += 1
+            out = math.lcm(out, length)
+        return out
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -216,34 +241,13 @@ class FiniteGroup:
     # -- closure -------------------------------------------------------------
 
     def _close(self) -> frozenset[Perm]:
-        """The element set; the generators kept on the way become
-        ``pruned_gens``."""
-        # Incremental closure with generator pruning: a generator already in
-        # the closure-so-far adds nothing, and dropping it keeps the BFS cost
-        # at |G| * (a dozen kept generators) even when callers pass whole
-        # element sets as generating data.
-        identity = Perm.identity(self.degree)
-        seen: dict[Perm, None] = {identity: None}
+        """The element set, grown from the identity over ``gens``; the
+        generators kept on the way become ``pruned_gens``."""
+        seen = {_identity_images(self.degree): None}
         kept: list[Perm] = []
-        for g in self.gens:
-            if g in seen:
-                continue
-            kept.append(g)
-            seen[g] = None
-            frontier = list(seen)
-            while frontier:
-                fresh = []
-                for x in frontier:
-                    for h in kept:
-                        y = x * h
-                        if y not in seen:
-                            seen[y] = None
-                            fresh.append(y)
-                            if len(seen) > self.cap:
-                                raise ClosureCapExceeded(self.cap)
-                frontier = fresh
+        _grow(seen, kept, self.gens, self.cap)
         self.__dict__["pruned_gens"] = tuple(kept)
-        return frozenset(seen)
+        return frozenset(map(Perm._trusted, seen))
 
     @cached_property
     def element_set(self) -> frozenset[Perm]:
@@ -258,7 +262,7 @@ class FiniteGroup:
 
     @cached_property
     def element_list(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.element_set))
+        return tuple(sorted(self.element_set, key=_images))
 
     @property
     def order(self) -> int:
@@ -405,20 +409,37 @@ class FiniteGroup:
     # -- derived structure ---------------------------------------------------------
 
     def normal_closure(self, seed: list[Perm] | tuple[Perm, ...]) -> "FiniteGroup":
-        """Smallest normal subgroup containing the seed elements."""
-        gens = [p for p in seed if not p.is_identity()]
-        current = self.subgroup(tuple(gens))
-        while True:
-            extra = []
-            for x in current.pruned_gens:
-                for g in self.pruned_gens:
-                    y = x.conjugate_by(g)
-                    if y not in current.element_set:
-                        extra.append(y)
-            if not extra:
-                return current
-            gens.extend(extra)
-            current = self.subgroup(tuple(gens))
+        """Smallest normal subgroup containing the seed elements.
+
+        One set of image tuples grows over the rounds and is never closed
+        again from nothing (Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, 2005, section 3.3).  A round grows
+        the set by the last round's additions, then conjugates the
+        generators it kept by ``self.pruned_gens``; the conjugates that
+        are not yet members are the next additions.  A conjugate of a
+        generator kept in an earlier round is a member already.  The
+        result's generators are the seed and then every round's
+        additions, so ``gens``, ``pruned_gens`` and ``element_set`` are
+        those of the subgroup those generators span.
+        """
+        # The constructor checks degrees, which tuple products do not.
+        closure = self.subgroup([p for p in seed if not p.is_identity()])
+        seen = {_identity_images(self.degree): None}
+        kept: list[Perm] = []
+        new = closure.gens
+        while new:
+            done = len(kept)
+            _grow(seen, kept, new, self.cap)
+            new = tuple(
+                y
+                for x in kept[done:]
+                for g in self.pruned_gens
+                if (y := x.conjugate_by(g)).images not in seen
+            )
+            closure.gens += new
+        closure.__dict__["element_set"] = frozenset(map(Perm._trusted, seen))
+        closure.__dict__["pruned_gens"] = tuple(kept)
+        return closure
 
     @cached_property
     def _derived(self) -> "FiniteGroup":
@@ -492,6 +513,45 @@ def _class_closure(support: list[list[int]], closed: int, extra: int) -> int:
         mask |= new
         todo.extend(_bits(new))
     return mask
+
+
+def _grow(
+    seen: dict[tuple[int, ...], None],
+    kept: list[Perm],
+    gens: list[Perm] | tuple[Perm, ...],
+    cap: int,
+) -> None:
+    """Grow a closed set of image tuples by gens, in place.
+
+    ``seen`` holds the image tuples of the group spanned by ``kept``.  A
+    generator already in ``seen`` adds nothing and is pruned; any other
+    joins ``kept``, and a breadth-first search from every element seen
+    so far multiplies by each kept generator on the right until nothing
+    new appears.  Pruning keeps the search at |G| times a dozen kept
+    generators even when callers pass whole element sets.  Products are
+    formed on the tuples, with no degree check: every generator must
+    have the degree of ``seen``.
+    """
+    kept_images = [h.images for h in kept]
+    for g in gens:
+        if g.images in seen:
+            continue
+        kept.append(g)
+        kept_images.append(g.images)
+        seen[g.images] = None
+        frontier = list(seen)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                take = x.__getitem__
+                for h in kept_images:
+                    y = tuple(map(take, h))
+                    if y not in seen:
+                        seen[y] = None
+                        fresh.append(y)
+                        if len(seen) > cap:
+                            raise ClosureCapExceeded(cap)
+            frontier = fresh
 
 
 def _bits(mask: int) -> list[int]:
@@ -601,10 +661,7 @@ _ALTERNATING_ORDERS = {60: 5, 360: 6, 2520: 7}
 # same-order isomorphism check for labels degenerates to a table lookup.
 
 
-def simple_label(g: FiniteGroup) -> str:
-    if not is_simple(g):
-        raise ValueError("label requested for a non-simple group")
-    n = g.order
+def _simple_label_of_order(n: int) -> str:
     fac = prime_factors(n)
     if len(fac) == 1 and sum(fac.values()) == 1:
         return f"C{n}"
@@ -613,15 +670,27 @@ def simple_label(g: FiniteGroup) -> str:
     return f"simple[{n}]"
 
 
+def simple_label(g: FiniteGroup) -> str:
+    if not is_simple(g):
+        raise ValueError("label requested for a non-simple group")
+    return _simple_label_of_order(g.order)
+
+
 def composition_factors(g: FiniteGroup) -> list[str]:
-    """Jordan-Holder factor labels, outermost factor first."""
+    """Jordan-Holder factor labels, outermost factor first.
+
+    Each step descends to the maximal normal subgroup of largest order,
+    least element list first on ties.  The quotient by a maximal normal
+    subgroup is simple, so its label is read off its order and no
+    quotient is built.
+    """
     out: list[str] = []
     current = g
     while current.order > 1:
         maximals = maximal_normal_subgroups(current)
         n = max(maximals, key=lambda m: (m.order, m.element_list))
-        out.append(simple_label(current.quotient(n)))
-        current = current.subgroup_from_elements(n.element_set)
+        out.append(_simple_label_of_order(current.order // n.order))
+        current = n
     return out
 
 

@@ -37,6 +37,14 @@ clopen (a pair on two copies), and every step goes through the
 context's memoised ``image``, so every image is refined, moved atom by
 atom and put back in canonical form.
 
+The closure oracles are the group closures as they were before they
+moved to image tuples: ``oracle_close`` grows the element set one
+generator at a time with ``Perm`` products, pruning a generator it has
+already reached, and ``oracle_normal_closure`` closes the subgroup
+spanned by the seed and every conjugate found so far again from nothing
+on every round.  They must give the same generators, kept generators
+and element set as ``FiniteGroup`` and its ``normal_closure``.
+
 The congruence-kernel oracle is the element filter
 ``tree.congruence_kernel`` used before it moved to Schreier generators:
 it closes the whole level group and keeps every element that fixes each
@@ -49,6 +57,7 @@ from fractions import Fraction
 
 from tdlclab.boolalg import CylinderClopen, sphere_list
 from tdlclab.dynamics import reachable_images
+from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
 from tdlclab.tree import SpecWord
 
@@ -59,6 +68,45 @@ def _is_subgroup(elems: frozenset[Perm]) -> bool:
             if a * b not in elems:
                 return False
     return True
+
+
+def oracle_close(group: FiniteGroup) -> tuple[frozenset[Perm], tuple[Perm, ...]]:
+    """Element set and kept generators, closed with ``Perm`` products."""
+    seen: dict[Perm, None] = {Perm.identity(group.degree): None}
+    kept: list[Perm] = []
+    for g in group.gens:
+        if g in seen:
+            continue
+        kept.append(g)
+        seen[g] = None
+        frontier = list(seen)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for h in kept:
+                    y = x * h
+                    if y not in seen:
+                        seen[y] = None
+                        fresh.append(y)
+                        if len(seen) > group.cap:
+                            raise ClosureCapExceeded(group.cap)
+            frontier = fresh
+    return frozenset(seen), tuple(kept)
+
+
+def oracle_normal_closure(
+    g: FiniteGroup, seed
+) -> tuple[tuple[Perm, ...], tuple[Perm, ...], frozenset[Perm]]:
+    """``(gens, pruned_gens, element_set)`` of the normal closure, with
+    every round's subgroup closed again from nothing."""
+    by = oracle_close(g)[1]
+    gens = [p for p in seed if not p.is_identity()]
+    while True:
+        elems, kept = oracle_close(g.subgroup(gens))
+        extra = [y for x in kept for h in by if (y := x.conjugate_by(h)) not in elems]
+        if not extra:
+            return tuple(gens), kept, elems
+        gens.extend(extra)
 
 
 def oracle_normal_subgroups(g: FiniteGroup) -> list[frozenset[Perm]]:
