@@ -124,10 +124,10 @@ def regular(degree: int) -> TreeShape:
 # clopen: otherwise the deepest cover address below that cylinder would
 # have its whole sibling family in the cover, and a canonical cover never
 # does.  So the cylinder at ``addr`` lies inside a clopen exactly when
-# ``_covered(addr, cover)``, and no operation needs a depth-n expansion.
+# ``covered(addr, cover)``, and no operation needs a depth-n expansion.
 
 
-def _covered(addr: Address, cover: frozenset[Address]) -> bool:
+def covered(addr: Address, cover: frozenset[Address]) -> bool:
     """Whether some prefix of ``addr``, itself included, is in ``cover``."""
     return any(addr[:k] in cover for k in range(len(addr) + 1))
 
@@ -242,7 +242,7 @@ class CylinderClopen:
         # the deeper address of each meeting pair; already canonical
         self._same_shape(other)
         a, b = self.cover, other.cover
-        out = {x for x in a if _covered(x, b)} | {y for y in b if _covered(y, a)}
+        out = {x for x in a if covered(x, b)} | {y for y in b if covered(y, a)}
         return CylinderClopen(self.shape, frozenset(out))
 
     def join(self, other: "CylinderClopen") -> "CylinderClopen":
@@ -268,7 +268,7 @@ class CylinderClopen:
 
     def leq(self, other: "CylinderClopen") -> bool:
         self._same_shape(other)
-        return all(_covered(x, other.cover) for x in self.cover)
+        return all(covered(x, other.cover) for x in self.cover)
 
     def lt(self, other: "CylinderClopen") -> bool:
         return self.leq(other) and self != other
@@ -276,7 +276,7 @@ class CylinderClopen:
     def meets(self, other: "CylinderClopen") -> bool:
         self._same_shape(other)
         a, b = self.cover, other.cover
-        return any(_covered(x, b) for x in a) or any(_covered(y, a) for y in b)
+        return any(covered(x, b) for x in a) or any(covered(y, a) for y in b)
 
     # -- measure --------------------------------------------------------------
 
@@ -342,7 +342,8 @@ def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:
     body = text[1:-1].strip()
     if not body:
         return CylinderClopen.zero(shape)
-    addrs = [parse_address(shape, tok) for tok in body.split(",")]
+    # from_addresses checks every address's legality, once
+    addrs = [read_address(shape, tok) for tok in body.split(",")]
     return CylinderClopen.from_addresses(shape, addrs)
 
 

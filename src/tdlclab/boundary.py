@@ -12,13 +12,23 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .boolalg import ROOT, Address, CylinderClopen, TreeShape, format_address
+from .boolalg import (
+    ROOT,
+    Address,
+    CylinderClopen,
+    TreeShape,
+    ball_set,
+    covered,
+    format_address,
+)
 from .errors import DisjointnessFailure, NotSkewering
 from .permgrp import FiniteGroup
 from .tree import (
     BallIsometry,
     IsometrySpec,
     SpecWord,
+    SupportIndex,
+    conjugate_families,
     conjugate_tables,
     in_universal_group,
     pullbacks,
@@ -29,8 +39,7 @@ from .tree import (
 
 def inside(region: CylinderClopen, v: Address) -> bool:
     """Whole subtree below v contained in the region."""
-    cover = region.cover
-    return any(v[:k] in cover for k in range(len(v) + 1))
+    return covered(v, region.cover)
 
 
 def region_vertices(region: CylinderClopen, max_depth: int) -> list[Address]:
@@ -58,33 +67,38 @@ def support_in(iso: BallIsometry, region: CylinderClopen) -> bool:
 
     Fixing those vertices pins every ray to an end outside the region,
     so at the realized precision this is exactly "trivial off the
-    region".  The table's domain is the ball, so this reads only the
-    vertices the table moves: each must lie inside the region.
+    region".  A table lists only the vertices it moves, so this reads
+    just those: each must lie inside the region.
     """
-    return all(inside(region, v) for v, w in iso.table.items() if v != w)
+    return all(inside(region, v) for v in iso.moved)
 
 
-def tables_commute(family_a, family_b, domain) -> bool:
-    """Every table of one family commutes with every table of the other
-    at each point of the domain.
+def tables_commute(family_a, family_b) -> bool:
+    """Every table of one family commutes with every table of the other.
 
-    Tables are vertex maps (or index tuples) that send the domain into
-    itself, such as the tables of isometries fixing the base vertex.
-    Only the points that one of the two tables moves are checked: both
-    sides of fu(fv(x)) = fv(fu(x)) are x at a point that neither moves.
+    A table is a dict that lists at least the points it moves, with
+    their images, and fixes every point it does not list, such as the
+    ``moved`` part of a ball table of an isometry fixing the base
+    vertex.  The tables must be permutations of one common domain.  Two
+    permutations whose moved sets are disjoint commute, so such a pair
+    is skipped; any other pair is checked on the union of the two moved
+    sets, since both sides of fu(fv(x)) = fv(fu(x)) are x at a point
+    that neither moves.
     """
-    domain = list(domain)
 
     def moved(family):
-        return [(f, {x for x in domain if f[x] != x}) for f in family]
+        return [(f.get, {x for x, y in f.items() if x != y}) for f in family]
 
     moved_b = moved(family_b)
-    return all(
-        fu[fv[x]] == fv[fu[x]]
-        for fu, mu in moved(family_a)
-        for fv, mv in moved_b
-        for x in mu | mv
-    )
+    for fu, mu in moved(family_a):
+        for fv, mv in moved_b:
+            if mu.isdisjoint(mv):
+                continue
+            for x in mu | mv:
+                y, z = fv(x, x), fu(x, x)
+                if fu(y, y) != fv(z, z):
+                    return False
+    return True
 
 
 def half_tree_fixator(
@@ -130,7 +144,9 @@ def contraction_certificates(
     Trivial on the radius-n ball means the conjugate fixes every vertex
     to depth n + 1, so its local actions down to depth n are all
     trivial.  That holds exactly when u fixes the pull-back g^-k of the
-    radius n + 1 ball, and one sequence of pull-backs serves every u.
+    radius n + 1 ball, and one sequence of pull-backs serves every u.  A
+    u with a support statement moves only points below its sites, so it
+    is applied only to the pulled points there (``SupportIndex``).
     Powers are searched up to k_max = ball_radius + 4.  After the onset
     the next three powers within that bound are rechecked; the
     conjugated support only moves deeper, so a non-monotone onset would
@@ -152,9 +168,11 @@ def contraction_certificates(
         if not live:
             break
         points = next(pulled)
+        index = SupportIndex(points)
         for i in live:
             image = us[i]._apply
-            trivial = all(image(x) == x for x in points)
+            candidates = map(points.__getitem__, index.positions(us[i].support))
+            trivial = all(image(x) == x for x in candidates)
             if onsets[i] is not None:
                 tails[i].append(trivial)
             elif trivial:
@@ -219,7 +237,6 @@ def goodshrink_construct(
     verified strictly decreasing over that 2*depth window, which rules
     out stalls and escapes.
     """
-    shape = alpha.shape
     galpha = spec_image_clopen(g, alpha)
     if not galpha.lt(alpha):
         raise NotSkewering(
@@ -241,7 +258,7 @@ def goodshrink_construct(
         support_in(tab, kappa) and in_universal_group(tab, local)
         for tab in conj_isos
     ]
-    conj_tables = [tab.table for tab in conj_isos]
+    conj_tables = [tab.moved for tab in conj_isos]
 
     gn0_beta = beta
     for _ in range(n0):
@@ -253,14 +270,14 @@ def goodshrink_construct(
     for v in beta_factor_gens:
         tab = v.realize(check_radius)
         product_gens_inside.append(support_in(tab, kappa))
-        beta_tables.append(tab.table)
+        beta_tables.append(tab.moved)
 
     # the product factors are the conjugated kappa witnesses and the
     # g^n0.beta witnesses; when every witness fixes the base vertex the
     # tables permute each sphere and compose inside the checked ball,
     # and a witness moving the base vertex already refutes the product
-    commute = all(t[ROOT] == ROOT for t in conj_tables + beta_tables) and tables_commute(
-        conj_tables, beta_tables, list(shape.ball(check_radius))
+    commute = all(ROOT not in t for t in conj_tables + beta_tables) and tables_commute(
+        conj_tables, beta_tables
     )
 
     contractions = contraction_certificates(g, kappa_gens, depth)
@@ -295,6 +312,37 @@ def goodshrink_construct(
     return kappa, report
 
 
+def conjugation_shifts(g, reach: int, depth: int, families) -> bool:
+    """Whether conjugating each family by g gives the next family on the
+    depth ball: g f g^-1 = f' for the tables f, f' at one position.
+
+    Tables are the moved parts of radius-``reach`` ball tables fixing
+    the base vertex, and g must carry the depth ball's pull-back inside
+    that ball.  g's own table lists most of the ball; it is checked once
+    on the whole depth ball to invert the exact pull-back y = g^-1(x).
+    After that g f g^-1 fixes x wherever f fixes y, so only the points f
+    moves and those f' moves are read.
+    """
+    shape = g.shape
+    fwd = g.realize(reach).moved.get
+    pulled = next(islice(pullbacks(g, 1, depth), 1, None))
+    if any(fwd(y, y) != x for x, y in zip(shape.ball(depth), pulled)):
+        return False
+    domain = ball_set(shape, depth)
+    for family, following in zip(families, families[1:]):
+        for fu, ft in zip(family, following):
+            hit = set()
+            for y, z in fu.items():
+                x = fwd(y, y)
+                if x in domain:
+                    hit.add(x)
+                    if fwd(z, z) != ft.get(x, x):
+                        return False
+            if any(x in domain and x not in hit for x in ft):
+                return False
+    return True
+
+
 def nub_window(
     local: FiniteGroup,
     g: IsometrySpec,
@@ -310,11 +358,14 @@ def nub_window(
     translates of beta are pairwise disjoint, witnesses from different
     factors commute on the whole depth ball, and conjugating the i-th
     family by g reproduces the (i+1)-st within the realized ball.  All
-    factor checks run on precomputed vertex tables; the witnesses fix
-    the base vertex, so their tables permute each sphere and compose
-    without precision loss.  The tables of family i come from
-    ``conjugate_tables``, so its witnesses share one pull-back g^-i of the
-    ball, and the commutation checks read only the points a table moves.
+    factor checks run on the ball tables' moved parts; the witnesses
+    fix the base vertex, so their tables permute each sphere and compose
+    without precision loss.  The families come from
+    ``conjugate_families``, so the window shares one pull-back sequence
+    per sign, and the commutation checks skip pairs of tables whose
+    moved sets are disjoint.  The shift check is ``conjugation_shifts``:
+    it reads g's own table once on the whole depth ball, and the
+    families' tables only where they move.
     """
     if m < 0:
         raise ValueError(f"window half-width must be at least 0, got {m}")
@@ -338,28 +389,24 @@ def nub_window(
     # witness tables and g's forward table are realized at depth + d; g^-1
     # on the depth ball is its first exact pull-back
     reach = depth + max(1, g.displacement)
-    realized = {i: conjugate_tables(g, i, beta_gens, reach) for i in idx}
+    realized = conjugate_families(g, idx, beta_gens, reach)
     if any(iso.displacement != 0 for i in idx for iso in realized[i]):
         raise ValueError("witness does not fix the base vertex")
     supports_ok = all(
         support_in(iso, translates[i]) for i in idx for iso in realized[i]
     )
-    tables = {i: [iso.table for iso in realized[i]] for i in idx}
+    tables = {i: [iso.moved for iso in realized[i]] for i in idx}
 
-    domain = list(shape.ball(depth))
-    commute_ok = all(
-        tables_commute(tables[i], tables[j], domain) for i, j in pairs
-    )
+    # a table moves a point of the depth ball only inside it, so the
+    # commutation on that ball is read off the moved points there
+    domain = ball_set(shape, depth)
+    inner = {
+        i: [{x: y for x, y in t.items() if x in domain} for t in tables[i]]
+        for i in idx
+    }
+    commute_ok = all(tables_commute(inner[i], inner[j]) for i, j in pairs)
 
-    g_fwd = g.realize(reach).table
-    g_inv = next(islice(pullbacks(g, 1, depth), 1, None))
-    shift_ok = True
-    for pos, i in enumerate(idx[:-1]):
-        nxt = tables[idx[pos + 1]]
-        for fu, ft in zip(tables[i], nxt):
-            for x, y in zip(domain, g_inv):
-                if g_fwd[fu[y]] != ft[x]:
-                    shift_ok = False
+    shift_ok = conjugation_shifts(g, reach, depth, [tables[i] for i in idx])
 
     checks = {
         "translates_disjoint": True,

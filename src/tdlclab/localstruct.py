@@ -135,9 +135,8 @@ def perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
         perms_a = _witness_perms(local, a.region, d)
         perms_b = _witness_perms(local, complement.region, d)
         commute = tables_commute(
-            [p.images for p in perms_a],
-            [p.images for p in perms_b],
-            range(shape.sphere_size(d)),
+            [dict(enumerate(p.images)) for p in perms_a],
+            [dict(enumerate(p.images)) for p in perms_b],
         )
         order_a = _rist_level_order(local, a.region, d)
         order_b = _rist_level_order(local, complement.region, d)
@@ -272,9 +271,8 @@ def _realize_star_decomposition(
             if pair.order != subs[i].order * subs[j].order:
                 trivial = False
             if not tables_commute(
-                [x.images for x in subs[i].gens],
-                [y.images for y in subs[j].gens],
-                range(shape.sphere_size(d)),
+                [dict(enumerate(x.images)) for x in subs[i].gens],
+                [dict(enumerate(y.images)) for y in subs[j].gens],
             ):
                 commute = False
     all_gens = [g for s in subs for g in s.gens]

@@ -525,21 +525,30 @@ def _grow(
 
     ``seen`` holds the image tuples of the group spanned by ``kept``.  A
     generator already in ``seen`` adds nothing and is pruned; any other
-    joins ``kept``, and a breadth-first search from every element seen
-    so far multiplies by each kept generator on the right until nothing
-    new appears.  Pruning keeps the search at |G| times a dozen kept
-    generators even when callers pass whole element sets.  Products are
-    formed on the tuples, with no degree check: every generator must
-    have the degree of ``seen``.
+    joins ``kept``.  An old element times an old generator stays in the
+    old group, so the first layer multiplies every element seen so far
+    by the new generator g alone (the identity gives g itself); then a
+    breadth-first search from the new elements multiplies by each kept
+    generator on the right until nothing new appears.  Pruning keeps
+    the search at |G| times a dozen kept generators even when callers
+    pass whole element sets.  Products are formed on the tuples, with no
+    degree check: every generator must have the degree of ``seen``.
     """
     kept_images = [h.images for h in kept]
     for g in gens:
-        if g.images in seen:
+        gi = g.images
+        if gi in seen:
             continue
         kept.append(g)
-        kept_images.append(g.images)
-        seen[g.images] = None
-        frontier = list(seen)
+        kept_images.append(gi)
+        frontier = []
+        for x in list(seen):
+            y = tuple(map(x.__getitem__, gi))
+            if y not in seen:
+                seen[y] = None
+                frontier.append(y)
+                if len(seen) > cap:
+                    raise ClosureCapExceeded(cap)
         while frontier:
             fresh = []
             for x in frontier:

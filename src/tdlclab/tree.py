@@ -23,23 +23,36 @@ IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
 on an illegal address, then run unchecked code, because the image of a
 legal address is legal.  SpecWord applies its factors through the
 unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
-address check at all: realize and SpecWord.is_identity_on walk
-shape.ball(r), whose vertices are legal by construction, through the
-unchecked _apply, and every BallIsometry validates its table when it is
-built (domain, injectivity, legal images, adjacency).  spec_image_clopen
-likewise checks only that the clopen lives on the recipe's shape, then
-applies the clopen's atoms, legal by construction, through _apply;
-CylinderClopen.from_addresses still rejects any illegal image.  Each
-portrait site is compiled once, when the spec is built, to the forward
-and inverse image tuples of its colour permutation; below the deepest
-site no lookup is made.
+address check at all: realize and SpecWord.is_identity_on walk ball
+vertices, legal by construction, through the unchecked _apply, and every
+BallIsometry validates its table when it is built (domain, injectivity,
+legal images, adjacency).  spec_image_clopen likewise checks only that
+the clopen lives on the recipe's shape, then applies the clopen's atoms,
+legal by construction, through _apply; CylinderClopen.from_addresses
+still rejects any illegal image.  Each portrait site is compiled once,
+when the spec is built, to the forward and inverse image tuples of its
+colour permutation; below the deepest site no lookup is made.
+
+A ball table lists only the vertices its element moves, with their
+images; every other vertex of the ball is fixed.  An IsometrySpec with
+no word states its support once: the sites whose subtrees hold every
+vertex it moves (a vertex moves only below a decorated site).  A word,
+or a site at the base vertex, makes no such statement.  So realize of a
+supported spec walks only the ball vertices strictly below its sites,
+and a rigid-stabiliser witness's table, and that of its conjugate, is
+as large as the part of the ball it moves.  A displacing element's
+table lists most of the ball; it is the same class.
 
 Conjugates g^k u g^-k take a shorter path than walking every letter of
 the word at every ball vertex.  pullbacks walks the ball back under g
 one power at a time, unchecked, and every u shares that pull-back: the
-conjugate fixes a exactly when u fixes x = g^-k(a).  conjugate_tables
-then walks g^k forward only from the points that u moves, and validates
-each finished table as realize does.
+conjugate fixes a exactly when u fixes x = g^-k(a).  SupportIndex sorts
+the pulled points once, so the points below a site are one run of them,
+a supported u is applied only to the pulled points strictly below its
+sites, and conjugate_tables walks g^k forward only from the points that
+u moves.  conjugate_families shares one pull-back sequence per sign
+across several powers.  Each finished table is validated as realize's
+is.
 
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
@@ -53,8 +66,9 @@ undecorated ancestors this says the decoration fixes that colour.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
+from math import inf
 
 from .boolalg import (
     ROOT,
@@ -109,41 +123,55 @@ def _adjacent(u: Address, v: Address) -> bool:
 class BallIsometry:
     """Validated table of an exact element on the radius ``precision`` ball.
 
-    Products and inverses are formed exactly, as a SpecWord, before
-    tabulating; a table is a read-only result.
+    ``moved`` maps each ball vertex the element moves to its image; every
+    other ball vertex is fixed.  The table given to the constructor may
+    list fixed vertices too, and they are dropped.  A witness's table is
+    as large as the part of the ball it moves, a displacing element's
+    lists most of the ball.  Products and inverses are formed exactly,
+    as a SpecWord, before tabulating; a table is a read-only result.
     """
 
-    __slots__ = ("shape", "precision", "table")
+    __slots__ = ("shape", "precision", "moved")
 
     def __init__(self, shape: TreeShape, precision: int, table: dict) -> None:
         if precision < 0:
             raise PrecisionExhausted("negative precision")
+        if not table.keys() <= ball_set(shape, precision):
+            raise ValueError("table domain is not inside the stated ball")
         self.shape = shape
         self.precision = precision
-        self.table = dict(table)
+        self.moved = {a: b for a, b in table.items() if a != b}
         self._validate()
 
     def _validate(self) -> None:
-        shape, table = self.shape, self.table
-        ball = ball_set(shape, self.precision)
-        if table.keys() != ball:
-            raise ValueError("table domain is not the stated ball")
-        images = set(table.values())
-        if len(images) != len(table):
+        """Injective with legal images, and adjacent on every edge that
+        touches a moved vertex; an edge with both ends fixed is adjacent
+        already.  A moved image must miss every fixed ball vertex."""
+        shape, moved, r = self.shape, self.moved, self.precision
+        ball = ball_set(shape, r)
+        images = set(moved.values())
+        if len(images) != len(moved) or any(
+            b in ball and b not in moved for b in images
+        ):
             raise ValueError("table is not injective")
         for b in images - ball:  # ball vertices are legal
             shape.require_legal(b)
-        if shape.kind == "rooted" and table[ROOT] != ROOT:
+        if shape.kind == "rooted" and ROOT in moved:
             raise ValueError("rooted isometries must fix the root")
-        for b in table:
-            if b == ROOT:
-                continue
-            if not _adjacent(table[b[:-1]], table[b]):
+        get = moved.get
+        for b, image in moved.items():
+            if b and not _adjacent(get(b[:-1], b[:-1]), image):
                 raise ValueError(f"images of edge at {b!r} are not adjacent")
+            if len(b) < r:
+                for child in shape.children(b):
+                    if child not in moved and not _adjacent(image, child):
+                        raise ValueError(
+                            f"images of edge at {child!r} are not adjacent"
+                        )
 
     @property
     def displacement(self) -> int:
-        return len(self.table[ROOT])
+        return len(self.moved.get(ROOT, ROOT))
 
     def local_action(self, v: Address) -> Perm:
         """Colour permutation induced at vertex v."""
@@ -154,21 +182,22 @@ class BallIsometry:
 
     def _local_images(self, v: Address) -> tuple[int, ...]:
         """Image tuple of the local action at a vertex inside the ball."""
-        table, shape = self.table, self.shape
+        get, shape = self.moved.get, self.shape
         if shape.kind == "rooted":
-            return tuple([table[v + (c,)][-1] for c in shape.colours()])
-        iv = table[v]
+            return tuple([get(b, b)[-1] for b in shape.children(v)])
+        iv = get(v, v)
         below = len(iv) + 1
         out = []
         for c in shape.colours():
-            inb = table[step(shape, v, c)]
+            nb = step(shape, v, c)
+            inb = get(nb, nb)
             out.append(inb[-1] if len(inb) == below else iv[-1])
         return tuple(out)
 
     def __repr__(self) -> str:
         return (
             f"BallIsometry({self.shape.kind}{self.shape.degree}, "
-            f"precision={self.precision}, moves {self.table[ROOT]!r})"
+            f"precision={self.precision}, moves {self.moved.get(ROOT, ROOT)!r})"
         )
 
 
@@ -192,6 +221,12 @@ class IsometrySpec:
     freely reduced colour word acting by left multiplication on vertices;
     the portrait acts first.  Rooted shapes admit no translations, so
     there the word must be empty.
+
+    ``support`` states where the spec can move anything: the sites,
+    shallowest first and in address order, whose subtrees hold every
+    vertex it moves, for a vertex moves only when a decorated site lies
+    strictly above it.  It is None, the whole tree, when there is a word
+    or a site at the base vertex.
     """
 
     shape: TreeShape
@@ -200,6 +235,7 @@ class IsometrySpec:
     site_map: dict = field(init=False, repr=False, compare=False)
     # depth of the deepest decorated site; no lookup can match below it
     depth: int = field(init=False, repr=False, compare=False)
+    support: tuple[Address, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = self.shape
@@ -240,6 +276,15 @@ class IsometrySpec:
         }
         object.__setattr__(self, "site_map", compiled)
         object.__setattr__(self, "depth", max(map(len, site_map), default=0))
+        support = None
+        if not word and ROOT not in site_map:
+            # in address order a site follows every site above it
+            support = []
+            for addr in sorted(site_map):
+                if not support or addr[: len(support[-1])] != support[-1]:
+                    support.append(addr)
+            support = tuple(support)
+        object.__setattr__(self, "support", support)
 
     @property
     def displacement(self) -> int:
@@ -313,7 +358,18 @@ class IsometrySpec:
         return tuple(out)
 
     def realize(self, r: int) -> BallIsometry:
-        return BallIsometry(self.shape, r, dict(_ball_images(self, r)))
+        """Radius-r ball table; with a support statement only the ball
+        vertices strictly below the sites are walked."""
+        if self.support is None:
+            return BallIsometry(self.shape, r, dict(_ball_images(self, r)))
+        image = self._apply
+        moved = {}
+        for v in self.support:
+            for a in _below(self.shape, v, r):
+                b = image(a)
+                if b != a:
+                    moved[a] = b
+        return BallIsometry(self.shape, r, moved)
 
 
 def _ball_images(mover, r: int):
@@ -322,6 +378,14 @@ def _ball_images(mover, r: int):
     image = mover._apply
     for a in mover.shape.ball(r):
         yield a, image(a)
+
+
+def _below(shape: TreeShape, v: Address, r: int):
+    """Vertices strictly below v down to depth r, level by level."""
+    level = [v]
+    for _ in range(len(v), r):
+        level = [b + (c,) for b in level for c in shape.child_letters(b)]
+        yield from level
 
 
 def hyperbolic_isometry(shape: TreeShape, axis) -> IsometrySpec:
@@ -430,6 +494,11 @@ class SpecWord:
     def displacement(self) -> int:
         return len(self.apply(ROOT))
 
+    @property
+    def support(self) -> None:
+        """A product states no support: it may move anything."""
+        return None
+
     def realize(self, r: int) -> BallIsometry:
         return BallIsometry(self.shape, r, dict(_ball_images(self, r)))
 
@@ -453,27 +522,81 @@ def pullbacks(g, sign: int, r: int):
         points = tuple(map(back, points))
 
 
+class SupportIndex:
+    """The points of one pull-back, for specs that state their support.
+
+    In address order a vertex is followed by all of its descendants and
+    then by no other descendant, so the points strictly below a site
+    are one contiguous run of the sorted points, found by bisection.
+    The points are sorted once, on the first supported lookup, however
+    many specs share them.
+    """
+
+    __slots__ = ("points", "_order", "_keys")
+
+    def __init__(self, points) -> None:
+        self.points = points
+        self._order = None
+
+    def positions(self, support):
+        """Positions of the points a spec with this support may move:
+        every one without a support statement, else those strictly
+        below one of its sites."""
+        if support is None:
+            return range(len(self.points))
+        if self._order is None:
+            self._order = sorted(range(len(self.points)), key=self.points.__getitem__)
+            self._keys = [self.points[i] for i in self._order]
+        order, keys = self._order, self._keys
+        out: list[int] = []
+        for v in support:
+            # every letter is below inf, so v + (inf,) follows v's subtree
+            out.extend(order[bisect_right(keys, v):bisect_left(keys, v + (inf,))])
+        return out
+
+
 def conjugate_tables(g, k: int, us, r: int) -> list[BallIsometry]:
     """Radius-r ball tables of the conjugates g^k u g^-k, one per u.
 
     All of them share one pull-back: the conjugate fixes a exactly when
-    u fixes x = g^-k(a), and otherwise sends a to g^k(u(x)), so g^k is
-    walked only from the points that u moves.  Each table is validated
-    as a BallIsometry.
+    u fixes x = g^-k(a), and otherwise sends a to g^k(u(x)).  A u with a
+    support statement is applied only to the pulled points below its
+    sites, and g^k is walked only from the points that u moves.  Each
+    table is validated as a BallIsometry.
+    """
+    return conjugate_families(g, (k,), us, r)[k]
+
+
+def conjugate_families(g, ks, us, r: int) -> dict:
+    """``conjugate_tables`` for each power in ks, keyed by the power.
+
+    One pull-back sequence per sign serves every power on that side, so
+    the powers -m..m take m pull-back steps each way.
     """
     shape = g.shape
-    ball = tuple(shape.ball(r))
-    pulled = next(islice(pullbacks(g, 1 if k >= 0 else -1, r), abs(k), None))
-    forth = SpecWord(shape, ((g, k),))._apply
-    tables = []
-    for u in us:
-        image = u._apply
-        table = {}
-        for a, x in zip(ball, pulled):
-            y = image(x)
-            table[a] = a if y == x else forth(y)
-        tables.append(BallIsometry(shape, r, table))
-    return tables
+    out: dict = {}
+    for sign in (1, -1):
+        powers = {abs(k) for k in ks if (k >= 0) == (sign > 0)}
+        steps = zip(range(max(powers, default=-1) + 1), pullbacks(g, sign, r))
+        for n, points in steps:
+            if n == 0:
+                ball = points
+            if n not in powers:
+                continue
+            forth = SpecWord(shape, ((g, sign * n),))._apply
+            index = SupportIndex(points)
+            tables = []
+            for u in us:
+                image = u._apply
+                table = {}
+                for i in index.positions(u.support):
+                    x = points[i]
+                    y = image(x)
+                    if y != x:
+                        table[ball[i]] = forth(y)
+                tables.append(BallIsometry(shape, r, table))
+            out[sign * n] = tables
+    return out
 
 
 def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
@@ -500,15 +623,19 @@ def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
 def in_universal_group(iso: BallIsometry, local: FiniteGroup) -> bool:
     """All realized local actions lie in the given colour group.
 
+    The local action at a vertex reads the images of the vertex and its
+    neighbours, so it is the identity, which the group holds, unless the
+    vertex moves one of its children.  A fixed vertex that moves a
+    neighbour permutes its neighbours, so it moves a child; a moved
+    vertex moves a child too, as two vertices of a tree share at most
+    one neighbour.  So only the parents of moved vertices are read.
     Local actions are compared as image tuples, so no Perm is built.
     """
     if local.degree != iso.shape.degree:
         raise ValueError("local group degree does not match the shape")
     allowed = {p.images for p in local.element_set}
-    inner = iso.precision - 1
-    return all(
-        iso._local_images(v) in allowed for v in iso.table if len(v) <= inner
-    )
+    parents = {b[:-1] for b in iso.moved if b}
+    return all(iso._local_images(v) in allowed for v in parents)
 
 
 def site_group(shape: TreeShape, local: FiniteGroup, v: Address) -> FiniteGroup:

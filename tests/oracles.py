@@ -26,10 +26,21 @@ rows before it, and shares no code with the presolve that wrote it.
 The contraction oracle is the per-u search ``contraction_certificate``
 made before conjugates went through shared pull-backs: it builds each
 conjugate g^k u g^-k as a word and walks every letter of it at every
-vertex of the checked ball.  The commutation oracle checks every point
-of the domain, and the support oracle every vertex of the ball outside
-the region, where ``tables_commute`` and ``support_in`` read only the
-points a table moves.
+vertex of the checked ball.  The walked contraction oracle is the
+shared pull-back search as it was before supports: every u is applied
+to every pulled point.  The commutation oracle checks every point of
+the domain, and the support oracle every vertex of the ball outside the
+region, where ``tables_commute`` and ``support_in`` read only the points
+a table moves.  The shift oracle reads g's table and both families'
+tables at every point of the depth ball, where ``conjugation_shifts``
+reads g's table once there and the families only where they move.
+
+The table oracles read ball tables as they were before tables listed
+only their moved vertices: ``full_table`` spells a table out over the
+whole ball, the validation oracle checks a whole-ball dict edge by
+edge, and the membership oracle reads the local action at every vertex
+of the ball, where ``BallIsometry`` and ``in_universal_group`` read only
+the moved vertices and the edges and neighbours around them.
 
 The first-words and skewering oracles are the word-image searches as
 they were before one-cylinder states became vertices: every state is a
@@ -55,11 +66,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from tdlclab.boolalg import CylinderClopen, sphere_list
+from tdlclab.boolalg import ROOT, CylinderClopen, sphere_list
 from tdlclab.dynamics import reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
-from tdlclab.tree import SpecWord
+from tdlclab.tree import SpecWord, pullbacks
 
 
 def _is_subgroup(elems: frozenset[Perm]) -> bool:
@@ -435,6 +446,96 @@ def oracle_contraction_certificate(g, u, ball_radius: int, direction: int = 1) -
     }
 
 
+def oracle_walked_contraction_certificates(g, us, ball_radius: int, direction: int = 1) -> list:
+    """``contraction_certificates`` applying every u to every pulled point."""
+    k_max = ball_radius + 4
+    check_radius = ball_radius + 1
+    pulled = [points for _, points in zip(range(k_max + 1), pullbacks(g, direction, check_radius))]
+    out = []
+    for u in us:
+        trivial = [all(u._apply(x) == x for x in points) for points in pulled]
+        onset = next((k for k, t in enumerate(trivial) if t), None)
+        tail = [] if onset is None else trivial[onset + 1:min(onset + 4, k_max + 1)]
+        monotone = onset is not None and all(tail)
+        out.append({
+            "k": onset,
+            "k_max": k_max,
+            "ball": ball_radius,
+            "checked_radius": check_radius,
+            "direction": direction,
+            "onset_monotone": monotone,
+            "verdict": "contracts" if monotone else "no-contraction-within-bounds",
+        })
+    return out
+
+
+def full_table(iso) -> dict:
+    """A ball table spelled out over its whole ball, fixed vertices listed."""
+    get = iso.moved.get
+    return {a: get(a, a) for a in iso.shape.ball(iso.precision)}
+
+
+def oracle_ball_table_error(shape, precision: int, table: dict):
+    """The message a whole-ball table fails validation with, else None:
+    domain equal to the ball, injective, legal images, the root fixed on
+    rooted shapes, and every edge of the ball adjacent."""
+    ball = set(shape.ball(precision))
+    if table.keys() != ball:
+        return "domain"
+    images = set(table.values())
+    if len(images) != len(table):
+        return "not injective"
+    if any(not shape.is_legal(b) for b in images):
+        return "illegal address"
+    if shape.kind == "rooted" and table[ROOT] != ROOT:
+        return "must fix the root"
+    for b in ball:
+        if b and not _edge(table[b[:-1]], table[b]):
+            return "not adjacent"
+    return None
+
+
+def _edge(u, v) -> bool:
+    return (len(u) == len(v) + 1 and u[:-1] == v) or (len(v) == len(u) + 1 and v[:-1] == u)
+
+
+def oracle_in_universal_group(iso, local) -> bool:
+    """Every local action inside the ball, read off the whole table."""
+    table = full_table(iso)
+    shape = iso.shape
+    allowed = set(local.element_set)
+    for v in table:
+        if len(v) > iso.precision - 1:
+            continue
+        iv = table[v]
+        images = []
+        for c in shape.colours():
+            if shape.kind == "rooted":
+                images.append(table[v + (c,)][-1])
+                continue
+            nb = v[:-1] if v and v[-1] == c else v + (c,)
+            inb = table[nb]
+            images.append(inb[-1] if len(inb) == len(iv) + 1 else iv[-1])
+        if Perm(tuple(images)) not in allowed:
+            return False
+    return True
+
+
+def oracle_conjugation_shifts(g, reach: int, depth: int, families) -> bool:
+    """``boundary.conjugation_shifts`` on whole-ball tables, read at every
+    point x of the depth ball through its pull-back y: g(f(y)) = f'(x)."""
+    g_fwd = full_table(g.realize(reach))
+    ball = list(g.shape.ball(depth))
+    back = SpecWord(g.shape, ((g, -1),))
+    g_inv = [back.apply(x) for x in ball]
+    return all(
+        g_fwd[fu[y]] == ft[x]
+        for family, following in zip(families, families[1:])
+        for fu, ft in zip(family, following)
+        for x, y in zip(ball, g_inv)
+    )
+
+
 def oracle_tables_commute(family_a, family_b, domain) -> bool:
     """Pairwise commutation checked at every point of the domain."""
     domain = list(domain)
@@ -449,8 +550,9 @@ def oracle_tables_commute(family_a, family_b, domain) -> bool:
 def oracle_support_in(iso, region) -> bool:
     """Every ball vertex outside the region is fixed, checked one by one."""
     cover = region.cover
+    table = full_table(iso)
     return all(
-        iso.table[v] == v
+        table[v] == v
         for v in iso.shape.ball(iso.precision)
         if not any(v[:k] in cover for k in range(len(v) + 1))
     )

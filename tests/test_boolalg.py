@@ -15,6 +15,7 @@ import pytest
 
 from tdlclab.boolalg import (
     CylinderClopen,
+    TreeShape,
     format_address,
     format_clopen,
     parse_address,
@@ -353,6 +354,23 @@ def test_parse_rejects_illegal_address():
         parse_clopen(T3, "{00}")  # repeated colour is illegal on T3
     with pytest.raises(ValueError):
         parse_clopen(R2, "{07}")
+
+
+def test_parse_clopen_checks_each_address_once(monkeypatch):
+    # the tokens are read unchecked and from_addresses makes the one check
+    for shape, text in ((T3, "{00}"), (T3, "{01,122}"), (R2, "{07}"), (R2, "{1,02}")):
+        with pytest.raises(ValueError, match="illegal address"):
+            parse_clopen(shape, text)
+    with pytest.raises(ValueError, match="must be digits"):
+        parse_clopen(T3, "{0x}")
+    want = clop(T3, (0, 1), (0, 2), (2,))
+    checked = []
+    real = TreeShape.require_legal
+    monkeypatch.setattr(
+        TreeShape, "require_legal", lambda self, addr: checked.append(addr) or real(self, addr)
+    )
+    assert parse_clopen(T3, "{01, 02,2}") == want
+    assert sorted(checked) == [(0, 1), (0, 2), (2,)]
 
 
 def test_is_legal_matches_naive_rule_exhaustively():

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 
 from tdlclab.boolalg import ROOT, CylinderClopen, regular, rooted
 from tdlclab.boundary import (
+    conjugation_shifts,
     contraction_certificate,
     contraction_certificates,
     goodshrink_construct,
@@ -24,13 +26,23 @@ from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
 from tdlclab.tree import (
     IsometrySpec,
     SpecWord,
+    conjugate_families,
     conjugate_tables,
     hyperbolic_isometry,
+    in_universal_group,
+    pullbacks,
     site_group,
     spec_image_clopen,
 )
 
-from oracles import oracle_contraction_certificate, oracle_support_in, oracle_tables_commute
+from oracles import (
+    full_table,
+    oracle_conjugation_shifts,
+    oracle_contraction_certificate,
+    oracle_support_in,
+    oracle_tables_commute,
+    oracle_walked_contraction_certificates,
+)
 from util import random_clopen
 
 T3 = regular(3)
@@ -99,8 +111,8 @@ def test_rist_of_disjoint_regions_commutes_elementwise():
     assert sites_of(rist_generators(S3, HALF0, 4)) <= sites_of(gens_a)
     radius = 7
     ball = list(T3.ball(radius))
-    tabs_a = [g.realize(radius).table for g in gens_a]
-    tabs_b = [g.realize(radius).table for g in gens_b]
+    tabs_a = [full_table(g.realize(radius)) for g in gens_a]
+    tabs_b = [full_table(g.realize(radius)) for g in gens_b]
     for fu in tabs_a:
         for fv in tabs_b:
             assert all(fu[fv[x]] == fv[fu[x]] for x in ball)
@@ -111,16 +123,15 @@ def test_tables_commute_refutes_witnesses_at_one_vertex():
     # not commute; disjointly supported witnesses do commute
     radius = 4
     for shape, v in ((T3, ROOT), (rooted(3), (1,))):
-        ball = list(shape.ball(radius))
-        a = IsometrySpec(shape, sites=((v, SWAP01),)).realize(radius).table
-        b = IsometrySpec(shape, sites=((v, SWAP12),)).realize(radius).table
-        assert not tables_commute([a], [b], ball)
-        assert tables_commute([a], [a], ball)
-    ball = list(T3.ball(radius))
-    u = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(radius).table
-    w = IsometrySpec(T3, sites=(((0, 2), SWAP01),)).realize(radius).table
-    assert tables_commute([u], [w], ball)
-    assert tables_commute([u, w], [u, w], ball)
+        a = IsometrySpec(shape, sites=((v, SWAP01),)).realize(radius).moved
+        b = IsometrySpec(shape, sites=((v, SWAP12),)).realize(radius).moved
+        assert not tables_commute([a], [b])
+        assert tables_commute([a], [a])
+    u = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(radius).moved
+    w = IsometrySpec(T3, sites=(((0, 2), SWAP01),)).realize(radius).moved
+    assert u.keys().isdisjoint(w.keys())
+    assert tables_commute([u], [w])
+    assert tables_commute([u, w], [u, w])
 
 
 def test_tables_commute_matches_full_domain_oracle_seeded():
@@ -130,21 +141,25 @@ def test_tables_commute_matches_full_domain_oracle_seeded():
     ball = list(T3.ball(radius))
     regions = [HALF0, HALF0.complement(), BETA, CylinderClopen.cylinder(T3, (0, 1))]
     families = [
-        [g.realize(radius).table for g in rist_generators(S3, region, 3)]
+        [g.realize(radius) for g in rist_generators(S3, region, 3)]
         for region in regions
     ]
     verdicts = set()
     for fa in families:
         for fb in families:
-            got = tables_commute(fa, fb, ball)
-            assert got == oracle_tables_commute(fa, fb, ball)
+            got = tables_commute([t.moved for t in fa], [t.moved for t in fb])
+            # whole-ball tables, fixed points listed, give the same verdict
+            assert got == tables_commute(list(map(full_table, fa)), list(map(full_table, fb)))
+            assert got == oracle_tables_commute(
+                list(map(full_table, fa)), list(map(full_table, fb)), ball
+            )
             verdicts.add(got)
     rng = random.Random(41)
     perms = [tuple(rng.sample(range(4), 4)) for _ in range(12)]
     identity = tuple(range(4))
     for n in range(0, 12, 3):
         fa, fb = perms[n:n + 2] + [identity], perms[n + 1:n + 3]
-        got = tables_commute(fa, fb, range(4))
+        got = tables_commute([dict(enumerate(f)) for f in fa], [dict(enumerate(f)) for f in fb])
         assert got == oracle_tables_commute(fa, fb, range(4))
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -257,6 +272,90 @@ def test_contraction_certificates_match_walked_oracle(direction):
             verdicts.update((c["verdict"], c["onset_monotone"]) for c in got)
     assert ("contracts", True) in verdicts
     assert ("no-contraction-within-bounds", False) in verdicts
+
+
+def _goodshrink_witnesses(depth):
+    """The kappa and g^n0.beta witness families of goodshrink on the
+    attracting half-tree under T0, with n0 = 1, at this depth."""
+    kappa = spec_image_clopen(T0, HALF0)
+    beta = HALF0.minus(kappa)
+    return (
+        rist_generators(S3, kappa, depth),
+        rist_generators(S3, spec_image_clopen(T0, beta), depth),
+    )
+
+
+# several sites with a support statement, then a word, a site at the
+# base vertex and a product, which have none
+_MIXED_SPECS = [
+    IsometrySpec(T3, sites=(((2, 0), SWAP12), ((0, 1), SWAP02), ((0, 1, 2), Perm((1, 2, 0))))),
+    IsometrySpec(T3, word=(1, 2)),
+    IsometrySpec(T3, sites=(((), SWAP01),)),
+    SpecWord.of(IsometrySpec(T3, sites=(((0, 1, 0), SWAP12),)), T0),
+]
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("depth", [4, 5, 6, 7])
+def test_indexed_contraction_search_matches_the_walk_on_goodshrink_witnesses(depth, direction):
+    # the ball radius goodshrink uses, and a smaller one whose checked
+    # radius lies above the deepest sites
+    kappa_gens, beta_gens = _goodshrink_witnesses(depth)
+    us = kappa_gens + beta_gens + _MIXED_SPECS
+    assert [u.support is None for u in _MIXED_SPECS] == [False, True, True, True]
+    assert max(len(u.sites[0][0]) for u in kappa_gens) > depth - 2
+    onsets = set()
+    for n in (depth, depth - 3):
+        got = contraction_certificates(T0, us, n, direction)
+        assert got == oracle_walked_contraction_certificates(T0, us, n, direction), n
+        onsets.update(c["k"] for c in got)
+    assert {0, None} < onsets
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6, 7])
+def test_indexed_conjugate_tables_match_the_walk_on_goodshrink_witnesses(depth):
+    # conjugates by T0 and by its inverse, at goodshrink's check radius,
+    # against every u applied at every pulled point
+    kappa_gens, beta_gens = _goodshrink_witnesses(depth)
+    us = kappa_gens + beta_gens + _MIXED_SPECS
+    r = depth + 2
+    ball = list(T3.ball(r))
+    for k in (1, -1):
+        pulled = next(islice(pullbacks(T0, 1 if k > 0 else -1, r), abs(k), None))
+        forth = SpecWord(T3, ((T0, k),)).apply
+        got = conjugate_tables(T0, k, us, r)
+        for u, iso in zip(us, got):
+            want = {a: forth(u.apply(x)) for a, x in zip(ball, pulled) if u.apply(x) != x}
+            assert iso.moved == want, (k, u)
+    assert in_universal_group(got[0], S3)
+
+
+@pytest.mark.parametrize("g", [T0, hyperbolic_isometry(T3, (0, 1))], ids=["t0", "t01"])
+def test_conjugation_shifts_match_the_whole_ball_oracle(g):
+    # the true window, then windows out of step, and windows with one
+    # table replaced by the identity on either side of a pair
+    beta = CylinderClopen.cylinder(T3, (0, 2)) if g is T0 else HALF0.minus(spec_image_clopen(g, HALF0))
+    gens = rist_generators(S3, beta, 3)
+    depth = 4
+    reach = depth + g.displacement
+    realized = conjugate_families(g, range(-2, 3), gens, reach)
+    moved = {i: [iso.moved for iso in realized[i]] for i in realized}
+    whole = {i: [full_table(iso) for iso in realized[i]] for i in realized}
+    identity = {a: a for a in T3.ball(reach)}
+    windows = [[-2, -1, 0, 1, 2], [0, 2], [1, 0], [-1, 1]]
+    verdicts = set()
+    for w in windows:
+        got = conjugation_shifts(g, reach, depth, [moved[i] for i in w])
+        assert got == oracle_conjugation_shifts(g, reach, depth, [whole[i] for i in w])
+        verdicts.add(got)
+    for pos in (0, 1):
+        fam = [list(moved[-1]), list(moved[0])]
+        fam_whole = [list(whole[-1]), list(whole[0])]
+        fam[pos][0], fam_whole[pos][0] = {}, identity
+        got = conjugation_shifts(g, reach, depth, fam)
+        assert got is False
+        assert got == oracle_conjugation_shifts(g, reach, depth, fam_whole)
+    assert verdicts == {True, False}
 
 
 def test_goodshrink_verified_on_attracting_half_tree():

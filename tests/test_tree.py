@@ -27,6 +27,7 @@ from tdlclab.tree import (
     cayley_abels_dot,
     colour_word_isometry,
     congruence_kernel,
+    conjugate_families,
     conjugate_tables,
     free_reduce,
     hyperbolic_isometry,
@@ -40,7 +41,12 @@ from tdlclab.tree import (
     spec_image_clopen,
     sphere_orbit_classes,
 )
-from oracles import oracle_congruence_kernel
+from oracles import (
+    full_table,
+    oracle_ball_table_error,
+    oracle_congruence_kernel,
+    oracle_in_universal_group,
+)
 from tree_oracles import (
     oracle_compose_tables,
     oracle_image_clopen,
@@ -190,11 +196,12 @@ def test_compose_matches_pointwise():
         h = _random_regular_portrait(rng, T3, S3, 2)
         gh = SpecWord.of(g, h).realize(6)
         assert gh.precision == 6
-        assert gh.table == oracle_compose_tables(
-            g.realize(6).table, h.realize(6).table
+        table = full_table(gh)
+        assert table == oracle_compose_tables(
+            full_table(g.realize(6)), full_table(h.realize(6))
         )
         for v in T3.ball(6):
-            assert gh.table[v] == g.apply(h.apply(v))
+            assert table[v] == g.apply(h.apply(v))
 
 
 def test_inverse_roundtrip_and_precision():
@@ -204,14 +211,15 @@ def test_inverse_roundtrip_and_precision():
     # the exact inverse keeps the whole ball; the inverted table reaches
     # only the radius the displacement leaves
     assert inv.precision == 6
-    table_inv = oracle_invert_table(fwd.table)
+    table_inv = oracle_invert_table(full_table(fwd))
     assert set(T3.ball(5)) <= set(table_inv)
     assert not set(T3.ball(6)) <= set(table_inv)
-    assert all(inv.table[a] == table_inv[a] for a in T3.ball(5))
-    after = oracle_compose_tables(inv.table, fwd.table)
-    before = oracle_compose_tables(fwd.table, inv.table)
+    table_fwd, table_back = full_table(fwd), full_table(inv)
+    assert all(table_back[a] == table_inv[a] for a in T3.ball(5))
+    after = oracle_compose_tables(table_back, table_fwd)
+    before = oracle_compose_tables(table_fwd, table_back)
     assert all(after[a] == a == before[a] for a in T3.ball(4))
-    assert SpecWord(T3, ((t0, 1), (t0, -1))).realize(6).table == {
+    assert full_table(SpecWord(T3, ((t0, 1), (t0, -1))).realize(6)) == {
         a: a for a in T3.ball(6)
     }
 
@@ -224,9 +232,10 @@ def test_precision_exhaustion_raises():
     with pytest.raises(PrecisionExhausted):
         BallIsometry(T3, -1, {})
     # table powers run out of base vertex; exact powers never do
-    power, k = iso.table, 1
+    table = full_table(iso)
+    power, k = table, 1
     while ROOT in power:
-        power, k = oracle_compose_tables(power, iso.table), k + 1
+        power, k = oracle_compose_tables(power, table), k + 1
     assert k == 4  # the radius-2 table of t0^4 no longer covers the base
     for e in range(1, k + 3):
         assert SpecWord(T3, ((t0, e),)).realize(2).displacement == e
@@ -254,11 +263,12 @@ def test_cocycle_identity_seeded():
         g_spec, h_spec = rng.choice(specs), rng.choice(specs)
         g, h = g_spec.realize(8), h_spec.realize(8)
         gh = SpecWord.of(g_spec, h_spec).realize(8)
-        composed = oracle_compose_tables(g.table, h.table)
-        assert all(gh.table[a] == b for a, b in composed.items())
+        table_g, table_h, table_gh = full_table(g), full_table(h), full_table(gh)
+        composed = oracle_compose_tables(table_g, table_h)
+        assert all(table_gh[a] == b for a, b in composed.items())
         for v in T3.ball(3):
             lhs = gh.local_action(v)
-            rhs = g.local_action(h.table[v]) * h.local_action(v)
+            rhs = g.local_action(table_h[v]) * h.local_action(v)
             assert lhs == rhs
             checked += 1
     assert checked >= 500
@@ -270,7 +280,7 @@ def test_cocycle_identity_seeded():
 @pytest.mark.parametrize(
     "shape, precision, changes, message",
     [
-        (T3, 1, {(2, 0): (2, 0)}, "domain is not the stated ball"),
+        (T3, 1, {(2, 0): (2, 0)}, "domain is not inside the stated ball"),
         (T3, 1, {(1,): (0,)}, "not injective"),
         (T3, 1, {(1,): (3,)}, "illegal address"),
         (R2, 0, {(): (1,)}, "must fix the root"),
@@ -283,6 +293,125 @@ def test_ball_table_rejections(shape, precision, changes, message):
     BallIsometry(shape, precision, table)  # the unchanged table passes
     with pytest.raises(ValueError, match=message):
         BallIsometry(shape, precision, {**table, **changes})
+
+
+SWAP02 = Perm((2, 1, 0))
+
+
+def test_sparse_table_rejects_one_corrupted_entry():
+    # a witness at (0, 1) swaps the subtrees below (0, 1, 0) and (0, 1, 2)
+    r = 4
+    moved = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(r).moved
+    assert moved[(0, 1, 0)] == (0, 1, 2) and (0, 1) not in moved
+    # the edge from the fixed site to a moved child, one level below it
+    with pytest.raises(ValueError, match="not adjacent"):
+        BallIsometry(T3, r, {**moved, (0, 1, 0): (1, 0, 1, 0, 1)})
+    # the edge from a moved vertex to a child the table leaves fixed
+    pruned = {a: b for a, b in moved.items() if a not in ((0, 1, 0, 1), (0, 1, 2, 1))}
+    with pytest.raises(ValueError, match="not adjacent"):
+        BallIsometry(T3, r, pruned)
+    # an image that lands on a fixed vertex of the ball
+    with pytest.raises(ValueError, match="not injective"):
+        BallIsometry(T3, r, {**moved, (0, 1, 0): (2,)})
+    with pytest.raises(ValueError, match="illegal address"):
+        BallIsometry(T3, r, {**moved, (0, 1, 0): (0, 1, 1)})
+    BallIsometry(T3, r, moved)  # the table itself passes
+
+
+def _seeded_tables(rng):
+    """Ball tables of witnesses, portraits, translations and conjugates,
+    as (shape, table) pairs."""
+    out = []
+    t0 = hyperbolic_isometry(T3, (0,))
+    for r in (2, 3, 4):
+        movers = [t0, colour_word_isometry(T3, (1, 2)), IsometrySpec(T3)]
+        movers += [_random_regular_portrait(rng, T3, S3, 2) for _ in range(3)]
+        movers += [_random_rooted_portrait(rng, R2, 2) for _ in range(3)]
+        for v in [(0, 1), (2,), (1, 0, 2)]:
+            movers.append(IsometrySpec(T3, sites=((v, site_group(T3, S3, v).gens[0]),)))
+        out += [(m.shape, m.realize(r)) for m in movers]
+        out += [(T3, iso) for iso in conjugate_tables(t0, 2, movers[3:6], r)]
+    return out
+
+
+def test_sparse_validation_matches_the_whole_ball_oracle_seeded():
+    # one entry of a whole-ball table is changed at random; the sparse
+    # table raises exactly when the whole-ball check fails, for the same
+    # reason
+    rng = random.Random(53)
+    reasons = set()
+    for shape, iso in _seeded_tables(rng):
+        table = full_table(iso)
+        assert oracle_ball_table_error(shape, iso.precision, table) is None
+        targets = list(shape.ball(iso.precision + 1)) + [(0, 0), (shape.degree,)]
+        for _ in range(6):
+            bad = {**table, rng.choice(list(table)): rng.choice(targets)}
+            want = oracle_ball_table_error(shape, iso.precision, bad)
+            reasons.add(want)
+            if want is None:
+                assert BallIsometry(shape, iso.precision, bad).moved == {
+                    a: b for a, b in bad.items() if a != b
+                }
+            else:
+                with pytest.raises(ValueError, match=want):
+                    BallIsometry(shape, iso.precision, bad)
+    assert reasons >= {None, "not injective", "illegal address", "not adjacent"}
+
+
+def test_universal_membership_matches_the_whole_ball_oracle_seeded():
+    rng = random.Random(59)
+    locals_ = {T3: [S3, C3, FiniteGroup(3, ())], R2: [C2, FiniteGroup(2, ())]}
+    verdicts = set()
+    for shape, iso in _seeded_tables(rng):
+        for local in locals_[shape]:
+            got = in_universal_group(iso, local)
+            assert got == oracle_in_universal_group(iso, local)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "shape, word, sites, support",
+    [
+        (T3, (), (), ()),
+        (T3, (1, 2), (), None),
+        (T3, (), (((), SWAP02),), None),
+        (T3, (1,), ((((0, 1)), SWAP02),), None),
+        (T3, (), (((2, 0), Perm((0, 2, 1))), ((0, 1), SWAP02), ((0, 1, 2), Perm((1, 2, 0)))),
+         ((0, 1), (2, 0))),
+        (R2, (), (((1, 0), Perm((1, 0))), ((0,), Perm((1, 0))), ((1,), Perm((1, 0)))),
+         ((0,), (1,))),
+        (R2, (), (((), Perm((1, 0))), ((1,), Perm((1, 0)))), None),
+    ],
+    ids=["identity", "word", "base-site", "word-and-site", "nested-regular", "rooted", "rooted-base"],
+)
+def test_support_statement(shape, word, sites, support):
+    spec = IsometrySpec(shape, word=word, sites=sites)
+    assert spec.support == support
+    assert SpecWord.of(spec).support is None
+    # every moved vertex lies strictly below a stated site
+    for a in shape.ball(5):
+        if support is not None and spec.apply(a) != a:
+            assert any(len(a) > len(v) and a[: len(v)] == v for v in support), a
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_supported_realize_matches_the_whole_ball_walk_seeded(shape):
+    # seeded portraits, many of them with a site at the base vertex,
+    # and single-site witnesses deeper than some of the radii
+    rng = random.Random(61)
+    specs = [_random_rooted_portrait(rng, shape, 3) if shape is R2
+             else _random_regular_portrait(rng, shape, S3, 3) for _ in range(20)]
+    for v in shape.ball(4):
+        group = site_group(shape, S3 if shape is T3 else C2, v)
+        specs += [IsometrySpec(shape, sites=((v, p),)) for p in group.gens]
+    kinds = set()
+    for spec in specs:
+        kinds.add(spec.support is None)
+        for r in range(6):
+            want = {a: b for a in shape.ball(r) if (b := spec.apply(a)) != a}
+            assert spec.realize(r).moved == want, (spec, r)
+    assert kinds == {True, False}
 
 
 # -- translations -----------------------------------------------------------------
@@ -321,11 +450,12 @@ def test_unit_translation_square_is_word():
     t0 = hyperbolic_isometry(T3, (0,))
     m01 = colour_word_isometry(T3, (0, 1)).realize(7)
     square = SpecWord(T3, ((t0, 2),)).realize(7)
-    assert square.table == m01.table
+    assert full_table(square) == full_table(m01)
     assert t0.realize(7).displacement == 1
     assert square.displacement == 2
-    table_square = oracle_compose_tables(t0.realize(7).table, t0.realize(7).table)
-    assert all(table_square[a] == m01.table[a] for a in T3.ball(6))
+    table_t0, table_m01 = full_table(t0.realize(7)), full_table(m01)
+    table_square = oracle_compose_tables(table_t0, table_t0)
+    assert all(table_square[a] == table_m01[a] for a in T3.ball(6))
 
 
 def test_unit_translation_local_actions_constant():
@@ -374,17 +504,17 @@ def test_translation_moves_half_tree_inside_itself():
     alpha = CylinderClopen.cylinder(T3, (0,))
     moved = spec_image_clopen(t0, alpha)
     assert moved == parse_clopen(T3, "{01}")
-    assert moved == oracle_image_clopen(t0.realize(6).table, alpha)
+    assert moved == oracle_image_clopen(full_table(t0.realize(6)), alpha)
     assert moved.lt(alpha)
     beta = alpha.minus(moved)
     assert beta == parse_clopen(T3, "{02}")
     back = spec_image_clopen(SpecWord(T3, ((t0, -1),)), moved)
     assert back == alpha
     assert back == oracle_image_clopen(
-        SpecWord(T3, ((t0, -1),)).realize(6).table, moved
+        full_table(SpecWord(T3, ((t0, -1),)).realize(6)), moved
     )
     assert back == oracle_image_clopen(
-        oracle_invert_table(t0.realize(6).table), moved
+        oracle_invert_table(full_table(t0.realize(6))), moved
     )
 
 
@@ -403,7 +533,7 @@ def test_image_clopen_respects_boolean_structure_seeded():
     ]
     for _ in range(40):
         g = rng.choice(movers)
-        table = g.realize(8).table
+        table = full_table(g.realize(8))
         atoms = [a for a in T3.sphere(2) if rng.random() < 0.5]
         c = CylinderClopen.from_addresses(T3, atoms)
         img = spec_image_clopen(g, c)
@@ -425,7 +555,7 @@ def test_image_clopen_identity_and_top():
     t0 = hyperbolic_isometry(T3, (0,))
     for mover in (t0, SpecWord.of(t0, t0)):
         assert spec_image_clopen(mover, top) == top
-        assert oracle_image_clopen(mover.realize(5).table, top) == top
+        assert oracle_image_clopen(full_table(mover.realize(5)), top) == top
         assert spec_image_clopen(mover, zero).is_zero()
     half = CylinderClopen.cylinder(T3, (1,))
     assert spec_image_clopen(identity, half) == half
@@ -496,8 +626,8 @@ def test_universal_membership_closed_under_product_seeded():
         assert in_universal_group(product, S3)
         assert in_universal_group(inverse, S3)
         # portraits fix the base vertex, so the table algebra keeps the ball
-        assert product.table == oracle_compose_tables(gt.table, ht.table)
-        assert inverse.table == oracle_invert_table(gt.table)
+        assert full_table(product) == oracle_compose_tables(full_table(gt), full_table(ht))
+        assert full_table(inverse) == oracle_invert_table(full_table(gt))
 
 
 def test_level_orders_match_sitewise_count():
@@ -775,20 +905,20 @@ def test_spec_word_matches_table_algebra():
     t0 = hyperbolic_isometry(T3, (0,))
     rho = IsometrySpec(T3, sites=((ROOT, Perm((2, 0, 1))),))
     w = SpecWord.conjugate(t0, rho, 2)
-    forward = t0.realize(9).table
+    forward = full_table(t0.realize(9))
     tables = reduce(
         oracle_compose_tables,
         [
             forward,
             forward,
-            rho.realize(9).table,
+            full_table(rho.realize(9)),
             oracle_invert_table(forward),
-            oracle_invert_table(t0.realize(8).table),
+            oracle_invert_table(full_table(t0.realize(8))),
         ],
     )
     exact = w.realize(6)
     assert exact.displacement == 4
-    assert exact.table == {a: tables[a] for a in T3.ball(6)}
+    assert full_table(exact) == {a: tables[a] for a in T3.ball(6)}
     assert not set(T3.ball(7)) <= set(tables)
     assert w.inverse().apply(w.apply((0, 2, 1))) == (0, 2, 1)
 
@@ -833,7 +963,7 @@ def test_realize_and_identity_check_match_checked_apply_seeded(shape):
     ball = list(shape.ball(r))
     verdicts = set()
     for mover in specs + words:
-        table = mover.realize(r).table
+        table = full_table(mover.realize(r))
         assert table == {a: mover.apply(a) for a in ball}
         if isinstance(mover, SpecWord):
             fixed = all(table[a] == a for a in ball)
@@ -879,11 +1009,26 @@ def test_conjugate_tables_match_walked_conjugates_seeded(shape):
     moved = set()
     for g in _conjugators(rng, shape):
         for k in range(-3, 4):
-            got = [iso.table for iso in conjugate_tables(g, k, us, r)]
-            want = [SpecWord.conjugate(g, u, k).realize(r).table for u in us]
+            got = [full_table(iso) for iso in conjugate_tables(g, k, us, r)]
+            want = [full_table(SpecWord.conjugate(g, u, k).realize(r)) for u in us]
             assert got == want, (g, k)
             moved.update(any(a != b for a, b in t.items()) for t in got)
     assert moved == {True, False}
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_conjugate_families_share_pullbacks_seeded(shape):
+    # one pull-back sequence per sign gives every power's tables, each
+    # as the whole-ball walk of the conjugate as a word
+    rng = random.Random(67)
+    us = _seeded_portraits(rng, shape, 4) + [IsometrySpec(shape)]
+    for g in _conjugators(rng, shape):
+        for ks in ((-3, -1, 0, 2, 3), (2,), (-2,), (0,), range(-2, 3)):
+            families = conjugate_families(g, ks, us, 3)
+            assert sorted(families) == sorted(set(ks))
+            for k in ks:
+                want = [SpecWord.conjugate(g, u, k).realize(3).moved for u in us]
+                assert [iso.moved for iso in families[k]] == want, (g, k)
 
 
 def _apply_power(mover, e, addr):
@@ -922,7 +1067,7 @@ def test_spec_image_clopen_matches_table_transport():
     t0 = hyperbolic_isometry(T3, (0,))
     alpha = CylinderClopen.cylinder(T3, (0,))
     assert spec_image_clopen(t0, alpha) == oracle_image_clopen(
-        t0.realize(6).table, alpha
+        full_table(t0.realize(6)), alpha
     )
     w = SpecWord.of(t0, t0)
     assert spec_image_clopen(w, alpha) == parse_clopen(T3, "{010}")

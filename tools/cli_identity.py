@@ -42,6 +42,10 @@ def cases() -> list[tuple[str, list[str]]]:
                 out.append((spec, ["certify", kind, "spec.ini", "--element", element, *d]))
             out.append((spec, ["certify", "contraction", "spec.ini",
                                "--element", element, "--u", "u1", "--ball", "4", *d]))
+    # the witness checks at depth 8, where the indexed pull-backs and the
+    # sparse tables do the most work
+    for kind in ("goodshrink", "tits-core"):
+        out.append(("elements", ["certify", kind, "spec.ini", "--element", "g", "--depth", "8"]))
     # the nub shift check at the bench's depth and at a narrow and a wide window
     for extra in (["--depth", "8"], ["--depth", "6", "--m", "1"], ["--depth", "6", "--m", "5"]):
         out.append(("elements", ["certify", "nub", "spec.ini", "--element", "g", *extra]))
