@@ -12,7 +12,8 @@ Two tree shapes are supported.
 
 A clopen subset of the boundary is a finite union of cylinders and is
 stored canonically: a finite antichain of addresses in which every
-complete sibling family has been merged into its parent.  The full
+complete sibling family has been merged into its parent, kept in
+lexicographic address order as well as a set.  The full
 boundary is the distinguished TOP value (all length-1 addresses merged
 once more); it is not itself an address.  The empty set is the empty
 cover.  All arithmetic is exact; measures are Fractions, never floats.
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import eq
 from typing import Iterable, Iterator
 
 from .errors import PrecisionError
@@ -55,6 +58,17 @@ class TreeShape:
             for last in every
         ]
         object.__setattr__(self, "_after", (*after, every))
+        # _before[c][x] and _beyond[c][x] are the letters that may follow c
+        # and sort before or after x, as one-letter suffixes, indexed as
+        # _after is.
+        object.__setattr__(self, "_before", tuple(
+            tuple(tuple((c,) for c in letters if c < x) for x in every)
+            for letters in self._after
+        ))
+        object.__setattr__(self, "_beyond", tuple(
+            tuple(tuple((c,) for c in letters if c > x) for x in every)
+            for letters in self._after
+        ))
 
     # -- address structure ------------------------------------------------
 
@@ -118,13 +132,25 @@ def regular(degree: int) -> TreeShape:
 
 # -- canonical covers ----------------------------------------------------
 #
-# Every operation works on the canonical covers themselves.  Two cylinders
-# meet exactly when one address is a prefix of the other, and a canonical
-# cover holds a prefix (itself included) of every cylinder inside its
-# clopen: otherwise the deepest cover address below that cylinder would
-# have its whole sibling family in the cover, and a canonical cover never
-# does.  So the cylinder at ``addr`` lies inside a clopen exactly when
-# ``covered(addr, cover)``, and no operation needs a depth-n expansion.
+# Every operation works on the canonical covers themselves, read in
+# lexicographic address order.  Two cylinders meet exactly when one
+# address is a prefix of the other, and a canonical cover holds a prefix
+# (itself included) of every cylinder inside its clopen: otherwise the
+# deepest cover address below that cylinder would have its whole sibling
+# family in the cover, and a canonical cover never does.  So the cylinder
+# at ``addr`` lies inside a clopen exactly when ``covered(addr, cover)``,
+# and no operation needs a depth-n expansion.
+#
+# Address order is lexicographic order on letter tuples: a prefix comes
+# first, and its extensions follow it as one contiguous run.  So an
+# address x that sorts before y without being a prefix of y sorts before
+# every extension of x too, and meets nothing from y on, and a canonical
+# cover in address order is a sorted antichain.  ``meet``, ``leq`` and
+# ``meets`` are one two-pointer merge of two such covers (``_meeting``).
+# ``join`` merges the two sorted runs and runs the canonical pass over
+# them.  ``complement`` walks the cover once, from each address to the
+# next.  Every result comes out in address order, so no operation sorts;
+# only ``from_addresses`` sorts its input, once.
 
 
 def covered(addr: Address, cover: frozenset[Address]) -> bool:
@@ -132,28 +158,56 @@ def covered(addr: Address, cover: frozenset[Address]) -> bool:
     return any(addr[:k] in cover for k in range(len(addr) + 1))
 
 
-def _canonical(shape: TreeShape, addrs: Iterable[Address]) -> frozenset[Address]:
-    """Canonical cover of a union of legal cylinders.
+def _canonical(shape: TreeShape, ordered: Iterable[Address]) -> list[Address]:
+    """Canonical cover, in address order, of a union of legal cylinders
+    given in address order.
 
-    In lexicographic order every address follows its prefixes, so an
-    address below the last kept one is dropped, and a family is complete
-    when its last letter arrives on top of the rest of it: it is merged
-    into its parent, which may complete the family above in turn.
+    Every address follows its prefixes, so an address below the last kept
+    one is dropped, and a family is complete when its last letter arrives
+    on top of the rest of it: it is merged into its parent, which may
+    complete the family above in turn.
     """
+    after = shape._after
     kept: list[Address] = []
-    for a in sorted(addrs):
+    for a in ordered:
         if kept and a[: len(kept[-1])] == kept[-1]:
             continue
         while a:
-            parent = a[:-1]
-            letters = shape.child_letters(parent)
-            k = len(letters) - 1
-            if a[-1] != letters[-1] or kept[-k:] != [parent + (c,) for c in letters[:-1]]:
+            letters = after[a[-2] if len(a) > 1 else -1]
+            if a[-1] != letters[-1]:
                 break
-            del kept[-k:]
-            a = parent
+            # the other k letters sit just below a, in order, exactly when
+            # the first of them does and none of the rest is deeper
+            k = len(letters) - 1
+            first = len(kept) - k
+            if first < 0 or kept[first] != a[:-1] + letters[:1]:
+                break
+            if k > 1 and any(len(x) != len(a) for x in kept[first + 1 :]):
+                break
+            del kept[first:]
+            a = a[:-1]
         kept.append(a)
-    return frozenset(kept)
+    return kept
+
+
+def _meeting(a: list[Address], b: list[Address]) -> Iterator[Address]:
+    """The deeper address of each meeting pair of two sorted antichains,
+    in address order: the cover of their meet."""
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x < y:
+            if y[: len(x)] == x:
+                yield y
+                j += 1
+            else:
+                i += 1
+        elif x[: len(y)] == y:
+            yield x
+            i += 1
+        else:
+            j += 1
 
 
 @dataclass(frozen=True)
@@ -162,35 +216,55 @@ class CylinderClopen:
 
     ``cover`` is a canonical antichain; TOP is stored as the singleton
     cover {()} and rendered as the distinguished value.  The cover is the
-    only representation: the Boolean operations read and build canonical
-    covers directly through the prefix rule above, so equality, hashing
-    and text only ever see the cover.
+    only representation, and equality, hashing and text only ever see it.
+    The same addresses are also kept in address order, derived once at
+    construction and sharing the cover's address objects: the Boolean
+    operations merge and walk that order as above, build their results
+    in it, and ``sorted_cover()`` and ``format_clopen`` read it.
     """
 
     shape: TreeShape
     cover: frozenset[Address]
 
+    def __post_init__(self) -> None:
+        # Not a field: equality, hashing and repr see shape and cover.  A
+        # list that is never changed: with a tuple per clopen, dead orders
+        # sit on CPython's tuple free lists, and the clopen-algebra bench
+        # peaked about 1 MB higher.
+        object.__setattr__(self, "_order", sorted(self.cover))
+
+    @classmethod
+    def _ordered(cls, shape: TreeShape, order: list[Address]) -> "CylinderClopen":
+        """Take over a fresh list holding a canonical cover in address
+        order, unchecked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "shape", shape)
+        object.__setattr__(c, "cover", frozenset(order))
+        object.__setattr__(c, "_order", order)
+        return c
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(shape: TreeShape) -> "CylinderClopen":
-        return CylinderClopen(shape, frozenset())
+        return CylinderClopen._ordered(shape, [])
 
     @staticmethod
     def top(shape: TreeShape) -> "CylinderClopen":
-        return CylinderClopen(shape, frozenset({ROOT}))
+        return CylinderClopen._ordered(shape, [ROOT])
 
     @staticmethod
     def cylinder(shape: TreeShape, addr: Address) -> "CylinderClopen":
         shape.require_legal(addr)
-        return CylinderClopen(shape, frozenset({addr}))
+        return CylinderClopen._ordered(shape, [addr])
 
     @staticmethod
     def from_addresses(shape: TreeShape, addrs: Iterable[Address]) -> "CylinderClopen":
         material = [tuple(a) for a in addrs]
         for a in material:
             shape.require_legal(a)
-        return CylinderClopen(shape, _canonical(shape, material))
+        material.sort()
+        return CylinderClopen._ordered(shape, _canonical(shape, material))
 
     # -- predicates --------------------------------------------------------
 
@@ -239,44 +313,82 @@ class CylinderClopen:
             raise ValueError("mixed tree shapes in one operation")
 
     def meet(self, other: "CylinderClopen") -> "CylinderClopen":
-        # the deeper address of each meeting pair; already canonical
         self._same_shape(other)
-        a, b = self.cover, other.cover
-        out = {x for x in a if covered(x, b)} | {y for y in b if covered(y, a)}
-        return CylinderClopen(self.shape, frozenset(out))
+        return CylinderClopen._ordered(self.shape, list(_meeting(self._order, other._order)))
 
     def join(self, other: "CylinderClopen") -> "CylinderClopen":
+        # sorting two sorted runs is one linear merge
         self._same_shape(other)
-        return CylinderClopen(self.shape, _canonical(self.shape, self.cover | other.cover))
+        merged = self._order + other._order
+        merged.sort()
+        return CylinderClopen._ordered(self.shape, _canonical(self.shape, merged))
 
     def minus(self, other: "CylinderClopen") -> "CylinderClopen":
         return self.meet(other.complement())
 
     def complement(self) -> "CylinderClopen":
-        """The children of the cover's proper prefixes that are neither
-        prefixes nor cover addresses; zero has no prefixes at all."""
-        if not self.cover:
+        """The cover's gaps in address order.
+
+        Between one cover address and the next, the gaps are the letters
+        after the first on the way up to their fork, the letters between
+        the two at the fork, and the letters before the second on the way
+        down; the walk starts and ends at the root.
+        """
+        order = self._order
+        if not order:
             return CylinderClopen.top(self.shape)
-        prefixes = {a[:k] for a in self.cover for k in range(len(a))}
-        out = {
-            child
-            for p in prefixes
-            for c in self.shape.child_letters(p)
-            if (child := p + (c,)) not in prefixes and child not in self.cover
-        }
-        return CylinderClopen(self.shape, frozenset(out))
+        if order[0] == ROOT:
+            return CylinderClopen.zero(self.shape)
+        before, beyond = self.shape._before, self.shape._beyond
+        out: list[Address] = []
+        add = out.append
+        prev: Address = ()
+        for cur in chain(order, [()]):
+            # k is the fork, the length of the common prefix
+            k = 0
+            if prev and cur:
+                while prev[k] == cur[k]:
+                    k += 1
+            for d in range(len(prev) - 1, k, -1):
+                gaps = beyond[prev[d - 1]][prev[d]]
+                if gaps:
+                    node = prev[:d]
+                    for t in gaps:
+                        add(node + t)
+            end = cur or prev
+            node, last = end[:k], end[k - 1] if k else -1
+            if not prev:
+                gaps = before[last][cur[k]]
+            elif not cur:
+                gaps = beyond[last][prev[k]]
+            else:
+                # before cur[k], less prev[k] and the letters before it
+                gaps = before[last][cur[k]][len(before[last][prev[k]]) + 1 :]
+            for t in gaps:
+                add(node + t)
+            for d in range(k + 1, len(cur)):
+                gaps = before[cur[d - 1]][cur[d]]
+                if gaps:
+                    node = cur[:d]
+                    for t in gaps:
+                        add(node + t)
+            prev = cur
+        return CylinderClopen._ordered(self.shape, out)
 
     def leq(self, other: "CylinderClopen") -> bool:
+        # the meet is self exactly when it yields self's addresses in
+        # order; the None after it fails a meet that stops short
         self._same_shape(other)
-        return all(covered(x, other.cover) for x in self.cover)
+        mine = self._order
+        run = chain(_meeting(mine, other._order), (None,))
+        return all(map(eq, mine, run))
 
     def lt(self, other: "CylinderClopen") -> bool:
         return self.leq(other) and self != other
 
     def meets(self, other: "CylinderClopen") -> bool:
         self._same_shape(other)
-        a, b = self.cover, other.cover
-        return any(covered(x, b) for x in a) or any(covered(y, a) for y in b)
+        return next(_meeting(self._order, other._order), None) is not None
 
     # -- measure --------------------------------------------------------------
 
@@ -291,7 +403,8 @@ class CylinderClopen:
         return format_clopen(self)
 
     def sorted_cover(self) -> list[Address]:
-        return sorted(self.cover)
+        """The cover in address order, as a new list."""
+        return self._order.copy()
 
 
 # -- textual form -----------------------------------------------------------
@@ -302,8 +415,8 @@ class CylinderClopen:
 
 def format_address(shape: TreeShape, addr: Address) -> str:
     if shape.degree <= 10:
-        return "".join(str(c) for c in addr)
-    return ".".join(str(c) for c in addr)
+        return "".join(map(str, addr))
+    return ".".join(map(str, addr))
 
 
 def read_address(shape: TreeShape, text: str) -> Address:
@@ -313,7 +426,7 @@ def read_address(shape: TreeShape, text: str) -> Address:
     parts = text.split(".") if shape.degree > 10 or "." in text else text
     if not text or not all(map(str.isdecimal, parts)):
         raise ValueError(f"address must be digits, got {text!r}")
-    return tuple(int(part) for part in parts)
+    return tuple(map(int, parts))
 
 
 def parse_address(shape: TreeShape, text: str) -> Address:
@@ -328,7 +441,7 @@ def format_clopen(clopen: CylinderClopen) -> str:
     if clopen.is_zero():
         return "{}"
     inner = ",".join(
-        format_address(clopen.shape, a) for a in clopen.sorted_cover()
+        format_address(clopen.shape, a) for a in clopen._order
     )
     return "{" + inner + "}"
 

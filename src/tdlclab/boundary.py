@@ -444,7 +444,7 @@ def _attracting_half_tree(
 def _cone_vertex(region: CylinderClopen) -> Address:
     """Longest common prefix of the cover: the vertex whose subtree is
     the smallest cylinder containing the region."""
-    addrs = sorted(region.cover)
+    addrs = region.sorted_cover()
     if not addrs:
         raise ValueError("empty region has no cone vertex")
     first, last = addrs[0], addrs[-1]

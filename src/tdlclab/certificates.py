@@ -53,11 +53,13 @@ def normalise_key(key) -> str:
     return str(key)
 
 
+def serialise(plain) -> str:
+    """Canonical text of a value that ``normalise`` already folded."""
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(data) -> str:
-    return json.dumps(
-        normalise(data), sort_keys=True, separators=(",", ":"),
-        ensure_ascii=True,
-    )
+    return serialise(normalise(data))
 
 
 def spec_hash(text: str) -> str:

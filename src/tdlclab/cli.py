@@ -68,7 +68,7 @@ from .boundary import (
     nub_window,
     tits_core_generators,
 )
-from .certificates import canonical_json, certificate, normalise, spec_hash
+from .certificates import canonical_json, certificate, normalise, serialise, spec_hash
 from .errors import (
     ClosureCapExceeded,
     DisjointnessFailure,
@@ -461,7 +461,8 @@ def _write_certificate(spec: GroupSpec, kind: str, parameters: dict, checks: dic
         bounds={"depth": spec.depth, "word_bound": spec.word_bound, "cap": spec.cap},
     )
     path = Path(out) if out else Path(f"{kind}.cert.json")
-    path.write_text(canonical_json(cert) + "\n")
+    # certificate() has normalised every part already
+    path.write_text(serialise(cert) + "\n")
     return {"kind": kind, "path": str(path), "verdict": verdict}
 
 

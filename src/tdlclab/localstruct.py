@@ -304,7 +304,7 @@ def fixed_point_scan(ctx: ActionContext) -> dict:
         seed = remaining[0]
         block = {seed}
         while True:
-            union = CylinderClopen.from_addresses(shape, sorted(block))
+            union = CylinderClopen.from_addresses(shape, block)
             new = set()
             for name in ctx.gen_names:
                 img = ctx.image(name, union)

@@ -679,12 +679,6 @@ def _simple_label_of_order(n: int) -> str:
     return f"simple[{n}]"
 
 
-def simple_label(g: FiniteGroup) -> str:
-    if not is_simple(g):
-        raise ValueError("label requested for a non-simple group")
-    return _simple_label_of_order(g.order)
-
-
 def composition_factors(g: FiniteGroup) -> list[str]:
     """Jordan-Holder factor labels, outermost factor first.
 

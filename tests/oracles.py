@@ -60,6 +60,14 @@ The congruence-kernel oracle is the element filter
 ``tree.congruence_kernel`` used before it moved to Schreier generators:
 it closes the whole level group and keeps every element that fixes each
 sphere point's depth-k prefix.
+
+The clopen oracles are the cylinder algebra as it was before covers were
+merged in address order: every meet, leq and meets test probes the other
+cover's hash set once per prefix of each address, the complement collects
+every proper prefix and keeps the children that are neither prefixes nor
+cover addresses, and the canonical pass sorts its input itself.  They
+return plain covers, so they must agree with ``CylinderClopen`` cover for
+cover.
 """
 from __future__ import annotations
 
@@ -567,6 +575,58 @@ def oracle_congruence_kernel(group: FiniteGroup, shape, n: int, k: int) -> Finit
         if all(prefixes[j] == prefixes[i] for i, j in enumerate(e.images))
     ]
     return group.subgroup_from_elements(members)
+
+
+# -- clopen algebra ----------------------------------------------------------
+
+
+def _oracle_covered(addr, cover) -> bool:
+    return any(addr[:k] in cover for k in range(len(addr) + 1))
+
+
+def oracle_canonical(shape, addrs) -> frozenset:
+    kept = []
+    for a in sorted(addrs):
+        if kept and a[: len(kept[-1])] == kept[-1]:
+            continue
+        while a:
+            parent = a[:-1]
+            letters = shape.child_letters(parent)
+            k = len(letters) - 1
+            if a[-1] != letters[-1] or kept[-k:] != [parent + (c,) for c in letters[:-1]]:
+                break
+            del kept[-k:]
+            a = parent
+        kept.append(a)
+    return frozenset(kept)
+
+
+def oracle_meet(x: CylinderClopen, y: CylinderClopen) -> frozenset:
+    a, b = x.cover, y.cover
+    return frozenset(
+        {p for p in a if _oracle_covered(p, b)} | {q for q in b if _oracle_covered(q, a)}
+    )
+
+
+def oracle_leq(x: CylinderClopen, y: CylinderClopen) -> bool:
+    return all(_oracle_covered(p, y.cover) for p in x.cover)
+
+
+def oracle_meets(x: CylinderClopen, y: CylinderClopen) -> bool:
+    a, b = x.cover, y.cover
+    return any(_oracle_covered(p, b) for p in a) or any(_oracle_covered(q, a) for q in b)
+
+
+def oracle_complement(x: CylinderClopen) -> frozenset:
+    if not x.cover:
+        return frozenset({ROOT})
+    prefixes = {a[:k] for a in x.cover for k in range(len(a))}
+    return frozenset(
+        child
+        for p in prefixes
+        for c in x.shape.child_letters(p)
+        if (child := p + (c,)) not in prefixes and child not in x.cover
+    )
 
 
 # -- shared corpus -----------------------------------------------------------

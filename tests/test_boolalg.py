@@ -25,6 +25,13 @@ from tdlclab.boolalg import (
 )
 from tdlclab.errors import PrecisionError
 
+from oracles import (
+    oracle_canonical,
+    oracle_complement,
+    oracle_leq,
+    oracle_meet,
+    oracle_meets,
+)
 from util import expand, random_clopen
 
 T3 = regular(3)
@@ -207,6 +214,13 @@ def test_algebra_matches_set_model_to_depth_6():
             # canonical form is unique, so this pins the cover itself down too
             for got in (comp, meet, join, minus):
                 _assert_canonical(shape, got.cover)
+                assert got.sorted_cover() == sorted(got.cover)
+            # the prefix-rule algebra, cover for cover
+            assert comp.cover == oracle_complement(a)
+            assert meet.cover == oracle_meet(a, b)
+            assert join.cover == oracle_canonical(shape, a.cover | b.cover)
+            assert a.leq(b) == oracle_leq(a, b)
+            assert a.meets(b) == oracle_meets(a, b)
             assert expand(comp, n) == everything - ea
             assert expand(meet, n) == ea & eb
             assert expand(join, n) == ea | eb
@@ -225,6 +239,8 @@ def test_algebra_matches_set_model_to_depth_6():
                 addrs.append(rng.choice(shallower))
             got = CylinderClopen.from_addresses(shape, addrs)
             _assert_canonical(shape, got.cover)
+            assert got.sorted_cover() == sorted(got.cover)
+            assert got.cover == oracle_canonical(shape, addrs)
             assert expand(got, k) == _expand_addresses(shape, addrs, k)
             # input order and repeats do not matter
             shuffled = addrs + rng.sample(addrs, min(len(addrs), 3))

@@ -51,6 +51,8 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append(("elements", ["certify", "nub", "spec.ini", "--element", "g", *extra]))
     for spec in ("rooted-binary", "regular-sym3"):
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..4"]))
+    # local-class regions one level deeper, each rendered through format_clopen
+    out.append(("regular-sym3", ["report-local", "spec.ini", "--depths", "1..5"]))
     for spec in ("elements", "regular-sym3"):
         for depth in (2, 3):
             out.append((spec, ["dynamics", "degree", "spec.ini", "--depth", str(depth)]))
