@@ -761,10 +761,10 @@ def _stone_orbit_dot(ctx) -> str:
     for s in states:
         lines.append(f'  {ids[s]} [label="{ctx.state_label(s)}"];')
     for name in ctx.gen_names:
-        if name.endswith("~"):
+        if "~" in name:
             continue
         for s in states:
-            met = ctx.met_states(ctx.image(name, ctx.state_clopen(s)))
+            met = ctx.met_states(ctx.step(name, s))
             for t in states:
                 if t in met:
                     lines.append(f'  {ids[s]} -> {ids[t]} [label="{name}"];')

@@ -10,14 +10,15 @@ for end-level claims.  On one tree the word-image searches key a
 one-cylinder clopen by its vertex, the address tuple, and every other
 state by its clopen; the two never name the same value, and a vertex
 deeper than a generator's displacement moves by applying the generator
-to its address.  On two copies every state is a pair.  A search that
-closes its orbit below the word bound refutes; one that is cut off by
-the bound reports exhaustion, and the two outcomes are never conflated.
+to its address.  On two copies a state is a single-tree state tagged
+by its copy, and a generator of the other copy leaves it in place.  A
+search that closes its orbit below the word bound refutes; one that is
+cut off by the bound reports exhaustion, and the two outcomes are never
+conflated.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .boolalg import CylinderClopen, TreeShape, format_address, sphere_list
@@ -34,14 +35,6 @@ from .tree import (
 Word = tuple[str, ...]
 
 _RHS = -1  # the right-side key of a sparse simplex row
-
-
-def _state_of(clopen: CylinderClopen):
-    """The search state of a clopen: its vertex when it is one cylinder."""
-    if len(clopen.cover) == 1:
-        (vertex,) = clopen.cover
-        return vertex
-    return clopen
 
 
 class ActionContext:
@@ -113,10 +106,6 @@ class ActionContext:
             return CylinderClopen.cylinder(self.shape, state)
         return state
 
-    def search_state(self, state):
-        """The word-image search state of a depth-n state: its vertex."""
-        return state
-
     def state_label(self, state) -> str:
         return format_address(self.shape, state)
 
@@ -139,7 +128,7 @@ class ActionContext:
             return frozenset((state[: self.depth],))
         return self.state_clopen(state).shadow(self.depth)
 
-    def _step(self, name: str, state):
+    def step(self, name: str, state):
         """One search step.  The cylinder at a vertex deeper than the
         generator's displacement is its own atom in ``spec_image_clopen``,
         so its image is the cylinder at the image vertex; any other state
@@ -147,7 +136,11 @@ class ActionContext:
         a vertex again."""
         if type(state) is tuple and len(state) > self._displacement[name]:
             return self._vertex_image[name](state)
-        return _state_of(self.image(name, self.state_clopen(state)))
+        image = self.image(name, self.state_clopen(state))
+        if len(image.cover) == 1:
+            (vertex,) = image.cover
+            return vertex
+        return image
 
     def _strictly_inside(self, state, addr) -> bool:
         """Whether a search state lies strictly inside the cylinder at addr."""
@@ -165,34 +158,13 @@ class ActionContext:
         return self.max_displacement == 0
 
 
-@dataclass(frozen=True)
-class PairClopen:
-    """Clopen of a two-copy disjoint union, one component per copy."""
-
-    left: CylinderClopen
-    right: CylinderClopen
-
-    def join(self, other: "PairClopen") -> "PairClopen":
-        return PairClopen(self.left.join(other.left), self.right.join(other.right))
-
-    def leq(self, other: "PairClopen") -> bool:
-        return self.left.leq(other.left) and self.right.leq(other.right)
-
-    def lt(self, other: "PairClopen") -> bool:
-        return self.leq(other) and self != other
-
-    def is_zero(self) -> bool:
-        return self.left.is_zero() and self.right.is_zero()
-
-    def __str__(self) -> str:
-        return f"[0:{self.left} 1:{self.right}]"
-
-
 class TwoCopyContext:
     """Product control: two tree copies, generators acting copy-wise.
 
     Generator names carry the copy tag (name@0, name@1); no generator
     maps one copy into the other, which is the point of the example.
+    A state is a single-tree state tagged by its copy, (copy, s), and
+    it moves by the single-tree step of its own copy's generators.
     """
 
     def __init__(
@@ -203,73 +175,43 @@ class TwoCopyContext:
         depth: int,
         word_bound: int = 8,
     ) -> None:
-        base0 = ActionContext(shape, local, generators, depth, word_bound)
-        self.shape = shape
-        self.local = local
+        self._base = ActionContext(shape, local, generators, depth, word_bound)
         self.depth = depth
         self.word_bound = word_bound
-        self._base = base0
-        self.gen_names = tuple(
-            f"{name}@{copy}" for copy in (0, 1) for name in base0.gen_names
-        )
-        self._zero = base0.zero()
-        self._top = base0.top()
-        # no memo of its own: each side's image is memoised in the base
-        # context, whose memo bench/tracer.py reads for its hit count
-        self._image_memo = base0._image_memo
+        # each tagged name's base generator and copy
+        self._tags = {
+            f"{name}@{copy}": (name, copy)
+            for copy in (0, 1) for name in self._base.gen_names
+        }
+        self.gen_names = tuple(self._tags)
 
     def states(self) -> tuple:
         inner = self._base.states()
         return tuple((copy, s) for copy in (0, 1) for s in inner)
 
-    def state_clopen(self, state) -> PairClopen:
-        copy, addr = state
-        cyl = self._base.state_clopen(addr)
-        if copy == 0:
-            return PairClopen(cyl, self._zero)
-        return PairClopen(self._zero, cyl)
-
-    def search_state(self, state) -> PairClopen:
-        """The word-image search state of a copy-tagged state: its pair."""
-        return self.state_clopen(state)
-
     def state_label(self, state) -> str:
         copy, addr = state
         return f"{copy}:{self._base.state_label(addr)}"
 
-    def image(self, name: str, pair: PairClopen) -> PairClopen:
-        base, copy = name.rsplit("@", 1)
-        if copy == "0":
-            return PairClopen(self._base.image(base, pair.left), pair.right)
-        return PairClopen(pair.left, self._base.image(base, pair.right))
+    def met_states(self, state) -> frozenset:
+        """The copy-tagged states whose cylinders meet a tagged state."""
+        copy, s = state
+        return frozenset((copy, b) for b in self._base.met_states(s))
 
-    def met_states(self, pair: PairClopen) -> frozenset:
-        """The copy-tagged states whose cylinders meet the pair."""
-        return frozenset(
-            (copy, s)
-            for copy, side in enumerate((pair.left, pair.right))
-            for s in self._base.met_states(side)
-        )
-
-    @property
-    def _step(self):
-        """The search step on pairs: the image itself, with no frame of
-        its own on every step."""
-        return self.image
-
-    def top(self) -> PairClopen:
-        return PairClopen(self._top, self._top)
-
-    def zero(self) -> PairClopen:
-        return PairClopen(self._zero, self._zero)
+    def step(self, name: str, state):
+        """One search step: a generator of the other copy fixes the state."""
+        base, copy = self._tags[name]
+        if copy != state[0]:
+            return state
+        return copy, self._base.step(base, state[1])
 
     def all_fix_base(self) -> bool:
         return self._base.all_fix_base()
 
 
-def _bfs(names, bound, image, start):
+def _bfs(names, bound, step, start):
     """Breadth-first (state, word) pairs from (start, ()), deduplicated by
-    value; ``image(name, state)`` is one step and words of length
+    value; ``step(name, state)`` is one step and words of length
     ``bound`` are not expanded."""
     seen = {start: ()}
     queue = deque([start])
@@ -280,7 +222,7 @@ def _bfs(names, bound, image, start):
         if len(w) >= bound:
             continue
         for name in names:
-            y = image(name, x)
+            y = step(name, x)
             if y not in seen:
                 seen[y] = w + (name,)
                 queue.append(y)
@@ -308,10 +250,9 @@ def _first_words(ctx, start, inside: bool = False) -> dict:
     """
     total = len(ctx.states())
     found: dict = {}
-    search = _bfs(ctx.gen_names, ctx.word_bound, ctx._step, ctx.search_state(start))
-    for state, word in search:
+    for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx.step, start):
         met = ctx.met_states(state)
-        if inside and (len(met) != 1 or state == ctx.search_state(next(iter(met)))):
+        if inside and (len(met) != 1 or state == next(iter(met))):
             continue
         for b in met:
             found.setdefault(b, word)
@@ -378,7 +319,7 @@ def skewering_search(ctx) -> dict:
     all_saturated = True
     for a in candidates:
         saturated = True
-        for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx._step, a):
+        for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx.step, a):
             if word and ctx._strictly_inside(state, a):
                 alpha = ctx.state_clopen(a)
                 galpha = ctx.state_clopen(state)

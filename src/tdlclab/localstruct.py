@@ -1,11 +1,12 @@
 """Cylinder-supported class lattice at truncation depth.
 
-Classes are canonical clopen regions; meet is regionwise, join runs
-through the complement-of-meet-of-complements formula, and perp is the
-region complement backed by rigid-stabiliser checks: commutation of the
-two witness families and the co-generation index inside the realized
-level truncations.  Scans enumerate the invariant cylinder classes of a
-dynamics context as unions of minimal saturation blocks.
+Classes are canonical clopen regions; meet and join are regionwise
+(join is the complement-of-meet-of-complements formula by De Morgan),
+and perp is the region complement backed by rigid-stabiliser checks:
+commutation of the two witness families and the co-generation index
+inside the realized level truncations.  Scans enumerate the invariant
+cylinder classes of a dynamics context as unions of minimal saturation
+blocks.
 """
 from __future__ import annotations
 
@@ -83,9 +84,9 @@ def class_perp(a: LocalClass) -> LocalClass:
 
 
 def class_join(a: LocalClass, b: LocalClass) -> LocalClass:
-    # the centraliser-lattice formula: complement of the meet of
-    # complements; for cylinder classes this is exactly region union
-    return class_perp(class_meet(class_perp(a), class_perp(b)))
+    # the centraliser-lattice formula, complement of the meet of
+    # complements, is by De Morgan the region union
+    return local_class(a.region.join(b.region), max(a.depth, b.depth))
 
 
 def _rist_level_order(local: FiniteGroup, region: CylinderClopen, n: int) -> int:

@@ -44,9 +44,12 @@ the moved vertices and the edges and neighbours around them.
 
 The first-words and skewering oracles are the word-image searches as
 they were before one-cylinder states became vertices: every state is a
-clopen (a pair on two copies), and every step goes through the
-context's memoised ``image``, so every image is refined, moved atom by
-atom and put back in canonical form.
+clopen, and every step goes through the context's memoised ``image``,
+so every image is refined, moved atom by atom and put back in canonical
+form.  On two copies the first-words oracle is the search as it was
+before a state became a copy-tagged single-tree state: a state is a
+(left, right) pair of clopens, and a generator of copy c moves side c
+through the base context's ``image``.
 
 The closure oracles are the group closures as they were before they
 moved to image tuples: ``oracle_close`` grows the element set one
@@ -75,7 +78,7 @@ import itertools
 from fractions import Fraction
 
 from tdlclab.boolalg import ROOT, CylinderClopen, sphere_list
-from tdlclab.dynamics import reachable_images
+from tdlclab.dynamics import TwoCopyContext, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
 from tdlclab.tree import SpecWord, pullbacks
@@ -398,8 +401,38 @@ def oracle_forcing_replay(rows, order, nvars: int) -> bool:
     return all(forced)
 
 
+class _PairSearch:
+    """A two-copy context searched on (left, right) pairs of clopens."""
+
+    def __init__(self, two: TwoCopyContext) -> None:
+        self._base = two._base
+        self._zero = CylinderClopen.zero(two._base.shape)
+        self.states = two.states
+        self.gen_names = two.gen_names
+        self.word_bound = two.word_bound
+
+    def state_clopen(self, state) -> tuple:
+        copy, addr = state
+        cyl = self._base.state_clopen(addr)
+        return (cyl, self._zero) if copy == 0 else (self._zero, cyl)
+
+    def image(self, name: str, pair: tuple) -> tuple:
+        base, copy = name.rsplit("@", 1)
+        if copy == "0":
+            return self._base.image(base, pair[0]), pair[1]
+        return pair[0], self._base.image(base, pair[1])
+
+    def met_states(self, pair: tuple) -> frozenset:
+        return frozenset(
+            (copy, s) for copy, side in enumerate(pair) for s in self._base.met_states(side)
+        )
+
+
 def oracle_first_words(ctx, start, inside: bool = False) -> dict:
-    """``dynamics._first_words`` on clopen states; ``start`` is a clopen."""
+    """``dynamics._first_words`` on clopen states from the state ``start``."""
+    if isinstance(ctx, TwoCopyContext):
+        ctx = _PairSearch(ctx)
+    start = ctx.state_clopen(start)
     total = len(ctx.states())
     found: dict = {}
     for clopen, word in reachable_images(ctx, start):

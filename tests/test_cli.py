@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -631,6 +632,34 @@ def test_export_stone_orbit_to_stdout(spec_file, capsys):
     assert code == 0
     assert captured.out.startswith("digraph stone_orbit")
     assert captured.out.count("label=\"") >= 6
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_two_copy_stone_orbit_is_the_base_orbit_per_copy(depth):
+    # each copy's generators draw the single-tree orbit on their own copy
+    # and fix every state of the other copy; inverse names draw nothing
+    spec = cli.parse_spec_text(TWOCOPY)
+    spec.depth = depth
+    two = cli.build_context(spec)
+    n = len(two._base.states())
+    edge = re.compile(r'  n(\d+) -> n(\d+) \[label="(.+)"\];')
+    base: dict[str, list] = {}
+    for line in cli._stone_orbit_dot(two._base).splitlines():
+        if m := edge.fullmatch(line):
+            base.setdefault(m[3], []).append((int(m[1]), int(m[2])))
+    want = []
+    for copy in (0, 1):
+        for name, edges in base.items():
+            for c in (0, 1):
+                for i in range(n):
+                    targets = [j for a, j in edges if a == i] if c == copy else [i]
+                    want += [(c * n + i, c * n + j, f"{name}@{copy}") for j in targets]
+    got = [
+        (int(m[1]), int(m[2]), m[3])
+        for line in cli._stone_orbit_dot(two).splitlines()
+        if (m := edge.fullmatch(line))
+    ]
+    assert got == want
 
 
 # ---------------------------------------------------------------- exit codes

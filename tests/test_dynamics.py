@@ -206,10 +206,10 @@ def test_met_states_match_a_cylinder_scan():
             scan = {s for s in one.states() if clopen.meets(cyl(*s))}
             assert one.met_states(clopen) == scan
     for start in two.states():
-        for pair, _ in dy.reachable_images(two, two.state_clopen(start)):
-            sides = (pair.left, pair.right)
-            scan = {(c, s) for c, s in two.states() if sides[c].meets(cyl(*s))}
-            assert two.met_states(pair) == scan
+        for (copy, state), _ in dy._bfs(two.gen_names, two.word_bound, two.step, start):
+            clopen = one.state_clopen(state)
+            scan = {(c, s) for c, s in two.states() if c == copy and clopen.meets(cyl(*s))}
+            assert two.met_states((copy, state)) == scan
 
 
 _DEGREE_CONTEXTS = {
@@ -287,7 +287,7 @@ _VERTEX_CONTEXTS = {
 def _assert_searches_match_oracles(ctx):
     for inside in (False, True):
         for a in ctx.states():
-            want = oracle_first_words(ctx, ctx.state_clopen(a), inside)
+            want = oracle_first_words(ctx, a, inside)
             assert dy._first_words(ctx, a, inside) == want, (a, inside)
     if isinstance(ctx, dy.TwoCopyContext):
         return None
@@ -307,6 +307,16 @@ def _assert_searches_match_oracles(ctx):
 @pytest.mark.parametrize("name", sorted(_VERTEX_CONTEXTS))
 def test_vertex_searches_match_clopen_oracles(name):
     _assert_searches_match_oracles(_VERTEX_CONTEXTS[name]())
+
+
+def test_two_copy_oracle_catches_a_step_that_ignores_the_copy(monkeypatch):
+    def untagged(self, name, state):
+        copy, s = state
+        return copy, self._base.step(name.rsplit("@", 1)[0], s)
+
+    monkeypatch.setattr(dy.TwoCopyContext, "step", untagged)
+    with pytest.raises(AssertionError):
+        _assert_searches_match_oracles(dy.two_copy_product_context(S3, depth=2))
 
 
 def _random_context(rng):
@@ -486,22 +496,8 @@ def test_orbit_join_top_needs_no_witnesses():
 
 def test_orbit_join_rejects_zero():
     ctx = dy.translation_rotation_context(S3, depth=2, word_bound=6)
-    two = dy.two_copy_product_context(S3, depth=2, word_bound=6)
-    for context in (ctx, two):
-        with pytest.raises(ValueError):
-            dy.orbit_join(context, context.zero())
-
-
-def test_orbit_join_two_copy_stays_proper():
-    two = dy.two_copy_product_context(S3, depth=2, word_bound=6)
-    report = dy.orbit_join(two, two.state_clopen((1, (0, 1))))
-    star = report["alpha_star"]
-    assert not report["is_top"]
-    assert star.lt(two.top())
-    assert star.left.measure() == 0
-    assert str(star.right) == "TOP"
-    for name in two.gen_names:
-        assert two.image(name, star).leq(star)
+    with pytest.raises(ValueError):
+        dy.orbit_join(ctx, ctx.zero())
 
 
 # ----------------------------------------------------------- invariant measure

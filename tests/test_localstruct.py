@@ -50,12 +50,18 @@ def test_meet_and_join_trivial_examples():
 
 
 def test_join_formula_matches_region_union():
+    # class_join against the centraliser-lattice formula, the perp of the
+    # meet of perps: region and depth tag alike
     rng = random.Random(23)
     for _ in range(500):
         x = random_clopen(rng, T3, 4)
         y = random_clopen(rng, T3, 4)
-        via_formula = ls.class_join(ls.local_class(x), ls.local_class(y))
-        assert via_formula.region == x.join(y)
+        a = ls.local_class(x, rng.randint(0, 5))
+        b = ls.local_class(y, rng.randint(0, 5))
+        via_formula = ls.class_perp(ls.class_meet(ls.class_perp(a), ls.class_perp(b)))
+        joined = ls.class_join(a, b)
+        assert via_formula.region == joined.region == x.join(y)
+        assert via_formula.depth == joined.depth == max(a.depth, b.depth)
 
 
 def test_lattice_matches_the_clopen_algebra():

@@ -61,6 +61,7 @@ def cases() -> list[tuple[str, list[str]]]:
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
     for check in ("minimal", "degree", "minorising"):
         out.append(("two-copy", ["dynamics", check, "spec.ini"]))
+        out.append(("two-copy", ["dynamics", check, "spec.ini", "--depth", "3"]))
     # far deeper word images than the depth-3/4 cases above
     for check, depths in (("minimal", (5, 6, 7)), ("degree", (5, 6, 7)), ("skewering", (5, 6))):
         for depth in depths:
@@ -72,6 +73,7 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("regular-sym3", ["certify", "orbit-join", "spec.ini"]))
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
+    out.append(("elements", ["export", "stone-orbit", "spec.ini", "--depth", "3"]))
     out.extend(("demo", [demo]) for demo in DEMOS)
     return out
 
