@@ -11,13 +11,24 @@ one-cylinder clopen by its vertex, the address tuple, and every other
 state by its clopen; the two never name the same value, and a vertex
 deeper than a generator's displacement moves by applying the generator
 to its address.  On two copies a state is a single-tree state tagged
-by its copy, and a generator of the other copy leaves it in place.  A
-search that closes its orbit below the word bound refutes; one that is
-cut off by the bound reports exhaustion, and the two outcomes are never
-conflated.
+by its copy, and a generator of the other copy leaves it in place.
+
+The minimality, minorising and degree searches start once from every
+depth-n state, and those searches share one action graph per call: the
+generators' Schreier graph on search states, with int ids, neighbour
+ids in generator order and each state's met depth-n states, built only
+as far as the searches reach and dropped when the call returns.  Each
+start is then a breadth-first search over ids with parent pointers,
+which visits the states in the order of a search over the states
+themselves and spells words only for the states it records (the orbit
+algorithm with Schreier vectors; Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, section 4.1).  A search that closes
+its orbit below the word bound refutes; one that is cut off by the
+bound reports exhaustion, and the two outcomes are never conflated.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 
@@ -66,7 +77,9 @@ class ActionContext:
         self._inverse_names: dict[str, str] = {}
         # each generator's spec map on an address, for vertex steps; the
         # one-factor SpecWord._apply costs 3.2 us a step against 2.5 us,
-        # about 1 s of the 1.5 million steps of check_minimal at depth 8
+        # and an action graph steps each generator once per expanded
+        # state (294,610 steps for check_minimal at depth 8), the measure
+        # rows once per working cylinder
         self._vertex_image: dict = {}
         for name, spec in generators.items():
             if "~" in name:
@@ -238,27 +251,105 @@ def reachable_images(ctx, start):
     yield from _bfs(ctx.gen_names, ctx.word_bound, ctx.image, start)
 
 
-def _first_words(ctx, start, inside: bool = False) -> dict:
-    """State -> first breadth-first word whose image of the cylinder at
-    the state ``start`` meets it.
+class _ActionGraph:
+    """The generators' Schreier graph on search states, built as far as
+    the searches over it reach.
+
+    The depth-n states take ids 0 to N - 1 in ``ctx.states()`` order,
+    so a depth-n state's id is its index; any other state takes the next
+    id when a step first reaches it.  Each id keeps its state and the
+    depth-n states it meets, as indices found once: an int when it meets
+    one, a tuple otherwise.  An expanded id keeps the ids of its
+    neighbours in ``gen_names`` order, one ``ctx.step`` per generator.
+    A graph lives for one search call, never on the context.
+    """
+
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        self.starts = ctx.states()
+        self._index = {s: i for i, s in enumerate(self.starts)}
+        self._ids: dict = {}
+        self.states: list = []
+        self.met: list = []
+        self.edges: list = []
+        for s in self.starts:
+            self.id_of(s)
+
+    def id_of(self, state) -> int:
+        i = self._ids.get(state)
+        if i is None:
+            i = self._ids[state] = len(self.states)
+            self.states.append(state)
+            met = tuple(self._index[b] for b in self.ctx.met_states(state))
+            self.met.append(met[0] if len(met) == 1 else met)
+            self.edges.append(None)
+        return i
+
+    def neighbours(self, i: int) -> tuple:
+        got = self.edges[i]
+        if got is None:
+            state, step = self.states[i], self.ctx.step
+            got = tuple(self.id_of(step(name, state)) for name in self.ctx.gen_names)
+            self.edges[i] = got
+        return got
+
+
+def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
+    """Depth-n state -> first breadth-first word whose image of the
+    cylinder at the depth-n state ``start`` meets it, searched over
+    ``graph``.
 
     With ``inside`` a state is recorded only when the image lies strictly
     inside its cylinder.  The depth-n cylinders partition the boundary,
     so that is an image meeting that one state and differing from its
-    cylinder; search states name each clopen once, so they are compared
-    as states.  The search stops once every state is recorded.
+    cylinder; search states name each clopen once, so that is an id
+    meeting one depth-n state and not its id.  The search stops once
+    every state is recorded, and it spells only the recorded words,
+    from parent pointers.
     """
-    total = len(ctx.states())
-    found: dict = {}
-    for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx.step, start):
-        met = ctx.met_states(state)
-        if inside and (len(met) != 1 or state == next(iter(met))):
-            continue
-        for b in met:
-            found.setdefault(b, word)
-        if len(found) == total:
-            break
-    return found
+    total = len(graph.starts)
+    met, edges = graph.met, graph.edges
+    names = graph.ctx.gen_names
+    root = graph.id_of(start)  # the index of start, which meets only itself
+    # id -> its parent's id * len(names) + the position of the last letter
+    parent = {root: -1}
+    # depth-n state index -> the first id meeting it
+    found: dict[int, int] = {} if inside else {root: root}
+
+    def search() -> None:
+        level = [root]
+        for _ in range(graph.ctx.word_bound):
+            if len(found) == total or not level:
+                return
+            deeper = []
+            for x in level:
+                for g, y in enumerate(edges[x] or graph.neighbours(x)):
+                    if y in parent:
+                        continue
+                    parent[y] = x * len(names) + g
+                    deeper.append(y)
+                    m = met[y]
+                    if type(m) is int:
+                        if m not in found and not (inside and m == y):
+                            found[m] = y
+                    elif not inside:
+                        for b in m:
+                            found.setdefault(b, y)
+                    if len(found) == total:
+                        return
+            level = deeper
+
+    search()
+    words = {root: ()}  # the spelled ids; a word extends its parent's
+    for i in found.values():
+        path = []
+        while i not in words:
+            path.append(i)
+            i = parent[i] // len(names)
+        for j in reversed(path):
+            words[j] = words[i] + (names[parent[j] % len(names)],)
+            i = j
+    return {graph.starts[b]: words[i] for b, i in found.items()}
 
 
 def check_minimal(ctx) -> dict:
@@ -273,8 +364,9 @@ def check_minimal(ctx) -> dict:
     witnesses: dict[str, list[str]] = {}
     counterexample = None
     longest = 0
+    graph = _ActionGraph(ctx)
     for a in states:
-        met = _first_words(ctx, a)
+        met = _first_words(graph, a)
         for b in states:
             if b in met:
                 witnesses[f"{labels[a]}->{labels[b]}"] = list(met[b])
@@ -364,8 +456,9 @@ def minorising_set(ctx) -> dict:
     """
     states = ctx.states()
     coverage: dict = {}
+    graph = _ActionGraph(ctx)
     for c in states:
-        found = _first_words(ctx, c, inside=True)
+        found = _first_words(graph, c, inside=True)
         coverage[c] = found
         if len(found) == len(states):
             return _minorising_report(ctx, [c], {b: (c, w) for b, w in found.items()})
@@ -431,7 +524,8 @@ def minorising_degree(ctx) -> dict:
     """
     initial = None if ctx.all_fix_base() else minorising_set(ctx)["set"]
     states = ctx.states()
-    shadows = {c: frozenset(_first_words(ctx, c)) for c in states}
+    graph = _ActionGraph(ctx)
+    shadows = {c: frozenset(_first_words(graph, c)) for c in states}
     distinct = sorted(set(shadows.values()), key=lambda s: sorted(map(ctx.state_label, s)))
     minimal_opens = [
         s for s in distinct
@@ -756,7 +850,7 @@ def _forcing_order(
     while queue:
         i = queue.popleft()
         coeffs = rows[i][0]
-        side = [j for j, v in coeffs.items() if v and live[j]]
+        side = [j for j, v in coeffs.items() if live[j] and v]
         if not side or len({coeffs[j] > 0 for j in side}) != 1:
             continue
         order.append(i)
@@ -769,24 +863,36 @@ def _forcing_order(
 def _invariance_rows(ctx: ActionContext) -> tuple[list, int]:
     """The unit-sum row, then one zero-rhs row per generator and working
     cylinder C over the atoms one displacement level deeper: +1 on the
-    atoms of g·C outside C and -1 on those of C outside g·C."""
+    atoms of g·C outside C and -1 on those of C outside g·C.
+
+    The atoms are the sphere in address order, so the atoms below a
+    vertex are one run of indices.  g·C is a step of the search state C:
+    a vertex deeper than g's displacement moves by the vertex rule, and
+    any other image is the memoised clopen image, a union of runs."""
     depth = ctx.depth
     shape = ctx.shape
     level = depth + ctx.max_displacement
     atoms = sphere_list(shape, level)
-    index = {a: j for j, a in enumerate(atoms)}
+    width = [shape.sphere_size(level) // shape.sphere_size(k) for k in range(level + 1)]
 
-    one = Fraction(1)
+    def below(v) -> range:
+        start = bisect_left(atoms, v)
+        return range(start, start + width[len(v)])
+
+    one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
     rows = [({j: one for j in range(len(atoms))}, one)]
     for name in ctx.gen_names:
         for c in sphere_list(shape, depth):
-            cyl = CylinderClopen.cylinder(shape, c)
-            inside = cyl.refine(level)
-            image = ctx.image(name, cyl).refine(level)
-            coeffs = {index[a]: one for a in image - inside}
-            coeffs.update({index[a]: -one for a in inside - image})
+            inside = below(c)
+            image = ctx.step(name, c)
+            if type(image) is tuple:
+                image = below(image)
+            else:
+                image = {j for v in image.cover for j in below(v)}
+            coeffs = {j: one for j in image if j not in inside}
+            coeffs.update({j: minus for j in inside if j not in image})
             if coeffs:
-                rows.append((coeffs, Fraction(0)))
+                rows.append((coeffs, zero))
     return rows, len(atoms)
 
 

@@ -2,7 +2,9 @@
 compression, free subsemigroups, orbit joins, invariant measures."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -285,10 +287,11 @@ _VERTEX_CONTEXTS = {
 
 
 def _assert_searches_match_oracles(ctx):
+    graph = dy._ActionGraph(ctx)
     for inside in (False, True):
         for a in ctx.states():
             want = oracle_first_words(ctx, a, inside)
-            assert dy._first_words(ctx, a, inside) == want, (a, inside)
+            assert dy._first_words(graph, a, inside) == want, (a, inside)
     if isinstance(ctx, dy.TwoCopyContext):
         return None
     report = dy.skewering_search(ctx)
@@ -317,6 +320,62 @@ def test_two_copy_oracle_catches_a_step_that_ignores_the_copy(monkeypatch):
     monkeypatch.setattr(dy.TwoCopyContext, "step", untagged)
     with pytest.raises(AssertionError):
         _assert_searches_match_oracles(dy.two_copy_product_context(S3, depth=2))
+
+
+def test_oracle_catches_neighbours_in_another_generator_order(monkeypatch):
+    # words are spelled in gen_names order, so neighbour lists built in
+    # another order put the wrong generator names on the first words
+    def reversed_order(self, i):
+        got = self.edges[i]
+        if got is None:
+            state, names = self.states[i], self.ctx.gen_names[::-1]
+            got = tuple(self.id_of(self.ctx.step(name, state)) for name in names)
+            self.edges[i] = got
+        return got
+
+    monkeypatch.setattr(dy._ActionGraph, "neighbours", reversed_order)
+    with pytest.raises(AssertionError):
+        _assert_searches_match_oracles(dy.translation_rotation_context(S3, depth=2))
+
+
+@pytest.mark.parametrize("name", sorted(_VERTEX_CONTEXTS))
+def test_first_words_do_not_depend_on_start_order(name):
+    # ids follow discovery, so which start reached a state first decides
+    # its id; the first words must not change with it
+    ctx = _VERTEX_CONTEXTS[name]()
+    states = list(ctx.states())
+    shuffled = states[:]
+    random.Random(name).shuffle(shuffled)
+    for inside in (False, True):
+        want = {a: oracle_first_words(ctx, a, inside) for a in states}
+        for order in (states[::-1], shuffled):
+            graph = dy._ActionGraph(ctx)
+            got = {a: dy._first_words(graph, a, inside) for a in order}
+            assert got == want, inside
+
+
+def test_search_frees_its_graph_without_the_cycle_collector(monkeypatch):
+    # a graph and the per-start search tables must go when the call
+    # returns, not at some later collection, or they add to peak memory
+    graphs = []
+    build = dy._ActionGraph.__init__
+
+    def tracked(self, ctx):
+        build(self, ctx)
+        graphs.append(weakref.ref(self))
+
+    monkeypatch.setattr(dy._ActionGraph, "__init__", tracked)
+    ctx = dy.translation_rotation_context(S3, depth=4)
+    gc.collect()
+    gc.disable()
+    try:
+        dy.check_minimal(ctx)
+        dy.minorising_degree(ctx)
+        assert len(graphs) == 3
+        assert all(ref() is None for ref in graphs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _random_context(rng):
@@ -609,11 +668,32 @@ def test_sparse_phase_one_matches_dense_oracle_off_uniform():
     assert len(set(solution.values())) > 1
 
 
+_ROW_CONTEXTS = {
+    "lone-axis": _lone_axis_context,
+    **{
+        f"{kind}-{n}": (lambda make=make, n=n: make(S3, depth=n))
+        for kind, make in (
+            ("translation-rotation", dy.translation_rotation_context),
+            ("skewering", dy.skewering_context),
+            ("rotations-only", dy.rotation_context),
+        )
+        for n in (2, 3, 4)
+    },
+    # g has displacement 2, so its rows take the clopen image at depth 2
+    # and the vertex rule deeper down
+    **{f"axis01-{n}": (lambda n=n: _axis01_context(n)) for n in (2, 3, 4)},
+}
+
+
 def test_measure_rows_match_the_summed_rows():
-    contexts = [_lone_axis_context(), dy.skewering_context(S3, depth=3)]
-    assert [dy._invariance_rows(ctx) for ctx in contexts] == [
-        oracle_invariance_rows(ctx) for ctx in contexts
-    ]
+    for name, make in _ROW_CONTEXTS.items():
+        ctx = make()
+        rows, nvars = dy._invariance_rows(ctx)
+        assert (rows, nvars) == oracle_invariance_rows(ctx), name
+        # the simplex reads exact rationals
+        assert all(
+            type(v) is Fraction for coeffs, rhs in rows for v in (*coeffs.values(), rhs)
+        ), name
 
 
 def test_lone_axis_reaches_the_simplex_with_the_summed_rows(monkeypatch):

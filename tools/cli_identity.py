@@ -62,8 +62,10 @@ def cases() -> list[tuple[str, list[str]]]:
     for check in ("minimal", "degree", "minorising"):
         out.append(("two-copy", ["dynamics", check, "spec.ini"]))
         out.append(("two-copy", ["dynamics", check, "spec.ini", "--depth", "3"]))
-    # far deeper word images than the depth-3/4 cases above
-    for check, depths in (("minimal", (5, 6, 7)), ("degree", (5, 6, 7)), ("skewering", (5, 6))):
+    # far deeper word images than the depth-3/4 cases above; at depth 8
+    # every start's first words come from one action graph
+    for check, depths in (("minimal", (5, 6, 7, 8)), ("degree", (5, 6, 7, 8)),
+                          ("skewering", (5, 6)), ("minorising", (7,))):
         for depth in depths:
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
     # forced zeros decide every regular-sym3 depth; lone-axis reaches the simplex
