@@ -13,7 +13,7 @@ effects of that are checked here at finite depth:
 from tdlclab import (
     CylinderClopen,
     IsometrySpec,
-    contraction_certificate,
+    contraction_certificates,
     goodshrink_construct,
     hyperbolic_isometry,
     nub_window,
@@ -29,7 +29,7 @@ print(f"g translates along the axis ...0101... with displacement {g.displacement
 
 print("\n== contraction certificate ==")
 u = IsometrySpec(T3, sites=(((0, 1), parse_perm("(0 2)", 3)),))  # swap below vertex 01
-cert = contraction_certificate(g, u, ball_radius=4)
+cert = contraction_certificates(g, [u], ball_radius=4)[0]
 print(f"verdict: {cert['verdict']}")
 print(f"conjugates trivial on the {cert['ball']}-ball from k = {cert['k']}")
 print(f"onset monotone: {cert['onset_monotone']}")

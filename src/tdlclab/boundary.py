@@ -29,7 +29,6 @@ from .tree import (
     SpecWord,
     SupportIndex,
     conjugate_families,
-    conjugate_tables,
     in_universal_group,
     pullbacks,
     site_group,
@@ -121,17 +120,6 @@ def half_tree_fixator(
     }
 
 
-def contraction_certificate(
-    g: IsometrySpec,
-    u: IsometrySpec,
-    ball_radius: int,
-    direction: int = 1,
-) -> dict:
-    """Smallest k with g^k u g^-k trivial on the given ball; the
-    certificate of ``contraction_certificates`` for a single u."""
-    return contraction_certificates(g, [u], ball_radius, direction)[0]
-
-
 def contraction_certificates(
     g: IsometrySpec,
     us,
@@ -144,14 +132,15 @@ def contraction_certificates(
     Trivial on the radius-n ball means the conjugate fixes every vertex
     to depth n + 1, so its local actions down to depth n are all
     trivial.  That holds exactly when u fixes the pull-back g^-k of the
-    radius n + 1 ball, and one sequence of pull-backs serves every u.  A
-    u with a support statement moves only points below its sites, so it
-    is applied only to the pulled points there (``SupportIndex``).
-    Powers are searched up to k_max = ball_radius + 4.  After the onset
-    the next three powers within that bound are rechecked; the
-    conjugated support only moves deeper, so a non-monotone onset would
-    expose a bookkeeping bug.  When no power within k_max works the
-    verdict reports that the search bound was the obstruction.
+    radius n + 1 ball, and one sequence of pull-backs serves every u.
+    The pulled points that u moves come from ``SupportIndex.moves``, the
+    rule ``conjugate_families`` reads too, and the search for them stops
+    at the first one.  Powers are searched up to k_max = ball_radius + 4.
+    After the onset the next three powers within that bound are
+    rechecked; the conjugated support only moves deeper, so a
+    non-monotone onset would expose a bookkeeping bug.  When no power
+    within k_max works the verdict reports that the search bound was the
+    obstruction.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -170,9 +159,7 @@ def contraction_certificates(
         points = next(pulled)
         index = SupportIndex(points)
         for i in live:
-            image = us[i]._apply
-            candidates = map(points.__getitem__, index.positions(us[i].support))
-            trivial = all(image(x) == x for x in candidates)
+            trivial = next(index.moves(us[i]), None) is None
             if onsets[i] is not None:
                 tails[i].append(trivial)
             elif trivial:
@@ -253,7 +240,7 @@ def goodshrink_construct(
     kappa_gens = rist_generators(local, kappa, depth)
     check_radius = depth + 2
 
-    conj_isos = conjugate_tables(g, 1, kappa_gens, check_radius)
+    conj_isos = conjugate_families(g, (1,), kappa_gens, check_radius)[1]
     conj_into_kappa = [
         support_in(tab, kappa) and in_universal_group(tab, local)
         for tab in conj_isos
@@ -509,7 +496,7 @@ def tits_core_generators(
         checks["cone_rotations_normalise"] = all(
             support_in(tab, beta_f) and in_universal_group(tab, local)
             for rho in rotations
-            for tab in conjugate_tables(rho, 1, gens_f, depth + 2)
+            for tab in conjugate_families(rho, (1,), gens_f, depth + 2)[1]
         )
     report = {
         "alpha_forward": str(alpha),

@@ -63,7 +63,7 @@ from .boolalg import (
     sphere_list,
 )
 from .boundary import (
-    contraction_certificate,
+    contraction_certificates,
     goodshrink_construct,
     nub_window,
     tits_core_generators,
@@ -383,9 +383,7 @@ def build_context(spec: GroupSpec):
         name: el for name, el in spec.elements.items() if isinstance(el, IsometrySpec)
     }
     if gens:
-        return dynamics.ActionContext(
-            spec.shape, spec.local, gens, spec.depth, spec.word_bound
-        )
+        return dynamics.ActionContext(spec.shape, gens, spec.depth, spec.word_bound)
     if spec.shape.kind == "regular":
         return dynamics.translation_rotation_context(
             spec.local, depth=spec.depth, word_bound=spec.word_bound
@@ -396,9 +394,7 @@ def build_context(spec: GroupSpec):
         site_gens[f"s{k}"] = IsometrySpec(spec.shape, sites=(((0,), p),))
     if not site_gens:
         raise ValueError("spec yields no generators for a dynamics context")
-    return dynamics.ActionContext(
-        spec.shape, spec.local, site_gens, spec.depth, spec.word_bound
-    )
+    return dynamics.ActionContext(spec.shape, site_gens, spec.depth, spec.word_bound)
 
 
 def _resolve_element(spec: GroupSpec, name: str | None, displacing: bool):
@@ -674,7 +670,7 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
         u = _resolve_element(spec, args.u, displacing=False)
         ball = args.ball if args.ball is not None else spec.depth
         parameters = {"element": args.element, "u": args.u, "ball": ball}
-        results = contraction_certificate(g, u, ball)
+        results = contraction_certificates(g, [u], ball)[0]
         if results["verdict"] == "contracts":
             certs.append(
                 _write_certificate(

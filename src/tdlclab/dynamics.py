@@ -60,7 +60,6 @@ class ActionContext:
     def __init__(
         self,
         shape: TreeShape,
-        local: FiniteGroup,
         generators: dict[str, IsometrySpec],
         depth: int,
         word_bound: int = 8,
@@ -70,7 +69,6 @@ class ActionContext:
         if word_bound < 1:
             raise ValueError("word bound must be at least 1")
         self.shape = shape
-        self.local = local
         self.depth = depth
         self.word_bound = word_bound
         self._gens: dict[str, SpecWord] = {}
@@ -161,12 +159,6 @@ class ActionContext:
             return len(state) > len(addr) and state[: len(addr)] == addr
         return state.lt(self.state_clopen(addr))
 
-    def top(self) -> CylinderClopen:
-        return CylinderClopen.top(self.shape)
-
-    def zero(self) -> CylinderClopen:
-        return CylinderClopen.zero(self.shape)
-
     def all_fix_base(self) -> bool:
         return self.max_displacement == 0
 
@@ -183,12 +175,11 @@ class TwoCopyContext:
     def __init__(
         self,
         shape: TreeShape,
-        local: FiniteGroup,
         generators: dict[str, IsometrySpec],
         depth: int,
         word_bound: int = 8,
     ) -> None:
-        self._base = ActionContext(shape, local, generators, depth, word_bound)
+        self._base = ActionContext(shape, generators, depth, word_bound)
         self.depth = depth
         self.word_bound = word_bound
         # each tagged name's base generator and copy
@@ -764,7 +755,7 @@ def orbit_join(ctx, alpha) -> dict:
         "verdict": "verified",
         "alpha": alpha,
         "alpha_star": beta,
-        "is_top": beta == ctx.top(),
+        "is_top": beta.is_top(),
         "witness_words": [list(w) for w in witnesses],
         "witness_count": len(witnesses),
         "rounds": rounds,
@@ -995,7 +986,7 @@ def translation_rotation_context(
     stab = site_group(shape, local, (0,))
     for k, perm in enumerate(stab.pruned_gens):
         gens[f"s{k}"] = IsometrySpec(shape, sites=(((0,), perm),))
-    return ActionContext(shape, local, gens, depth, word_bound)
+    return ActionContext(shape, gens, depth, word_bound)
 
 
 def skewering_context(
@@ -1018,7 +1009,7 @@ def skewering_context(
         "s0": IsometrySpec(shape, sites=(((0,), stab.pruned_gens[0]),)),
         "rho": IsometrySpec(shape, sites=(((), cycle),)),
     }
-    return ActionContext(shape, local, gens, depth, word_bound)
+    return ActionContext(shape, gens, depth, word_bound)
 
 
 def rotation_context(
@@ -1032,7 +1023,7 @@ def rotation_context(
         f"rho{k}": IsometrySpec(shape, sites=(((), perm),))
         for k, perm in enumerate(local.pruned_gens)
     }
-    return ActionContext(shape, local, gens, depth, word_bound)
+    return ActionContext(shape, gens, depth, word_bound)
 
 
 def two_copy_product_context(
@@ -1047,7 +1038,7 @@ def two_copy_product_context(
         gens[f"t{c}"] = hyperbolic_isometry(shape, (c,))
     for k, perm in enumerate(local.pruned_gens):
         gens[f"rho{k}"] = IsometrySpec(shape, sites=(((), perm),))
-    return TwoCopyContext(shape, local, gens, depth, word_bound)
+    return TwoCopyContext(shape, gens, depth, word_bound)
 
 
 def _shape_for(local: FiniteGroup) -> TreeShape:

@@ -67,10 +67,6 @@ def local_class(region: CylinderClopen, depth: int | None = None) -> LocalClass:
     return LocalClass(region, depth)
 
 
-def zero_class(shape: TreeShape, depth: int = 0) -> LocalClass:
-    return LocalClass(CylinderClopen.zero(shape), depth)
-
-
 def top_class(shape: TreeShape, depth: int = 0) -> LocalClass:
     return LocalClass(CylinderClopen.top(shape), depth)
 
@@ -393,4 +389,4 @@ def half_tree_stabiliser_context(
         gens[f"b{k}"] = spec
     for k, perm in enumerate(local.point_stabilizer(colour).pruned_gens):
         gens[f"r{k}"] = IsometrySpec(shape, sites=((ROOT, perm),))
-    return ActionContext(shape, local, gens, depth, word_bound)
+    return ActionContext(shape, gens, depth, word_bound)

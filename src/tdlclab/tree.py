@@ -46,13 +46,15 @@ table lists most of the ball; it is the same class.
 Conjugates g^k u g^-k take a shorter path than walking every letter of
 the word at every ball vertex.  pullbacks walks the ball back under g
 one power at a time, unchecked, and every u shares that pull-back: the
-conjugate fixes a exactly when u fixes x = g^-k(a).  SupportIndex sorts
-the pulled points once, so the points below a site are one run of them,
-a supported u is applied only to the pulled points strictly below its
-sites, and conjugate_tables walks g^k forward only from the points that
-u moves.  conjugate_families shares one pull-back sequence per sign
-across several powers.  Each finished table is validated as realize's
-is.
+conjugate fixes a exactly when u fixes x = g^-k(a).  One rule reads the
+pulled points that u moves, SupportIndex.moves: a u with no support
+statement is applied to every pulled point, a supported u only to those
+strictly below its sites, which are one run per site of the pulled
+points, sorted once.  conjugate_families walks g^k forward only from the
+images of the moved points, sharing one pull-back sequence per sign
+across several powers, and boundary.contraction_certificates calls a
+conjugate trivial when no point is moved.  Each finished table is
+validated as realize's is.
 
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from math import inf
 
 from .boolalg import (
@@ -464,10 +467,6 @@ class SpecWord:
         """The product g^k u g^-k."""
         return cls(g.shape, ((g, k), (u, 1), (g, -k)))
 
-    @classmethod
-    def commutator(cls, a: IsometrySpec, b: IsometrySpec) -> "SpecWord":
-        return cls(a.shape, ((a, 1), (b, 1), (a, -1), (b, -1)))
-
     def inverse(self) -> "SpecWord":
         return SpecWord(
             self.shape,
@@ -523,13 +522,15 @@ def pullbacks(g, sign: int, r: int):
 
 
 class SupportIndex:
-    """The points of one pull-back, for specs that state their support.
+    """One pull-back's points, and the ones each witness moves.
 
-    In address order a vertex is followed by all of its descendants and
-    then by no other descendant, so the points strictly below a site
-    are one contiguous run of the sorted points, found by bisection.
-    The points are sorted once, on the first supported lookup, however
-    many specs share them.
+    A u with no support statement may move any point, so it is applied
+    to every one.  A supported u moves only points strictly below its
+    sites.  In address order a vertex is followed by all of its
+    descendants and then by no other descendant, so those points are one
+    contiguous run per site of the sorted points, found by bisection.
+    The points are sorted once, on the first supported u, however many
+    witnesses share them.
     """
 
     __slots__ = ("points", "_order", "_keys")
@@ -538,40 +539,37 @@ class SupportIndex:
         self.points = points
         self._order = None
 
-    def positions(self, support):
-        """Positions of the points a spec with this support may move:
-        every one without a support statement, else those strictly
-        below one of its sites."""
-        if support is None:
-            return range(len(self.points))
-        if self._order is None:
-            self._order = sorted(range(len(self.points)), key=self.points.__getitem__)
-            self._keys = [self.points[i] for i in self._order]
-        order, keys = self._order, self._keys
-        out: list[int] = []
-        for v in support:
+    def moves(self, u):
+        """(position, image) for each point that u moves, lazily."""
+        points, image = self.points, u._apply
+        if u.support is None:
+            positions = range(len(points))
+        else:
+            if self._order is None:
+                self._order = sorted(range(len(points)), key=points.__getitem__)
+                self._keys = [points[i] for i in self._order]
+            order, keys = self._order, self._keys
             # every letter is below inf, so v + (inf,) follows v's subtree
-            out.extend(order[bisect_right(keys, v):bisect_left(keys, v + (inf,))])
-        return out
-
-
-def conjugate_tables(g, k: int, us, r: int) -> list[BallIsometry]:
-    """Radius-r ball tables of the conjugates g^k u g^-k, one per u.
-
-    All of them share one pull-back: the conjugate fixes a exactly when
-    u fixes x = g^-k(a), and otherwise sends a to g^k(u(x)).  A u with a
-    support statement is applied only to the pulled points below its
-    sites, and g^k is walked only from the points that u moves.  Each
-    table is validated as a BallIsometry.
-    """
-    return conjugate_families(g, (k,), us, r)[k]
+            positions = chain.from_iterable(
+                order[bisect_right(keys, v):bisect_left(keys, v + (inf,))] for v in u.support
+            )
+        for i in positions:
+            x = points[i]
+            y = image(x)
+            if y != x:
+                yield i, y
 
 
 def conjugate_families(g, ks, us, r: int) -> dict:
-    """``conjugate_tables`` for each power in ks, keyed by the power.
+    """Radius-r ball tables of the conjugates g^k u g^-k, one list per
+    power k in ks, keyed by k, one table per u.
 
-    One pull-back sequence per sign serves every power on that side, so
-    the powers -m..m take m pull-back steps each way.
+    The conjugate fixes a exactly when u fixes x = g^-k(a), and
+    otherwise sends a to g^k(u(x)).  So each table reads the points u
+    moves in the pull-back g^-k(B_r) (``SupportIndex.moves``) and walks
+    g^k forward only from their images.  One pull-back sequence per
+    sign serves every power on that side, so the powers -m..m take m
+    pull-back steps each way.  Each table is validated as a BallIsometry.
     """
     shape = g.shape
     out: dict = {}
@@ -585,17 +583,10 @@ def conjugate_families(g, ks, us, r: int) -> dict:
                 continue
             forth = SpecWord(shape, ((g, sign * n),))._apply
             index = SupportIndex(points)
-            tables = []
-            for u in us:
-                image = u._apply
-                table = {}
-                for i in index.positions(u.support):
-                    x = points[i]
-                    y = image(x)
-                    if y != x:
-                        table[ball[i]] = forth(y)
-                tables.append(BallIsometry(shape, r, table))
-            out[sign * n] = tables
+            out[sign * n] = [
+                BallIsometry(shape, r, {ball[i]: forth(y) for i, y in index.moves(u)})
+                for u in us
+            ]
     return out
 
 

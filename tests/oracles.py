@@ -23,7 +23,7 @@ replay reads a forcing order as a certificate of infeasibility: it
 checks each listed row's sign condition on the atoms left live by the
 rows before it, and shares no code with the presolve that wrote it.
 
-The contraction oracle is the per-u search ``contraction_certificate``
+The contraction oracle is the per-u search ``contraction_certificates``
 made before conjugates went through shared pull-backs: it builds each
 conjugate g^k u g^-k as a word and walks every letter of it at every
 vertex of the checked ball.  The walked contraction oracle is the
@@ -463,7 +463,8 @@ def oracle_skewering(ctx) -> dict:
 
 
 def oracle_contraction_certificate(g, u, ball_radius: int, direction: int = 1) -> dict:
-    """``contraction_certificate`` with every conjugate walked as a word."""
+    """One u's certificate of ``contraction_certificates``, with every
+    conjugate walked as a word."""
     k_max = ball_radius + 4
     check_radius = ball_radius + 1
     onset = None

@@ -9,7 +9,6 @@ import pytest
 from tdlclab.boolalg import ROOT, CylinderClopen, regular, rooted
 from tdlclab.boundary import (
     conjugation_shifts,
-    contraction_certificate,
     contraction_certificates,
     goodshrink_construct,
     half_tree_fixator,
@@ -27,7 +26,6 @@ from tdlclab.tree import (
     IsometrySpec,
     SpecWord,
     conjugate_families,
-    conjugate_tables,
     hyperbolic_isometry,
     in_universal_group,
     pullbacks,
@@ -86,7 +84,7 @@ def test_support_in_matches_full_ball_oracle_seeded():
     radius = 4
     gens = rist_generators(S3, HALF0, 3)
     inside_half = [g.realize(radius) for g in gens]
-    inside_half += conjugate_tables(T0, 1, gens, radius)
+    inside_half += conjugate_families(T0, (1,), gens, radius)[1]
     rho = IsometrySpec(T3, sites=(((), SWAP01),))
     isos = inside_half + [g.realize(r) for g in (T0, rho) for r in (1, 2, radius)]
     verdicts = set()
@@ -209,7 +207,7 @@ def test_inside_is_prefix_containment():
 def test_contraction_onset_matches_axis_distance():
     u = IsometrySpec(T3, sites=(((0,), SWAP12),))
     for n in (1, 2, 3, 4):
-        cert = contraction_certificate(T0, u, n)
+        cert = contraction_certificates(T0, [u], n)[0]
         assert cert["verdict"] == "contracts"
         assert cert["k"] == n
         assert cert["onset_monotone"]
@@ -218,13 +216,13 @@ def test_contraction_onset_matches_axis_distance():
 def test_contraction_backward_direction_is_symmetric():
     u = IsometrySpec(T3, sites=(((1,), SWAP02),))
     for n in (1, 2, 3):
-        cert = contraction_certificate(T0, u, n, direction=-1)
+        cert = contraction_certificates(T0, [u], n, direction=-1)[0]
         assert cert["verdict"] == "contracts"
         assert cert["k"] == n
 
 
 def test_contraction_identity_contracts_at_zero():
-    cert = contraction_certificate(T0, IsometrySpec(T3), 3)
+    cert = contraction_certificates(T0, [IsometrySpec(T3)], 3)[0]
     assert cert["k"] == 0
     assert cert["verdict"] == "contracts"
 
@@ -232,15 +230,15 @@ def test_contraction_identity_contracts_at_zero():
 def test_contraction_elliptic_conjugator_refuted_within_bounds():
     rho = IsometrySpec(T3, sites=(((), SWAP01),))
     u = IsometrySpec(T3, sites=(((0,), SWAP12),))
-    cert = contraction_certificate(rho, u, 3)
+    cert = contraction_certificates(rho, [u], 3)[0]
     assert cert["verdict"] == "no-contraction-within-bounds"
     assert cert["k"] is None
 
 
 def test_contraction_certificate_replays_bit_exactly():
     u = IsometrySpec(T3, sites=(((0,), SWAP12),))
-    first = contraction_certificate(T0, u, 3)
-    again = contraction_certificate(T0, u, 3)
+    first = contraction_certificates(T0, [u], 3)[0]
+    again = contraction_certificates(T0, [u], 3)[0]
     assert canonical_json(first) == canonical_json(again)
 
 
@@ -268,7 +266,7 @@ def test_contraction_certificates_match_walked_oracle(direction):
             got = contraction_certificates(g, us, n, direction)
             want = [oracle_contraction_certificate(g, u, n, direction) for u in us]
             assert got == want, (g, n)
-            assert got[0] == contraction_certificate(g, us[0], n, direction)
+            assert got[0] == contraction_certificates(g, us[:1], n, direction)[0]
             verdicts.update((c["verdict"], c["onset_monotone"]) for c in got)
     assert ("contracts", True) in verdicts
     assert ("no-contraction-within-bounds", False) in verdicts
@@ -312,6 +310,24 @@ def test_indexed_contraction_search_matches_the_walk_on_goodshrink_witnesses(dep
     assert {0, None} < onsets
 
 
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("depth", [4, 5, 6, 7])
+def test_contraction_onsets_are_the_first_empty_conjugate_tables(depth, direction):
+    # trivial on the radius-n ball means fixing B_{n+1}, so the onset is
+    # the first power whose conjugate table on B_{n+1} moves nothing
+    kappa_gens, beta_gens = _goodshrink_witnesses(depth)
+    us = kappa_gens + beta_gens + _MIXED_SPECS
+    onsets = set()
+    for n in (depth, depth - 3):
+        powers = [direction * k for k in range(n + 5)]
+        tables = conjugate_families(T0, powers, us, n + 1)
+        for i, cert in enumerate(contraction_certificates(T0, us, n, direction)):
+            empty = [k for k, p in enumerate(powers) if not tables[p][i].moved]
+            assert cert["k"] == (empty[0] if empty else None), (n, us[i])
+            onsets.add(cert["k"])
+    assert {0, None} < onsets
+
+
 @pytest.mark.parametrize("depth", [4, 5, 6, 7])
 def test_indexed_conjugate_tables_match_the_walk_on_goodshrink_witnesses(depth):
     # conjugates by T0 and by its inverse, at goodshrink's check radius,
@@ -323,7 +339,7 @@ def test_indexed_conjugate_tables_match_the_walk_on_goodshrink_witnesses(depth):
     for k in (1, -1):
         pulled = next(islice(pullbacks(T0, 1 if k > 0 else -1, r), abs(k), None))
         forth = SpecWord(T3, ((T0, k),)).apply
-        got = conjugate_tables(T0, k, us, r)
+        got = conjugate_families(T0, (k,), us, r)[k]
         for u, iso in zip(us, got):
             want = {a: forth(u.apply(x)) for a, x in zip(ball, pulled) if u.apply(x) != x}
             assert iso.moved == want, (k, u)

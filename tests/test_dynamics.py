@@ -12,7 +12,7 @@ import pytest
 from tdlclab.boolalg import ROOT, CylinderClopen, regular
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import SearchExhausted
-from tdlclab.permgrp import FiniteGroup, Perm, symmetric_group
+from tdlclab.permgrp import Perm, symmetric_group
 from tdlclab.tree import IsometrySpec, hyperbolic_isometry, site_group, spec_image_clopen
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
@@ -51,11 +51,11 @@ def test_context_adds_inverses_and_detects_involutions():
 def test_context_rejects_bad_parameters():
     gens = {"t0": hyperbolic_isometry(T3, (0,))}
     with pytest.raises(ValueError):
-        dy.ActionContext(T3, S3, gens, depth=0)
+        dy.ActionContext(T3, gens, depth=0)
     with pytest.raises(ValueError):
-        dy.ActionContext(T3, S3, gens, depth=2, word_bound=0)
+        dy.ActionContext(T3, gens, depth=2, word_bound=0)
     with pytest.raises(ValueError):
-        dy.ActionContext(T3, S3, {"bad~name": hyperbolic_isometry(T3, (0,))}, depth=2)
+        dy.ActionContext(T3, {"bad~name": hyperbolic_isometry(T3, (0,))}, depth=2)
 
 
 def test_word_image_agrees_with_composed_recipe():
@@ -93,14 +93,14 @@ def test_minimal_monotone_in_depth():
 def test_not_minimal_for_end_stabilising_rotation():
     stab = S3.point_stabilizer(0)
     gens = {"s0": IsometrySpec(T3, sites=(((0,), stab.pruned_gens[0]),))}
-    ctx = dy.ActionContext(T3, S3, gens, depth=1, word_bound=4)
+    ctx = dy.ActionContext(T3, gens, depth=1, word_bound=4)
     report = dy.check_minimal(ctx)
     assert report["verdict"] == "not-minimal-at-depth"
     assert report["counterexample"] == ["0", "1"]
 
 
 def test_not_minimal_identity_only():
-    ctx = dy.ActionContext(T3, S3, {"e": IsometrySpec(T3)}, depth=1, word_bound=2)
+    ctx = dy.ActionContext(T3, {"e": IsometrySpec(T3)}, depth=1, word_bound=2)
     report = dy.check_minimal(ctx)
     assert report["verdict"] == "not-minimal-at-depth"
     assert report["counterexample"] == ["0", "1"]
@@ -139,7 +139,7 @@ def test_skewering_refuted_when_base_is_fixed():
 
 def test_skewering_refuted_by_orbit_saturation():
     # the edge inversion moves the base vertex but generates a finite orbit
-    ctx = dy.ActionContext(T3, S3, {"m0": IsometrySpec(T3, word=(0,))}, depth=2, word_bound=4)
+    ctx = dy.ActionContext(T3, {"m0": IsometrySpec(T3, word=(0,))}, depth=2, word_bound=4)
     assert ctx.gen_names == ("m0",)
     report = dy.skewering_search(ctx)
     assert report["verdict"] == "refuted_at_depth"
@@ -269,7 +269,7 @@ def _axis01_context(depth):
         "g": hyperbolic_isometry(T3, (0, 1)),
         "r": IsometrySpec(T3, sites=(((), S3.pruned_gens[0]),)),
     }
-    return dy.ActionContext(T3, S3, gens, depth=depth, word_bound=5)
+    return dy.ActionContext(T3, gens, depth=depth, word_bound=5)
 
 
 _VERTEX_CONTEXTS = {
@@ -399,9 +399,7 @@ def _random_context(rng):
             site = rng.choice([v for n in range(3) for v in T3.sphere(n)])
             perm = rng.choice(sorted(site_group(T3, S3, site).element_set, key=str))
             gens[f"s{k}"] = IsometrySpec(T3, sites=((site, perm),))
-    return dy.ActionContext(
-        T3, S3, gens, depth=rng.randint(1, 3), word_bound=rng.randint(1, 5)
-    )
+    return dy.ActionContext(T3, gens, depth=rng.randint(1, 3), word_bound=rng.randint(1, 5))
 
 
 def test_vertex_searches_match_clopen_oracles_seeded():
@@ -442,7 +440,7 @@ def test_pair_compression_repelling_end_mixes_a_rotation():
         "t0": hyperbolic_isometry(T3, (0,)),
         "rho": IsometrySpec(T3, sites=(((), Perm((1, 2, 0))),)),
     }
-    ctx = dy.ActionContext(T3, S3, gens, depth=2, word_bound=8)
+    ctx = dy.ActionContext(T3, gens, depth=2, word_bound=8)
     # (1,0) holds the repelling end of the only translation available
     schedule = dy.pair_compression(ctx, (1, 0), (0, 1), cyl(0, 2))
     assert schedule["word"] == ["rho", "t0~", "t0~", "rho~"]
@@ -548,7 +546,7 @@ def test_orbit_join_reaches_the_full_boundary():
 
 def test_orbit_join_top_needs_no_witnesses():
     ctx = dy.translation_rotation_context(S3, depth=2, word_bound=6)
-    report = dy.orbit_join(ctx, ctx.top())
+    report = dy.orbit_join(ctx, CylinderClopen.top(T3))
     assert report["witness_count"] == 0
     assert report["is_top"]
 
@@ -556,7 +554,7 @@ def test_orbit_join_top_needs_no_witnesses():
 def test_orbit_join_rejects_zero():
     ctx = dy.translation_rotation_context(S3, depth=2, word_bound=6)
     with pytest.raises(ValueError):
-        dy.orbit_join(ctx, ctx.zero())
+        dy.orbit_join(ctx, CylinderClopen.zero(T3))
 
 
 # ----------------------------------------------------------- invariant measure
@@ -571,7 +569,7 @@ def test_measure_uniform_for_rotations():
 
 
 def test_measure_feasible_for_identity_only():
-    ctx = dy.ActionContext(T3, S3, {"e": IsometrySpec(T3)}, depth=1, word_bound=2)
+    ctx = dy.ActionContext(T3, {"e": IsometrySpec(T3)}, depth=1, word_bound=2)
     report = dy.invariant_measure_search(ctx)
     assert report["verdict"] == "feasible"
     assert report["uniform"] is True
@@ -600,7 +598,7 @@ def _lone_axis_context():
         "t0": hyperbolic_isometry(T3, (0,)),
         "swap": IsometrySpec(T3, sites=(((), Perm((1, 0, 2))),)),
     }
-    return dy.ActionContext(T3, S3, gens, depth=2, word_bound=6)
+    return dy.ActionContext(T3, gens, depth=2, word_bound=6)
 
 
 def test_averaged_point_mass_survives_a_lone_axis():
@@ -774,7 +772,7 @@ def test_labels_and_weights_stay_distinct_above_degree_ten():
     shape = regular(12)
     cycle = Perm(tuple((c + 1) % 12 for c in range(12)))
     gens = {"r": IsometrySpec(shape, sites=((ROOT, cycle),))}
-    ctx = dy.ActionContext(shape, FiniteGroup(12, [cycle]), gens, depth=2)
+    ctx = dy.ActionContext(shape, gens, depth=2)
     states = ctx.states()
     assert len({ctx.state_label(s) for s in states}) == len(states) == 132
     report = dy.invariant_measure_search(ctx)

@@ -28,7 +28,7 @@ def test_class_kinds_and_identity():
     a = ls.local_class(cyl(0))
     assert a.kind == "cylinder"
     assert str(a) == "{0}@1"
-    assert ls.zero_class(T3).kind == "zero"
+    assert ls.local_class(CylinderClopen.zero(T3)).kind == "zero"
     assert ls.top_class(T3).kind == "top"
     # identity is the canonical region, not the depth tag
     assert ls.local_class(cyl(0), depth=4) == ls.local_class(cyl(0), depth=1)
@@ -108,7 +108,7 @@ def test_perp_depth_profile_of_a_straddled_region():
 
 
 def test_perp_endpoints_are_trivial():
-    report = ls.perp(S3, ls.zero_class(T3), 3)
+    report = ls.perp(S3, ls.local_class(CylinderClopen.zero(T3)), 3)
     assert report["complement"].kind == "top"
     assert report["verdict"] == "verified"
     assert report["depths"] == {}
@@ -186,7 +186,7 @@ def test_fixed_point_scan_half_tree_stabiliser():
 
 
 def test_fixed_point_scan_identity_fixes_everything():
-    ctx = dy.ActionContext(T3, S3, {"e": IsometrySpec(T3)}, depth=1, word_bound=2)
+    ctx = dy.ActionContext(T3, {"e": IsometrySpec(T3)}, depth=1, word_bound=2)
     scan = ls.fixed_point_scan(ctx)
     assert scan["block_count"] == 3
     assert scan["fixed_class_count"] == 8
@@ -225,6 +225,6 @@ def test_commensurated_check_endpoints():
         == "commensurated-at-depth"
     )
     assert (
-        ls.commensurated_check(ctx, ls.zero_class(T3))["verdict"]
+        ls.commensurated_check(ctx, ls.local_class(CylinderClopen.zero(T3)))["verdict"]
         == "commensurated-at-depth"
     )

@@ -28,7 +28,6 @@ from tdlclab.tree import (
     colour_word_isometry,
     congruence_kernel,
     conjugate_families,
-    conjugate_tables,
     free_reduce,
     hyperbolic_isometry,
     in_universal_group,
@@ -330,7 +329,7 @@ def _seeded_tables(rng):
         for v in [(0, 1), (2,), (1, 0, 2)]:
             movers.append(IsometrySpec(T3, sites=((v, site_group(T3, S3, v).gens[0]),)))
         out += [(m.shape, m.realize(r)) for m in movers]
-        out += [(T3, iso) for iso in conjugate_tables(t0, 2, movers[3:6], r)]
+        out += [(T3, iso) for iso in conjugate_families(t0, (2,), movers[3:6], r)[2]]
     return out
 
 
@@ -559,7 +558,8 @@ def test_image_clopen_identity_and_top():
         assert spec_image_clopen(mover, zero).is_zero()
     half = CylinderClopen.cylinder(T3, (1,))
     assert spec_image_clopen(identity, half) == half
-    assert spec_image_clopen(SpecWord.commutator(t0, identity), half) == half
+    commutator = SpecWord(T3, ((t0, 1), (identity, 1), (t0, -1), (identity, -1)))
+    assert spec_image_clopen(commutator, half) == half
 
 
 def test_image_clopen_rejects_a_clopen_of_another_shape():
@@ -927,7 +927,7 @@ def test_spec_word_commutator_of_disjoint_supports():
     # sites fix their return colours, supports live in disjoint cylinders
     u = IsometrySpec(T3, sites=(((0, 1), Perm((2, 1, 0))),))
     v = IsometrySpec(T3, sites=(((0, 2), Perm((1, 0, 2))),))
-    assert SpecWord.commutator(u, v).is_identity_on(6)
+    assert SpecWord(T3, ((u, 1), (v, 1), (u, -1), (v, -1))).is_identity_on(6)
 
 
 def _random_movers(rng, shape):
@@ -1009,7 +1009,7 @@ def test_conjugate_tables_match_walked_conjugates_seeded(shape):
     moved = set()
     for g in _conjugators(rng, shape):
         for k in range(-3, 4):
-            got = [full_table(iso) for iso in conjugate_tables(g, k, us, r)]
+            got = [full_table(iso) for iso in conjugate_families(g, (k,), us, r)[k]]
             want = [full_table(SpecWord.conjugate(g, u, k).realize(r)) for u in us]
             assert got == want, (g, k)
             moved.update(any(a != b for a, b in t.items()) for t in got)

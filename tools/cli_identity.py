@@ -42,6 +42,12 @@ def cases() -> list[tuple[str, list[str]]]:
                 out.append((spec, ["certify", kind, "spec.ini", "--element", element, *d]))
             out.append((spec, ["certify", "contraction", "spec.ini",
                                "--element", element, "--u", "u1", "--ball", "4", *d]))
+    # witnesses that state no support, so every pulled point is read: the
+    # word c, and rho, a site at the base vertex, which never contracts (exit 4)
+    for u in ("c", "rho"):
+        for ball in ("4", "6"):
+            out.append(("elements", ["certify", "contraction", "spec.ini",
+                                     "--element", "g", "--u", u, "--ball", ball]))
     # the witness checks at depth 8, where the indexed pull-backs and the
     # sparse tables do the most work
     for kind in ("goodshrink", "tits-core"):
