@@ -27,7 +27,7 @@ lists recolouring sites as ``addr:(cycles)`` with ``root`` for the base
 vertex, and ``word`` composes previously defined names (first name acts
 first, trailing ``~`` inverts).  W and addr are written as reports write
 addresses, with dots between letters above degree 10.  Two-copy specs
-take no elements; the diagonal product context fixes its own generators.
+take no elements: the context fixes its own copy-wise generators.
 
 Machine output is one canonical JSON report on stdout; human trace
 lines go to stderr, or replace the report entirely under
@@ -689,8 +689,7 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
             return {**results, "kappa": str(kappa)}
 
         results = _refuted_on(NotSkewering, construct)
-        if results["verdict"] in ("verified", "refuted_at_depth"):
-            certs.append(_results_certificate(spec, kind, parameters, results, args.out))
+        certs.append(_results_certificate(spec, kind, parameters, results, args.out))
     elif kind == "nub":
         g = _resolve_element(spec, args.element, displacing=True)
         if args.alpha is not None:

@@ -22,9 +22,10 @@ start is then a breadth-first search over ids with parent pointers,
 which visits the states in the order of a search over the states
 themselves and spells words only for the states it records (the orbit
 algorithm with Schreier vectors; Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, section 4.1).  A search that closes
-its orbit below the word bound refutes; one that is cut off by the
-bound reports exhaustion, and the two outcomes are never conflated.
+Computational Group Theory*, 2005, section 4.1).  The graph also holds
+the invariant blocks, read by the fixed-point scan, and a search stops
+once it has met its start's block.  A search whose orbit closes below
+the word bound refutes; one cut off by the bound reports exhaustion.
 """
 from __future__ import annotations
 
@@ -252,7 +253,10 @@ class _ActionGraph:
     depth-n states it meets, as indices found once: an int when it meets
     one, a tuple otherwise.  An expanded id keeps the ids of its
     neighbours in ``gen_names`` order, one ``ctx.step`` per generator.
-    A graph lives for one search call, never on the context.
+    A graph lives for one search call, never on the context.  Its
+    ``blocks``, sets of indices, are the invariant blocks: each closes the
+    least state in no earlier block under the states that steps meet, so
+    a word image of a state's cylinder meets only states of its block.
     """
 
     def __init__(self, ctx) -> None:
@@ -265,6 +269,18 @@ class _ActionGraph:
         self.edges: list = []
         for s in self.starts:
             self.id_of(s)
+        self.blocks: list[set] = []
+        for seed in range(len(self.starts)):
+            if any(seed in b for b in self.blocks):
+                continue
+            block, todo = {seed}, [seed]
+            while todo:
+                for y in self.neighbours(todo.pop()):
+                    m = self.met[y]
+                    new = ({m} if type(m) is int else set(m)) - block
+                    block |= new
+                    todo += new
+            self.blocks.append(block)
 
     def id_of(self, state) -> int:
         i = self._ids.get(state)
@@ -295,13 +311,13 @@ def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
     so that is an image meeting that one state and differing from its
     cylinder; search states name each clopen once, so that is an id
     meeting one depth-n state and not its id.  The search stops once
-    every state is recorded, and it spells only the recorded words,
-    from parent pointers.
+    every state of its block is recorded, and it spells only the
+    recorded words, from parent pointers.
     """
-    total = len(graph.starts)
     met, edges = graph.met, graph.edges
     names = graph.ctx.gen_names
     root = graph.id_of(start)  # the index of start, which meets only itself
+    total = len(next(b for b in graph.blocks if root in b))
     # id -> its parent's id * len(names) + the position of the last letter
     parent = {root: -1}
     # depth-n state index -> the first id meeting it

@@ -5,16 +5,16 @@ Classes are canonical clopen regions; meet and join are regionwise
 and perp is the region complement backed by rigid-stabiliser checks:
 commutation of the two witness families and the co-generation index
 inside the realized level truncations.  Scans enumerate the invariant
-cylinder classes of a dynamics context as unions of minimal saturation
-blocks.
+cylinder classes of a dynamics context as unions of its minimal
+invariant blocks, which the context's action graph finds once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolalg import CylinderClopen, TreeShape, format_address, sphere_list
+from .boolalg import ROOT, CylinderClopen, TreeShape, format_address, sphere_list
 from .boundary import region_vertices, rist_generators, tables_commute
-from .dynamics import ActionContext, orbit_join
+from .dynamics import ActionContext, _ActionGraph, orbit_join
 from .permgrp import FiniteGroup, Perm
 from .tree import (
     IsometrySpec,
@@ -25,7 +25,6 @@ from .tree import (
     sphere_permutation,
 )
 
-ROOT: tuple = ()
 # level truncations up to this order are also closed explicitly
 _REALIZE_CAP = 5000
 
@@ -286,33 +285,16 @@ def fixed_point_scan(ctx: ActionContext) -> dict:
     """Invariant cylinder classes of the context at truncation depth.
 
     The invariant clopens form a Boolean subalgebra, hence are exactly
-    the unions of the minimal invariant blocks; each block is grown by
-    saturating a seed atom with everything its generator images touch
-    until the images reproduce the union exactly.  Zero and the full
+    the unions of the minimal invariant blocks, which are read from the
+    context's action graph: each is the closure of a seed state under
+    the depth-n states that its generator steps meet.  Zero and the full
     boundary are always present; a minimal context leaves only them.
     """
     if not isinstance(ctx, ActionContext):
         raise TypeError("fixed-point scan runs on the single-tree context")
     depth = ctx.depth
     shape = ctx.shape
-    remaining = list(sphere_list(shape, depth))
-    blocks: list[tuple] = []
-    while remaining:
-        seed = remaining[0]
-        block = {seed}
-        while True:
-            union = CylinderClopen.from_addresses(shape, block)
-            new = set()
-            for name in ctx.gen_names:
-                img = ctx.image(name, union)
-                if img != union:
-                    new |= img.shadow(depth) - block
-            if not new:
-                break
-            block |= new
-        blocks.append(tuple(sorted(block)))
-        remaining = [a for a in remaining if a not in block]
-
+    blocks = [[ctx.states()[i] for i in sorted(b)] for b in _ActionGraph(ctx).blocks]
     k = len(blocks)
     count = 2 ** k
     classes: list[LocalClass] | None = None

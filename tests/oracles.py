@@ -49,7 +49,11 @@ so every image is refined, moved atom by atom and put back in canonical
 form.  On two copies the first-words oracle is the search as it was
 before a state became a copy-tagged single-tree state: a state is a
 (left, right) pair of clopens, and a generator of copy c moves side c
-through the base context's ``image``.
+through the base context's ``image``.  The fixed-point blocks oracle is
+the scan as it was before it read its blocks from the action graph: it
+grows each block from the least address left by taking the clopen image
+of the block's whole union under every generator, until no image adds a
+depth-n state.
 
 The closure oracles are the group closures as they were before they
 moved to image tuples: ``oracle_close`` grows the element set one
@@ -77,7 +81,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from tdlclab.boolalg import ROOT, CylinderClopen, sphere_list
+from tdlclab.boolalg import ROOT, CylinderClopen, format_address, sphere_list
 from tdlclab.dynamics import TwoCopyContext, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
@@ -460,6 +464,30 @@ def oracle_skewering(ctx) -> dict:
                 if len(word) >= ctx.word_bound:
                     all_saturated = False
     return {"saturated": all_saturated}
+
+
+def oracle_fixed_point_blocks(ctx) -> list:
+    """``localstruct.fixed_point_scan``'s blocks by saturating unions."""
+    depth = ctx.depth
+    shape = ctx.shape
+    remaining = list(sphere_list(shape, depth))
+    blocks: list[tuple] = []
+    while remaining:
+        seed = remaining[0]
+        block = {seed}
+        while True:
+            union = CylinderClopen.from_addresses(shape, block)
+            new = set()
+            for name in ctx.gen_names:
+                img = ctx.image(name, union)
+                if img != union:
+                    new |= img.shadow(depth) - block
+            if not new:
+                break
+            block |= new
+        blocks.append(tuple(sorted(block)))
+        remaining = [a for a in remaining if a not in block]
+    return [[format_address(shape, a) for a in b] for b in blocks]
 
 
 def oracle_contraction_certificate(g, u, ball_radius: int, direction: int = 1) -> dict:

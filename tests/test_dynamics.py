@@ -2,6 +2,7 @@
 compression, free subsemigroups, orbit joins, invariant measures."""
 from __future__ import annotations
 
+import functools
 import gc
 import random
 import weakref
@@ -259,6 +260,24 @@ def test_dense_orbit_check_agrees_with_check_minimal(name):
     assert report["dense_orbit_check"] == (minimal if degree == 1 else None)
 
 
+def test_two_copy_degree_steps_stay_near_one_tree(monkeypatch):
+    # each search stops once it has met its start's block, here its own
+    # copy, instead of running to the word bound for the other copy
+    two = dy.two_copy_product_context(S3, depth=4, word_bound=8)
+    steps = []
+    step = dy.ActionContext.step
+
+    def counted(self, name, state):
+        steps[-1] += 1
+        return step(self, name, state)
+
+    monkeypatch.setattr(dy.ActionContext, "step", counted)
+    for ctx in (two._base, two):
+        steps.append(0)
+        dy.minorising_degree(ctx)
+    assert steps[1] <= 4 * steps[0], steps
+
+
 # ------------------------------------------------- vertex states vs clopens
 
 
@@ -283,15 +302,32 @@ _VERTEX_CONTEXTS = {
     "rotations-only-3": lambda: dy.rotation_context(S3, depth=3),
     "two-copy-2": lambda: dy.two_copy_product_context(S3, depth=2),
     "two-copy-3": lambda: dy.two_copy_product_context(S3, depth=3, word_bound=4),
+    # searches that stop at a block smaller than the state count
+    "half-tree-stabiliser-2": lambda: ls.half_tree_stabiliser_context(S3, 0, depth=2),
+    "two-copy-4": lambda: dy.two_copy_product_context(S3, depth=4, word_bound=8),
 }
 
 
-def _assert_searches_match_oracles(ctx):
+def _oracle_words(ctx) -> dict:
+    return {
+        inside: {a: oracle_first_words(ctx, a, inside) for a in ctx.states()}
+        for inside in (False, True)
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _listed_oracle_words(name) -> dict:
+    # the oracle never knows a block, so on two copies it runs every
+    # search to the word bound; the two tests over the list share it
+    return _oracle_words(_VERTEX_CONTEXTS[name]())
+
+
+def _assert_searches_match_oracles(ctx, want=None):
+    want = want or _oracle_words(ctx)
     graph = dy._ActionGraph(ctx)
     for inside in (False, True):
         for a in ctx.states():
-            want = oracle_first_words(ctx, a, inside)
-            assert dy._first_words(graph, a, inside) == want, (a, inside)
+            assert dy._first_words(graph, a, inside) == want[inside][a], (a, inside)
     if isinstance(ctx, dy.TwoCopyContext):
         return None
     report = dy.skewering_search(ctx)
@@ -309,7 +345,7 @@ def _assert_searches_match_oracles(ctx):
 
 @pytest.mark.parametrize("name", sorted(_VERTEX_CONTEXTS))
 def test_vertex_searches_match_clopen_oracles(name):
-    _assert_searches_match_oracles(_VERTEX_CONTEXTS[name]())
+    _assert_searches_match_oracles(_VERTEX_CONTEXTS[name](), _listed_oracle_words(name))
 
 
 def test_two_copy_oracle_catches_a_step_that_ignores_the_copy(monkeypatch):
@@ -347,7 +383,7 @@ def test_first_words_do_not_depend_on_start_order(name):
     shuffled = states[:]
     random.Random(name).shuffle(shuffled)
     for inside in (False, True):
-        want = {a: oracle_first_words(ctx, a, inside) for a in states}
+        want = _listed_oracle_words(name)[inside]
         for order in (states[::-1], shuffled):
             graph = dy._ActionGraph(ctx)
             got = {a: dy._first_words(graph, a, inside) for a in order}

@@ -8,9 +8,13 @@ import pytest
 from tdlclab.boolalg import CylinderClopen, regular, rooted
 from tdlclab.permgrp import cyclic_group, symmetric_group
 from tdlclab.tree import IsometrySpec
+from tdlclab import cli
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
 
+from oracles import oracle_fixed_point_blocks
+from test_cli import ROOTED_BINARY
+from test_dynamics import _lone_axis_context
 from util import random_clopen
 
 T3 = regular(3)
@@ -191,6 +195,34 @@ def test_fixed_point_scan_identity_fixes_everything():
     assert scan["block_count"] == 3
     assert scan["fixed_class_count"] == 8
     assert all(len(b) == 1 for b in scan["blocks"])
+
+
+def _rooted_binary_context(depth):
+    spec = cli.parse_spec_text(ROOTED_BINARY)
+    spec.depth = depth
+    return cli.build_context(spec)
+
+
+_SCAN_CONTEXTS = {
+    **{
+        f"translation-rotation-{n}": (lambda n=n: dy.translation_rotation_context(S3, depth=n))
+        for n in (1, 2, 3, 4)
+    },
+    **{f"rotations-only-{n}": (lambda n=n: dy.rotation_context(S3, depth=n)) for n in (2, 3, 4)},
+    **{
+        f"half-tree-stabiliser-{n}": (lambda n=n: ls.half_tree_stabiliser_context(S3, 0, depth=n))
+        for n in (2, 3)
+    },
+    **{f"skewering-{n}": (lambda n=n: dy.skewering_context(S3, depth=n)) for n in (2, 3)},
+    "lone-axis": _lone_axis_context,
+    **{f"rooted-binary-{n}": (lambda n=n: _rooted_binary_context(n)) for n in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CONTEXTS))
+def test_fixed_point_blocks_match_the_saturation_oracle(name):
+    ctx = _SCAN_CONTEXTS[name]()
+    assert ls.fixed_point_scan(ctx)["blocks"] == oracle_fixed_point_blocks(ctx)
 
 
 def test_fixed_point_scan_rejects_product_contexts():

@@ -65,9 +65,14 @@ def cases() -> list[tuple[str, list[str]]]:
     for check in ("proximal", "measure", "minimal", "skewering", "minorising"):
         for depth in (3, 4):
             out.append(("regular-sym3", ["dynamics", check, "spec.ini", "--depth", str(depth)]))
+    # two copies, where each search stops at its own copy, and a
+    # non-minimal single tree with several invariant blocks
     for check in ("minimal", "degree", "minorising"):
         out.append(("two-copy", ["dynamics", check, "spec.ini"]))
-        out.append(("two-copy", ["dynamics", check, "spec.ini", "--depth", "3"]))
+        for depth in ("3", "5"):
+            out.append(("two-copy", ["dynamics", check, "spec.ini", "--depth", depth]))
+    for check in ("minimal", "degree"):
+        out.append(("rooted-binary", ["dynamics", check, "spec.ini", "--depth", "4"]))
     # far deeper word images than the depth-3/4 cases above; at depth 8
     # every start's first words come from one action graph
     for check, depths in (("minimal", (5, 6, 7, 8)), ("degree", (5, 6, 7, 8)),
