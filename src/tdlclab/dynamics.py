@@ -6,23 +6,27 @@ Searches are breadth-first by word length with a fixed generator order,
 so the first witness is deterministic.  Image states are deduplicated on
 the exact clopen value: every enumerated set is the exact image of the
 starting set under the recorded word, which keeps reachability sound
-for end-level claims.  On one tree the word-image searches key a
-one-cylinder clopen by its vertex, the address tuple, and every other
-state by its clopen; the two never name the same value, and a vertex
-deeper than a generator's displacement moves by applying the generator
-to its address.  On two copies a state is a single-tree state tagged
-by its copy, and a generator of the other copy leaves it in place.
+for end-level claims.  On one tree a search state is a vertex, standing
+for its one-cylinder clopen, or any other clopen; the two never name the
+same value, and a vertex deeper than a generator's displacement moves by
+applying the generator to its address.  On two copies a state is a
+single-tree state tagged by its copy, and a generator of the other copy
+leaves it in place.
 
 The minimality, minorising and degree searches start once from every
 depth-n state, and those searches share one action graph per call: the
 generators' Schreier graph on search states, with int ids, neighbour
 ids in generator order and each state's met depth-n states, built only
-as far as the searches reach and dropped when the call returns.  Each
-start is then a breadth-first search over ids with parent pointers,
-which visits the states in the order of a search over the states
-themselves and spells words only for the states it records (the orbit
-algorithm with Schreier vectors; Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, section 4.1).  The graph also holds
+as far as the searches reach and dropped when the call returns.  There
+a vertex is a node of an address trie, and below every generator's
+displacement and sites it steps by the wreath recursion g(v x) =
+g(v) pi(x), from its parent's step and one section lookup, with no
+address built (Nekrashevych, *Self-Similar Groups*, 2005, section 1.3).
+Each start is then a breadth-first search over ids with parent
+pointers, which visits the states in the order of a search over the
+states themselves and spells words only for the states it records (the
+orbit algorithm with Schreier vectors; Holt, Eick and O'Brien, *Handbook
+of Computational Group Theory*, 2005, section 4.1).  The graph also holds
 the invariant blocks, read by the fixed-point scan, and a search stops
 once it has met its start's block.  A search whose orbit closes below
 the word bound refutes; one cut off by the bound reports exhaustion.
@@ -54,8 +58,8 @@ class ActionContext:
 
     Generator words are applied in listed order (the first name acts
     first).  Inverses are added automatically with a trailing tilde
-    unless the generator is an involution on a ball comfortably larger
-    than anything the word bound can reach.
+    unless the generator is an involution, which its square decides on
+    one ball of its own size, whatever the depth.
     """
 
     def __init__(
@@ -74,21 +78,42 @@ class ActionContext:
         self.word_bound = word_bound
         self._gens: dict[str, SpecWord] = {}
         self._inverse_names: dict[str, str] = {}
-        # each generator's spec map on an address, for vertex steps; the
-        # one-factor SpecWord._apply costs 3.2 us a step against 2.5 us,
-        # and an action graph steps each generator once per expanded
-        # state (294,610 steps for check_minimal at depth 8), the measure
-        # rows once per working cylinder
+        # each generator's spec map on an address, for the vertex steps
+        # of shallow states and the sections of an action graph, and for
+        # the measure rows once per working cylinder; the one-factor
+        # SpecWord._apply costs 3.2 us a step against 2.5 us
         self._vertex_image: dict = {}
+        # A vertex v x deeper than R = |displacement| + site depth + 1
+        # moves by the wreath recursion g(v x) = g(v) pi(x): the letter
+        # x is never cancelled against the word, and pi is the site
+        # permutation that IsometrySpec._apply inherits at v's first
+        # R - 1 letters (_apply_inverse first strips the word, which
+        # shifts that prefix by at most |displacement| letters).  The
+        # action graph steps every generator this way below the largest R.
+        self.section_depth = 1
         for name, spec in generators.items():
             if "~" in name:
                 raise ValueError("generator names may not contain '~'")
             word = SpecWord.of(spec)
             self._gens[name] = word
             self._vertex_image[name] = spec._apply
-            radius = depth + 2 * abs(spec.displacement) + spec.depth + 2
+            self.section_depth = max(
+                self.section_depth, abs(spec.displacement) + spec.depth + 1
+            )
+            # Is g an involution?  Forward, _apply already moves v x to
+            # g(v) pi(x) once |v| >= max(d, s) (d the displacement, s the
+            # site depth), with pi inherited at v's first s letters.  For
+            # |u| >= 2d + s that holds for both factors of g^2, as
+            # |g(u)| >= |u| - d, so g^2(u x) = g^2(u) tau(x) with tau a
+            # permutation of the colours fixed by u's first 2d + s
+            # letters (g(u)'s first s letters depend on u's first d + s).
+            # If g^2 fixes the ball of radius 2d + s + 2, then below each
+            # u at depth 2d + s it fixes u's grandchildren, whose last
+            # letters run through every colour, so tau is the identity
+            # and g^2 fixes every vertex below u, by induction on depth.
+            # So that ball decides g^2 = 1 exactly, at every depth.
             square = SpecWord(shape, ((spec, 2),))
-            if square.is_identity_on(radius):
+            if square.is_identity_on(2 * abs(spec.displacement) + spec.depth + 2):
                 self._inverse_names[name] = name
             else:
                 self._gens[name + "~"] = word.inverse()
@@ -154,6 +179,12 @@ class ActionContext:
             return vertex
         return image
 
+    def copy_tags(self) -> tuple:
+        """The single-tree context the search states live on, and each
+        generator's name there and copy, in ``gen_names`` order: a
+        single tree is its own one copy."""
+        return self, tuple((name, 0) for name in self.gen_names)
+
     def _strictly_inside(self, state, addr) -> bool:
         """Whether a search state lies strictly inside the cylinder at addr."""
         if type(state) is tuple:
@@ -191,8 +222,12 @@ class TwoCopyContext:
         self.gen_names = tuple(self._tags)
 
     def states(self) -> tuple:
+        """Copy 0's single-tree states, then copy 1's, each tagged."""
         inner = self._base.states()
         return tuple((copy, s) for copy in (0, 1) for s in inner)
+
+    def copy_tags(self) -> tuple:
+        return self._base, tuple(self._tags[name] for name in self.gen_names)
 
     def state_label(self, state) -> str:
         copy, addr = state
@@ -247,12 +282,28 @@ class _ActionGraph:
     """The generators' Schreier graph on search states, built as far as
     the searches over it reach.
 
-    The depth-n states take ids 0 to N - 1 in ``ctx.states()`` order,
-    so a depth-n state's id is its index; any other state takes the next
-    id when a step first reaches it.  Each id keeps its state and the
-    depth-n states it meets, as indices found once: an int when it meets
-    one, a tuple otherwise.  An expanded id keeps the ids of its
-    neighbours in ``gen_names`` order, one ``ctx.step`` per generator.
+    A vertex state is a node of an address trie, one trie per copy: an
+    int id with its parent's id, its last letter and its depth in flat
+    lists, and its children's ids in ``kids``, at id * degree + letter.
+    Every other state is a clopen, keyed by its copy and value, with
+    depth -1.  The depth-n nodes take ids 0 to N - 1 in
+    ``ctx.states()`` order, so a depth-n state's id is its index; the
+    trie above them follows, and any other state takes the next id when
+    a step first reaches it.  Each id keeps the depth-n states it meets,
+    as indices: an int when it meets one, as a node at depth n or deeper
+    does, which takes its parent's, and a tuple otherwise.
+
+    An expanded id keeps the ids of its neighbours in ``gen_names``
+    order, and a generator of another copy is a self-loop, with no step.
+    A node deeper than the context's ``section_depth`` R steps by the
+    wreath recursion g(v x) = g(v) pi(x): to the child of its parent's
+    image at its letter's image under g's section pi, which is constant
+    below R.  So each section is read once per anchor, a node at depth
+    R, by applying ``_vertex_image`` to the addresses one level below
+    it, and a parent's image is its neighbour when it is expanded.  Only
+    shallower nodes and clopens step by ``ctx.step`` on their spelled
+    state; the searches name states by index and spell none.
+
     A graph lives for one search call, never on the context.  Its
     ``blocks``, sets of indices, are the invariant blocks: each closes the
     least state in no earlier block under the states that steps meet, so
@@ -262,13 +313,46 @@ class _ActionGraph:
     def __init__(self, ctx) -> None:
         self.ctx = ctx
         self.starts = ctx.states()
-        self._index = {s: i for i, s in enumerate(self.starts)}
-        self._ids: dict = {}
-        self.states: list = []
+        self.index = {s: i for i, s in enumerate(self.starts)}
+        base, self._tags = ctx.copy_tags()
+        self._base = base
+        self._degree = base.shape.degree
+        self._leaf = (-1,) * self._degree
+        self._reach = base.section_depth
+        self.parent: list[int] = []
+        self.letter: list[int] = []
+        self.depth: list[int] = []
+        self.anchor: list[int] = []  # the ancestor at depth R, or -1
+        self.kids: list[int] = []  # -1 for a child not built yet
         self.met: list = []
         self.edges: list = []
-        for s in self.starts:
-            self.id_of(s)
+        self._clopens: dict = {}  # (copy, clopen) -> id, and back
+        self._sections: dict = {}  # anchor -> letter -> image letters
+        inner = base.states()
+        self._width = len(inner)
+        self._base_index = {s: j for j, s in enumerate(inner)}
+        n = base.depth
+        for i in range(len(self.starts)):
+            self._node(-1, inner[i % self._width][-1], n, -1, i)
+        self._roots = [
+            self._node(-1, -1, 0, -1, None) for _ in range(len(self.starts) // self._width)
+        ]
+        for i in range(len(self.starts)):
+            q = self._roots[i // self._width]
+            for x in inner[i % self._width][:-1]:
+                q = self._child(q, x)
+            self.parent[i] = q
+            self.kids[q * self._degree + self.letter[i]] = i
+            self.anchor[i] = i if n == self._reach else self.anchor[q]
+        # a node above depth n meets the depth-n nodes below it
+        above: dict[int, list] = {}
+        for i in range(len(self.starts)):
+            q = self.parent[i]
+            while q >= 0:
+                above.setdefault(q, []).append(i)
+                q = self.parent[q]
+        for q, below in above.items():
+            self.met[q] = tuple(below)
         self.blocks: list[set] = []
         for seed in range(len(self.starts)):
             if any(seed in b for b in self.blocks):
@@ -282,29 +366,117 @@ class _ActionGraph:
                     todo += new
             self.blocks.append(block)
 
-    def id_of(self, state) -> int:
-        i = self._ids.get(state)
-        if i is None:
-            i = self._ids[state] = len(self.states)
-            self.states.append(state)
-            met = tuple(self._index[b] for b in self.ctx.met_states(state))
-            self.met.append(met[0] if len(met) == 1 else met)
-            self.edges.append(None)
+    def _node(self, parent, letter, depth, anchor, met) -> int:
+        i = len(self.met)
+        self.parent.append(parent)
+        self.letter.append(letter)
+        self.depth.append(depth)
+        self.anchor.append(anchor)
+        self.kids.extend(self._leaf)
+        self.met.append(met)
+        self.edges.append(None)
         return i
+
+    def _child(self, q: int, x: int) -> int:
+        """The node below node q at letter x, built on first use; a node
+        deeper than depth n meets what its parent meets."""
+        i = self.kids[q * self._degree + x]
+        if i < 0:
+            depth = self.depth[q] + 1
+            i = self._node(q, x, depth, self.anchor[q], self.met[q])
+            if depth == self._reach:
+                self.anchor[i] = i
+            self.kids[q * self._degree + x] = i
+        return i
+
+    def _id(self, copy: int, state) -> int:
+        """The id of a single-tree search state in a copy."""
+        if type(state) is tuple:
+            i = self._roots[copy]
+            for x in state:
+                i = self._child(i, x)
+            return i
+        i = self._clopens.get((copy, state))
+        if i is None:
+            met = sorted(
+                copy * self._width + self._base_index[b]
+                for b in self._base.met_states(state)
+            )
+            i = self._node(-1, -1, -1, -1, met[0] if len(met) == 1 else tuple(met))
+            self._clopens[copy, state] = i
+            self._clopens[i] = copy, state
+        return i
+
+    def _spell(self, i: int) -> tuple:
+        """The copy and single-tree state of an id: its clopen, or its
+        address."""
+        if self.depth[i] < 0:
+            return self._clopens[i]
+        letters = []
+        while self.parent[i] >= 0:
+            letters.append(self.letter[i])
+            i = self.parent[i]
+        return self._roots.index(i), tuple(reversed(letters))
+
+    def _section(self, anchor: int) -> tuple:
+        """Letter -> its image under each generator, in ``gen_names``
+        order, below an anchor, read from the anchor's children; another
+        copy's generator fixes every letter."""
+        rows = self._sections.get(anchor)
+        if rows is None:
+            (copy, addr), degree = self._spell(anchor), self._degree
+            letters = self._base.shape.child_letters(addr)
+            columns = []
+            for name, tag in self._tags:
+                column = list(range(degree))
+                if tag == copy:
+                    image = self._base._vertex_image[name]
+                    for x in letters:
+                        column[x] = image(addr + (x,))[-1]
+                    # pi permutes the colours, so on a regular tree the
+                    # anchor's own last letter, no child's, takes the
+                    # colour that no child's letter does
+                    for colour in set(range(degree)).difference(column[x] for x in letters):
+                        column[addr[-1]] = colour
+                columns.append(column)
+            rows = self._sections[anchor] = tuple(zip(*columns))
+        return rows
+
+    def _images(self, i: int) -> tuple:
+        """Each generator's image of id i, in ``gen_names`` order: read
+        from the edges when i is expanded, and kept nowhere new."""
+        got = self.edges[i]
+        if got is not None:
+            return got
+        if self.depth[i] > self._reach:
+            # the recursion on the parent's images; a self-loop there,
+            # with a fixed letter, is a self-loop here
+            row = self._section(self.anchor[i])[self.letter[i]]
+            kids, degree = self.kids, self._degree
+            return tuple([
+                j if (j := kids[q * degree + y]) >= 0 else self._child(q, y)
+                for q, y in zip(self._images(self.parent[i]), row)
+            ])
+        copy, state = self._spell(i)
+        step = self._base.step
+        return tuple(
+            i if tag != copy else self._id(copy, step(name, state))
+            for name, tag in self._tags
+        )
 
     def neighbours(self, i: int) -> tuple:
         got = self.edges[i]
         if got is None:
-            state, step = self.states[i], self.ctx.step
-            got = tuple(self.id_of(step(name, state)) for name in self.ctx.gen_names)
-            self.edges[i] = got
+            got = self.edges[i] = self._images(i)
         return got
 
 
 def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
     """Depth-n state -> first breadth-first word whose image of the
     cylinder at the depth-n state ``start`` meets it, searched over
-    ``graph``.
+    ``graph``: the shortlex-least such word up to the word bound, by
+    length and then generator order, the first-applied letter most
+    significant.
 
     With ``inside`` a state is recorded only when the image lies strictly
     inside its cylinder.  The depth-n cylinders partition the boundary,
@@ -316,7 +488,7 @@ def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
     """
     met, edges = graph.met, graph.edges
     names = graph.ctx.gen_names
-    root = graph.id_of(start)  # the index of start, which meets only itself
+    root = graph.index[start]  # start's id, which meets only itself
     total = len(next(b for b in graph.blocks if root in b))
     # id -> its parent's id * len(names) + the position of the last letter
     parent = {root: -1}

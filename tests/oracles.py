@@ -53,7 +53,10 @@ through the base context's ``image``.  The fixed-point blocks oracle is
 the scan as it was before it read its blocks from the action graph: it
 grows each block from the least address left by taking the clopen image
 of the block's whole union under every generator, until no image adds a
-depth-n state.
+depth-n state.  The shortlex oracle states the rule the first-words
+search keeps and shares nothing with a breadth-first search: it tries
+every word up to the bound in shortlex order, each with its own exact
+clopen image.
 
 The closure oracles are the group closures as they were before they
 moved to image tuples: ``oracle_close`` grows the element set one
@@ -85,7 +88,7 @@ from tdlclab.boolalg import ROOT, CylinderClopen, format_address, sphere_list
 from tdlclab.dynamics import TwoCopyContext, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
-from tdlclab.tree import SpecWord, pullbacks
+from tdlclab.tree import SpecWord, pullbacks, spec_image_clopen
 
 
 def _is_subgroup(elems: frozenset[Perm]) -> bool:
@@ -447,6 +450,49 @@ def oracle_first_words(ctx, start, inside: bool = False) -> dict:
             found.setdefault(b, word)
         if len(found) == total:
             break
+    return found
+
+
+def oracle_shortlex_words(ctx, start, inside: bool = False) -> dict:
+    """Depth-n state -> the shortlex-least word whose image of the
+    cylinder at the state ``start`` meets its cylinder, or with
+    ``inside`` lies strictly inside it, among all words up to the word
+    bound.  Shortlex compares length first, then generator order with
+    the first-applied letter most significant.  Every such word is tried
+    in that order with its exact clopen image, its prefix's image moved
+    by ``spec_image_clopen``; no word is dropped for an image another
+    word reached, and no search state or graph is kept.  Within a call,
+    each generator's image of a clopen, and the states a clopen is
+    recorded for, are worked out once."""
+    shape, depth = ctx.shape, ctx.depth
+    moved: dict = {}
+    recorded: dict = {}
+
+    def move(name, clopen):
+        key = (name, clopen)
+        if key not in moved:
+            moved[key] = spec_image_clopen(ctx.generator(name), clopen)
+        return moved[key]
+
+    def states(clopen) -> list:
+        if clopen not in recorded:
+            recorded[clopen] = [
+                b for b in sorted(clopen.shadow(depth))
+                if not inside or clopen.lt(CylinderClopen.cylinder(shape, b))
+            ]
+        return recorded[clopen]
+
+    found: dict = {}
+    level = [((), CylinderClopen.cylinder(shape, start))]
+    for length in range(ctx.word_bound + 1):
+        if length:
+            level = [
+                (word + (name,), move(name, image))
+                for word, image in level for name in ctx.gen_names
+            ]
+        for word, image in level:
+            for b in states(image):
+                found.setdefault(b, word)
     return found
 
 

@@ -14,7 +14,7 @@ from tdlclab.boolalg import ROOT, CylinderClopen, regular
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import SearchExhausted
 from tdlclab.permgrp import Perm, symmetric_group
-from tdlclab.tree import IsometrySpec, hyperbolic_isometry, site_group, spec_image_clopen
+from tdlclab.tree import IsometrySpec, SpecWord, hyperbolic_isometry, site_group, spec_image_clopen
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
 
@@ -23,6 +23,7 @@ from oracles import (
     oracle_forcing_replay,
     oracle_invariance_rows,
     oracle_phase_one_feasible,
+    oracle_shortlex_words,
     oracle_skewering,
 )
 
@@ -47,6 +48,51 @@ def test_context_adds_inverses_and_detects_involutions():
     assert ctx.inverse_name("t0~") == "t0"
     assert ctx.inverse_name("rho0") == "rho0"
     assert ctx.word(("t0", "t0~")).is_identity_on(6)
+
+
+def _listed_generators() -> list:
+    """The distinct generator specs of every context in this file (60
+    seeded random ones) and of every spec text in ``test_cli``."""
+    from tdlclab import cli
+    from test_cli import (
+        DEG12, LONE_AXIS, ROOTED_BINARY, ROTONLY, TWOCOPY, US3, US3_ELEMENTS, US3_WORD,
+    )
+
+    contexts = [make() for make, _ in _DEGREE_CONTEXTS.values()]
+    contexts += [make() for make in _VERTEX_CONTEXTS.values()]
+    rng = random.Random(17)
+    contexts += [_random_context(rng) for _ in range(60)]
+    specs = []
+    for text in (US3, US3_ELEMENTS, US3_WORD, ROTONLY, LONE_AXIS, DEG12, ROOTED_BINARY, TWOCOPY):
+        spec = cli.parse_spec_text(text)
+        contexts.append(cli.build_context(spec))
+        specs += [el for el in spec.elements.values() if isinstance(el, IsometrySpec)]
+    for ctx in contexts:
+        ctx = getattr(ctx, "_base", ctx)
+        specs += [ctx.generator(name).factors[0][0] for name in ctx.gen_names if "~" not in name]
+    return list(dict.fromkeys(specs))
+
+
+def test_involutions_are_decided_on_a_ball_of_the_generators_size():
+    # the context decides g^2 = 1 on the ball of radius 2d + s + 2; the
+    # radius depth + 2d + s + 2 it used before gives the same verdict at
+    # depths 1 to 8.  Those balls are nested, so once g^2 fixes one, it
+    # fixes the smaller ones.  A degree-12 ball past 200,000 vertices is
+    # skipped, which leaves the degree-12 translation at depth 1 only.
+    seen = set()
+    for spec in _listed_generators():
+        shape, d, s = spec.shape, abs(spec.displacement), spec.depth
+        square = SpecWord(shape, ((spec, 2),))
+        fixed = False
+        for depth in range(8, 0, -1):
+            radius = depth + 2 * d + s + 2
+            if sum(map(shape.sphere_size, range(radius + 1))) > 200_000:
+                continue
+            fixed = fixed or square.is_identity_on(radius)
+            involution = dy.ActionContext(shape, {"g": spec}, depth).inverse_name("g") == "g"
+            assert involution == fixed, (spec, depth)
+            seen.add(involution)
+    assert seen == {False, True}
 
 
 def test_context_rejects_bad_parameters():
@@ -262,20 +308,24 @@ def test_dense_orbit_check_agrees_with_check_minimal(name):
 
 def test_two_copy_degree_steps_stay_near_one_tree(monkeypatch):
     # each search stops once it has met its start's block, here its own
-    # copy, instead of running to the word bound for the other copy
+    # copy, instead of running to the word bound for the other copy; an
+    # expansion steps one state by every generator, counted when the
+    # call's graphs are done
     two = dy.two_copy_product_context(S3, depth=4, word_bound=8)
-    steps = []
-    step = dy.ActionContext.step
+    graphs = []
+    build = dy._ActionGraph.__init__
 
-    def counted(self, name, state):
-        steps[-1] += 1
-        return step(self, name, state)
+    def kept(self, ctx):
+        build(self, ctx)
+        graphs.append(self)
 
-    monkeypatch.setattr(dy.ActionContext, "step", counted)
+    monkeypatch.setattr(dy._ActionGraph, "__init__", kept)
+    expanded = []
     for ctx in (two._base, two):
-        steps.append(0)
+        graphs.clear()
         dy.minorising_degree(ctx)
-    assert steps[1] <= 4 * steps[0], steps
+        expanded.append(sum(e is not None for graph in graphs for e in graph.edges))
+    assert expanded[1] <= 4 * expanded[0], expanded
 
 
 # ------------------------------------------------- vertex states vs clopens
@@ -349,29 +399,51 @@ def test_vertex_searches_match_clopen_oracles(name):
 
 
 def test_two_copy_oracle_catches_a_step_that_ignores_the_copy(monkeypatch):
-    def untagged(self, name, state):
-        copy, s = state
-        return copy, self._base.step(name.rsplit("@", 1)[0], s)
+    # every generator tagged with copy 0: a copy-1 generator moves the
+    # copy-0 states and nothing moves a copy-1 state
+    def untagged(self):
+        return self._base, tuple((name.rsplit("@", 1)[0], 0) for name in self.gen_names)
 
-    monkeypatch.setattr(dy.TwoCopyContext, "step", untagged)
+    monkeypatch.setattr(dy.TwoCopyContext, "copy_tags", untagged)
     with pytest.raises(AssertionError):
         _assert_searches_match_oracles(dy.two_copy_product_context(S3, depth=2))
 
 
 def test_oracle_catches_neighbours_in_another_generator_order(monkeypatch):
-    # words are spelled in gen_names order, so neighbour lists built in
-    # another order put the wrong generator names on the first words
-    def reversed_order(self, i):
-        got = self.edges[i]
-        if got is None:
-            state, names = self.states[i], self.ctx.gen_names[::-1]
-            got = tuple(self.id_of(self.ctx.step(name, state)) for name in names)
-            self.edges[i] = got
-        return got
+    # words are spelled in gen_names order, so a graph that steps the
+    # generators, and reads their sections, in another order puts the
+    # wrong generator names on the first words
+    def reversed_order(self):
+        return self, tuple((name, 0) for name in self.gen_names[::-1])
 
-    monkeypatch.setattr(dy._ActionGraph, "neighbours", reversed_order)
+    monkeypatch.setattr(dy.ActionContext, "copy_tags", reversed_order)
     with pytest.raises(AssertionError):
         _assert_searches_match_oracles(dy.translation_rotation_context(S3, depth=2))
+
+
+_SHORTLEX_CONTEXTS = {
+    "translation-rotation-3": lambda: dy.translation_rotation_context(S3, depth=3, word_bound=4),
+    "skewering-2": lambda: dy.skewering_context(S3, depth=2, word_bound=5),
+    "skewering-3": lambda: dy.skewering_context(S3, depth=3, word_bound=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHORTLEX_CONTEXTS))
+def test_first_words_are_the_shortlex_least_words(name):
+    """``_first_words`` keeps, for each state b, the shortlex-least word
+    up to the bound whose image of the start's cylinder meets b (with
+    ``inside``, lies strictly inside b).  A search that expands its ids
+    level by level, each in generator order, meets the words of each
+    length in shortlex order, and the first word to reach an id is the
+    one its parent pointer spells; an image that another word reached
+    first has a shortlex-smaller word already, and so do its images, so
+    dropping it drops no least word.  The oracle tries every word."""
+    ctx = _SHORTLEX_CONTEXTS[name]()
+    graph = dy._ActionGraph(ctx)
+    for inside in (False, True):
+        for a in ctx.states():
+            want = oracle_shortlex_words(ctx, a, inside)
+            assert dy._first_words(graph, a, inside) == want, (a, inside)
 
 
 @pytest.mark.parametrize("name", sorted(_VERTEX_CONTEXTS))

@@ -73,6 +73,12 @@ def cases() -> list[tuple[str, list[str]]]:
             out.append(("two-copy", ["dynamics", check, "spec.ini", "--depth", depth]))
     for check in ("minimal", "degree"):
         out.append(("rooted-binary", ["dynamics", check, "spec.ini", "--depth", "4"]))
+    # trie steps below a site deeper than the base (u1 at depth 2), and
+    # the lone axis, whose degree search exhausts its bound (exit 4)
+    for check in ("minimal", "degree"):
+        for depth in ("5", "6"):
+            out.append(("elements", ["dynamics", check, "spec.ini", "--depth", depth]))
+        out.append(("lone-axis", ["dynamics", check, "spec.ini", "--depth", "6"]))
     # far deeper word images than the depth-3/4 cases above; at depth 8
     # every start's first words come from one action graph
     for check, depths in (("minimal", (5, 6, 7, 8)), ("degree", (5, 6, 7, 8)),
