@@ -488,33 +488,38 @@ def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
     """
     met, edges = graph.met, graph.edges
     names = graph.ctx.gen_names
+    width = len(names)
     root = graph.index[start]  # start's id, which meets only itself
     total = len(next(b for b in graph.blocks if root in b))
-    # id -> its parent's id * len(names) + the position of the last letter
+    # id -> its parent's id * width + the position of the last letter
     parent = {root: -1}
     # depth-n state index -> the first id meeting it
     found: dict[int, int] = {} if inside else {root: root}
 
     def search() -> None:
+        missing = total - len(found)  # states of the block not yet found
         level = [root]
         for _ in range(graph.ctx.word_bound):
-            if len(found) == total or not level:
+            if not missing or not level:
                 return
             deeper = []
             for x in level:
                 for g, y in enumerate(edges[x] or graph.neighbours(x)):
                     if y in parent:
                         continue
-                    parent[y] = x * len(names) + g
+                    parent[y] = x * width + g
                     deeper.append(y)
                     m = met[y]
                     if type(m) is int:
                         if m not in found and not (inside and m == y):
                             found[m] = y
+                            missing -= 1
                     elif not inside:
                         for b in m:
-                            found.setdefault(b, y)
-                    if len(found) == total:
+                            if b not in found:
+                                found[b] = y
+                                missing -= 1
+                    if not missing:
                         return
             level = deeper
 
@@ -524,9 +529,9 @@ def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
         path = []
         while i not in words:
             path.append(i)
-            i = parent[i] // len(names)
+            i = parent[i] // width
         for j in reversed(path):
-            words[j] = words[i] + (names[parent[j] % len(names)],)
+            words[j] = words[i] + (names[parent[j] % width],)
             i = j
     return {graph.starts[b]: words[i] for b, i in found.items()}
 

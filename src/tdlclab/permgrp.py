@@ -1,7 +1,11 @@
 """Finite permutation groups by closures grown on image tuples.
 
 Everything here is desk scale by design: groups are materialised as full
-element sets behind a hard cap (default 2**20).  One kernel, ``_grow``,
+element sets behind a hard cap (default 2**20).  A group stores its
+elements as one frozenset of image tuples, ``image_set``, and builds
+``Perm`` objects only when a caller asks for them (``element_set``,
+``element_list``, ``conjugacy_classes``, generators); every structural
+computation below reads and writes the tuples.  One kernel, ``_grow``,
 closes a set of image tuples under new generators by breadth-first
 search, and it resumes from a closed set: ``FiniteGroup`` closes from
 the identity with it, and ``normal_closure`` grows one set over its
@@ -19,19 +23,43 @@ from __future__ import annotations
 
 import math
 from functools import cache, cached_property, total_ordering
-from operator import attrgetter
 
 from .errors import ClosureCapExceeded
 
 DEFAULT_CAP = 2**20
 
 
-_images = attrgetter("images")
-
-
 @cache
 def _identity_images(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
+
+
+def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(images)
+    for x, y in enumerate(images):
+        out[y] = x
+    return tuple(out)
+
+
+def _conjugate(x: tuple[int, ...], g: tuple[int, ...], g_inv: tuple[int, ...]) -> tuple[int, ...]:
+    """g * x * g^-1 on image tuples, given g's inverse."""
+    return tuple([g[x[y]] for y in g_inv])
+
+
+def _order(images: tuple[int, ...]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    seen = bytearray(len(images))
+    out = 1
+    for start, x in enumerate(images):
+        if x == start or seen[start]:
+            continue
+        length = 1
+        while x != start:
+            seen[x] = 1
+            x = images[x]
+            length += 1
+        out = math.lcm(out, length)
+    return out
 
 
 @total_ordering
@@ -51,8 +79,9 @@ class Perm:
     def _trusted(cls, images: tuple[int, ...]) -> "Perm":
         """Wrap images already known to form a permutation, unchecked.
 
-        Only products, conjugates and inverses of permutations come
-        through here.
+        Products, conjugates and inverses of permutations come through
+        here, and so does every element a group hands out: groups keep
+        image tuples and build a ``Perm`` only when asked for one.
         """
         p = object.__new__(cls)
         p.images = images
@@ -76,10 +105,7 @@ class Perm:
         """The inverse permutation, built once and then kept."""
         inv = self._inverse
         if inv is None:
-            images = [0] * len(self.images)
-            for x, y in enumerate(self.images):
-                images[y] = x
-            inv = self._inverse = Perm._trusted(tuple(images))
+            inv = self._inverse = Perm._trusted(_invert(self.images))
         return inv
 
     def __pow__(self, n: int) -> "Perm":
@@ -99,25 +125,13 @@ class Perm:
         mine, theirs = self.images, g.images
         if len(theirs) != len(mine):
             raise ValueError("degree mismatch")
-        return Perm._trusted(tuple([theirs[mine[y]] for y in g.inverse().images]))
+        return Perm._trusted(_conjugate(mine, theirs, g.inverse().images))
 
     def is_identity(self) -> bool:
         return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
-        images = self.images
-        seen = bytearray(len(images))
-        out = 1
-        for start, x in enumerate(images):
-            if x == start or seen[start]:
-                continue
-            length = 1
-            while x != start:
-                seen[x] = 1
-                x = images[x]
-                length += 1
-            out = math.lcm(out, length)
-        return out
+        return _order(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -240,42 +254,47 @@ class FiniteGroup:
 
     # -- closure -------------------------------------------------------------
 
-    def _close(self) -> frozenset[Perm]:
-        """The element set, grown from the identity over ``gens``; the
+    def _close(self) -> frozenset[tuple[int, ...]]:
+        """The image set, grown from the identity over ``gens``; the
         generators kept on the way become ``pruned_gens``."""
         seen = {_identity_images(self.degree): None}
         kept: list[Perm] = []
         _grow(seen, kept, self.gens, self.cap)
         self.__dict__["pruned_gens"] = tuple(kept)
-        return frozenset(map(Perm._trusted, seen))
+        return frozenset(seen)
+
+    @cached_property
+    def image_set(self) -> frozenset[tuple[int, ...]]:
+        """The elements as image tuples: the one stored element set."""
+        return self._close()
 
     @cached_property
     def element_set(self) -> frozenset[Perm]:
-        return self._close()
+        return frozenset(map(Perm._trusted, self.image_set))
 
     @cached_property
     def pruned_gens(self) -> tuple[Perm, ...]:
         """Non-redundant generating subset found while closing."""
-        # A normal-lattice member knows its element set without a closure.
-        self.__dict__.setdefault("element_set", self._close())
+        # A normal-lattice member knows its image set without a closure.
+        self.__dict__.setdefault("image_set", self._close())
         return self.__dict__["pruned_gens"]
 
     @cached_property
     def element_list(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.element_set, key=_images))
+        return tuple(map(Perm._trusted, sorted(self.image_set)))
 
     @property
     def order(self) -> int:
-        return len(self.element_set)
+        return len(self.image_set)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self.element_set
+        return p.images in self.image_set
 
     def contains_group(self, other: "FiniteGroup") -> bool:
-        return other.element_set <= self.element_set
+        return other.image_set <= self.image_set
 
     def same_group(self, other: "FiniteGroup") -> bool:
-        return self.degree == other.degree and self.element_set == other.element_set
+        return self.degree == other.degree and self.image_set == other.image_set
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
@@ -306,16 +325,25 @@ class FiniteGroup:
         return out
 
     def point_stabilizer(self, point: int) -> "FiniteGroup":
-        elems = [g for g in self.element_list if g(point) == point]
+        elems = [Perm._trusted(x) for x in sorted(self.image_set) if x[point] == point]
         return FiniteGroup(self.degree, elems, cap=self.cap)
 
     # -- conjugacy and the normal lattice ---------------------------------------
 
     @cached_property
-    def conjugacy_classes(self) -> tuple[frozenset[Perm], ...]:
-        seen: set[Perm] = set()
+    def _conjugators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Each pruned generator's image tuple beside its inverse's."""
+        return tuple((g.images, _invert(g.images)) for g in self.pruned_gens)
+
+    @cached_property
+    def _classes(self) -> tuple[frozenset[tuple[int, ...]], ...]:
+        """The conjugacy classes as image sets, in the order of their
+        least elements, each found by a breadth-first search under
+        conjugation by the pruned generators."""
+        by = self._conjugators
+        seen: set[tuple[int, ...]] = set()
         classes = []
-        for x in self.element_list:
+        for x in sorted(self.image_set):
             if x in seen:
                 continue
             orb = {x}
@@ -323,8 +351,8 @@ class FiniteGroup:
             while frontier:
                 fresh = []
                 for y in frontier:
-                    for g in self.pruned_gens:
-                        z = y.conjugate_by(g)
+                    for g, g_inv in by:
+                        z = _conjugate(y, g, g_inv)
                         if z not in orb:
                             orb.add(z)
                             fresh.append(z)
@@ -332,6 +360,10 @@ class FiniteGroup:
             seen |= orb
             classes.append(frozenset(orb))
         return tuple(classes)
+
+    @cached_property
+    def conjugacy_classes(self) -> tuple[frozenset[Perm], ...]:
+        return tuple(frozenset(map(Perm._trusted, cls)) for cls in self._classes)
 
     def subgroup(self, gens: list[Perm] | tuple[Perm, ...]) -> "FiniteGroup":
         return FiniteGroup(self.degree, tuple(gens), cap=self.cap)
@@ -353,21 +385,21 @@ class FiniteGroup:
         along its search path, and its element set is the union of its
         classes.
         """
-        classes = self.conjugacy_classes
-        # Image tuples, not Perms: the table is the lattice's one hot loop.
-        class_of = {x.images: i for i, cls in enumerate(classes) for x in cls}
+        classes = self._classes
+        class_of = {x: i for i, cls in enumerate(classes) for x in cls}
         support = []
         for cls in classes:
-            rep = next(iter(cls)).images
+            rep = next(iter(cls))
             row = [0] * len(classes)
             for xs, j in class_of.items():
                 row[j] |= 1 << class_of[tuple([rep[y] for y in xs])]
             support.append(row)
-        trivial = 1 << class_of[self.identity().images]
+        trivial = 1 << class_of[_identity_images(self.degree)]
         class_closures: dict[int, tuple[Perm, ...]] = {}
         for i, cls in enumerate(classes):
             mask = _class_closure(support, trivial, 1 << i)
-            class_closures.setdefault(mask, tuple(sorted(cls)))
+            if mask not in class_closures:
+                class_closures[mask] = tuple(map(Perm._trusted, sorted(cls)))
         lattice: dict[int, tuple[Perm, ...]] = {trivial: ()}
         frontier = [trivial]
         while frontier:
@@ -384,11 +416,11 @@ class FiniteGroup:
         members = []
         for mask, gens in lattice.items():
             member = self.subgroup(gens)
-            member.__dict__["element_set"] = frozenset().union(
+            member.__dict__["image_set"] = frozenset().union(
                 *(cls for i, cls in enumerate(classes) if mask >> i & 1)
             )
             members.append(member)
-        return tuple(sorted(members, key=lambda s: (s.order, s.element_list)))
+        return tuple(sorted(members, key=_order_then_elements))
 
     def normalises(self, other: "FiniteGroup") -> bool:
         """Every element of self conjugates other onto itself.
@@ -396,11 +428,13 @@ class FiniteGroup:
         Conjugation by a fixed g is an automorphism, so it suffices that
         each generator of self sends each generator of other into other.
         """
-        elems = other.element_set
+        if other.degree != self.degree:
+            raise ValueError("degree mismatch")
+        elems = other.image_set
         return all(
-            x.conjugate_by(g) in elems
+            _conjugate(x.images, g, g_inv) in elems
             for x in other.pruned_gens
-            for g in self.pruned_gens
+            for g, g_inv in self._conjugators
         )
 
     def is_normal(self, other: "FiniteGroup") -> bool:
@@ -419,7 +453,7 @@ class FiniteGroup:
         are not yet members are the next additions.  A conjugate of a
         generator kept in an earlier round is a member already.  The
         result's generators are the seed and then every round's
-        additions, so ``gens``, ``pruned_gens`` and ``element_set`` are
+        additions, so ``gens``, ``pruned_gens`` and ``image_set`` are
         those of the subgroup those generators span.
         """
         # The constructor checks degrees, which tuple products do not.
@@ -431,22 +465,23 @@ class FiniteGroup:
             done = len(kept)
             _grow(seen, kept, new, self.cap)
             new = tuple(
-                y
+                Perm._trusted(y)
                 for x in kept[done:]
-                for g in self.pruned_gens
-                if (y := x.conjugate_by(g)).images not in seen
+                for g, g_inv in self._conjugators
+                if (y := _conjugate(x.images, g, g_inv)) not in seen
             )
             closure.gens += new
-        closure.__dict__["element_set"] = frozenset(map(Perm._trusted, seen))
+        closure.__dict__["image_set"] = frozenset(seen)
         closure.__dict__["pruned_gens"] = tuple(kept)
         return closure
 
     @cached_property
     def _derived(self) -> "FiniteGroup":
+        by = self._conjugators
         comms = [
-            a * b * a.inverse() * b.inverse()
-            for a in self.pruned_gens
-            for b in self.pruned_gens
+            Perm._trusted(tuple([a[b[a_inv[x]]] for x in b_inv]))
+            for a, a_inv in by
+            for b, b_inv in by
         ]
         return self.normal_closure(comms)
 
@@ -465,32 +500,21 @@ class FiniteGroup:
         """G/N as the left-multiplication action on cosets of N."""
         if not self.is_normal(n):
             raise ValueError("quotient by a non-normal subgroup")
-        reps: dict[Perm, int] = {}
-        coset_of: dict[Perm, int] = {}
-        order_n = n.order
-        for x in self.element_list:
+        # Each coset x N is keyed by its least element.
+        coset_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for x in self.image_set:
             if x in coset_of:
                 continue
-            idx = len(reps)
-            members = [x * h for h in n.element_set]
+            members = [tuple([x[i] for i in h]) for h in n.image_set]
             rep = min(members)
-            reps[rep] = idx
             for m in members:
-                coset_of[m] = idx
-            if len(members) != order_n:
-                raise AssertionError("coset size mismatch")
-        rep_list = sorted(reps, key=lambda r: r.images)
-        index_of = {coset_of[r]: i for i, r in enumerate(rep_list)}
-        images = []
-        for g in self.gens:
-            images.append(
-                Perm(
-                    tuple(
-                        index_of[coset_of[g * r]] for r in rep_list
-                    )
-                )
-            )
-        return FiniteGroup(len(rep_list), images, cap=self.cap)
+                coset_of[m] = rep
+        index_of = {r: i for i, r in enumerate(sorted(set(coset_of.values())))}
+        images = [
+            Perm(tuple(index_of[coset_of[tuple([g.images[i] for i in r])]] for r in index_of))
+            for g in self.gens
+        ]
+        return FiniteGroup(len(index_of), images, cap=self.cap)
 
 
 def _class_closure(support: list[list[int]], closed: int, extra: int) -> int:
@@ -543,7 +567,7 @@ def _grow(
         kept_images.append(gi)
         frontier = []
         for x in list(seen):
-            y = tuple(map(x.__getitem__, gi))
+            y = tuple([x[i] for i in gi])
             if y not in seen:
                 seen[y] = None
                 frontier.append(y)
@@ -552,9 +576,8 @@ def _grow(
         while frontier:
             fresh = []
             for x in frontier:
-                take = x.__getitem__
                 for h in kept_images:
-                    y = tuple(map(take, h))
+                    y = tuple([x[i] for i in h])
                     if y not in seen:
                         seen[y] = None
                         fresh.append(y)
@@ -590,6 +613,12 @@ def is_pi_number(n: int, pi: frozenset[int] | set[int]) -> bool:
 # -- lattice-driven invariants ----------------------------------------------
 
 
+def _order_then_elements(n: FiniteGroup) -> tuple[int, list[tuple[int, ...]]]:
+    """Sort key of subgroups: order, then the sorted image tuples, which
+    compare as ``element_list`` does."""
+    return len(n.image_set), sorted(n.image_set)
+
+
 def _largest_normal(g: FiniteGroup, key: tuple, keep) -> FiniteGroup:
     """The normal subgroup of g passing ``keep`` that contains all others
     passing it, memoised under key.  Products of two such subgroups pass
@@ -598,7 +627,7 @@ def _largest_normal(g: FiniteGroup, key: tuple, keep) -> FiniteGroup:
     if key in g.invariant_memo:
         return g.invariant_memo[key]
     candidates = [n for n in g.normal_subgroups if keep(n)]
-    best = max(candidates, key=lambda n: (n.order, n.element_list))
+    best = max(candidates, key=_order_then_elements)
     for n in candidates:
         if not best.contains_group(n):
             raise AssertionError(f"{key[0]}: no largest normal subgroup")
@@ -622,9 +651,9 @@ def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
     """
     pi = frozenset(pi)
     seeds = tuple(
-        x
-        for x in g.element_list
-        if all(p not in pi for p in prime_factors(x.order()))
+        Perm._trusted(x)
+        for x in sorted(g.image_set)
+        if all(p not in pi for p in prime_factors(_order(x)))
     )
     return g.subgroup(seeds)
 
@@ -683,7 +712,7 @@ def composition_factors(g: FiniteGroup) -> list[str]:
     """Jordan-Holder factor labels, outermost factor first.
 
     Each step descends to the maximal normal subgroup of largest order,
-    least element list first on ties.  The quotient by a maximal normal
+    greatest element list first on ties.  The quotient by a maximal normal
     subgroup is simple, so its label is read off its order and no
     quotient is built.
     """
@@ -691,7 +720,7 @@ def composition_factors(g: FiniteGroup) -> list[str]:
     current = g
     while current.order > 1:
         maximals = maximal_normal_subgroups(current)
-        n = max(maximals, key=lambda m: (m.order, m.element_list))
+        n = max(maximals, key=_order_then_elements)
         out.append(_simple_label_of_order(current.order // n.order))
         current = n
     return out
@@ -706,10 +735,10 @@ def melnikov_subgroup(g: FiniteGroup) -> FiniteGroup:
     if g.order == 1:
         return g
     maximals = maximal_normal_subgroups(g)
-    meet = set(g.element_set)
+    meet = g.image_set
     for m in maximals:
-        meet &= m.element_set
-    result = g.subgroup_from_elements(meet)
+        meet &= m.image_set
+    result = g.subgroup(tuple(map(Perm._trusted, sorted(meet))))
     quot = g.quotient(result)
     if not _is_semisimple(quot):
         raise AssertionError(
@@ -738,7 +767,7 @@ def _is_semisimple(g: FiniteGroup) -> bool:
     for m in minimal_normal_subgroups(g):
         if not is_simple(m):
             return False
-        if current.element_set & m.element_set != {g.identity()}:
+        if current.image_set & m.image_set != {_identity_images(g.degree)}:
             continue
         joined = g.subgroup(tuple(current.gens) + tuple(m.gens))
         if joined.order != current.order * m.order:

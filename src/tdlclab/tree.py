@@ -624,7 +624,7 @@ def in_universal_group(iso: BallIsometry, local: FiniteGroup) -> bool:
     """
     if local.degree != iso.shape.degree:
         raise ValueError("local group degree does not match the shape")
-    allowed = {p.images for p in local.element_set}
+    allowed = local.image_set
     parents = {b[:-1] for b in iso.moved if b}
     return all(iso._local_images(v) in allowed for v in parents)
 

@@ -124,6 +124,15 @@ def test_closure_matches_oracle_on_corpus():
         assert FiniteGroup(g.degree, pruned).element_set == g.element_set, name
 
 
+def test_image_set_is_the_stored_element_set_on_corpus():
+    for name, g in corpus().items():
+        assert g.image_set == {p.images for p in oracle_element_set(g)}, name
+        assert "element_set" not in vars(g), name
+        # the Perm views are built from it on request
+        assert g.element_set == frozenset(map(Perm, g.image_set)), name
+        assert g.element_list == tuple(sorted(g.element_set)), name
+
+
 def test_conjugacy_classes_match_oracle_on_corpus():
     for name, g in corpus().items():
         classes = g.conjugacy_classes
@@ -404,8 +413,16 @@ def test_wielandt_seeded():
     for _ in range(25):
         g = rng.choice(pool)
         chain = _random_subnormal_chain(rng, g)
-        res = wielandt_check(g, chain, rng.choice(pis))
+        pi = rng.choice(pis)
+        res = wielandt_check(g, chain, pi)
         assert res["holds"], (g.order, [c.order for c in chain])
+        # cores and residuals work on image tuples: no group on the way
+        # wraps its elements as Perms
+        s = chain[-1]
+        residual = pi_residual(s, pi)
+        assert res["pi"] == pi_core(g, pi).normalises(residual)
+        for h in [*chain, pi_core(g, pi), prosoluble_core(g), residual, prosoluble_residual(s)]:
+            assert "element_set" not in vars(h), (g.order, h.order)
 
 
 def test_prime_factors():
@@ -420,6 +437,14 @@ def _oracle_normalises(outer, inner) -> bool:
         for a in outer.element_set
         for x in inner_set
     )
+
+
+def test_normalises_rejects_a_group_of_another_degree():
+    # conjugation on image tuples checks no degree, so normalises does
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    for outer, inner in ((s3, s4), (s4, s3), (s4, FiniteGroup(3, []))):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            outer.normalises(inner)
 
 
 def test_normalises_matches_elementwise_oracle_on_corpus():

@@ -27,8 +27,20 @@ DEMOS = sorted(p.relative_to(HERE).as_posix() for p in (HERE / "demos").glob("0*
 sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
 from test_cli import LONE_AXIS, ROOTED_BINARY, TWOCOPY, US3, US3_ELEMENTS, US3_WORD  # noqa: E402
 
+# rooted degree-5 trees over the non-soluble Sym(5) and Alt(5)
+ROOTED_SYM5 = """\
+[tree]
+kind = rooted
+degree = 5
+
+[local_group]
+generators = (0 1), (0 1 2 3 4)
+"""
+ROOTED_ALT5 = ROOTED_SYM5.replace("(0 1), (0 1 2 3 4)", "(0 1 2), (2 3 4)")
+
 SPECS = {"elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY, "regular-sym3": US3,
-         "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD}
+         "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
+         "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5}
 TIMEOUT_S = 900.0
 
 
@@ -59,6 +71,10 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..4"]))
     # local-class regions one level deeper, each rendered through format_clopen
     out.append(("regular-sym3", ["report-local", "spec.ini", "--depths", "1..5"]))
+    # non-soluble local groups: quotients, the semisimplicity check, the
+    # Melnikov subgroup and A5 factors
+    for spec in ("rooted-sym5", "rooted-alt5"):
+        out.append((spec, ["report-local", "spec.ini", "--depths", "1..3"]))
     for spec in ("elements", "regular-sym3"):
         for depth in (2, 3):
             out.append((spec, ["dynamics", "degree", "spec.ini", "--depth", str(depth)]))
