@@ -11,13 +11,16 @@ search, and it resumes from a closed set: ``FiniteGroup`` closes from
 the identity with it, and ``normal_closure`` grows one set over its
 rounds instead of closing again from nothing.  Normal subgroups are
 found as product-closed unions of conjugacy classes without closing
-any of them element by element, and the structural invariants (cores,
-residuals, the intersection of maximal normal subgroups, composition
-factors) are read off the lattice.  No Schreier-Sims machinery: the one
-use of Schreier's lemma is tree.congruence_kernel, which generates a
-level group's congruence kernel from Schreier generators without closing
-the level group.  Determinism everywhere, with ties broken by the
-lexicographic order on permutation image tuples.
+any of them element by element: each unordered pair of classes is
+multiplied once, from the smaller class, and each join in the lattice
+is read as the product of two normal subgroups.  The structural
+invariants (cores, residuals, the intersection of maximal normal
+subgroups, composition factors) are read off the lattice.  No
+Schreier-Sims machinery: the one use of Schreier's lemma is
+tree.congruence_kernel, which generates a level group's congruence
+kernel from Schreier generators without closing the level group.
+Determinism everywhere, with ties broken by the lexicographic order on
+permutation image tuples.
 """
 from __future__ import annotations
 
@@ -376,25 +379,24 @@ class FiniteGroup:
         """All normal subgroups, found as unions of conjugacy classes.
 
         A normal subgroup is a union of classes closed under products.
-        The product set of classes i and j is the union of the classes met
-        by ``rep_i * C_j``, so one table of those class masks, k * |G|
-        products for k classes, turns every normal closure into a fixpoint
-        on k-bit masks.  The lattice is searched breadth first from the
-        trivial group, joining each member found with each class closure
-        in class order.  A member's generators are the class generators
-        along its search path, and its element set is the union of its
-        classes.
+        ``_class_products`` tabulates, as class masks, the classes met by
+        each product C_i C_j, multiplying each unordered pair of classes
+        once from the smaller class.  The closure of a single class is a
+        fixpoint on that table.  Every other member is a join K M of a
+        member K found already and a class closure M, and the product of
+        two normal subgroups is their join: K M is K together with C_j K
+        for each class j of M outside K, so each join is a few ORs of
+        K's row of masks C_j K, built once per member.  The lattice is
+        searched breadth first from the trivial group, joining each member
+        found with each class closure in class order.  A member's
+        generators are the class generators along its search path, and
+        its element set is the union of its classes.  Members come sorted
+        by order, then by element list.
         """
         classes = self._classes
-        class_of = {x: i for i, cls in enumerate(classes) for x in cls}
-        support = []
-        for cls in classes:
-            rep = next(iter(cls))
-            row = [0] * len(classes)
-            for xs, j in class_of.items():
-                row[j] |= 1 << class_of[tuple([rep[y] for y in xs])]
-            support.append(row)
-        trivial = 1 << class_of[_identity_images(self.degree)]
+        bit_of = {x: 1 << i for i, cls in enumerate(classes) for x in cls}
+        support = _class_products(classes, bit_of)
+        trivial = bit_of[_identity_images(self.degree)]
         class_closures: dict[int, tuple[Perm, ...]] = {}
         for i, cls in enumerate(classes):
             mask = _class_closure(support, trivial, 1 << i)
@@ -405,10 +407,20 @@ class FiniteGroup:
         while frontier:
             fresh = []
             for known in frontier:
+                inside = _bits(known)
+                times_known = []
+                for row in support:
+                    product = 0
+                    for i in inside:
+                        product |= row[i]
+                    times_known.append(product)
                 for mask, gens in class_closures.items():
-                    if mask & ~known == 0:
+                    outside = mask & ~known
+                    if outside == 0:
                         continue
-                    joined = _class_closure(support, known, mask)
+                    joined = known
+                    for j in _bits(outside):
+                        joined |= times_known[j]
                     if joined not in lattice:
                         lattice[joined] = lattice[known] + gens
                         fresh.append(joined)
@@ -420,7 +432,7 @@ class FiniteGroup:
                 *(cls for i, cls in enumerate(classes) if mask >> i & 1)
             )
             members.append(member)
-        return tuple(sorted(members, key=_order_then_elements))
+        return _by_order_then_elements(members)
 
     def normalises(self, other: "FiniteGroup") -> bool:
         """Every element of self conjugates other onto itself.
@@ -517,9 +529,37 @@ class FiniteGroup:
         return FiniteGroup(len(index_of), images, cap=self.cap)
 
 
+def _class_products(
+    classes: tuple[frozenset[tuple[int, ...]], ...],
+    bit_of: dict[tuple[int, ...], int],
+) -> list[list[int]]:
+    """``support[i][j]``, the mask of the classes in C_i C_j.
+
+    Classes are normal sets, so ``C_i C_j == C_j C_i`` and one entry
+    fills both.  Conjugating a product can move either factor onto its
+    class representative, so every class in the product is met by the
+    representative of one class times the elements of the other: the
+    larger class's representative times the smaller class, which is
+    min(|C_i|, |C_j|) products for the pair.
+    """
+    reps = [next(iter(cls)) for cls in classes]
+    support = [[0] * len(classes) for _ in classes]
+    for i, ci in enumerate(classes):
+        for j in range(i, len(classes)):
+            cj = classes[j]
+            rep, elems = (reps[j], ci) if len(ci) <= len(cj) else (reps[i], cj)
+            mask = 0
+            for x in elems:
+                mask |= bit_of[tuple([rep[y] for y in x])]
+            support[i][j] = support[j][i] = mask
+    return support
+
+
 def _class_closure(support: list[list[int]], closed: int, extra: int) -> int:
     """Smallest product-closed class mask holding a closed mask and extra.
 
+    ``normal_subgroups`` uses it for the closure of a single class, which
+    is not a subgroup; joins of subgroups are read as products instead.
     ``support[i][j]`` is the mask of classes in the product of classes i
     and j.  Each class outside ``closed`` is taken once, when it joins
     the mask, and multiplied with everything already in it.  So every
@@ -613,21 +653,32 @@ def is_pi_number(n: int, pi: frozenset[int] | set[int]) -> bool:
 # -- lattice-driven invariants ----------------------------------------------
 
 
-def _order_then_elements(n: FiniteGroup) -> tuple[int, list[tuple[int, ...]]]:
-    """Sort key of subgroups: order, then the sorted image tuples, which
-    compare as ``element_list`` does."""
-    return len(n.image_set), sorted(n.image_set)
+def _by_order_then_elements(groups: list[FiniteGroup]) -> tuple[FiniteGroup, ...]:
+    """Groups sorted by order, then by their sorted image tuples, which
+    compare as ``element_list`` does.  Element lists are built only among
+    groups of equal order."""
+    by_order: dict[int, list[FiniteGroup]] = {}
+    for n in groups:
+        by_order.setdefault(n.order, []).append(n)
+    out: list[FiniteGroup] = []
+    for order in sorted(by_order):
+        tied = by_order[order]
+        if len(tied) > 1:
+            tied.sort(key=lambda n: sorted(n.image_set))
+        out += tied
+    return tuple(out)
 
 
 def _largest_normal(g: FiniteGroup, key: tuple, keep) -> FiniteGroup:
     """The normal subgroup of g passing ``keep`` that contains all others
     passing it, memoised under key.  Products of two such subgroups pass
     again for the properties used here, so a candidate it does not
-    contain is a fault."""
+    contain is a fault.  The lattice is sorted, so the greatest candidate
+    by order, then element list, is the last."""
     if key in g.invariant_memo:
         return g.invariant_memo[key]
     candidates = [n for n in g.normal_subgroups if keep(n)]
-    best = max(candidates, key=_order_then_elements)
+    best = candidates[-1]
     for n in candidates:
         if not best.contains_group(n):
             raise AssertionError(f"{key[0]}: no largest normal subgroup")
@@ -647,15 +698,21 @@ def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
     Generated by all pi'-elements: their images in any pi-quotient are
     trivial, and the quotient by their span has pi order by Cauchy.
     This avoids materialising the lattice, which explodes on elementary
-    abelian sections.
+    abelian sections.  The span grows while the elements are scanned in
+    order, and an element already in it is skipped untested; the
+    generators are the pi'-elements kept on the way.
     """
     pi = frozenset(pi)
-    seeds = tuple(
-        Perm._trusted(x)
-        for x in sorted(g.image_set)
-        if all(p not in pi for p in prime_factors(_order(x)))
-    )
-    return g.subgroup(seeds)
+    seen = {_identity_images(g.degree): None}
+    kept: list[Perm] = []
+    for x in sorted(g.image_set):
+        # An element of the residual grown so far needs no order test.
+        if x not in seen and all(p not in pi for p in prime_factors(_order(x))):
+            _grow(seen, kept, (Perm._trusted(x),), g.cap)
+    residual = g.subgroup(kept)
+    residual.__dict__["image_set"] = frozenset(seen)
+    residual.__dict__["pruned_gens"] = tuple(kept)
+    return residual
 
 
 def prosoluble_core(g: FiniteGroup) -> FiniteGroup:
@@ -712,15 +769,14 @@ def composition_factors(g: FiniteGroup) -> list[str]:
     """Jordan-Holder factor labels, outermost factor first.
 
     Each step descends to the maximal normal subgroup of largest order,
-    greatest element list first on ties.  The quotient by a maximal normal
-    subgroup is simple, so its label is read off its order and no
-    quotient is built.
+    greatest element list first on ties: the last maximal one, as the
+    lattice is sorted.  The quotient by a maximal normal subgroup is
+    simple, so its label is read off its order and no quotient is built.
     """
     out: list[str] = []
     current = g
     while current.order > 1:
-        maximals = maximal_normal_subgroups(current)
-        n = max(maximals, key=_order_then_elements)
+        n = maximal_normal_subgroups(current)[-1]
         out.append(_simple_label_of_order(current.order // n.order))
         current = n
     return out

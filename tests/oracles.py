@@ -8,9 +8,17 @@ The join-of-closures oracle is the lattice search the engine used
 before it moved to class masks: it closes the subgroup generated by
 each class, then closes every join along a breadth-first search.  It
 builds the same members with the same generators in the same order,
-so it pins down the engine's output object for object.
+so it pins down the engine's output object for object.  The class-product
+oracles are the table and search the engine used before it multiplied
+each pair of classes once and read joins as products: a k * |G| table,
+one representative of each class times all of G, and every join a
+fixpoint on it.  They must give the same table and the same class mask
+and generators for every member.  The descent oracle reads composition
+factors off the join-of-closures lattice.
 The derived-series oracle closes over all commutators, not just
-generator commutators.
+generator commutators.  The pi'-span oracle is ``pi_residual`` as it
+was before it skipped elements already in the residual: it spans every
+pi'-element at once.
 
 The phase-one oracle is the dense simplex tableau the measure search
 used before it moved to sparse rows: one list per row, as wide as the
@@ -87,7 +95,7 @@ from fractions import Fraction
 from tdlclab.boolalg import ROOT, CylinderClopen, format_address, sphere_list
 from tdlclab.dynamics import TwoCopyContext, reachable_images
 from tdlclab.errors import ClosureCapExceeded
-from tdlclab.permgrp import FiniteGroup, Perm, prime_factors
+from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
 from tdlclab.tree import SpecWord, pullbacks, spec_image_clopen
 
 
@@ -176,6 +184,50 @@ def oracle_lattice_by_joins(g: FiniteGroup) -> tuple[FiniteGroup, ...]:
     return tuple(sorted(lattice.values(), key=lambda s: (s.order, s.element_list)))
 
 
+def oracle_class_products(g: FiniteGroup) -> list[list[int]]:
+    """The class-product table as ``normal_subgroups`` built it before it
+    multiplied each pair of classes once: row i multiplies one
+    representative of class i by every element of G, k * |G| products."""
+    classes = g._classes
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    support = []
+    for cls in classes:
+        rep = next(iter(cls))
+        row = [0] * len(classes)
+        for xs, j in class_of.items():
+            row[j] |= 1 << class_of[tuple([rep[y] for y in xs])]
+        support.append(row)
+    return support
+
+
+def oracle_lattice_masks(g: FiniteGroup) -> dict[int, tuple[Perm, ...]]:
+    """Class mask to generators of every normal subgroup, in search order,
+    as ``normal_subgroups`` found them before it read joins as products:
+    every join is the fixpoint ``_class_closure`` on the k * |G| table."""
+    classes = g._classes
+    support = oracle_class_products(g)
+    trivial = next(1 << i for i, cls in enumerate(classes) if tuple(range(g.degree)) in cls)
+    class_closures: dict[int, tuple[Perm, ...]] = {}
+    for i, cls in enumerate(classes):
+        mask = _class_closure(support, trivial, 1 << i)
+        if mask not in class_closures:
+            class_closures[mask] = tuple(map(Perm, sorted(cls)))
+    lattice: dict[int, tuple[Perm, ...]] = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for known in frontier:
+            for mask, gens in class_closures.items():
+                if mask & ~known == 0:
+                    continue
+                joined = _class_closure(support, known, mask)
+                if joined not in lattice:
+                    lattice[joined] = lattice[known] + gens
+                    fresh.append(joined)
+        frontier = fresh
+    return lattice
+
+
 def oracle_element_set(g: FiniteGroup) -> frozenset[Perm]:
     """Generators and identity closed under all pairwise products, on raw
     image tuples, until nothing new appears."""
@@ -217,6 +269,14 @@ def oracle_pi_residual(g: FiniteGroup, pi) -> frozenset[Perm]:
         if _is_pi(g.order // len(n), pi)
     ]
     return min(cands, key=len)
+
+
+def oracle_pi_prime_span(g: FiniteGroup, pi) -> FiniteGroup:
+    """``pi_residual`` as it was before it grew while scanning: the
+    subgroup spanned by every pi'-element of g, in element order, each
+    with its order tested."""
+    seeds = [p for p in g.element_list if not any(q in pi for q in prime_factors(p.order()))]
+    return g.subgroup(seeds)
 
 
 def oracle_derived(g: FiniteGroup) -> frozenset[Perm]:
@@ -735,6 +795,24 @@ def oracle_complement(x: CylinderClopen) -> frozenset:
         for c in x.shape.child_letters(p)
         if (child := p + (c,)) not in prefixes and child not in x.cover
     )
+
+
+def oracle_composition_factors_by_joins(g: FiniteGroup) -> list[str]:
+    """Factor labels by descent through ``oracle_lattice_by_joins``: each
+    step takes the greatest maximal member by (order, element_list)."""
+    out: list[str] = []
+    current = g
+    while current.order > 1:
+        proper = [n for n in oracle_lattice_by_joins(current) if n.order < current.order]
+        maximals = [
+            n
+            for n in proper
+            if not any(m.order > n.order and n.element_set <= m.element_set for m in proper)
+        ]
+        n = max(maximals, key=lambda m: (m.order, m.element_list))
+        out.append(_oracle_label(current, current.quotient(n).element_set))
+        current = n
+    return out
 
 
 # -- shared corpus -----------------------------------------------------------

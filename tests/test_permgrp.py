@@ -15,6 +15,7 @@ from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
+    _class_products,
     alternating_group,
     composition_factors,
     cyclic_group,
@@ -37,16 +38,20 @@ from tdlclab.tree import level_group
 from oracles import (
     _oracle_soluble,
     corpus,
+    oracle_class_products,
     oracle_close,
     oracle_composition_factors,
+    oracle_composition_factors_by_joins,
     oracle_conjugacy_classes,
     oracle_element_set,
     oracle_derived,
     oracle_lattice_by_joins,
+    oracle_lattice_masks,
     oracle_melnikov,
     oracle_normal_closure,
     oracle_normal_subgroups,
     oracle_pi_core,
+    oracle_pi_prime_span,
     oracle_pi_residual,
 )
 
@@ -229,6 +234,50 @@ def test_normal_lattice_closes_no_member(monkeypatch):
     assert [len(g.normal_subgroups) for g in groups] == [4, 28]
 
 
+def _bench_level_groups() -> dict[str, FiniteGroup]:
+    return {
+        "level1296": level_group(rooted(3), symmetric_group(3), 2),
+        "level3072": level_group(regular(3), symmetric_group(3), 3),
+    }
+
+
+def test_class_products_and_lattice_masks_match_the_full_table_oracle():
+    groups = dict(corpus(), C2wr3=wreath_c2_tower(3), **_bench_level_groups())
+    for name, g in groups.items():
+        bit_of = {x: 1 << i for i, cls in enumerate(g._classes) for x in cls}
+        assert _class_products(g._classes, bit_of) == oracle_class_products(g), name
+        members = g.normal_subgroups
+        mine = {}
+        for n in members:
+            mask = 0
+            for x in n.image_set:
+                mask |= bit_of[x]
+            mine[mask] = n.gens
+        assert mine == oracle_lattice_masks(g), name
+        assert list(members) == sorted(
+            members, key=lambda n: (n.order, n.element_list)
+        ), name
+
+
+def test_composition_factors_pinned_on_the_bench_level_groups():
+    groups = _bench_level_groups()
+    assert composition_factors(groups["level1296"]) == [
+        "C2", "C2", "C3", "C2", "C2", "C3", "C3", "C3",
+    ]
+    assert composition_factors(groups["level3072"]) == [
+        "C2", "C2", "C2", "C3", "C2", "C2", "C2", "C2", "C2", "C2", "C2",
+    ]
+
+
+def test_composition_factors_match_the_descent_by_joins_oracle():
+    groups = {
+        "C2wr3": wreath_c2_tower(3),
+        "level1296": _bench_level_groups()["level1296"],
+    }
+    for name, g in groups.items():
+        assert composition_factors(g) == oracle_composition_factors_by_joins(g), name
+
+
 def test_normal_closure_examples():
     s3 = symmetric_group(3)
     assert s3.normal_closure([Perm.from_cycles(3, (0, 1))]).order == 6
@@ -317,6 +366,19 @@ def test_pi_core_examples():
     assert pi_core(s4, {2, 3}).order == 24
     assert pi_residual(s4, {2}).order == 12  # A4
     assert pi_residual(s4, {2, 3}).order == 1
+
+
+def test_pi_residual_keeps_the_generators_of_the_span_of_every_pi_prime_element():
+    groups = dict(
+        corpus(),
+        C2wr3=wreath_c2_tower(3),
+        level1296=level_group(rooted(3), symmetric_group(3), 2),
+    )
+    for name, g in groups.items():
+        for pi in ({2}, {3}, {2, 3}, {5}):
+            mine, theirs = pi_residual(g, pi), oracle_pi_prime_span(g, pi)
+            assert mine.image_set == theirs.image_set, (name, pi)
+            assert mine.pruned_gens == mine.gens == theirs.pruned_gens, (name, pi)
 
 
 def test_prosoluble_examples():
