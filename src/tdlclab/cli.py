@@ -750,19 +750,27 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
 
 
 def _stone_orbit_dot(ctx) -> str:
-    states = ctx.states()
-    ids = {s: f"n{i}" for i, s in enumerate(states)}
+    """Edges from each depth-n state to those its image meets, read off one
+    single-tree action graph; on two copies a copy's generators draw
+    them on their own copy and a self-loop on the other copy's states."""
+    two = isinstance(ctx, dynamics.TwoCopyContext)
+    base = ctx._base if two else ctx
+    graph = dynamics._ActionGraph(base)
+    n = len(graph.starts)
+    copies = (0, 1) if two else (0,)
     lines = ["digraph stone_orbit {"]
-    for s in states:
-        lines.append(f'  {ids[s]} [label="{ctx.state_label(s)}"];')
-    for name in ctx.gen_names:
-        if "~" in name:
-            continue
-        for s in states:
-            met = ctx.met_states(ctx.step(name, s))
-            for t in states:
-                if t in met:
-                    lines.append(f'  {ids[s]} -> {ids[t]} [label="{name}"];')
+    for i, s in enumerate(ctx.states()):
+        lines.append(f'  n{i} [label="{ctx.state_label(s)}"];')
+    for copy in copies:
+        for g, name in enumerate(base.gen_names):
+            if "~" in name:
+                continue
+            label = f"{name}@{copy}" if two else name
+            for c in copies:
+                for i in range(n):
+                    met = graph.met[graph.neighbours(i)[g]] if c == copy else i
+                    for j in (met,) if type(met) is int else met:
+                        lines.append(f'  n{c * n + i} -> n{c * n + j} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -10,8 +10,10 @@ for end-level claims.  On one tree a search state is a vertex, standing
 for its one-cylinder clopen, or any other clopen; the two never name the
 same value, and a vertex deeper than a generator's displacement moves by
 applying the generator to its address.  On two copies a state is a
-single-tree state tagged by its copy, and a generator of the other copy
-leaves it in place.
+single-tree state tagged by its copy, (c, s), and the searches run on
+the single tree: no first word from (c, s) uses the other copy's
+generators, which fix every state of c, so it is a word from s with
+each letter tagged name@c.
 
 The minimality, minorising and degree searches start once from every
 depth-n state, and those searches share one action graph per call: the
@@ -159,12 +161,6 @@ class ActionContext:
             clopen = self.image(name, clopen)
         return clopen
 
-    def met_states(self, state) -> frozenset:
-        """The states whose cylinders meet a clopen or a vertex's cylinder."""
-        if type(state) is tuple and len(state) >= self.depth:
-            return frozenset((state[: self.depth],))
-        return self.state_clopen(state).shadow(self.depth)
-
     def step(self, name: str, state):
         """One search step.  The cylinder at a vertex deeper than the
         generator's displacement is its own atom in ``spec_image_clopen``,
@@ -178,12 +174,6 @@ class ActionContext:
             (vertex,) = image.cover
             return vertex
         return image
-
-    def copy_tags(self) -> tuple:
-        """The single-tree context the search states live on, and each
-        generator's name there and copy, in ``gen_names`` order: a
-        single tree is its own one copy."""
-        return self, tuple((name, 0) for name in self.gen_names)
 
     def _strictly_inside(self, state, addr) -> bool:
         """Whether a search state lies strictly inside the cylinder at addr."""
@@ -200,8 +190,9 @@ class TwoCopyContext:
 
     Generator names carry the copy tag (name@0, name@1); no generator
     maps one copy into the other, which is the point of the example.
-    A state is a single-tree state tagged by its copy, (copy, s), and
-    it moves by the single-tree step of its own copy's generators.
+    A state is a single-tree state tagged by its copy, (copy, s); the
+    searches run on the base context alone and tag what they find,
+    states and letters, with the start's copy.
     """
 
     def __init__(
@@ -214,36 +205,18 @@ class TwoCopyContext:
         self._base = ActionContext(shape, generators, depth, word_bound)
         self.depth = depth
         self.word_bound = word_bound
-        # each tagged name's base generator and copy
-        self._tags = {
-            f"{name}@{copy}": (name, copy)
-            for copy in (0, 1) for name in self._base.gen_names
-        }
-        self.gen_names = tuple(self._tags)
+        self.gen_names = tuple(
+            f"{name}@{copy}" for copy in (0, 1) for name in self._base.gen_names
+        )
 
     def states(self) -> tuple:
         """Copy 0's single-tree states, then copy 1's, each tagged."""
         inner = self._base.states()
         return tuple((copy, s) for copy in (0, 1) for s in inner)
 
-    def copy_tags(self) -> tuple:
-        return self._base, tuple(self._tags[name] for name in self.gen_names)
-
     def state_label(self, state) -> str:
         copy, addr = state
         return f"{copy}:{self._base.state_label(addr)}"
-
-    def met_states(self, state) -> frozenset:
-        """The copy-tagged states whose cylinders meet a tagged state."""
-        copy, s = state
-        return frozenset((copy, b) for b in self._base.met_states(s))
-
-    def step(self, name: str, state):
-        """One search step: a generator of the other copy fixes the state."""
-        base, copy = self._tags[name]
-        if copy != state[0]:
-            return state
-        return copy, self._base.step(base, state[1])
 
     def all_fix_base(self) -> bool:
         return self._base.all_fix_base()
@@ -282,27 +255,26 @@ class _ActionGraph:
     """The generators' Schreier graph on search states, built as far as
     the searches over it reach.
 
-    A vertex state is a node of an address trie, one trie per copy: an
-    int id with its parent's id, its last letter and its depth in flat
-    lists, and its children's ids in ``kids``, at id * degree + letter.
-    Every other state is a clopen, keyed by its copy and value, with
-    depth -1.  The depth-n nodes take ids 0 to N - 1 in
-    ``ctx.states()`` order, so a depth-n state's id is its index; the
-    trie above them follows, and any other state takes the next id when
-    a step first reaches it.  Each id keeps the depth-n states it meets,
-    as indices: an int when it meets one, as a node at depth n or deeper
-    does, which takes its parent's, and a tuple otherwise.
+    A vertex state is a node of an address trie: an int id with its
+    parent's id, its last letter and its depth in flat lists, and its
+    children's ids in ``kids``, at id * degree + letter.  Every other
+    state is a clopen, keyed by its value, with depth -1.  The depth-n
+    nodes take ids 0 to N - 1 in ``ctx.states()`` order, so a depth-n
+    state's id is its index; the trie above them follows, and any other
+    state takes the next id when a step first reaches it.  Each id keeps
+    the depth-n states it meets, as indices: an int when it meets one, as
+    a node at depth n or deeper does, which takes its parent's, and a
+    tuple otherwise.
 
     An expanded id keeps the ids of its neighbours in ``gen_names``
-    order, and a generator of another copy is a self-loop, with no step.
-    A node deeper than the context's ``section_depth`` R steps by the
-    wreath recursion g(v x) = g(v) pi(x): to the child of its parent's
-    image at its letter's image under g's section pi, which is constant
-    below R.  So each section is read once per anchor, a node at depth
-    R, by applying ``_vertex_image`` to the addresses one level below
-    it, and a parent's image is its neighbour when it is expanded.  Only
-    shallower nodes and clopens step by ``ctx.step`` on their spelled
-    state; the searches name states by index and spell none.
+    order.  A node deeper than the context's ``section_depth`` R steps
+    by the wreath recursion g(v x) = g(v) pi(x): to the child of its
+    parent's image at its letter's image under g's section pi, which is
+    constant below R.  So each section is read once per anchor, a node
+    at depth R, by applying ``_vertex_image`` to the addresses one level
+    below it, and a parent's image is its neighbour when it is expanded.
+    Only shallower nodes and clopens step by ``ctx.step`` on their
+    spelled state; the searches name states by index and spell none.
 
     A graph lives for one search call, never on the context.  Its
     ``blocks``, sets of indices, are the invariant blocks: each closes the
@@ -310,15 +282,14 @@ class _ActionGraph:
     a word image of a state's cylinder meets only states of its block.
     """
 
-    def __init__(self, ctx) -> None:
+    def __init__(self, ctx: ActionContext) -> None:
         self.ctx = ctx
         self.starts = ctx.states()
         self.index = {s: i for i, s in enumerate(self.starts)}
-        base, self._tags = ctx.copy_tags()
-        self._base = base
-        self._degree = base.shape.degree
+        self._names = ctx.gen_names
+        self._degree = ctx.shape.degree
         self._leaf = (-1,) * self._degree
-        self._reach = base.section_depth
+        self._reach = ctx.section_depth
         self.parent: list[int] = []
         self.letter: list[int] = []
         self.depth: list[int] = []
@@ -326,20 +297,15 @@ class _ActionGraph:
         self.kids: list[int] = []  # -1 for a child not built yet
         self.met: list = []
         self.edges: list = []
-        self._clopens: dict = {}  # (copy, clopen) -> id, and back
+        self._clopens: dict = {}  # clopen -> id, and back
         self._sections: dict = {}  # anchor -> letter -> image letters
-        inner = base.states()
-        self._width = len(inner)
-        self._base_index = {s: j for j, s in enumerate(inner)}
-        n = base.depth
-        for i in range(len(self.starts)):
-            self._node(-1, inner[i % self._width][-1], n, -1, i)
-        self._roots = [
-            self._node(-1, -1, 0, -1, None) for _ in range(len(self.starts) // self._width)
-        ]
-        for i in range(len(self.starts)):
-            q = self._roots[i // self._width]
-            for x in inner[i % self._width][:-1]:
+        n = ctx.depth
+        for i, s in enumerate(self.starts):
+            self._node(-1, s[-1], n, -1, i)
+        self._root = self._node(-1, -1, 0, -1, None)
+        for i, s in enumerate(self.starts):
+            q = self._root
+            for x in s[:-1]:
                 q = self._child(q, x)
             self.parent[i] = q
             self.kids[q * self._degree + self.letter[i]] = i
@@ -389,55 +355,50 @@ class _ActionGraph:
             self.kids[q * self._degree + x] = i
         return i
 
-    def _id(self, copy: int, state) -> int:
-        """The id of a single-tree search state in a copy."""
+    def _id(self, state) -> int:
+        """The id of a search state; a clopen's met states are its
+        shadow at depth n."""
         if type(state) is tuple:
-            i = self._roots[copy]
+            i = self._root
             for x in state:
                 i = self._child(i, x)
             return i
-        i = self._clopens.get((copy, state))
+        i = self._clopens.get(state)
         if i is None:
-            met = sorted(
-                copy * self._width + self._base_index[b]
-                for b in self._base.met_states(state)
-            )
+            met = sorted(self.index[b] for b in state.shadow(self.ctx.depth))
             i = self._node(-1, -1, -1, -1, met[0] if len(met) == 1 else tuple(met))
-            self._clopens[copy, state] = i
-            self._clopens[i] = copy, state
+            self._clopens[state] = i
+            self._clopens[i] = state
         return i
 
-    def _spell(self, i: int) -> tuple:
-        """The copy and single-tree state of an id: its clopen, or its
-        address."""
+    def _spell(self, i: int):
+        """The search state of an id: its clopen, or its address."""
         if self.depth[i] < 0:
             return self._clopens[i]
         letters = []
         while self.parent[i] >= 0:
             letters.append(self.letter[i])
             i = self.parent[i]
-        return self._roots.index(i), tuple(reversed(letters))
+        return tuple(reversed(letters))
 
     def _section(self, anchor: int) -> tuple:
         """Letter -> its image under each generator, in ``gen_names``
-        order, below an anchor, read from the anchor's children; another
-        copy's generator fixes every letter."""
+        order, below an anchor, read from the anchor's children."""
         rows = self._sections.get(anchor)
         if rows is None:
-            (copy, addr), degree = self._spell(anchor), self._degree
-            letters = self._base.shape.child_letters(addr)
+            addr, degree = self._spell(anchor), self._degree
+            letters = self.ctx.shape.child_letters(addr)
             columns = []
-            for name, tag in self._tags:
+            for name in self._names:
+                image = self.ctx._vertex_image[name]
                 column = list(range(degree))
-                if tag == copy:
-                    image = self._base._vertex_image[name]
-                    for x in letters:
-                        column[x] = image(addr + (x,))[-1]
-                    # pi permutes the colours, so on a regular tree the
-                    # anchor's own last letter, no child's, takes the
-                    # colour that no child's letter does
-                    for colour in set(range(degree)).difference(column[x] for x in letters):
-                        column[addr[-1]] = colour
+                for x in letters:
+                    column[x] = image(addr + (x,))[-1]
+                # pi permutes the colours, so on a regular tree the
+                # anchor's own last letter, no child's, takes the
+                # colour that no child's letter does
+                for colour in set(range(degree)).difference(column[x] for x in letters):
+                    column[addr[-1]] = colour
                 columns.append(column)
             rows = self._sections[anchor] = tuple(zip(*columns))
         return rows
@@ -449,20 +410,15 @@ class _ActionGraph:
         if got is not None:
             return got
         if self.depth[i] > self._reach:
-            # the recursion on the parent's images; a self-loop there,
-            # with a fixed letter, is a self-loop here
+            # the recursion on the parent's images
             row = self._section(self.anchor[i])[self.letter[i]]
             kids, degree = self.kids, self._degree
             return tuple([
                 j if (j := kids[q * degree + y]) >= 0 else self._child(q, y)
                 for q, y in zip(self._images(self.parent[i]), row)
             ])
-        copy, state = self._spell(i)
-        step = self._base.step
-        return tuple(
-            i if tag != copy else self._id(copy, step(name, state))
-            for name, tag in self._tags
-        )
+        state, step = self._spell(i), self.ctx.step
+        return tuple([self._id(step(name, state)) for name in self._names])
 
     def neighbours(self, i: int) -> tuple:
         got = self.edges[i]
@@ -536,21 +492,49 @@ def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
     return {graph.starts[b]: words[i] for b, i in found.items()}
 
 
+def _tagged(copy: int, names: tuple, words: dict) -> dict:
+    """Single-tree first words over ``names`` read on one copy: states
+    (copy, b), letters name@copy."""
+    tag = {g: f"{g}@{copy}" for g in names}.__getitem__
+    return {(copy, b): tuple(map(tag, w)) for b, w in words.items()}
+
+
+def _start_words(ctx, inside: bool = False):
+    """(start, its ``_first_words``) for each depth-n start, in
+    ``ctx.states()`` order, over one action graph.  On two copies that
+    is the base context's graph: a generator of the other copy fixes
+    every state of the start's copy, so no first word uses it, and the
+    words from (c, s) are those from s, tagged.  Each base start is
+    searched once, and copy 1 reads copy 0's run."""
+    if isinstance(ctx, TwoCopyContext):
+        names, runs = ctx._base.gen_names, []
+        for s, words in _start_words(ctx._base, inside):
+            runs.append((s, words))
+            yield (0, s), _tagged(0, names, words)
+        for s, words in runs:
+            yield (1, s), _tagged(1, names, words)
+        return
+    graph = _ActionGraph(ctx)
+    for a in graph.starts:
+        yield a, _first_words(graph, a, inside)
+
+
 def check_minimal(ctx) -> dict:
     """Every ordered pair of depth-n cylinders linked by a short word.
 
     The witness for (a, b) is a word whose exact image of a meets b, so
-    some end of a lands in b.  The first missing pair is reported as the
-    counterexample.
+    some end of a lands in b: the shortlex-least one within the word
+    bound, shorter words first, then generator order with the
+    first-applied letter most significant.  On two copies it is the
+    single-tree word with each letter tagged @c.  The first missing pair
+    is reported as the counterexample.
     """
     states = ctx.states()
     labels = {s: ctx.state_label(s) for s in states}
     witnesses: dict[str, list[str]] = {}
     counterexample = None
     longest = 0
-    graph = _ActionGraph(ctx)
-    for a in states:
-        met = _first_words(graph, a)
+    for a, met in _start_words(ctx):
         for b in states:
             if b in met:
                 witnesses[f"{labels[a]}->{labels[b]}"] = list(met[b])
@@ -636,13 +620,14 @@ def minorising_set(ctx) -> dict:
     Tries single candidates first in state order; when none covers all
     targets alone, covers them greedily.  The witness map records, for
     each depth-n cylinder, the candidate and word whose image sits
-    strictly below it.
+    strictly inside it: the shortlex-least such word within the word
+    bound, shorter words first, then generator order with the
+    first-applied letter most significant.  On two copies it is the
+    single-tree word with each letter tagged @c.
     """
     states = ctx.states()
     coverage: dict = {}
-    graph = _ActionGraph(ctx)
-    for c in states:
-        found = _first_words(graph, c, inside=True)
+    for c, found in _start_words(ctx, inside=True):
         coverage[c] = found
         if len(found) == len(states):
             return _minorising_report(ctx, [c], {b: (c, w) for b, w in found.items()})
@@ -698,9 +683,13 @@ def minorising_degree(ctx) -> dict:
     """Count of minimal invariant opens built from translate unions.
 
     For each candidate cylinder the union of its word-translates is
-    tracked as the set of depth-n cylinders it meets; the distinct
-    minimal shadow sets are the invariant opens at depth, their count is
-    the degree, and one candidate per open forms the reduced set.  When
+    tracked as the set of depth-n cylinders it meets, each by a word
+    within the word bound: the searches of ``check_minimal``, whose
+    first words are shortlex-least (shorter words first, then generator
+    order with the first-applied letter most significant; on two copies,
+    single-tree words tagged @c).  The distinct minimal shadow sets are
+    the invariant opens at depth, their count is the degree, and one
+    candidate per open forms the reduced set.  When
     the degree is one the dense-orbit consequence is read off the same
     shadows: every state must reach every state.  When every generator
     fixes the base vertex no translate shrinks strictly, so there is no
@@ -708,8 +697,7 @@ def minorising_degree(ctx) -> dict:
     """
     initial = None if ctx.all_fix_base() else minorising_set(ctx)["set"]
     states = ctx.states()
-    graph = _ActionGraph(ctx)
-    shadows = {c: frozenset(_first_words(graph, c)) for c in states}
+    shadows = {c: frozenset(words) for c, words in _start_words(ctx)}
     distinct = sorted(set(shadows.values()), key=lambda s: sorted(map(ctx.state_label, s)))
     minimal_opens = [
         s for s in distinct

@@ -474,6 +474,7 @@ class _PairSearch:
     def __init__(self, two: TwoCopyContext) -> None:
         self._base = two._base
         self._zero = CylinderClopen.zero(two._base.shape)
+        self.depth = two.depth
         self.states = two.states
         self.gen_names = two.gen_names
         self.word_bound = two.word_bound
@@ -489,21 +490,22 @@ class _PairSearch:
             return self._base.image(base, pair[0]), pair[1]
         return pair[0], self._base.image(base, pair[1])
 
-    def met_states(self, pair: tuple) -> frozenset:
+    def shadow(self, pair: tuple) -> frozenset:
         return frozenset(
-            (copy, s) for copy, side in enumerate(pair) for s in self._base.met_states(side)
+            (copy, s) for copy, side in enumerate(pair) for s in side.shadow(self.depth)
         )
 
 
 def oracle_first_words(ctx, start, inside: bool = False) -> dict:
     """``dynamics._first_words`` on clopen states from the state ``start``."""
-    if isinstance(ctx, TwoCopyContext):
+    pairs = isinstance(ctx, TwoCopyContext)
+    if pairs:
         ctx = _PairSearch(ctx)
     start = ctx.state_clopen(start)
     total = len(ctx.states())
     found: dict = {}
     for clopen, word in reachable_images(ctx, start):
-        met = ctx.met_states(clopen)
+        met = ctx.shadow(clopen) if pairs else clopen.shadow(ctx.depth)
         if inside and (len(met) != 1 or clopen == ctx.state_clopen(next(iter(met)))):
             continue
         for b in met:

@@ -2,6 +2,7 @@
 compression, free subsemigroups, orbit joins, invariant measures."""
 from __future__ import annotations
 
+import copy
 import functools
 import gc
 import random
@@ -247,20 +248,6 @@ def test_minorising_degree_two_copy():
     assert report["dense_orbit_check"] is None
 
 
-def test_met_states_match_a_cylinder_scan():
-    one = dy.translation_rotation_context(S3, depth=2, word_bound=4)
-    two = dy.two_copy_product_context(S3, depth=2, word_bound=4)
-    for start in one.states():
-        for clopen, _ in dy.reachable_images(one, one.state_clopen(start)):
-            scan = {s for s in one.states() if clopen.meets(cyl(*s))}
-            assert one.met_states(clopen) == scan
-    for start in two.states():
-        for (copy, state), _ in dy._bfs(two.gen_names, two.word_bound, two.step, start):
-            clopen = one.state_clopen(state)
-            scan = {(c, s) for c, s in two.states() if c == copy and clopen.meets(cyl(*s))}
-            assert two.met_states((copy, state)) == scan
-
-
 _DEGREE_CONTEXTS = {
     "translation-rotation-2": (lambda: dy.translation_rotation_context(S3, depth=2), 1),
     "translation-rotation-3": (lambda: dy.translation_rotation_context(S3, depth=3), 1),
@@ -307,10 +294,16 @@ def test_dense_orbit_check_agrees_with_check_minimal(name):
 
 
 def test_two_copy_degree_steps_stay_near_one_tree(monkeypatch):
-    # each search stops once it has met its start's block, here its own
-    # copy, instead of running to the word bound for the other copy; an
-    # expansion steps one state by every generator, counted when the
-    # call's graphs are done
+    """Two copies search one base graph, each base start once per call.
+
+    An expansion steps one state by every generator, counted when the
+    call's graphs are done.  ``check_minimal`` searches every start on
+    either context, so two copies expand exactly the base graph.  On two
+    copies no start covers the other copy, so ``minorising_set`` tries
+    every start, and ``minorising_degree`` expands no more than the base
+    graph searched from every start with ``inside`` and again without;
+    the base context's own call stops at its first covering start, so it
+    is no bound."""
     two = dy.two_copy_product_context(S3, depth=4, word_bound=8)
     graphs = []
     build = dy._ActionGraph.__init__
@@ -319,13 +312,22 @@ def test_two_copy_degree_steps_stay_near_one_tree(monkeypatch):
         build(self, ctx)
         graphs.append(self)
 
-    monkeypatch.setattr(dy._ActionGraph, "__init__", kept)
-    expanded = []
-    for ctx in (two._base, two):
+    def expanded(run) -> int:
         graphs.clear()
-        dy.minorising_degree(ctx)
-        expanded.append(sum(e is not None for graph in graphs for e in graph.edges))
-    assert expanded[1] <= 4 * expanded[0], expanded
+        run()
+        return sum(e is not None for graph in graphs for e in graph.edges)
+
+    def every_base_start():
+        for inside in (False, True):
+            graph = dy._ActionGraph(two._base)
+            for a in graph.starts:
+                dy._first_words(graph, a, inside)
+
+    monkeypatch.setattr(dy._ActionGraph, "__init__", kept)
+    minimal = expanded(lambda: dy.check_minimal(two))
+    assert minimal == expanded(lambda: dy.check_minimal(two._base))
+    degree = expanded(lambda: dy.minorising_degree(two))
+    assert degree <= expanded(every_base_start), degree
 
 
 # ------------------------------------------------- vertex states vs clopens
@@ -365,19 +367,36 @@ def _oracle_words(ctx) -> dict:
     }
 
 
+def _tagged_oracle_words(two) -> dict:
+    """Oracle words on two copies by the tagging rule: the base context's
+    oracle words from s, read on copy c with each state b as (c, b) and
+    each letter as name@c."""
+    base = _oracle_words(two._base)
+    return {
+        inside: {
+            (c, a): {(c, b): tuple(f"{x}@{c}" for x in w) for b, w in words.items()}
+            for c in (0, 1)
+            for a, words in base[inside].items()
+        }
+        for inside in (False, True)
+    }
+
+
 @functools.lru_cache(maxsize=None)
 def _listed_oracle_words(name) -> dict:
-    # the oracle never knows a block, so on two copies it runs every
-    # search to the word bound; the two tests over the list share it
-    return _oracle_words(_VERTEX_CONTEXTS[name]())
+    # the pair oracle never knows a block, so on two copies it runs every
+    # search to the word bound: at depth 4 that is seconds, so there the
+    # base oracle is read by the tagging rule, which the pair oracle
+    # checks at depths 2 and 3; the two tests over the list share it
+    ctx = _VERTEX_CONTEXTS[name]()
+    return _tagged_oracle_words(ctx) if name == "two-copy-4" else _oracle_words(ctx)
 
 
 def _assert_searches_match_oracles(ctx, want=None):
     want = want or _oracle_words(ctx)
-    graph = dy._ActionGraph(ctx)
     for inside in (False, True):
-        for a in ctx.states():
-            assert dy._first_words(graph, a, inside) == want[inside][a], (a, inside)
+        for a, words in dy._start_words(ctx, inside):
+            assert words == want[inside][a], (a, inside)
     if isinstance(ctx, dy.TwoCopyContext):
         return None
     report = dy.skewering_search(ctx)
@@ -398,13 +417,28 @@ def test_vertex_searches_match_clopen_oracles(name):
     _assert_searches_match_oracles(_VERTEX_CONTEXTS[name](), _listed_oracle_words(name))
 
 
-def test_two_copy_oracle_catches_a_step_that_ignores_the_copy(monkeypatch):
-    # every generator tagged with copy 0: a copy-1 generator moves the
-    # copy-0 states and nothing moves a copy-1 state
-    def untagged(self):
-        return self._base, tuple((name.rsplit("@", 1)[0], 0) for name in self.gen_names)
+def test_graph_met_states_match_a_cylinder_scan():
+    # the searches read the depth-n states an id meets off the graph: a
+    # trie node's from the trie, a clopen's from its shadow
+    for name in ("translation-rotation-3", "axis01-3", "skewering-3", "two-copy-3"):
+        ctx = _VERTEX_CONTEXTS[name]()
+        ctx = getattr(ctx, "_base", ctx)
+        graph = dy._ActionGraph(ctx)
+        for a in graph.starts:
+            dy._first_words(graph, a)
+        for i, m in enumerate(graph.met):
+            if m is None:  # the root, which no step reaches
+                continue
+            clopen = ctx.state_clopen(graph._spell(i))
+            scan = tuple(j for j, s in enumerate(graph.starts) if clopen.meets(cyl(*s)))
+            assert ((m,) if type(m) is int else m) == scan, (name, graph._spell(i))
 
-    monkeypatch.setattr(dy.TwoCopyContext, "copy_tags", untagged)
+
+def test_two_copy_oracle_catches_a_step_that_ignores_the_copy(monkeypatch):
+    # every two-copy result tagged with copy 0: a copy-1 start reports
+    # copy-0 states, reached by copy-0 letters
+    tagged = dy._tagged
+    monkeypatch.setattr(dy, "_tagged", lambda copy, names, words: tagged(0, names, words))
     with pytest.raises(AssertionError):
         _assert_searches_match_oracles(dy.two_copy_product_context(S3, depth=2))
 
@@ -413,10 +447,15 @@ def test_oracle_catches_neighbours_in_another_generator_order(monkeypatch):
     # words are spelled in gen_names order, so a graph that steps the
     # generators, and reads their sections, in another order puts the
     # wrong generator names on the first words
-    def reversed_order(self):
-        return self, tuple((name, 0) for name in self.gen_names[::-1])
+    build = dy._ActionGraph.__init__
 
-    monkeypatch.setattr(dy.ActionContext, "copy_tags", reversed_order)
+    def reversed_order(self, ctx):
+        flipped = copy.copy(ctx)
+        flipped.gen_names = ctx.gen_names[::-1]
+        build(self, flipped)
+        self.ctx = ctx  # the searches spell words in the true order
+
+    monkeypatch.setattr(dy._ActionGraph, "__init__", reversed_order)
     with pytest.raises(AssertionError):
         _assert_searches_match_oracles(dy.translation_rotation_context(S3, depth=2))
 
@@ -449,16 +488,24 @@ def test_first_words_are_the_shortlex_least_words(name):
 @pytest.mark.parametrize("name", sorted(_VERTEX_CONTEXTS))
 def test_first_words_do_not_depend_on_start_order(name):
     # ids follow discovery, so which start reached a state first decides
-    # its id; the first words must not change with it
+    # its id; the first words must not change with it.  Two copies search
+    # the base graph, so there the base starts are reordered and the
+    # words read on both copies as ``_start_words`` reads them
     ctx = _VERTEX_CONTEXTS[name]()
-    states = list(ctx.states())
+    two = isinstance(ctx, dy.TwoCopyContext)
+    base = ctx._base if two else ctx
+    states = list(base.states())
     shuffled = states[:]
     random.Random(name).shuffle(shuffled)
     for inside in (False, True):
         want = _listed_oracle_words(name)[inside]
         for order in (states[::-1], shuffled):
-            graph = dy._ActionGraph(ctx)
+            graph = dy._ActionGraph(base)
             got = {a: dy._first_words(graph, a, inside) for a in order}
+            if two:
+                got = {
+                    (c, a): dy._tagged(c, base.gen_names, w) for c in (0, 1) for a, w in got.items()
+                }
             assert got == want, inside
 
 

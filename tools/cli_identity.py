@@ -109,6 +109,9 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
     out.append(("elements", ["export", "stone-orbit", "spec.ini", "--depth", "3"]))
+    # each copy's generators on their own copy, and a self-loop on the other
+    for depth in (1, 2, 3, 4):
+        out.append(("two-copy", ["export", "stone-orbit", "spec.ini", "--depth", str(depth)]))
     out.extend(("demo", [demo]) for demo in DEMOS)
     return out
 
