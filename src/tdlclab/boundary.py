@@ -27,7 +27,7 @@ from .tree import (
     BallIsometry,
     IsometrySpec,
     SpecWord,
-    SupportIndex,
+    _Conjugates,
     conjugate_families,
     in_universal_group,
     pullbacks,
@@ -80,19 +80,25 @@ def tables_commute(family_a, family_b) -> bool:
     ``moved`` part of a ball table of an isometry fixing the base
     vertex.  The tables must be permutations of one common domain.  Two
     permutations whose moved sets are disjoint commute, so such a pair
-    is skipped; any other pair is checked on the union of the two moved
-    sets, since both sides of fu(fv(x)) = fv(fu(x)) are x at a point
-    that neither moves.
+    is never looked at: the second family's tables are indexed by the
+    points they move, and each table of the first meets only those that
+    share a moved point with it.  Such a pair is checked on the union of
+    the two moved sets, since both sides of fu(fv(x)) = fv(fu(x)) are x
+    at a point that neither moves.
     """
 
     def moved(family):
         return [(f.get, {x for x, y in f.items() if x != y}) for f in family]
 
     moved_b = moved(family_b)
+    movers: dict = {}  # point -> positions of the second family's tables moving it
+    for j, (_, mv) in enumerate(moved_b):
+        for x in mv:
+            movers.setdefault(x, []).append(j)
     for fu, mu in moved(family_a):
-        for fv, mv in moved_b:
-            if mu.isdisjoint(mv):
-                continue
+        clash = {j for x in mu & movers.keys() for j in movers[x]}
+        for j in sorted(clash):
+            fv, mv = moved_b[j]
             for x in mu | mv:
                 y, z = fv(x, x), fu(x, x)
                 if fu(y, y) != fv(z, z):
@@ -132,11 +138,15 @@ def contraction_certificates(
     Trivial on the radius-n ball means the conjugate fixes every vertex
     to depth n + 1, so its local actions down to depth n are all
     trivial.  That holds exactly when u fixes the pull-back g^-k of the
-    radius n + 1 ball, and one sequence of pull-backs serves every u.
-    The pulled points that u moves come from ``SupportIndex.moves``, the
-    rule ``conjugate_families`` reads too, and the search for them stops
-    at the first one.  Powers are searched up to k_max = ball_radius + 4.
-    After the onset the next three powers within that bound are
+    radius n + 1 ball.  The points the conjugate moves come from
+    ``tree._Conjugates``, the rule ``conjugate_families`` reads too, and
+    the search for them stops at the first one.  A witness supported at
+    sites whose images under g^k keep their edges pointing away from
+    the base vertex reads only the points below its sites that land in
+    the ball, none once the images leave it; any other u reads the
+    pulled ball, from one pull-back sequence that every u shares and
+    that is built only as far as such a u needs.  Powers are searched up
+    to k_max = ball_radius + 4.  After the onset the next three powers within that bound are
     rechecked; the conjugated support only moves deeper, so a
     non-monotone onset would expose a bookkeeping bug.  When no power
     within k_max works the verdict reports that the search bound was the
@@ -151,15 +161,13 @@ def contraction_certificates(
     onsets: list = [None] * len(us)
     tails: list[list[bool]] = [[] for _ in us]
     stop = [k_max + 1] * len(us)  # powers past this one are not needed
-    pulled = pullbacks(g, direction, check_radius)
+    conjugates = _Conjugates(g, direction, us, check_radius)
     for k in range(k_max + 1):
         live = [i for i in range(len(us)) if k < stop[i]]
         if not live:
             break
-        points = next(pulled)
-        index = SupportIndex(points)
         for i in live:
-            trivial = next(index.moves(us[i]), None) is None
+            trivial = next(conjugates.moves(i, k), None) is None
             if onsets[i] is not None:
                 tails[i].append(trivial)
             elif trivial:
@@ -348,9 +356,10 @@ def nub_window(
     factor checks run on the ball tables' moved parts; the witnesses
     fix the base vertex, so their tables permute each sphere and compose
     without precision loss.  The families come from
-    ``conjugate_families``, so the window shares one pull-back sequence
-    per sign, and the commutation checks skip pairs of tables whose
-    moved sets are disjoint.  The shift check is ``conjugation_shifts``:
+    ``conjugate_families``, so each witness reads only its half-tree
+    slice of the ball while its pushed edges point away from the base
+    vertex, and the commutation checks look only at pairs of tables
+    that share a moved point.  The shift check is ``conjugation_shifts``:
     it reads g's own table once on the whole depth ball, and the
     families' tables only where they move.
     """

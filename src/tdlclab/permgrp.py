@@ -627,7 +627,13 @@ def _grow(
 
 
 def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """Positions of the set bits, lowest first, one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # -- number-theoretic helpers ----------------------------------------------
@@ -737,11 +743,15 @@ def prosoluble_residual(g: FiniteGroup) -> FiniteGroup:
 
 
 def maximal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
+    """Proper normal subgroups that no larger proper one contains.  By
+    Lagrange a subgroup's order divides that of any group holding it, so
+    only such pairs compare elements."""
     proper = [n for n in g.normal_subgroups if n.order < g.order]
     out = []
     for n in proper:
         if not any(
-            m.order > n.order and m.contains_group(n) for m in proper
+            m.order > n.order and m.order % n.order == 0 and m.contains_group(n)
+            for m in proper
         ):
             out.append(n)
     return out

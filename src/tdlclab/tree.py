@@ -44,16 +44,23 @@ as large as the part of the ball it moves.  A displacing element's
 table lists most of the ball; it is the same class.
 
 Conjugates g^k u g^-k take a shorter path than walking every letter of
-the word at every ball vertex.  pullbacks walks the ball back under g
-one power at a time, unchecked, and every u shares that pull-back: the
-conjugate fixes a exactly when u fixes x = g^-k(a).  One rule reads the
-pulled points that u moves, SupportIndex.moves: a u with no support
-statement is applied to every pulled point, a supported u only to those
-strictly below its sites, which are one run per site of the pulled
-points, sorted once.  conjugate_families walks g^k forward only from the
-images of the moved points, sharing one pull-back sequence per sign
-across several powers, and boundary.contraction_certificates calls a
-conjugate trivial when no point is moved.  Each finished table is
+the word at every ball vertex: the conjugate fixes a exactly when u
+fixes x = g^-k(a), and otherwise sends a to g^k(u(x)).  One rule,
+_Conjugates.moves, yields the points the conjugate moves with their
+images.  A supported u moves only points strictly below its sites, and
+g^k carries the subtree below a site v onto the half-tree at the edge
+from g^k(v) to g^k(parent v) (Tits 1970).  When that edge points away
+from the base vertex the half-tree is the subtree below g^k(v), depth
+for depth, so only the points below v that land in the ball are
+generated, and only those u moves are pushed forward; none once g^k(v)
+leaves the ball.  When the edge reverses, the half-tree holds the base
+vertex, and a u with no support statement may move anything; then the
+whole ball is pulled back, one power at a time by pullbacks, and
+SupportIndex.moves reads the pulled points below the sites, one run per
+site of the points sorted once, or every pulled point.  Such pulled
+balls are built only for the powers that need them.  conjugate_families
+tabulates the moved points, and boundary.contraction_certificates calls
+a conjugate trivial when no point is moved.  Each finished table is
 validated as realize's is.
 
 The portrait of an IsometrySpec acts differently by shape kind.  On
@@ -70,7 +77,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from math import inf
 
 from .boolalg import (
@@ -530,7 +537,8 @@ class SupportIndex:
     descendants and then by no other descendant, so those points are one
     contiguous run per site of the sorted points, found by bisection.
     The points are sorted once, on the first supported u, however many
-    witnesses share them.
+    witnesses share them.  ``_Conjugates`` reads a pulled ball this way
+    only where a half-tree holds the base vertex.
     """
 
     __slots__ = ("points", "_order", "_keys")
@@ -560,32 +568,109 @@ class SupportIndex:
                 yield i, y
 
 
+class _Conjugates:
+    """The moved part of the conjugates g^k u g^-k on B_r, for the powers
+    k = sign * n, n = 0, 1, ... asked in turn, one u at a time.
+
+    ``moves(i, n)`` yields (a, b) for each ball point a that the
+    conjugate of the i-th witness u moves, and its image b: u moves
+    x = g^-k(a), and b = g^k(u(x)).  A supported u moves only points
+    strictly below its sites, and g^k carries the subtree below a site v
+    onto the half-tree at the edge from w = g^k(v) to p = g^k(parent v)
+    (Tits 1970).  When p is the parent of w, that half-tree is the
+    subtree below w, depth for depth, so the pulled points u can move
+    are the points below v at most r - |w| levels down, none once
+    |w| >= r.  They are generated directly, a level at a time, and the
+    ones u moves are pushed forward once each: u permutes the points it
+    moves on each level below v, so those pushes give both a and b.
+    When w is the parent of p, the half-tree holds the base vertex and
+    most of the ball, and so does every u with no support statement:
+    then the pulled ball g^-k(B_r) is read through
+    ``SupportIndex.moves``.  Pulled balls come from one ``pullbacks``
+    sequence, built only as far as such a reading needs.  Each u's
+    pushed sites and parents move one step of g^sign per power.
+    """
+
+    __slots__ = ("shape", "r", "us", "_g", "_sign", "_step", "_edges", "_forth",
+                 "_pulls", "_ball", "_pulled")
+
+    def __init__(self, g, sign: int, us, r: int) -> None:
+        self.shape, self.r, self.us = g.shape, r, us
+        self._g, self._sign = g, sign
+        self._step = SpecWord(g.shape, ((g, sign),))._apply
+        # per supported u: the power n, and its sites with their parents
+        # pushed by g^k
+        self._edges = [
+            None if u.support is None else (0, [(v, v, v[:-1]) for v in u.support])
+            for u in us
+        ]
+        self._forth = (None, None)
+        self._pulls = None
+
+    def moves(self, i: int, n: int):
+        u = self.us[i]
+        if self._forth[0] != n:
+            self._forth = (n, SpecWord(self.shape, ((self._g, self._sign * n),))._apply)
+        forth, image = self._forth[1], u._apply
+        if self._edges[i] is not None:
+            at, edges = self._edges[i]
+            step = self._step
+            for _ in range(n - at):
+                edges = [(v, step(w), step(p)) for v, w, p in edges]
+            self._edges[i] = (n, edges)
+            if all(p == w[:-1] for _, w, p in edges):
+                children = self.shape.child_letters
+                for v, w, _ in edges:
+                    level = [v]
+                    for _ in range(len(w), self.r):
+                        level = [x + (c,) for x in level for c in children(x)]
+                        moved = [(x, y) for x in level if (y := image(x)) != x]
+                        # u permutes its moved points, so their pushes hold every image
+                        pushed = {x: forth(x) for x, _ in moved}
+                        for x, y in moved:
+                            yield pushed[x], pushed[y]
+                return
+        ball, index = self._pulled_ball(n)
+        for j, y in index.moves(u):
+            yield ball[j], forth(y)
+
+    def _pulled_ball(self, n: int):
+        """The ball and the index of its pull-back g^-k(B_r), stepping the
+        one pull-back sequence forward to power n."""
+        if self._pulls is None:
+            self._pulls = pullbacks(self._g, self._sign, self.r)
+            self._ball = next(self._pulls)
+            self._pulled = (0, SupportIndex(self._ball))
+        at, index = self._pulled
+        if at != n:
+            points = next(islice(self._pulls, n - at - 1, None))
+            index = SupportIndex(points)
+            self._pulled = (n, index)
+        return self._ball, index
+
+
 def conjugate_families(g, ks, us, r: int) -> dict:
     """Radius-r ball tables of the conjugates g^k u g^-k, one list per
     power k in ks, keyed by k, one table per u.
 
     The conjugate fixes a exactly when u fixes x = g^-k(a), and
-    otherwise sends a to g^k(u(x)).  So each table reads the points u
-    moves in the pull-back g^-k(B_r) (``SupportIndex.moves``) and walks
-    g^k forward only from their images.  One pull-back sequence per
-    sign serves every power on that side, so the powers -m..m take m
-    pull-back steps each way.  Each table is validated as a BallIsometry.
+    otherwise sends a to g^k(u(x)).  Each table lists just those moved
+    points, as ``_Conjugates.moves`` yields them.  A witness whose pushed
+    sites keep their edges pointing away from the base vertex reads only
+    the points below its sites that land in the ball; a witness with no
+    support statement, or with a pushed edge that reverses, reads the
+    pulled ball g^-k(B_r).  One pull-back sequence per sign serves every
+    power on that side, built only as far as such a reading needs.
+    Each table is validated as a BallIsometry.
     """
     shape = g.shape
     out: dict = {}
     for sign in (1, -1):
-        powers = {abs(k) for k in ks if (k >= 0) == (sign > 0)}
-        steps = zip(range(max(powers, default=-1) + 1), pullbacks(g, sign, r))
-        for n, points in steps:
-            if n == 0:
-                ball = points
-            if n not in powers:
-                continue
-            forth = SpecWord(shape, ((g, sign * n),))._apply
-            index = SupportIndex(points)
+        powers = sorted(abs(k) for k in set(ks) if (k >= 0) == (sign > 0))
+        conjugates = _Conjugates(g, sign, us, r)
+        for n in powers:
             out[sign * n] = [
-                BallIsometry(shape, r, {ball[i]: forth(y) for i, y in index.moves(u)})
-                for u in us
+                BallIsometry(shape, r, dict(conjugates.moves(i, n))) for i in range(len(us))
             ]
     return out
 

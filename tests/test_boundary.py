@@ -21,10 +21,13 @@ from tdlclab.boundary import (
 )
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import DisjointnessFailure, NotSkewering
+from tdlclab import tree
 from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
 from tdlclab.tree import (
     IsometrySpec,
     SpecWord,
+    SupportIndex,
+    _Conjugates,
     conjugate_families,
     hyperbolic_isometry,
     in_universal_group,
@@ -344,6 +347,68 @@ def test_indexed_conjugate_tables_match_the_walk_on_goodshrink_witnesses(depth):
             want = {a: forth(u.apply(x)) for a, x in zip(ball, pulled) if u.apply(x) != x}
             assert iso.moved == want, (k, u)
     assert in_universal_group(got[0], S3)
+
+
+# single-site witnesses on T0's axis on either side of the base vertex:
+# under T0^-k, k >= 2, the edge at (0, 1) reverses, under T0^k that at (1, 0)
+_AXIS_WITNESSES = [
+    IsometrySpec(T3, sites=(((0, 1), SWAP02),)),
+    IsometrySpec(T3, sites=(((1, 0), SWAP12),)),
+]
+
+
+def _edges_keep_away_from_base(g, u, k):
+    """Every support site v of u has g^k(parent v) as the parent of g^k(v)."""
+    forth = SpecWord(g.shape, ((g, k),)).apply
+    return all(forth(v[:-1]) == forth(v)[:-1] for v in u.support)
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6, 7])
+def test_half_tree_slices_match_the_pulled_ball_reading(depth):
+    # every (u, sign, k) against the pulled ball read through
+    # SupportIndex.moves, at the check radius and powers of goodshrink's
+    # contraction search.  A witness whose pushed edges point away from
+    # the base vertex reads a slice, one with a reversed edge the pulled
+    # ball, and both kinds occur; a slice may be empty, a reversed
+    # half-tree holds the base vertex.  The mixed specs with no support
+    # statement read the pulled ball either way; the walked-oracle tests
+    # above cover them
+    kappa_gens, beta_gens = _goodshrink_witnesses(depth)
+    us = kappa_gens + beta_gens + _MIXED_SPECS[:1] + _AXIS_WITNESSES
+    r = depth + 1
+    ball = tuple(T3.ball(r))
+    kinds = set()
+    for sign in (1, -1):
+        conjugates = _Conjugates(T0, sign, us, r)
+        for n, points in zip(range(depth + 5), pullbacks(T0, sign, r)):
+            index = SupportIndex(points)
+            forth = SpecWord(T3, ((T0, sign * n),))._apply
+            for i, u in enumerate(us):
+                got = list(conjugates.moves(i, n))
+                want = {ball[j]: forth(y) for j, y in index.moves(u)}
+                assert dict(got) == want and len(got) == len(want), (sign, n, u)
+                kinds.add((_edges_keep_away_from_base(T0, u, sign * n), bool(want)))
+    assert kinds == {(True, True), (True, False), (False, True)}
+
+
+def test_slices_pull_no_ball_when_every_edge_points_away(monkeypatch):
+    # the kappa witnesses under T0 move ever deeper, so neither their
+    # conjugate tables nor their onsets build a pulled ball; a witness
+    # with no support statement does
+    made = []
+
+    def counting(g, sign, r):
+        made.append(sign)
+        return pullbacks(g, sign, r)
+
+    monkeypatch.setattr(tree, "pullbacks", counting)
+    kappa_gens, _ = _goodshrink_witnesses(5)
+    assert all(_edges_keep_away_from_base(T0, u, k) for u in kappa_gens for k in range(10))
+    conjugate_families(T0, (1,), kappa_gens, 7)
+    contraction_certificates(T0, kappa_gens, 5)
+    assert made == []
+    contraction_certificates(T0, kappa_gens + [_MIXED_SPECS[1]], 5)
+    assert made == [1]
 
 
 @pytest.mark.parametrize("g", [T0, hyperbolic_isometry(T3, (0, 1))], ids=["t0", "t01"])

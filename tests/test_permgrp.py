@@ -15,12 +15,14 @@ from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
+    _bits,
     _class_products,
     alternating_group,
     composition_factors,
     cyclic_group,
     dihedral_group,
     direct_product,
+    maximal_normal_subgroups,
     melnikov_subgroup,
     parse_perm,
     pi_core,
@@ -276,6 +278,22 @@ def test_composition_factors_match_the_descent_by_joins_oracle():
     }
     for name, g in groups.items():
         assert composition_factors(g) == oracle_composition_factors_by_joins(g), name
+
+
+def test_bits_list_set_positions_lowest_first_seeded():
+    rng = random.Random(29)
+    masks = [0, 1, 2, 3, 1 << 70, (1 << 70) - 1] + [rng.getrandbits(rng.randint(1, 90)) for _ in range(300)]
+    for mask in masks:
+        assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1], mask
+
+
+def test_maximal_normal_subgroups_match_the_containment_scan():
+    # every pair of proper members compared on its element sets, with no order test
+    groups = dict(corpus(), C2wr3=wreath_c2_tower(3), level1296=_bench_level_groups()["level1296"])
+    for name, g in groups.items():
+        proper = [n for n in g.normal_subgroups if n.order < g.order]
+        want = [n for n in proper if not any(n.image_set < m.image_set for m in proper)]
+        assert maximal_normal_subgroups(g) == want, name
 
 
 def test_normal_closure_examples():

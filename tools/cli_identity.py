@@ -60,12 +60,15 @@ def cases() -> list[tuple[str, list[str]]]:
         for ball in ("4", "6"):
             out.append(("elements", ["certify", "contraction", "spec.ini",
                                      "--element", "g", "--u", u, "--ball", ball]))
-    # the witness checks at depth 8, where the indexed pull-backs and the
-    # sparse tables do the most work
+    # the witness checks at depth 8 and at depth 10, where the half-tree
+    # slices and the sparse tables read the largest balls
     for kind in ("goodshrink", "tits-core"):
-        out.append(("elements", ["certify", kind, "spec.ini", "--element", "g", "--depth", "8"]))
-    # the nub shift check at the bench's depth and at a narrow and a wide window
-    for extra in (["--depth", "8"], ["--depth", "6", "--m", "1"], ["--depth", "6", "--m", "5"]):
+        for depth in ("8", "10"):
+            out.append(("elements", ["certify", kind, "spec.ini", "--element", "g", "--depth", depth]))
+    # the nub shift check at the bench's depth, at a narrow and a wide
+    # window, and at depth 10
+    for extra in (["--depth", "8"], ["--depth", "6", "--m", "1"], ["--depth", "6", "--m", "5"],
+                  ["--depth", "10", "--m", "2"]):
         out.append(("elements", ["certify", "nub", "spec.ini", "--element", "g", *extra]))
     for spec in ("rooted-binary", "regular-sym3"):
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..4"]))
