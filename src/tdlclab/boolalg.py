@@ -13,13 +13,15 @@ Two tree shapes are supported.
 A clopen subset of the boundary is a finite union of cylinders and is
 stored canonically: a finite antichain of addresses in which every
 complete sibling family has been merged into its parent, kept in
-lexicographic address order as well as a set.  The full
-boundary is the distinguished TOP value (all length-1 addresses merged
-once more); it is not itself an address.  The empty set is the empty
-cover.  All arithmetic is exact; measures are Fractions, never floats.
+lexicographic address order as well as a set; its complement is built
+on first use and then kept with it.  The full boundary is the
+distinguished TOP value (all length-1 addresses merged once more); it
+is not itself an address.  The empty set is the empty cover.  All
+arithmetic is exact; measures are Fractions, never floats.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,11 +85,12 @@ class TreeShape:
         return tuple(addr + (c,) for c in self.child_letters(addr))
 
     def is_legal(self, addr: Address) -> bool:
-        allowed = self._after[-1]
+        after = self._after
+        allowed = after[-1]
         for a in addr:
             if a not in allowed:
                 return False
-            allowed = self._after[a]
+            allowed = after[a]
         return True
 
     def require_legal(self, addr: Address) -> None:
@@ -149,13 +152,16 @@ def regular(degree: int) -> TreeShape:
 # ``meets`` are one two-pointer merge of two such covers (``_meeting``).
 # ``join`` merges the two sorted runs and runs the canonical pass over
 # them.  ``complement`` walks the cover once, from each address to the
-# next.  Every result comes out in address order, so no operation sorts;
-# only ``from_addresses`` sorts its input, once.
+# next, the first time it is asked for.  Every result comes out in address
+# order, so no operation sorts; only ``from_addresses`` sorts its input.
 
 
 def covered(addr: Address, cover: frozenset[Address]) -> bool:
     """Whether some prefix of ``addr``, itself included, is in ``cover``."""
-    return any(addr[:k] in cover for k in range(len(addr) + 1))
+    for k in range(len(addr) + 1):
+        if addr[:k] in cover:
+            return True
+    return False
 
 
 def _canonical(shape: TreeShape, ordered: Iterable[Address]) -> list[Address]:
@@ -169,8 +175,10 @@ def _canonical(shape: TreeShape, ordered: Iterable[Address]) -> list[Address]:
     """
     after = shape._after
     kept: list[Address] = []
+    # the last kept address and its length; None matches no prefix
+    last, n = None, 0
     for a in ordered:
-        if kept and a[: len(kept[-1])] == kept[-1]:
+        if a[:n] == last:
             continue
         while a:
             letters = after[a[-2] if len(a) > 1 else -1]
@@ -187,6 +195,7 @@ def _canonical(shape: TreeShape, ordered: Iterable[Address]) -> list[Address]:
             del kept[first:]
             a = a[:-1]
         kept.append(a)
+        last, n = a, len(a)
     return kept
 
 
@@ -220,7 +229,10 @@ class CylinderClopen:
     The same addresses are also kept in address order, derived once at
     construction and sharing the cover's address objects: the Boolean
     operations merge and walk that order as above, build their results
-    in it, and ``sorted_cover()`` and ``format_clopen`` read it.
+    in it, and ``sorted_cover()`` and ``format_clopen`` read it.  The
+    set is built at construction, not on first read, because hashing on
+    the read path needs it.  The complement is built once and then kept,
+    outside the fields, as ``Perm.inverse`` keeps its inverse.
     """
 
     shape: TreeShape
@@ -238,9 +250,7 @@ class CylinderClopen:
         """Take over a fresh list holding a canonical cover in address
         order, unchecked."""
         c = object.__new__(cls)
-        object.__setattr__(c, "shape", shape)
-        object.__setattr__(c, "cover", frozenset(order))
-        object.__setattr__(c, "_order", order)
+        c.__dict__.update(shape=shape, cover=frozenset(order), _order=order)
         return c
 
     # -- constructors ------------------------------------------------------
@@ -261,8 +271,9 @@ class CylinderClopen:
     @staticmethod
     def from_addresses(shape: TreeShape, addrs: Iterable[Address]) -> "CylinderClopen":
         material = [tuple(a) for a in addrs]
+        require = shape.require_legal
         for a in material:
-            shape.require_legal(a)
+            require(a)
         material.sort()
         return CylinderClopen._ordered(shape, _canonical(shape, material))
 
@@ -309,7 +320,7 @@ class CylinderClopen:
     # -- Boolean operations --------------------------------------------------
 
     def _same_shape(self, other: "CylinderClopen") -> None:
-        if self.shape != other.shape:
+        if self.shape is not other.shape and self.shape != other.shape:
             raise ValueError("mixed tree shapes in one operation")
 
     def meet(self, other: "CylinderClopen") -> "CylinderClopen":
@@ -327,6 +338,13 @@ class CylinderClopen:
         return self.meet(other.complement())
 
     def complement(self) -> "CylinderClopen":
+        """The complement, built once and then kept; it keeps no link back."""
+        comp = self.__dict__.get("_complement")
+        if comp is None:
+            comp = self.__dict__["_complement"] = CylinderClopen._ordered(self.shape, self._gaps())
+        return comp
+
+    def _gaps(self) -> list[Address]:
         """The cover's gaps in address order.
 
         Between one cover address and the next, the gaps are the letters
@@ -336,9 +354,9 @@ class CylinderClopen:
         """
         order = self._order
         if not order:
-            return CylinderClopen.top(self.shape)
+            return [ROOT]
         if order[0] == ROOT:
-            return CylinderClopen.zero(self.shape)
+            return []
         before, beyond = self.shape._before, self.shape._beyond
         out: list[Address] = []
         add = out.append
@@ -373,7 +391,7 @@ class CylinderClopen:
                     for t in gaps:
                         add(node + t)
             prev = cur
-        return CylinderClopen._ordered(self.shape, out)
+        return out
 
     def leq(self, other: "CylinderClopen") -> bool:
         # the meet is self exactly when it yields self's addresses in
@@ -393,9 +411,10 @@ class CylinderClopen:
     # -- measure --------------------------------------------------------------
 
     def measure(self) -> Fraction:
-        return sum(
-            (self.shape.address_weight(a) for a in self.cover), Fraction(0)
-        )
+        # one weight per depth, times the number of cover addresses there
+        counts = Counter(map(len, self.cover))
+        size = self.shape.sphere_size
+        return sum((Fraction(k, size(d)) for d, k in counts.items()), Fraction(0))
 
     # -- rendering --------------------------------------------------------------
 
@@ -440,10 +459,9 @@ def format_clopen(clopen: CylinderClopen) -> str:
         return "TOP"
     if clopen.is_zero():
         return "{}"
-    inner = ",".join(
-        format_address(clopen.shape, a) for a in clopen._order
-    )
-    return "{" + inner + "}"
+    # format_address's rule, inline
+    sep = "" if clopen.shape.degree <= 10 else "."
+    return "{" + ",".join([sep.join(map(str, a)) for a in clopen._order]) + "}"
 
 
 def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:
@@ -455,8 +473,14 @@ def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:
     body = text[1:-1].strip()
     if not body:
         return CylinderClopen.zero(shape)
-    # from_addresses checks every address's legality, once
-    addrs = [read_address(shape, tok) for tok in body.split(",")]
+    # from_addresses checks every address's legality, once.  Up to degree
+    # 10 one digit is one letter, so all-digit tokens are read in bulk; any
+    # other token sends the whole text through read_address and its errors.
+    tokens = [tok.strip() for tok in body.split(",")]
+    if shape.degree <= 10 and all(map(str.isdecimal, tokens)):
+        addrs = [tuple(map(int, tok)) for tok in tokens]
+    else:
+        addrs = [read_address(shape, tok) for tok in tokens]
     return CylinderClopen.from_addresses(shape, addrs)
 
 

@@ -85,14 +85,25 @@ cover's hash set once per prefix of each address, the complement collects
 every proper prefix and keeps the children that are neither prefixes nor
 cover addresses, and the canonical pass sorts its input itself.  They
 return plain covers, so they must agree with ``CylinderClopen`` cover for
-cover.
+cover.  ``oracle_canonical_pass`` is the address-order canonical pass as it
+was before it kept the last kept address in locals: it slices every input
+by the length of ``kept[-1]``, and must return the same list.
+``oracle_parse_clopen`` reads clopen text as it was before all-digit
+tokens were read in bulk: one ``read_address`` per token, so it must give
+the same clopen or raise the same error.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from tdlclab.boolalg import ROOT, CylinderClopen, format_address, sphere_list
+from tdlclab.boolalg import (
+    ROOT,
+    CylinderClopen,
+    format_address,
+    read_address,
+    sphere_list,
+)
 from tdlclab.dynamics import TwoCopyContext, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
@@ -769,6 +780,41 @@ def oracle_canonical(shape, addrs) -> frozenset:
             a = parent
         kept.append(a)
     return frozenset(kept)
+
+
+def oracle_canonical_pass(shape, ordered) -> list:
+    after = shape._after
+    kept = []
+    for a in ordered:
+        if kept and a[: len(kept[-1])] == kept[-1]:
+            continue
+        while a:
+            letters = after[a[-2] if len(a) > 1 else -1]
+            if a[-1] != letters[-1]:
+                break
+            k = len(letters) - 1
+            first = len(kept) - k
+            if first < 0 or kept[first] != a[:-1] + letters[:1]:
+                break
+            if k > 1 and any(len(x) != len(a) for x in kept[first + 1 :]):
+                break
+            del kept[first:]
+            a = a[:-1]
+        kept.append(a)
+    return kept
+
+
+def oracle_parse_clopen(shape, text: str) -> CylinderClopen:
+    text = text.strip()
+    if text == "TOP":
+        return CylinderClopen.top(shape)
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError(f"clopen text must be TOP or brace-delimited: {text!r}")
+    body = text[1:-1].strip()
+    if not body:
+        return CylinderClopen.zero(shape)
+    addrs = [read_address(shape, tok) for tok in body.split(",")]
+    return CylinderClopen.from_addresses(shape, addrs)
 
 
 def oracle_meet(x: CylinderClopen, y: CylinderClopen) -> frozenset:

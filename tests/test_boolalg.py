@@ -7,6 +7,7 @@ then frozen.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -14,8 +15,11 @@ from fractions import Fraction
 import pytest
 
 from tdlclab.boolalg import (
+    ROOT,
     CylinderClopen,
     TreeShape,
+    _canonical,
+    covered,
     format_address,
     format_clopen,
     parse_address,
@@ -26,11 +30,14 @@ from tdlclab.boolalg import (
 from tdlclab.errors import PrecisionError
 
 from oracles import (
+    _oracle_covered,
     oracle_canonical,
+    oracle_canonical_pass,
     oracle_complement,
     oracle_leq,
     oracle_meet,
     oracle_meets,
+    oracle_parse_clopen,
 )
 from util import expand, random_clopen
 
@@ -410,3 +417,134 @@ def test_from_addresses_rejects_illegal_address():
     ):
         with pytest.raises(ValueError, match="illegal address"):
             CylinderClopen.from_addresses(shape, addrs)
+
+
+# -- write path against the slow path ------------------------------------------------
+
+
+WRITE_SHAPES = (R2, rooted(3), T3, regular(4))
+
+
+def _walk(rng, shape, k):
+    a = ROOT
+    for _ in range(k):
+        a += (rng.choice(shape.child_letters(a)),)
+    return a
+
+
+def _seeded_material(rng, shape, depth):
+    """Addresses up to ``depth`` with shadowed ones, repeats and complete
+    sibling families (nested ones too, so merges cascade), in address order."""
+    addrs = [_walk(rng, shape, rng.randint(1, depth)) for _ in range(rng.randint(0, 12))]
+    for _ in range(rng.randint(0, 4)):
+        v = _walk(rng, shape, rng.randint(0, depth - 1))
+        family = list(shape.children(v))
+        if len(v) + 2 <= depth and rng.random() < 0.5:
+            # the last child's own family, merged first, completes v's
+            family[-1:] = shape.children(family[-1])
+        addrs += family
+    addrs += [a + shape.child_letters(a)[:1] for a in addrs[:4] if len(a) < depth]
+    addrs += rng.sample(addrs, min(len(addrs), 3))
+    return sorted(addrs)
+
+
+def test_canonical_pass_matches_the_previous_pass_seeded():
+    rng = random.Random(31)
+    merged = shadowed = 0
+    for shape in WRITE_SHAPES:
+        for _ in range(300):
+            material = _seeded_material(rng, shape, rng.randint(1, 7))
+            got = _canonical(shape, material)
+            assert got == oracle_canonical_pass(shape, material)
+            assert frozenset(got) == oracle_canonical(shape, material)
+            distinct = set(material)
+            shadowed += any(covered(a[:-1], distinct) for a in distinct if a)
+            merged += any(a not in distinct for a in got)
+    # both rules of the pass are exercised, not only the plain append
+    assert merged > 100 and shadowed > 100
+
+
+def _texts(rng, shape, depth):
+    x = random_clopen(rng, shape, depth)
+    text = format_clopen(x)
+    tokens = text[1:-1].split(",") if text.startswith("{") else []
+    spaced = "{ " + " ,  ".join(tokens) + " }" if tokens else " TOP "
+    dotted = "{" + ",".join(".".join(t) for t in tokens) + "}" if tokens else "{ }"
+    return [text, spaced, dotted]
+
+
+MALFORMED = [
+    "{01,}", "{,}", "{01,,2}", "{0 1}", "{0x}", "{-1}", "{+1}", "{1_0}",
+    "{0.1}", "{0..1}", "{.01}", "{01.}", "{0.1,2}", "{2, 0.1}",
+    "{\u0663}", "{\u0660\u0661}", "{\u0661\u0660}", "{\u00b2}", "{01",
+    "01}", "TOP,", "{}", "{  }", "  TOP  ", "{10}", "{1.11}", "{11.1,1}", "{12}",
+]
+
+
+def test_parse_clopen_matches_per_token_reading():
+    def outcome(parse, shape, text):
+        try:
+            return parse(shape, text)
+        except Exception as exc:  # the type and the message must agree
+            return type(exc), str(exc)
+
+    rng = random.Random(37)
+    shapes = WRITE_SHAPES + (regular(12), rooted(11), rooted(10))
+    for shape in shapes:
+        # a depth-3 sphere of degree 12 already has 1,452 addresses
+        depth = 5 if shape.degree <= 4 else 2
+        texts = MALFORMED + [t for _ in range(40) for t in _texts(rng, shape, depth)]
+        for text in texts:
+            want = outcome(oracle_parse_clopen, shape, text)
+            assert outcome(parse_clopen, shape, text) == want, (shape, text)
+        for _ in range(40):
+            x = random_clopen(rng, shape, depth)
+            words = [format_address(shape, a) for a in x.sorted_cover()]
+            if not x.is_top():
+                assert format_clopen(x) == "{" + ",".join(words) + "}"
+    # the dotted and non-ASCII forms reach both paths with a result
+    assert parse_clopen(T3, "{0.1,2}") == clop(T3, (0, 1), (2,))
+    assert parse_clopen(T3, "{\u0660\u0661}") == clop(T3, (0, 1))
+
+
+def test_complement_is_kept_and_stays_out_of_the_fields():
+    rng = random.Random(41)
+    for shape in WRITE_SHAPES:
+        pool = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
+        pool += [random_clopen(rng, shape, 6) for _ in range(30)]
+        for c in pool:
+            text = f"CylinderClopen(shape={c.shape!r}, cover={c.cover!r})"
+            assert repr(c) == text
+            comp = c.complement()
+            assert comp is c.complement()
+            # a fresh walk from an equal clopen, and the prefix-rule oracle
+            fresh = CylinderClopen.from_addresses(shape, c.cover)
+            assert fresh.complement() == comp and comp.cover == oracle_complement(c)
+            assert comp.complement() == c and comp.complement() is comp.complement()
+            # the complement keeps no link back to c
+            assert all(v is not c for v in vars(comp).values())
+            assert c == fresh and hash(c) == hash(fresh) == hash((c.shape, c.cover))
+            assert repr(c) == text
+            assert [f.name for f in dataclasses.fields(c)] == ["shape", "cover"]
+
+
+def test_covered_matches_the_prefix_scan_seeded():
+    rng = random.Random(43)
+    for shape in WRITE_SHAPES:
+        ball = list(shape.ball(5))
+        covers = [frozenset(), frozenset({ROOT})]
+        covers += [random_clopen(rng, shape, 5).cover for _ in range(20)]
+        for cover in covers:
+            for addr in rng.sample(ball, 40) + [ROOT]:
+                assert covered(addr, cover) == _oracle_covered(addr, cover)
+
+
+def test_measure_matches_the_per_address_sum_seeded():
+    rng = random.Random(47)
+    for shape in WRITE_SHAPES + (regular(12),):
+        pool = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
+        pool += [random_clopen(rng, shape, 5 if shape.degree <= 4 else 2) for _ in range(30)]
+        for x in pool:
+            want = sum((shape.address_weight(a) for a in x.cover), Fraction(0))
+            got = x.measure()
+            assert type(got) is Fraction and got == want
