@@ -10,8 +10,6 @@ balls whose radius is recorded in the report.
 """
 from __future__ import annotations
 
-from itertools import islice
-
 from .boolalg import (
     ROOT,
     Address,
@@ -27,10 +25,9 @@ from .tree import (
     BallIsometry,
     IsometrySpec,
     SpecWord,
-    _Conjugates,
+    _conjugate_moves,
     conjugate_families,
     in_universal_group,
-    pullbacks,
     site_group,
     spec_image_clopen,
 )
@@ -139,18 +136,17 @@ def contraction_certificates(
     to depth n + 1, so its local actions down to depth n are all
     trivial.  That holds exactly when u fixes the pull-back g^-k of the
     radius n + 1 ball.  The points the conjugate moves come from
-    ``tree._Conjugates``, the rule ``conjugate_families`` reads too, and
-    the search for them stops at the first one.  A witness supported at
-    sites whose images under g^k keep their edges pointing away from
-    the base vertex reads only the points below its sites that land in
-    the ball, none once the images leave it; any other u reads the
-    pulled ball, from one pull-back sequence that every u shares and
-    that is built only as far as such a u needs.  Powers are searched up
-    to k_max = ball_radius + 4.  After the onset the next three powers within that bound are
-    rechecked; the conjugated support only moves deeper, so a
-    non-monotone onset would expose a bookkeeping bug.  When no power
-    within k_max works the verdict reports that the search bound was the
-    obstruction.
+    ``tree._conjugate_moves``, the rule ``conjugate_families`` reads
+    too, built once per power for every u, and the search for them stops
+    at the first one.  A witness supported at sites reads only the
+    points of the ball about g^-k(v0) strictly below its sites, none
+    once that ball no longer reaches below them; any other u reads the
+    whole ball about g^-k(v0).  Powers are searched up to
+    k_max = ball_radius + 4.  After the onset the next three powers
+    within that bound are rechecked; the conjugated support only moves
+    deeper, so a non-monotone onset would expose a bookkeeping bug.
+    When no power within k_max works the verdict reports that the
+    search bound was the obstruction.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -161,13 +157,13 @@ def contraction_certificates(
     onsets: list = [None] * len(us)
     tails: list[list[bool]] = [[] for _ in us]
     stop = [k_max + 1] * len(us)  # powers past this one are not needed
-    conjugates = _Conjugates(g, direction, us, check_radius)
     for k in range(k_max + 1):
         live = [i for i in range(len(us)) if k < stop[i]]
         if not live:
             break
+        moves = _conjugate_moves(g, direction * k, check_radius)
         for i in live:
-            trivial = next(conjugates.moves(i, k), None) is None
+            trivial = next(moves(us[i]), None) is None
             if onsets[i] is not None:
                 tails[i].append(trivial)
             elif trivial:
@@ -320,9 +316,11 @@ def conjugation_shifts(g, reach: int, depth: int, families) -> bool:
     """
     shape = g.shape
     fwd = g.realize(reach).moved.get
-    pulled = next(islice(pullbacks(g, 1, depth), 1, None))
-    if any(fwd(y, y) != x for x, y in zip(shape.ball(depth), pulled)):
-        return False
+    back = SpecWord(shape, ((g, -1),))._apply
+    for x in shape.ball(depth):
+        y = back(x)
+        if fwd(y, y) != x:
+            return False
     domain = ball_set(shape, depth)
     for family, following in zip(families, families[1:]):
         for fu, ft in zip(family, following):
@@ -356,10 +354,10 @@ def nub_window(
     factor checks run on the ball tables' moved parts; the witnesses
     fix the base vertex, so their tables permute each sphere and compose
     without precision loss.  The families come from
-    ``conjugate_families``, so each witness reads only its half-tree
-    slice of the ball while its pushed edges point away from the base
-    vertex, and the commutation checks look only at pairs of tables
-    that share a moved point.  The shift check is ``conjugation_shifts``:
+    ``conjugate_families``, so each witness reads only the points of
+    the ball about g^-i(v0) strictly below its sites, and the
+    commutation checks look only at pairs of tables that share a moved
+    point.  The shift check is ``conjugation_shifts``:
     it reads g's own table once on the whole depth ball, and the
     families' tables only where they move.
     """

@@ -45,23 +45,23 @@ table lists most of the ball; it is the same class.
 
 Conjugates g^k u g^-k take a shorter path than walking every letter of
 the word at every ball vertex: the conjugate fixes a exactly when u
-fixes x = g^-k(a), and otherwise sends a to g^k(u(x)).  One rule,
-_Conjugates.moves, yields the points the conjugate moves with their
-images.  A supported u moves only points strictly below its sites, and
-g^k carries the subtree below a site v onto the half-tree at the edge
-from g^k(v) to g^k(parent v) (Tits 1970).  When that edge points away
-from the base vertex the half-tree is the subtree below g^k(v), depth
-for depth, so only the points below v that land in the ball are
-generated, and only those u moves are pushed forward; none once g^k(v)
-leaves the ball.  When the edge reverses, the half-tree holds the base
-vertex, and a u with no support statement may move anything; then the
-whole ball is pulled back, one power at a time by pullbacks, and
-SupportIndex.moves reads the pulled points below the sites, one run per
-site of the points sorted once, or every pulled point.  Such pulled
-balls are built only for the powers that need them.  conjugate_families
-tabulates the moved points, and boundary.contraction_certificates calls
-a conjugate trivial when no point is moved.  Each finished table is
-validated as realize's is.
+fixes x = g^-k(a), and otherwise sends a to g^k(u(x)).  g^-k maps B_r
+onto the ball of radius r about c = g^-k(v0), so the points x to read
+are the points of that ball that u can move: those strictly below u's
+sites, or the whole ball when u states no support.  One walk, _slice,
+yields the part of a ball about c strictly below a vertex v, each point
+once: it starts at the vertex of v's subtree nearest to c and climbs to
+v, opening at each step the branches it did not come from.  g^k carries
+the subtree below v onto the half-tree at the edge from g^k(v) to
+g^k(parent v) (Tits 1970).  When c lies outside v's subtree that edge
+points away from the base vertex, and the walk goes at most
+r - d(c, v) levels below v, none once d(c, v) >= r; when c lies inside,
+the half-tree holds the base vertex, and the walk climbs from c to v.
+_conjugate_moves reads the points u moves this way, lazily, and pushes
+each forward by g^k once, through a memo that every witness of that
+power shares.  conjugate_families tabulates the moved points, and
+boundary.contraction_certificates calls a conjugate trivial when no
+point is moved.  Each finished table is validated as realize's is.
 
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
@@ -75,10 +75,8 @@ undecorated ancestors this says the decoration fixes that colour.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from math import inf
+from itertools import chain
 
 from .boolalg import (
     ROOT,
@@ -375,7 +373,7 @@ class IsometrySpec:
         image = self._apply
         moved = {}
         for v in self.support:
-            for a in _below(self.shape, v, r):
+            for a in _slice(self.shape, v, ROOT, r):
                 b = image(a)
                 if b != a:
                     moved[a] = b
@@ -390,12 +388,37 @@ def _ball_images(mover, r: int):
         yield a, image(a)
 
 
-def _below(shape: TreeShape, v: Address, r: int):
-    """Vertices strictly below v down to depth r, level by level."""
-    level = [v]
-    for _ in range(len(v), r):
-        level = [b + (c,) for b in level for c in shape.child_letters(b)]
-        yield from level
+def _slice(shape: TreeShape, v: Address, c: Address, r: int):
+    """Vertices strictly below v within distance r of c, each once.
+
+    The walk starts at the vertex of v's subtree (v included) nearest to
+    c: c itself when c lies in that subtree, else v, at distance
+    d(c, v) = |c| + |v| - 2 lcp.  It climbs to v, and at each vertex
+    opens, level by level, the branches it did not come from, each level
+    one step further from c.  With c = v0 this is the ball below v, level
+    by level.
+    """
+    n = len(v)
+    if c[:n] == v:
+        at, d = c, 0
+    else:
+        k = 0
+        while k < len(c) and c[k] == v[k]:
+            k += 1
+        at, d = v, len(c) + n - 2 * k
+    children, came = shape.child_letters, None
+    while d <= r:
+        if len(at) > n:
+            yield at
+        level = [at + (x,) for x in children(at) if x != came]
+        for _ in range(d + 1, r):
+            yield from level
+            level = [b + (x,) for b in level for x in children(b)]
+        if d < r:
+            yield from level
+        if len(at) == n:
+            return
+        came, at, d = at[-1], at[:-1], d + 1
 
 
 def hyperbolic_isometry(shape: TreeShape, axis) -> IsometrySpec:
@@ -512,141 +535,40 @@ class SpecWord:
         return all(a == b for a, b in _ball_images(self, r))
 
 
-# -- conjugates through pull-backs ----------------------------------------------
+# -- conjugates -----------------------------------------------------------------
 
 
-def pullbacks(g, sign: int, r: int):
-    """The pull-backs g^-(sign k)(B_r) for k = 0, 1, ..., without end.
+def _conjugate_moves(g, k: int, r: int):
+    """``moves(u)``: the moved part of the conjugate g^k u g^-k on B_r.
 
-    Each is a tuple aligned with ``shape.ball(r)`` and is one exact step
-    of g^-sign from the last, so g may be an atom or a word.
+    ``moves(u)`` lazily yields (a, b) for each ball point a that the
+    conjugate moves, and its image b: u moves x = g^-k(a), and
+    b = g^k(u(x)).  g^-k maps B_r onto the ball of radius r about
+    c = g^-k(v0), computed once, so x runs over the points of that ball
+    strictly below u's sites, or over the whole ball when u states no
+    support.  Each moved point is pushed forward once, through a memo
+    that every u of this power shares.
     """
-    back = SpecWord(g.shape, ((g, -sign),))._apply
-    points = tuple(g.shape.ball(r))
-    while True:
-        yield points
-        points = tuple(map(back, points))
+    shape = g.shape
+    c = SpecWord(shape, ((g, -k),))._apply(ROOT)
+    forth = SpecWord(shape, ((g, k),))._apply
+    pushed: dict = {}
 
-
-class SupportIndex:
-    """One pull-back's points, and the ones each witness moves.
-
-    A u with no support statement may move any point, so it is applied
-    to every one.  A supported u moves only points strictly below its
-    sites.  In address order a vertex is followed by all of its
-    descendants and then by no other descendant, so those points are one
-    contiguous run per site of the sorted points, found by bisection.
-    The points are sorted once, on the first supported u, however many
-    witnesses share them.  ``_Conjugates`` reads a pulled ball this way
-    only where a half-tree holds the base vertex.
-    """
-
-    __slots__ = ("points", "_order", "_keys")
-
-    def __init__(self, points) -> None:
-        self.points = points
-        self._order = None
-
-    def moves(self, u):
-        """(position, image) for each point that u moves, lazily."""
-        points, image = self.points, u._apply
+    def moves(u):
+        image = u._apply
         if u.support is None:
-            positions = range(len(points))
+            points = chain((ROOT,) if len(c) <= r else (), _slice(shape, ROOT, c, r))
         else:
-            if self._order is None:
-                self._order = sorted(range(len(points)), key=points.__getitem__)
-                self._keys = [points[i] for i in self._order]
-            order, keys = self._order, self._keys
-            # every letter is below inf, so v + (inf,) follows v's subtree
-            positions = chain.from_iterable(
-                order[bisect_right(keys, v):bisect_left(keys, v + (inf,))] for v in u.support
-            )
-        for i in positions:
-            x = points[i]
+            points = chain.from_iterable(_slice(shape, v, c, r) for v in u.support)
+        for x in points:
             y = image(x)
             if y != x:
-                yield i, y
+                for z in (x, y):
+                    if z not in pushed:
+                        pushed[z] = forth(z)
+                yield pushed[x], pushed[y]
 
-
-class _Conjugates:
-    """The moved part of the conjugates g^k u g^-k on B_r, for the powers
-    k = sign * n, n = 0, 1, ... asked in turn, one u at a time.
-
-    ``moves(i, n)`` yields (a, b) for each ball point a that the
-    conjugate of the i-th witness u moves, and its image b: u moves
-    x = g^-k(a), and b = g^k(u(x)).  A supported u moves only points
-    strictly below its sites, and g^k carries the subtree below a site v
-    onto the half-tree at the edge from w = g^k(v) to p = g^k(parent v)
-    (Tits 1970).  When p is the parent of w, that half-tree is the
-    subtree below w, depth for depth, so the pulled points u can move
-    are the points below v at most r - |w| levels down, none once
-    |w| >= r.  They are generated directly, a level at a time, and the
-    ones u moves are pushed forward once each: u permutes the points it
-    moves on each level below v, so those pushes give both a and b.
-    When w is the parent of p, the half-tree holds the base vertex and
-    most of the ball, and so does every u with no support statement:
-    then the pulled ball g^-k(B_r) is read through
-    ``SupportIndex.moves``.  Pulled balls come from one ``pullbacks``
-    sequence, built only as far as such a reading needs.  Each u's
-    pushed sites and parents move one step of g^sign per power.
-    """
-
-    __slots__ = ("shape", "r", "us", "_g", "_sign", "_step", "_edges", "_forth",
-                 "_pulls", "_ball", "_pulled")
-
-    def __init__(self, g, sign: int, us, r: int) -> None:
-        self.shape, self.r, self.us = g.shape, r, us
-        self._g, self._sign = g, sign
-        self._step = SpecWord(g.shape, ((g, sign),))._apply
-        # per supported u: the power n, and its sites with their parents
-        # pushed by g^k
-        self._edges = [
-            None if u.support is None else (0, [(v, v, v[:-1]) for v in u.support])
-            for u in us
-        ]
-        self._forth = (None, None)
-        self._pulls = None
-
-    def moves(self, i: int, n: int):
-        u = self.us[i]
-        if self._forth[0] != n:
-            self._forth = (n, SpecWord(self.shape, ((self._g, self._sign * n),))._apply)
-        forth, image = self._forth[1], u._apply
-        if self._edges[i] is not None:
-            at, edges = self._edges[i]
-            step = self._step
-            for _ in range(n - at):
-                edges = [(v, step(w), step(p)) for v, w, p in edges]
-            self._edges[i] = (n, edges)
-            if all(p == w[:-1] for _, w, p in edges):
-                children = self.shape.child_letters
-                for v, w, _ in edges:
-                    level = [v]
-                    for _ in range(len(w), self.r):
-                        level = [x + (c,) for x in level for c in children(x)]
-                        moved = [(x, y) for x in level if (y := image(x)) != x]
-                        # u permutes its moved points, so their pushes hold every image
-                        pushed = {x: forth(x) for x, _ in moved}
-                        for x, y in moved:
-                            yield pushed[x], pushed[y]
-                return
-        ball, index = self._pulled_ball(n)
-        for j, y in index.moves(u):
-            yield ball[j], forth(y)
-
-    def _pulled_ball(self, n: int):
-        """The ball and the index of its pull-back g^-k(B_r), stepping the
-        one pull-back sequence forward to power n."""
-        if self._pulls is None:
-            self._pulls = pullbacks(self._g, self._sign, self.r)
-            self._ball = next(self._pulls)
-            self._pulled = (0, SupportIndex(self._ball))
-        at, index = self._pulled
-        if at != n:
-            points = next(islice(self._pulls, n - at - 1, None))
-            index = SupportIndex(points)
-            self._pulled = (n, index)
-        return self._ball, index
+    return moves
 
 
 def conjugate_families(g, ks, us, r: int) -> dict:
@@ -655,23 +577,15 @@ def conjugate_families(g, ks, us, r: int) -> dict:
 
     The conjugate fixes a exactly when u fixes x = g^-k(a), and
     otherwise sends a to g^k(u(x)).  Each table lists just those moved
-    points, as ``_Conjugates.moves`` yields them.  A witness whose pushed
-    sites keep their edges pointing away from the base vertex reads only
-    the points below its sites that land in the ball; a witness with no
-    support statement, or with a pushed edge that reverses, reads the
-    pulled ball g^-k(B_r).  One pull-back sequence per sign serves every
-    power on that side, built only as far as such a reading needs.
-    Each table is validated as a BallIsometry.
+    points, as ``_conjugate_moves`` yields them: a supported witness
+    reads only the points of the ball about g^-k(v0) strictly below its
+    sites, a witness with no support statement that whole ball.  Each
+    table is validated as a BallIsometry.
     """
-    shape = g.shape
     out: dict = {}
-    for sign in (1, -1):
-        powers = sorted(abs(k) for k in set(ks) if (k >= 0) == (sign > 0))
-        conjugates = _Conjugates(g, sign, us, r)
-        for n in powers:
-            out[sign * n] = [
-                BallIsometry(shape, r, dict(conjugates.moves(i, n))) for i in range(len(us))
-            ]
+    for k in set(ks):
+        moves = _conjugate_moves(g, k, r)
+        out[k] = [BallIsometry(g.shape, r, dict(moves(u))) for u in us]
     return out
 
 

@@ -36,7 +36,14 @@ made before conjugates went through shared pull-backs: it builds each
 conjugate g^k u g^-k as a word and walks every letter of it at every
 vertex of the checked ball.  The walked contraction oracle is the
 shared pull-back search as it was before supports: every u is applied
-to every pulled point.  The commutation oracle checks every point of
+to every pulled point.  ``pullbacks`` is the pull-back sequence the
+conjugates read before they walked the ball about g^-k(v0): each pulled
+ball is one exact step of g^-sign from the last.  ``oracle_pulled_moves``
+reads one pulled ball as the conjugates did before that walk: a
+supported u only at the pulled points strictly below its sites, one run
+per site of the points sorted once, any other u at every pulled point.
+The slice oracle is a brute-force ball: every vertex within distance r
+of c by the path-length formula, kept when it properly extends v.  The commutation oracle checks every point of
 the domain, and the support oracle every vertex of the ball outside the
 region, where ``tables_commute`` and ``support_in`` read only the points
 a table moves.  The shift oracle reads g's table and both families'
@@ -95,7 +102,9 @@ the same clopen or raise the same error.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import inf
 
 from tdlclab.boolalg import (
     ROOT,
@@ -107,7 +116,7 @@ from tdlclab.boolalg import (
 from tdlclab.dynamics import TwoCopyContext, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
-from tdlclab.tree import SpecWord, pullbacks, spec_image_clopen
+from tdlclab.tree import SpecWord, spec_image_clopen
 
 
 def _is_subgroup(elems: frozenset[Perm]) -> bool:
@@ -633,6 +642,61 @@ def oracle_contraction_certificate(g, u, ball_radius: int, direction: int = 1) -
         "onset_monotone": monotone,
         "verdict": "contracts" if monotone else "no-contraction-within-bounds",
     }
+
+
+def pullbacks(g, sign: int, r: int):
+    """The pull-backs g^-(sign k)(B_r) for k = 0, 1, ..., without end.
+
+    Each is a tuple aligned with ``shape.ball(r)`` and is one exact step
+    of g^-sign from the last, so g may be an atom or a word.
+    """
+    back = SpecWord(g.shape, ((g, -sign),))._apply
+    points = tuple(g.shape.ball(r))
+    while True:
+        yield points
+        points = tuple(map(back, points))
+
+
+def oracle_pulled_moves(points):
+    """``moves(u)`` on one pulled ball: (position, image) for each pulled
+    point that u moves.  A supported u is read only at the points
+    strictly below its sites: in address order a vertex is followed by
+    all of its descendants and then by no other, so they are one run per
+    site of the points, sorted once however many witnesses read them."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    keys = [points[i] for i in order]
+
+    def moves(u):
+        if u.support is None:
+            positions = range(len(points))
+        else:
+            # every letter is below inf, so v + (inf,) follows v's subtree
+            positions = itertools.chain.from_iterable(
+                order[bisect_right(keys, v):bisect_left(keys, v + (inf,))] for v in u.support
+            )
+        out = []
+        for i in positions:
+            y = u._apply(points[i])
+            if y != points[i]:
+                out.append((i, y))
+        return out
+
+    return moves
+
+
+def oracle_slice(shape, v, c, r: int) -> list:
+    """Vertices properly extending v within distance r of c, in address
+    order, from the whole ball of radius |c| + r."""
+    def dist(x, y):
+        k = 0
+        while k < min(len(x), len(y)) and x[k] == y[k]:
+            k += 1
+        return len(x) + len(y) - 2 * k
+
+    return sorted(
+        x for x in shape.ball(len(c) + r)
+        if len(x) > len(v) and x[:len(v)] == v and dist(x, c) <= r
+    )
 
 
 def oracle_walked_contraction_certificates(g, us, ball_radius: int, direction: int = 1) -> list:

@@ -21,17 +21,14 @@ from tdlclab.boundary import (
 )
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import DisjointnessFailure, NotSkewering
-from tdlclab import tree
 from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
 from tdlclab.tree import (
     IsometrySpec,
     SpecWord,
-    SupportIndex,
-    _Conjugates,
+    _conjugate_moves,
     conjugate_families,
     hyperbolic_isometry,
     in_universal_group,
-    pullbacks,
     site_group,
     spec_image_clopen,
 )
@@ -40,9 +37,11 @@ from oracles import (
     full_table,
     oracle_conjugation_shifts,
     oracle_contraction_certificate,
+    oracle_pulled_moves,
     oracle_support_in,
     oracle_tables_commute,
     oracle_walked_contraction_certificates,
+    pullbacks,
 )
 from util import random_clopen
 
@@ -365,50 +364,30 @@ def _edges_keep_away_from_base(g, u, k):
 
 @pytest.mark.parametrize("depth", [4, 5, 6, 7])
 def test_half_tree_slices_match_the_pulled_ball_reading(depth):
-    # every (u, sign, k) against the pulled ball read through
-    # SupportIndex.moves, at the check radius and powers of goodshrink's
-    # contraction search.  A witness whose pushed edges point away from
-    # the base vertex reads a slice, one with a reversed edge the pulled
-    # ball, and both kinds occur; a slice may be empty, a reversed
-    # half-tree holds the base vertex.  The mixed specs with no support
-    # statement read the pulled ball either way; the walked-oracle tests
-    # above cover them
+    # every (u, sign, k) against the pulled ball read below the sites, at
+    # the check radius and powers of goodshrink's contraction search.  A
+    # witness whose pushed edges point away from the base vertex reads a
+    # slice below its sites, one with a reversed edge the part of the
+    # ball about g^-k(v0) from that vertex up to its sites, and both
+    # kinds occur; a slice may be empty, a reversed half-tree holds the
+    # base vertex.  The mixed specs with no support statement read the
+    # whole ball; the walked-oracle tests above cover them
     kappa_gens, beta_gens = _goodshrink_witnesses(depth)
     us = kappa_gens + beta_gens + _MIXED_SPECS[:1] + _AXIS_WITNESSES
     r = depth + 1
     ball = tuple(T3.ball(r))
     kinds = set()
     for sign in (1, -1):
-        conjugates = _Conjugates(T0, sign, us, r)
         for n, points in zip(range(depth + 5), pullbacks(T0, sign, r)):
-            index = SupportIndex(points)
+            pulled = oracle_pulled_moves(points)
+            moves = _conjugate_moves(T0, sign * n, r)
             forth = SpecWord(T3, ((T0, sign * n),))._apply
-            for i, u in enumerate(us):
-                got = list(conjugates.moves(i, n))
-                want = {ball[j]: forth(y) for j, y in index.moves(u)}
+            for u in us:
+                got = list(moves(u))
+                want = {ball[j]: forth(y) for j, y in pulled(u)}
                 assert dict(got) == want and len(got) == len(want), (sign, n, u)
                 kinds.add((_edges_keep_away_from_base(T0, u, sign * n), bool(want)))
     assert kinds == {(True, True), (True, False), (False, True)}
-
-
-def test_slices_pull_no_ball_when_every_edge_points_away(monkeypatch):
-    # the kappa witnesses under T0 move ever deeper, so neither their
-    # conjugate tables nor their onsets build a pulled ball; a witness
-    # with no support statement does
-    made = []
-
-    def counting(g, sign, r):
-        made.append(sign)
-        return pullbacks(g, sign, r)
-
-    monkeypatch.setattr(tree, "pullbacks", counting)
-    kappa_gens, _ = _goodshrink_witnesses(5)
-    assert all(_edges_keep_away_from_base(T0, u, k) for u in kappa_gens for k in range(10))
-    conjugate_families(T0, (1,), kappa_gens, 7)
-    contraction_certificates(T0, kappa_gens, 5)
-    assert made == []
-    contraction_certificates(T0, kappa_gens + [_MIXED_SPECS[1]], 5)
-    assert made == [1]
 
 
 @pytest.mark.parametrize("g", [T0, hyperbolic_isometry(T3, (0, 1))], ids=["t0", "t01"])

@@ -22,6 +22,7 @@ from tdlclab.permgrp import (
 from tdlclab.tree import (
     BallIsometry,
     _join_reduced,
+    _slice,
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
@@ -34,7 +35,6 @@ from tdlclab.tree import (
     level_group,
     level_order,
     local_prime_content,
-    pullbacks,
     schreier_dot,
     site_group,
     spec_image_clopen,
@@ -45,6 +45,8 @@ from oracles import (
     oracle_ball_table_error,
     oracle_congruence_kernel,
     oracle_in_universal_group,
+    oracle_slice,
+    pullbacks,
 )
 from tree_oracles import (
     oracle_compose_tables,
@@ -1001,6 +1003,48 @@ def test_pullbacks_step_one_power_at_a_time_seeded(shape):
                 assert points == tuple(back.apply(a) for a in ball)
 
 
+def _extend(rng, shape, v, n):
+    """v followed by n seeded letters, each legal after the last."""
+    for _ in range(n):
+        v = v + (rng.choice(shape.child_letters(v)),)
+    return v
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_slice_matches_the_pulled_ball_seeded(shape):
+    # seeded v with c below v, c equal to v and c off v's subtree, at
+    # radii on both sides of d(c, v), against the brute-force ball about
+    # c; and for c = g^-k(v0) against the pulled ball g^-k(B_r).  The
+    # walk yields each vertex once, and about the base vertex level by
+    # level
+    rng = random.Random(71)
+    kinds = set()
+    for _ in range(60):
+        v = _extend(rng, shape, ROOT, rng.randint(0, 3))
+        c = rng.choice((_extend(rng, shape, v, rng.randint(1, 4)), v, rng.choice(list(shape.ball(4)))))
+        k = 0
+        while k < min(len(c), len(v)) and c[k] == v[k]:
+            k += 1
+        kind = "off" if k < len(v) else "equal" if c == v else "below"
+        for r in range(6):
+            got = list(_slice(shape, v, c, r))
+            assert len(got) == len(set(got)), (v, c, r)
+            want = oracle_slice(shape, v, c, r)
+            assert sorted(got) == want, (v, c, r)
+            if c == ROOT:
+                assert got == sorted(got, key=lambda a: (len(a), a))
+            kinds.add((kind, r < len(c) + len(v) - 2 * k, bool(want)))
+    assert {("below", True, True), ("below", False, True), ("equal", False, True),
+            ("off", True, False), ("off", False, True)} <= kinds
+    for g in _conjugators(rng, shape):
+        for sign in (1, -1):
+            for n, points in zip(range(4), pullbacks(g, sign, 3)):
+                c = points[0]  # the pull-back of the base vertex
+                for v in rng.sample(list(shape.ball(3)), 6) + [c]:
+                    want = sorted(x for x in points if len(x) > len(v) and x[:len(v)] == v)
+                    assert sorted(_slice(shape, v, c, 3)) == want, (g, sign * n, v)
+
+
 @pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
 def test_conjugate_tables_match_walked_conjugates_seeded(shape):
     rng = random.Random(37)
@@ -1017,9 +1061,9 @@ def test_conjugate_tables_match_walked_conjugates_seeded(shape):
 
 
 @pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
-def test_conjugate_families_share_pullbacks_seeded(shape):
-    # one pull-back sequence per sign gives every power's tables, each
-    # as the whole-ball walk of the conjugate as a word
+def test_conjugate_families_equal_realize_of_the_conjugate_word_seeded(shape):
+    # every power's tables, however the powers are asked for, each the
+    # whole-ball walk of the conjugate as a word
     rng = random.Random(67)
     us = _seeded_portraits(rng, shape, 4) + [IsometrySpec(shape)]
     for g in _conjugators(rng, shape):

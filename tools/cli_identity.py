@@ -37,10 +37,15 @@ degree = 5
 generators = (0 1), (0 1 2 3 4)
 """
 ROOTED_ALT5 = ROOTED_SYM5.replace("(0 1), (0 1 2 3 4)", "(0 1 2), (2 3 4)")
+# US3_ELEMENTS plus u2, a witness at (1, 0) on the repelling side of g:
+# its conjugates by g^k read the ball about g^-k(v0) from inside the
+# subtree at (1, 0), the reversed half-tree
+US3_REVERSED = US3_ELEMENTS.replace("c = word g u1 g~\n", "c = word g u1 g~\nu2 = portrait 10:(1 2)\n")
 
 SPECS = {"elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY, "regular-sym3": US3,
          "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
-         "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5}
+         "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5,
+         "reversed": US3_REVERSED}
 TIMEOUT_S = 900.0
 
 
@@ -60,6 +65,10 @@ def cases() -> list[tuple[str, list[str]]]:
         for ball in ("4", "6"):
             out.append(("elements", ["certify", "contraction", "spec.ini",
                                      "--element", "g", "--u", u, "--ball", ball]))
+    # u2's conjugates climb from g^-k(v0) to its site, and never contract (exit 4)
+    for ball in ("2", "4", "6"):
+        out.append(("reversed", ["certify", "contraction", "spec.ini",
+                                 "--element", "g", "--u", "u2", "--ball", ball]))
     # the witness checks at depth 8 and at depth 10, where the half-tree
     # slices and the sparse tables read the largest balls
     for kind in ("goodshrink", "tits-core"):
