@@ -108,17 +108,22 @@ class TreeShape:
         return sum(self.sphere_size(k) for k in range(n + 1))
 
     def sphere(self, n: int) -> Iterator[Address]:
-        """All addresses of length exactly n, in lexicographic order."""
-        if n == 0:
-            yield ROOT
+        """All addresses of length exactly n, in lexicographic order,
+        expanded level by level; none when n < 0."""
+        if n < 0:
             return
-        for prefix in self.sphere(n - 1):
-            for c in self.child_letters(prefix):
-                yield prefix + (c,)
+        after = self._after
+        level = [ROOT]
+        for _ in range(n):
+            level = [a + (c,) for a in level for c in after[a[-1] if a else -1]]
+        yield from level
 
     def ball(self, n: int) -> Iterator[Address]:
-        for k in range(n + 1):
-            yield from self.sphere(k)
+        """All addresses of length at most n, level by level, each level
+        in lexicographic order; none when n < 0."""
+        if n >= 0:
+            yield ROOT
+            yield from _slice(self, ROOT, ROOT, n)
 
     def address_weight(self, addr: Address) -> Fraction:
         """Uniform-measure weight of the cylinder at ``addr``."""
@@ -131,6 +136,39 @@ def rooted(degree: int) -> TreeShape:
 
 def regular(degree: int) -> TreeShape:
     return TreeShape("regular", degree)
+
+
+def _slice(shape: TreeShape, v: Address, c: Address, r: int) -> Iterator[Address]:
+    """Vertices strictly below v within distance r of c, each once.
+
+    The walk starts at the vertex of v's subtree (v included) nearest to
+    c: c itself when c lies in that subtree, else v, at distance
+    d(c, v) = |c| + |v| - 2 lcp.  It climbs to v, and at each vertex
+    opens, level by level, the branches it did not come from, each level
+    one step further from c.  With c = v0 this is the ball below v, level
+    by level, each level in lexicographic order.
+    """
+    n = len(v)
+    if c[:n] == v:
+        at, d = c, 0
+    else:
+        k = 0
+        while k < len(c) and c[k] == v[k]:
+            k += 1
+        at, d = v, len(c) + n - 2 * k
+    children, came = shape.child_letters, None
+    while d <= r:
+        if len(at) > n:
+            yield at
+        level = [at + (x,) for x in children(at) if x != came]
+        for _ in range(d + 1, r):
+            yield from level
+            level = [b + (x,) for b in level for x in children(b)]
+        if d < r:
+            yield from level
+        if len(at) == n:
+            return
+        came, at, d = at[-1], at[:-1], d + 1
 
 
 # -- canonical covers ----------------------------------------------------

@@ -283,7 +283,9 @@ class _SpecParser:
             if head == "hyperbolic":
                 spec.elements[name] = self.parse_hyperbolic(spec.shape, rest, lineno, value_col)
             elif head == "portrait":
-                spec.elements[name] = self.parse_portrait(spec.shape, rest, lineno, value_col)
+                # its errors point into the sites, which start where rest does
+                at = value_col + len(value) - len(rest)
+                spec.elements[name] = self.parse_portrait(spec.shape, rest, lineno, at)
             elif head == "word":
                 spec.elements[name] = self.parse_word(spec, rest, lineno, value_col)
             else:
@@ -433,7 +435,7 @@ def _envelope(command: str, spec: GroupSpec, parameters: dict, results: dict,
         "command": command,
         "tool_version": __version__,
         "spec_hash": spec_hash(spec.text),
-        # canonical_json in _emit normalises once; the text format too
+        # _emit normalises the report once, for either format
         "parameters": parameters,
         "results": results,
         "certificates": certificates or [],
@@ -474,16 +476,18 @@ def _flatten(value, prefix: str = ""):
 
 
 def _emit(report: dict, args) -> None:
-    payload = canonical_json(report)
+    out = getattr(args, "out", None) if args.command != "certify" else None
     if args.format == "json":
+        payload = canonical_json(report)
         print(payload)
         verdict = report["results"].get("verdict", "done")
         print(f"# {report['command']}: {verdict}", file=sys.stderr)
     else:
-        for line in _flatten(normalise(report)):
+        plain = normalise(report)
+        for line in _flatten(plain):
             print(line)
-    out = getattr(args, "out", None)
-    if out and args.command != "certify":
+        payload = serialise(plain) if out else None
+    if out:
         Path(out).write_text(payload + "\n")
 
 
@@ -707,14 +711,15 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
         ctx = build_context(spec)
         bound = args.length_bound if args.length_bound is not None else 8
         parameters = {"length_bound": bound}
-        results = dynamics.free_semigroup_certificate(ctx, length_bound=bound)
-        checks = dict(results["checks"])
-        checks["image_count"] = results["image_count"]
-        checks["expected_images"] = results["expected_images"]
-        checks["word_table"] = results["word_table"]
-        certs.append(
-            _write_certificate(spec, kind, parameters, checks, results["verdict"], args.out)
+        results = _refuted_on(
+            NotSkewering, lambda: dynamics.free_semigroup_certificate(ctx, length_bound=bound)
         )
+        certified = results
+        if "checks" in results:
+            # the certificate records the image table beside the checks
+            table = {k: results[k] for k in ("image_count", "expected_images", "word_table")}
+            certified = {**results, "checks": {**results["checks"], **table}}
+        certs.append(_results_certificate(spec, kind, parameters, certified, args.out))
     elif kind == "tits-core":
         g = _resolve_element(spec, args.element, displacing=True)
         parameters = {"element": args.element}

@@ -40,7 +40,7 @@ from collections import deque
 from fractions import Fraction
 
 from .boolalg import CylinderClopen, TreeShape, format_address, sphere_list
-from .errors import SearchExhausted
+from .errors import NotSkewering, SearchExhausted
 from .permgrp import FiniteGroup
 from .tree import (
     IsometrySpec,
@@ -80,46 +80,27 @@ class ActionContext:
         self.word_bound = word_bound
         self._gens: dict[str, SpecWord] = {}
         self._inverse_names: dict[str, str] = {}
-        # each generator's spec map on an address, for the vertex steps
-        # of shallow states and the sections of an action graph, and for
-        # the measure rows once per working cylinder; the one-factor
-        # SpecWord._apply costs 3.2 us a step against 2.5 us
-        self._vertex_image: dict = {}
-        # A vertex v x deeper than R = |displacement| + site depth + 1
-        # moves by the wreath recursion g(v x) = g(v) pi(x): the letter
-        # x is never cancelled against the word, and pi is the site
-        # permutation that IsometrySpec._apply inherits at v's first
-        # R - 1 letters (_apply_inverse first strips the word, which
-        # shifts that prefix by at most |displacement| letters).  The
-        # action graph steps every generator this way below the largest R.
-        self.section_depth = 1
+        # the action graph steps every generator by the wreath recursion
+        # below the largest IsometrySpec.section_depth
+        self.section_depth = max(spec.section_depth for spec in generators.values())
         for name, spec in generators.items():
             if "~" in name:
                 raise ValueError("generator names may not contain '~'")
-            word = SpecWord.of(spec)
-            self._gens[name] = word
-            self._vertex_image[name] = spec._apply
-            self.section_depth = max(
-                self.section_depth, abs(spec.displacement) + spec.depth + 1
-            )
-            # Is g an involution?  Forward, _apply already moves v x to
-            # g(v) pi(x) once |v| >= max(d, s) (d the displacement, s the
-            # site depth), with pi inherited at v's first s letters.  For
-            # |u| >= 2d + s that holds for both factors of g^2, as
-            # |g(u)| >= |u| - d, so g^2(u x) = g^2(u) tau(x) with tau a
-            # permutation of the colours fixed by u's first 2d + s
-            # letters (g(u)'s first s letters depend on u's first d + s).
-            # If g^2 fixes the ball of radius 2d + s + 2, then below each
-            # u at depth 2d + s it fixes u's grandchildren, whose last
-            # letters run through every colour, so tau is the identity
-            # and g^2 fixes every vertex below u, by induction on depth.
-            # So that ball decides g^2 = 1 exactly, at every depth.
+            self._gens[name] = word = SpecWord.of(spec)
+            # Is g an involution?  With d its displacement and R its
+            # section depth, |g(u)| >= |u| - d and g(u)'s first R - 1
+            # letters depend on u's first R - 1 + d, so for
+            # |u| >= R - 1 + d, g^2(u x) = g^2(u) tau(x), tau fixed by
+            # u's first R - 1 + d letters.  If g^2 fixes the ball of
+            # radius R + d + 1, it fixes the grandchildren of each u at
+            # depth R - 1 + d, whose last letters run through every
+            # colour, so tau = 1 and, by induction on depth, g^2 fixes
+            # every vertex: that ball decides g^2 = 1 exactly.
             square = SpecWord(shape, ((spec, 2),))
-            if square.is_identity_on(2 * abs(spec.displacement) + spec.depth + 2):
+            if square.is_identity_on(spec.section_depth + spec.displacement + 1):
                 self._inverse_names[name] = name
             else:
                 self._gens[name + "~"] = word.inverse()
-                self._vertex_image[name + "~"] = spec._apply_inverse
                 self._inverse_names[name] = name + "~"
                 self._inverse_names[name + "~"] = name
         self.gen_names = tuple(self._gens)
@@ -168,7 +149,7 @@ class ActionContext:
         goes through the memoised image, and a one-cylinder image becomes
         a vertex again."""
         if type(state) is tuple and len(state) > self._displacement[name]:
-            return self._vertex_image[name](state)
+            return self._gens[name]._apply(state)
         image = self.image(name, self.state_clopen(state))
         if len(image.cover) == 1:
             (vertex,) = image.cover
@@ -271,8 +252,9 @@ class _ActionGraph:
     by the wreath recursion g(v x) = g(v) pi(x): to the child of its
     parent's image at its letter's image under g's section pi, which is
     constant below R.  So each section is read once per anchor, a node
-    at depth R, by applying ``_vertex_image`` to the addresses one level
-    below it, and a parent's image is its neighbour when it is expanded.
+    at depth R, by applying each generator's one-letter ``SpecWord``, whose
+    map is its atom's, to the addresses one level below it, and a
+    parent's image is its neighbour when it is expanded.
     Only shallower nodes and clopens step by ``ctx.step`` on their
     spelled state; the searches name states by index and spell none.
 
@@ -390,7 +372,7 @@ class _ActionGraph:
             letters = self.ctx.shape.child_letters(addr)
             columns = []
             for name in self._names:
-                image = self.ctx._vertex_image[name]
+                image = self.ctx._gens[name]._apply
                 column = list(range(degree))
                 for x in letters:
                     column[x] = image(addr + (x,))[-1]
@@ -816,11 +798,14 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     that the images of all words up to the length bound are compared
     for literal distinctness.  Distinct images put the words in
     distinct alpha-stabiliser cosets, witnessing discreteness of the
-    generated pair.
+    generated pair.  A refuted skewering search raises NotSkewering with
+    its reason; one cut off by the word bound raises SearchExhausted.
     """
     if length_bound < 0:
         raise ValueError(f"length bound must be at least 0, got {length_bound}")
     sk = skewering_search(ctx)
+    if sk["verdict"] == "refuted_at_depth":
+        raise NotSkewering(sk["reason"])
     if sk["verdict"] != "found":
         raise SearchExhausted("skewering pair for the free subsemigroup", ctx.word_bound)
     g_word = tuple(sk["word"])

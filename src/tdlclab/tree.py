@@ -12,7 +12,8 @@ portrait, which decorates finitely many sites with colour permutations,
 followed by a word translation; it applies to addresses of any depth.
 SpecWord is a formal product of powers of atoms, evaluated factor by
 factor, so it stays exact too; a factor that is itself a word is spelled
-out when the SpecWord is built, so its factors are always atoms.
+out when the SpecWord is built, so its factors are always atoms, and a
+one-letter word, an atom or its inverse, applies that atom's own map.
 BallIsometry is the validated table of an exact element on a ball about
 the base vertex; products and inverses are formed exactly before
 tabulating, and a local action past the precision raises
@@ -23,43 +24,44 @@ IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
 on an illegal address, then run unchecked code, because the image of a
 legal address is legal.  SpecWord applies its factors through the
 unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
-address check at all: realize and SpecWord.is_identity_on walk ball
-vertices, legal by construction, through the unchecked _apply, and every
-BallIsometry validates its table when it is built (domain, injectivity,
-legal images, adjacency).  spec_image_clopen likewise checks only that
-the clopen lives on the recipe's shape, then applies the clopen's atoms,
-legal by construction, through _apply; CylinderClopen.from_addresses
-still rejects any illegal image.  Each portrait site is compiled once,
-when the spec is built, to the forward and inverse image tuples of its
-colour permutation; below the deepest site no lookup is made.
+address check at all: _moved reads ball vertices, legal by construction,
+through the unchecked _apply, and every BallIsometry validates its table
+when it is built (domain, injectivity, legal images, adjacency).
+spec_image_clopen likewise checks only that the clopen lives on the
+recipe's shape, then applies the clopen's atoms, legal by construction,
+through _apply; CylinderClopen.from_addresses still rejects any illegal
+image.  Each portrait site is compiled once, when the spec is built, to
+the forward and inverse image tuples of its colour permutation; below
+the deepest site no lookup is made.
 
 A ball table lists only the vertices its element moves, with their
 images; every other vertex of the ball is fixed.  An IsometrySpec with
 no word states its support once: the sites whose subtrees hold every
 vertex it moves (a vertex moves only below a decorated site).  A word,
-or a site at the base vertex, makes no such statement.  So realize of a
-supported spec walks only the ball vertices strictly below its sites,
-and a rigid-stabiliser witness's table, and that of its conjugate, is
-as large as the part of the ball it moves.  A displacing element's
-table lists most of the ball; it is the same class.
+or a site at the base vertex, makes no such statement.  _moved(u, c, r)
+yields each point u moves within distance r of c, with its image, and
+reads only the points strictly below u's sites, or the whole ball about
+c when u states no support.  realize tabulates it about the base vertex,
+so a rigid-stabiliser witness's table is as large as the part of the
+ball it moves, and SpecWord.is_identity_on stops at its first point.  A
+displacing element's table lists most of the ball; it is the same class.
 
 Conjugates g^k u g^-k take a shorter path than walking every letter of
 the word at every ball vertex: the conjugate fixes a exactly when u
 fixes x = g^-k(a), and otherwise sends a to g^k(u(x)).  g^-k maps B_r
 onto the ball of radius r about c = g^-k(v0), so the points x to read
-are the points of that ball that u can move: those strictly below u's
-sites, or the whole ball when u states no support.  One walk, _slice,
-yields the part of a ball about c strictly below a vertex v, each point
-once: it starts at the vertex of v's subtree nearest to c and climbs to
-v, opening at each step the branches it did not come from.  g^k carries
+are those _moved(u, c, r) yields.  Its walk, boolalg's _slice, yields
+the part of a ball about c strictly below a vertex v, each point once:
+it starts at the vertex of v's subtree nearest to c and climbs to v,
+opening at each step the branches it did not come from.  g^k carries
 the subtree below v onto the half-tree at the edge from g^k(v) to
 g^k(parent v) (Tits 1970).  When c lies outside v's subtree that edge
 points away from the base vertex, and the walk goes at most
 r - d(c, v) levels below v, none once d(c, v) >= r; when c lies inside,
 the half-tree holds the base vertex, and the walk climbs from c to v.
-_conjugate_moves reads the points u moves this way, lazily, and pushes
-each forward by g^k once, through a memo that every witness of that
-power shares.  conjugate_families tabulates the moved points, and
+_conjugate_moves pushes each point _moved yields forward by g^k once,
+lazily, through a memo that every witness of that power shares.
+conjugate_families tabulates the moved points, and
 boundary.contraction_certificates calls a conjugate trivial when no
 point is moved.  Each finished table is validated as realize's is.
 
@@ -83,6 +85,7 @@ from .boolalg import (
     Address,
     CylinderClopen,
     TreeShape,
+    _slice,
     ball_set,
     format_address,
     sphere_list,
@@ -298,6 +301,22 @@ class IsometrySpec:
     def displacement(self) -> int:
         return len(self.word)
 
+    @property
+    def section_depth(self) -> int:
+        """R = |word| + site depth + 1: for |v| >= R - 1 the spec and its
+        inverse move v x to g(v) pi(x), pi a colour permutation fixed by
+        v's first R - 1 letters (the wreath recursion).
+
+        With d = |word| and s the site depth: forward, letter j >= s of
+        v x is recoloured by the site inherited at v's first s letters
+        (on rooted shapes the site at v, or none), and the word cancels
+        at most d letters, from the front, so x survives.  Inverse, stripping the word cancels at most d letters
+        of v, leaving at least s of them before x, and past letter s the
+        portrait is solved by a site fixed by the stripped address's
+        first s letters, which depend on v's first d + s.
+        """
+        return len(self.word) + self.depth + 1
+
     def apply(self, addr: Address) -> Address:
         addr = tuple(addr)
         self.shape.require_legal(addr)
@@ -366,59 +385,22 @@ class IsometrySpec:
         return tuple(out)
 
     def realize(self, r: int) -> BallIsometry:
-        """Radius-r ball table; with a support statement only the ball
-        vertices strictly below the sites are walked."""
-        if self.support is None:
-            return BallIsometry(self.shape, r, dict(_ball_images(self, r)))
-        image = self._apply
-        moved = {}
-        for v in self.support:
-            for a in _slice(self.shape, v, ROOT, r):
-                b = image(a)
-                if b != a:
-                    moved[a] = b
-        return BallIsometry(self.shape, r, moved)
+        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
 
 
-def _ball_images(mover, r: int):
-    """(vertex, image) over the radius-r ball, through the unchecked
-    _apply: ball vertices are legal by construction."""
-    image = mover._apply
-    for a in mover.shape.ball(r):
-        yield a, image(a)
-
-
-def _slice(shape: TreeShape, v: Address, c: Address, r: int):
-    """Vertices strictly below v within distance r of c, each once.
-
-    The walk starts at the vertex of v's subtree (v included) nearest to
-    c: c itself when c lies in that subtree, else v, at distance
-    d(c, v) = |c| + |v| - 2 lcp.  It climbs to v, and at each vertex
-    opens, level by level, the branches it did not come from, each level
-    one step further from c.  With c = v0 this is the ball below v, level
-    by level.
-    """
-    n = len(v)
-    if c[:n] == v:
-        at, d = c, 0
+def _moved(u, c: Address, r: int):
+    """(x, u(x)) for each point x within distance r of c that u moves,
+    read through the unchecked _apply: the points strictly below u's
+    sites, or the whole ball about c when u states no support."""
+    shape, image = u.shape, u._apply
+    if u.support is None:
+        points = chain((ROOT,) if len(c) <= r else (), _slice(shape, ROOT, c, r))
     else:
-        k = 0
-        while k < len(c) and c[k] == v[k]:
-            k += 1
-        at, d = v, len(c) + n - 2 * k
-    children, came = shape.child_letters, None
-    while d <= r:
-        if len(at) > n:
-            yield at
-        level = [at + (x,) for x in children(at) if x != came]
-        for _ in range(d + 1, r):
-            yield from level
-            level = [b + (x,) for b in level for x in children(b)]
-        if d < r:
-            yield from level
-        if len(at) == n:
-            return
-        came, at, d = at[-1], at[:-1], d + 1
+        points = chain.from_iterable(_slice(shape, v, c, r) for v in u.support)
+    for x in points:
+        y = image(x)
+        if y != x:
+            yield x, y
 
 
 def hyperbolic_isometry(shape: TreeShape, axis) -> IsometrySpec:
@@ -484,6 +466,10 @@ class SpecWord:
             else:
                 atoms.append((f, e))
         object.__setattr__(self, "factors", tuple(atoms))
+        if len(atoms) == 1 and abs(atoms[0][1]) == 1:
+            # one letter, as each ActionContext generator is: skip the loop
+            spec, e = atoms[0]
+            object.__setattr__(self, "_apply", spec._apply if e == 1 else spec._apply_inverse)
 
     @classmethod
     def of(cls, *specs: IsometrySpec) -> "SpecWord":
@@ -529,10 +515,10 @@ class SpecWord:
         return None
 
     def realize(self, r: int) -> BallIsometry:
-        return BallIsometry(self.shape, r, dict(_ball_images(self, r)))
+        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
 
     def is_identity_on(self, r: int) -> bool:
-        return all(a == b for a, b in _ball_images(self, r))
+        return next(_moved(self, ROOT, r), None) is None
 
 
 # -- conjugates -----------------------------------------------------------------
@@ -542,12 +528,10 @@ def _conjugate_moves(g, k: int, r: int):
     """``moves(u)``: the moved part of the conjugate g^k u g^-k on B_r.
 
     ``moves(u)`` lazily yields (a, b) for each ball point a that the
-    conjugate moves, and its image b: u moves x = g^-k(a), and
-    b = g^k(u(x)).  g^-k maps B_r onto the ball of radius r about
-    c = g^-k(v0), computed once, so x runs over the points of that ball
-    strictly below u's sites, or over the whole ball when u states no
-    support.  Each moved point is pushed forward once, through a memo
-    that every u of this power shares.
+    conjugate moves, and its image b: for each (x, u(x)) that _moved
+    yields about c = g^-k(v0), computed once, a = g^k(x) and
+    b = g^k(u(x)), each pushed forward once, through a memo that every
+    u of this power shares.
     """
     shape = g.shape
     c = SpecWord(shape, ((g, -k),))._apply(ROOT)
@@ -555,32 +539,19 @@ def _conjugate_moves(g, k: int, r: int):
     pushed: dict = {}
 
     def moves(u):
-        image = u._apply
-        if u.support is None:
-            points = chain((ROOT,) if len(c) <= r else (), _slice(shape, ROOT, c, r))
-        else:
-            points = chain.from_iterable(_slice(shape, v, c, r) for v in u.support)
-        for x in points:
-            y = image(x)
-            if y != x:
-                for z in (x, y):
-                    if z not in pushed:
-                        pushed[z] = forth(z)
-                yield pushed[x], pushed[y]
+        for x, y in _moved(u, c, r):
+            for z in (x, y):
+                if z not in pushed:
+                    pushed[z] = forth(z)
+            yield pushed[x], pushed[y]
 
     return moves
 
 
 def conjugate_families(g, ks, us, r: int) -> dict:
     """Radius-r ball tables of the conjugates g^k u g^-k, one list per
-    power k in ks, keyed by k, one table per u.
-
-    The conjugate fixes a exactly when u fixes x = g^-k(a), and
-    otherwise sends a to g^k(u(x)).  Each table lists just those moved
-    points, as ``_conjugate_moves`` yields them: a supported witness
-    reads only the points of the ball about g^-k(v0) strictly below its
-    sites, a witness with no support statement that whole ball.  Each
-    table is validated as a BallIsometry.
+    power k in ks, keyed by k, one table per u: the moved points that
+    ``_conjugate_moves`` yields, validated as a BallIsometry.
     """
     out: dict = {}
     for k in set(ks):

@@ -43,12 +43,20 @@ reads one pulled ball as the conjugates did before that walk: a
 supported u only at the pulled points strictly below its sites, one run
 per site of the points sorted once, any other u at every pulled point.
 The slice oracle is a brute-force ball: every vertex within distance r
-of c by the path-length formula, kept when it properly extends v.  The commutation oracle checks every point of
-the domain, and the support oracle every vertex of the ball outside the
-region, where ``tables_commute`` and ``support_in`` read only the points
-a table moves.  The shift oracle reads g's table and both families'
-tables at every point of the depth ball, where ``conjugation_shifts``
-reads g's table once there and the families only where they move.
+of c by the path-length formula, kept when it properly extends v.  The
+sphere and ball oracles are ``TreeShape.sphere`` and ``ball`` as they
+were before they expanded level by level and walked ``_slice``: each
+sphere point extends a point of the sphere below it, recursively, and a
+ball chains its spheres; both are empty below radius 0.  The realize
+oracle is the whole-ball reading that ``realize`` and ``is_identity_on``
+made before they read only the points ``_moved`` yields: it applies the
+element at every vertex of that ball.  The commutation oracle checks
+every point of the domain, and the support oracle every vertex of the
+ball outside the region, where ``tables_commute`` and ``support_in``
+read only the points a table moves.  The shift oracle reads g's table
+and both families' tables at every point of the depth ball, where
+``conjugation_shifts`` reads g's table once there and the families only
+where they move.
 
 The table oracles read ball tables as they were before tables listed
 only their moved vertices: ``full_table`` spells a table out over the
@@ -697,6 +705,29 @@ def oracle_slice(shape, v, c, r: int) -> list:
         x for x in shape.ball(len(c) + r)
         if len(x) > len(v) and x[:len(v)] == v and dist(x, c) <= r
     )
+
+
+def oracle_sphere(shape, n: int):
+    """Addresses of length exactly n, in lexicographic order."""
+    if n < 0:
+        return
+    if n == 0:
+        yield ROOT
+        return
+    for prefix in oracle_sphere(shape, n - 1):
+        for c in shape.child_letters(prefix):
+            yield prefix + (c,)
+
+
+def oracle_ball(shape, n: int):
+    for k in range(n + 1):
+        yield from oracle_sphere(shape, k)
+
+
+def oracle_realize(mover, r: int) -> dict:
+    """The whole radius-r ball table of an exact element, fixed vertices
+    included, through its unchecked _apply."""
+    return {a: mover._apply(a) for a in oracle_ball(mover.shape, r)}
 
 
 def oracle_walked_contraction_certificates(g, us, ball_radius: int, direction: int = 1) -> list:

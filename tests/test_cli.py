@@ -209,6 +209,78 @@ def test_parse_rejects_elements_on_two_copy():
     assert "two-copy" in str(err.value)
 
 
+_HEAD = "[tree]\nkind = regular\ndegree = 3\n\n[local_group]\ngenerators = (1 2), (0 1 2)\n"
+_ELEMENTS = _HEAD + "\n[elements]\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("[tree\nkind = regular\n", "unterminated section header", 1, 1),
+        ("[trees]\n", "unknown section [trees]", 1, 1),
+        (_HEAD + "[tree]\n", "duplicate section [tree]", 7, 1),
+        ("kind = regular\n[tree]\n", "content before any section header", 1, 1),
+        ("[tree]\nkind regular\n", "expected 'key = value'", 2, 1),
+        ("[tree]\n  = regular\n", "empty key", 2, 1),
+        ("[tree]\nkind = regular\ndegree = 3\n", "missing [local_group] section", 1, 1),
+        ("[local_group]\ngenerators = (0 1)\n", "missing [tree] section", 1, 1),
+        ("[tree]\nkind = cubic\ndegree = 3\n[local_group]\n", "unknown tree kind 'cubic'", 2, 8),
+        ("[tree]\nkind = regular\ndegre = 3\n[local_group]\n",
+         "unknown key 'degre' in [tree]", 3, 1),
+        ("[tree]\ndegree = 3\n[local_group]\n", "missing 'kind' in [tree]", 1, 1),
+        ("\n[tree]\nkind = rooted\n[local_group]\n", "missing 'degree' in [tree]", 2, 1),
+        ("[tree]\nkind = regular\ndegree = 2\n[local_group]\n",
+         "regular shape needs degree >= 3", 1, 1),
+        ("[tree]\nkind = regular\ndegree = 3\n[local_group]\ngens = (0 1)\n",
+         "unknown key 'gens' in [local_group]", 5, 1),
+        ("[tree]\nkind = regular\ndegree = 3\n[local_group]\ngenerators = (0 1),  (0 5)\n",
+         "point 5 out of range for degree 3", 5, 22),
+        (_ELEMENTS + "2g = hyperbolic axis=0\n", "element name '2g' is not an identifier", 9, 1),
+        (_ELEMENTS + "g = hyperbolic axis=0\ng = hyperbolic axis=1\n", "duplicate element 'g'", 10, 1),
+        (_ELEMENTS + "g = elliptic axis=0\n",
+         "unknown element form 'elliptic' (want hyperbolic, portrait or word)", 9, 5),
+        (_ELEMENTS + "g = hyperbolic axes=0\n", "hyperbolic takes 'axis=<colour word>'", 9, 5),
+        (_ELEMENTS + "g = hyperbolic axis=00\n", "axis word is not freely reduced", 9, 5),
+        (_ELEMENTS + "u = portrait\n", "portrait needs at least one 'addr:(cycles)' site", 9, 13),
+        (_ELEMENTS + "u = portrait 01(0 2)\n", "site '01(0 2)' wants 'addr:(cycles)'", 9, 14),
+        (_ELEMENTS + "u = portrait  01:(0 2) 0x:(0 2)\n", "bad site address '0x'", 9, 24),
+        (_ELEMENTS + "u = portrait 01:(0 7)\n", "point 7 out of range for degree 3", 9, 17),
+        (_ELEMENTS + "u = portrait 01:(0 2) 01:(0 2)\n", "portrait repeats a site address", 9, 14),
+        (_ELEMENTS + "u = portrait 00:(1 2)\n",
+         "illegal address (0, 0) for TreeShape(kind='regular', degree=3)", 9, 14),
+        (_ELEMENTS + "w = word\n", "word needs at least one element name", 9, 5),
+        (_ELEMENTS + "g = hyperbolic axis=0\nw = word g h~\n",
+         "word references unknown element 'h'", 10, 5),
+        (_HEAD + "[limits]\ndepht = 3\n", "unknown key 'depht' in [limits]", 8, 1),
+        (_HEAD + "[limits]\ndepth = three\n", "expected an integer, got 'three'", 8, 9),
+        (_HEAD + "[limits]\nword_bound = 0\n", "value 0 below minimum 1", 8, 14),
+    ],
+    ids=[
+        "unterminated-section", "unknown-section", "duplicate-section", "content-before-header",
+        "no-equals", "empty-key", "missing-local-group", "missing-tree", "unknown-kind",
+        "unknown-tree-key", "missing-kind", "missing-degree", "bad-degree", "unknown-local-key",
+        "bad-generator", "element-name", "duplicate-element", "unknown-form", "bad-axis-form",
+        "bad-axis", "empty-portrait", "site-without-colon", "bad-site-address", "bad-site-cycle",
+        "repeated-site", "illegal-site", "empty-word", "unknown-word-element",
+        "unknown-limits-key", "non-integer", "below-minimum",
+    ],
+)
+def test_malformed_specs_name_the_fault_and_its_position(text, message, line, column):
+    with pytest.raises(SpecFileError) as err:
+        cli.parse_spec_text(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_cli_reports_a_malformed_spec(spec_file, capsys):
+    code, report, captured = run_cli(
+        capsys, "dynamics", "minimal", spec_file(_ELEMENTS + "u = portrait 01:(0 7)\n")
+    )
+    assert code == 2
+    assert report is None
+    assert captured.err == "spec error: line 9, column 17: point 7 out of range for degree 3\n"
+
+
 # -------------------------------------------------------------- report-local
 
 
@@ -406,12 +478,19 @@ def test_certify_free_semigroup_word_table(spec_file, capsys, tmp_path):
     assert cert["checks"]["all_images_distinct"] is True
 
 
-def test_certify_free_semigroup_exhausts_on_rotations(spec_file, capsys):
-    code, _, captured = run_cli(
-        capsys, "certify", "free-semigroup", spec_file(ROTONLY)
+def test_certify_free_semigroup_refutes_on_rotations(spec_file, capsys, tmp_path):
+    # every generator fixes the base vertex, so the skewering search is
+    # refuted, whatever the word bound: exit 1, with a refuted certificate
+    out = tmp_path / "free.cert.json"
+    code, report, _ = run_cli(
+        capsys, "certify", "free-semigroup", spec_file(ROTONLY), "--out", str(out)
     )
-    assert code == 4
-    assert "search exhausted" in captured.err
+    assert code == 1
+    assert report["results"]["error"] == "NotSkewering"
+    assert "fixes the base vertex" in report["results"]["reason"]
+    cert = json.loads(out.read_text())
+    assert cert["verdict"] == "refuted_at_depth"
+    assert cert["checks"] == {"reason": report["results"]["reason"]}
 
 
 def test_certify_orbit_join_and_tits_core(spec_file, capsys, tmp_path):

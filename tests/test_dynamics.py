@@ -13,7 +13,7 @@ import pytest
 
 from tdlclab.boolalg import ROOT, CylinderClopen, regular
 from tdlclab.certificates import canonical_json
-from tdlclab.errors import SearchExhausted
+from tdlclab.errors import NotSkewering, SearchExhausted
 from tdlclab.permgrp import Perm, symmetric_group
 from tdlclab.tree import IsometrySpec, SpecWord, hyperbolic_isometry, site_group, spec_image_clopen
 from tdlclab import dynamics as dy
@@ -642,6 +642,35 @@ def test_pair_compression_seeded_deep_pairs():
             assert ctx.word_image(tuple(schedule["word"]), ctx.state_clopen(state)).leq(target)
 
 
+def test_pair_compression_power_then_rotation_replays_seeded():
+    # depth-1..3 cylinder targets send some pairs past the plain powers and
+    # rotation-first schedules to a power followed by one base-fixing
+    # rotation; each such word, replayed as one composed recipe, moves
+    # both ends inside the target
+    ctx = dy.translation_rotation_context(S3, depth=3)
+    rng = random.Random(7)
+    states = ctx.states()
+    targets = [CylinderClopen.cylinder(T3, a) for k in (1, 2, 3) for a in T3.sphere(k)]
+    found = 0
+    for _ in range(40):
+        xi, eta, target = rng.choice(states), rng.choice(states), rng.choice(targets)
+        try:
+            schedule = dy.pair_compression(ctx, xi, eta, target)
+        except SearchExhausted:
+            continue
+        if schedule["strategy"] != "power+rotation":
+            continue
+        found += 1
+        *powers, rot = word = tuple(schedule["word"])
+        assert len(set(powers)) == 1 and rot not in powers
+        assert ctx.generator(rot).displacement == 0
+        assert len(word) <= ctx.word_bound
+        mover = ctx.word(word)
+        for state in (xi, eta):
+            assert spec_image_clopen(mover, ctx.state_clopen(state)).leq(target)
+    assert found >= 3
+
+
 # ---------------------------------------------------------- free subsemigroup
 
 
@@ -678,7 +707,7 @@ def test_free_semigroup_length_one_is_trivial():
 
 
 def test_free_semigroup_needs_a_translation():
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(NotSkewering, match="fixes the base vertex"):
         dy.free_semigroup_certificate(dy.rotation_context(S3, depth=2))
 
 

@@ -6,6 +6,7 @@ import pytest
 from tdlclab.boolalg import (
     ROOT,
     CylinderClopen,
+    _slice,
     parse_clopen,
     regular,
     rooted,
@@ -22,7 +23,6 @@ from tdlclab.permgrp import (
 from tdlclab.tree import (
     BallIsometry,
     _join_reduced,
-    _slice,
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
@@ -42,10 +42,13 @@ from tdlclab.tree import (
 )
 from oracles import (
     full_table,
+    oracle_ball,
     oracle_ball_table_error,
     oracle_congruence_kernel,
     oracle_in_universal_group,
+    oracle_realize,
     oracle_slice,
+    oracle_sphere,
     pullbacks,
 )
 from tree_oracles import (
@@ -959,19 +962,64 @@ def _random_movers(rng, shape):
 
 @pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
 def test_realize_and_identity_check_match_checked_apply_seeded(shape):
+    # seeded specs and words, plus a supported spec, a base-vertex site
+    # and on T3 a translation, each also as a one-letter SpecWord and its
+    # inverse, against the whole-ball reading and checked apply; at
+    # radius 0 the translation moves only the base vertex
     rng = random.Random(23)
     specs, words = _random_movers(rng, shape)
-    r = 4 if shape is T3 else 5
-    ball = list(shape.ball(r))
-    verdicts = set()
-    for mover in specs + words:
-        table = full_table(mover.realize(r))
-        assert table == {a: mover.apply(a) for a in ball}
-        if isinstance(mover, SpecWord):
-            fixed = all(table[a] == a for a in ball)
-            assert mover.is_identity_on(r) == fixed
-            verdicts.add(fixed)
+    base = Perm((1, 2, 0)) if shape is T3 else Perm((1, 0))
+    deep = ((0, 1), Perm((2, 1, 0))) if shape is T3 else ((1,), Perm((1, 0)))
+    specs += [IsometrySpec(shape, sites=((ROOT, base),)), IsometrySpec(shape, sites=(deep,))]
+    if shape is T3:
+        specs.append(hyperbolic_isometry(shape, (0,)))
+    letters = [SpecWord(shape, ((s, e),)) for s in specs for e in (1, -1)]
+    kinds, verdicts = set(), set()
+    for mover in specs + letters + words:
+        if isinstance(mover, IsometrySpec):
+            kinds.add("supported" if mover.support is not None
+                      else "word" if mover.word else "base site")
+        elif len(mover.factors) == 1 and abs(mover.factors[0][1]) == 1:
+            kinds.add("letter" if mover.factors[0][1] == 1 else "inverse letter")
+        else:
+            kinds.add("multi-letter")
+        for r in range(5 if shape is T3 else 6):
+            want = oracle_realize(mover, r)
+            assert want == {a: mover.apply(a) for a in want}
+            assert full_table(mover.realize(r)) == want, (mover, r)
+            if isinstance(mover, SpecWord):
+                fixed = all(a == b for a, b in want.items())
+                assert mover.is_identity_on(r) == fixed, (mover, r)
+                verdicts.add(fixed)
     assert verdicts == {True, False}
+    assert kinds == {"supported", "base site", "letter", "inverse letter", "multi-letter"} | (
+        {"word"} if shape is T3 else set()
+    )
+
+
+@pytest.mark.parametrize("shape", [R2, rooted(3), T3, regular(4)],
+                         ids=["rooted2", "rooted3", "regular3", "regular4"])
+def test_sphere_and_ball_match_the_recursion(shape):
+    for n in range(-1, 8):
+        assert list(shape.sphere(n)) == list(oracle_sphere(shape, n)), n
+        assert list(shape.ball(n)) == list(oracle_ball(shape, n)), n
+    assert list(shape.ball(-1)) == list(shape.sphere(-1)) == []
+
+
+@pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
+def test_one_letter_words_apply_their_atom_seeded(shape):
+    # a one-letter SpecWord takes its atom's map, or the inverse map, as
+    # its own _apply; it must agree with the loop over the factors
+    rng = random.Random(89)
+    specs, _ = _random_movers(rng, shape)
+    points = list(shape.ball(5))
+    for spec in specs:
+        for e in (1, -1):
+            word = SpecWord(shape, ((spec, e),))
+            for a in rng.sample(points, 40):
+                assert word._apply(a) == SpecWord._apply(word, a), (spec, e, a)
+            assert word.apply((0, 1)) == (spec.apply if e == 1 else spec.apply_inverse)((0, 1))
+    assert any(s.apply(a) != s.apply_inverse(a) for s in specs for a in points)
 
 
 def _conjugators(rng, shape):

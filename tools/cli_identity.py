@@ -25,7 +25,9 @@ HERE = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.relative_to(HERE).as_posix() for p in (HERE / "demos").glob("0*.py"))
 
 sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
-from test_cli import LONE_AXIS, ROOTED_BINARY, TWOCOPY, US3, US3_ELEMENTS, US3_WORD  # noqa: E402
+from test_cli import (  # noqa: E402
+    LONE_AXIS, ROOTED_BINARY, ROTONLY, TWOCOPY, US3, US3_ELEMENTS, US3_WORD,
+)
 
 # rooted degree-5 trees over the non-soluble Sym(5) and Alt(5)
 ROOTED_SYM5 = """\
@@ -45,7 +47,7 @@ US3_REVERSED = US3_ELEMENTS.replace("c = word g u1 g~\n", "c = word g u1 g~\nu2 
 SPECS = {"elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY, "regular-sym3": US3,
          "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
          "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5,
-         "reversed": US3_REVERSED}
+         "reversed": US3_REVERSED, "rotation-only": ROTONLY}
 TIMEOUT_S = 900.0
 
 
@@ -99,7 +101,8 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append(("two-copy", ["dynamics", check, "spec.ini"]))
         for depth in ("3", "5"):
             out.append(("two-copy", ["dynamics", check, "spec.ini", "--depth", depth]))
-    for check in ("minimal", "degree"):
+    # rooted generators step through their one-letter words' own maps
+    for check in ("minimal", "degree", "measure", "proximal"):
         out.append(("rooted-binary", ["dynamics", check, "spec.ini", "--depth", "4"]))
     # trie steps below a site deeper than the base (u1 at depth 2), and
     # the lone axis, whose degree search exhausts its bound (exit 4)
@@ -119,6 +122,8 @@ def cases() -> list[tuple[str, list[str]]]:
             out.append((spec, ["dynamics", "measure", "spec.ini", "--depth", str(depth)]))
     out.append(("regular-sym3", ["certify", "orbit-join", "spec.ini"]))
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
+    # every generator fixes the base vertex, so the skewering search is refuted
+    out.append(("rotation-only", ["certify", "free-semigroup", "spec.ini"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
     out.append(("elements", ["export", "stone-orbit", "spec.ini", "--depth", "3"]))
     # each copy's generators on their own copy, and a self-loop on the other
