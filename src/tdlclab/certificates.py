@@ -12,33 +12,80 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 
 SCHEMA_VERSION = 1
 
 
+# the JSON leaves that fold to themselves, by exact type: a subclass
+# (an int enum, say) takes the general path below
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
 def normalise(value):
-    """Fold library and container types onto plain JSON values."""
-    if isinstance(value, str):  # the commonest leaf, tested first
+    """Fold library and container types onto plain JSON values.
+
+    A value that is plain JSON already is returned as it is, not copied:
+    a list or dict is copied only from its first member that folds, so
+    callers must not mutate what they pass in or get back.
+    """
+    kind = type(value)
+    if kind in _LEAVES:
+        return value
+    if kind is list or kind is tuple:
+        for i, item in enumerate(value):
+            if type(item) in _LEAVES:
+                continue
+            folded = normalise(item)
+            if folded is not item:
+                return [*value[:i], folded, *map(normalise, value[i + 1:])]
+        return value if kind is list else list(value)
+    if kind is dict:
+        for i, (key, item) in enumerate(value.items()):
+            if type(key) is str:
+                item_kind = type(item)
+                if item_kind in _LEAVES:
+                    continue
+                if item_kind is list:  # a list of leaves, read here without a call
+                    for member in item:
+                        if type(member) not in _LEAVES:
+                            break
+                    else:
+                        continue
+                folded = normalise(item)
+                if folded is item:
+                    continue
+            else:
+                key, folded = normalise_key(key), normalise(item)
+            items = iter(value.items())
+            out = dict(islice(items, i))
+            next(items)
+            out[key] = folded
+            return _fold_items(out, items)
+        return value
+    return _fold(value)
+
+
+def _fold_items(out: dict, items) -> dict:
+    for k, v in items:
+        out[normalise_key(k)] = normalise(v)
+    return out
+
+
+def _fold(value):
+    """Fold a value of any type but an exact leaf, list, tuple or dict."""
+    if isinstance(value, (str, int)):  # bool and None have no subclasses
         return value
     if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if not isinstance(k, str):
-                k = normalise_key(k)
-            out[k] = normalise(v)
-        return out
+        return _fold_items({}, value.items())
     if isinstance(value, (set, frozenset)):
         return sorted(normalise(v) for v in value)
     if isinstance(value, (list, tuple)):
         return [normalise(v) for v in value]
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
     if isinstance(value, float):
         raise TypeError("floats have no canonical bytes; use Fraction")
     text = str(value)
@@ -48,6 +95,8 @@ def normalise(value):
 
 
 def normalise_key(key) -> str:
+    if isinstance(key, str):
+        return key
     if isinstance(key, tuple):
         return ".".join(str(k) for k in key)
     return str(key)

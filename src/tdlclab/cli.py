@@ -75,6 +75,7 @@ from .errors import (
     NotSkewering,
     PrecisionExhausted,
     SearchExhausted,
+    SiteError,
     SpecFileError,
 )
 from .permgrp import (
@@ -307,7 +308,7 @@ class _SpecParser:
     def parse_portrait(self, shape, rest, lineno, col) -> IsometrySpec:
         if not rest:
             self.fail("portrait needs at least one 'addr:(cycles)' site", lineno, col)
-        sites = []
+        sites, columns = [], {}
         for offset, token in _split_outside_parens(rest):
             addr_text, sep, perm_text = token.partition(":")
             if not sep:
@@ -321,12 +322,13 @@ class _SpecParser:
             except ValueError as exc:
                 self.fail(str(exc), lineno, col + offset + len(addr_text) + 1)
             sites.append((addr, perm))
-        if len({a for a, _ in sites}) != len(sites):
+            columns[addr] = col + offset
+        if len(columns) != len(sites):
             self.fail("portrait repeats a site address", lineno, col)
         try:
             return IsometrySpec(shape, sites=tuple(sites))
-        except ValueError as exc:
-            self.fail(str(exc), lineno, col)
+        except SiteError as exc:
+            self.fail(str(exc), lineno, columns[exc.site])
 
     def parse_word(self, spec: GroupSpec, rest, lineno, col) -> SpecWord:
         names = rest.split()

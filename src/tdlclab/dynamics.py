@@ -517,12 +517,15 @@ def check_minimal(ctx) -> dict:
     counterexample = None
     longest = 0
     for a, met in _start_words(ctx):
-        for b in states:
-            if b in met:
-                witnesses[f"{labels[a]}->{labels[b]}"] = list(met[b])
-                longest = max(longest, len(met[b]))
+        prefix = labels[a] + "->"
+        for b, label in labels.items():
+            w = met.get(b)
+            if w is not None:
+                witnesses[prefix + label] = list(w)
+                if len(w) > longest:
+                    longest = len(w)
             elif counterexample is None:
-                counterexample = [labels[a], labels[b]]
+                counterexample = [labels[a], label]
     minimal = counterexample is None
     return {
         "verdict": "minimal-at-depth" if minimal else "not-minimal-at-depth",

@@ -32,6 +32,14 @@ class DisjointnessFailure(ValueError):
     """Translates that a construction needs pairwise disjoint are not."""
 
 
+class SiteError(ValueError):
+    """A decorated site of an isometry is illegal or inconsistent."""
+
+    def __init__(self, message: str, site) -> None:
+        super().__init__(message)
+        self.site = site
+
+
 class SearchExhausted(RuntimeError):
     """Bounded search ended without a witness and without a refutation."""
 

@@ -90,7 +90,7 @@ from .boolalg import (
     format_address,
     sphere_list,
 )
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, SiteError
 from .permgrp import FiniteGroup, Perm, prime_factors
 
 
@@ -262,11 +262,14 @@ class IsometrySpec:
                 raise ValueError("word is not freely reduced")
         site_map = {}
         for addr, perm in self.sites:
-            shape.require_legal(addr)
+            try:
+                shape.require_legal(addr)
+            except ValueError as exc:
+                raise SiteError(str(exc), addr) from None
             if perm.degree != shape.degree:
-                raise ValueError("decoration degree does not match the shape")
+                raise SiteError("decoration degree does not match the shape", addr)
             if addr in site_map:
-                raise ValueError(f"duplicate site {addr!r}")
+                raise SiteError(f"duplicate site {addr!r}", addr)
             site_map[addr] = perm
         if shape.kind == "regular":
             for addr in sorted(site_map, key=lambda a: (len(a), a)):
@@ -276,9 +279,10 @@ class IsometrySpec:
                 back = addr[-1]
                 want = inherited(back) if inherited is not None else back
                 if site_map[addr](back) != want:
-                    raise ValueError(
+                    raise SiteError(
                         f"site {addr!r} disagrees with its surroundings on "
-                        f"the return colour {back}"
+                        f"the return colour {back}",
+                        addr,
                     )
         # each site compiled once to its forward and inverse image tuples
         compiled = {

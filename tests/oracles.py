@@ -106,6 +106,13 @@ by the length of ``kept[-1]``, and must return the same list.
 ``oracle_parse_clopen`` reads clopen text as it was before all-digit
 tokens were read in bulk: one ``read_address`` per token, so it must give
 the same clopen or raise the same error.
+
+The minimality oracle is ``check_minimal`` as it was before it made one
+lookup per pair; it must give the same report, witness keys in the same
+order.  The normalise oracle is the fold as it was before plain values
+passed through: every list, tuple and dict is copied, one ``isinstance``
+test at a time.  It must give equal values, in the same key order, and
+the same bytes, and raise where the fold raises.
 """
 from __future__ import annotations
 
@@ -121,7 +128,8 @@ from tdlclab.boolalg import (
     read_address,
     sphere_list,
 )
-from tdlclab.dynamics import TwoCopyContext, reachable_images
+from tdlclab.certificates import normalise_key
+from tdlclab.dynamics import TwoCopyContext, _start_words, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
 from tdlclab.tree import SpecWord, spec_image_clopen
@@ -956,6 +964,67 @@ def oracle_composition_factors_by_joins(g: FiniteGroup) -> list[str]:
         out.append(_oracle_label(current, current.quotient(n).element_set))
         current = n
     return out
+
+
+def oracle_check_minimal(ctx) -> dict:
+    """``dynamics.check_minimal`` as it was before it made one lookup per
+    pair: membership, item and length each hash the state again, and each
+    witness key is formatted from both labels."""
+    states = ctx.states()
+    labels = {s: ctx.state_label(s) for s in states}
+    witnesses: dict[str, list[str]] = {}
+    counterexample = None
+    longest = 0
+    for a, met in _start_words(ctx):
+        for b in states:
+            if b in met:
+                witnesses[f"{labels[a]}->{labels[b]}"] = list(met[b])
+                longest = max(longest, len(met[b]))
+            elif counterexample is None:
+                counterexample = [labels[a], labels[b]]
+    minimal = counterexample is None
+    return {
+        "verdict": "minimal-at-depth" if minimal else "not-minimal-at-depth",
+        "depth": ctx.depth,
+        "word_bound": ctx.word_bound,
+        "state_count": len(states),
+        "max_word_length": longest,
+        "witness_words": witnesses if minimal else None,
+        "counterexample": counterexample,
+    }
+
+
+# -- certificates --------------------------------------------------------------
+
+
+def oracle_normalise(value):
+    """``certificates.normalise`` as it was before plain values passed
+    through: one ``isinstance`` chain, and every list and dict copied."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        out = {}
+        for k, v in value.items():
+            if not isinstance(k, str):
+                k = normalise_key(k)
+            out[k] = oracle_normalise(v)
+        return out
+    if isinstance(value, (set, frozenset)):
+        return sorted(oracle_normalise(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [oracle_normalise(v) for v in value]
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        raise TypeError("floats have no canonical bytes; use Fraction")
+    text = str(value)
+    if not text:
+        raise TypeError(f"cannot serialise {type(value).__name__}")
+    return text
 
 
 # -- shared corpus -----------------------------------------------------------

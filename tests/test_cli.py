@@ -248,6 +248,11 @@ _ELEMENTS = _HEAD + "\n[elements]\n"
         (_ELEMENTS + "u = portrait 01:(0 2) 01:(0 2)\n", "portrait repeats a site address", 9, 14),
         (_ELEMENTS + "u = portrait 00:(1 2)\n",
          "illegal address (0, 0) for TreeShape(kind='regular', degree=3)", 9, 14),
+        # a site's own fault points at that site, not at the portrait's first
+        (_ELEMENTS + "u = portrait 01:(0 2) 00:(1 2)\n",
+         "illegal address (0, 0) for TreeShape(kind='regular', degree=3)", 9, 23),
+        (_ELEMENTS + "u = portrait 02:(0 1) 01:(0 1)\n",
+         "site (0, 1) disagrees with its surroundings on the return colour 1", 9, 23),
         (_ELEMENTS + "w = word\n", "word needs at least one element name", 9, 5),
         (_ELEMENTS + "g = hyperbolic axis=0\nw = word g h~\n",
          "word references unknown element 'h'", 10, 5),
@@ -261,7 +266,7 @@ _ELEMENTS = _HEAD + "\n[elements]\n"
         "unknown-tree-key", "missing-kind", "missing-degree", "bad-degree", "unknown-local-key",
         "bad-generator", "element-name", "duplicate-element", "unknown-form", "bad-axis-form",
         "bad-axis", "empty-portrait", "site-without-colon", "bad-site-address", "bad-site-cycle",
-        "repeated-site", "illegal-site", "empty-word", "unknown-word-element",
+        "repeated-site", "illegal-site", "illegal-later-site", "return-colour-site", "empty-word", "unknown-word-element",
         "unknown-limits-key", "non-integer", "below-minimum",
     ],
 )

@@ -20,6 +20,7 @@ from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
 
 from oracles import (
+    oracle_check_minimal,
     oracle_first_words,
     oracle_forcing_replay,
     oracle_invariance_rows,
@@ -130,12 +131,59 @@ def test_minimal_translation_rotation_depth3():
 
 
 def test_minimal_monotone_in_depth():
-    # minimality at a deeper truncation implies it at every shallower one
-    verdicts = [
-        dy.check_minimal(dy.translation_rotation_context(S3, depth=n, word_bound=6))["verdict"]
-        for n in (1, 2, 3)
-    ]
-    assert verdicts == ["minimal-at-depth"] * 3
+    """Witnesses only lengthen with depth.
+
+    Let a' and b' be depth-(n+1) states below the depth-n states a and b,
+    so cyl a contains cyl a' and cyl b contains cyl b'.  The depth-(n+1)
+    witness w for (a', b') has w(cyl a') meeting cyl b', so w(cyl a),
+    which contains w(cyl a'), meets cyl b, which contains cyl b'.  So w
+    is a word within the bound for (a, b), and the depth-n witness, the
+    shortlex-least such word, is no longer than w.  Every depth-n pair
+    has such children, so ``max_word_length`` cannot fall either, and
+    minimality at depth n + 1 implies it at depth n.
+    """
+    reports = {}
+    for n in range(1, 6):
+        ctx = dy.translation_rotation_context(S3, depth=n, word_bound=6)
+        report = dy.check_minimal(ctx)
+        assert report["verdict"] == "minimal-at-depth"
+        words = report["witness_words"]
+        label = ctx.state_label
+        reports[n] = ctx.states(), label, words, report["max_word_length"]
+    for n in range(1, 5):
+        states, label, words, longest = reports[n]
+        deeper, label1, words1, longest1 = reports[n + 1]
+        below = {a: [c for c in deeper if c[:n] == a] for a in states}
+        assert all(len(kids) == 2 for kids in below.values())
+        for a in states:
+            for b in states:
+                w = words[f"{label(a)}->{label(b)}"]
+                for a1 in below[a]:
+                    for b1 in below[b]:
+                        assert len(w) <= len(words1[f"{label1(a1)}->{label1(b1)}"])
+        assert longest <= longest1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(functools.partial(dy.translation_rotation_context, S3, depth=n, word_bound=6)
+          for n in (1, 2, 3, 4)),
+        functools.partial(dy.two_copy_product_context, S3, depth=2, word_bound=6),
+        functools.partial(dy.two_copy_product_context, S3, depth=3, word_bound=4),
+        functools.partial(dy.rotation_context, S3, depth=2),
+        functools.partial(dy.skewering_context, S3, depth=3),
+        lambda: dy.ActionContext(T3, {"e": IsometrySpec(T3)}, depth=1, word_bound=2),
+    ],
+    ids=["depth-1", "depth-2", "depth-3", "depth-4", "two-copy-2", "two-copy-3",
+         "rotations", "skewering", "identity"],
+)
+def test_check_minimal_matches_the_three_lookup_oracle(build):
+    # witness keys in the same order: --format text prints them in that order
+    new, old = dy.check_minimal(build()), oracle_check_minimal(build())
+    assert new == old
+    if new["witness_words"] is not None:
+        assert list(new["witness_words"].items()) == list(old["witness_words"].items())
 
 
 def test_not_minimal_for_end_stabilising_rotation():

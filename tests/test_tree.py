@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -13,7 +14,7 @@ from tdlclab.boolalg import (
     sphere_list,
 )
 from tdlclab.boundary import support_in
-from tdlclab.errors import PrecisionExhausted
+from tdlclab.errors import PrecisionExhausted, SiteError
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
@@ -177,6 +178,23 @@ def test_portrait_rejects_duplicates_and_bad_degree():
         )
     with pytest.raises(ValueError):
         IsometrySpec(T3, sites=((ROOT, Perm((1, 0))),))
+
+
+@pytest.mark.parametrize(
+    "sites, site, message",
+    [
+        ((((0, 1), Perm((2, 1, 0))), ((0, 0), Perm((0, 2, 1)))), (0, 0), "illegal address (0, 0)"),
+        ((((0, 1), Perm((2, 1, 0))), ((0,), Perm((1, 0)))), (0,), "decoration degree"),
+        ((((0, 1), Perm((2, 1, 0))), ((0, 1), Perm((2, 1, 0)))), (0, 1), "duplicate site (0, 1)"),
+        ((((0, 2), Perm((1, 0, 2))), ((0, 1), Perm((1, 0, 2)))), (0, 1), "return colour 1"),
+    ],
+    ids=["illegal", "degree", "duplicate", "return-colour"],
+)
+def test_site_faults_name_the_site_that_failed(sites, site, message):
+    # the spec parser reads .site to point at the failing site's column
+    with pytest.raises(SiteError, match=re.escape(message)) as err:
+        IsometrySpec(T3, sites=sites)
+    assert err.value.site == site
 
 
 def test_local_actions_match_oracle_seeded():

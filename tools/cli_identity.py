@@ -8,14 +8,16 @@ time, with that checkout's ``src`` on ``PYTHONPATH`` in a fresh working
 directory: a CLI case as ``python3 -m tdlclab.cli`` next to the spec
 file, a demo case as the checkout's own ``demos/0*.py`` script.  The
 demos reach library calls that no CLI command makes.  Stdout, stderr,
-the exit code and, for ``certify``, the certificate bytes must be
-identical.  One line is printed per case, then a count;
-the exit code is 0 when every case is identical and 1 otherwise.
+the exit code and the bytes written to ``--out cert.json`` (which every
+``certify`` case gets, and other cases may name) must be identical.
+One line is printed per case, then a count; the exit code is 0 when
+every case is identical and 1 otherwise.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,8 +46,12 @@ ROOTED_ALT5 = ROOTED_SYM5.replace("(0 1), (0 1 2 3 4)", "(0 1 2), (2 3 4)")
 # subtree at (1, 0), the reversed half-tree
 US3_REVERSED = US3_ELEMENTS.replace("c = word g u1 g~\n", "c = word g u1 g~\nu2 = portrait 10:(1 2)\n")
 
-SPECS = {"elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY, "regular-sym3": US3,
-         "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
+# the README spec, the first ini block of README.md: at depth 9 its
+# minimal report is 31.7 MB (regular-sym3's word bound is too short there)
+README_SPEC = re.search(r"```ini\n(.*?)```", (HERE / "README.md").read_text(), re.S).group(1)
+
+SPECS = {"readme": README_SPEC, "elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY,
+         "regular-sym3": US3, "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
          "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5,
          "reversed": US3_REVERSED, "rotation-only": ROTONLY}
 TIMEOUT_S = 900.0
@@ -120,6 +126,19 @@ def cases() -> list[tuple[str, list[str]]]:
     for spec, depths in (("lone-axis", (2, 3)), ("regular-sym3", range(5, 10))):
         for depth in depths:
             out.append((spec, ["dynamics", "measure", "spec.ini", "--depth", str(depth)]))
+    # the text format reads the folded report in insertion order
+    for spec, argv in (("regular-sym3", ["dynamics", "minimal", "spec.ini", "--depth", "5"]),
+                       ("regular-sym3", ["dynamics", "measure", "spec.ini", "--depth", "5"]),
+                       ("regular-sym3", ["report-local", "spec.ini", "--depths", "1..3"]),
+                       ("elements", ["certify", "goodshrink", "spec.ini", "--element", "g",
+                                     "--depth", "6"])):
+        out.append((spec, [*argv, "--format", "text"]))
+    # a report written by --out, and the deepest minimal reports: not
+    # minimal within regular-sym3's bound, and 31.7 MB of witnesses
+    out.append(("regular-sym3", ["dynamics", "minimal", "spec.ini", "--depth", "5",
+                                 "--out", "cert.json"]))
+    for spec in ("regular-sym3", "readme"):
+        out.append((spec, ["dynamics", "minimal", "spec.ini", "--depth", "9"]))
     out.append(("regular-sym3", ["certify", "orbit-join", "spec.ini"]))
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     # every generator fixes the base vertex, so the skewering search is refuted
