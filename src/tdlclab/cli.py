@@ -323,8 +323,6 @@ class _SpecParser:
                 self.fail(str(exc), lineno, col + offset + len(addr_text) + 1)
             sites.append((addr, perm))
             columns[addr] = col + offset
-        if len(columns) != len(sites):
-            self.fail("portrait repeats a site address", lineno, col)
         try:
             return IsometrySpec(shape, sites=tuple(sites))
         except SiteError as exc:

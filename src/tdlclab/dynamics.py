@@ -517,6 +517,10 @@ def check_minimal(ctx) -> dict:
     counterexample = None
     longest = 0
     for a, met in _start_words(ctx):
+        if counterexample is not None:
+            # the witnesses are dropped now: read only the longest word
+            longest = max(longest, max(map(len, met.values())))
+            continue
         prefix = labels[a] + "->"
         for b, label in labels.items():
             w = met.get(b)
@@ -668,44 +672,42 @@ def minorising_degree(ctx) -> dict:
     """Count of minimal invariant opens built from translate unions.
 
     For each candidate cylinder the union of its word-translates is
-    tracked as the set of depth-n cylinders it meets, each by a word
-    within the word bound: the searches of ``check_minimal``, whose
-    first words are shortlex-least (shorter words first, then generator
-    order with the first-applied letter most significant; on two copies,
-    single-tree words tagged @c).  The distinct minimal shadow sets are
-    the invariant opens at depth, their count is the degree, and one
-    candidate per open forms the reduced set.  When
-    the degree is one the dense-orbit consequence is read off the same
-    shadows: every state must reach every state.  When every generator
-    fixes the base vertex no translate shrinks strictly, so there is no
-    initial minorising set to report and none is searched for.
+    tracked as its shadow: the depth-n cylinders it meets by a word
+    within the word bound, as a mask over ``ctx.states()`` indices, read
+    off the searches of ``check_minimal`` on the single tree.  On two
+    copies copy 1's states follow copy 0's, so a copy-1 shadow is the
+    base shadow shifted by the base state count.  The distinct minimal
+    shadows are the invariant opens at depth, their count is the degree,
+    and the first candidate of each open forms the reduced set; the opens
+    are ordered by their sorted labels.  When the degree is one the
+    dense-orbit consequence is read off the same shadows: every state
+    must reach every state.  When every generator fixes the base vertex
+    no translate shrinks strictly, so there is no initial minorising set
+    to report and none is searched for.
     """
     initial = None if ctx.all_fix_base() else minorising_set(ctx)["set"]
     states = ctx.states()
-    shadows = {c: frozenset(words) for c, words in _start_words(ctx)}
-    distinct = sorted(set(shadows.values()), key=lambda s: sorted(map(ctx.state_label, s)))
-    minimal_opens = [
-        s for s in distinct
-        if not any(other < s for other in distinct)
-    ]
-    reduced = []
-    for open_set in minimal_opens:
-        rep = next(c for c in states if shadows[c] == open_set)
-        reduced.append(rep)
-    degree = len(minimal_opens)
-    assert len(reduced) == degree
-    dense_check = None
-    if degree == 1:
-        dense_check = all(len(s) == len(states) for s in shadows.values())
+    two = isinstance(ctx, TwoCopyContext)
+    graph = _ActionGraph(ctx._base if two else ctx)
+    bit = {s: 1 << i for i, s in enumerate(graph.starts)}
+    # distinct bits, so each sum is their OR
+    shadows = [sum(map(bit.__getitem__, _first_words(graph, a))) for a in graph.starts]
+    if two:
+        shadows += [m << len(bit) for m in shadows]
+    distinct = set(shadows)
+    opens = sorted(
+        (sorted(ctx.state_label(s) for i, s in enumerate(states) if m >> i & 1), m)
+        for m in distinct
+        if not any(o != m and o & m == o for o in distinct)
+    )
+    full = (1 << len(states)) - 1
     return {
         "verdict": "verified",
-        "degree": degree,
-        "invariant_opens": [
-            sorted(ctx.state_label(b) for b in s) for s in minimal_opens
-        ],
-        "reduced_set": [ctx.state_label(c) for c in reduced],
+        "degree": len(opens),
+        "invariant_opens": [labels for labels, _ in opens],
+        "reduced_set": [ctx.state_label(states[shadows.index(m)]) for _, m in opens],
         "initial_set": initial,
-        "dense_orbit_check": dense_check,
+        "dense_orbit_check": all(m == full for m in shadows) if len(opens) == 1 else None,
         "depth": ctx.depth,
         "word_bound": ctx.word_bound,
     }
@@ -793,16 +795,19 @@ def pair_compression(ctx, xi, eta, target) -> dict:
 def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     """Two words with pairwise-distinct images on all short products.
 
-    g comes from the skewering search; h conjugates g by a base-fixing
-    rotation that keeps alpha in place and moves g.alpha into the
-    leftover beta.  Every product with first letter g has its alpha
-    image inside g.alpha, likewise for h, and those two clopens are
-    disjoint, which replays the prefix argument structurally; on top of
-    that the images of all words up to the length bound are compared
-    for literal distinctness.  Distinct images put the words in
+    g comes from the skewering search; h = r g r^-1 conjugates g by a
+    rotation r, the first breadth-first word in the base-fixing
+    generators within the word bound that keeps alpha in place and moves
+    g.alpha into the leftover beta, off g.alpha.  Every product with
+    first letter g has its alpha image inside g.alpha, likewise for h,
+    and those two clopens are disjoint, which replays the prefix argument
+    structurally; on top of that the images of all words up to the
+    length bound are compared for literal distinctness.  Distinct images put the words in
     distinct alpha-stabiliser cosets, witnessing discreteness of the
     generated pair.  A refuted skewering search raises NotSkewering with
-    its reason; one cut off by the word bound raises SearchExhausted.
+    its reason.  A rotation search whose orbit closes below the bound
+    with no such r is refuted at depth.  Either search cut off by the
+    word bound raises SearchExhausted.
     """
     if length_bound < 0:
         raise ValueError(f"length bound must be at least 0, got {length_bound}")
@@ -817,22 +822,36 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     beta = alpha.minus(galpha)
     g = ctx.word(g_word)
 
-    rotation = None
-    for name in ctx.gen_names:
-        if ctx.generator(name).displacement != 0:
-            continue
-        if ctx.image(name, alpha) != alpha:
-            continue
-        moved = ctx.image(name, galpha)
-        if moved.leq(beta) and not moved.meets(galpha):
-            rotation = name
+    fixers = [name for name in ctx.gen_names if ctx.generator(name).displacement == 0]
+
+    def step(name, pair):
+        return ctx.image(name, pair[0]), ctx.image(name, pair[1])
+
+    r_word, closed = None, True
+    for (ralpha, moved), word in _bfs(fixers, ctx.word_bound, step, (alpha, galpha)):
+        if word and ralpha == alpha and moved.leq(beta) and not moved.meets(galpha):
+            r_word = word
             break
-    if rotation is None:
-        raise SearchExhausted(
-            "base-fixing rotation separating the skewering image", ctx.word_bound
-        )
-    r = ctx.generator(rotation)
-    h = SpecWord.conjugate(r, g, 1)
+        closed = closed and len(word) < ctx.word_bound
+    if r_word is None:
+        if not closed:
+            raise SearchExhausted(
+                "base-fixing rotation separating the skewering image", ctx.word_bound
+            )
+        return {
+            "verdict": "refuted_at_depth",
+            "reason": (
+                "no word in the base-fixing generators fixes alpha and moves "
+                "g.alpha into the leftover beta: their orbit on the pair closed "
+                "below the bound"
+            ),
+            "g": list(g_word),
+            "depth": ctx.depth,
+            "word_bound": ctx.word_bound,
+        }
+    # h = r g r^-1 maps alpha to r.g.alpha; the first-applied letter leads
+    h_word = tuple(map(ctx.inverse_name, reversed(r_word))) + g_word + r_word
+    h = ctx.word(h_word)
     halpha = spec_image_clopen(h, alpha)
 
     table: dict[str, CylinderClopen] = {"": alpha}
@@ -861,12 +880,11 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
         "h_prefix_containment": h_first_ok,
         "all_images_distinct": distinct,
     }
-    h_word = (rotation,) + g_word + (ctx.inverse_name(rotation),)
     return {
         "verdict": "verified" if all(checks.values()) else "refuted_at_depth",
         "g": list(g_word),
         "h": list(h_word),
-        "rotation": rotation,
+        "rotation": " ".join(r_word),
         "alpha": alpha,
         "g_alpha": galpha,
         "h_alpha": halpha,

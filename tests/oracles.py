@@ -109,10 +109,14 @@ the same clopen or raise the same error.
 
 The minimality oracle is ``check_minimal`` as it was before it made one
 lookup per pair; it must give the same report, witness keys in the same
-order.  The normalise oracle is the fold as it was before plain values
-passed through: every list, tuple and dict is copied, one ``isinstance``
-test at a time.  It must give equal values, in the same key order, and
-the same bytes, and raise where the fold raises.
+order.  The degree oracle is ``minorising_degree`` as it was before
+shadows became index masks: frozensets of states, built on two copies
+from tagged words, with every distinct shadow sorted by its labels; it
+must give the same report, in the same key order.  The normalise
+oracle is the fold as it was before plain values passed through: every
+list, tuple and dict is copied, one ``isinstance`` test at a time.  It
+must give equal values, in the same key order, and the same bytes, and
+raise where the fold raises.
 """
 from __future__ import annotations
 
@@ -129,7 +133,7 @@ from tdlclab.boolalg import (
     sphere_list,
 )
 from tdlclab.certificates import normalise_key
-from tdlclab.dynamics import TwoCopyContext, _start_words, reachable_images
+from tdlclab.dynamics import TwoCopyContext, _start_words, minorising_set, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
 from tdlclab.tree import SpecWord, spec_image_clopen
@@ -991,6 +995,34 @@ def oracle_check_minimal(ctx) -> dict:
         "max_word_length": longest,
         "witness_words": witnesses if minimal else None,
         "counterexample": counterexample,
+    }
+
+
+def oracle_minorising_degree(ctx) -> dict:
+    """``dynamics.minorising_degree`` as it was before shadows were index
+    masks: a shadow is the frozenset of the states a start's first words
+    meet, read through ``_start_words`` (on two copies, from tagged
+    words), every distinct shadow is sorted by its sorted labels, and
+    each open's representative is found by a scan over the states."""
+    initial = None if ctx.all_fix_base() else minorising_set(ctx)["set"]
+    states = ctx.states()
+    shadows = {c: frozenset(words) for c, words in _start_words(ctx)}
+    distinct = sorted(set(shadows.values()), key=lambda s: sorted(map(ctx.state_label, s)))
+    minimal_opens = [s for s in distinct if not any(other < s for other in distinct)]
+    reduced = [next(c for c in states if shadows[c] == s) for s in minimal_opens]
+    degree = len(minimal_opens)
+    dense_check = None
+    if degree == 1:
+        dense_check = all(len(s) == len(states) for s in shadows.values())
+    return {
+        "verdict": "verified",
+        "degree": degree,
+        "invariant_opens": [sorted(ctx.state_label(b) for b in s) for s in minimal_opens],
+        "reduced_set": [ctx.state_label(c) for c in reduced],
+        "initial_set": initial,
+        "dense_orbit_check": dense_check,
+        "depth": ctx.depth,
+        "word_bound": ctx.word_bound,
     }
 
 

@@ -245,7 +245,7 @@ _ELEMENTS = _HEAD + "\n[elements]\n"
         (_ELEMENTS + "u = portrait 01(0 2)\n", "site '01(0 2)' wants 'addr:(cycles)'", 9, 14),
         (_ELEMENTS + "u = portrait  01:(0 2) 0x:(0 2)\n", "bad site address '0x'", 9, 24),
         (_ELEMENTS + "u = portrait 01:(0 7)\n", "point 7 out of range for degree 3", 9, 17),
-        (_ELEMENTS + "u = portrait 01:(0 2) 01:(0 2)\n", "portrait repeats a site address", 9, 14),
+        (_ELEMENTS + "u = portrait 01:(0 2) 01:(0 2)\n", "duplicate site (0, 1)", 9, 23),
         (_ELEMENTS + "u = portrait 00:(1 2)\n",
          "illegal address (0, 0) for TreeShape(kind='regular', degree=3)", 9, 14),
         # a site's own fault points at that site, not at the portrait's first
@@ -496,6 +496,29 @@ def test_certify_free_semigroup_refutes_on_rotations(spec_file, capsys, tmp_path
     cert = json.loads(out.read_text())
     assert cert["verdict"] == "refuted_at_depth"
     assert cert["checks"] == {"reason": report["results"]["reason"]}
+
+
+def test_certify_free_semigroup_rotation_search_exit_codes(spec_file, capsys, tmp_path):
+    # g = t0 skewers, but no word in the base-fixing generators rho and
+    # u1 separates g.alpha from it: their orbit on the pair closes at
+    # three states, which refutes (exit 1) once words of length 1 are
+    # expanded, and is cut off by the bound (exit 4) when they are not
+    out = tmp_path / "free.cert.json"
+    code, report, _ = run_cli(
+        capsys, "certify", "free-semigroup", spec_file(US3_ELEMENTS), "--out", str(out)
+    )
+    assert code == 1
+    assert report["results"]["verdict"] == "refuted_at_depth"
+    assert "base-fixing generators" in report["results"]["reason"]
+    cert = json.loads(out.read_text())
+    assert cert["verdict"] == "refuted_at_depth"
+    assert cert["checks"] == {"reason": report["results"]["reason"]}
+    code, _, captured = run_cli(
+        capsys, "certify", "free-semigroup", spec_file(US3_ELEMENTS),
+        "--word-bound", "1", "--out", str(out),
+    )
+    assert code == 4
+    assert "base-fixing rotation separating the skewering image (bound 1)" in captured.err
 
 
 def test_certify_orbit_join_and_tits_core(spec_file, capsys, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from tdlclab.boolalg import ROOT, CylinderClopen, regular
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import NotSkewering, SearchExhausted
-from tdlclab.permgrp import Perm, symmetric_group
+from tdlclab.permgrp import FiniteGroup, Perm, symmetric_group
 from tdlclab.tree import IsometrySpec, SpecWord, hyperbolic_isometry, site_group, spec_image_clopen
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
@@ -24,6 +24,7 @@ from oracles import (
     oracle_first_words,
     oracle_forcing_replay,
     oracle_invariance_rows,
+    oracle_minorising_degree,
     oracle_phase_one_feasible,
     oracle_shortlex_words,
     oracle_skewering,
@@ -31,6 +32,9 @@ from oracles import (
 
 T3 = regular(3)
 S3 = symmetric_group(3)
+# degree 12, with orbits {0, 1}, {2, 10} and {3, 4, 11}: labels such as
+# "10" sort before "2", so label order is not address order
+G12 = FiniteGroup(12, [Perm.from_cycles(12, (2, 10), (0, 1)), Perm.from_cycles(12, (3, 11, 4))])
 
 
 def cyl(*addr):
@@ -305,6 +309,9 @@ _DEGREE_CONTEXTS = {
     "rotations-only": (lambda: dy.rotation_context(S3), None),
     "half-tree-stabiliser": (lambda: ls.half_tree_stabiliser_context(S3, 0, depth=2), None),
     "two-copy": (lambda: dy.two_copy_product_context(S3, depth=2), 2),
+    # 8 and 62 opens, among them ["10", "2"]
+    "degree-12-rotations-1": (lambda: dy.rotation_context(G12, depth=1), None),
+    "degree-12-rotations-2": (lambda: dy.rotation_context(G12, depth=2), None),
 }
 
 
@@ -339,6 +346,48 @@ def test_dense_orbit_check_agrees_with_check_minimal(name):
     assert report["degree"] == degree
     minimal = dy.check_minimal(ctx)["verdict"] == "minimal-at-depth"
     assert report["dense_orbit_check"] == (minimal if degree == 1 else None)
+
+
+def _rooted_contexts() -> list:
+    """The contexts ``cli.build_context`` makes for rooted specs: a site
+    rotation at the base vertex and one below it per local generator."""
+    from tdlclab import cli
+    from test_cli import ROOTED_BINARY
+
+    rooted_sym3 = ROOTED_BINARY.replace("degree = 2", "degree = 3").replace(
+        "generators = (0 1)", "generators = (1 2), (0 1 2)"
+    )
+    return [
+        cli.build_context(cli.parse_spec_text(f"{text}\n[limits]\ndepth = {depth}\n"))
+        for text in (ROOTED_BINARY, rooted_sym3)
+        for depth in (1, 2, 3, 4)
+    ]
+
+
+def _degree_or_exhaustion(degree, ctx):
+    try:
+        return degree(ctx)
+    except SearchExhausted as exc:
+        return str(exc)
+
+
+def test_minorising_degree_matches_the_frozenset_oracle():
+    # same report and key order on every degree context, two copies at
+    # depths 2 to 4, seeded random contexts and the CLI's rooted ones
+    contexts = [make() for make, _ in _DEGREE_CONTEXTS.values()]
+    contexts += [dy.two_copy_product_context(S3, depth=n) for n in (2, 3, 4)]
+    rng = random.Random(23)
+    contexts += [_random_context(rng) for _ in range(60)]
+    contexts += _rooted_contexts()
+    degrees = set()
+    for ctx in contexts:
+        new = _degree_or_exhaustion(dy.minorising_degree, ctx)
+        old = _degree_or_exhaustion(oracle_minorising_degree, ctx)
+        assert new == old
+        if isinstance(new, dict):
+            assert list(new.items()) == list(old.items())
+            degrees.add(new["degree"])
+    assert {1, 2, 8, 62} <= degrees
 
 
 def test_two_copy_degree_steps_stay_near_one_tree(monkeypatch):
@@ -752,6 +801,23 @@ def test_free_semigroup_length_one_is_trivial():
     report = dy.free_semigroup_certificate(ctx, length_bound=1)
     assert report["image_count"] == 3
     assert report["verdict"] == "verified"
+
+
+def test_free_semigroup_rotation_is_a_base_fixing_word():
+    # neither root recolouring fixes alpha = {0}, but a b~ acts as (1 2)
+    # at the root: the rotation is a word, and h = r g r^-1 replays
+    gens = {
+        "g": hyperbolic_isometry(T3, (0,)),
+        "a": IsometrySpec(T3, sites=(((), Perm.from_cycles(3, (0, 1))),)),
+        "b": IsometrySpec(T3, sites=(((), Perm.from_cycles(3, (0, 1, 2))),)),
+    }
+    ctx = dy.ActionContext(T3, gens, depth=3, word_bound=6)
+    report = dy.free_semigroup_certificate(ctx, length_bound=4)
+    assert report["verdict"] == "verified"
+    assert report["rotation"] == "a b~"
+    assert report["h"] == ["b", "a", "g", "a", "b~"]
+    assert ctx.word_image(tuple(report["h"]), report["alpha"]) == report["h_alpha"]
+    assert str(report["h_alpha"]) == "{02}"
 
 
 def test_free_semigroup_needs_a_translation():

@@ -143,6 +143,8 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     # every generator fixes the base vertex, so the skewering search is refuted
     out.append(("rotation-only", ["certify", "free-semigroup", "spec.ini"]))
+    # g skewers, but no base-fixing word separates g.alpha: that orbit closes
+    out.append(("elements", ["certify", "free-semigroup", "spec.ini"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
     out.append(("elements", ["export", "stone-orbit", "spec.ini", "--depth", "3"]))
     # each copy's generators on their own copy, and a self-loop on the other
