@@ -322,11 +322,12 @@ class _SpecParser:
             except ValueError as exc:
                 self.fail(str(exc), lineno, col + offset + len(addr_text) + 1)
             sites.append((addr, perm))
-            columns[addr] = col + offset
+            columns.setdefault(addr, []).append(col + offset)
         try:
             return IsometrySpec(shape, sites=tuple(sites))
         except SiteError as exc:
-            self.fail(str(exc), lineno, columns[exc.site])
+            # a duplicate is found at the repeat, any other fault at the first occurrence
+            self.fail(str(exc), lineno, columns[exc.site][str(exc).startswith("duplicate")])
 
     def parse_word(self, spec: GroupSpec, rest, lineno, col) -> SpecWord:
         names = rest.split()

@@ -737,7 +737,9 @@ def pair_compression(ctx, xi, eta, target) -> dict:
     Cheap schedules first: plain powers of one generator, then a power
     with a single base-fixing rotation before or after it.  The full
     pair BFS is the fallback; it is exact but explores the product of
-    the two image orbits.
+    the two image orbits.  When that orbit closes below the word bound
+    with no word, the pair is refuted at depth; a search cut off by the
+    bound raises SearchExhausted.
     """
     if target.is_zero():
         raise ValueError("target clopen is zero")
@@ -759,37 +761,37 @@ def pair_compression(ctx, xi, eta, target) -> dict:
             if done(cur):
                 return _schedule(ctx, xi, eta, target, (name,) * k, "power")
 
-    rotations = [
-        n for n in ctx.gen_names
-        if ctx.generator(n).displacement == 0
-    ]
-    for rot in rotations:
+    for rot in [n for n in ctx.gen_names if ctx.generator(n).displacement == 0]:
         for name in ctx.gen_names:
             if name == rot:
                 continue
             cur = step(rot, start)
-            word: Word = (rot,)
             for k in range(1, ctx.word_bound):
                 cur = step(name, cur)
-                word = word + (name,)
                 if done(cur):
-                    return _schedule(ctx, xi, eta, target, word, "rotation+power")
+                    return _schedule(ctx, xi, eta, target, (rot,) + (name,) * k, "rotation+power")
             cur = start
             for k in range(1, ctx.word_bound):
                 cur = step(name, cur)
                 if done(step(rot, cur)):
-                    return _schedule(
-                        ctx, xi, eta, target, (name,) * k + (rot,), "power+rotation"
-                    )
+                    return _schedule(ctx, xi, eta, target, (name,) * k + (rot,), "power+rotation")
 
+    closed = True
     for pair, word in _bfs(ctx.gen_names, ctx.word_bound, step, start):
         if done(pair):
             return _schedule(ctx, xi, eta, target, word, "bfs")
-    raise SearchExhausted(
-        f"compression of ({ctx.state_label(xi)}, {ctx.state_label(eta)}) "
-        f"into {target}",
-        ctx.word_bound,
-    )
+        closed = closed and len(word) < ctx.word_bound
+    ends = [ctx.state_label(xi), ctx.state_label(eta)]
+    if not closed:
+        raise SearchExhausted(f"compression of ({', '.join(ends)}) into {target}", ctx.word_bound)
+    return {
+        "verdict": "refuted_at_depth",
+        "reason": "no word moves both ends into the target: their orbit closed below the bound",
+        "source": ends,
+        "target": str(target),
+        "depth": ctx.depth,
+        "word_bound": ctx.word_bound,
+    }
 
 
 def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
@@ -1006,42 +1008,39 @@ def _phase_one_feasible(
     }
 
 
-def _forcing_order(
-    rows: list[tuple[dict[int, Fraction], Fraction]], nvars: int
-) -> tuple[list[int], int]:
-    """LP presolve's forcing rule on the zero-rhs rows, for x >= 0.
+def _forcing_order(rows: list[tuple[list, list]], nvars: int) -> tuple[list[int], int]:
+    """LP presolve's forcing rule on the invariance rows, for x >= 0.
 
-    A zero-rhs row whose nonzero coefficients on live (not yet forced)
-    atoms all have one sign forces each of those atoms to 0, and every
-    row that holds a newly forced atom is queued again.  Returns the
-    indices of the rows that forced atoms, in the order they did, and
-    the number of atoms left live.
+    A row ``(plus, minus)`` with exactly one side still holding live (not
+    yet forced) atoms forces them to 0, and every row that holds a newly
+    forced atom is queued again.  Returns the indices of the forcing
+    rows, in the order they forced, and the number of atoms left live.
     """
     rows_of: list[list[int]] = [[] for _ in range(nvars)]
-    for i, (coeffs, rhs) in enumerate(rows):
-        if not rhs:
-            for j in coeffs:
-                rows_of[j].append(i)
+    for i, (plus, minus) in enumerate(rows):
+        for j in (*plus, *minus):
+            rows_of[j].append(i)
     live = [True] * nvars
-    queue = deque(i for i, (_, rhs) in enumerate(rows) if not rhs)
+    queue = deque(range(len(rows)))
     order = []
     while queue:
         i = queue.popleft()
-        coeffs = rows[i][0]
-        side = [j for j, v in coeffs.items() if live[j] and v]
-        if not side or len({coeffs[j] > 0 for j in side}) != 1:
+        plus, minus = rows[i]
+        plus = [j for j in plus if live[j]]
+        minus = [j for j in minus if live[j]]
+        if bool(plus) == bool(minus):
             continue
         order.append(i)
-        for j in side:
+        for j in plus or minus:
             live[j] = False
             queue.extend(rows_of[j])
     return order, sum(live)
 
 
 def _invariance_rows(ctx: ActionContext) -> tuple[list, int]:
-    """The unit-sum row, then one zero-rhs row per generator and working
-    cylinder C over the atoms one displacement level deeper: +1 on the
-    atoms of g·C outside C and -1 on those of C outside g·C.
+    """One row ``(plus, minus)`` per generator g and working cylinder C
+    with g·C ≠ C, over the atoms one displacement level deeper: the atoms
+    of g·C outside C, then those of C outside g·C, for "μ(g·C) = μ(C)".
 
     The atoms are the sphere in address order, so the atoms below a
     vertex are one run of indices.  g·C is a step of the search state C:
@@ -1057,8 +1056,7 @@ def _invariance_rows(ctx: ActionContext) -> tuple[list, int]:
         start = bisect_left(atoms, v)
         return range(start, start + width[len(v)])
 
-    one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
-    rows = [({j: one for j in range(len(atoms))}, one)]
+    rows = []
     for name in ctx.gen_names:
         for c in sphere_list(shape, depth):
             inside = below(c)
@@ -1067,10 +1065,10 @@ def _invariance_rows(ctx: ActionContext) -> tuple[list, int]:
                 image = below(image)
             else:
                 image = {j for v in image.cover for j in below(v)}
-            coeffs = {j: one for j in image if j not in inside}
-            coeffs.update({j: minus for j in inside if j not in image})
-            if coeffs:
-                rows.append((coeffs, zero))
+            plus = [j for j in image if j not in inside]
+            minus = [j for j in inside if j not in image]
+            if plus or minus:
+                rows.append((plus, minus))
     return rows, len(atoms)
 
 
@@ -1079,15 +1077,16 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
 
     Variables are the atoms one displacement level below the working
     depth, so every generator image of a working cylinder is a union of
-    them.  The decision runs in three steps.  First the uniform weights
-    are tried.  Then the forcing rule: every weight is nonnegative, so an
-    invariance row with one side empty forces the atoms on its other side
-    to 0; when that forces every atom the unit-sum row cannot hold, and
-    the system is infeasible with no pivot.  Otherwise phase-one simplex
-    decides feasibility over the rationals on the unchanged rows, so a
-    feasible report keeps the vertex the full tableau reaches.  An
-    infeasible system is explained by the skewering chain: invariance
-    forces equal weight on arbitrarily many pairwise-disjoint translates.
+    them; a row of ``_invariance_rows`` reads "sum(plus) = sum(minus)".
+    The uniform weights solve a row exactly when its sides have one
+    length.  Else the forcing rule: weights are nonnegative, so a row with
+    one side empty forces the atoms on its other side to 0; when that
+    forces every atom the unit sum cannot hold, with no pivot.  Otherwise
+    phase-one simplex decides over the rationals on the unit-sum row, then
+    +1 on plus and -1 on minus, and keeps the vertex the full tableau
+    reaches.  An infeasible system is explained by the skewering chain:
+    invariance forces equal weight on arbitrarily many pairwise-disjoint
+    translates.
     """
     if not isinstance(ctx, ActionContext):
         raise TypeError("measure search runs on the single-tree context")
@@ -1097,11 +1096,8 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
     rows, nvars = _invariance_rows(ctx)
     atoms = sphere_list(shape, level)
 
-    uniform = Fraction(1, nvars)
-    if all(
-        sum(v * uniform for v in coeffs.values()) == rhs
-        for coeffs, rhs in rows
-    ):
+    if all(len(plus) == len(minus) for plus, minus in rows):
+        uniform = Fraction(1, nvars)
         return {
             "verdict": "feasible",
             "depth": depth,
@@ -1110,19 +1106,21 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
             "weights": {format_address(shape, a): uniform for a in atoms},
         }
 
-    _, live = _forcing_order(rows, nvars)
-    feasible, solution = _phase_one_feasible(rows, nvars) if live else (False, {})
-    if feasible:
-        return {
-            "verdict": "feasible",
-            "depth": depth,
-            "atom_level": level,
-            "uniform": False,
-            "weights": {
-                format_address(shape, a): solution.get(j, Fraction(0))
-                for j, a in enumerate(atoms)
-            },
-        }
+    if _forcing_order(rows, nvars)[1]:
+        one, zero = Fraction(1), Fraction(0)
+        system = [(dict.fromkeys(range(nvars), one), one)]
+        system += [({**dict.fromkeys(p, one), **dict.fromkeys(m, -one)}, zero) for p, m in rows]
+        feasible, solution = _phase_one_feasible(system, nvars)
+        if feasible:
+            return {
+                "verdict": "feasible",
+                "depth": depth,
+                "atom_level": level,
+                "uniform": False,
+                "weights": {
+                    format_address(shape, a): solution.get(j, zero) for j, a in enumerate(atoms)
+                },
+            }
 
     certificate: dict = {
         "note": (

@@ -30,6 +30,11 @@ atom and -1 per cylinder atom and then dropped the zeros.  The forcing
 replay reads a forcing order as a certificate of infeasibility: it
 checks each listed row's sign condition on the atoms left live by the
 rows before it, and shares no code with the presolve that wrote it.
+The forcing-order oracle is that presolve as it was before the rows
+became signed atom lists: it reads rational rows with any coefficients,
+skips the rows with a nonzero right side, and rebuilds the set of signs
+of a row's live coefficients at every read.  On the same rows by sign
+it must force in the same order.
 
 The contraction oracle is the per-u search ``contraction_certificates``
 made before conjugates went through shared pull-backs: it builds each
@@ -122,6 +127,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import deque
 from fractions import Fraction
 from math import inf
 
@@ -486,6 +492,36 @@ def oracle_invariance_rows(ctx) -> tuple[list, int]:
             if coeffs:
                 rows.append((coeffs, Fraction(0)))
     return rows, len(atoms)
+
+
+def oracle_forcing_order(rows, nvars: int) -> tuple[list[int], int]:
+    """LP presolve's forcing rule on the zero-rhs rational rows, for x >= 0.
+
+    A zero-rhs row whose nonzero coefficients on live (not yet forced)
+    atoms all have one sign forces each of those atoms to 0, and every
+    row that holds a newly forced atom is queued again.  Returns the
+    indices of the rows that forced atoms, in the order they did, and
+    the number of atoms left live.
+    """
+    rows_of: list[list[int]] = [[] for _ in range(nvars)]
+    for i, (coeffs, rhs) in enumerate(rows):
+        if not rhs:
+            for j in coeffs:
+                rows_of[j].append(i)
+    live = [True] * nvars
+    queue = deque(i for i, (_, rhs) in enumerate(rows) if not rhs)
+    order = []
+    while queue:
+        i = queue.popleft()
+        coeffs = rows[i][0]
+        side = [j for j, v in coeffs.items() if live[j] and v]
+        if not side or len({coeffs[j] > 0 for j in side}) != 1:
+            continue
+        order.append(i)
+        for j in side:
+            live[j] = False
+            queue.extend(rows_of[j])
+    return order, sum(live)
 
 
 def oracle_forcing_replay(rows, order, nvars: int) -> bool:

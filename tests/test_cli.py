@@ -248,6 +248,9 @@ _ELEMENTS = _HEAD + "\n[elements]\n"
         (_ELEMENTS + "u = portrait 01:(0 2) 01:(0 2)\n", "duplicate site (0, 1)", 9, 23),
         (_ELEMENTS + "u = portrait 00:(1 2)\n",
          "illegal address (0, 0) for TreeShape(kind='regular', degree=3)", 9, 14),
+        # a repeated illegal site is at fault where it first occurs
+        (_ELEMENTS + "u = portrait 00:(1 2) 00:(1 2)\n",
+         "illegal address (0, 0) for TreeShape(kind='regular', degree=3)", 9, 14),
         # a site's own fault points at that site, not at the portrait's first
         (_ELEMENTS + "u = portrait 01:(0 2) 00:(1 2)\n",
          "illegal address (0, 0) for TreeShape(kind='regular', degree=3)", 9, 23),
@@ -266,7 +269,7 @@ _ELEMENTS = _HEAD + "\n[elements]\n"
         "unknown-tree-key", "missing-kind", "missing-degree", "bad-degree", "unknown-local-key",
         "bad-generator", "element-name", "duplicate-element", "unknown-form", "bad-axis-form",
         "bad-axis", "empty-portrait", "site-without-colon", "bad-site-address", "bad-site-cycle",
-        "repeated-site", "illegal-site", "illegal-later-site", "return-colour-site", "empty-word", "unknown-word-element",
+        "repeated-site", "illegal-site", "repeated-illegal-site", "illegal-later-site", "return-colour-site", "empty-word", "unknown-word-element",
         "unknown-limits-key", "non-integer", "below-minimum",
     ],
 )
@@ -429,6 +432,21 @@ def test_dynamics_proximal_seeded(spec_file, capsys):
         capsys, "dynamics", "proximal", spec_file(US3), "--seed", "5"
     )
     assert again["results"] == results
+
+
+def test_dynamics_proximal_refutes_a_closed_pair_orbit(spec_file, capsys):
+    # rotations alone: the pair orbit closes below the bound (exit 1),
+    # and a bound that cuts it off exhausts the search (exit 4)
+    code, report, _ = run_cli(capsys, "dynamics", "proximal", spec_file(ROTONLY))
+    assert code == 1
+    assert report["results"]["verdict"] == "refuted_at_depth"
+    assert report["results"]["source"] == ["12", "01"]
+    code, report, captured = run_cli(
+        capsys, "dynamics", "proximal", spec_file(ROTONLY), "--word-bound", "2"
+    )
+    assert code == 4
+    assert report is None
+    assert captured.err == "search exhausted: compression of (12, 01) into {01} (bound 2)\n"
 
 
 def test_dynamics_two_copy_rejects_single_tree_checks(spec_file, capsys):

@@ -22,6 +22,7 @@ from tdlclab import localstruct as ls
 from oracles import (
     oracle_check_minimal,
     oracle_first_words,
+    oracle_forcing_order,
     oracle_forcing_replay,
     oracle_invariance_rows,
     oracle_minorising_degree,
@@ -719,11 +720,28 @@ def test_pair_compression_rejects_zero_target():
 
 def test_pair_compression_exhausts_when_no_word_compresses():
     # base-fixing rotations permute the depth-2 sphere, so two distinct
-    # states never land in one depth-2 cylinder, whatever the word
-    ctx = dy.rotation_context(S3, depth=2, word_bound=4)
+    # states never land in one depth-2 cylinder, whatever the word; at
+    # bound 2 the pair orbit still has words of length 2 unexpanded
+    ctx = dy.rotation_context(S3, depth=2, word_bound=2)
     xi, eta = ctx.states()[:2]
     with pytest.raises(SearchExhausted):
         dy.pair_compression(ctx, xi, eta, cyl(0, 1))
+
+
+@pytest.mark.parametrize("bound", [3, 4, 8])
+def test_pair_compression_refutes_a_closed_orbit(bound):
+    # the same pair: its orbit closes with words of length at most 2
+    ctx = dy.rotation_context(S3, depth=2, word_bound=bound)
+    xi, eta = ctx.states()[:2]
+    report = dy.pair_compression(ctx, xi, eta, cyl(0, 1))
+    assert report == {
+        "verdict": "refuted_at_depth",
+        "reason": "no word moves both ends into the target: their orbit closed below the bound",
+        "source": ["01", "02"],
+        "target": "{01}",
+        "depth": 2,
+        "word_bound": bound,
+    }
 
 
 def test_pair_compression_seeded_deep_pairs():
@@ -981,15 +999,57 @@ _ROW_CONTEXTS = {
 }
 
 
-def test_measure_rows_match_the_summed_rows():
+def _summed(rows, nvars):
+    """Signed rows as the rational system the simplex reads: the
+    unit-sum row, then +1 on plus and -1 on minus, right side 0."""
+    one = Fraction(1)
+    system = [({j: one for j in range(nvars)}, one)]
+    for plus, minus in rows:
+        coeffs = {j: one for j in plus}
+        coeffs.update({j: -one for j in minus})
+        system.append((coeffs, Fraction(0)))
+    return system, nvars
+
+
+def _by_sign(rows):
+    """The zero-rhs rows of a rational system as signed rows, the
+    positive coefficients' atoms then the negative ones', with the index
+    of each kept row in the system."""
+    kept, signed = [], []
+    for i, (coeffs, rhs) in enumerate(rows):
+        if not rhs:
+            kept.append(i)
+            signed.append((
+                [j for j, v in coeffs.items() if v > 0],
+                [j for j, v in coeffs.items() if v < 0],
+            ))
+    return kept, signed
+
+
+def test_measure_rows_match_the_summed_rows(monkeypatch):
+    seen = []
+    solve = dy._phase_one_feasible
+    monkeypatch.setattr(
+        dy, "_phase_one_feasible", lambda *system: seen.append(system) or solve(*system)
+    )
     for name, make in _ROW_CONTEXTS.items():
         ctx = make()
         rows, nvars = dy._invariance_rows(ctx)
-        assert (rows, nvars) == oracle_invariance_rows(ctx), name
-        # the simplex reads exact rationals
-        assert all(
-            type(v) is Fraction for coeffs, rhs in rows for v in (*coeffs.values(), rhs)
-        ), name
+        assert _summed(rows, nvars) == oracle_invariance_rows(ctx), name
+        # two disjoint sides of distinct atom indices, not both empty
+        for plus, minus in rows:
+            assert plus or minus, name
+            assert all(type(j) is int for j in (*plus, *minus)), name
+            assert len({*plus, *minus}) == len(plus) + len(minus), name
+        dy.invariant_measure_search(ctx)
+    # the simplex reads exact rationals
+    assert seen
+    assert all(
+        type(v) is Fraction
+        for system, _ in seen
+        for coeffs, rhs in system
+        for v in (*coeffs.values(), rhs)
+    )
 
 
 def test_lone_axis_reaches_the_simplex_with_the_summed_rows(monkeypatch):
@@ -1033,16 +1093,24 @@ def _measure_like_system(rng):
     return rows, nvars
 
 
-def test_forcing_never_refutes_a_feasible_system_seeded():
+def _forcing_systems():
+    """400 seeded rational systems, the unit-sum row first: measure-like
+    ones and ones with general coefficients and right sides."""
     rng = random.Random(23)
-    outcomes = set()
     for k in range(400):
         if k % 2:
-            rows, nvars = _measure_like_system(rng)
+            yield _measure_like_system(rng)
         else:
             rows, nvars = _random_system(rng)
-            rows = [({j: Fraction(1) for j in range(nvars)}, Fraction(1)), *rows]
-        order, live = dy._forcing_order(rows, nvars)
+            yield [({j: Fraction(1) for j in range(nvars)}, Fraction(1)), *rows], nvars
+
+
+def test_forcing_never_refutes_a_feasible_system_seeded():
+    outcomes = set()
+    for rows, nvars in _forcing_systems():
+        kept, signed = _by_sign(rows)
+        order, live = dy._forcing_order(signed, nvars)
+        order = [kept[i] for i in order]
         feasible = oracle_phase_one_feasible(rows, nvars)[0]
         assert not (feasible and not live)
         assert oracle_forcing_replay(rows, order, nvars) == (not live)
@@ -1057,12 +1125,45 @@ def test_forcing_never_refutes_a_feasible_system_seeded():
 )
 def test_forcing_order_replays_on_contexts(make, depth):
     rows, nvars = oracle_invariance_rows(make(S3, depth=depth))
-    order, live = dy._forcing_order(rows, nvars)
+    kept, signed = _by_sign(rows)
+    assert kept == list(range(1, len(rows)))
+    order, live = dy._forcing_order(signed, nvars)
+    # signed row i is row i + 1 of the system, after the unit-sum row
+    order = [i + 1 for i in order]
     # rotations preserve the uniform measure; the other two skewer
     assert (live == 0) == (make is not dy.rotation_context)
     assert oracle_forcing_replay(rows, order, nvars) == (live == 0)
     # the last row forced atoms that no earlier row forced
     assert not oracle_forcing_replay(rows, order[:-1], nvars)
+
+
+def test_signed_forcing_matches_the_rational_presolve_seeded():
+    outcomes = set()
+    for rows, nvars in _forcing_systems():
+        kept, signed = _by_sign(rows)
+        order, live = dy._forcing_order(signed, nvars)
+        assert ([kept[i] for i in order], live) == oracle_forcing_order(rows, nvars)
+        outcomes.add((bool(order), bool(live)))
+    assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_signed_rows_match_the_rational_presolve_on_contexts():
+    uniforms = set()
+    for name, make in _ROW_CONTEXTS.items():
+        ctx = make()
+        rows, nvars = dy._invariance_rows(ctx)
+        system, _ = oracle_invariance_rows(ctx)
+        order, live = dy._forcing_order(rows, nvars)
+        # the unit-sum row is row 0 of the system, so each index moves by one
+        assert ([i + 1 for i in order], live) == oracle_forcing_order(system, nvars), name
+        # uniform by side lengths, as the rational sum with weight 1/N
+        uniform = all(
+            sum(v * Fraction(1, nvars) for v in coeffs.values()) == rhs
+            for coeffs, rhs in system
+        )
+        assert dy.invariant_measure_search(ctx).get("uniform", False) is uniform, name
+        uniforms.add(uniform)
+    assert uniforms == {True, False}
 
 
 def test_labels_and_weights_stay_distinct_above_degree_ten():

@@ -143,6 +143,9 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     # every generator fixes the base vertex, so the skewering search is refuted
     out.append(("rotation-only", ["certify", "free-semigroup", "spec.ini"]))
+    # the pair orbit closes below the bound (exit 1), or bound 2 cuts it off (exit 4)
+    for extra in ([], ["--word-bound", "2"]):
+        out.append(("rotation-only", ["dynamics", "proximal", "spec.ini", *extra]))
     # g skewers, but no base-fixing word separates g.alpha: that orbit closes
     out.append(("elements", ["certify", "free-semigroup", "spec.ini"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
