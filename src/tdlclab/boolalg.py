@@ -526,9 +526,3 @@ def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:
 def sphere_list(shape: TreeShape, n: int) -> tuple[Address, ...]:
     """Cached lexicographically ordered depth-n sphere."""
     return tuple(shape.sphere(n))
-
-
-@lru_cache(maxsize=None)
-def ball_set(shape: TreeShape, n: int) -> frozenset[Address]:
-    """Cached vertex set of the radius-n ball, the domain of its tables."""
-    return frozenset(shape.ball(n))

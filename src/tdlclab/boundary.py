@@ -15,7 +15,6 @@ from .boolalg import (
     Address,
     CylinderClopen,
     TreeShape,
-    ball_set,
     covered,
     format_address,
 )
@@ -309,29 +308,29 @@ def conjugation_shifts(g, reach: int, depth: int, families) -> bool:
 
     Tables are the moved parts of radius-``reach`` ball tables fixing
     the base vertex, and g must carry the depth ball's pull-back inside
-    that ball.  g's own table lists most of the ball; it is checked once
-    on the whole depth ball to invert the exact pull-back y = g^-1(x).
-    After that g f g^-1 fixes x wherever f fixes y, so only the points f
-    moves and those f' moves are read.
+    that ball: each pull-back y = g^-1(x) of a depth-ball point x is
+    exact, so this asks only that |y| <= reach.  After that g f g^-1
+    fixes x wherever f fixes y, so only the points f moves and those f'
+    moves are read, and g is read through its exact map, once per point
+    f moves.  A legal address lies in the depth ball exactly when it is
+    at most ``depth`` letters long.
     """
-    shape = g.shape
-    fwd = g.realize(reach).moved.get
-    back = SpecWord(shape, ((g, -1),))._apply
-    for x in shape.ball(depth):
-        y = back(x)
-        if fwd(y, y) != x:
-            return False
-    domain = ball_set(shape, depth)
+    back = SpecWord(g.shape, ((g, -1),))._apply
+    if any(len(back(x)) > reach for x in g.shape.ball(depth)):
+        return False
+    forth = g._apply
     for family, following in zip(families, families[1:]):
         for fu, ft in zip(family, following):
+            pushed = {y: forth(y) for y in fu}
             hit = set()
             for y, z in fu.items():
-                x = fwd(y, y)
-                if x in domain:
+                x = pushed[y]
+                if len(x) <= depth:
                     hit.add(x)
-                    if fwd(z, z) != ft.get(x, x):
+                    gz = pushed[z] if z in pushed else forth(z)
+                    if gz != ft.get(x, x):
                         return False
-            if any(x in domain and x not in hit for x in ft):
+            if any(len(x) <= depth and x not in hit for x in ft):
                 return False
     return True
 
@@ -358,8 +357,8 @@ def nub_window(
     the ball about g^-i(v0) strictly below its sites, and the
     commutation checks look only at pairs of tables that share a moved
     point.  The shift check is ``conjugation_shifts``:
-    it reads g's own table once on the whole depth ball, and the
-    families' tables only where they move.
+    it pulls the depth ball back once through g's exact inverse, and
+    reads the families' tables only where they move.
     """
     if m < 0:
         raise ValueError(f"window half-width must be at least 0, got {m}")
@@ -393,9 +392,8 @@ def nub_window(
 
     # a table moves a point of the depth ball only inside it, so the
     # commutation on that ball is read off the moved points there
-    domain = ball_set(shape, depth)
     inner = {
-        i: [{x: y for x, y in t.items() if x in domain} for t in tables[i]]
+        i: [{x: y for x, y in t.items() if len(x) <= depth} for t in tables[i]]
         for i in idx
     }
     commute_ok = all(tables_commute(inner[i], inner[j]) for i, j in pairs)

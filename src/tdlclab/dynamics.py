@@ -30,8 +30,10 @@ states themselves and spells words only for the states it records (the
 orbit algorithm with Schreier vectors; Holt, Eick and O'Brien, *Handbook
 of Computational Group Theory*, 2005, section 4.1).  The graph also holds
 the invariant blocks, read by the fixed-point scan, and a search stops
-once it has met its start's block.  A search whose orbit closes below
+once it has met its start's block.  A search whose orbit closes within
 the word bound refutes; one cut off by the bound reports exhaustion.
+The words at the bound are stepped once more, only to tell the two
+apart.
 """
 from __future__ import annotations
 
@@ -203,10 +205,17 @@ class TwoCopyContext:
         return self._base.all_fix_base()
 
 
-def _bfs(names, bound, step, start):
+def _bfs(names, bound, step, start, cut=None):
     """Breadth-first (state, word) pairs from (start, ()), deduplicated by
     value; ``step(name, state)`` is one step and words of length
-    ``bound`` are not expanded."""
+    ``bound`` are not expanded.
+
+    Given a list ``cut``, the search decides whether the bound cut its
+    orbit off: once every pair is yielded, the states at the bound are
+    stepped once more, only to test for an unseen image, and the first
+    one found is appended to ``cut``.  An empty ``cut`` after the last
+    pair means the orbit closed within the bound.
+    """
     seen = {start: ()}
     queue = deque([start])
     yield start, ()
@@ -214,6 +223,8 @@ def _bfs(names, bound, step, start):
         x = queue.popleft()
         w = seen[x]
         if len(w) >= bound:
+            if cut is not None and not cut and any(step(n, x) not in seen for n in names):
+                cut.append(x)
             continue
         for name in names:
             y = step(name, x)
@@ -549,8 +560,9 @@ def skewering_search(ctx) -> dict:
     every generator fixes the base vertex, word images preserve each
     sphere and hence exact measures, so no strict shrink can exist at
     any bound; that refutation needs no search.  A candidate whose
-    image orbit closes below the word bound is refuted outright, while
-    hitting the bound with live frontier reports exhaustion instead.
+    image orbit closes within the word bound is refuted outright, while
+    a bound that cuts an orbit off, a word at the bound stepping to an
+    unseen image, reports exhaustion instead.
     """
     shape = ctx.shape
     if ctx.all_fix_base():
@@ -567,8 +579,8 @@ def skewering_search(ctx) -> dict:
     candidates = [addr for k in range(1, ctx.depth + 1) for addr in sphere_list(shape, k)]
     all_saturated = True
     for a in candidates:
-        saturated = True
-        for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx.step, a):
+        cut: list = []
+        for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx.step, a, cut):
             if word and ctx._strictly_inside(state, a):
                 alpha = ctx.state_clopen(a)
                 galpha = ctx.state_clopen(state)
@@ -582,9 +594,7 @@ def skewering_search(ctx) -> dict:
                     "depth": ctx.depth,
                     "word_bound": ctx.word_bound,
                 }
-            if len(word) >= ctx.word_bound:
-                saturated = False
-        if not saturated:
+        if cut:
             all_saturated = False
     if all_saturated:
         return {
@@ -690,8 +700,13 @@ def minorising_degree(ctx) -> dict:
     two = isinstance(ctx, TwoCopyContext)
     graph = _ActionGraph(ctx._base if two else ctx)
     bit = {s: 1 << i for i, s in enumerate(graph.starts)}
-    # distinct bits, so each sum is their OR
-    shadows = [sum(map(bit.__getitem__, _first_words(graph, a))) for a in graph.starts]
+    every = (1 << len(bit)) - 1
+    # distinct bits, so each sum is their OR; a start meeting every state,
+    # as each does on a minimal action, takes the full mask at once
+    shadows = [
+        every if len(met) == len(bit) else sum(map(bit.__getitem__, met))
+        for met in (_first_words(graph, a) for a in graph.starts)
+    ]
     if two:
         shadows += [m << len(bit) for m in shadows]
     distinct = set(shadows)
@@ -737,7 +752,7 @@ def pair_compression(ctx, xi, eta, target) -> dict:
     Cheap schedules first: plain powers of one generator, then a power
     with a single base-fixing rotation before or after it.  The full
     pair BFS is the fallback; it is exact but explores the product of
-    the two image orbits.  When that orbit closes below the word bound
+    the two image orbits.  When that orbit closes within the word bound
     with no word, the pair is refuted at depth; a search cut off by the
     bound raises SearchExhausted.
     """
@@ -776,13 +791,12 @@ def pair_compression(ctx, xi, eta, target) -> dict:
                 if done(step(rot, cur)):
                     return _schedule(ctx, xi, eta, target, (name,) * k + (rot,), "power+rotation")
 
-    closed = True
-    for pair, word in _bfs(ctx.gen_names, ctx.word_bound, step, start):
+    cut: list = []
+    for pair, word in _bfs(ctx.gen_names, ctx.word_bound, step, start, cut):
         if done(pair):
             return _schedule(ctx, xi, eta, target, word, "bfs")
-        closed = closed and len(word) < ctx.word_bound
     ends = [ctx.state_label(xi), ctx.state_label(eta)]
-    if not closed:
+    if cut:
         raise SearchExhausted(f"compression of ({', '.join(ends)}) into {target}", ctx.word_bound)
     return {
         "verdict": "refuted_at_depth",
@@ -807,7 +821,7 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     length bound are compared for literal distinctness.  Distinct images put the words in
     distinct alpha-stabiliser cosets, witnessing discreteness of the
     generated pair.  A refuted skewering search raises NotSkewering with
-    its reason.  A rotation search whose orbit closes below the bound
+    its reason.  A rotation search whose orbit closes within the bound
     with no such r is refuted at depth.  Either search cut off by the
     word bound raises SearchExhausted.
     """
@@ -829,14 +843,13 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     def step(name, pair):
         return ctx.image(name, pair[0]), ctx.image(name, pair[1])
 
-    r_word, closed = None, True
-    for (ralpha, moved), word in _bfs(fixers, ctx.word_bound, step, (alpha, galpha)):
+    r_word, cut = None, []
+    for (ralpha, moved), word in _bfs(fixers, ctx.word_bound, step, (alpha, galpha), cut):
         if word and ralpha == alpha and moved.leq(beta) and not moved.meets(galpha):
             r_word = word
             break
-        closed = closed and len(word) < ctx.word_bound
     if r_word is None:
-        if not closed:
+        if cut:
             raise SearchExhausted(
                 "base-fixing rotation separating the skewering image", ctx.word_bound
             )

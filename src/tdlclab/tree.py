@@ -14,10 +14,9 @@ SpecWord is a formal product of powers of atoms, evaluated factor by
 factor, so it stays exact too; a factor that is itself a word is spelled
 out when the SpecWord is built, so its factors are always atoms, and a
 one-letter word, an atom or its inverse, applies that atom's own map.
-BallIsometry is the validated table of an exact element on a ball about
-the base vertex; products and inverses are formed exactly before
-tabulating, and a local action past the precision raises
-PrecisionExhausted.
+BallIsometry is the table of an exact element on a ball about the base
+vertex; products and inverses are formed exactly before tabulating, and
+a local action past the precision raises PrecisionExhausted.
 
 Legality of an address is checked once, at the public entry:
 IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
@@ -25,14 +24,20 @@ on an illegal address, then run unchecked code, because the image of a
 legal address is legal.  SpecWord applies its factors through the
 unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
 address check at all: _moved reads ball vertices, legal by construction,
-through the unchecked _apply, and every BallIsometry validates its table
-when it is built (domain, injectivity, legal images, adjacency).
+through the unchecked _apply.  An exact element is an isometry at every
+depth, so realize and conjugate_families wrap its table unchecked, through
+BallIsometry._trusted, as Perm._trusted wraps a product.  A table handed
+to the public constructor is validated (domain, injectivity, legal
+images, adjacency), and the check path in the tests rebuilds every table
+the certificates read that way.
 spec_image_clopen likewise checks only that the clopen lives on the
 recipe's shape, then applies the clopen's atoms, legal by construction,
 through _apply; CylinderClopen.from_addresses still rejects any illegal
 image.  Each portrait site is compiled once, when the spec is built, to
 the forward and inverse image tuples of its colour permutation; below
-the deepest site no lookup is made.
+the deepest site no lookup is made, and a spec with one site and no
+word, as every rigid-stabiliser witness, compares an address's prefix
+with its site once instead of walking it letter by letter.
 
 A ball table lists only the vertices its element moves, with their
 images; every other vertex of the ball is fixed.  An IsometrySpec with
@@ -63,7 +68,7 @@ _conjugate_moves pushes each point _moved yields forward by g^k once,
 lazily, through a memo that every witness of that power shares.
 conjugate_families tabulates the moved points, and
 boundary.contraction_certificates calls a conjugate trivial when no
-point is moved.  Each finished table is validated as realize's is.
+point is moved.  Each finished table is trusted as realize's is.
 
 The portrait of an IsometrySpec acts differently by shape kind.  On
 rooted shapes it is classic: each decorated vertex permutes its own
@@ -86,7 +91,6 @@ from .boolalg import (
     CylinderClopen,
     TreeShape,
     _slice,
-    ball_set,
     format_address,
     sphere_list,
 )
@@ -132,7 +136,7 @@ def _adjacent(u: Address, v: Address) -> bool:
 
 
 class BallIsometry:
-    """Validated table of an exact element on the radius ``precision`` ball.
+    """Table of an exact element on the radius ``precision`` ball.
 
     ``moved`` maps each ball vertex the element moves to its image; every
     other ball vertex is fixed.  The table given to the constructor may
@@ -140,6 +144,8 @@ class BallIsometry:
     as large as the part of the ball it moves, a displacing element's
     lists most of the ball.  Products and inverses are formed exactly,
     as a SpecWord, before tabulating; a table is a read-only result.
+    The constructor validates the table it is given; ``_trusted`` wraps
+    the table of an exact element unchecked.
     """
 
     __slots__ = ("shape", "precision", "moved")
@@ -147,25 +153,43 @@ class BallIsometry:
     def __init__(self, shape: TreeShape, precision: int, table: dict) -> None:
         if precision < 0:
             raise PrecisionExhausted("negative precision")
-        if not table.keys() <= ball_set(shape, precision):
+        # a ball vertex is a legal address no longer than the radius
+        legal = shape.is_legal
+        if not all(len(a) <= precision and legal(a) for a in table):
             raise ValueError("table domain is not inside the stated ball")
         self.shape = shape
         self.precision = precision
         self.moved = {a: b for a, b in table.items() if a != b}
         self._validate()
 
+    @classmethod
+    def _trusted(cls, shape: TreeShape, precision: int, moved: dict) -> "BallIsometry":
+        """Wrap the moved points of an exact element on the ball, unchecked.
+
+        ``moved`` lists exactly the ball vertices the element moves, with
+        their images, as ``_moved`` and ``_conjugate_moves`` yield them.
+        An exact element is an isometry at every depth, so its table
+        needs no proof; the check path rebuilds such tables through the
+        validating constructor.
+        """
+        if precision < 0:
+            raise PrecisionExhausted("negative precision")
+        iso = object.__new__(cls)
+        iso.shape, iso.precision, iso.moved = shape, precision, moved
+        return iso
+
     def _validate(self) -> None:
         """Injective with legal images, and adjacent on every edge that
         touches a moved vertex; an edge with both ends fixed is adjacent
         already.  A moved image must miss every fixed ball vertex."""
         shape, moved, r = self.shape, self.moved, self.precision
-        ball = ball_set(shape, r)
+        legal = shape.is_legal
         images = set(moved.values())
         if len(images) != len(moved) or any(
-            b in ball and b not in moved for b in images
+            b not in moved and len(b) <= r and legal(b) for b in images
         ):
             raise ValueError("table is not injective")
-        for b in images - ball:  # ball vertices are legal
+        for b in images:
             shape.require_legal(b)
         if shape.kind == "rooted" and ROOT in moved:
             raise ValueError("rooted isometries must fix the root")
@@ -300,6 +324,10 @@ class IsometrySpec:
                     support.append(addr)
             support = tuple(support)
         object.__setattr__(self, "support", support)
+        if not word and len(compiled) == 1:
+            # one site, as every rigid-stabiliser witness: skip the loop
+            (site, (images, _)), = compiled.items()
+            object.__setattr__(self, "_apply", _one_site(shape, site, images))
 
     @property
     def displacement(self) -> int:
@@ -389,7 +417,28 @@ class IsometrySpec:
         return tuple(out)
 
     def realize(self, r: int) -> BallIsometry:
-        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
+        return BallIsometry._trusted(self.shape, r, dict(_moved(self, ROOT, r)))
+
+
+def _one_site(shape: TreeShape, v: Address, images: tuple[int, ...]):
+    """``_apply`` of a spec with no word and the one site v.
+
+    Only an address through v moves.  On rooted shapes the site permutes
+    the letter right after v; on regular shapes it recolours every letter
+    after v, as no deeper site overrides it.
+    """
+    n = len(v)
+    if shape.kind == "rooted":
+        def apply(addr: Address) -> Address:
+            if len(addr) > n and addr[:n] == v:
+                return v + (images[addr[n]],) + addr[n + 1:]
+            return addr
+    else:
+        def apply(addr: Address) -> Address:
+            if addr[:n] == v:
+                return v + tuple([images[x] for x in addr[n:]])
+            return addr
+    return apply
 
 
 def _moved(u, c: Address, r: int):
@@ -519,7 +568,7 @@ class SpecWord:
         return None
 
     def realize(self, r: int) -> BallIsometry:
-        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
+        return BallIsometry._trusted(self.shape, r, dict(_moved(self, ROOT, r)))
 
     def is_identity_on(self, r: int) -> bool:
         return next(_moved(self, ROOT, r), None) is None
@@ -555,12 +604,12 @@ def _conjugate_moves(g, k: int, r: int):
 def conjugate_families(g, ks, us, r: int) -> dict:
     """Radius-r ball tables of the conjugates g^k u g^-k, one list per
     power k in ks, keyed by k, one table per u: the moved points that
-    ``_conjugate_moves`` yields, validated as a BallIsometry.
+    ``_conjugate_moves`` yields, as a trusted BallIsometry.
     """
     out: dict = {}
     for k in set(ks):
         moves = _conjugate_moves(g, k, r)
-        out[k] = [BallIsometry(g.shape, r, dict(moves(u))) for u in us]
+        out[k] = [BallIsometry._trusted(g.shape, r, dict(moves(u))) for u in us]
     return out
 
 

@@ -70,6 +70,19 @@ edge, and the membership oracle reads the local action at every vertex
 of the ball, where ``BallIsometry`` and ``in_universal_group`` read only
 the moved vertices and the edges and neighbours around them.
 
+The ball-witness check path, ``check_ball_witnesses``, reruns the checks
+of ``certify goodshrink``, ``nub``, ``tits-core`` and ``contraction`` on
+tables it builds itself: each element, or each conjugate g^k u g^-k read
+through the pull-back of the recursive ball, is applied at every vertex
+of that ball, and the whole-ball dict goes through the public,
+validating ``BallIsometry`` constructor, as the library's tables of exact
+elements do not.  Witnesses are listed from the recursive ball and the
+region's cover, supports, local actions and commutation are read by the
+whole-ball oracles above, and the nub shift is read through the pull-back
+of the depth ball against a validated table of g.  It shares no walk, no
+moved-point reading and no trusted table with the commands, and must
+reach their checks and verdict.
+
 The first-words and skewering oracles are the word-image searches as
 they were before one-cylinder states became vertices: every state is a
 clopen, and every step goes through the context's memoised ``image``,
@@ -142,7 +155,7 @@ from tdlclab.certificates import normalise_key
 from tdlclab.dynamics import TwoCopyContext, _start_words, minorising_set, reachable_images
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
-from tdlclab.tree import SpecWord, spec_image_clopen
+from tdlclab.tree import BallIsometry, IsometrySpec, SpecWord, site_group, spec_image_clopen
 
 
 def _is_subgroup(elems: frozenset[Perm]) -> bool:
@@ -637,16 +650,23 @@ def oracle_shortlex_words(ctx, start, inside: bool = False) -> dict:
 def oracle_skewering(ctx) -> dict:
     """``skewering_search`` on clopen states: the first word, alpha and
     galpha strictly inside alpha, else whether every candidate's orbit
-    closed below the bound."""
+    closed within the bound: no image reached by a word at the bound
+    steps to a clopen the search did not reach."""
     all_saturated = True
     for k in range(1, ctx.depth + 1):
         for addr in sphere_list(ctx.shape, k):
             alpha = CylinderClopen.cylinder(ctx.shape, addr)
+            reached = {}
             for clopen, word in reachable_images(ctx, alpha):
                 if word and clopen.lt(alpha):
                     return {"word": list(word), "alpha": alpha, "galpha": clopen}
-                if len(word) >= ctx.word_bound:
-                    all_saturated = False
+                reached[clopen] = word
+            if any(
+                len(word) >= ctx.word_bound and ctx.image(name, clopen) not in reached
+                for clopen, word in reached.items()
+                for name in ctx.gen_names
+            ):
+                all_saturated = False
     return {"saturated": all_saturated}
 
 
@@ -804,7 +824,7 @@ def oracle_walked_contraction_certificates(g, us, ball_radius: int, direction: i
 def full_table(iso) -> dict:
     """A ball table spelled out over its whole ball, fixed vertices listed."""
     get = iso.moved.get
-    return {a: get(a, a) for a in iso.shape.ball(iso.precision)}
+    return {a: get(a, a) for a in oracle_ball(iso.shape, iso.precision)}
 
 
 def oracle_ball_table_error(shape, precision: int, table: dict):
@@ -885,9 +905,213 @@ def oracle_support_in(iso, region) -> bool:
     table = full_table(iso)
     return all(
         table[v] == v
-        for v in iso.shape.ball(iso.precision)
+        for v in table
         if not any(v[:k] in cover for k in range(len(v) + 1))
     )
+
+
+# -- the ball-witness check path ------------------------------------------------
+
+
+def validated_table(mover, r: int) -> tuple:
+    """The radius-r ball table of an exact element, read at every vertex
+    of the recursive ball and handed to the validating ``BallIsometry``
+    constructor: (the table, its whole-ball dict)."""
+    table = oracle_realize(mover, r)
+    return BallIsometry(mover.shape, r, table), table
+
+
+def _witnesses(local, region, depth: int) -> list:
+    """Single-site witnesses of the rigid stabiliser of a region: one
+    per generator of the site group at each vertex down to ``depth``
+    whose cylinder lies inside the region, tested prefix by prefix."""
+    cover, shape = region.cover, region.shape
+    return [
+        IsometrySpec(shape, sites=((v, perm),))
+        for v in oracle_ball(shape, depth)
+        if any(v[:k] in cover for k in range(len(v) + 1))
+        for perm in site_group(shape, local, v).pruned_gens
+    ]
+
+
+def conjugate_tables(g, k: int, r: int):
+    """``table(u)``: the validated radius-r table of g^k u g^-k, with its
+    whole-ball dict, read through the pull-back g^-k of every vertex of
+    the recursive ball, computed once for every u."""
+    ball = list(oracle_ball(g.shape, r))
+    pulled = list(map(SpecWord(g.shape, ((g, -k),)).apply, ball))
+    forth = SpecWord(g.shape, ((g, k),)).apply
+
+    def table(u) -> tuple:
+        whole = {}
+        for a, y in zip(ball, pulled):
+            z = u.apply(y)
+            whole[a] = a if z == y else forth(z)
+        return BallIsometry(g.shape, r, whole), whole
+
+    return table
+
+
+def check_contraction(g, us, ball_radius: int, direction: int = 1) -> list:
+    """``contraction_certificates`` with every conjugate's table built
+    on the whole checked ball and validated."""
+    k_max, r = ball_radius + 4, ball_radius + 1
+    powers: dict = {}
+
+    def trivial(u, k: int) -> bool:
+        if k not in powers:
+            powers[k] = conjugate_tables(g, direction * k, r)
+        return not powers[k](u)[0].moved
+
+    out = []
+    for u in us:
+        onset = next((k for k in range(k_max + 1) if trivial(u, k)), None)
+        tail = [] if onset is None else [
+            trivial(u, j) for j in range(onset + 1, min(onset + 4, k_max + 1))
+        ]
+        monotone = onset is not None and all(tail)
+        out.append({
+            "k": onset,
+            "k_max": k_max,
+            "ball": ball_radius,
+            "checked_radius": r,
+            "direction": direction,
+            "onset_monotone": monotone,
+            "verdict": "contracts" if monotone else "no-contraction-within-bounds",
+        })
+    return out
+
+
+def _allowed_in(tables, region, local) -> bool:
+    """Every validated table is supported in the region and its local
+    actions lie in the local group."""
+    return all(
+        oracle_support_in(iso, region) and oracle_in_universal_group(iso, local)
+        for iso, _ in tables
+    )
+
+
+def _report(checks: dict) -> dict:
+    return {"checks": checks, "verdict": "verified" if all(checks.values()) else "refuted_at_depth"}
+
+
+def check_goodshrink(local, g, alpha, depth: int, n0=None) -> dict:
+    """The checks and verdict of ``goodshrink_construct``."""
+    n0 = 1 if n0 is None else n0
+    chain = [alpha]
+    for _ in range(2 * depth):
+        chain.append(spec_image_clopen(g, chain[-1]))
+    kappa, beta = chain[n0], alpha.minus(chain[1])
+    kappa_gens = _witnesses(local, kappa, depth)
+    r = depth + 2
+    gn0_beta = beta
+    for _ in range(n0):
+        gn0_beta = spec_image_clopen(g, gn0_beta)
+    beta_tables = [validated_table(v, r) for v in _witnesses(local, gn0_beta, depth)]
+    conj = list(map(conjugate_tables(g, 1, r), kappa_gens))
+    ball = list(oracle_ball(g.shape, r))
+    whole = [t for _, t in conj + beta_tables]
+    return _report({
+        "image_strictly_inside": chain[1].lt(alpha),
+        "chain_strictly_shrinking": all(b.lt(a) for a, b in zip(chain, chain[1:])),
+        "conjugation_preserves_kappa": _allowed_in(conj, kappa, local),
+        "product_inclusion": gn0_beta.leq(kappa)
+        and all(oracle_support_in(iso, kappa) for iso, _ in beta_tables),
+        "factors_commute": all(t[ROOT] == ROOT for t in whole)
+        and oracle_tables_commute([t for _, t in conj], [t for _, t in beta_tables], ball),
+        "kappa_witnesses_contract": all(
+            c["verdict"] == "contracts" for c in check_contraction(g, kappa_gens, depth)
+        ),
+    })
+
+
+def check_nub(local, g, beta, v_level: int, m: int, depth: int) -> dict:
+    """The checks and verdict of ``nub_window``, the shift read through
+    the pull-back of the depth ball against g's validated table."""
+    shape = g.shape
+    idx = range(-m, m + 1)
+    translates = {i: spec_image_clopen(SpecWord(shape, ((g, i),)), beta) for i in idx}
+    pairs = [(i, j) for i in idx for j in idx if i < j]
+    gens = _witnesses(local, beta, v_level)
+    reach = depth + max(1, g.displacement)
+    tables = {i: list(map(conjugate_tables(g, i, reach), gens)) for i in idx}
+    ball = list(oracle_ball(shape, depth))
+    _, g_fwd = validated_table(g, reach)
+    pulled = list(map(SpecWord(shape, ((g, -1),)).apply, ball))
+    whole = [[t for _, t in tables[i]] for i in idx]
+    return _report({
+        "translates_disjoint": not any(translates[i].meets(translates[j]) for i, j in pairs),
+        "supports_inside_translates": all(
+            oracle_support_in(iso, translates[i]) for i in idx for iso, _ in tables[i]
+        ),
+        "cross_factor_commutators_trivial": all(t[ROOT] == ROOT for w in whole for t in w)
+        and all(oracle_tables_commute(whole[i + m], whole[j + m], ball) for i, j in pairs),
+        "conjugation_shifts_families": all(g_fwd.get(y) == x for x, y in zip(ball, pulled))
+        and all(
+            g_fwd[fu[y]] == ft[x]
+            for family, following in zip(whole, whole[1:])
+            for fu, ft in zip(family, following)
+            for x, y in zip(ball, pulled)
+        ),
+    })
+
+
+def check_tits_core(local, g, depth: int) -> dict:
+    """The checks and verdict of ``tits_core_generators``."""
+    shape = g.shape
+
+    def beta_of(mover):
+        for c in shape.colours():
+            a = CylinderClopen.cylinder(shape, (c,))
+            image = spec_image_clopen(mover, a)
+            if image.lt(a):
+                return a.minus(image)
+        raise AssertionError("no depth-1 cylinder shrinks")
+
+    beta_f = beta_of(g)
+    gens_f = _witnesses(local, beta_f, depth)
+    gens_b = _witnesses(local, beta_of(SpecWord(shape, ((g, -1),))), depth)
+    cover = beta_f.sorted_cover()
+    cone = cover[0]
+    while any(a[: len(cone)] != cone for a in cover):
+        cone = cone[:-1]
+    rotations = [IsometrySpec(shape, sites=((cone, p),)) for p in site_group(shape, local, cone).pruned_gens]
+    rotations += [
+        IsometrySpec(shape, sites=((ROOT, p),))
+        for p in local.pruned_gens
+        if all(p(c) == c for c in cone)
+    ]
+    rotations = [rho for rho in rotations if spec_image_clopen(rho, beta_f) == beta_f]
+    checks = {
+        "forward_witnesses_contract": all(
+            c["verdict"] == "contracts" for c in check_contraction(g, gens_f, depth)
+        ),
+        "backward_witnesses_contract": all(
+            c["verdict"] == "contracts" for c in check_contraction(g, gens_b, depth, -1)
+        ),
+        "witness_families_nonempty": bool(gens_f) and bool(gens_b),
+    }
+    if rotations:
+        checks["cone_rotations_normalise"] = all(
+            _allowed_in(map(conjugate_tables(rho, 1, depth + 2), gens_f), beta_f, local)
+            for rho in rotations
+        )
+    return _report(checks)
+
+
+def check_ball_witnesses(kind: str, *args, **kwargs):
+    """Rerun the ball checks of ``certify goodshrink``, ``nub``,
+    ``tits-core`` or ``contraction`` on validated whole-ball tables.
+
+    Returns the checks and verdict the command reports, or for
+    ``contraction`` its list of certificates.
+    """
+    return {
+        "goodshrink": check_goodshrink,
+        "nub": check_nub,
+        "tits-core": check_tits_core,
+        "contraction": check_contraction,
+    }[kind](*args, **kwargs)
 
 
 def oracle_congruence_kernel(group: FiniteGroup, shape, n: int, k: int) -> FiniteGroup:

@@ -4,10 +4,13 @@ Each criterion prints ``[NN] name: PASS/FAIL (detail)``; run with
 ``pytest tests/test_acceptance.py -s`` to watch the lines live (without
 ``-s`` pytest shows them only for failing criteria).  Criteria carry the
 stated wall-clock bounds as assertions; certificates produced along the
-way are registered and replayed byte-for-byte by the final criterion.
+way are registered and replayed byte-for-byte by the final criterion,
+which also reruns the ball checks of the goodshrink and nub certificates
+on the check path of ``oracles.check_ball_witnesses``.
 """
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -40,6 +43,7 @@ from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
 
 from oracles import (
+    check_ball_witnesses,
     corpus,
     oracle_composition_factors,
     oracle_melnikov,
@@ -60,6 +64,9 @@ GROUP_SPEC = "universal group of Sym(3) acting on the 3-regular tree boundary"
 
 # criterion 13 replays every certificate registered here: kind -> (thunk, bytes)
 _REPLAY: dict[str, tuple] = {}
+# and reruns the ball checks of those registered here on validated
+# tables: kind -> thunk giving the checks and verdict
+_BALL_CHECKS: dict[str, object] = {}
 
 
 def _report(num: int, name: str, ok: bool, started: float, bound: float, detail: str = ""):
@@ -194,6 +201,7 @@ def _goodshrink_cert() -> dict:
 def test_criterion_06_goodshrink_certificate():
     started = time.perf_counter()
     cert = _freeze("goodshrink", _goodshrink_cert)
+    _BALL_CHECKS["goodshrink"] = lambda: check_ball_witnesses("goodshrink", S3, T0, HALF0, 6)
     checks = cert["checks"]
     named = (
         "conjugation_preserves_kappa",
@@ -225,6 +233,7 @@ def _nub_cert() -> dict:
 def test_criterion_07_nub_window():
     started = time.perf_counter()
     cert = _freeze("nub-window", _nub_cert)
+    _BALL_CHECKS["nub-window"] = lambda: check_ball_witnesses("nub", S3, T0, BETA, 3, 3, 8)
     checks = cert["checks"]
     ok = (
         cert["verdict"] == "verified"
@@ -434,7 +443,18 @@ def test_criterion_13_certificate_replay():
         again = canonical_json(thunk())
         if again != first:
             mismatches.append(kind)
-    ok = ok and not mismatches
+    # the check path must reach the certificate's checks and verdict
+    disagreements = []
+    for kind, thunk in sorted(_BALL_CHECKS.items()):
+        cert, check = json.loads(_REPLAY[kind][1]), thunk()
+        if check["verdict"] != cert["verdict"] or any(
+            cert["checks"].get(name) != value for name, value in check["checks"].items()
+        ):
+            disagreements.append(kind)
+    ok = ok and not mismatches and set(_BALL_CHECKS) == {"goodshrink", "nub-window"}
+    ok = ok and not disagreements
     _report(13, "certificate-replay", ok, started, 60.0,
-            f"{len(_REPLAY)} certificates replayed byte-for-byte"
-            + (f"; mismatches: {mismatches}" if mismatches else ""))
+            f"{len(_REPLAY)} certificates replayed byte-for-byte, "
+            f"{len(_BALL_CHECKS)} rechecked on validated tables"
+            + (f"; mismatches: {mismatches}" if mismatches else "")
+            + (f"; check path disagrees: {disagreements}" if disagreements else ""))

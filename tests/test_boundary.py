@@ -23,6 +23,7 @@ from tdlclab.certificates import canonical_json
 from tdlclab.errors import DisjointnessFailure, NotSkewering
 from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
 from tdlclab.tree import (
+    BallIsometry,
     IsometrySpec,
     SpecWord,
     _conjugate_moves,
@@ -34,6 +35,7 @@ from tdlclab.tree import (
 )
 
 from oracles import (
+    check_ball_witnesses,
     full_table,
     oracle_conjugation_shifts,
     oracle_contraction_certificate,
@@ -43,7 +45,7 @@ from oracles import (
     oracle_walked_contraction_certificates,
     pullbacks,
 )
-from util import random_clopen
+from util import random_clopen, random_regular_portrait, random_rooted_portrait
 
 T3 = regular(3)
 S3 = symmetric_group(3)
@@ -416,6 +418,136 @@ def test_conjugation_shifts_match_the_whole_ball_oracle(g):
         assert got is False
         assert got == oracle_conjugation_shifts(g, reach, depth, fam_whole)
     assert verdicts == {True, False}
+
+
+@pytest.fixture
+def trusted_tables(monkeypatch):
+    """Every table ``BallIsometry._trusted`` wraps while the test runs."""
+    built = []
+    wrap = BallIsometry._trusted
+
+    def record(shape, precision, moved):
+        iso = wrap(shape, precision, moved)
+        built.append(iso)
+        return iso
+
+    monkeypatch.setattr(BallIsometry, "_trusted", staticmethod(record))
+    return built
+
+
+_SHAPES = {
+    "rooted2": (rooted(2), symmetric_group(2)),
+    "rooted3": (rooted(3), S3),
+    "regular3": (T3, S3),
+    "regular4": (regular(4), symmetric_group(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_exact_tables_pass_the_validating_constructor_seeded(name, trusted_tables):
+    # realize and conjugate_families wrap their tables unchecked; every
+    # table they build for the goodshrink, nub and tits-core families,
+    # for contraction's powers and checked radius, for the mixed specs
+    # and for seeded portraits and words in them passes the validating
+    # constructor unchanged.  On rooted shapes the conjugator is a
+    # seeded portrait, as rooted shapes admit no translation
+    shape, local = _SHAPES[name]
+    rng = random.Random(37)
+    depth = 3
+    region = CylinderClopen.cylinder(shape, (0,))
+    if shape.kind == "regular":
+        portraits = [random_regular_portrait(rng, shape, local, 2) for _ in range(4)]
+        g = hyperbolic_isometry(shape, (0,))
+        kappa, rep = goodshrink_construct(local, g, region, depth)
+        beta = region.minus(spec_image_clopen(g, region))
+        verdicts = {
+            rep["verdict"],
+            nub_window(local, g, beta, 2, 2, depth)["verdict"],
+            tits_core_generators(local, g, depth)[1]["verdict"],
+        }
+        us = rist_generators(local, kappa, depth) + portraits
+        us += _MIXED_SPECS if shape == T3 else [g]
+    else:
+        portraits = [random_rooted_portrait(rng, shape, 2) for _ in range(4)]
+        g = portraits[0]
+        us = rist_generators(local, region, depth) + portraits
+        verdicts = {"verified"}
+    conjugate_families(g, range(-depth - 4, depth + 5), us, depth + 1)
+    words = [
+        SpecWord(shape, tuple((rng.choice(us), rng.choice((-2, -1, 1, 2))) for _ in range(3)))
+        for _ in range(6)
+    ]
+    for mover in us + words:
+        for r in range(5):
+            mover.realize(r)
+    assert len(trusted_tables) > 200
+    assert any(iso.moved for iso in trusted_tables)
+    assert any(not iso.moved for iso in trusted_tables)
+    for iso in trusted_tables:
+        assert BallIsometry(shape, iso.precision, iso.moved).moved == iso.moved, iso
+    assert verdicts == {"verified"}
+
+
+T01 = hyperbolic_isometry(T3, (0, 1))
+T012 = hyperbolic_isometry(T3, (0, 1, 2))
+T0T0 = SpecWord.of(T0, T0)
+
+
+def _beta_of(g):
+    alpha = CylinderClopen.cylinder(T3, (g.apply(ROOT)[0],))
+    return alpha.minus(spec_image_clopen(g, alpha))
+
+
+# the command families of this file and of tests/test_cli.py (the element
+# g is T0 and h is T0T0 there, at depth 3); criterion 13 checks the
+# goodshrink and nub certificates of criteria 6 and 7
+_BALL_FAMILIES = {
+    "goodshrink-d3": ("goodshrink", goodshrink_construct, (S3, T0, HALF0, 3)),
+    "goodshrink-d4": ("goodshrink", goodshrink_construct, (S3, T0, HALF0, 4)),
+    "goodshrink-n0": ("goodshrink", goodshrink_construct, (S3, T0, HALF0, 3), {"n0": 2}),
+    "goodshrink-h": ("goodshrink", goodshrink_construct, (S3, T0T0, HALF0, 3)),
+    "nub-m3-d6": ("nub", nub_window, (S3, T0, BETA, 3, 3, 6)),
+    "nub-m0": ("nub", nub_window, (S3, T0, BETA, 3, 0, 4)),
+    "nub-t01": ("nub", nub_window, (S3, T01, _beta_of(T01), 3, 2, 4)),
+    "nub-t012": ("nub", nub_window, (S3, T012, _beta_of(T012), 3, 2, 4)),
+    "nub-h": ("nub", nub_window, (S3, T0T0, _beta_of(T0T0), 3, 2, 3)),
+    "tits-core-t0": ("tits-core", tits_core_generators, (S3, T0, 3)),
+    "tits-core-t01": ("tits-core", tits_core_generators, (S3, T01, 3)),
+    "tits-core-h": ("tits-core", tits_core_generators, (S3, T0T0, 3)),
+    "contraction-u1": (
+        "contraction", contraction_certificates,
+        (T0, [IsometrySpec(T3, sites=(((0, 1), SWAP02),))], 4),
+    ),
+    "contraction-mixed": ("contraction", contraction_certificates, (T0, _MIXED_SPECS, 3)),
+    "contraction-mixed-back": ("contraction", contraction_certificates, (T0, _MIXED_SPECS, 2, -1)),
+}
+
+
+@pytest.mark.parametrize("family", list(_BALL_FAMILIES))
+def test_check_path_gives_the_command_verdict(family):
+    # the check path rebuilds every ball table through the validating
+    # constructor, on the whole ball, and reruns the command's checks
+    kind, command, args, *kwargs = _BALL_FAMILIES[family]
+    kwargs = kwargs[0] if kwargs else {}
+    got = command(*args, **kwargs)
+    if kind != "contraction":  # contraction compares its certificates
+        rep = got[1] if isinstance(got, tuple) else got
+        got = {"checks": rep["checks"], "verdict": rep["verdict"]}
+    assert check_ball_witnesses(kind, *args, **kwargs) == got
+
+
+def test_check_path_refutes_what_the_command_refuses():
+    # the command raises before it reports; the check path reports the
+    # failed check instead
+    rho = IsometrySpec(T3, sites=(((), SWAP01),))
+    got = check_ball_witnesses("goodshrink", S3, rho, HALF0, 3)
+    assert got["verdict"] == "refuted_at_depth"
+    assert got["checks"]["image_strictly_inside"] is False
+    got = check_ball_witnesses("nub", S3, T0, HALF0, 3, 2, 4)
+    assert got["verdict"] == "refuted_at_depth"
+    assert got["checks"]["translates_disjoint"] is False
+    verdicts = {c["verdict"] for c in check_ball_witnesses("contraction", T0, _MIXED_SPECS, 3)}
+    assert verdicts == {"contracts", "no-contraction-within-bounds"}
 
 
 def test_goodshrink_verified_on_attracting_half_tree():

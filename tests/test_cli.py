@@ -435,18 +435,36 @@ def test_dynamics_proximal_seeded(spec_file, capsys):
 
 
 def test_dynamics_proximal_refutes_a_closed_pair_orbit(spec_file, capsys):
-    # rotations alone: the pair orbit closes below the bound (exit 1),
+    # rotations alone: the pair orbit closes within the bound (exit 1),
     # and a bound that cuts it off exhausts the search (exit 4)
     code, report, _ = run_cli(capsys, "dynamics", "proximal", spec_file(ROTONLY))
     assert code == 1
     assert report["results"]["verdict"] == "refuted_at_depth"
     assert report["results"]["source"] == ["12", "01"]
     code, report, captured = run_cli(
-        capsys, "dynamics", "proximal", spec_file(ROTONLY), "--word-bound", "2"
+        capsys, "dynamics", "proximal", spec_file(ROTONLY), "--word-bound", "1"
     )
     assert code == 4
     assert report is None
-    assert captured.err == "search exhausted: compression of (12, 01) into {01} (bound 2)\n"
+    assert captured.err == "search exhausted: compression of (12, 01) into {01} (bound 1)\n"
+
+
+@pytest.mark.parametrize("bound, exit_code", [(1, 4), (2, 1), (3, 1), (4, 1)])
+def test_dynamics_proximal_decides_closure_at_the_bound(spec_file, capsys, bound, exit_code):
+    # the (12, 01) pair orbit under the rotations is complete with words
+    # of length 2: at bound 2 its last level steps to no unseen pair, so
+    # the orbit closed (exit 1, as at any larger bound); at bound 1 a
+    # word at the bound steps to an unseen pair, so the bound cut it off
+    code, report, captured = run_cli(
+        capsys, "dynamics", "proximal", spec_file(ROTONLY), "--word-bound", str(bound)
+    )
+    assert code == exit_code
+    if exit_code == 1:
+        assert report["results"]["verdict"] == "refuted_at_depth"
+        assert report["results"]["word_bound"] == bound
+    else:
+        assert report is None
+        assert "search exhausted" in captured.err
 
 
 def test_dynamics_two_copy_rejects_single_tree_checks(spec_file, capsys):
@@ -519,24 +537,39 @@ def test_certify_free_semigroup_refutes_on_rotations(spec_file, capsys, tmp_path
 def test_certify_free_semigroup_rotation_search_exit_codes(spec_file, capsys, tmp_path):
     # g = t0 skewers, but no word in the base-fixing generators rho and
     # u1 separates g.alpha from it: their orbit on the pair closes at
-    # three states, which refutes (exit 1) once words of length 1 are
-    # expanded, and is cut off by the bound (exit 4) when they are not
+    # three states, reached by words of length 1, which refutes (exit 1)
+    # at any bound from 1 on.  With the root recolourings a = (0 1) and
+    # b = (0 1 2) the rotation is the two-letter a b~, so at bound 1 the
+    # one-letter words step to unseen pairs and the bound cuts the
+    # search off (exit 4); at bound 2 it verifies
     out = tmp_path / "free.cert.json"
-    code, report, _ = run_cli(
-        capsys, "certify", "free-semigroup", spec_file(US3_ELEMENTS), "--out", str(out)
+    for bound in ("6", "1"):
+        code, report, _ = run_cli(
+            capsys, "certify", "free-semigroup", spec_file(US3_ELEMENTS),
+            "--word-bound", bound, "--out", str(out),
+        )
+        assert code == 1
+        assert report["results"]["verdict"] == "refuted_at_depth"
+        assert "base-fixing generators" in report["results"]["reason"]
+        cert = json.loads(out.read_text())
+        assert cert["verdict"] == "refuted_at_depth"
+        assert cert["checks"] == {"reason": report["results"]["reason"]}
+    two_letters = US3_ELEMENTS.split("[elements]")[0] + (
+        "[elements]\ng = hyperbolic axis=0\na = portrait root:(0 1)\n"
+        "b = portrait root:(0 1 2)\n\n[limits]\ndepth = 3\nword_bound = 6\n"
     )
-    assert code == 1
-    assert report["results"]["verdict"] == "refuted_at_depth"
-    assert "base-fixing generators" in report["results"]["reason"]
-    cert = json.loads(out.read_text())
-    assert cert["verdict"] == "refuted_at_depth"
-    assert cert["checks"] == {"reason": report["results"]["reason"]}
     code, _, captured = run_cli(
-        capsys, "certify", "free-semigroup", spec_file(US3_ELEMENTS),
-        "--word-bound", "1", "--out", str(out),
+        capsys, "certify", "free-semigroup", spec_file(two_letters),
+        "--word-bound", "1", "--L", "3", "--out", str(out),
     )
     assert code == 4
     assert "base-fixing rotation separating the skewering image (bound 1)" in captured.err
+    code, report, _ = run_cli(
+        capsys, "certify", "free-semigroup", spec_file(two_letters),
+        "--word-bound", "2", "--L", "3", "--out", str(out),
+    )
+    assert code == 0
+    assert report["results"]["rotation"] == "a b~"
 
 
 def test_certify_orbit_join_and_tits_core(spec_file, capsys, tmp_path):

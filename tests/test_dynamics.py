@@ -721,16 +721,17 @@ def test_pair_compression_rejects_zero_target():
 def test_pair_compression_exhausts_when_no_word_compresses():
     # base-fixing rotations permute the depth-2 sphere, so two distinct
     # states never land in one depth-2 cylinder, whatever the word; at
-    # bound 2 the pair orbit still has words of length 2 unexpanded
-    ctx = dy.rotation_context(S3, depth=2, word_bound=2)
+    # bound 1 a word of length 1 steps to a pair the search never reached
+    ctx = dy.rotation_context(S3, depth=2, word_bound=1)
     xi, eta = ctx.states()[:2]
     with pytest.raises(SearchExhausted):
         dy.pair_compression(ctx, xi, eta, cyl(0, 1))
 
 
-@pytest.mark.parametrize("bound", [3, 4, 8])
+@pytest.mark.parametrize("bound", [2, 3, 4, 8])
 def test_pair_compression_refutes_a_closed_orbit(bound):
-    # the same pair: its orbit closes with words of length at most 2
+    # the same pair: its orbit closes with words of length at most 2, so
+    # at bound 2 the words at the bound step to no unseen pair
     ctx = dy.rotation_context(S3, depth=2, word_bound=bound)
     xi, eta = ctx.states()[:2]
     report = dy.pair_compression(ctx, xi, eta, cyl(0, 1))

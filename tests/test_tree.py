@@ -62,49 +62,13 @@ from tree_oracles import (
     oracle_rooted_apply,
     oracle_translation_apply,
 )
+from util import random_regular_portrait, random_rooted_portrait
 
 T3 = regular(3)
 R2 = rooted(2)
 S3 = symmetric_group(3)
 C3 = cyclic_group(3)
 C2 = cyclic_group(2)
-
-
-def _random_rooted_portrait(rng, shape, depth):
-    sites = []
-    for v in shape.ball(depth):
-        if rng.random() < 0.4:
-            images = list(range(shape.degree))
-            rng.shuffle(images)
-            sites.append((v, Perm(tuple(images))))
-    return IsometrySpec(shape, sites=tuple(sites))
-
-
-def _random_regular_portrait(rng, shape, local, depth):
-    # root gets anything from the local group, deeper sites must fix the
-    # return colour when their ancestors are undecorated; sampling sites
-    # top-down and matching the inherited image keeps every draw legal
-    sites = {}
-    elems = local.element_list
-
-    def inherited(prefix):
-        for k in range(len(prefix), -1, -1):
-            if prefix[:k] in sites:
-                return sites[prefix[:k]]
-        return None
-
-    if rng.random() < 0.7:
-        sites[ROOT] = rng.choice(elems)
-    for k in range(1, depth + 1):
-        for v in shape.sphere(k):
-            if rng.random() < 0.3:
-                back = v[-1]
-                inh = inherited(v[:-1])
-                want = inh(back) if inh is not None else back
-                pool = [p for p in elems if p(back) == want]
-                if pool:
-                    sites[v] = rng.choice(pool)
-    return IsometrySpec(shape, sites=tuple(sites.items()))
 
 
 # -- portrait semantics --------------------------------------------------------
@@ -114,7 +78,7 @@ def test_rooted_portrait_matches_oracle_seeded():
     rng = random.Random(11)
     shape = rooted(3)
     for _ in range(60):
-        p = _random_rooted_portrait(rng, shape, 2)
+        p = random_rooted_portrait(rng, shape, 2)
         smap = dict(p.sites)
         for _ in range(10):
             addr = []
@@ -127,7 +91,7 @@ def test_rooted_portrait_matches_oracle_seeded():
 def test_regular_portrait_matches_oracle_seeded():
     rng = random.Random(12)
     for _ in range(60):
-        p = _random_regular_portrait(rng, T3, S3, 2)
+        p = random_regular_portrait(rng, T3, S3, 2)
         smap = dict(p.sites)
         for _ in range(10):
             addr = []
@@ -200,7 +164,7 @@ def test_site_faults_name_the_site_that_failed(sites, site, message):
 def test_local_actions_match_oracle_seeded():
     rng = random.Random(13)
     for _ in range(25):
-        p = _random_regular_portrait(rng, T3, S3, 2)
+        p = random_regular_portrait(rng, T3, S3, 2)
         iso = p.realize(5)
         for v in T3.ball(3):
             assert iso.local_action(v) == oracle_local_action(
@@ -214,8 +178,8 @@ def test_local_actions_match_oracle_seeded():
 def test_compose_matches_pointwise():
     rng = random.Random(14)
     for _ in range(30):
-        g = _random_regular_portrait(rng, T3, S3, 2)
-        h = _random_regular_portrait(rng, T3, S3, 2)
+        g = random_regular_portrait(rng, T3, S3, 2)
+        h = random_regular_portrait(rng, T3, S3, 2)
         gh = SpecWord.of(g, h).realize(6)
         assert gh.precision == 6
         table = full_table(gh)
@@ -279,7 +243,7 @@ def test_cocycle_identity_seeded():
             specs.append(
                 IsometrySpec(
                     T3,
-                    sites=_random_regular_portrait(rng, T3, S3, 1).sites,
+                    sites=random_regular_portrait(rng, T3, S3, 1).sites,
                 )
             )
         g_spec, h_spec = rng.choice(specs), rng.choice(specs)
@@ -347,8 +311,8 @@ def _seeded_tables(rng):
     t0 = hyperbolic_isometry(T3, (0,))
     for r in (2, 3, 4):
         movers = [t0, colour_word_isometry(T3, (1, 2)), IsometrySpec(T3)]
-        movers += [_random_regular_portrait(rng, T3, S3, 2) for _ in range(3)]
-        movers += [_random_rooted_portrait(rng, R2, 2) for _ in range(3)]
+        movers += [random_regular_portrait(rng, T3, S3, 2) for _ in range(3)]
+        movers += [random_rooted_portrait(rng, R2, 2) for _ in range(3)]
         for v in [(0, 1), (2,), (1, 0, 2)]:
             movers.append(IsometrySpec(T3, sites=((v, site_group(T3, S3, v).gens[0]),)))
         out += [(m.shape, m.realize(r)) for m in movers]
@@ -422,8 +386,8 @@ def test_supported_realize_matches_the_whole_ball_walk_seeded(shape):
     # seeded portraits, many of them with a site at the base vertex,
     # and single-site witnesses deeper than some of the radii
     rng = random.Random(61)
-    specs = [_random_rooted_portrait(rng, shape, 3) if shape is R2
-             else _random_regular_portrait(rng, shape, S3, 3) for _ in range(20)]
+    specs = [random_rooted_portrait(rng, shape, 3) if shape is R2
+             else random_regular_portrait(rng, shape, S3, 3) for _ in range(20)]
     for v in shape.ball(4):
         group = site_group(shape, S3 if shape is T3 else C2, v)
         specs += [IsometrySpec(shape, sites=((v, p),)) for p in group.gens]
@@ -619,10 +583,10 @@ def test_universal_membership_matches_local_actions_seeded():
     ]
     for _ in range(12):
         local = rng.choice([S3, C3])
-        portrait = _random_regular_portrait(rng, T3, local, 2)
+        portrait = random_regular_portrait(rng, T3, local, 2)
         tables.append(portrait.realize(rng.randint(1, 5)))
     for _ in range(6):
-        tables.append(_random_rooted_portrait(rng, R2, 2).realize(rng.randint(1, 4)))
+        tables.append(random_rooted_portrait(rng, R2, 2).realize(rng.randint(1, 4)))
     verdicts = []
     for iso in tables:
         pools = (S3, C3, FiniteGroup(3, [])) if iso.shape == T3 else (C2, FiniteGroup(2, []))
@@ -640,8 +604,8 @@ def test_universal_membership_matches_local_actions_seeded():
 def test_universal_membership_closed_under_product_seeded():
     rng = random.Random(18)
     for _ in range(20):
-        g = _random_regular_portrait(rng, T3, S3, 2)
-        h = _random_regular_portrait(rng, T3, S3, 2)
+        g = random_regular_portrait(rng, T3, S3, 2)
+        h = random_regular_portrait(rng, T3, S3, 2)
         gt, ht = g.realize(6), h.realize(6)
         assert in_universal_group(gt, S3)
         product = SpecWord.of(g, h).realize(6)
@@ -849,7 +813,7 @@ def test_apply_inverse_roundtrip_seeded():
         colour_word_isometry(T3, (2, 0, 2)),
     ]
     for _ in range(30):
-        p = _random_regular_portrait(rng, T3, S3, 2)
+        p = random_regular_portrait(rng, T3, S3, 2)
         specs.append(IsometrySpec(T3, sites=p.sites))
     for spec in specs:
         for v in T3.ball(5):
@@ -865,7 +829,7 @@ def test_word_after_portrait_matches_oracles_seeded():
         while len(w) < 4 and rng.random() < 0.6:
             w.append(rng.choice([c for c in range(3) if c != w[-1]]))
         word = tuple(w)
-        sites = _random_regular_portrait(rng, T3, S3, 2).sites
+        sites = random_regular_portrait(rng, T3, S3, 2).sites
         smap = dict(sites)
         spec = IsometrySpec(T3, word=word, sites=sites)
         for v in T3.ball(5):
@@ -919,7 +883,7 @@ def test_rooted_apply_inverse_roundtrip_seeded():
     rng = random.Random(20)
     shape = rooted(3)
     for _ in range(30):
-        p = _random_rooted_portrait(rng, shape, 2)
+        p = random_rooted_portrait(rng, shape, 2)
         for v in shape.ball(4):
             assert p.apply_inverse(p.apply(v)) == v
 
@@ -959,9 +923,9 @@ def _random_movers(rng, shape):
     specs = []
     for _ in range(8):
         if shape.kind == "rooted":
-            specs.append(_random_rooted_portrait(rng, shape, 2))
+            specs.append(random_rooted_portrait(rng, shape, 2))
             continue
-        sites = _random_regular_portrait(rng, shape, S3, 2).sites
+        sites = random_regular_portrait(rng, shape, S3, 2).sites
         word = []
         while len(word) < 3 and rng.random() < 0.5:
             word.append(rng.choice([c for c in range(3) if not word or c != word[-1]]))
@@ -1017,6 +981,31 @@ def test_realize_and_identity_check_match_checked_apply_seeded(shape):
 
 @pytest.mark.parametrize("shape", [R2, rooted(3), T3, regular(4)],
                          ids=["rooted2", "rooted3", "regular3", "regular4"])
+def test_one_site_specs_apply_as_the_portrait_loop(shape):
+    # a spec with no word and one site takes a map that compares the
+    # prefix once; it must agree with the class's loop over the letters,
+    # for a site at every vertex to depth 3 and each site-group generator
+    # and one more element, on every address of the radius-5 ball
+    local = symmetric_group(shape.degree)
+    points = list(shape.ball(5))
+    moved = 0
+    for v in shape.ball(3):
+        group = site_group(shape, local, v)
+        for p in (*group.pruned_gens, group.element_list[-1]):
+            spec = IsometrySpec(shape, sites=((v, p),))
+            for a in points:
+                got = spec._apply(a)
+                assert got == IsometrySpec._apply(spec, a), (v, p, a)
+                moved += got != a
+            assert SpecWord(shape, ((spec, 1),))._apply is spec._apply
+    assert moved
+    # a second site keeps the loop
+    identity = Perm.identity(shape.degree)
+    assert "_apply" not in vars(IsometrySpec(shape, sites=(((0,), identity), ((1,), identity))))
+
+
+@pytest.mark.parametrize("shape", [R2, rooted(3), T3, regular(4)],
+                         ids=["rooted2", "rooted3", "regular3", "regular4"])
 def test_sphere_and_ball_match_the_recursion(shape):
     for n in range(-1, 8):
         assert list(shape.sphere(n)) == list(oracle_sphere(shape, n)), n
@@ -1044,7 +1033,7 @@ def _conjugators(rng, shape):
     """Seeded conjugators: on T3 a translation, the same translation as a
     word, a root rotation and a seeded word; on rooted shapes portraits."""
     if shape.kind == "rooted":
-        return [_random_rooted_portrait(rng, shape, 2) for _ in range(3)]
+        return [random_rooted_portrait(rng, shape, 2) for _ in range(3)]
     t0 = hyperbolic_isometry(shape, (0,))
     rho = IsometrySpec(shape, sites=((ROOT, Perm((1, 2, 0))),))
     _, words = _random_movers(rng, shape)
@@ -1053,8 +1042,8 @@ def _conjugators(rng, shape):
 
 def _seeded_portraits(rng, shape, count):
     if shape.kind == "rooted":
-        return [_random_rooted_portrait(rng, shape, 3) for _ in range(count)]
-    return [_random_regular_portrait(rng, shape, S3, 3) for _ in range(count)]
+        return [random_rooted_portrait(rng, shape, 3) for _ in range(count)]
+    return [random_regular_portrait(rng, shape, S3, 3) for _ in range(count)]
 
 
 @pytest.mark.parametrize("shape", [T3, R2], ids=["regular3", "rooted2"])
@@ -1202,8 +1191,8 @@ def test_site_group_matches_the_return_colour_rule(shape, local):
         cylinder = CylinderClopen.cylinder(shape, v)
         for p in local.element_list:
             if p in want:
-                # realize validates the table as a BallIsometry
                 iso = IsometrySpec(shape, sites=((v, p),)).realize(len(v) + 2)
+                BallIsometry(shape, iso.precision, iso.moved)  # validates it
                 assert support_in(iso, cylinder), (v, p)
             else:
                 with pytest.raises(ValueError):

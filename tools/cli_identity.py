@@ -143,11 +143,15 @@ def cases() -> list[tuple[str, list[str]]]:
     out.append(("regular-sym3", ["certify", "free-semigroup", "spec.ini", "--L", "6"]))
     # every generator fixes the base vertex, so the skewering search is refuted
     out.append(("rotation-only", ["certify", "free-semigroup", "spec.ini"]))
-    # the pair orbit closes below the bound (exit 1), or bound 2 cuts it off (exit 4)
-    for extra in ([], ["--word-bound", "2"]):
+    # the pair orbit closes within the bound (exit 1), at bound 2 too, where
+    # the words at the bound step to no unseen pair, and bound 1 cuts it
+    # off (exit 4)
+    for extra in ([], ["--word-bound", "2"], ["--word-bound", "1"]):
         out.append(("rotation-only", ["dynamics", "proximal", "spec.ini", *extra]))
-    # g skewers, but no base-fixing word separates g.alpha: that orbit closes
-    out.append(("elements", ["certify", "free-semigroup", "spec.ini"]))
+    # g skewers, but no base-fixing word separates g.alpha: that orbit
+    # closes with words of length 1, so bound 1 refutes too
+    for extra in ([], ["--word-bound", "1"]):
+        out.append(("elements", ["certify", "free-semigroup", "spec.ini", *extra]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
     out.append(("elements", ["export", "stone-orbit", "spec.ini", "--depth", "3"]))
     # each copy's generators on their own copy, and a self-loop on the other

@@ -1,0 +1,137 @@
+"""Rerun the registered mutants: each must make its tests fail.
+
+    python3 tools/mutants.py [--only SUBSTR] [--list]
+
+Each case names a file under ``src/``, one exact snippet of that file,
+its replacement, and the pytest arguments (test files, node ids, ``-k``
+expressions) whose run the mutant must fail.  For each case the tool
+copies ``src/`` and ``tests/`` into a temporary directory, applies the
+mutant there, runs ``pytest -x -q`` on those arguments, and reports the
+mutant killed (the run failed) or survived (it passed).  A snippet that
+does not occur exactly once in its file is stale: the case is reported
+and the run fails, so a change that rewrites mutated code restates or
+retires its mutant.  Nothing inside the repository is written.  The exit
+code is 0 when every case is killed and 1 otherwise.
+
+Tier-1 checks only that every snippet occurs exactly once
+(``tests/test_mutants.py``); the full run is not part of it.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest arguments that must fail
+
+
+MUTANTS = (
+    # an exact table missing one moved point is no isometry; tables of
+    # exact elements are trusted, so the seeded validation test catches it
+    Mutant(
+        "moved-drops-its-last-point",
+        "src/tdlclab/tree.py",
+        "    for x in points:\n"
+        "        y = image(x)\n"
+        "        if y != x:\n"
+        "            yield x, y\n",
+        "    pairs = [(x, y) for x in points for y in (image(x),) if y != x]\n"
+        "    yield from pairs[:-1]\n",
+        ("tests/test_boundary.py::test_exact_tables_pass_the_validating_constructor_seeded",),
+    ),
+    # force a row when both sides are live, not when exactly one is
+    Mutant(
+        "forcing-on-both-sides",
+        "src/tdlclab/dynamics.py",
+        "if bool(plus) == bool(minus):",
+        "if not (plus or minus):",
+        ("tests/test_dynamics.py", "-k", "forcing or rational"),
+    ),
+    # a one-site regular spec that recolours only the letter after its
+    # site, as a rooted site would, instead of every letter below it
+    Mutant(
+        "one-site-recolours-one-letter",
+        "src/tdlclab/tree.py",
+        "                return v + tuple([images[x] for x in addr[n:]])\n",
+        "                return v + (images[addr[n]],) + addr[n + 1:] if len(addr) > n else addr\n",
+        ("tests/test_tree.py::test_one_site_specs_apply_as_the_portrait_loop",),
+    ),
+    # the depth sphere read as outside the depth ball in the shift check
+    Mutant(
+        "shift-inside-drops-the-sphere",
+        "src/tdlclab/boundary.py",
+        "                if len(x) <= depth:\n",
+        "                if len(x) < depth:\n",
+        ("tests/test_boundary.py::test_conjugation_shifts_match_the_whole_ball_oracle",),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, root: Path = HERE) -> int:
+    """How often the mutant's snippet occurs in its file under root."""
+    return (root / mutant.path).read_text().count(mutant.snippet)
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """Apply the mutant to a copy of the tree and run its tests:
+    ("killed" | "survived" | "error N", seconds)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for part in ("src", "tests"):
+            shutil.copytree(HERE / part, root / part, ignore=ignore)
+        target = root / mutant.path
+        target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        elapsed = time.perf_counter() - started
+    # pytest exits 1 when a test failed and 0 when all passed
+    status = {0: "survived", 1: "killed"}.get(proc.returncode, f"error {proc.returncode}")
+    return status, elapsed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", default="", help="run the cases whose name contains this")
+    parser.add_argument("--list", action="store_true", help="list the cases and stop")
+    args = parser.parse_args()
+    chosen = [m for m in MUTANTS if args.only in m.name]
+    killed = 0
+    for m in chosen:
+        if args.list:
+            print(f"{m.name}: {m.path} -> {' '.join(m.tests)}")
+            continue
+        count = occurrences(m)
+        if count != 1:
+            print(f"STALE    {m.name}: snippet occurs {count} times in {m.path}", flush=True)
+            continue
+        status, elapsed = run(m)
+        killed += status == "killed"
+        print(f"{status:<8} {elapsed:6.1f}s  {m.name}", flush=True)
+    if args.list:
+        return 0
+    print(f"{killed}/{len(chosen)} killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
