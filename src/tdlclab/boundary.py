@@ -27,7 +27,7 @@ from .tree import (
     _conjugate_moves,
     conjugate_families,
     in_universal_group,
-    site_group,
+    site_decorations,
     spec_image_clopen,
 )
 
@@ -50,11 +50,7 @@ def rist_generators(
     shape = region.shape
     if local.degree != shape.degree:
         raise ValueError("local group degree does not match the shape")
-    return [
-        IsometrySpec(shape, sites=((v, perm),))
-        for v in region_vertices(region, max_depth)
-        for perm in site_group(shape, local, v).pruned_gens
-    ]
+    return site_decorations(shape, local, region_vertices(region, max_depth))
 
 
 def support_in(iso: BallIsometry, region: CylinderClopen) -> bool:
@@ -479,10 +475,7 @@ def tits_core_generators(
     certs_b = contraction_certificates(g, gens_b, depth, direction=-1)
 
     cone = _cone_vertex(beta_f)
-    rotations = [
-        IsometrySpec(shape, sites=((cone, perm),))
-        for perm in site_group(shape, local, cone).pruned_gens
-    ]
+    rotations = site_decorations(shape, local, (cone,))
     for perm in local.pruned_gens:
         if all(perm(c) == c for c in cone):
             rotations.append(IsometrySpec(shape, sites=((ROOT, perm),)))

@@ -43,6 +43,8 @@ the group they generate and is reached with ``--element``.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import random
 import re
@@ -93,13 +95,14 @@ from .tree import (
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
+    child_orbits,
     congruence_kernel,
     hyperbolic_isometry,
     level_group,
     level_order,
     local_prime_content,
     schreier_dot,
-    site_group,
+    site_pools,
     spec_image_clopen,
     sphere_orbit_classes,
 )
@@ -495,42 +498,14 @@ def _emit(report: dict, args) -> None:
 # -- report-local ---------------------------------------------------------------
 
 
-def _kernel_orbit_bound(shape: TreeShape, local: FiniteGroup, reps) -> int:
-    sizes = [1]
-    for rep in reps:
-        letters = set(shape.child_letters(rep))
-        orbits = site_group(shape, local, rep).orbits()
-        sizes.extend(len(orb & letters) for orb in orbits if orb & letters)
-    return max(sizes)
-
-
 _FACTOR_CHECK_BOUND = 512
 
 
 def _level_factors(shape: TreeShape, local: FiniteGroup, n: int) -> list[str]:
-    """Composition factors of the depth-n truncation, off the filtration.
-
-    Each level kernel is the direct product of one site pool per vertex
-    of the previous sphere, so its factors join those of the quotient.
-    Each colour is the return colour of (q-1)**(k-1) vertices at level k,
-    the count ``level_order`` uses.
-    """
-    factors = list(composition_factors(local))
-    if shape.kind == "rooted":
-        base = composition_factors(local)
-        count = shape.degree
-        for _ in range(1, n):
-            factors.extend(base * count)
-            count *= shape.degree
-        return sorted(factors)
-    stab_factors = [
-        composition_factors(site_group(shape, local, (c,)))
-        for c in shape.colours()
-    ]
-    for k in range(1, n):
-        for pool in stab_factors:
-            factors.extend(pool * (shape.degree - 1) ** (k - 1))
-    return sorted(factors)
+    """Composition factors of the depth-n truncation: each level kernel is
+    a direct product of site groups, so these are the site pools'."""
+    pools = site_pools(shape, local, n)
+    return sorted(f for group, count in pools for f in composition_factors(group) * count)
 
 
 def run_report_local(args, spec: GroupSpec) -> tuple[dict, int]:
@@ -542,18 +517,21 @@ def run_report_local(args, spec: GroupSpec) -> tuple[dict, int]:
     if not 1 <= first <= last:
         raise ValueError(f"--depths window {window!r} is empty or starts below 1")
 
-    content = local_prime_content(spec.shape, spec.local, max(last, 2))
-    orbit_info = sphere_orbit_classes(spec.shape, spec.local, last)
+    shape, local = spec.shape, spec.local
+    content = local_prime_content(shape, local, max(last, 2))
+    orbit_info = sphere_orbit_classes(shape, local, last)
+    # each depth's level group is built once, for both checks
+    level = functools.cache(lambda n: level_group(shape, local, n))
 
     kernel_bounds: dict[int, int] = {}
     kernel_checks: dict[int, dict] = {}
     for n in range(first, last + 1):
-        kernel_bounds[n] = _kernel_orbit_bound(
-            spec.shape, spec.local, orbit_info["classes"][n]
+        kernel_bounds[n] = max(
+            (len(split) for rep in orbit_info["classes"][n] for split in child_orbits(shape, local, rep)),
+            default=1,
         )
-        if level_order(spec.shape, spec.local, n + 1) <= spec.cap:
-            group = level_group(spec.shape, spec.local, n + 1)
-            kern = congruence_kernel(group, spec.shape, n + 1, n)
+        if level_order(shape, local, n + 1) <= spec.cap:
+            kern = congruence_kernel(level(n + 1), shape, n + 1, n)
             realized = max(len(orb) for orb in kern.orbits())
             kernel_checks[n] = {
                 "realized_max_orbit": realized,
@@ -563,21 +541,20 @@ def run_report_local(args, spec: GroupSpec) -> tuple[dict, int]:
     factors: dict[int, list[str]] = {}
     factor_checks: dict[int, bool] = {}
     for n in range(first, last + 1):
-        factors[n] = _level_factors(spec.shape, spec.local, n)
-        if level_order(spec.shape, spec.local, n) <= min(spec.cap, _FACTOR_CHECK_BOUND):
-            realized = composition_factors(level_group(spec.shape, spec.local, n))
-            factor_checks[n] = sorted(realized) == factors[n]
+        factors[n] = _level_factors(shape, local, n)
+        if level_order(shape, local, n) <= min(spec.cap, _FACTOR_CHECK_BOUND):
+            factor_checks[n] = sorted(composition_factors(level(n))) == factors[n]
 
     eta = sorted(content["growing_primes"])
     pi = frozenset(eta)
     local_data = {
-        "order": spec.local.order,
-        "composition_factors": composition_factors(spec.local),
-        "melnikov_order": melnikov_subgroup(spec.local).order,
-        "prosoluble_core_order": prosoluble_core(spec.local).order,
-        "prosoluble_residual_order": prosoluble_residual(spec.local).order,
-        "eta_core_order": pi_core(spec.local, pi).order if eta else 1,
-        "eta_residual_order": pi_residual(spec.local, pi).order if eta else spec.local.order,
+        "order": local.order,
+        "composition_factors": composition_factors(local),
+        "melnikov_order": melnikov_subgroup(local).order,
+        "prosoluble_core_order": prosoluble_core(local).order,
+        "prosoluble_residual_order": prosoluble_residual(local).order,
+        "eta_core_order": pi_core(local, pi).order if eta else 1,
+        "eta_residual_order": pi_residual(local, pi).order if eta else local.order,
     }
 
     results = {
@@ -880,46 +857,50 @@ _HANDLERS = {
 }
 
 
+# (exception types, exit code, message prefix), read in order: the first
+# match decides, and any other exception is an internal fault
+_EXITS = (
+    (SpecFileError, EXIT_PARSE, "spec error: "),
+    (ClosureCapExceeded, EXIT_CAP, "cap exceeded: "),
+    (SearchExhausted, EXIT_EXHAUSTED, ""),
+    # a ValueError, but a bound ran out: not a spec error
+    (PrecisionExhausted, EXIT_EXHAUSTED, "precision exhausted: "),
+    (NotSkewering, EXIT_REFUTED, "refuted: "),
+    ((ValueError, KeyError, TypeError, OSError), EXIT_PARSE, "error: "),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the verdict paths build no reference cycles, so the cyclic collector
+    # would only re-walk their heap; the caller's setting is restored
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        cap = _cap_from_env()
-        spec = load_spec(args.spec, cap)
-        # the same minimums as the [limits] keys they override
-        for key, minimum in (("depth", 1), ("word_bound", 1), ("seed", 0)):
-            value = getattr(args, key)
-            if value is not None:
-                if value < minimum:
-                    flag = "--" + key.replace("_", "-")
-                    raise ValueError(f"{flag} must be at least {minimum}")
-                setattr(spec, key, value)
-        report, code = _HANDLERS[args.command](args, spec)
-        if report:
-            _emit(report, args)
-    except SpecFileError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ClosureCapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except SearchExhausted as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except PrecisionExhausted as exc:
-        # a ValueError, but a bound ran out: not a spec error
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except NotSkewering as exc:
-        print(f"refuted: {exc}", file=sys.stderr)
-        return EXIT_REFUTED
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOFTWARE
-    return code
+        args = _build_parser().parse_args(argv)
+        try:
+            spec = load_spec(args.spec, _cap_from_env())
+            # the same minimums as the [limits] keys they override
+            for key, minimum in (("depth", 1), ("word_bound", 1), ("seed", 0)):
+                value = getattr(args, key)
+                if value is not None:
+                    if value < minimum:
+                        flag = "--" + key.replace("_", "-")
+                        raise ValueError(f"{flag} must be at least {minimum}")
+                    setattr(spec, key, value)
+            report, code = _HANDLERS[args.command](args, spec)
+            if report:
+                _emit(report, args)
+        except Exception as exc:
+            for types, exit_code, prefix in _EXITS:
+                if isinstance(exc, types):
+                    print(f"{prefix}{exc}", file=sys.stderr)
+                    return exit_code
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_SOFTWARE
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

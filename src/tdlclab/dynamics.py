@@ -734,7 +734,10 @@ def _schedule(ctx, xi, eta, target, word, strategy) -> dict:
     for name in word:
         cur = (ctx.image(name, cur[0]), ctx.image(name, cur[1]))
         trace.append([str(cur[0]), str(cur[1])])
-    assert cur[0].leq(target) and cur[1].leq(target)
+    if not (cur[0].leq(target) and cur[1].leq(target)):
+        # a search handed over a word that misses the target: a fault
+        # (exit 70), raised whether or not asserts are compiled in
+        raise AssertionError(f"schedule {list(word)} does not land inside {target}")
     return {
         "verdict": "verified",
         "source": [ctx.state_label(xi), ctx.state_label(eta)],

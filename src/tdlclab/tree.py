@@ -84,6 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from math import prod
 
 from .boolalg import (
     ROOT,
@@ -664,6 +665,40 @@ def site_group(shape: TreeShape, local: FiniteGroup, v: Address) -> FiniteGroup:
     return local.point_stabilizer(v[-1])
 
 
+def site_pools(shape: TreeShape, local: FiniteGroup, n: int) -> list[tuple[FiniteGroup, int]]:
+    """(site group, count) pairs: the depth-n truncation is built from
+    ``count`` copies of each site group, one per vertex above depth n that
+    carries it (Burger and Mozes 2000, section 3).  Rooted: the local group
+    at each vertex of the (n-1)-ball.  Regular: the local group at the base
+    vertex, then each colour's stabiliser at the (q-1)**(k-1) vertices of
+    each level 0 < k < n with that return colour.
+    """
+    if n < 1:
+        raise ValueError("need depth at least 1")
+    if shape.kind == "rooted":
+        return [(local, shape.ball_size(n - 1))]
+    below = sum((shape.degree - 1) ** (k - 1) for k in range(1, n))
+    return [(local, 1)] + [(site_group(shape, local, (c,)), below) for c in shape.colours()]
+
+
+def site_decorations(shape: TreeShape, local: FiniteGroup, vertices) -> list[IsometrySpec]:
+    """Single-site decorations, one per generator of the site group at
+    each vertex, in the order the vertices are given."""
+    return [
+        IsometrySpec(shape, sites=((v, perm),))
+        for v in vertices
+        for perm in site_group(shape, local, v).pruned_gens
+    ]
+
+
+def child_orbits(shape: TreeShape, local: FiniteGroup, v: Address) -> list[list[int]]:
+    """The child letters of v split along the orbits of its site group,
+    each split sorted, in the order of the orbits' least points."""
+    letters = set(shape.child_letters(v))
+    splits = (sorted(orb & letters) for orb in site_group(shape, local, v).orbits())
+    return [split for split in splits if split]
+
+
 def sphere_permutation(spec: IsometrySpec, points, index: dict) -> Perm:
     """Permutation of a sphere by a recipe that fixes the base vertex;
     ``index`` numbers the sphere's ``points``."""
@@ -675,8 +710,7 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
 
     Rooted: the full iterated wreath product of the local group.  Regular:
     the truncation of the base-vertex stabiliser.  Either way it is
-    generated by single-site decorations at the vertices above depth n,
-    each running over the generators of its site group.
+    generated by the site decorations at the vertices above depth n.
     """
     if local.degree != shape.degree:
         raise ValueError("local group degree does not match the shape")
@@ -685,28 +719,15 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
     points = sphere_list(shape, n)
     index = {a: i for i, a in enumerate(points)}
     gens = [
-        sphere_permutation(IsometrySpec(shape, sites=((v, g),)), points, index)
-        for v in shape.ball(n - 1)
-        for g in site_group(shape, local, v).pruned_gens
+        sphere_permutation(spec, points, index)
+        for spec in site_decorations(shape, local, shape.ball(n - 1))
     ]
     return FiniteGroup(len(points), gens)
 
 
 def level_order(shape: TreeShape, local: FiniteGroup, n: int) -> int:
     """Order of the depth-n truncation, by counting free choices per site."""
-    if n < 1:
-        raise ValueError("need depth at least 1")
-    if shape.kind == "rooted":
-        return local.order ** shape.ball_size(n - 1)
-    total = local.order
-    q = shape.degree
-    per_colour = 1
-    for c in shape.colours():
-        per_colour *= site_group(shape, local, (c,)).order
-    for k in range(1, n):
-        # every colour occurs as a return colour of (q-1)**(k-1) vertices
-        total *= per_colour ** ((q - 1) ** (k - 1))
-    return total
+    return prod(group.order ** count for group, count in site_pools(shape, local, n))
 
 
 def local_prime_content(
@@ -806,25 +827,18 @@ def sphere_orbit_classes(
 ) -> dict:
     """Orbits of the truncated base stabiliser on each sphere, structurally.
 
-    A class is named by its least representative.  Children of a class
-    split along the orbits of the local group at the representative: the
-    full local group under the base vertex, the stabiliser of the return
-    colour below.  Per vertex that is at most degree - 1 classes away
-    from the base vertex; at the base vertex itself a small local group
-    can leave all degree directions separate.
+    A class is named by its least representative, and its children split
+    as the representative's ``child_orbits``.  Per vertex that is at most
+    degree - 1 classes away from the base vertex; at the base vertex
+    itself a small local group can leave all degree directions separate.
     """
     if local.degree != shape.degree:
         raise ValueError("local group degree does not match the shape")
     classes: dict[int, list[Address]] = {0: [ROOT]}
     for k in range(depth):
-        nxt = []
-        for rep in classes[k]:
-            letters = set(shape.child_letters(rep))
-            for orb in site_group(shape, local, rep).orbits():
-                shared = sorted(orb & letters)
-                if shared:
-                    nxt.append(rep + (shared[0],))
-        classes[k + 1] = sorted(nxt)
+        classes[k + 1] = sorted(
+            rep + (split[0],) for rep in classes[k] for split in child_orbits(shape, local, rep)
+        )
     return {
         "classes": classes,
         "counts": {k: len(v) for k, v in classes.items()},

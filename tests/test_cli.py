@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: spec parsing, verbs, exit codes, artifacts."""
 from __future__ import annotations
 
+import gc
 import json
 import re
 import subprocess
@@ -10,7 +11,9 @@ import pytest
 
 from tdlclab import cli
 from tdlclab.certificates import canonical_json, normalise
-from tdlclab.errors import PrecisionExhausted, SpecFileError
+from tdlclab.errors import (
+    ClosureCapExceeded, NotSkewering, PrecisionExhausted, SearchExhausted, SpecFileError,
+)
 
 US3 = """\
 [tree]
@@ -846,6 +849,88 @@ def test_internal_fault_exits_70_not_refuted(spec_file, capsys, monkeypatch, fau
     assert code == 70
     assert report is None
     assert captured.err.startswith(f"internal error: {type(fault).__name__}")
+
+
+@pytest.mark.parametrize(
+    "fault, code, message",
+    [
+        (SpecFileError("bad key", 3), 2, "spec error: line 3, column 1: bad key"),
+        (ClosureCapExceeded(4), 3, "cap exceeded: element closure exceeded cap 4"),
+        (SearchExhausted("pair", 6), 4, "search exhausted: pair (bound 6)"),
+        (PrecisionExhausted("ball"), 4, "precision exhausted: ball"),
+        (NotSkewering("fixed"), 1, "refuted: fixed"),
+        (ValueError("bad"), 2, "error: bad"),
+        (KeyError("missing"), 2, "error: 'missing'"),
+        (TypeError("kind"), 2, "error: kind"),
+        (OSError("disk"), 2, "error: disk"),
+        (RuntimeError("loop"), 70, "internal error: RuntimeError: loop"),
+    ],
+    ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None,
+)
+def test_exit_table_maps_each_fault_to_its_code_and_message(
+    spec_file, capsys, monkeypatch, fault, code, message
+):
+    def handler(args, spec):
+        raise fault
+
+    monkeypatch.setitem(cli._HANDLERS, "dynamics", handler)
+    got, report, captured = run_cli(capsys, "dynamics", "minimal", spec_file(US3))
+    assert (got, report, captured.err) == (code, None, message + "\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_the_collector_and_restores_it(spec_file, capsys, monkeypatch, enabled):
+    seen = []
+
+    def handler(args, spec):
+        seen.append(gc.isenabled())
+        raise ValueError("stop")
+
+    monkeypatch.setitem(cli._HANDLERS, "dynamics", handler)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(capsys, "dynamics", "minimal", spec_file(US3))[0] == 2
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda f, n: ["report-local", f(US3), "--depths", f"1..{n}"],
+        lambda f, n: ["dynamics", "minimal", f(US3), "--depth", str(n)],
+        lambda f, n: ["dynamics", "minorising", f(US3), "--depth", str(n)],
+        lambda f, n: ["dynamics", "degree", f(TWOCOPY), "--depth", str(n)],
+        lambda f, n: ["dynamics", "measure", f(US3), "--depth", str(n)],
+        lambda f, n: ["dynamics", "proximal", f(US3), "--depth", str(n)],
+        lambda f, n: ["certify", "goodshrink", f(US3_ELEMENTS), "--element", "g", "--depth", str(n + 3)],
+        lambda f, n: ["certify", "tits-core", f(US3_ELEMENTS), "--element", "g", "--depth", str(n + 3)],
+        lambda f, n: ["export", "stone-orbit", f(US3), "--depth", str(n)],
+        lambda f, n: ["export", "cayley-abels", f(US3), "--depth", str(n)],
+    ],
+    ids=["report-local", "minimal", "minorising", "degree", "measure", "proximal",
+         "goodshrink", "tits-core", "stone-orbit", "cayley-abels"],
+)
+def test_verdict_paths_leave_no_more_cycles_one_level_deeper(spec_file, capsys, family):
+    """The CLI runs with the cyclic collector off, so a verdict path that
+    built reference cycles would hold their memory until exit.  Setup
+    leaves a fixed number; one level deeper must leave no more."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for n in (3, 4):
+            gc.collect()
+            code, _, _ = run_cli(capsys, *family(spec_file, n))
+            assert code == 0
+            found.append(gc.collect())
+        assert found[1] <= found[0]
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_precision_exhausted_exits_4_not_spec_error(spec_file, capsys, monkeypatch):

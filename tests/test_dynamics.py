@@ -712,6 +712,15 @@ def test_pair_compression_degenerate_pair():
     assert schedule["word_length"] <= 8
 
 
+def test_schedule_refuses_a_word_that_misses_the_target():
+    # t0 t0 lands (1,2) and (2,1) inside cyl(0), but the empty word does
+    # not: a fault even when asserts are compiled out
+    ctx = dy.translation_rotation_context(S3, depth=2, word_bound=8)
+    assert dy._schedule(ctx, (1, 2), (2, 1), cyl(0), ("t0", "t0"), "power")["verdict"] == "verified"
+    with pytest.raises(AssertionError, match="does not land inside"):
+        dy._schedule(ctx, (1, 2), (2, 1), cyl(0), (), "empty")
+
+
 def test_pair_compression_rejects_zero_target():
     ctx = dy.translation_rotation_context(S3, depth=2, word_bound=8)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import random
 import re
 from functools import reduce
+from math import prod
 
 import pytest
 
@@ -18,15 +19,18 @@ from tdlclab.errors import PrecisionExhausted, SiteError
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
+    composition_factors,
     cyclic_group,
     symmetric_group,
 )
+from tdlclab import cli
 from tdlclab.tree import (
     BallIsometry,
     _join_reduced,
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
+    child_orbits,
     colour_word_isometry,
     congruence_kernel,
     conjugate_families,
@@ -37,6 +41,7 @@ from tdlclab.tree import (
     level_order,
     local_prime_content,
     schreier_dot,
+    site_decorations,
     site_group,
     spec_image_clopen,
     sphere_orbit_classes,
@@ -1197,3 +1202,53 @@ def test_site_group_matches_the_return_colour_rule(shape, local):
             else:
                 with pytest.raises(ValueError):
                     IsometrySpec(shape, sites=((v, p),))
+
+
+# -- the site model ---------------------------------------------------------------
+
+
+def _klein4() -> FiniteGroup:
+    return FiniteGroup(4, [Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))])
+
+
+# three or more local groups per shape; degree 2 has only two subgroups,
+# so the third is C2 again on a redundant generating set
+_SITE_MODEL_CASES = [
+    (rooted(2), [FiniteGroup(2, []), C2, FiniteGroup(2, [Perm((0, 1)), Perm((1, 0))])]),
+    (rooted(3), [C3, S3, FiniteGroup(3, [Perm((1, 0, 2))])]),
+    (T3, [S3, C3, FiniteGroup(3, [Perm((1, 0, 2))]), FiniteGroup(3, [])]),
+    (regular(4), [symmetric_group(4), cyclic_group(4), _klein4(), FiniteGroup(4, [Perm((1, 0, 2, 3))])]),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, locals_", _SITE_MODEL_CASES, ids=["R2", "R3", "T3", "T4"]
+)
+def test_site_model_matches_a_walk_of_the_ball(shape, locals_):
+    """Site pools, decorations and child orbits against a per-vertex walk
+    of the (n-1)-ball: each vertex above depth n carries its own site
+    group, and the old per-vertex loops are restated here."""
+    factors_of: dict = {}
+
+    def factors(group):
+        key = group.image_set
+        if key not in factors_of:
+            factors_of[key] = composition_factors(group)
+        return factors_of[key]
+
+    for local in locals_:
+        for n in range(1, 7):
+            ball = list(shape.ball(n - 1))
+            sites = [site_group(shape, local, v) for v in ball]
+            assert level_order(shape, local, n) == prod(g.order for g in sites), n
+            walked = sorted(f for g in sites for f in factors(g))
+            assert cli._level_factors(shape, local, n) == walked, n
+            assert site_decorations(shape, local, ball) == [
+                IsometrySpec(shape, sites=((v, perm),))
+                for v, group in zip(ball, sites)
+                for perm in group.pruned_gens
+            ], n
+            for v, group in zip(ball, sites):
+                letters = set(shape.child_letters(v))
+                old = [sorted(o & letters) for o in group.orbits() if o & letters]
+                assert child_orbits(shape, local, v) == old, v

@@ -152,6 +152,20 @@ def cases() -> list[tuple[str, list[str]]]:
     # closes with words of length 1, so bound 1 refutes too
     for extra in ([], ["--word-bound", "1"]):
         out.append(("elements", ["certify", "free-semigroup", "spec.ini", *extra]))
+    # addresses given on the command line: a proximal target, and clopen
+    # overrides that verify (goodshrink 01, nub 02) or refute (02, 01)
+    out.append(("regular-sym3", ["dynamics", "proximal", "spec.ini", "--target", "01"]))
+    for alpha in ("01", "02"):
+        out.append(("elements", ["certify", "goodshrink", "spec.ini", "--element", "g",
+                                 "--alpha", alpha, "--n0", "2"]))
+        out.append(("elements", ["certify", "nub", "spec.ini", "--element", "g", "--alpha", alpha]))
+    out.append(("regular-sym3", ["certify", "orbit-join", "spec.ini", "--alpha", "12"]))
+    # the orbit-class quotient, read off the child orbits, and the
+    # local group's Schreier graph
+    for spec in ("regular-sym3", "rooted-binary"):
+        for depth in ("3", "4"):
+            out.append((spec, ["export", "cayley-abels", "spec.ini", "--depth", depth]))
+        out.append((spec, ["export", "schreier", "spec.ini", "--point", "1"]))
     out.append(("regular-sym3", ["export", "stone-orbit", "spec.ini", "--depth", "2"]))
     out.append(("elements", ["export", "stone-orbit", "spec.ini", "--depth", "3"]))
     # each copy's generators on their own copy, and a self-loop on the other

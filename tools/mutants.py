@@ -79,6 +79,73 @@ MUTANTS = (
         "                if len(x) < depth:\n",
         ("tests/test_boundary.py::test_conjugation_shifts_match_the_whole_ball_oracle",),
     ),
+    # the last word found per state kept instead of the first, so a
+    # depth-n witness may be longer than its children's
+    Mutant(
+        "first-words-keep-the-last",
+        "src/tdlclab/dynamics.py",
+        "                        if m not in found and not (inside and m == y):\n"
+        "                            found[m] = y\n"
+        "                            missing -= 1\n",
+        "                        if not (inside and m == y):\n"
+        "                            missing -= m not in found\n"
+        "                            found[m] = y\n",
+        ("tests/test_dynamics.py::test_minimal_monotone_in_depth",),
+    ),
+    # the degree's copy-1 masks read as copy 0's, not shifted past them
+    Mutant(
+        "degree-copy-masks-unshifted",
+        "src/tdlclab/dynamics.py",
+        "shadows += [m << len(bit) for m in shadows]",
+        "shadows += [m for m in shadows]",
+        ("tests/test_dynamics.py::test_minorising_degree_matches_the_frozenset_oracle",),
+    ),
+    # an open's labels listed in state order, not sorted
+    Mutant(
+        "degree-labels-unsorted",
+        "src/tdlclab/dynamics.py",
+        "(sorted(ctx.state_label(s) for i, s in enumerate(states) if m >> i & 1), m)",
+        "([ctx.state_label(s) for i, s in enumerate(states) if m >> i & 1], m)",
+        ("tests/test_dynamics.py::test_minorising_degree_matches_the_frozenset_oracle",),
+    ),
+    # a mask kept minimal when it lies inside another, not when one lies
+    # inside it
+    Mutant(
+        "degree-subset-test-reversed",
+        "src/tdlclab/dynamics.py",
+        "if not any(o != m and o & m == o for o in distinct)",
+        "if not any(o != m and o & m == m for o in distinct)",
+        ("tests/test_dynamics.py::test_minorising_degree_matches_the_frozenset_oracle",),
+    ),
+    # rooted site pools counted over the n-ball, one level too many
+    Mutant(
+        "rooted-pools-count-the-n-ball",
+        "src/tdlclab/tree.py",
+        "        return [(local, shape.ball_size(n - 1))]\n",
+        "        return [(local, shape.ball_size(n))]\n",
+        ("tests/test_tree.py::test_site_model_matches_a_walk_of_the_ball",),
+    ),
+    # each child orbit cut to its largest letter
+    Mutant(
+        "child-orbits-keep-the-largest-letter",
+        "src/tdlclab/tree.py",
+        "    splits = (sorted(orb & letters) for orb in",
+        "    splits = (sorted(orb & letters)[-1:] for orb in",
+        ("tests/test_tree.py::test_site_model_matches_a_walk_of_the_ball",),
+    ),
+    # one reference cycle per start, which the collector, off in the
+    # CLI, never frees
+    Mutant(
+        "start-words-build-a-cycle",
+        "src/tdlclab/dynamics.py",
+        "    for a in graph.starts:\n"
+        "        yield a, _first_words(graph, a, inside)\n",
+        "    for a in graph.starts:\n"
+        "        loop = [a]\n"
+        "        loop.append(loop)\n"
+        "        yield a, _first_words(graph, a, inside)\n",
+        ("tests/test_cli.py", "-k", "cycles"),
+    ),
 )
 
 
