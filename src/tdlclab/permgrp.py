@@ -6,14 +6,15 @@ elements as one frozenset of image tuples, ``image_set``, and builds
 ``Perm`` objects only when a caller asks for them (``element_set``,
 ``element_list``, ``conjugacy_classes``, generators); every structural
 computation below reads and writes the tuples.  One kernel, ``_grow``,
-closes a set of image tuples under new generators by breadth-first
-search, and it resumes from a closed set: ``FiniteGroup`` closes from
-the identity with it, and ``normal_closure`` grows one set over its
-rounds instead of closing again from nothing.  Normal subgroups are
-found as product-closed unions of conjugacy classes without closing
-any of them element by element: each unordered pair of classes is
-multiplied once, from the smaller class, and each join in the lattice
-is read as the product of two normal subgroups.  The structural
+closes a set of image tuples under new generators one right coset at a
+time (Dimino's algorithm; Butler, *Fundamental Algorithms for
+Permutation Groups*, 1991), and it resumes from a closed set:
+``FiniteGroup`` closes from the identity with it, and ``normal_closure``
+grows one set over its rounds instead of closing again from nothing.
+Normal subgroups are found as product-closed unions of conjugacy classes
+without closing any of them element by element: each unordered pair of
+classes is multiplied once, from the smaller class, and each join in the
+lattice is read as the product of two normal subgroups.  The structural
 invariants (cores, residuals, the intersection of maximal normal
 subgroups, composition factors) are read off the lattice.  No
 Schreier-Sims machinery: the one use of Schreier's lemma is
@@ -278,7 +279,8 @@ class FiniteGroup:
     @cached_property
     def pruned_gens(self) -> tuple[Perm, ...]:
         """Non-redundant generating subset found while closing."""
-        # A normal-lattice member knows its image set without a closure.
+        # The closure runs even for a normal-lattice member, as it picks the
+        # generators; the member keeps the image set it was given.
         self.__dict__.setdefault("image_set", self._close())
         return self.__dict__["pruned_gens"]
 
@@ -328,8 +330,12 @@ class FiniteGroup:
         return out
 
     def point_stabilizer(self, point: int) -> "FiniteGroup":
-        elems = [Perm._trusted(x) for x in sorted(self.image_set) if x[point] == point]
-        return FiniteGroup(self.degree, elems, cap=self.cap)
+        """The stabiliser of a point, built once per point and then kept."""
+        key = ("point_stabilizer", point)
+        if key not in self.invariant_memo:
+            elems = [Perm._trusted(x) for x in sorted(self.image_set) if x[point] == point]
+            self.invariant_memo[key] = FiniteGroup(self.degree, elems, cap=self.cap)
+        return self.invariant_memo[key]
 
     # -- conjugacy and the normal lattice ---------------------------------------
 
@@ -585,45 +591,45 @@ def _grow(
     gens: list[Perm] | tuple[Perm, ...],
     cap: int,
 ) -> None:
-    """Grow a closed set of image tuples by gens, in place.
+    """Grow a closed set of image tuples by gens, in place, one right
+    coset at a time (Dimino's algorithm; G. Butler, *Fundamental
+    Algorithms for Permutation Groups*, LNCS 559, Springer, 1991).
 
-    ``seen`` holds the image tuples of the group spanned by ``kept``.  A
-    generator already in ``seen`` adds nothing and is pruned; any other
-    joins ``kept``.  An old element times an old generator stays in the
-    old group, so the first layer multiplies every element seen so far
-    by the new generator g alone (the identity gives g itself); then a
-    breadth-first search from the new elements multiplies by each kept
-    generator on the right until nothing new appears.  Pruning keeps
-    the search at |G| times a dozen kept generators even when callers
-    pass whole element sets.  Products are formed on the tuples, with no
-    degree check: every generator must have the degree of ``seen``.
+    ``seen`` holds the group H spanned by ``kept``.  A generator g
+    already in ``seen`` is pruned; any other joins ``kept`` and adds the
+    coset H g.  Then each coset representative r times each kept
+    generator s is tested: H r s is the coset of r s, so a product not
+    yet seen adds its whole coset untested, right cosets being disjoint,
+    and becomes a representative.  A coset that would pass the cap
+    raises before it is built, so ``seen`` never holds more than ``cap``
+    tuples.  Products are formed on the tuples, with no degree check:
+    every generator must have the degree of ``seen``.
     """
     kept_images = [h.images for h in kept]
     for g in gens:
-        gi = g.images
-        if gi in seen:
+        if g.images in seen:
             continue
         kept.append(g)
-        kept_images.append(gi)
-        frontier = []
-        for x in list(seen):
-            y = tuple([x[i] for i in gi])
-            if y not in seen:
-                seen[y] = None
-                frontier.append(y)
-                if len(seen) > cap:
-                    raise ClosureCapExceeded(cap)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for h in kept_images:
-                    y = tuple([x[i] for i in h])
-                    if y not in seen:
-                        seen[y] = None
-                        fresh.append(y)
-                        if len(seen) > cap:
-                            raise ClosureCapExceeded(cap)
-            frontier = fresh
+        kept_images.append(g.images)
+        group, reps = list(seen), [g.images]
+        _add_coset(seen, group, g.images, cap)
+        for r in reps:
+            for s in kept_images:
+                y = tuple([r[i] for i in s])
+                if y not in seen:
+                    _add_coset(seen, group, y, cap)
+                    reps.append(y)
+
+
+def _add_coset(seen: dict, group: list, y: tuple[int, ...], cap: int) -> None:
+    """Add the right coset H y, H listed in ``group``, to ``seen``, or
+    raise if it would pass the cap.  y goes in first, so ``seen`` keeps
+    the representative itself and not a copy of it."""
+    if len(seen) + len(group) > cap:
+        raise ClosureCapExceeded(cap)
+    seen[y] = None
+    for h in group:
+        seen[tuple([h[i] for i in y])] = None
 
 
 def _bits(mask: int) -> list[int]:

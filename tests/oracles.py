@@ -106,6 +106,10 @@ already reached, and ``oracle_normal_closure`` closes the subgroup
 spanned by the seed and every conjugate found so far again from nothing
 on every round.  They must give the same generators, kept generators
 and element set as ``FiniteGroup`` and its ``normal_closure``.
+``oracle_grow`` is the closure kernel ``permgrp._grow`` as it was before
+it closed by cosets: a breadth-first search that tests every product of
+an element and a kept generator.  From the same arguments it must keep
+the same generators, in the same order, and reach the same set.
 
 The congruence-kernel oracle is the element filter
 ``tree.congruence_kernel`` used before it moved to Schreier generators:
@@ -188,6 +192,53 @@ def oracle_close(group: FiniteGroup) -> tuple[frozenset[Perm], tuple[Perm, ...]]
                             raise ClosureCapExceeded(group.cap)
             frontier = fresh
     return frozenset(seen), tuple(kept)
+
+
+def oracle_grow(
+    seen: dict[tuple[int, ...], None],
+    kept: list[Perm],
+    gens: list[Perm] | tuple[Perm, ...],
+    cap: int,
+) -> None:
+    """Grow a closed set of image tuples by gens, in place.
+
+    ``seen`` holds the image tuples of the group spanned by ``kept``.  A
+    generator already in ``seen`` adds nothing and is pruned; any other
+    joins ``kept``.  An old element times an old generator stays in the
+    old group, so the first layer multiplies every element seen so far
+    by the new generator g alone (the identity gives g itself); then a
+    breadth-first search from the new elements multiplies by each kept
+    generator on the right until nothing new appears.  Pruning keeps
+    the search at |G| times a dozen kept generators even when callers
+    pass whole element sets.  Products are formed on the tuples, with no
+    degree check: every generator must have the degree of ``seen``.
+    """
+    kept_images = [h.images for h in kept]
+    for g in gens:
+        gi = g.images
+        if gi in seen:
+            continue
+        kept.append(g)
+        kept_images.append(gi)
+        frontier = []
+        for x in list(seen):
+            y = tuple([x[i] for i in gi])
+            if y not in seen:
+                seen[y] = None
+                frontier.append(y)
+                if len(seen) > cap:
+                    raise ClosureCapExceeded(cap)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for h in kept_images:
+                    y = tuple([x[i] for i in h])
+                    if y not in seen:
+                        seen[y] = None
+                        fresh.append(y)
+                        if len(seen) > cap:
+                            raise ClosureCapExceeded(cap)
+            frontier = fresh
 
 
 def oracle_normal_closure(

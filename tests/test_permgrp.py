@@ -17,6 +17,8 @@ from tdlclab.permgrp import (
     Perm,
     _bits,
     _class_products,
+    _grow,
+    _identity_images,
     alternating_group,
     composition_factors,
     cyclic_group,
@@ -35,7 +37,7 @@ from tdlclab.permgrp import (
     wreath_c2_tower,
     wielandt_check,
 )
-from tdlclab.tree import level_group
+from tdlclab.tree import level_group, level_order
 
 from oracles import (
     _oracle_soluble,
@@ -47,6 +49,7 @@ from oracles import (
     oracle_conjugacy_classes,
     oracle_element_set,
     oracle_derived,
+    oracle_grow,
     oracle_lattice_by_joins,
     oracle_lattice_masks,
     oracle_melnikov,
@@ -318,6 +321,115 @@ def test_closure_kernel_matches_the_perm_product_oracle():
     for name, g in groups.items():
         elems, kept = oracle_close(g)
         assert (g.element_set, g.pruned_gens) == (elems, kept), name
+
+
+def _grow_both(start, kept, gens, cap: int):
+    """(kept, seen) after ``_grow`` and after ``oracle_grow``, each from
+    its own copy of the closed set ``start`` and of ``kept``."""
+    out = []
+    for kernel in (_grow, oracle_grow):
+        seen, mine = dict(start), list(kept)
+        kernel(seen, mine, gens, cap)
+        out.append((mine, frozenset(seen)))
+    return out
+
+
+def _assert_same_growth(mine, theirs, name) -> None:
+    (kept, seen), (want_kept, want_seen) = mine, theirs
+    assert seen == want_seen, name
+    assert len(kept) == len(want_kept), name
+    assert all(a is b for a, b in zip(kept, want_kept)), name
+
+
+def _level_groups_up_to_depth_3(bound: int = 40_000) -> dict[str, FiniteGroup]:
+    out = {}
+    for shape in (rooted(2), rooted(3), regular(3), regular(4)):
+        for local in (cyclic_group(shape.degree), symmetric_group(shape.degree)):
+            for n in (1, 2, 3):
+                if level_order(shape, local, n) <= bound:
+                    out[f"{shape.kind}{shape.degree}-{local.order}-{n}"] = level_group(shape, local, n)
+    return out
+
+
+def test_grow_matches_the_breadth_first_oracle_on_corpus_and_level_groups():
+    groups = dict(corpus(), **_level_groups_up_to_depth_3())
+    assert "regular4-24-2" in groups and "rooted2-2-3" in groups
+    for name, g in groups.items():
+        start = {_identity_images(g.degree): None}
+        _assert_same_growth(*_grow_both(start, [], g.gens, g.cap), name)
+
+
+def test_grow_matches_the_breadth_first_oracle_on_redundant_generators_seeded():
+    # identity, repeated and redundant generators, in seeded orders
+    rng = random.Random(42)
+    pool = dict(corpus(), C2wr3=wreath_c2_tower(3), D12=dihedral_group(6))
+    for _ in range(60):
+        name = rng.choice(sorted(pool))
+        g = pool[name]
+        gens = rng.sample(g.element_list, min(len(g.element_list), rng.randint(1, 5)))
+        gens.append(g.identity())
+        gens += rng.sample(gens, rng.randint(1, len(gens)))
+        gens.append(gens[0] * gens[-1])
+        rng.shuffle(gens)
+        start = {_identity_images(g.degree): None}
+        _assert_same_growth(*_grow_both(start, [], gens, g.cap), (name, gens))
+
+
+def test_grow_matches_the_breadth_first_oracle_over_incremental_calls_seeded():
+    # several calls on one set, as normal_closure and pi_residual make them
+    rng = random.Random(7)
+    pool = [symmetric_group(4), wreath_c2_tower(3), level_group(rooted(3), symmetric_group(3), 2)]
+    for _ in range(20):
+        g = rng.choice(pool)
+        seen = {_identity_images(g.degree): None}
+        kept: list[Perm] = []
+        for _ in range(rng.randint(2, 4)):
+            gens = rng.sample(g.element_list, rng.randint(1, 3))
+            _assert_same_growth(*_grow_both(seen, kept, gens, g.cap), gens)
+            # the next call resumes from the set in the order the kernel grew it
+            _grow(seen, kept, gens, g.cap)
+
+
+def test_grow_adds_every_coset_of_a_subgroup_that_is_not_normal():
+    # H = <(0 1)> is not normal in Sym(3): the coset H (1 2) times (0 1)
+    # leaves the cosets the new generator alone reaches
+    swap, other = Perm((1, 0, 2)), Perm((0, 2, 1))
+    seen = {(0, 1, 2): None, swap.images: None}
+    kept = [swap]
+    _grow(seen, kept, [other], 6)
+    assert kept == [swap, other]
+    assert frozenset(seen) == symmetric_group(3).image_set
+
+
+def _closed_with_cap(group: FiniteGroup, cap: int) -> FiniteGroup:
+    """The group closed under the default cap, then given ``cap``."""
+    g = FiniteGroup(group.degree, group.gens)
+    g.pruned_gens
+    g.cap = cap
+    return g
+
+
+def test_closure_cap_is_the_largest_order_that_closes():
+    for name, g in dict(corpus(), C2wr3=wreath_c2_tower(3)).items():
+        n = g.order
+        assert FiniteGroup(g.degree, g.gens, cap=n).order == n, name
+        with pytest.raises(ClosureCapExceeded):
+            FiniteGroup(g.degree, g.gens, cap=n - 1).image_set
+        for cap in range(1, n):
+            seen = {_identity_images(g.degree): None}
+            with pytest.raises(ClosureCapExceeded):
+                _grow(seen, [], g.gens, cap)
+            assert len(seen) <= cap, (name, cap)
+    s4 = symmetric_group(4)
+    seeds = {24: [Perm.from_cycles(4, (0, 1))], 4: [Perm.from_cycles(4, (0, 1), (2, 3))]}
+    for n, seed in seeds.items():
+        assert _closed_with_cap(s4, n).normal_closure(seed).order == n
+        with pytest.raises(ClosureCapExceeded):
+            _closed_with_cap(s4, n - 1).normal_closure(seed)
+    for pi, n in (({2}, 12), ({3}, 24)):
+        assert pi_residual(_closed_with_cap(s4, n), pi).order == n
+        with pytest.raises(ClosureCapExceeded):
+            pi_residual(_closed_with_cap(s4, n - 1), pi)
 
 
 def test_normal_closure_matches_the_restart_oracle_on_corpus():

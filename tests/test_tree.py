@@ -1252,3 +1252,20 @@ def test_site_model_matches_a_walk_of_the_ball(shape, locals_):
                 letters = set(shape.child_letters(v))
                 old = [sorted(o & letters) for o in group.orbits() if o & letters]
                 assert child_orbits(shape, local, v) == old, v
+
+
+@pytest.mark.parametrize(
+    "shape, locals_", _SITE_MODEL_CASES, ids=["R2", "R3", "T3", "T4"]
+)
+def test_site_group_is_built_once_per_return_colour(shape, locals_):
+    for local in locals_:
+        first: dict = {}
+        for v in shape.ball(3):
+            group = site_group(shape, local, v)
+            if v == ROOT or shape.kind == "rooted":
+                assert group is local, v
+                continue
+            c = v[-1]
+            assert group is first.setdefault(c, group), v
+            fresh = FiniteGroup(local.degree, [p for p in local.element_list if p(c) == c])
+            assert group.pruned_gens == fresh.pruned_gens, v

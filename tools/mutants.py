@@ -146,6 +146,50 @@ MUTANTS = (
         "        yield a, _first_words(graph, a, inside)\n",
         ("tests/test_cli.py", "-k", "cycles"),
     ),
+    # each coset representative multiplied by the new generator alone,
+    # which misses cosets when the old group is not normal
+    Mutant(
+        "cosets-by-the-new-generator-only",
+        "src/tdlclab/permgrp.py",
+        "            for s in kept_images:\n",
+        "            for s in kept_images[-1:]:\n",
+        ("tests/test_permgrp.py", "-k", "grow"),
+    ),
+    # a closure whose order equals the cap refused
+    Mutant(
+        "closure-cap-refuses-its-own-order",
+        "src/tdlclab/permgrp.py",
+        "if len(seen) + len(group) > cap:",
+        "if len(seen) + len(group) >= cap:",
+        ("tests/test_permgrp.py::test_closure_cap_is_the_largest_order_that_closes",),
+    ),
+    # the class-product table filled above its diagonal only
+    Mutant(
+        "class-products-one-triangle",
+        "src/tdlclab/permgrp.py",
+        "support[i][j] = support[j][i] = mask",
+        "support[i][j] = mask",
+        ("tests/test_permgrp.py::test_class_products_and_lattice_masks_match_the_full_table_oracle",),
+    ),
+    # a lattice join read as the products C_j K without K itself
+    Mutant(
+        "lattice-join-drops-the-member",
+        "src/tdlclab/permgrp.py",
+        "                    joined = known\n",
+        "                    joined = 0\n",
+        ("tests/test_permgrp.py::test_class_products_and_lattice_masks_match_the_full_table_oracle",),
+    ),
+    # the composition series descends to the first maximal member
+    Mutant(
+        "composition-takes-the-first-maximal",
+        "src/tdlclab/permgrp.py",
+        "n = maximal_normal_subgroups(current)[-1]",
+        "n = maximal_normal_subgroups(current)[0]",
+        (
+            "tests/test_permgrp.py::test_composition_factors_pinned_on_the_bench_level_groups",
+            "tests/test_permgrp.py::test_composition_factors_match_the_descent_by_joins_oracle",
+        ),
+    ),
 )
 
 
