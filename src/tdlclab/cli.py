@@ -102,6 +102,7 @@ from .tree import (
     level_order,
     local_prime_content,
     schreier_dot,
+    site_decorations,
     site_pools,
     spec_image_clopen,
     sphere_orbit_classes,
@@ -394,10 +395,12 @@ def build_context(spec: GroupSpec):
         return dynamics.translation_rotation_context(
             spec.local, depth=spec.depth, word_bound=spec.word_bound
         )
+    # a rooted site group is the local group: rho0, s0, rho1, s1, ...
+    rhos = site_decorations(spec.shape, spec.local, (ROOT,))
+    below = site_decorations(spec.shape, spec.local, ((0,),))
     site_gens: dict[str, IsometrySpec] = {}
-    for k, p in enumerate(spec.local.pruned_gens):
-        site_gens[f"rho{k}"] = IsometrySpec(spec.shape, sites=((ROOT, p),))
-        site_gens[f"s{k}"] = IsometrySpec(spec.shape, sites=(((0,), p),))
+    for k, (rho, s) in enumerate(zip(rhos, below)):
+        site_gens[f"rho{k}"], site_gens[f"s{k}"] = rho, s
     if not site_gens:
         raise ValueError("spec yields no generators for a dynamics context")
     return dynamics.ActionContext(spec.shape, site_gens, spec.depth, spec.word_bound)

@@ -33,7 +33,8 @@ the invariant blocks, read by the fixed-point scan, and a search stops
 once it has met its start's block.  A search whose orbit closes within
 the word bound refutes; one cut off by the bound reports exhaustion.
 The words at the bound are stepped once more, only to tell the two
-apart.
+apart.  The standard contexts take their rotations from
+``tree.site_decorations`` at the base vertex and at its first child.
 """
 from __future__ import annotations
 
@@ -41,14 +42,14 @@ from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 
-from .boolalg import CylinderClopen, TreeShape, format_address, sphere_list
+from .boolalg import ROOT, CylinderClopen, TreeShape, format_address, regular, sphere_list
 from .errors import NotSkewering, SearchExhausted
 from .permgrp import FiniteGroup
 from .tree import (
     IsometrySpec,
     SpecWord,
     hyperbolic_isometry,
-    site_group,
+    site_decorations,
     spec_image_clopen,
 )
 
@@ -1171,6 +1172,11 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
     }
 
 
+def _site_generators(shape: TreeShape, local: FiniteGroup, prefix: str, v) -> dict:
+    """The decorations at the one site v, named prefix0, prefix1, ..."""
+    return {f"{prefix}{k}": spec for k, spec in enumerate(site_decorations(shape, local, (v,)))}
+
+
 def translation_rotation_context(
     local: FiniteGroup,
     depth: int = 3,
@@ -1178,15 +1184,12 @@ def translation_rotation_context(
 ) -> ActionContext:
     """Translations along every colour plus the local recolourings and
     one deeper site rotation; the standard transitive working context."""
-    shape = _shape_for(local)
-    gens: dict[str, IsometrySpec] = {}
-    for c in shape.colours():
-        gens[f"t{c}"] = hyperbolic_isometry(shape, (c,))
-    for k, perm in enumerate(local.pruned_gens):
-        gens[f"rho{k}"] = IsometrySpec(shape, sites=(((), perm),))
-    stab = site_group(shape, local, (0,))
-    for k, perm in enumerate(stab.pruned_gens):
-        gens[f"s{k}"] = IsometrySpec(shape, sites=(((0,), perm),))
+    shape = regular(local.degree)
+    gens = {
+        **{f"t{c}": hyperbolic_isometry(shape, (c,)) for c in shape.colours()},
+        **_site_generators(shape, local, "rho", ROOT),
+        **_site_generators(shape, local, "s", (0,)),
+    }
     return ActionContext(shape, gens, depth, word_bound)
 
 
@@ -1201,14 +1204,13 @@ def skewering_context(
     axis around, so no averaged point mass survives; this is the
     standard context for the measure dichotomy.
     """
-    shape = _shape_for(local)
-    order = list(local.pruned_gens)
-    cycle = next((p for p in order if all(p(c) != c for c in shape.colours())), order[0])
-    stab = site_group(shape, local, (0,))
+    shape = regular(local.degree)
+    roots = site_decorations(shape, local, (ROOT,))
+    moves_all = (r for r in roots if all(r.sites[0][1](c) != c for c in shape.colours()))
     gens = {
         "t0": hyperbolic_isometry(shape, (0,)),
-        "s0": IsometrySpec(shape, sites=(((0,), stab.pruned_gens[0]),)),
-        "rho": IsometrySpec(shape, sites=(((), cycle),)),
+        "s0": site_decorations(shape, local, ((0,),))[0],
+        "rho": next(moves_all, roots[0]),
     }
     return ActionContext(shape, gens, depth, word_bound)
 
@@ -1219,12 +1221,8 @@ def rotation_context(
     word_bound: int = 4,
 ) -> ActionContext:
     """Base-fixing recolourings only; every orbit is finite."""
-    shape = _shape_for(local)
-    gens = {
-        f"rho{k}": IsometrySpec(shape, sites=(((), perm),))
-        for k, perm in enumerate(local.pruned_gens)
-    }
-    return ActionContext(shape, gens, depth, word_bound)
+    shape = regular(local.degree)
+    return ActionContext(shape, _site_generators(shape, local, "rho", ROOT), depth, word_bound)
 
 
 def two_copy_product_context(
@@ -1233,16 +1231,7 @@ def two_copy_product_context(
     word_bound: int = 6,
 ) -> TwoCopyContext:
     """Two boundary copies with the translation context acting copy-wise."""
-    shape = _shape_for(local)
-    gens: dict[str, IsometrySpec] = {}
-    for c in shape.colours():
-        gens[f"t{c}"] = hyperbolic_isometry(shape, (c,))
-    for k, perm in enumerate(local.pruned_gens):
-        gens[f"rho{k}"] = IsometrySpec(shape, sites=(((), perm),))
+    shape = regular(local.degree)
+    gens = {f"t{c}": hyperbolic_isometry(shape, (c,)) for c in shape.colours()}
+    gens.update(_site_generators(shape, local, "rho", ROOT))
     return TwoCopyContext(shape, gens, depth, word_bound)
-
-
-def _shape_for(local: FiniteGroup) -> TreeShape:
-    from .boolalg import regular
-
-    return regular(local.degree)

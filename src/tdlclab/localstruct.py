@@ -11,18 +11,19 @@ invariant blocks, which the context's action graph finds once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .boolalg import ROOT, CylinderClopen, TreeShape, format_address, sphere_list
+from .boolalg import ROOT, CylinderClopen, TreeShape, format_address
 from .boundary import region_vertices, rist_generators, tables_commute
 from .dynamics import ActionContext, _ActionGraph, orbit_join
-from .permgrp import FiniteGroup, Perm
+from .permgrp import FiniteGroup
 from .tree import (
     IsometrySpec,
     congruence_kernel,
     level_group,
     level_order,
     site_group,
-    sphere_permutation,
+    site_permutations,
 )
 
 # level truncations up to this order are also closed explicitly
@@ -87,22 +88,7 @@ def class_join(a: LocalClass, b: LocalClass) -> LocalClass:
 def _rist_level_order(local: FiniteGroup, region: CylinderClopen, n: int) -> int:
     """Order of the depth-n truncation of the rigid stabiliser, counted
     site by site over the vertices inside the region."""
-    shape = region.shape
-    total = 1
-    for v in region_vertices(region, n - 1):
-        total *= site_group(shape, local, v).order
-    return total
-
-
-def _witness_perms(local: FiniteGroup, region: CylinderClopen, d: int) -> list[Perm]:
-    """The region's rigid witnesses above depth d, as permutations of the
-    d-sphere numbered in sphere_list order."""
-    points = sphere_list(region.shape, d)
-    index = {p: i for i, p in enumerate(points)}
-    return [
-        sphere_permutation(g, points, index)
-        for g in rist_generators(local, region, d - 1)
-    ]
+    return prod(site_group(region.shape, local, v).order for v in region_vertices(region, n - 1))
 
 
 def perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
@@ -128,8 +114,8 @@ def perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
         return report
 
     for d in range(1, max_depth + 1):
-        perms_a = _witness_perms(local, a.region, d)
-        perms_b = _witness_perms(local, complement.region, d)
+        perms_a = site_permutations(shape, local, region_vertices(a.region, d - 1), d)
+        perms_b = site_permutations(shape, local, region_vertices(complement.region, d - 1), d)
         commute = tables_commute(
             [dict(enumerate(p.images)) for p in perms_a],
             [dict(enumerate(p.images)) for p in perms_b],
@@ -258,7 +244,8 @@ def _realize_star_decomposition(
 ) -> dict:
     group = level_group(shape, local, d)
     star = congruence_kernel(group, shape, d, 1)
-    subs = [group.subgroup(_witness_perms(local, r, d)) for r in regions]
+    inside = (region_vertices(r, d - 1) for r in regions)
+    subs = [group.subgroup(site_permutations(shape, local, vs, d)) for vs in inside]
     commute = True
     trivial = True
     for i in range(len(subs)):

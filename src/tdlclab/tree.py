@@ -79,6 +79,11 @@ recolouring.  A decoration at site v must agree with the inherited
 permutation on the colour of the edge from v back toward the base
 vertex, otherwise the letter map would break adjacency there; with
 undecorated ancestors this says the decoration fixes that colour.
+
+The site model (Burger and Mozes 2000, section 3) lives here too:
+``site_decorations`` builds every single-site decoration of a site group,
+the standard dynamics contexts and the CLI's rooted default included, and
+``site_permutations`` reads decorations as permutations of a sphere.
 """
 from __future__ import annotations
 
@@ -699,10 +704,18 @@ def child_orbits(shape: TreeShape, local: FiniteGroup, v: Address) -> list[list[
     return [split for split in splits if split]
 
 
-def sphere_permutation(spec: IsometrySpec, points, index: dict) -> Perm:
-    """Permutation of a sphere by a recipe that fixes the base vertex;
-    ``index`` numbers the sphere's ``points``."""
-    return Perm(tuple(index[spec._apply(a)] for a in points))
+def site_permutations(shape: TreeShape, local: FiniteGroup, vertices, n: int) -> list[Perm]:
+    """The decorations at ``vertices``, as ``site_decorations`` lists them,
+    as permutations of the n-sphere in ``sphere_list`` order; each vertex
+    lies above depth n, so its decoration permutes the sphere."""
+    if local.degree != shape.degree:
+        raise ValueError("local group degree does not match the shape")
+    points = sphere_list(shape, n)
+    index = {a: i for i, a in enumerate(points)}
+    return [
+        Perm(tuple(index[spec._apply(a)] for a in points))
+        for spec in site_decorations(shape, local, vertices)
+    ]
 
 
 def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
@@ -712,17 +725,9 @@ def level_group(shape: TreeShape, local: FiniteGroup, n: int) -> FiniteGroup:
     the truncation of the base-vertex stabiliser.  Either way it is
     generated by the site decorations at the vertices above depth n.
     """
-    if local.degree != shape.degree:
-        raise ValueError("local group degree does not match the shape")
     if n < 1:
         raise ValueError("need depth at least 1")
-    points = sphere_list(shape, n)
-    index = {a: i for i, a in enumerate(points)}
-    gens = [
-        sphere_permutation(spec, points, index)
-        for spec in site_decorations(shape, local, shape.ball(n - 1))
-    ]
-    return FiniteGroup(len(points), gens)
+    return FiniteGroup(shape.sphere_size(n), site_permutations(shape, local, shape.ball(n - 1), n))
 
 
 def level_order(shape: TreeShape, local: FiniteGroup, n: int) -> int:

@@ -139,6 +139,15 @@ oracle is the fold as it was before plain values passed through: every
 list, tuple and dict is copied, one ``isinstance`` test at a time.  It
 must give equal values, in the same key order, and the same bytes, and
 raise where the fold raises.
+
+The single-site recipes are the constructions the library made by hand
+before every site-group decoration went through ``site_decorations``
+and ``site_permutations``: the four standard dynamics contexts, the
+rooted default generators of ``cli.build_context``, and the sphere
+permutations of ``level_group`` and of the rigid-stabiliser witnesses,
+one comprehension over the sphere per decoration.  They must give the
+same generator names, in the same order, equal specs and equal
+permutations.
 """
 from __future__ import annotations
 
@@ -156,10 +165,25 @@ from tdlclab.boolalg import (
     sphere_list,
 )
 from tdlclab.certificates import normalise_key
-from tdlclab.dynamics import TwoCopyContext, _start_words, minorising_set, reachable_images
+from tdlclab.boundary import rist_generators
+from tdlclab.dynamics import (
+    ActionContext,
+    TwoCopyContext,
+    _start_words,
+    minorising_set,
+    reachable_images,
+)
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
-from tdlclab.tree import BallIsometry, IsometrySpec, SpecWord, site_group, spec_image_clopen
+from tdlclab.tree import (
+    BallIsometry,
+    IsometrySpec,
+    SpecWord,
+    hyperbolic_isometry,
+    site_decorations,
+    site_group,
+    spec_image_clopen,
+)
 
 
 def _is_subgroup(elems: frozenset[Perm]) -> bool:
@@ -1368,6 +1392,97 @@ def oracle_normalise(value):
     if not text:
         raise TypeError(f"cannot serialise {type(value).__name__}")
     return text
+
+
+# -- single-site recipes ---------------------------------------------------------
+
+
+def oracle_sphere_permutation(spec: IsometrySpec, points, index: dict) -> Perm:
+    """Permutation of a sphere by a recipe that fixes the base vertex;
+    ``index`` numbers the sphere's ``points``."""
+    return Perm(tuple(index[spec._apply(a)] for a in points))
+
+
+def oracle_level_perms(shape, local, n: int) -> list[Perm]:
+    """The generators ``level_group`` built from its site decorations."""
+    points = sphere_list(shape, n)
+    index = {a: i for i, a in enumerate(points)}
+    return [
+        oracle_sphere_permutation(spec, points, index)
+        for spec in site_decorations(shape, local, shape.ball(n - 1))
+    ]
+
+
+def oracle_witness_perms(local, region, d: int) -> list[Perm]:
+    """The region's rigid witnesses above depth d, as permutations of the
+    d-sphere numbered in sphere_list order."""
+    points = sphere_list(region.shape, d)
+    index = {p: i for i, p in enumerate(points)}
+    return [
+        oracle_sphere_permutation(g, points, index)
+        for g in rist_generators(local, region, d - 1)
+    ]
+
+
+def _shape_for(local: FiniteGroup):
+    from tdlclab.boolalg import regular
+
+    return regular(local.degree)
+
+
+def oracle_translation_rotation_context(local: FiniteGroup, depth: int = 3, word_bound: int = 6):
+    shape = _shape_for(local)
+    gens: dict[str, IsometrySpec] = {}
+    for c in shape.colours():
+        gens[f"t{c}"] = hyperbolic_isometry(shape, (c,))
+    for k, perm in enumerate(local.pruned_gens):
+        gens[f"rho{k}"] = IsometrySpec(shape, sites=(((), perm),))
+    stab = site_group(shape, local, (0,))
+    for k, perm in enumerate(stab.pruned_gens):
+        gens[f"s{k}"] = IsometrySpec(shape, sites=(((0,), perm),))
+    return ActionContext(shape, gens, depth, word_bound)
+
+
+def oracle_skewering_context(local: FiniteGroup, depth: int = 2, word_bound: int = 6):
+    shape = _shape_for(local)
+    order = list(local.pruned_gens)
+    cycle = next((p for p in order if all(p(c) != c for c in shape.colours())), order[0])
+    stab = site_group(shape, local, (0,))
+    gens = {
+        "t0": hyperbolic_isometry(shape, (0,)),
+        "s0": IsometrySpec(shape, sites=(((0,), stab.pruned_gens[0]),)),
+        "rho": IsometrySpec(shape, sites=(((), cycle),)),
+    }
+    return ActionContext(shape, gens, depth, word_bound)
+
+
+def oracle_rotation_context(local: FiniteGroup, depth: int = 2, word_bound: int = 4):
+    shape = _shape_for(local)
+    gens = {
+        f"rho{k}": IsometrySpec(shape, sites=(((), perm),))
+        for k, perm in enumerate(local.pruned_gens)
+    }
+    return ActionContext(shape, gens, depth, word_bound)
+
+
+def oracle_two_copy_product_context(local: FiniteGroup, depth: int = 2, word_bound: int = 6):
+    shape = _shape_for(local)
+    gens: dict[str, IsometrySpec] = {}
+    for c in shape.colours():
+        gens[f"t{c}"] = hyperbolic_isometry(shape, (c,))
+    for k, perm in enumerate(local.pruned_gens):
+        gens[f"rho{k}"] = IsometrySpec(shape, sites=(((), perm),))
+    return TwoCopyContext(shape, gens, depth, word_bound)
+
+
+def oracle_rooted_generators(spec) -> dict:
+    """The generators ``cli.build_context`` made for a rooted spec with no
+    named elements."""
+    site_gens: dict[str, IsometrySpec] = {}
+    for k, p in enumerate(spec.local.pruned_gens):
+        site_gens[f"rho{k}"] = IsometrySpec(spec.shape, sites=((ROOT, p),))
+        site_gens[f"s{k}"] = IsometrySpec(spec.shape, sites=(((0,), p),))
+    return site_gens
 
 
 # -- shared corpus -----------------------------------------------------------

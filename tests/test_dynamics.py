@@ -3,6 +3,7 @@ compression, free subsemigroups, orbit joins, invariant measures."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import gc
 import random
@@ -14,7 +15,7 @@ import pytest
 from tdlclab.boolalg import ROOT, CylinderClopen, regular
 from tdlclab.certificates import canonical_json
 from tdlclab.errors import NotSkewering, SearchExhausted
-from tdlclab.permgrp import FiniteGroup, Perm, symmetric_group
+from tdlclab.permgrp import FiniteGroup, Perm, cyclic_group, dihedral_group, symmetric_group
 from tdlclab.tree import IsometrySpec, SpecWord, hyperbolic_isometry, site_group, spec_image_clopen
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
@@ -27,8 +28,13 @@ from oracles import (
     oracle_invariance_rows,
     oracle_minorising_degree,
     oracle_phase_one_feasible,
+    oracle_rooted_generators,
+    oracle_rotation_context,
     oracle_shortlex_words,
     oracle_skewering,
+    oracle_skewering_context,
+    oracle_translation_rotation_context,
+    oracle_two_copy_product_context,
 )
 
 T3 = regular(3)
@@ -55,6 +61,74 @@ def test_context_adds_inverses_and_detects_involutions():
     assert ctx.inverse_name("t0~") == "t0"
     assert ctx.inverse_name("rho0") == "rho0"
     assert ctx.word(("t0", "t0~")).is_identity_on(6)
+
+
+def _generators(ctx) -> dict:
+    """A context's generator specs by name, in ``gen_names`` order, with
+    the added inverses left out; on two copies, the base context's."""
+    base = getattr(ctx, "_base", ctx)
+    return {name: base.generator(name).factors[0][0] for name in base.gen_names if "~" not in name}
+
+
+def _built(make, local):
+    """(generator names and specs in order, all generator names), or the
+    exception type when the recipe refuses the local group."""
+    try:
+        ctx = make(local, depth=2)
+    except Exception as exc:  # the old recipe's exception is the reference
+        return type(exc)
+    return list(_generators(ctx).items()), ctx.gen_names
+
+
+_SITE_LOCALS = {
+    "C3": cyclic_group(3),
+    "S3": S3,
+    "D4": dihedral_group(4),
+    "S4": symmetric_group(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SITE_LOCALS))
+def test_standard_contexts_match_their_hand_built_recipes(name):
+    """The four standard contexts build their site generators through
+    ``site_decorations``; the recipes that built them by hand give the
+    same names, in the same order, and equal specs.  In C3 only the
+    identity fixes a colour, so the skewering context, which needs a
+    site rotation below the base vertex, refuses it both ways."""
+    local = _SITE_LOCALS[name]
+    pairs = (
+        (dy.translation_rotation_context, oracle_translation_rotation_context),
+        (dy.skewering_context, oracle_skewering_context),
+        (dy.rotation_context, oracle_rotation_context),
+        (dy.two_copy_product_context, oracle_two_copy_product_context),
+    )
+    for new, old in pairs:
+        assert _built(new, local) == _built(old, local), new.__name__
+    if name == "C3":
+        assert _built(dy.skewering_context, local) is IndexError
+
+
+def test_rooted_default_generators_match_the_interleaved_loop():
+    """``cli.build_context`` on a rooted spec with no named elements names
+    the base-vertex and the first-child decorations rho0, s0, rho1, s1,
+    ..., as the hand-built loop did, over one to three local generators."""
+    from tdlclab import cli
+    from test_cli import ROOTED_BINARY
+
+    generators = {
+        2: ["(0 1)"],
+        3: ["(0 1 2)", "(1 2), (0 1 2)"],
+        4: ["(0 1 2 3), (1 3)", "(0 1), (0 1 2 3)", "(0 1), (1 2), (2 3)"],
+    }
+    lengths = set()
+    for degree, texts in generators.items():
+        for gens in texts:
+            text = ROOTED_BINARY.replace("degree = 2", f"degree = {degree}")
+            spec = cli.parse_spec_text(text.replace("generators = (0 1)", f"generators = {gens}"))
+            got = _generators(cli.build_context(spec))
+            assert list(got.items()) == list(oracle_rooted_generators(spec).items()), gens
+            lengths.add(len(got))
+    assert lengths == {2, 4, 6}
 
 
 def _listed_generators() -> list:
@@ -426,6 +500,111 @@ def test_two_copy_degree_steps_stay_near_one_tree(monkeypatch):
     assert minimal == expanded(lambda: dy.check_minimal(two._base))
     degree = expanded(lambda: dy.minorising_degree(two))
     assert degree <= expanded(every_base_start), degree
+
+
+def _order_free_results(ctx) -> dict:
+    """What a search reports that no generator order may change."""
+    base = getattr(ctx, "_base", ctx)
+    try:
+        degree = dy.minorising_degree(ctx)
+        degree = {k: degree[k] for k in ("degree", "invariant_opens", "reduced_set", "initial_set")}
+    except SearchExhausted as exc:
+        degree = str(exc)
+    out = {
+        "minimal": dy.check_minimal(ctx)["verdict"],
+        "lengths": {(a, b): len(w) for a, met in dy._start_words(ctx) for b, w in met.items()},
+        "degree": degree,
+        "blocks": dy._ActionGraph(base).blocks,
+    }
+    if ctx is base:
+        out["measure"] = dy.invariant_measure_search(ctx)["verdict"]
+    return out
+
+
+def test_generator_order_changes_no_length_verdict_degree_or_block():
+    """Reordering a context's generators keeps every result below.
+
+    Proof.  A reordering permutes ``gen_names``, added inverses included,
+    and each generator steps a state by its own map alone, so the action
+    graph has the same edges, only listed in another order.
+    - ``_first_words`` is a breadth-first search from the start's id, cut
+      at the word bound and stopped once its block is met.  The first id
+      meeting b is found at the level of b's graph distance from the
+      start, and which ids lie within the bound does not depend on the
+      order of the edges.  So each per-pair word length and the set of
+      pairs found are kept, and with them ``check_minimal``'s verdict.
+    - ``minorising_degree``'s shadows are those sets of met states, so its
+      opens and degree are kept.  The reduced set takes the first start
+      of each open in state order, and the initial set tries candidates
+      in state order over the same coverage sets, ``inside`` ones.
+    - ``_ActionGraph.blocks`` closes the least unplaced state under the
+      met states of its neighbours: a closure on the edge set.
+    - ``_invariance_rows`` makes one row per working cylinder and
+      generator, so a reordering permutes the rows.  A forcing pass
+      reaches one fixpoint whatever the row order, and whether a
+      nonnegative solution exists does not depend on the row order
+      either, so the measure verdict is kept.
+
+    The words themselves, which break ties by generator order, and the
+    weights that the simplex reaches may change; they are not compared.
+    """
+    contexts = [make() for make, _ in _DEGREE_CONTEXTS.values()]
+    contexts += _rooted_contexts()[:6]
+    rng = random.Random(43)
+    contexts += [_random_context(rng) for _ in range(12)]
+    for ctx in contexts:
+        want = _order_free_results(ctx)
+        gens = list(_generators(ctx).items())
+        base = getattr(ctx, "_base", ctx)
+        for _ in range(2):
+            rng.shuffle(gens)
+            other = type(ctx)(base.shape, dict(gens), ctx.depth, ctx.word_bound)
+            assert _order_free_results(other) == want, [name for name, _ in gens]
+
+
+def test_orbit_join_exhausts_only_when_the_bound_cuts_its_search():
+    """``orbit_join`` raises ``SearchExhausted`` only when its bound cuts a
+    search.  The fixpoint raises when the saturation needs more passes
+    than the bound allows: a pass is counted only while the last one
+    grew, so it raises exactly when the unbounded saturation takes more
+    than bound + 1 passes, and otherwise it reaches the same saturation.
+    The witnesses raise only when ``_bfs`` reports a cut: a closed orbit
+    yields every image of alpha, and their join is the saturation.  The
+    specs' translations leave every orbit open, so the rotation-only
+    spec adds orbits that close within the bound."""
+    from tdlclab import cli
+    from test_cli import ROTONLY, US3, US3_ELEMENTS
+
+    raised = set()
+    for text in (US3, US3_ELEMENTS, ROTONLY):
+        spec = cli.parse_spec_text(text)
+        alphas = [CylinderClopen.cylinder(spec.shape, a) for n in (1, 2) for a in spec.shape.sphere(n)]
+        alphas += [a.complement() for a in alphas]
+        free = cli.build_context(dataclasses.replace(spec, word_bound=12))
+        joins = {alpha: dy.orbit_join(free, alpha) for alpha in alphas}
+        for bound in range(1, 7):
+            ctx = cli.build_context(dataclasses.replace(spec, word_bound=bound))
+            for alpha in alphas:
+                passes = joins[alpha]["rounds"]
+                try:
+                    report = dy.orbit_join(ctx, alpha)
+                except SearchExhausted as exc:
+                    if "fixpoint" in str(exc):
+                        assert passes > bound + 1, (alpha, bound)
+                    else:
+                        cut = []
+                        for _ in dy._bfs(ctx.gen_names, bound, ctx.image, alpha, cut):
+                            pass
+                        assert cut, (alpha, bound)
+                    raised.add((str(exc).split(" (")[0], text == ROTONLY))
+                    continue
+                assert passes <= bound + 1, (alpha, bound)
+                assert report["alpha_star"] == joins[alpha]["alpha_star"], (alpha, bound)
+    assert raised == {
+        ("search exhausted: orbit join fixpoint", False),
+        ("search exhausted: orbit join witnesses", False),
+        ("search exhausted: orbit join witnesses", True),
+    }
 
 
 # ------------------------------------------------- vertex states vs clopens

@@ -14,13 +14,14 @@ from tdlclab.boolalg import (
     rooted,
     sphere_list,
 )
-from tdlclab.boundary import support_in
+from tdlclab.boundary import region_vertices, rist_generators, support_in
 from tdlclab.errors import PrecisionExhausted, SiteError
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
     composition_factors,
     cyclic_group,
+    dihedral_group,
     symmetric_group,
 )
 from tdlclab import cli
@@ -43,6 +44,7 @@ from tdlclab.tree import (
     schreier_dot,
     site_decorations,
     site_group,
+    site_permutations,
     spec_image_clopen,
     sphere_orbit_classes,
 )
@@ -52,9 +54,11 @@ from oracles import (
     oracle_ball_table_error,
     oracle_congruence_kernel,
     oracle_in_universal_group,
+    oracle_level_perms,
     oracle_realize,
     oracle_slice,
     oracle_sphere,
+    oracle_witness_perms,
     pullbacks,
 )
 from tree_oracles import (
@@ -1269,3 +1273,44 @@ def test_site_group_is_built_once_per_return_colour(shape, locals_):
             assert group is first.setdefault(c, group), v
             fresh = FiniteGroup(local.degree, [p for p in local.element_list if p(c) == c])
             assert group.pruned_gens == fresh.pruned_gens, v
+
+
+# C3 and Sym(3) on degree 3, the dihedral group of the square and Sym(4)
+# on degree 4, each on a rooted and a regular shape
+_PERMUTATION_CASES = [
+    (shape, local)
+    for degree, locals_ in ((3, [C3, S3]), (4, [dihedral_group(4), symmetric_group(4)]))
+    for shape in (rooted(degree), regular(degree))
+    for local in locals_
+]
+
+
+@pytest.mark.parametrize(
+    "shape, local", _PERMUTATION_CASES,
+    ids=[f"{s.kind}{s.degree}-{g.order}" for s, g in _PERMUTATION_CASES],
+)
+def test_site_permutations_match_the_sphere_comprehension(shape, local):
+    """``site_permutations`` against the comprehension that ``level_group``
+    and the rigid-stabiliser witnesses each made before: on the
+    (n-1)-ball and on every half-tree and its complement, at depths 1-4."""
+    for n in range(1, 5):
+        old = oracle_level_perms(shape, local, n)
+        assert site_permutations(shape, local, shape.ball(n - 1), n) == old, n
+        assert level_group(shape, local, n).gens == FiniteGroup(old[0].degree, old).gens, n
+        for c in shape.child_letters(ROOT):
+            half = CylinderClopen.cylinder(shape, (c,))
+            for region in (half, half.complement()):
+                got = site_permutations(shape, local, region_vertices(region, n - 1), n)
+                assert got == oracle_witness_perms(local, region, n), (n, region)
+
+
+def test_site_permutations_refuse_a_local_group_of_another_degree():
+    message = "local group degree does not match the shape"
+    half = CylinderClopen.cylinder(T3, (0,))
+    for call in (
+        lambda: site_permutations(T3, symmetric_group(4), [ROOT], 2),
+        lambda: level_group(T3, symmetric_group(4), 2),
+        lambda: rist_generators(symmetric_group(4), half, 2),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -110,6 +110,10 @@ def cases() -> list[tuple[str, list[str]]]:
     # rooted generators step through their one-letter words' own maps
     for check in ("minimal", "degree", "measure", "proximal"):
         out.append(("rooted-binary", ["dynamics", check, "spec.ini", "--depth", "4"]))
+    # rooted generators over two local generators, named in the
+    # interleaved order rho0, s0, rho1, s1 that the first words follow
+    for check in ("minimal", "degree"):
+        out.append(("rooted-sym5", ["dynamics", check, "spec.ini", "--depth", "2"]))
     # trie steps below a site deeper than the base (u1 at depth 2), and
     # the lone axis, whose degree search exhausts its bound (exit 4)
     for check in ("minimal", "degree"):

@@ -190,6 +190,105 @@ MUTANTS = (
             "tests/test_permgrp.py::test_composition_factors_match_the_descent_by_joins_oracle",
         ),
     ),
+    # the rooted default names s before rho: the same specs, with the
+    # first-word tie-break between them reversed
+    Mutant(
+        "rooted-default-lists-s-first",
+        "src/tdlclab/cli.py",
+        '        site_gens[f"rho{k}"], site_gens[f"s{k}"] = rho, s\n',
+        '        site_gens[f"s{k}"], site_gens[f"rho{k}"] = s, rho\n',
+        ("tests/test_dynamics.py::test_rooted_default_generators_match_the_interleaved_loop",),
+    ),
+    # site permutations number the sphere from its last point: the same
+    # group, conjugated by the reversal
+    Mutant(
+        "site-permutations-number-the-sphere-in-reverse",
+        "src/tdlclab/tree.py",
+        "    index = {a: i for i, a in enumerate(points)}\n",
+        "    index = {a: len(points) - 1 - i for i, a in enumerate(points)}\n",
+        ("tests/test_tree.py", "-k", "site_permutations_match"),
+    ),
+    # the first-word search skips whichever generator is listed last
+    Mutant(
+        "first-words-skip-the-last-generator",
+        "src/tdlclab/dynamics.py",
+        "for g, y in enumerate(edges[x] or graph.neighbours(x)):",
+        "for g, y in enumerate((edges[x] or graph.neighbours(x))[:-1]):",
+        ("tests/test_dynamics.py::test_generator_order_changes_no_length_verdict_degree_or_block",),
+    ),
+    # PR 33's slice mutants: the walk reopens the branch it came from
+    Mutant(
+        "slice-reopens-the-branch-it-came-from",
+        "src/tdlclab/boolalg.py",
+        "        level = [at + (x,) for x in children(at) if x != came]\n",
+        "        level = [at + (x,) for x in children(at)]\n",
+        ("tests/test_tree.py::test_slice_matches_the_pulled_ball_seeded",
+         "tests/test_boundary.py::test_half_tree_slices_match_the_pulled_ball_reading"),
+    ),
+    # the walk goes one level deeper than the radius allows
+    Mutant(
+        "slice-walks-one-level-too-many",
+        "src/tdlclab/boolalg.py",
+        "        for _ in range(d + 1, r):\n",
+        "        for _ in range(d, r):\n",
+        ("tests/test_tree.py::test_slice_matches_the_pulled_ball_seeded",
+         "tests/test_boundary.py::test_half_tree_slices_match_the_pulled_ball_reading"),
+    ),
+    # the walk starts at v when c lies inside v's subtree, the wrong side
+    # of the edge
+    Mutant(
+        "slice-starts-at-v-inside-its-subtree",
+        "src/tdlclab/boolalg.py",
+        "        at, d = c, 0\n",
+        "        at, d = v, len(c) - n\n",
+        ("tests/test_tree.py::test_slice_matches_the_pulled_ball_seeded",
+         "tests/test_boundary.py::test_half_tree_slices_match_the_pulled_ball_reading"),
+    ),
+    # PR 32's clopen mutants: the complement kept on the shape, stale for
+    # every other clopen on it
+    Mutant(
+        "complement-kept-on-the-shape",
+        "src/tdlclab/boolalg.py",
+        '        comp = self.__dict__.get("_complement")\n'
+        "        if comp is None:\n"
+        '            comp = self.__dict__["_complement"] =',
+        '        comp = self.shape.__dict__.get("_complement")\n'
+        "        if comp is None:\n"
+        '            comp = self.shape.__dict__["_complement"] =',
+        ("tests/test_boolalg.py::test_complement_is_kept_and_stays_out_of_the_fields",),
+    ),
+    # dotted tokens read in bulk, one digit per letter
+    Mutant(
+        "bulk-parse-takes-dotted-tokens",
+        "src/tdlclab/boolalg.py",
+        "if shape.degree <= 10 and all(map(str.isdecimal, tokens)):",
+        'if shape.degree <= 10 and all(t.replace(".", "").isdecimal() for t in tokens):',
+        ("tests/test_boolalg.py::test_parse_clopen_matches_per_token_reading",),
+    ),
+    # the canonical pass keeps the parent as its last address
+    Mutant(
+        "canonical-keeps-the-parent-as-last",
+        "src/tdlclab/boolalg.py",
+        "        last, n = a, len(a)\n",
+        "        last, n = a[:-1], len(a) - 1\n",
+        ("tests/test_boolalg.py::test_canonical_pass_matches_the_previous_pass_seeded",),
+    ),
+    # covered tests the proper prefixes only, not the address itself
+    Mutant(
+        "covered-skips-the-address-itself",
+        "src/tdlclab/boolalg.py",
+        "    for k in range(len(addr) + 1):\n        if addr[:k] in cover:\n",
+        "    for k in range(len(addr)):\n        if addr[:k] in cover:\n",
+        ("tests/test_boolalg.py::test_covered_matches_the_prefix_scan_seeded",),
+    ),
+    # the measure counts one address per depth
+    Mutant(
+        "measure-one-address-per-depth",
+        "src/tdlclab/boolalg.py",
+        "(Fraction(k, size(d)) for d, k in counts.items())",
+        "(Fraction(1, size(d)) for d, k in counts.items())",
+        ("tests/test_boolalg.py::test_measure_matches_the_per_address_sum_seeded",),
+    ),
 )
 
 

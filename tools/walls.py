@@ -18,7 +18,7 @@ pairs in which the change was lower, then per wall the change at n + 1
 against the base at n.  The runs and the machine (``nproc``, Python
 version, platform) go to FILE as JSON.  The exit code is 1 when any
 pair differs in a hash or an exit code, and 0 otherwise.  The full
-ladder takes about 70 s per pair on a 2-core host; ``--only`` keeps the
+ladder takes about 100 s per pair on a 2-core host; ``--only`` keeps the
 cases whose label contains SUBSTR.
 """
 from __future__ import annotations
@@ -45,6 +45,7 @@ WALLS = [
     ("readme", ["dynamics", "minimal"], "--depth", 8),
     ("readme", ["dynamics", "degree"], "--depth", 8),
     ("readme", ["dynamics", "measure"], "--depth", 13),
+    ("lone-axis", ["dynamics", "measure"], "--depth", 10),
     ("two-copy", ["dynamics", "degree"], "--depth", 7),
     ("elements", ["certify", "goodshrink", "--element", "g"], "--depth", 13),
     ("elements", ["certify", "tits-core", "--element", "g"], "--depth", 12),
