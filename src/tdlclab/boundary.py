@@ -476,9 +476,10 @@ def tits_core_generators(
 
     cone = _cone_vertex(beta_f)
     rotations = site_decorations(shape, local, (cone,))
-    for perm in local.pruned_gens:
-        if all(perm(c) == c for c in cone):
-            rotations.append(IsometrySpec(shape, sites=((ROOT, perm),)))
+    rotations += [
+        rho for rho in site_decorations(shape, local, (ROOT,))
+        if all(rho.sites[0][1](c) == c for c in cone)
+    ]
     rotations = [rho for rho in rotations if spec_image_clopen(rho, beta_f) == beta_f]
 
     checks = {

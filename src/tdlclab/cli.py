@@ -130,6 +130,9 @@ _VERDICT_EXIT = {
 }
 
 _SECTIONS = ("tree", "local_group", "elements", "limits")
+# each [limits] key with its least value; the flags that override them
+# check the same minimums, in this order
+_LIMIT_MINIMUMS = {"depth": 1, "word_bound": 1, "seed": 0}
 _AXIS_RE = re.compile(r"^axis\s*=\s*([0-9.]+)$")
 _WINDOW_RE = re.compile(r"^([0-9]+)\.\.([0-9]+)$")
 
@@ -349,14 +352,9 @@ class _SpecParser:
 
     def parse_limits(self, spec: GroupSpec) -> None:
         for lineno, key_col, key, value_col, value in self.entries["limits"]:
-            if key == "depth":
-                spec.depth = self.parse_int(value, lineno, value_col, minimum=1)
-            elif key == "word_bound":
-                spec.word_bound = self.parse_int(value, lineno, value_col, minimum=1)
-            elif key == "seed":
-                spec.seed = self.parse_int(value, lineno, value_col, minimum=0)
-            else:
+            if key not in _LIMIT_MINIMUMS:
                 self.fail(f"unknown key {key!r} in [limits]", lineno, key_col)
+            setattr(spec, key, self.parse_int(value, lineno, value_col, _LIMIT_MINIMUMS[key]))
 
     def parse_int(self, value, lineno, col, minimum=None) -> int:
         try:
@@ -882,8 +880,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         try:
             spec = load_spec(args.spec, _cap_from_env())
-            # the same minimums as the [limits] keys they override
-            for key, minimum in (("depth", 1), ("word_bound", 1), ("seed", 0)):
+            for key, minimum in _LIMIT_MINIMUMS.items():
                 value = getattr(args, key)
                 if value is not None:
                     if value < minimum:

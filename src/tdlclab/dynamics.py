@@ -1202,14 +1202,20 @@ def skewering_context(
 
     The root cycle and the deeper site rotation spread the translation
     axis around, so no averaged point mass survives; this is the
-    standard context for the measure dichotomy.
+    standard context for the measure dichotomy.  A local group that
+    leaves either site without a rotation raises a ValueError.
     """
     shape = regular(local.degree)
     roots = site_decorations(shape, local, (ROOT,))
+    below = site_decorations(shape, local, ((0,),))
+    for site, found in (("v0", roots), ("0", below)):
+        if not found:
+            raise ValueError(f"the skewering context needs a site rotation at {site}, "
+                             "and the local group gives none there")
     moves_all = (r for r in roots if all(r.sites[0][1](c) != c for c in shape.colours()))
     gens = {
         "t0": hyperbolic_isometry(shape, (0,)),
-        "s0": site_decorations(shape, local, ((0,),))[0],
+        "s0": below[0],
         "rho": next(moves_all, roots[0]),
     }
     return ActionContext(shape, gens, depth, word_bound)

@@ -2,15 +2,21 @@
 
 Classes are canonical clopen regions; meet and join are regionwise
 (join is the complement-of-meet-of-complements formula by De Morgan),
-and perp is the region complement backed by rigid-stabiliser checks:
-commutation of the two witness families and the co-generation index
-inside the realized level truncations.  Scans enumerate the invariant
+and perp is the region complement backed by rigid-stabiliser checks.
+Perp and the star decomposition check one fact through one helper,
+``_rist_product``: the rigid stabilisers of pairwise-disjoint regions
+commute and, in the level truncations small enough to close, meet
+pairwise trivially, so they form an internal direct product.  Perp reads
+it for a class and its complement, with the co-generation index; the
+star reads it for the half-trees at the base vertex up to the closure
+cap, and only counts orders above it.  Scans enumerate the invariant
 cylinder classes of a dynamics context as unions of its minimal
 invariant blocks, which the context's action graph finds once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 
 from .boolalg import ROOT, CylinderClopen, TreeShape, format_address
@@ -91,6 +97,30 @@ def _rist_level_order(local: FiniteGroup, region: CylinderClopen, n: int) -> int
     return prod(site_group(region.shape, local, v).order for v in region_vertices(region, n - 1))
 
 
+def _rist_product(shape: TreeShape, local: FiniteGroup, regions, d: int, group=None):
+    """Rigid stabilisers of pairwise-disjoint regions as one product in
+    the depth-d truncation: each region's witnesses (its site decorations
+    above depth d) as d-sphere permutations, and whether every pair of
+    families commutes.  Given the level group, the third item is each
+    family's realized order, whether every pair meets trivially (its
+    product's order is the product of theirs) and the order of all the
+    families together; two regions are one pair, closed once."""
+    families = [site_permutations(shape, local, region_vertices(r, d - 1), d) for r in regions]
+    tables = [[dict(enumerate(p.images)) for p in f] for f in families]
+    pairs = list(combinations(range(len(families)), 2))
+    commute = all(tables_commute(tables[i], tables[j]) for i, j in pairs)
+    if group is None:
+        return families, commute, None
+    orders = [group.subgroup(f).order for f in families]
+    joined = group.subgroup([p for f in families for p in f]).order
+    trivial = all(
+        (joined if len(pairs) == 1 else group.subgroup(families[i] + families[j]).order)
+        == orders[i] * orders[j]
+        for i, j in pairs
+    )
+    return families, commute, (orders, trivial, joined)
+
+
 def perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
     """Complement class with commutation and co-generation evidence.
 
@@ -114,15 +144,11 @@ def perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
         return report
 
     for d in range(1, max_depth + 1):
-        perms_a = site_permutations(shape, local, region_vertices(a.region, d - 1), d)
-        perms_b = site_permutations(shape, local, region_vertices(complement.region, d - 1), d)
-        commute = tables_commute(
-            [dict(enumerate(p.images)) for p in perms_a],
-            [dict(enumerate(p.images)) for p in perms_b],
-        )
         order_a = _rist_level_order(local, a.region, d)
         order_b = _rist_level_order(local, complement.region, d)
         level = level_order(shape, local, d)
+        group = level_group(shape, local, d) if level <= _REALIZE_CAP else None
+        _, commute, realized = _rist_product(shape, local, (a.region, complement.region), d, group)
         index_val, rem = divmod(level, order_a * order_b)
         entry = {
             "commutation": commute,
@@ -135,18 +161,13 @@ def perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
         if rem != 0:
             entry["commutation"] = False
             report["verdict"] = "refuted_at_depth"
-        if level <= _REALIZE_CAP:
-            group = level_group(shape, local, d)
-            sub_a = group.subgroup(perms_a)
-            sub_b = group.subgroup(perms_b)
-            both = group.subgroup(perms_a + perms_b)
+        if realized is not None:
+            (sub_a, sub_b), _, both = realized
             entry["realized"] = True
-            entry["realized_orders_match"] = (
-                sub_a.order == order_a and sub_b.order == order_b
-            )
+            entry["realized_orders_match"] = sub_a == order_a and sub_b == order_b
             # commuting factors with multiplying orders intersect trivially
-            entry["trivial_intersection"] = both.order == order_a * order_b
-            entry["realized_index"] = group.order // both.order
+            entry["trivial_intersection"] = both == order_a * order_b
+            entry["realized_index"] = group.order // both
             if (
                 not entry["realized_orders_match"]
                 or not entry["trivial_intersection"]
@@ -190,11 +211,7 @@ def decomposition_factors(
         for i in range(len(factors))
     )
     checks: dict = {
-        "pairwise_disjoint": all(
-            not regions[i].meets(regions[j])
-            for i in range(len(regions))
-            for j in range(i + 1, len(regions))
-        ),
+        "pairwise_disjoint": not any(x.meets(y) for x, y in combinations(regions, 2)),
         "regions_cover_boundary": join_all.is_top(),
         "perp_of_each_is_join_of_rest": perp_cross,
     }
@@ -203,10 +220,9 @@ def decomposition_factors(
     verdict = "verified"
     for d in range(1, depth + 1):
         factor_orders = [_rist_level_order(local, r, d) for r in regions]
-        star_order = level_order(shape, local, d) // local.order
-        product = 1
-        for o in factor_orders:
-            product *= o
+        level = level_order(shape, local, d)
+        star_order = level // local.order
+        product = prod(factor_orders)
         star_orders[d] = {
             "factor_orders": factor_orders,
             "star_order": star_order,
@@ -214,14 +230,18 @@ def decomposition_factors(
         }
         if product != star_order:
             verdict = "refuted_at_depth"
-        if level_order(shape, local, d) <= _REALIZE_CAP:
-            entry = _realize_star_decomposition(shape, local, d, regions)
-            star_orders[d].update(entry)
+        if level <= _REALIZE_CAP:
+            group = level_group(shape, local, d)
+            _, commute, (_, trivial, joined) = _rist_product(shape, local, regions, d, group)
+            star = congruence_kernel(group, shape, d, 1).order
+            star_orders[d].update({
+                "pairwise_commute": commute,
+                "pairwise_trivial_intersection": trivial,
+                "generates_star": joined == star,
+                "realized_star_order": star,
+            })
             realized_depths.append(d)
-            if not all(
-                entry[k]
-                for k in ("pairwise_commute", "pairwise_trivial_intersection", "generates_star")
-            ):
+            if not (commute and trivial and joined == star):
                 verdict = "refuted_at_depth"
     checks["levels"] = star_orders
     checks["realized_depths"] = realized_depths
@@ -237,35 +257,6 @@ def _join_classes(classes: list[LocalClass]) -> LocalClass:
     for c in classes[1:]:
         out = class_join(out, c)
     return out
-
-
-def _realize_star_decomposition(
-    shape: TreeShape, local: FiniteGroup, d: int, regions
-) -> dict:
-    group = level_group(shape, local, d)
-    star = congruence_kernel(group, shape, d, 1)
-    inside = (region_vertices(r, d - 1) for r in regions)
-    subs = [group.subgroup(site_permutations(shape, local, vs, d)) for vs in inside]
-    commute = True
-    trivial = True
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            pair = group.subgroup(list(subs[i].gens) + list(subs[j].gens))
-            if pair.order != subs[i].order * subs[j].order:
-                trivial = False
-            if not tables_commute(
-                [dict(enumerate(x.images)) for x in subs[i].gens],
-                [dict(enumerate(y.images)) for y in subs[j].gens],
-            ):
-                commute = False
-    all_gens = [g for s in subs for g in s.gens]
-    generated = group.subgroup(all_gens)
-    return {
-        "pairwise_commute": commute,
-        "pairwise_trivial_intersection": trivial,
-        "generates_star": generated.order == star.order,
-        "realized_star_order": star.order,
-    }
 
 
 def fixed_point_scan(ctx: ActionContext) -> dict:

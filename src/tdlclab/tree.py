@@ -680,6 +680,8 @@ def site_pools(shape: TreeShape, local: FiniteGroup, n: int) -> list[tuple[Finit
     """
     if n < 1:
         raise ValueError("need depth at least 1")
+    if local.degree != shape.degree:
+        raise ValueError("local group degree does not match the shape")
     if shape.kind == "rooted":
         return [(local, shape.ball_size(n - 1))]
     below = sum((shape.degree - 1) ** (k - 1) for k in range(1, n))

@@ -148,6 +148,13 @@ permutations of ``level_group`` and of the rigid-stabiliser witnesses,
 one comprehension over the sphere per decoration.  They must give the
 same generator names, in the same order, equal specs and equal
 permutations.
+
+The rigid-stabiliser oracles are ``localstruct.perp`` and
+``decomposition_factors`` as they were before both read one product
+check: ``perp`` closes its two witness subgroups and their join in its
+own block, and the star decomposition closes each half-tree subgroup,
+each pair and the whole join in ``oracle_realize_star_decomposition``.
+They must give reports with the same bytes.
 """
 from __future__ import annotations
 
@@ -160,12 +167,13 @@ from math import inf
 from tdlclab.boolalg import (
     ROOT,
     CylinderClopen,
+    TreeShape,
     format_address,
     read_address,
     sphere_list,
 )
 from tdlclab.certificates import normalise_key
-from tdlclab.boundary import rist_generators
+from tdlclab.boundary import region_vertices, rist_generators, tables_commute
 from tdlclab.dynamics import (
     ActionContext,
     TwoCopyContext,
@@ -174,14 +182,27 @@ from tdlclab.dynamics import (
     reachable_images,
 )
 from tdlclab.errors import ClosureCapExceeded
+from tdlclab.localstruct import (
+    _REALIZE_CAP,
+    LocalClass,
+    _join_classes,
+    _rist_level_order,
+    class_perp,
+    local_class,
+    top_class,
+)
 from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
 from tdlclab.tree import (
     BallIsometry,
     IsometrySpec,
     SpecWord,
+    congruence_kernel,
     hyperbolic_isometry,
+    level_group,
+    level_order,
     site_decorations,
     site_group,
+    site_permutations,
     spec_image_clopen,
 )
 
@@ -1483,6 +1504,179 @@ def oracle_rooted_generators(spec) -> dict:
         site_gens[f"rho{k}"] = IsometrySpec(spec.shape, sites=((ROOT, p),))
         site_gens[f"s{k}"] = IsometrySpec(spec.shape, sites=(((0,), p),))
     return site_gens
+
+
+# -- rigid-stabiliser products ----------------------------------------------------
+
+
+def oracle_perp(local: FiniteGroup, a: LocalClass, max_depth: int) -> dict:
+    """Complement class with commutation and co-generation evidence.
+
+    At every depth up to the bound the rigid-stabiliser witnesses of the
+    region and of its complement are checked to commute pointwise on the
+    sphere; the index of their product inside the level truncation is
+    recorded arithmetically, and re-derived by explicit closure at every
+    depth small enough to enumerate.
+    """
+    shape = a.region.shape
+    complement = class_perp(a)
+    report: dict = {
+        "class": str(a),
+        "complement": complement,
+        "depths": {},
+        "checks": {"involution": class_perp(complement) == a},
+        "verdict": "verified",
+    }
+    if a.kind in ("zero", "top"):
+        report["checks"]["trivial_endpoint"] = True
+        return report
+
+    for d in range(1, max_depth + 1):
+        perms_a = site_permutations(shape, local, region_vertices(a.region, d - 1), d)
+        perms_b = site_permutations(shape, local, region_vertices(complement.region, d - 1), d)
+        commute = tables_commute(
+            [dict(enumerate(p.images)) for p in perms_a],
+            [dict(enumerate(p.images)) for p in perms_b],
+        )
+        order_a = _rist_level_order(local, a.region, d)
+        order_b = _rist_level_order(local, complement.region, d)
+        level = level_order(shape, local, d)
+        index_val, rem = divmod(level, order_a * order_b)
+        entry = {
+            "commutation": commute,
+            "rist_order": order_a,
+            "perp_order": order_b,
+            "level_order": level,
+            "cogeneration_index": index_val,
+            "realized": False,
+        }
+        if rem != 0:
+            entry["commutation"] = False
+            report["verdict"] = "refuted_at_depth"
+        if level <= _REALIZE_CAP:
+            group = level_group(shape, local, d)
+            sub_a = group.subgroup(perms_a)
+            sub_b = group.subgroup(perms_b)
+            both = group.subgroup(perms_a + perms_b)
+            entry["realized"] = True
+            entry["realized_orders_match"] = (
+                sub_a.order == order_a and sub_b.order == order_b
+            )
+            # commuting factors with multiplying orders intersect trivially
+            entry["trivial_intersection"] = both.order == order_a * order_b
+            entry["realized_index"] = group.order // both.order
+            if (
+                not entry["realized_orders_match"]
+                or not entry["trivial_intersection"]
+                or entry["realized_index"] != index_val
+            ):
+                report["verdict"] = "refuted_at_depth"
+        if not commute:
+            report["verdict"] = "refuted_at_depth"
+        report["depths"][d] = entry
+    return report
+
+
+def oracle_decomposition_factors(
+    shape: TreeShape, local: FiniteGroup, depth: int
+) -> tuple[list[LocalClass], dict]:
+    """Star-stabiliser truncation split into half-tree rigid factors.
+
+    Depth zero leaves the single trivial factor.  Otherwise one factor
+    per root direction; the internal-direct-product axioms (pairwise
+    commuting, trivial pairwise intersection, generating the kernel of
+    the star action) are enumerated at every level the cap allows and
+    carried arithmetically above it.
+    """
+    if depth == 0:
+        return [top_class(shape)], {
+            "verdict": "verified",
+            "factor_count": 1,
+            "note": "depth zero keeps the whole group as its only factor",
+        }
+    letters = shape.child_letters(ROOT)
+    factors = [
+        local_class(CylinderClopen.cylinder(shape, (c,)), depth) for c in letters
+    ]
+    regions = [f.region for f in factors]
+    join_all = regions[0]
+    for r in regions[1:]:
+        join_all = join_all.join(r)
+    perp_cross = all(
+        class_perp(factors[i])
+        == _join_classes([f for j, f in enumerate(factors) if j != i])
+        for i in range(len(factors))
+    )
+    checks: dict = {
+        "pairwise_disjoint": all(
+            not regions[i].meets(regions[j])
+            for i in range(len(regions))
+            for j in range(i + 1, len(regions))
+        ),
+        "regions_cover_boundary": join_all.is_top(),
+        "perp_of_each_is_join_of_rest": perp_cross,
+    }
+    star_orders = {}
+    realized_depths = []
+    verdict = "verified"
+    for d in range(1, depth + 1):
+        factor_orders = [_rist_level_order(local, r, d) for r in regions]
+        star_order = level_order(shape, local, d) // local.order
+        product = 1
+        for o in factor_orders:
+            product *= o
+        star_orders[d] = {
+            "factor_orders": factor_orders,
+            "star_order": star_order,
+            "product_matches": product == star_order,
+        }
+        if product != star_order:
+            verdict = "refuted_at_depth"
+        if level_order(shape, local, d) <= _REALIZE_CAP:
+            entry = oracle_realize_star_decomposition(shape, local, d, regions)
+            star_orders[d].update(entry)
+            realized_depths.append(d)
+            if not all(
+                entry[k]
+                for k in ("pairwise_commute", "pairwise_trivial_intersection", "generates_star")
+            ):
+                verdict = "refuted_at_depth"
+    checks["levels"] = star_orders
+    checks["realized_depths"] = realized_depths
+    return factors, {
+        "verdict": verdict,
+        "factor_count": len(factors),
+        "checks": checks,
+    }
+
+
+def oracle_realize_star_decomposition(
+    shape: TreeShape, local: FiniteGroup, d: int, regions
+) -> dict:
+    group = level_group(shape, local, d)
+    star = congruence_kernel(group, shape, d, 1)
+    inside = (region_vertices(r, d - 1) for r in regions)
+    subs = [group.subgroup(site_permutations(shape, local, vs, d)) for vs in inside]
+    commute = True
+    trivial = True
+    for i in range(len(subs)):
+        for j in range(i + 1, len(subs)):
+            pair = group.subgroup(list(subs[i].gens) + list(subs[j].gens))
+            if pair.order != subs[i].order * subs[j].order:
+                trivial = False
+            if not tables_commute(
+                [dict(enumerate(x.images)) for x in subs[i].gens],
+                [dict(enumerate(y.images)) for y in subs[j].gens],
+            ):
+                commute = False
+    all_gens = [g for s in subs for g in s.gens]
+    generated = group.subgroup(all_gens)
+    return {
+        "pairwise_commute": commute,
+        "pairwise_trivial_intersection": trivial,
+        "generates_star": generated.order == star.order,
+        "realized_star_order": star.order,
+    }
 
 
 # -- shared corpus -----------------------------------------------------------

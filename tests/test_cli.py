@@ -976,6 +976,21 @@ def test_override_below_minimum_exits_2_without_report(spec_file, capsys, flag, 
     assert flag in captured.err
 
 
+def test_limits_and_their_flags_share_each_minimum(spec_file, capsys):
+    # each [limits] key takes its least value and refuses the one below,
+    # and so does the flag that overrides it
+    for key, least in (("depth", 1), ("word_bound", 1), ("seed", 0)):
+        spec = cli.parse_spec_text(f"{_HEAD}[limits]\n{key} = {least}\n")
+        assert getattr(spec, key) == least
+        with pytest.raises(SpecFileError, match=f"below minimum {least}$"):
+            cli.parse_spec_text(f"{_HEAD}[limits]\n{key} = {least - 1}\n")
+        flag = "--" + key.replace("_", "-")
+        code, _, captured = run_cli(
+            capsys, "dynamics", "proximal", spec_file(US3), flag, str(least - 1)
+        )
+        assert (code, captured.err) == (2, f"error: {flag} must be at least {least}\n")
+
+
 def test_console_entry_point_subprocess(spec_file):
     proc = subprocess.run(
         [sys.executable, "-m", "tdlclab.cli", "dynamics", "minimal", spec_file(US3)],

@@ -94,7 +94,8 @@ def test_standard_contexts_match_their_hand_built_recipes(name):
     ``site_decorations``; the recipes that built them by hand give the
     same names, in the same order, and equal specs.  In C3 only the
     identity fixes a colour, so the skewering context, which needs a
-    site rotation below the base vertex, refuses it both ways."""
+    site rotation below the base vertex, refuses it: the library with a
+    ValueError naming that site, the recipe with an IndexError."""
     local = _SITE_LOCALS[name]
     pairs = (
         (dy.translation_rotation_context, oracle_translation_rotation_context),
@@ -103,9 +104,17 @@ def test_standard_contexts_match_their_hand_built_recipes(name):
         (dy.two_copy_product_context, oracle_two_copy_product_context),
     )
     for new, old in pairs:
+        if name == "C3" and new is dy.skewering_context:
+            assert _built(old, local) is IndexError
+            with pytest.raises(ValueError, match="site rotation at 0,"):
+                new(local)
+            continue
         assert _built(new, local) == _built(old, local), new.__name__
-    if name == "C3":
-        assert _built(dy.skewering_context, local) is IndexError
+
+
+def test_skewering_context_names_the_missing_base_rotation():
+    with pytest.raises(ValueError, match="site rotation at v0,"):
+        dy.skewering_context(FiniteGroup(3, []))
 
 
 def test_rooted_default_generators_match_the_interleaved_loop():
@@ -560,6 +569,45 @@ def test_generator_order_changes_no_length_verdict_degree_or_block():
             rng.shuffle(gens)
             other = type(ctx)(base.shape, dict(gens), ctx.depth, ctx.word_bound)
             assert _order_free_results(other) == want, [name for name, _ in gens]
+
+
+def test_raising_the_word_bound_keeps_every_first_word():
+    """Every first word found under word bound b is the same word under
+    b + 1, with ``inside`` on and off, so ``minimal-at-depth`` never
+    turns into ``not-minimal-at-depth`` when the bound is raised.
+
+    Proof.  The action graph does not read the word bound; only
+    ``_first_words`` does, as the number of breadth-first levels it
+    expands.  Under b + 1 the search makes the same moves as under b for
+    levels 1 to b: the same ids in the same order, with the same parent
+    pointers, and a state once recorded is never recorded again.  So
+    either it stops inside those levels where the run under b stopped,
+    or it goes on to level b + 1, which only records states still
+    missing.  Each word recorded under b is spelled from parent pointers
+    set at levels 1 to b, so it is spelled the same under b + 1.  A
+    context minimal under b has every pair found there; all of them are
+    found under b + 1 with the same words, so the report is the same but
+    for its ``word_bound``.
+    """
+    contexts = [make() for make, _ in _DEGREE_CONTEXTS.values()]
+    contexts += [dy.two_copy_product_context(S3, depth=n) for n in (2, 3)]
+    rng = random.Random(47)
+    contexts += [_random_context(rng) for _ in range(20)]
+    kept = {"minimal-at-depth": 0, "not-minimal-at-depth": 0}
+    for ctx in contexts:
+        base = getattr(ctx, "_base", ctx)
+        gens = _generators(ctx)
+        at = {b: type(ctx)(base.shape, gens, ctx.depth, b) for b in range(1, 6)}
+        for b in range(1, 5):
+            for inside in (False, True):
+                higher = dict(dy._start_words(at[b + 1], inside))
+                for a, words in dy._start_words(at[b], inside):
+                    assert higher[a].items() >= words.items(), (b, inside, a)
+            report = dy.check_minimal(at[b])
+            kept[report["verdict"]] += 1
+            if report["verdict"] == "minimal-at-depth":
+                assert dy.check_minimal(at[b + 1]) == {**report, "word_bound": b + 1}
+    assert all(kept.values()), kept
 
 
 def test_orbit_join_exhausts_only_when_the_bound_cuts_its_search():

@@ -1,18 +1,33 @@
 """Cylinder-class lattice, perp evidence, star factors, invariance scans."""
 from __future__ import annotations
 
+import json
 import random
+from itertools import combinations
 
 import pytest
 
 from tdlclab.boolalg import CylinderClopen, regular, rooted
-from tdlclab.permgrp import cyclic_group, symmetric_group
-from tdlclab.tree import IsometrySpec
+from tdlclab.certificates import canonical_json, normalise
+from tdlclab.permgrp import (
+    FiniteGroup,
+    alternating_group,
+    cyclic_group,
+    dihedral_group,
+    symmetric_group,
+)
+from tdlclab.tree import IsometrySpec, level_group, level_order
 from tdlclab import cli
 from tdlclab import dynamics as dy
 from tdlclab import localstruct as ls
 
-from oracles import oracle_fixed_point_blocks
+import oracles
+from oracles import (
+    oracle_decomposition_factors,
+    oracle_fixed_point_blocks,
+    oracle_perp,
+    oracle_witness_perms,
+)
 from test_cli import ROOTED_BINARY
 from test_dynamics import _lone_axis_context
 from util import random_clopen
@@ -167,6 +182,138 @@ def test_decomposition_factors_stable_under_depth_increase():
     shallow, _ = ls.decomposition_factors(T3, S3, 2)
     deep, _ = ls.decomposition_factors(T3, S3, 3)
     assert [f.region for f in shallow] == [f.region for f in deep]
+
+
+# ------------------------------------------------- one product check, two readers
+
+_PRODUCT_CASES = {
+    "regular3-S3": (regular(3), symmetric_group(3)),
+    "regular3-C3": (regular(3), cyclic_group(3)),
+    "regular4-S4": (regular(4), symmetric_group(4)),
+    "regular4-D4": (regular(4), dihedral_group(4)),
+    "regular4-A4": (regular(4), alternating_group(4)),
+    "rooted2-C2": (rooted(2), cyclic_group(2)),
+    "rooted3-S3": (rooted(3), symmetric_group(3)),
+    "rooted3-C3": (rooted(3), cyclic_group(3)),
+}
+
+
+def _regions(shape, seed):
+    """Zero, TOP and three seeded clopens drawn at each depth 1 to 3."""
+    rng = random.Random(seed)
+    out = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
+    for k in (1, 2, 3):
+        for _ in range(3):
+            picked = [a for a in shape.sphere(k) if rng.random() < 0.5]
+            out.append(CylinderClopen.from_addresses(shape, picked))
+    return out
+
+
+def _same_bytes(new, old):
+    # canonical bytes, and the key order the canonical form sorts away
+    assert canonical_json(new) == canonical_json(old)
+    assert json.dumps(normalise(new)) == json.dumps(normalise(old))
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_CASES))
+def test_perp_and_star_reports_match_their_own_blocks(name):
+    """``perp`` and ``decomposition_factors`` read one product check;
+    their reports keep the bytes and key order of the versions that
+    closed their subgroups in their own blocks."""
+    shape, local = _PRODUCT_CASES[name]
+    for region in _regions(shape, 44):
+        a = ls.local_class(region)
+        for max_depth in (1, 2, 3, 4):
+            _same_bytes(ls.perp(local, a, max_depth), oracle_perp(local, a, max_depth))
+    for depth in (0, 1, 2, 3, 4):
+        _same_bytes(
+            ls.decomposition_factors(shape, local, depth),
+            oracle_decomposition_factors(shape, local, depth),
+        )
+
+
+def test_a_miscounted_model_is_refuted_as_before(monkeypatch):
+    """With the counted rigid-stabiliser orders doubled on every region
+    that misses the first half-tree, the realized and counted orders
+    part, and every refutation reads as before: ``trivial_intersection``
+    compares the join with the counted orders, and the star's pairwise
+    checks with the realized ones."""
+    counted = ls._rist_level_order
+
+    def doubled(local, region, n):
+        order = counted(local, region, n)
+        first = CylinderClopen.cylinder(region.shape, (0,))
+        return order if region.meets(first) else 2 * order
+
+    monkeypatch.setattr(ls, "_rist_level_order", doubled)
+    monkeypatch.setattr(oracles, "_rist_level_order", doubled)
+    verdicts = set()
+    for name in ("regular3-S3", "regular4-D4", "rooted2-C2", "rooted3-S3"):
+        shape, local = _PRODUCT_CASES[name]
+        for region in _regions(shape, 45)[2:]:
+            a = ls.local_class(region)
+            new = ls.perp(local, a, 3)
+            _same_bytes(new, oracle_perp(local, a, 3))
+            verdicts.add(new["verdict"])
+        for depth in (1, 2, 3):
+            new = ls.decomposition_factors(shape, local, depth)
+            _same_bytes(new, oracle_decomposition_factors(shape, local, depth))
+            verdicts.add(new[1]["verdict"])
+    assert verdicts == {"verified", "refuted_at_depth"}
+
+
+def test_rist_product_matches_pairwise_closures_seeded():
+    """On seeded families of two to four regions, overlapping ones
+    included, the product check gives each region's witnesses, and the
+    commutation, realized orders, pairwise meets and joined order of
+    closures made pair by pair."""
+    rng = random.Random(46)
+    outcomes = set()
+    for _ in range(40):
+        shape, local = _PRODUCT_CASES[rng.choice(["regular3-S3", "rooted2-C2", "rooted3-C3"])]
+        d = rng.randint(1, 3)
+        while level_order(shape, local, d) > ls._REALIZE_CAP:
+            d -= 1
+        regions = [_regions(shape, rng.random())[rng.randrange(2, 11)]
+                   for _ in range(rng.randint(2, 4))]
+        group = level_group(shape, local, d)
+        families, commute, (orders, trivial, joined) = ls._rist_product(
+            shape, local, regions, d, group
+        )
+        assert families == [oracle_witness_perms(local, r, d) for r in regions]
+        assert ls._rist_product(shape, local, regions, d) == (families, commute, None)
+        pairs = list(combinations(range(len(regions)), 2))
+        assert commute == all(
+            x * y == y * x for i, j in pairs for x in families[i] for y in families[j]
+        )
+        degree = group.degree
+        assert orders == [FiniteGroup(degree, f).order for f in families]
+        assert trivial == all(
+            FiniteGroup(degree, families[i] + families[j]).order == orders[i] * orders[j]
+            for i, j in pairs
+        )
+        assert joined == FiniteGroup(degree, [p for f in families for p in f]).order
+        outcomes.add((commute, trivial))
+    assert len(outcomes) >= 3
+
+
+def test_star_builds_no_site_permutations_past_the_cap(monkeypatch):
+    """Past the closure cap the star decomposition is arithmetic only:
+    it builds site permutations at the realized depths and nowhere else."""
+    built = []
+    site_permutations = ls.site_permutations
+
+    def counting(shape, local, vertices, n):
+        built.append(n)
+        return site_permutations(shape, local, vertices, n)
+
+    monkeypatch.setattr(ls, "site_permutations", counting)
+    for shape, local, depth in ((regular(4), symmetric_group(4), 5), (regular(3), S3, 7)):
+        built.clear()
+        _, report = ls.decomposition_factors(shape, local, depth)
+        realized = report["checks"]["realized_depths"]
+        assert realized and realized[-1] < depth
+        assert sorted(set(built)) == realized
 
 
 # ------------------------------------------------------------------- scans

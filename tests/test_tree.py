@@ -25,6 +25,7 @@ from tdlclab.permgrp import (
     symmetric_group,
 )
 from tdlclab import cli
+from tdlclab import localstruct as ls
 from tdlclab.tree import (
     BallIsometry,
     _join_reduced,
@@ -45,6 +46,7 @@ from tdlclab.tree import (
     site_decorations,
     site_group,
     site_permutations,
+    site_pools,
     spec_image_clopen,
     sphere_orbit_classes,
 )
@@ -1305,12 +1307,18 @@ def test_site_permutations_match_the_sphere_comprehension(shape, local):
 
 
 def test_site_permutations_refuse_a_local_group_of_another_degree():
+    # the site pools refuse it too, so level orders, perp and the star
+    # decomposition, which count orders first, fail as the witnesses do
     message = "local group degree does not match the shape"
     half = CylinderClopen.cylinder(T3, (0,))
     for call in (
         lambda: site_permutations(T3, symmetric_group(4), [ROOT], 2),
         lambda: level_group(T3, symmetric_group(4), 2),
         lambda: rist_generators(symmetric_group(4), half, 2),
+        lambda: level_order(T3, symmetric_group(4), 2),
+        lambda: site_pools(rooted(3), C2, 2),
+        lambda: ls.perp(C2, ls.local_class(half), 2),
+        lambda: ls.decomposition_factors(T3, C2, 2),
     ):
         with pytest.raises(ValueError, match=message):
             call()

@@ -53,7 +53,10 @@ README_SPEC = re.search(r"```ini\n(.*?)```", (HERE / "README.md").read_text(), r
 SPECS = {"readme": README_SPEC, "elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY,
          "regular-sym3": US3, "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
          "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5,
-         "reversed": US3_REVERSED, "rotation-only": ROTONLY}
+         "reversed": US3_REVERSED, "rotation-only": ROTONLY,
+         # [limits] entries the spec parser refuses: a value below its
+         # minimum and an unknown key
+         "seed-below-minimum": US3 + "seed = -1\n", "unknown-limit": US3 + "depht = 2\n"}
 TIMEOUT_S = 900.0
 
 
@@ -152,6 +155,13 @@ def cases() -> list[tuple[str, list[str]]]:
     # off (exit 4)
     for extra in ([], ["--word-bound", "2"], ["--word-bound", "1"]):
         out.append(("rotation-only", ["dynamics", "proximal", "spec.ini", *extra]))
+    # each limit's least value, the one below it given as a flag (exit 2),
+    # and the same faults in the spec's [limits]
+    for flag, least in (("--depth", 1), ("--word-bound", 1), ("--seed", 0)):
+        for value in (least, least - 1):
+            out.append(("regular-sym3", ["dynamics", "proximal", "spec.ini", flag, str(value)]))
+    for spec in ("seed-below-minimum", "unknown-limit"):
+        out.append((spec, ["dynamics", "proximal", "spec.ini"]))
     # g skewers, but no base-fixing word separates g.alpha: that orbit
     # closes with words of length 1, so bound 1 refutes too
     for extra in ([], ["--word-bound", "1"]):

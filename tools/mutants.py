@@ -289,6 +289,115 @@ MUTANTS = (
         "(Fraction(1, size(d)) for d, k in counts.items())",
         ("tests/test_boolalg.py::test_measure_matches_the_per_address_sum_seeded",),
     ),
+    # PR 35's mutants: witnesses written in witness-length order
+    Mutant(
+        "witnesses-in-length-order",
+        "src/tdlclab/dynamics.py",
+        '        "witness_words": witnesses if minimal else None,\n',
+        '        "witness_words": dict(sorted(witnesses.items(), key=lambda kv: len(kv[1])))'
+        " if minimal else None,\n",
+        ("tests/test_dynamics.py::test_check_minimal_matches_the_three_lookup_oracle",),
+    ),
+    # max_word_length read from the last pair, not the longest word
+    Mutant(
+        "max-word-length-from-the-last-pair",
+        "src/tdlclab/dynamics.py",
+        "                if len(w) > longest:\n                    longest = len(w)\n",
+        "                longest = len(w)\n",
+        ("tests/test_dynamics.py::test_check_minimal_matches_the_three_lookup_oracle",),
+    ),
+    # an illegal site reported at the portrait's first site
+    Mutant(
+        "portrait-error-at-the-first-site",
+        "src/tdlclab/tree.py",
+        "                raise SiteError(str(exc), addr) from None\n",
+        "                raise SiteError(str(exc), self.sites[0][0]) from None\n",
+        ("tests/test_tree.py::test_site_faults_name_the_site_that_failed",),
+    ),
+    # the return-colour fault raised as a plain ValueError, with no site
+    Mutant(
+        "return-colour-error-as-a-plain-value-error",
+        "src/tdlclab/tree.py",
+        "                    raise SiteError(\n"
+        '                        f"site {addr!r} disagrees',
+        "                    raise ValueError(\n"
+        '                        f"site {addr!r} disagrees',
+        ("tests/test_tree.py::test_site_faults_name_the_site_that_failed",),
+    ),
+    # the product check drops its last pair of families
+    Mutant(
+        "rist-product-drops-the-last-pair",
+        "src/tdlclab/localstruct.py",
+        "    pairs = list(combinations(range(len(families)), 2))\n",
+        "    pairs = list(combinations(range(len(families)), 2))[:-1]\n",
+        ("tests/test_localstruct.py::test_rist_product_matches_pairwise_closures_seeded",),
+    ),
+    # perp's trivial intersection read from the realized orders, which
+    # a miscounted model would then pass
+    Mutant(
+        "perp-trivial-intersection-from-the-realized-orders",
+        "src/tdlclab/localstruct.py",
+        'entry["trivial_intersection"] = both == order_a * order_b',
+        'entry["trivial_intersection"] = both == sub_a * sub_b',
+        ("tests/test_localstruct.py::test_a_miscounted_model_is_refuted_as_before",),
+    ),
+    # every pair of three or four families read as the whole product
+    Mutant(
+        "rist-product-reads-the-join-for-every-pair",
+        "src/tdlclab/localstruct.py",
+        "(joined if len(pairs) == 1 else",
+        "(joined if len(pairs) <= 6 else",
+        ("tests/test_localstruct.py", "-k", "their_own_blocks"),
+    ),
+    # the star builds its witnesses and their commutation at every
+    # depth, though above the cap it reads only arithmetic
+    Mutant(
+        "star-builds-permutations-past-the-cap",
+        "src/tdlclab/localstruct.py",
+        "        if level <= _REALIZE_CAP:\n            group = level_group(shape, local, d)\n",
+        "        _rist_product(shape, local, regions, d)\n"
+        "        if level <= _REALIZE_CAP:\n            group = level_group(shape, local, d)\n",
+        ("tests/test_localstruct.py::test_star_builds_no_site_permutations_past_the_cap",),
+    ),
+    # a state met by a clopen image recorded again at a later word
+    Mutant(
+        "first-words-rerecord-shared-states",
+        "src/tdlclab/dynamics.py",
+        "                        for b in m:\n"
+        "                            if b not in found:\n"
+        "                                found[b] = y\n"
+        "                                missing -= 1\n",
+        "                        for b in m:\n"
+        "                            missing -= b not in found\n"
+        "                            found[b] = y\n",
+        ("tests/test_dynamics.py::test_raising_the_word_bound_keeps_every_first_word",),
+    ),
+    # the skewering context checks the base-vertex rotation only
+    Mutant(
+        "skewering-checks-only-the-base-vertex",
+        "src/tdlclab/dynamics.py",
+        'for site, found in (("v0", roots), ("0", below)):',
+        'for site, found in (("v0", roots),):',
+        ("tests/test_dynamics.py", "-k", "standard_contexts"),
+    ),
+    # the site pools count a local group of another degree
+    Mutant(
+        "site-pools-skip-the-degree-check",
+        "src/tdlclab/tree.py",
+        "    if local.degree != shape.degree:\n"
+        '        raise ValueError("local group degree does not match the shape")\n'
+        '    if shape.kind == "rooted":\n',
+        '    if shape.kind == "rooted":\n',
+        ("tests/test_tree.py::test_site_permutations_refuse_a_local_group_of_another_degree",),
+    ),
+    # the seed may no longer be zero
+    Mutant(
+        "limits-seed-minimum-one",
+        "src/tdlclab/cli.py",
+        '_LIMIT_MINIMUMS = {"depth": 1, "word_bound": 1, "seed": 0}',
+        '_LIMIT_MINIMUMS = {"depth": 1, "word_bound": 1, "seed": 1}',
+        ("tests/test_cli.py::test_limits_and_their_flags_share_each_minimum",),
+    ),
 )
 
 
