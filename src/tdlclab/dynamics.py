@@ -600,7 +600,7 @@ def skewering_search(ctx) -> dict:
     if all_saturated:
         return {
             "verdict": "refuted_at_depth",
-            "reason": "every candidate's image orbit closed below the bound",
+            "reason": "every candidate's image orbit closed within the bound",
             "depth": ctx.depth,
             "word_bound": ctx.word_bound,
             "candidates_tested": len(candidates),
@@ -804,7 +804,7 @@ def pair_compression(ctx, xi, eta, target) -> dict:
         raise SearchExhausted(f"compression of ({', '.join(ends)}) into {target}", ctx.word_bound)
     return {
         "verdict": "refuted_at_depth",
-        "reason": "no word moves both ends into the target: their orbit closed below the bound",
+        "reason": "no word moves both ends into the target: their orbit closed within the bound",
         "source": ends,
         "target": str(target),
         "depth": ctx.depth,
@@ -862,7 +862,7 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
             "reason": (
                 "no word in the base-fixing generators fixes alpha and moves "
                 "g.alpha into the leftover beta: their orbit on the pair closed "
-                "below the bound"
+                "within the bound"
             ),
             "g": list(g_word),
             "depth": ctx.depth,

@@ -14,9 +14,12 @@ grows one set over its rounds instead of closing again from nothing.
 Normal subgroups are found as product-closed unions of conjugacy classes
 without closing any of them element by element: each unordered pair of
 classes is multiplied once, from the smaller class, and each join in the
-lattice is read as the product of two normal subgroups.  The structural
-invariants (cores, residuals, the intersection of maximal normal
-subgroups, composition factors) are read off the lattice.  No
+lattice is read as the product of two normal subgroups.  Cores and the
+intersection of maximal normal subgroups are read off the lattice;
+residuals are grown from generating sets.  Composition factors descend
+through abelian quotients where they can: a step of prime index p below
+60 finds its maximal normal subgroup as a hyperplane of G/G'G^p, and
+only perfect steps and larger primes read the lattice.  No
 Schreier-Sims machinery: the one use of Schreier's lemma is
 tree.congruence_kernel, which generates a level group's congruence
 kernel from Schreier generators without closing the level group.
@@ -25,6 +28,7 @@ permutation image tuples.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cache, cached_property, total_ordering
 
@@ -781,18 +785,89 @@ def _simple_label_of_order(n: int) -> str:
     return f"simple[{n}]"
 
 
+def _greatest_prime_index_normal(g: FiniteGroup) -> FiniteGroup | None:
+    """The greatest maximal normal subgroup of g, by order and then by
+    sorted element list, when its index is a prime below 60; else None.
+
+    A maximal normal subgroup has a simple quotient: C_q for a prime q
+    dividing |G:G'|, or a non-abelian simple group, of order 60 at least.
+    So when G' < G and the least prime p of |G:G'| is below 60, the
+    largest maximal normal subgroups have index p.  Each contains
+    E = G' G^p, and they are the preimages of the hyperplanes of G/E, a
+    vector space over F_p (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 8).
+
+    One ascending walk over the elements picks a basis: an element
+    outside the span of the cosets so far is the next w_i, and every
+    element gets its coordinates.  Of two equal-sized element sets, the
+    greater sorted list leaves out the least element of their difference.
+    Each w_i is the least element outside the span of those before it,
+    so the winning functional f has f(w_i) != 0, scaled to f(w_1) = 1.
+    A second walk keeps, wherever those candidates split on an element,
+    the ones whose kernel leaves it out.  The kernel is E grown by
+    w_i w_1^(p - f(w_i)) for i > 1, which gives its image set and its
+    generators at once.
+    """
+    derived = g.derived_subgroup()
+    if derived.order == g.order:
+        return None
+    p = min(prime_factors(g.order // derived.order))
+    if p >= 60:
+        return None
+    seen = dict.fromkeys(derived.image_set)
+    kept = list(derived.pruned_gens)
+    _grow(seen, kept, [x**p for x in g.pruned_gens], g.cap)
+    elements = sorted(g.image_set)
+    coords: dict[tuple[int, ...], tuple[int, ...]] = dict.fromkeys(seen, ())
+    basis: list[tuple[int, ...]] = []
+    for w in elements:
+        if w in coords:
+            continue
+        span = list(coords.items())
+        power = w
+        for j in range(1, p):
+            for y, c in span:
+                coords[tuple([y[i] for i in power])] = c + (0,) * (len(basis) - len(c)) + (j,)
+            power = tuple([power[i] for i in w])
+        basis.append(w)
+    candidates = [(1, *rest) for rest in itertools.product(range(1, p), repeat=len(basis) - 1)]
+    for x in elements:
+        if len(candidates) == 1:
+            break
+        c = coords[x]
+        leave_out = [f for f in candidates if sum(a * b for a, b in zip(c, f)) % p]
+        if leave_out:
+            candidates = leave_out
+    first = Perm._trusted(basis[0])
+    _grow(
+        seen,
+        kept,
+        [Perm._trusted(w) * first ** (p - f) for w, f in zip(basis[1:], candidates[0][1:])],
+        g.cap,
+    )
+    n = g.subgroup(kept)
+    n.__dict__["image_set"] = frozenset(seen)
+    n.__dict__["pruned_gens"] = tuple(kept)
+    return n
+
+
 def composition_factors(g: FiniteGroup) -> list[str]:
     """Jordan-Holder factor labels, outermost factor first.
 
     Each step descends to the maximal normal subgroup of largest order,
-    greatest element list first on ties: the last maximal one, as the
-    lattice is sorted.  The quotient by a maximal normal subgroup is
-    simple, so its label is read off its order and no quotient is built.
+    greatest element list first on ties.  When that subgroup has a prime
+    index below 60, ``_greatest_prime_index_normal`` finds it from G/G'G^p
+    without the lattice; perfect steps and larger primes take the last
+    maximal member of the sorted lattice.  The quotient by a maximal
+    normal subgroup is simple, so its label is read off its order and no
+    quotient is built.
     """
     out: list[str] = []
     current = g
     while current.order > 1:
-        n = maximal_normal_subgroups(current)[-1]
+        n = _greatest_prime_index_normal(current)
+        if n is None:
+            n = maximal_normal_subgroups(current)[-1]
         out.append(_simple_label_of_order(current.order // n.order))
         current = n
     return out

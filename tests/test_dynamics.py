@@ -973,7 +973,7 @@ def test_pair_compression_refutes_a_closed_orbit(bound):
     report = dy.pair_compression(ctx, xi, eta, cyl(0, 1))
     assert report == {
         "verdict": "refuted_at_depth",
-        "reason": "no word moves both ends into the target: their orbit closed below the bound",
+        "reason": "no word moves both ends into the target: their orbit closed within the bound",
         "source": ["01", "02"],
         "target": "{01}",
         "depth": 2,

@@ -6,6 +6,7 @@ frozen; the oracle calls stay in the tests so drift is caught.
 """
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from tdlclab.permgrp import (
     Perm,
     _bits,
     _class_products,
+    _greatest_prime_index_normal,
     _grow,
     _identity_images,
     alternating_group,
@@ -283,6 +285,103 @@ def test_composition_factors_match_the_descent_by_joins_oracle():
         assert composition_factors(g) == oracle_composition_factors_by_joins(g), name
 
 
+_BLOCK_SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1))
+
+
+def _random_block_group(rng) -> FiniteGroup:
+    # s blocks of b points; each generator permutes inside every block and
+    # sometimes permutes the blocks, so the group lies in S_b wr S_s
+    b, s = rng.choice(_BLOCK_SHAPES)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        inner = [rng.sample(range(b), b) for _ in range(s)]
+        outer = list(range(s))
+        if rng.random() < 0.4:
+            rng.shuffle(outer)
+        images = [outer[k // b] * b + inner[k // b][k % b] for k in range(b * s)]
+        gens.append(Perm(images) ** rng.randint(1, 4))
+    return FiniteGroup(b * s, gens, cap=1000)
+
+
+def _seeded_groups(count: int, seed: int) -> list[FiniteGroup]:
+    """Seeded subgroups of small wreath products, a third of them direct
+    products of two; groups past order 1000 are skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = _random_block_group(rng)
+        if rng.random() < 0.3:
+            g = direct_product(g, _random_block_group(rng))
+            g.cap = 1000
+        try:
+            g.order
+        except ClosureCapExceeded:
+            continue
+        out.append(g)
+    return out
+
+
+def _prime_index_steps_match_the_lattice(g: FiniteGroup) -> int:
+    """Descend g through the lattice's greatest maximal member, checking
+    the prime-index step against it wherever the step applies; the step
+    declines only on perfect groups and primes of 60 and above.  Returns
+    the number of steps that applied."""
+    applied = 0
+    current = g
+    while current.order > 1:
+        mine = _greatest_prime_index_normal(current)
+        want = maximal_normal_subgroups(current)[-1]
+        if mine is None:
+            index = current.order // current.derived_subgroup().order
+            assert index == 1 or min(prime_factors(index)) >= 60
+        else:
+            assert mine.image_set == want.image_set
+            assert mine.pruned_gens == FiniteGroup(g.degree, mine.gens).pruned_gens
+            applied += 1
+        current = want
+    return applied
+
+
+def test_prime_index_step_matches_the_lattice_on_corpus_and_named_cases():
+    c3, c5 = cyclic_group(3), cyclic_group(5)
+    groups = dict(
+        corpus(),
+        C4=cyclic_group(4),
+        C3cubed=direct_product(direct_product(c3, c3), c3),
+        C5squared=direct_product(c5, c5),
+        S5=symmetric_group(5),
+        A5xC2=direct_product(alternating_group(5), cyclic_group(2)),
+        A4xC3=direct_product(alternating_group(4), c3),
+        C2wr3=wreath_c2_tower(3),
+        **_bench_level_groups(),
+    )
+    applied = {name: _prime_index_steps_match_the_lattice(g) for name, g in groups.items()}
+    assert applied["A5"] == 0 and applied["C3cubed"] == 3 and applied["level3072"] == 11
+
+
+def test_prime_index_step_matches_the_lattice_on_seeded_groups():
+    applied = [_prime_index_steps_match_the_lattice(g) for g in _seeded_groups(300, 45)]
+    assert sum(applied) > 600
+
+
+def test_prime_index_step_takes_index_59_below_the_order_of_a5():
+    # C59 x A5 has two maximal normal subgroups, C59 of index 60 and A5 of
+    # index 59, so the greatest is A5.  Its lattice takes seconds to
+    # build, so the member is written down instead.
+    a5 = alternating_group(5)
+    g = direct_product(cyclic_group(59), a5)
+    a5_inside = FiniteGroup(64, [Perm(tuple(range(59)) + tuple(59 + x for x in p.images)) for p in a5.gens])
+    assert _greatest_prime_index_normal(g).image_set == a5_inside.image_set
+    assert composition_factors(g) == ["C59", "A5"]
+
+
+def test_prime_index_step_declines_primes_of_60_and_above():
+    # A5 x C61: the greatest maximal normal subgroup is C61, of index 60,
+    # not A5 of the prime index 61.  The lattice is not built.
+    assert _greatest_prime_index_normal(direct_product(alternating_group(5), cyclic_group(61))) is None
+    assert _greatest_prime_index_normal(alternating_group(5)) is None
+
+
 def test_bits_list_set_positions_lowest_first_seeded():
     rng = random.Random(29)
     masks = [0, 1, 2, 3, 1 << 70, (1 << 70) - 1] + [rng.getrandbits(rng.randint(1, 90)) for _ in range(300)]
@@ -535,6 +634,9 @@ def test_composition_factors_examples():
     ]
     assert composition_factors(alternating_group(5)) == ["A5"]
     assert sorted(composition_factors(cyclic_group(6))) == ["C2", "C3"]
+    # the least element list at each step would give C3, C2, C2, C3
+    a4xc3 = direct_product(alternating_group(4), cyclic_group(3))
+    assert composition_factors(a4xc3) == ["C3", "C3", "C2", "C2"]
 
 
 def test_invariants_match_oracle_on_corpus():
@@ -572,6 +674,22 @@ def test_composition_factors_invariant_under_conjugation():
         ]
         conj = FiniteGroup(5, gens)
         assert sorted(composition_factors(conj)) == ["C2", "C2", "C2", "C3"]
+    # relabelling the points keeps the sorted labels, and the factor
+    # orders multiply to the group's order
+    for g in [*corpus().values(), *_seeded_groups(40, 47)]:
+        factors = composition_factors(g)
+        assert math.prod(map(_factor_order, factors)) == g.order
+        relabel = _random_perm(rng, g.degree)
+        moved = FiniteGroup(g.degree, [p.conjugate_by(relabel) for p in g.gens])
+        assert sorted(composition_factors(moved)) == sorted(factors)
+
+
+def _factor_order(label: str) -> int:
+    if label.startswith("C"):
+        return int(label[1:])
+    if label.startswith("simple["):
+        return int(label[7:-1])
+    return {"A5": 60, "A6": 360, "A7": 2520}[label]
 
 
 # -- structure lemmas --------------------------------------------------------------------

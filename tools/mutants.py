@@ -179,16 +179,40 @@ MUTANTS = (
         "                    joined = 0\n",
         ("tests/test_permgrp.py::test_class_products_and_lattice_masks_match_the_full_table_oracle",),
     ),
-    # the composition series descends to the first maximal member
+    # the composition series descends to the first candidate hyperplane,
+    # not to the greatest one the selection walk leaves
     Mutant(
         "composition-takes-the-first-maximal",
         "src/tdlclab/permgrp.py",
-        "n = maximal_normal_subgroups(current)[-1]",
-        "n = maximal_normal_subgroups(current)[0]",
-        (
-            "tests/test_permgrp.py::test_composition_factors_pinned_on_the_bench_level_groups",
-            "tests/test_permgrp.py::test_composition_factors_match_the_descent_by_joins_oracle",
-        ),
+        "        if len(candidates) == 1:\n",
+        "        if len(candidates) >= 1:\n",
+        ("tests/test_permgrp.py::test_prime_index_step_matches_the_lattice_on_seeded_groups",),
+    ),
+    # the selection walk keeps the candidates whose kernel holds the
+    # element, so the least element list wins
+    Mutant(
+        "prime-index-walk-keeps-the-kernels-holding-the-element",
+        "src/tdlclab/permgrp.py",
+        "leave_out = [f for f in candidates if sum(a * b for a, b in zip(c, f)) % p]",
+        "leave_out = [f for f in candidates if not sum(a * b for a, b in zip(c, f)) % p]",
+        ("tests/test_permgrp.py::test_prime_index_step_matches_the_lattice_on_corpus_and_named_cases",),
+    ),
+    # E is G' alone, without the p-th powers, so G/E need not be a vector
+    # space over F_p
+    Mutant(
+        "prime-index-kernel-skips-the-p-th-powers",
+        "src/tdlclab/permgrp.py",
+        "_grow(seen, kept, [x**p for x in g.pruned_gens], g.cap)",
+        "_grow(seen, kept, [], g.cap)",
+        ("tests/test_permgrp.py::test_prime_index_step_matches_the_lattice_on_corpus_and_named_cases",),
+    ),
+    # the step also takes a prime index of 61, past the order of A5
+    Mutant(
+        "prime-index-threshold-raised",
+        "src/tdlclab/permgrp.py",
+        "    if p >= 60:\n",
+        "    if p >= 62:\n",
+        ("tests/test_permgrp.py::test_prime_index_step_declines_primes_of_60_and_above",),
     ),
     # the rooted default names s before rho: the same specs, with the
     # first-word tie-break between them reversed
