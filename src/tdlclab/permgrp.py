@@ -14,17 +14,17 @@ grows one set over its rounds instead of closing again from nothing.
 Normal subgroups are found as product-closed unions of conjugacy classes
 without closing any of them element by element: each unordered pair of
 classes is multiplied once, from the smaller class, and each join in the
-lattice is read as the product of two normal subgroups.  Cores and the
-intersection of maximal normal subgroups are read off the lattice;
-residuals are grown from generating sets.  Composition factors descend
-through abelian quotients where they can: a step of prime index p below
-60 finds its maximal normal subgroup as a hyperplane of G/G'G^p, and
-only perfect steps and larger primes read the lattice.  No
-Schreier-Sims machinery: the one use of Schreier's lemma is
-tree.congruence_kernel, which generates a level group's congruence
-kernel from Schreier generators without closing the level group.
-Determinism everywhere, with ties broken by the lexicographic order on
-permutation image tuples.
+lattice is read as the product of two normal subgroups.  Cores grow
+class by class through normal closures, and residuals from generating
+sets.  A composition step of prime index p below 60 takes a hyperplane
+of G/G'G^p, and the Melnikov subgroup starts from the meet of the G'G^p
+over the primes p dividing |G:G'|.  Only perfect steps, larger primes
+and the maximal normal subgroups with a non-abelian quotient read the
+lattice.  No Schreier-Sims machinery: the one use of
+Schreier's lemma is tree.congruence_kernel, which generates a level
+group's congruence kernel from Schreier generators without closing the
+level group.  Determinism everywhere, with ties broken by the
+lexicographic order on permutation image tuples.
 """
 from __future__ import annotations
 
@@ -478,11 +478,17 @@ class FiniteGroup:
         additions, so ``gens``, ``pruned_gens`` and ``image_set`` are
         those of the subgroup those generators span.
         """
+        return self._normal_closure_over({_identity_images(self.degree): None}, [], seed)
+
+    def _normal_closure_over(self, seen: dict, kept: list[Perm], seed) -> "FiniteGroup":
+        """``normal_closure`` of the seed and the normal subgroup that
+        ``seen`` holds and ``kept`` spans; both grow in place.  Conjugates
+        of ``kept`` lie in ``seen`` already, so the rounds start at the
+        seed, and the result's generators are ``kept`` and then those of
+        ``normal_closure``."""
         # The constructor checks degrees, which tuple products do not.
-        closure = self.subgroup([p for p in seed if not p.is_identity()])
-        seen = {_identity_images(self.degree): None}
-        kept: list[Perm] = []
-        new = closure.gens
+        closure = self.subgroup([*kept, *(p for p in seed if not p.is_identity())])
+        new = closure.gens[len(kept):]
         while new:
             done = len(kept)
             _grow(seen, kept, new, self.cap)
@@ -517,26 +523,6 @@ class FiniteGroup:
     def invariant_memo(self) -> dict:
         """Per-instance store for derived invariants keyed by name."""
         return {}
-
-    def quotient(self, n: "FiniteGroup") -> "FiniteGroup":
-        """G/N as the left-multiplication action on cosets of N."""
-        if not self.is_normal(n):
-            raise ValueError("quotient by a non-normal subgroup")
-        # Each coset x N is keyed by its least element.
-        coset_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for x in self.image_set:
-            if x in coset_of:
-                continue
-            members = [tuple([x[i] for i in h]) for h in n.image_set]
-            rep = min(members)
-            for m in members:
-                coset_of[m] = rep
-        index_of = {r: i for i, r in enumerate(sorted(set(coset_of.values())))}
-        images = [
-            Perm(tuple(index_of[coset_of[tuple([g.images[i] for i in r])]] for r in index_of))
-            for g in self.gens
-        ]
-        return FiniteGroup(len(index_of), images, cap=self.cap)
 
 
 def _class_products(
@@ -685,27 +671,46 @@ def _by_order_then_elements(groups: list[FiniteGroup]) -> tuple[FiniteGroup, ...
     return tuple(out)
 
 
-def _largest_normal(g: FiniteGroup, key: tuple, keep) -> FiniteGroup:
-    """The normal subgroup of g passing ``keep`` that contains all others
-    passing it, memoised under key.  Products of two such subgroups pass
-    again for the properties used here, so a candidate it does not
-    contain is a fault.  The lattice is sorted, so the greatest candidate
-    by order, then element list, is the last."""
+def _radical(g: FiniteGroup, key: tuple, keep, admits) -> FiniteGroup:
+    """The largest normal subgroup of g passing ``keep``, memoised under
+    key, grown class by class without the lattice.
+
+    For the properties used here, being a pi-group and being soluble, a
+    product of two normal subgroups that pass passes again, and so does
+    every subgroup of one that passes.  So x lies in the radical exactly
+    when its normal closure passes, and a class outside the radical R
+    found so far joins it when the normal closure of R and the class's
+    least element passes.  That closure grows from a copy of R's set
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005, section 3.3).  A closure already seen to fail is not tested
+    again.  ``admits`` holds for every element of the radical, as a
+    pi-core holds only pi-elements, so a class whose least element fails
+    it is skipped without a closure.
+    """
     if key in g.invariant_memo:
         return g.invariant_memo[key]
-    candidates = [n for n in g.normal_subgroups if keep(n)]
-    best = candidates[-1]
-    for n in candidates:
-        if not best.contains_group(n):
-            raise AssertionError(f"{key[0]}: no largest normal subgroup")
-    g.invariant_memo[key] = best
-    return best
+    radical = g.normal_closure(())
+    failed: set[frozenset[tuple[int, ...]]] = set()
+    for cls in g._classes:
+        rep = min(cls)
+        if rep in radical.image_set or not admits(rep):
+            continue
+        grown = g._normal_closure_over(
+            dict.fromkeys(radical.image_set), list(radical.pruned_gens), (Perm._trusted(rep),)
+        )
+        if grown.image_set not in failed and keep(grown):
+            radical = grown
+        else:
+            failed.add(grown.image_set)
+    g.invariant_memo[key] = radical
+    return radical
 
 
 def pi_core(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
     """Largest normal subgroup whose order uses only primes in pi."""
     pi = frozenset(pi)
-    return _largest_normal(g, ("pi_core", pi), lambda n: is_pi_number(n.order, pi))
+    keep, admits = (lambda n: is_pi_number(n.order, pi)), (lambda x: is_pi_number(_order(x), pi))
+    return _radical(g, ("pi_core", pi), keep, admits)
 
 
 def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
@@ -733,7 +738,7 @@ def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
 
 def prosoluble_core(g: FiniteGroup) -> FiniteGroup:
     """Largest soluble normal subgroup, the soluble radical."""
-    return _largest_normal(g, ("prosoluble_core",), FiniteGroup.is_soluble)
+    return _radical(g, ("prosoluble_core",), FiniteGroup.is_soluble, lambda x: True)
 
 
 def prosoluble_residual(g: FiniteGroup) -> FiniteGroup:
@@ -767,10 +772,6 @@ def maximal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
     return out
 
 
-def is_simple(g: FiniteGroup) -> bool:
-    return g.order > 1 and len(g.normal_subgroups) == 2
-
-
 _ALTERNATING_ORDERS = {60: 5, 360: 6, 2520: 7}
 # Below order 20160 a finite simple group is determined by its order, so the
 # same-order isomorphism check for labels degenerates to a table lookup.
@@ -783,6 +784,18 @@ def _simple_label_of_order(n: int) -> str:
     if n in _ALTERNATING_ORDERS:
         return f"A{_ALTERNATING_ORDERS[n]}"
     return f"simple[{n}]"
+
+
+def _power_kernel(g: FiniteGroup, p: int) -> tuple[dict[tuple[int, ...], None], list[Perm]]:
+    """G'G^p, the meet of the normal subgroups of g whose quotient is
+    elementary abelian of exponent p, as ``_grow`` leaves it: its image
+    tuples and its kept generators.  G/G' is abelian, so its p-th powers
+    are spanned by those of the generators."""
+    derived = g.derived_subgroup()
+    seen = dict.fromkeys(derived.image_set)
+    kept = list(derived.pruned_gens)
+    _grow(seen, kept, [x**p for x in g.pruned_gens], g.cap)
+    return seen, kept
 
 
 def _greatest_prime_index_normal(g: FiniteGroup) -> FiniteGroup | None:
@@ -814,9 +827,7 @@ def _greatest_prime_index_normal(g: FiniteGroup) -> FiniteGroup | None:
     p = min(prime_factors(g.order // derived.order))
     if p >= 60:
         return None
-    seen = dict.fromkeys(derived.image_set)
-    kept = list(derived.pruned_gens)
-    _grow(seen, kept, [x**p for x in g.pruned_gens], g.cap)
+    seen, kept = _power_kernel(g, p)
     elements = sorted(g.image_set)
     coords: dict[tuple[int, ...], tuple[int, ...]] = dict.fromkeys(seen, ())
     basis: list[tuple[int, ...]] = []
@@ -876,51 +887,33 @@ def composition_factors(g: FiniteGroup) -> list[str]:
 def melnikov_subgroup(g: FiniteGroup) -> FiniteGroup:
     """Intersection of all maximal normal subgroups.
 
-    The quotient by it is verified to be a direct product of simple
-    groups before returning.
+    A maximal normal subgroup M has a simple quotient.  When that is C_p,
+    M holds G'G^p, and the M of index p meet in G'G^p, as the hyperplanes
+    of the F_p-space G/G'G^p meet in zero.  So the abelian part is the
+    meet of G'G^p over the primes p dividing |G:G'|.  A non-abelian
+    simple quotient needs G non-soluble, and only then is the lattice
+    read, for the maximal members of non-prime index.  Each must cut the
+    running intersection I by its full index or not at all: if I is not
+    inside M, then IM = G and |I : I n M| = |G : M|.  A member that
+    fails this is no maximal normal subgroup, and the check raises.
     """
-    if g.order == 1:
-        return g
-    maximals = maximal_normal_subgroups(g)
+    derived = g.derived_subgroup()
     meet = g.image_set
-    for m in maximals:
-        meet &= m.image_set
-    result = g.subgroup(tuple(map(Perm._trusted, sorted(meet))))
-    quot = g.quotient(result)
-    if not _is_semisimple(quot):
-        raise AssertionError(
-            "quotient by the maximal-normal intersection is not semisimple"
-        )
+    for p in prime_factors(g.order // derived.order):
+        meet = meet.intersection(_power_kernel(g, p)[0])
+    if not g.is_soluble():
+        for m in maximal_normal_subgroups(g):
+            index = g.order // m.order
+            if prime_factors(index) == {index: 1}:
+                continue
+            cut = meet & m.image_set
+            if len(cut) != len(meet) and len(cut) * index != len(meet):
+                ratio = len(meet) // len(cut)
+                raise AssertionError(f"a maximal of index {index} cuts the meet by {ratio}")
+            meet = cut
+    result = g.subgroup_from_elements(map(Perm._trusted, meet))
+    result.__dict__["image_set"] = meet
     return result
-
-
-def minimal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
-    nontrivial = [n for n in g.normal_subgroups if n.order > 1]
-    out = []
-    for n in nontrivial:
-        if not any(
-            m.order < n.order and n.contains_group(m) for m in nontrivial
-        ):
-            out.append(n)
-    return out
-
-
-def _is_semisimple(g: FiniteGroup) -> bool:
-    """Whether the minimal normal subgroups, each simple, join greedily
-    into an internal direct product that is all of g."""
-    if g.order == 1:
-        return True
-    current = g.subgroup(())
-    for m in minimal_normal_subgroups(g):
-        if not is_simple(m):
-            return False
-        if current.image_set & m.image_set != {_identity_images(g.degree)}:
-            continue
-        joined = g.subgroup(tuple(current.gens) + tuple(m.gens))
-        if joined.order != current.order * m.order:
-            return False
-        current = joined
-    return current.order == g.order
 
 
 # -- named checks from the structure theory ----------------------------------

@@ -18,7 +18,12 @@ factors off the join-of-closures lattice.
 The derived-series oracle closes over all commutators, not just
 generator commutators.  The pi'-span oracle is ``pi_residual`` as it
 was before it skipped elements already in the residual: it spans every
-pi'-element at once.
+pi'-element at once.  The lattice-route oracles are the cores and the
+Melnikov subgroup as the engine read them off its normal lattice before
+they grew by normal closures and met G'G^p: the greatest lattice member
+passing a test, and the meet of every maximal member with its quotient
+checked semisimple.  ``oracle_quotient`` builds that quotient as the
+action on cosets; the engine builds no quotient.
 
 The phase-one oracle is the dense simplex tableau the measure search
 used before it moved to sparse rows: one list per row, as wide as the
@@ -191,7 +196,13 @@ from tdlclab.localstruct import (
     local_class,
     top_class,
 )
-from tdlclab.permgrp import FiniteGroup, Perm, _class_closure, prime_factors
+from tdlclab.permgrp import (
+    FiniteGroup,
+    Perm,
+    _class_closure,
+    maximal_normal_subgroups,
+    prime_factors,
+)
 from tdlclab.tree import (
     BallIsometry,
     IsometrySpec,
@@ -465,12 +476,32 @@ def oracle_prosoluble_core(g: FiniteGroup) -> frozenset[Perm]:
     return max(cands, key=len)
 
 
+def oracle_quotient(g: FiniteGroup, n: FiniteGroup) -> FiniteGroup:
+    """G/N as the left-multiplication action on the cosets of N."""
+    if not g.is_normal(n):
+        raise ValueError("quotient by a non-normal subgroup")
+    # Each coset x N is keyed by its least element.
+    coset_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for x in g.image_set:
+        if x in coset_of:
+            continue
+        members = [tuple([x[i] for i in h]) for h in n.image_set]
+        rep = min(members)
+        for m in members:
+            coset_of[m] = rep
+    index_of = {r: i for i, r in enumerate(sorted(set(coset_of.values())))}
+    images = [
+        Perm(tuple(index_of[coset_of[tuple([a.images[i] for i in r])]] for r in index_of))
+        for a in g.gens
+    ]
+    return FiniteGroup(len(index_of), images, cap=g.cap)
+
+
 def oracle_prosoluble_residual(g: FiniteGroup) -> frozenset[Perm]:
     out = None
     for n in oracle_normal_subgroups(g):
-        quot = FiniteGroup(g.degree, tuple(sorted(n))).element_set
         sub = FiniteGroup(g.degree, tuple(sorted(n)))
-        q = g.quotient(sub)
+        q = oracle_quotient(g, sub)
         if _oracle_soluble(q, q.element_set):
             if out is None or len(n) < len(out):
                 out = n
@@ -488,6 +519,61 @@ def oracle_melnikov(g: FiniteGroup) -> frozenset[Perm]:
     meet = frozenset(g.element_set)
     for m in maximals:
         meet &= m
+    return meet
+
+
+def oracle_largest_normal(g: FiniteGroup, keep) -> FiniteGroup:
+    """The cores as ``pi_core`` and ``prosoluble_core`` read them off the
+    engine's lattice before they grew class by class: the greatest member
+    passing ``keep``, checked to contain every other one."""
+    candidates = [n for n in g.normal_subgroups if keep(n)]
+    best = candidates[-1]
+    assert all(best.contains_group(n) for n in candidates)
+    return best
+
+
+def _oracle_is_simple(g: FiniteGroup) -> bool:
+    return g.order > 1 and len(g.normal_subgroups) == 2
+
+
+def _oracle_minimal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
+    nontrivial = [n for n in g.normal_subgroups if n.order > 1]
+    return [
+        n
+        for n in nontrivial
+        if not any(m.order < n.order and n.contains_group(m) for m in nontrivial)
+    ]
+
+
+def _oracle_is_semisimple(g: FiniteGroup) -> bool:
+    """Whether the minimal normal subgroups, each simple, join greedily
+    into an internal direct product that is all of g."""
+    if g.order == 1:
+        return True
+    current = g.subgroup(())
+    for m in _oracle_minimal_normal_subgroups(g):
+        if not _oracle_is_simple(m):
+            return False
+        if current.image_set & m.image_set != {g.identity().images}:
+            continue
+        joined = g.subgroup(tuple(current.gens) + tuple(m.gens))
+        if joined.order != current.order * m.order:
+            return False
+        current = joined
+    return current.order == g.order
+
+
+def oracle_melnikov_by_quotient(g: FiniteGroup) -> frozenset[tuple[int, ...]]:
+    """``melnikov_subgroup`` as it was before it met G'G^p: the meet of
+    every maximal member of the engine's lattice, whose quotient is
+    checked to be a direct product of simple groups.  A trivial meet
+    has G itself for its quotient, so G is checked instead of its action
+    on |G| cosets."""
+    meet = g.image_set
+    for m in maximal_normal_subgroups(g):
+        meet &= m.image_set
+    result = g.subgroup(tuple(map(Perm._trusted, sorted(meet))))
+    assert _oracle_is_semisimple(g if len(meet) == 1 else oracle_quotient(g, result))
     return meet
 
 
@@ -512,7 +598,7 @@ def oracle_composition_factors(g: FiniteGroup) -> list[str]:
         ]
         n = max(maximals, key=lambda m: (len(m), sorted(p.images for p in m)))
         sub = current.subgroup_from_elements(n)
-        out.append(_oracle_label(current, current.quotient(sub).element_set))
+        out.append(_oracle_label(current, oracle_quotient(current, sub).element_set))
         current = sub
     return out
 
@@ -1321,7 +1407,7 @@ def oracle_composition_factors_by_joins(g: FiniteGroup) -> list[str]:
             if not any(m.order > n.order and n.element_set <= m.element_set for m in proper)
         ]
         n = max(maximals, key=lambda m: (m.order, m.element_list))
-        out.append(_oracle_label(current, current.quotient(n).element_set))
+        out.append(_oracle_label(current, oracle_quotient(current, n).element_set))
         current = n
     return out
 

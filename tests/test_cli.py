@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from tdlclab import cli
+from tdlclab import cli, permgrp
 from tdlclab.certificates import canonical_json, normalise
 from tdlclab.errors import (
     ClosureCapExceeded, NotSkewering, PrecisionExhausted, SearchExhausted, SpecFileError,
@@ -849,6 +849,18 @@ def test_internal_fault_exits_70_not_refuted(spec_file, capsys, monkeypatch, fau
     assert code == 70
     assert report is None
     assert captured.err.startswith(f"internal error: {type(fault).__name__}")
+
+
+def test_a_failed_melnikov_order_check_exits_70(spec_file, capsys, monkeypatch):
+    # A5 x C2 on a rooted degree-7 tree, handed its trivial subgroup as a
+    # maximal normal subgroup: it cuts the meet A5 by 60, not by its
+    # index 120, so the order check raises
+    spec = ROOTED_BINARY.replace("degree = 2", "degree = 7").replace(
+        "(0 1)", "(0 1 2), (2 3 4), (5 6)")
+    monkeypatch.setattr(permgrp, "maximal_normal_subgroups", lambda g: [g.subgroup(())])
+    code, report, captured = run_cli(capsys, "report-local", spec_file(spec), "--depths", "1..2")
+    assert (code, report) == (70, None)
+    assert captured.err.startswith("internal error: AssertionError: a maximal of index 120 cuts the meet by 60")
 
 
 @pytest.mark.parametrize(

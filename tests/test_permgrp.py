@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from tdlclab import permgrp
 from tdlclab.boolalg import regular, rooted
 from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import (
@@ -26,6 +27,7 @@ from tdlclab.permgrp import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    is_pi_number,
     maximal_normal_subgroups,
     melnikov_subgroup,
     parse_perm,
@@ -52,9 +54,11 @@ from oracles import (
     oracle_element_set,
     oracle_derived,
     oracle_grow,
+    oracle_largest_normal,
     oracle_lattice_by_joins,
     oracle_lattice_masks,
     oracle_melnikov,
+    oracle_melnikov_by_quotient,
     oracle_normal_closure,
     oracle_normal_subgroups,
     oracle_pi_core,
@@ -625,6 +629,48 @@ def test_melnikov_examples():
     assert melnikov_subgroup(alternating_group(5)).order == 1
 
 
+def _assert_cores_and_melnikov_match_the_lattice_route(g: FiniteGroup, name: str) -> None:
+    for pi in ({2}, {3}, {2, 3}, {5}):
+        want = oracle_largest_normal(g, lambda n: is_pi_number(n.order, pi))
+        assert pi_core(g, pi).image_set == want.image_set, (name, pi)
+    want = oracle_largest_normal(g, FiniteGroup.is_soluble)
+    assert prosoluble_core(g).image_set == want.image_set, name
+    assert melnikov_subgroup(g).image_set == oracle_melnikov_by_quotient(g), name
+
+
+def test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups():
+    a5, c2 = alternating_group(5), cyclic_group(2)
+    groups = dict(
+        corpus(),
+        A5xC2=direct_product(a5, c2),
+        A5xC4=direct_product(a5, cyclic_group(4)),
+        A5xA5=direct_product(a5, a5),
+        S5=symmetric_group(5),
+        A4xC3=direct_product(alternating_group(4), cyclic_group(3)),
+        C2wr3=wreath_c2_tower(3),
+        level1296=_bench_level_groups()["level1296"],
+    )
+    for name, g in groups.items():
+        _assert_cores_and_melnikov_match_the_lattice_route(g, name)
+
+
+def test_cores_and_melnikov_match_the_lattice_route_on_seeded_groups():
+    groups = _seeded_groups(300, 45)
+    assert sum(not g.is_soluble() for g in groups) == 31
+    for i, g in enumerate(groups):
+        _assert_cores_and_melnikov_match_the_lattice_route(g, i)
+
+
+def test_melnikov_order_check_refuses_a_normal_subgroup_that_is_not_maximal(monkeypatch):
+    # the trivial subgroup of A5 x C2, handed over as a maximal normal
+    # subgroup, cuts the meet G'G^2 = A5 by 60, not by its index 120
+    a5xc2 = direct_product(alternating_group(5), cyclic_group(2))
+    assert melnikov_subgroup(a5xc2).order == 1
+    monkeypatch.setattr(permgrp, "maximal_normal_subgroups", lambda g: [g.subgroup(())])
+    with pytest.raises(AssertionError, match="a maximal of index 120 cuts the meet by 60"):
+        melnikov_subgroup(direct_product(alternating_group(5), cyclic_group(2)))
+
+
 def test_composition_factors_examples():
     assert sorted(composition_factors(symmetric_group(4))) == [
         "C2",
@@ -674,14 +720,20 @@ def test_composition_factors_invariant_under_conjugation():
         ]
         conj = FiniteGroup(5, gens)
         assert sorted(composition_factors(conj)) == ["C2", "C2", "C2", "C3"]
-    # relabelling the points keeps the sorted labels, and the factor
-    # orders multiply to the group's order
+    # relabelling the points keeps the sorted labels and the orders of the
+    # cores and the Melnikov subgroup, and the factor orders multiply to
+    # the group's order
+    def orders(h):
+        cores = (pi_core(h, pi).order for pi in ({2}, {3}, {2, 3}, {5}))
+        return (*cores, prosoluble_core(h).order, melnikov_subgroup(h).order)
+
     for g in [*corpus().values(), *_seeded_groups(40, 47)]:
         factors = composition_factors(g)
         assert math.prod(map(_factor_order, factors)) == g.order
         relabel = _random_perm(rng, g.degree)
         moved = FiniteGroup(g.degree, [p.conjugate_by(relabel) for p in g.gens])
         assert sorted(composition_factors(moved)) == sorted(factors)
+        assert orders(moved) == orders(g)
 
 
 def _factor_order(label: str) -> int:

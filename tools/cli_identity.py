@@ -45,6 +45,10 @@ ROOTED_ALT5 = ROOTED_SYM5.replace("(0 1), (0 1 2 3 4)", "(0 1 2), (2 3 4)")
 # follow the tie-break between maximal normal subgroups of index 3
 ROOTED_A4XC3 = ROOTED_SYM5.replace("degree = 5", "degree = 7").replace(
     "(0 1), (0 1 2 3 4)", "(0 1 2), (1 2 3), (4 5 6)")
+# a rooted degree-9 tree over A5 x C4, whose Melnikov subgroup meets
+# G'G^2 = A5 x C2 with the maximal C4 of index 60
+ROOTED_A5XC4 = ROOTED_SYM5.replace("degree = 5", "degree = 9").replace(
+    "(0 1), (0 1 2 3 4)", "(0 1 2), (2 3 4), (5 6 7 8)")
 # US3_ELEMENTS plus u2, a witness at (1, 0) on the repelling side of g:
 # its conjugates by g^k read the ball about g^-k(v0) from inside the
 # subtree at (1, 0), the reversed half-tree
@@ -57,6 +61,7 @@ README_SPEC = re.search(r"```ini\n(.*?)```", (HERE / "README.md").read_text(), r
 SPECS = {"readme": README_SPEC, "elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY,
          "regular-sym3": US3, "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
          "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5, "rooted-a4xc3": ROOTED_A4XC3,
+         "rooted-a5xc4": ROOTED_A5XC4,
          "reversed": US3_REVERSED, "rotation-only": ROTONLY,
          # [limits] entries the spec parser refuses: a value below its
          # minimum and an unknown key
@@ -98,11 +103,12 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..4"]))
     # local-class regions one level deeper, each rendered through format_clopen
     out.append(("regular-sym3", ["report-local", "spec.ini", "--depths", "1..5"]))
-    # non-soluble local groups: quotients, the semisimplicity check, the
-    # Melnikov subgroup and A5 factors
+    # non-soluble local groups: the soluble radical, the Melnikov subgroup
+    # with the order check on its non-abelian maximals, and A5 factors
     for spec in ("rooted-sym5", "rooted-alt5"):
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..3"]))
-    out.append(("rooted-a4xc3", ["report-local", "spec.ini", "--depths", "1..2"]))
+    for spec in ("rooted-a4xc3", "rooted-a5xc4"):
+        out.append((spec, ["report-local", "spec.ini", "--depths", "1..2"]))
     for spec in ("elements", "regular-sym3"):
         for depth in (2, 3):
             out.append((spec, ["dynamics", "degree", "spec.ini", "--depth", str(depth)]))

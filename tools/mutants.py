@@ -214,6 +214,39 @@ MUTANTS = (
         "    if p >= 62:\n",
         ("tests/test_permgrp.py::test_prime_index_step_declines_primes_of_60_and_above",),
     ),
+    # the radical grown from the class alone, so each class that passes
+    # replaces the radical found so far instead of joining it
+    Mutant(
+        "radical-restarts-from-the-class-alone",
+        "src/tdlclab/permgrp.py",
+        "dict.fromkeys(radical.image_set), list(radical.pruned_gens), (Perm._trusted(rep),)",
+        "{_identity_images(g.degree): None}, [], (Perm._trusted(rep),)",
+        ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
+    ),
+    # Melnikov meets G'G^p for the least prime of |G:G'| only
+    Mutant(
+        "melnikov-meets-only-the-least-prime",
+        "src/tdlclab/permgrp.py",
+        "    for p in prime_factors(g.order // derived.order):\n",
+        "    for p in list(prime_factors(g.order // derived.order))[:1]:\n",
+        ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
+    ),
+    # Melnikov never reads the maximal normal subgroups of non-prime index
+    Mutant(
+        "melnikov-skips-the-non-abelian-maximals",
+        "src/tdlclab/permgrp.py",
+        "    if not g.is_soluble():\n",
+        "    if False:\n",
+        ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
+    ),
+    # the order check on a non-abelian maximal passes whatever it cuts
+    Mutant(
+        "melnikov-order-check-vacuous",
+        "src/tdlclab/permgrp.py",
+        "if len(cut) != len(meet) and len(cut) * index != len(meet):",
+        "if len(cut) > len(meet):",
+        ("tests/test_permgrp.py::test_melnikov_order_check_refuses_a_normal_subgroup_that_is_not_maximal",),
+    ),
     # the rooted default names s before rho: the same specs, with the
     # first-word tie-break between them reversed
     Mutant(
