@@ -29,16 +29,16 @@ first, trailing ``~`` inverts).  W and addr are written as reports write
 addresses, with dots between letters above degree 10.  Two-copy specs
 take no elements: the context fixes its own copy-wise generators.
 
-Machine output is one canonical JSON report on stdout; human trace
-lines go to stderr, or replace the report entirely under
-``--format text``.  Exit codes: 0 verified, 1 refuted at this depth,
-2 malformed input (a point outside any cycle, ``--depth`` or
-``--word-bound`` below 1, ``--seed`` below 0 and a negative certify
-bound included; an unwritable report too), 3 closure cap exceeded,
-4 search exhausted or a ball table asked past its precision
-(PrecisionExhausted), 70 internal fault.  Only the hyperbolic and
-portrait elements act as dynamics generators; a word adds nothing to
-the group they generate and is reached with ``--element``.
+Machine output is one canonical JSON report on stdout; human trace lines
+go to stderr, or replace the report entirely under ``--format text``.
+Exit codes: 0 verified, 1 refuted at this depth, 2 malformed input (a
+point outside any cycle, ``--depth`` or ``--word-bound`` below 1,
+``--seed`` below 0 and a negative certify bound included; an unwritable
+report too), 3 closure cap exceeded, 4 search exhausted or a ball table
+asked past its precision (PrecisionExhausted), 70 internal fault, such
+as a KeyError or TypeError.  Only the hyperbolic and portrait elements
+act as dynamics generators; a word adds nothing to the group they
+generate and is reached with ``--element``.
 """
 from __future__ import annotations
 
@@ -737,19 +737,16 @@ def _stone_orbit_dot(ctx) -> str:
     """Edges from each depth-n state to those its image meets, read off one
     single-tree action graph; on two copies a copy's generators draw
     them on their own copy and a self-loop on the other copy's states."""
-    two = isinstance(ctx, dynamics.TwoCopyContext)
-    base = ctx._base if two else ctx
-    graph = dynamics._ActionGraph(base)
-    n = len(graph.starts)
-    copies = (0, 1) if two else (0,)
+    graph = dynamics._ActionGraph(ctx)
+    n, copies = len(graph.starts), (0, 1) if graph.ctx is not ctx else (0,)
     lines = ["digraph stone_orbit {"]
     for i, s in enumerate(ctx.states()):
         lines.append(f'  n{i} [label="{ctx.state_label(s)}"];')
     for copy in copies:
-        for g, name in enumerate(base.gen_names):
+        for g, name in enumerate(graph.ctx.gen_names):
             if "~" in name:
                 continue
-            label = f"{name}@{copy}" if two else name
+            label = f"{name}@{copy}" if len(copies) == 2 else name
             for c in copies:
                 for i in range(n):
                     met = graph.met[graph.neighbours(i)[g]] if c == copy else i
@@ -867,7 +864,7 @@ _EXITS = (
     # a ValueError, but a bound ran out: not a spec error
     (PrecisionExhausted, EXIT_EXHAUSTED, "precision exhausted: "),
     (NotSkewering, EXIT_REFUTED, "refuted: "),
-    ((ValueError, KeyError, TypeError, OSError), EXIT_PARSE, "error: "),
+    ((ValueError, OSError), EXIT_PARSE, "error: "),
 )
 
 

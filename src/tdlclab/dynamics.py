@@ -11,9 +11,9 @@ for its one-cylinder clopen, or any other clopen; the two never name the
 same value, and a vertex deeper than a generator's displacement moves by
 applying the generator to its address.  On two copies a state is a
 single-tree state tagged by its copy, (c, s), and the searches run on
-the single tree: no first word from (c, s) uses the other copy's
-generators, which fix every state of c, so it is a word from s with
-each letter tagged name@c.
+the single tree, the one choice of the action graph's constructor: no
+first word from (c, s) uses the other copy's generators, which fix
+every state of c, so it is a word from s with each letter tagged name@c.
 
 The minimality, minorising and degree searches start once from every
 depth-n state, and those searches share one action graph per call: the
@@ -270,14 +270,15 @@ class _ActionGraph:
     Only shallower nodes and clopens step by ``ctx.step`` on their
     spelled state; the searches name states by index and spell none.
 
-    A graph lives for one search call, never on the context.  Its
-    ``blocks``, sets of indices, are the invariant blocks: each closes the
-    least state in no earlier block under the states that steps meet, so
-    a word image of a state's cylinder meets only states of its block.
+    A graph lives for one search call, never on the context; built for
+    two copies, it is their base's.  Its ``blocks``, sets of indices, are
+    the invariant blocks: each closes the least state in no earlier
+    block under the states that steps meet, so a word image of a
+    state's cylinder meets only states of its block.
     """
 
-    def __init__(self, ctx: ActionContext) -> None:
-        self.ctx = ctx
+    def __init__(self, ctx: ActionContext | TwoCopyContext) -> None:
+        self.ctx = ctx = getattr(ctx, "_base", ctx)
         self.starts = ctx.states()
         self.index = {s: i for i, s in enumerate(self.starts)}
         self._names = ctx.gen_names
@@ -486,31 +487,30 @@ def _first_words(graph: _ActionGraph, start, inside: bool = False) -> dict:
     return {graph.starts[b]: words[i] for b, i in found.items()}
 
 
-def _tagged(copy: int, names: tuple, words: dict) -> dict:
+def _tagged(copy: int, names: tuple, words: dict, memo: dict) -> dict:
     """Single-tree first words over ``names`` read on one copy: states
-    (copy, b), letters name@copy."""
+    (copy, b), letters name@copy, each word tagged once per ``memo``."""
     tag = {g: f"{g}@{copy}" for g in names}.__getitem__
-    return {(copy, b): tuple(map(tag, w)) for b, w in words.items()}
+    return {(copy, b): memo.get(w) or memo.setdefault(w, tuple(map(tag, w))) for b, w in words.items()}
 
 
-def _start_words(ctx, inside: bool = False):
+def _start_words(ctx, inside: bool = False, graph=None):
     """(start, its ``_first_words``) for each depth-n start, in
-    ``ctx.states()`` order, over one action graph.  On two copies that
-    is the base context's graph: a generator of the other copy fixes
-    every state of the start's copy, so no first word uses it, and the
-    words from (c, s) are those from s, tagged.  Each base start is
-    searched once, and copy 1 reads copy 0's run."""
-    if isinstance(ctx, TwoCopyContext):
-        names, runs = ctx._base.gen_names, []
-        for s, words in _start_words(ctx._base, inside):
-            runs.append((s, words))
-            yield (0, s), _tagged(0, names, words)
-        for s, words in runs:
-            yield (1, s), _tagged(1, names, words)
+    ``ctx.states()`` order, over ``graph`` or a new one.  On two copies
+    that is the base context's graph: a generator of the other copy
+    fixes every state of the start's copy, so no first word uses it,
+    and the words from (c, s) are those from s, tagged.  Each base start
+    is searched once, and both copies read its run."""
+    graph = graph or _ActionGraph(ctx)
+    if graph.ctx is ctx:
+        for a in graph.starts:
+            yield a, _first_words(graph, a, inside)
         return
-    graph = _ActionGraph(ctx)
-    for a in graph.starts:
-        yield a, _first_words(graph, a, inside)
+    runs = [(s, _first_words(graph, s, inside)) for s in graph.starts]
+    names, graph, memos = graph.ctx.gen_names, None, ({}, {})  # copy 1 reads only the runs
+    for c in (0, 1):
+        for s, words in runs:
+            yield (c, s), _tagged(c, names, words, memos[c])
 
 
 def check_minimal(ctx) -> dict:
@@ -625,9 +625,14 @@ def minorising_set(ctx) -> dict:
     first-applied letter most significant.  On two copies it is the
     single-tree word with each letter tagged @c.
     """
+    return _minorising_set(ctx, _start_words(ctx, inside=True))
+
+
+def _minorising_set(ctx, runs) -> dict:
+    """``minorising_set`` read off ``runs``, its ``inside`` start words."""
     states = ctx.states()
     coverage: dict = {}
-    for c, found in _start_words(ctx, inside=True):
+    for c, found in runs:
         coverage[c] = found
         if len(found) == len(states):
             return _minorising_report(ctx, [c], {b: (c, w) for b, w in found.items()})
@@ -685,45 +690,41 @@ def minorising_degree(ctx) -> dict:
     For each candidate cylinder the union of its word-translates is
     tracked as its shadow: the depth-n cylinders it meets by a word
     within the word bound, as a mask over ``ctx.states()`` indices, read
-    off the searches of ``check_minimal`` on the single tree.  On two
-    copies copy 1's states follow copy 0's, so a copy-1 shadow is the
-    base shadow shifted by the base state count.  The distinct minimal
-    shadows are the invariant opens at depth, their count is the degree,
-    and the first candidate of each open forms the reduced set; the opens
-    are ordered by their sorted labels.  When the degree is one the
+    off the searches of ``check_minimal``, on the one action graph that
+    the initial set's searches then reuse.  The distinct minimal shadows
+    are the invariant opens at depth, their count is the degree, and the
+    first candidate of each open forms the reduced set; the opens are
+    ordered by their sorted labels.  When the degree is one the
     dense-orbit consequence is read off the same shadows: every state
     must reach every state.  When every generator fixes the base vertex
     no translate shrinks strictly, so there is no initial minorising set
     to report and none is searched for.
     """
-    initial = None if ctx.all_fix_base() else minorising_set(ctx)["set"]
+    graph = _ActionGraph(ctx)
     states = ctx.states()
-    two = isinstance(ctx, TwoCopyContext)
-    graph = _ActionGraph(ctx._base if two else ctx)
-    bit = {s: 1 << i for i, s in enumerate(graph.starts)}
+    bit = {s: 1 << i for i, s in enumerate(states)}
     every = (1 << len(bit)) - 1
     # distinct bits, so each sum is their OR; a start meeting every state,
     # as each does on a minimal action, takes the full mask at once
     shadows = [
         every if len(met) == len(bit) else sum(map(bit.__getitem__, met))
-        for met in (_first_words(graph, a) for a in graph.starts)
+        for _, met in _start_words(ctx, graph=graph)
     ]
-    if two:
-        shadows += [m << len(bit) for m in shadows]
+    runs, graph = _start_words(ctx, True, graph), None  # now only the set's run holds it
+    initial = None if ctx.all_fix_base() else _minorising_set(ctx, runs)["set"]
     distinct = set(shadows)
     opens = sorted(
         (sorted(ctx.state_label(s) for i, s in enumerate(states) if m >> i & 1), m)
         for m in distinct
         if not any(o != m and o & m == o for o in distinct)
     )
-    full = (1 << len(states)) - 1
     return {
         "verdict": "verified",
         "degree": len(opens),
         "invariant_opens": [labels for labels, _ in opens],
         "reduced_set": [ctx.state_label(states[shadows.index(m)]) for _, m in opens],
         "initial_set": initial,
-        "dense_orbit_check": all(m == full for m in shadows) if len(opens) == 1 else None,
+        "dense_orbit_check": all(m == every for m in shadows) if len(opens) == 1 else None,
         "depth": ctx.depth,
         "word_bound": ctx.word_bound,
     }

@@ -14,16 +14,16 @@ grows one set over its rounds instead of closing again from nothing.
 Normal subgroups are found as product-closed unions of conjugacy classes
 without closing any of them element by element: each unordered pair of
 classes is multiplied once, from the smaller class, and each join in the
-lattice is read as the product of two normal subgroups.  Cores grow
-class by class through normal closures, and residuals from generating
-sets.  A composition step of prime index p below 60 takes a hyperplane
-of G/G'G^p, and the Melnikov subgroup starts from the meet of the G'G^p
-over the primes p dividing |G:G'|.  Only perfect steps, larger primes
-and the maximal normal subgroups with a non-abelian quotient read the
-lattice.  No Schreier-Sims machinery: the one use of
-Schreier's lemma is tree.congruence_kernel, which generates a level
-group's congruence kernel from Schreier generators without closing the
-level group.  Determinism everywhere, with ties broken by the
+lattice is read as the product of two normal subgroups.  Cores grow class
+by class through normal closures capped at the largest order the core can
+have, and residuals from generating sets.  A composition step of prime
+index p below 60 takes a hyperplane of G/G'G^p, and the Melnikov subgroup
+starts from the meet of the G'G^p over the primes p dividing |G:G'|.  Only
+perfect steps, larger primes and the maximal normal subgroups with a
+non-abelian quotient read the lattice.  No Schreier-Sims machinery: the
+one use of Schreier's lemma is tree.congruence_kernel, which generates a
+level group's congruence kernel from Schreier generators without closing
+the level group.  Determinism everywhere, with ties broken by the
 lexicographic order on permutation image tuples.
 """
 from __future__ import annotations
@@ -480,18 +480,18 @@ class FiniteGroup:
         """
         return self._normal_closure_over({_identity_images(self.degree): None}, [], seed)
 
-    def _normal_closure_over(self, seen: dict, kept: list[Perm], seed) -> "FiniteGroup":
+    def _normal_closure_over(self, seen: dict, kept: list[Perm], seed, cap=None) -> "FiniteGroup":
         """``normal_closure`` of the seed and the normal subgroup that
         ``seen`` holds and ``kept`` spans; both grow in place.  Conjugates
         of ``kept`` lie in ``seen`` already, so the rounds start at the
         seed, and the result's generators are ``kept`` and then those of
-        ``normal_closure``."""
+        ``normal_closure``; past ``cap``, by default the group's, it raises."""
         # The constructor checks degrees, which tuple products do not.
         closure = self.subgroup([*kept, *(p for p in seed if not p.is_identity())])
         new = closure.gens[len(kept):]
         while new:
             done = len(kept)
-            _grow(seen, kept, new, self.cap)
+            _grow(seen, kept, new, cap or self.cap)
             new = tuple(
                 Perm._trusted(y)
                 for x in kept[done:]
@@ -671,7 +671,7 @@ def _by_order_then_elements(groups: list[FiniteGroup]) -> tuple[FiniteGroup, ...
     return tuple(out)
 
 
-def _radical(g: FiniteGroup, key: tuple, keep, admits) -> FiniteGroup:
+def _radical(g: FiniteGroup, key: tuple, keep, admits, bound) -> FiniteGroup:
     """The largest normal subgroup of g passing ``keep``, memoised under
     key, grown class by class without the lattice.
 
@@ -682,26 +682,25 @@ def _radical(g: FiniteGroup, key: tuple, keep, admits) -> FiniteGroup:
     found so far joins it when the normal closure of R and the class's
     least element passes.  That closure grows from a copy of R's set
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-    2005, section 3.3).  A closure already seen to fail is not tested
-    again.  ``admits`` holds for every element of the radical, as a
-    pi-core holds only pi-elements, so a class whose least element fails
-    it is skipped without a closure.
+    2005, section 3.3) up to the cap ``bound()``, at most |g| and read on
+    a memo miss, past which no radical grows: a closure that raises is
+    rejected.  ``admits`` holds on the radical, as a pi-core holds only
+    pi-elements, so a class whose least element fails it is skipped.
     """
     if key in g.invariant_memo:
         return g.invariant_memo[key]
-    radical = g.normal_closure(())
-    failed: set[frozenset[tuple[int, ...]]] = set()
+    radical, cap = g.normal_closure(()), bound()
     for cls in g._classes:
         rep = min(cls)
         if rep in radical.image_set or not admits(rep):
             continue
-        grown = g._normal_closure_over(
-            dict.fromkeys(radical.image_set), list(radical.pruned_gens), (Perm._trusted(rep),)
-        )
-        if grown.image_set not in failed and keep(grown):
+        seen, kept = dict.fromkeys(radical.image_set), list(radical.pruned_gens)
+        try:
+            grown = g._normal_closure_over(seen, kept, (Perm._trusted(rep),), cap)
+        except ClosureCapExceeded:
+            continue
+        if keep(grown):
             radical = grown
-        else:
-            failed.add(grown.image_set)
     g.invariant_memo[key] = radical
     return radical
 
@@ -710,7 +709,8 @@ def pi_core(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
     """Largest normal subgroup whose order uses only primes in pi."""
     pi = frozenset(pi)
     keep, admits = (lambda n: is_pi_number(n.order, pi)), (lambda x: is_pi_number(_order(x), pi))
-    return _radical(g, ("pi_core", pi), keep, admits)
+    pi_part = lambda: math.prod(p**e for p, e in prime_factors(g.order).items() if p in pi)
+    return _radical(g, ("pi_core", pi), keep, admits, pi_part)
 
 
 def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
@@ -737,8 +737,10 @@ def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
 
 
 def prosoluble_core(g: FiniteGroup) -> FiniteGroup:
-    """Largest soluble normal subgroup, the soluble radical."""
-    return _radical(g, ("prosoluble_core",), FiniteGroup.is_soluble, lambda x: True)
+    """Largest soluble normal subgroup, the soluble radical.  Over it a
+    non-soluble g leaves a non-soluble quotient, of order 60 at least."""
+    bound = lambda: g.order if g.is_soluble() else g.order // 60
+    return _radical(g, ("prosoluble_core",), FiniteGroup.is_soluble, lambda x: True, bound)
 
 
 def prosoluble_residual(g: FiniteGroup) -> FiniteGroup:

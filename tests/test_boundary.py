@@ -20,6 +20,7 @@ from tdlclab.boundary import (
     tits_core_generators,
 )
 from tdlclab.certificates import canonical_json
+from tdlclab.cli import parse_spec_text
 from tdlclab.errors import DisjointnessFailure, NotSkewering
 from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
 from tdlclab.tree import (
@@ -45,6 +46,7 @@ from oracles import (
     oracle_walked_contraction_certificates,
     pullbacks,
 )
+from test_cli import US3_ELEMENTS
 from util import random_clopen, random_regular_portrait, random_rooted_portrait
 
 T3 = regular(3)
@@ -295,6 +297,31 @@ _MIXED_SPECS = [
     IsometrySpec(T3, sites=(((), SWAP01),)),
     SpecWord.of(IsometrySpec(T3, sites=(((0, 1, 0), SWAP12),)), T0),
 ]
+
+
+def test_conjugating_by_a_base_fixing_rotation_keeps_every_contraction_onset():
+    """For a rotation r fixing the base vertex, the onsets of r g r^-1
+    and the r u r^-1 are those of g and the u.
+
+    Proof.  (r g r^-1)^k (r u r^-1) (r g r^-1)^-k = r (g^k u g^-k) r^-1,
+    and r fixes every ball about the base, so the left side is trivial
+    on B_n exactly when g^k u g^-k is trivial on r^-1 B_n = B_n, for
+    every k: each onset, tail and verdict is kept.  The conjugates are
+    ``SpecWord`` products, which state no support, so this compares
+    ``_moved``'s walk below the sites of each u with its whole-ball walk.
+    """
+    spec = parse_spec_text(US3_ELEMENTS)
+    g, u1 = spec.elements["g"], spec.elements["u1"]
+    us = [u for family in _goodshrink_witnesses(4) for u in family] + [u1]
+    rotations = [spec.elements["rho"], IsometrySpec(T3, sites=(((), Perm((2, 0, 1))),))]
+    onsets = set()
+    for n in (2, 3, 4):
+        want = contraction_certificates(g, us, n)
+        onsets.update(c["k"] for c in want)
+        for r in rotations:
+            us_r = [SpecWord.conjugate(r, u, 1) for u in us]
+            assert contraction_certificates(SpecWord.conjugate(r, g, 1), us_r, n) == want, (n, r)
+    assert {0, 1, 2, 3} <= onsets
 
 
 @pytest.mark.parametrize("direction", [1, -1])

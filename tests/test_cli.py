@@ -872,8 +872,9 @@ def test_a_failed_melnikov_order_check_exits_70(spec_file, capsys, monkeypatch):
         (PrecisionExhausted("ball"), 4, "precision exhausted: ball"),
         (NotSkewering("fixed"), 1, "refuted: fixed"),
         (ValueError("bad"), 2, "error: bad"),
-        (KeyError("missing"), 2, "error: 'missing'"),
-        (TypeError("kind"), 2, "error: kind"),
+        # src/ raises no KeyError, and its TypeErrors are program faults
+        (KeyError("missing"), 70, "internal error: KeyError: 'missing'"),
+        (TypeError("kind"), 70, "internal error: TypeError: kind"),
         (OSError("disk"), 2, "error: disk"),
         (RuntimeError("loop"), 70, "internal error: RuntimeError: loop"),
     ],

@@ -71,6 +71,15 @@ MUTANTS = (
         "                return v + (images[addr[n]],) + addr[n + 1:] if len(addr) > n else addr\n",
         ("tests/test_tree.py::test_one_site_specs_apply_as_the_portrait_loop",),
     ),
+    # the site walk stops one level short of the ball about c, so a
+    # witness stating its support reads too few points
+    Mutant(
+        "site-walk-radius-one-short",
+        "src/tdlclab/tree.py",
+        "chain.from_iterable(_slice(shape, v, c, r) for v in u.support)",
+        "chain.from_iterable(_slice(shape, v, c, r - 1) for v in u.support)",
+        ("tests/test_boundary.py::test_conjugating_by_a_base_fixing_rotation_keeps_every_contraction_onset",),
+    ),
     # the depth sphere read as outside the depth ball in the shift check
     Mutant(
         "shift-inside-drops-the-sphere",
@@ -92,13 +101,23 @@ MUTANTS = (
         "                            found[m] = y\n",
         ("tests/test_dynamics.py::test_minimal_monotone_in_depth",),
     ),
-    # the degree's copy-1 masks read as copy 0's, not shifted past them
+    # copy 1's first words tagged as copy 0's, so the degree's copy-1
+    # masks read as copy 0's, not past them
     Mutant(
         "degree-copy-masks-unshifted",
         "src/tdlclab/dynamics.py",
-        "shadows += [m << len(bit) for m in shadows]",
-        "shadows += [m for m in shadows]",
-        ("tests/test_dynamics.py::test_minorising_degree_matches_the_frozenset_oracle",),
+        "yield (c, s), _tagged(c, names, words, memos[c])",
+        "yield (c, s), _tagged(0, names, words, memos[c])",
+        ("tests/test_dynamics.py", "-k", "two_copy"),
+    ),
+    # the degree's shadows searched on a second graph of their own, which
+    # expands again what the initial set's searches expanded
+    Mutant(
+        "degree-builds-its-own-graph",
+        "src/tdlclab/dynamics.py",
+        "        for _, met in _start_words(ctx, graph=graph)\n",
+        "        for _, met in _start_words(ctx)\n",
+        ("tests/test_dynamics.py::test_two_copy_degree_steps_stay_near_one_tree",),
     ),
     # an open's labels listed in state order, not sorted
     Mutant(
@@ -138,12 +157,12 @@ MUTANTS = (
     Mutant(
         "start-words-build-a-cycle",
         "src/tdlclab/dynamics.py",
-        "    for a in graph.starts:\n"
-        "        yield a, _first_words(graph, a, inside)\n",
-        "    for a in graph.starts:\n"
-        "        loop = [a]\n"
-        "        loop.append(loop)\n"
-        "        yield a, _first_words(graph, a, inside)\n",
+        "        for a in graph.starts:\n"
+        "            yield a, _first_words(graph, a, inside)\n",
+        "        for a in graph.starts:\n"
+        "            loop = [a]\n"
+        "            loop.append(loop)\n"
+        "            yield a, _first_words(graph, a, inside)\n",
         ("tests/test_cli.py", "-k", "cycles"),
     ),
     # each coset representative multiplied by the new generator alone,
@@ -219,8 +238,25 @@ MUTANTS = (
     Mutant(
         "radical-restarts-from-the-class-alone",
         "src/tdlclab/permgrp.py",
-        "dict.fromkeys(radical.image_set), list(radical.pruned_gens), (Perm._trusted(rep),)",
-        "{_identity_images(g.degree): None}, [], (Perm._trusted(rep),)",
+        "seen, kept = dict.fromkeys(radical.image_set), list(radical.pruned_gens)",
+        "seen, kept = {_identity_images(g.degree): None}, []",
+        ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
+    ),
+    # the soluble radical's bound halved: a radical of order |G| / 60,
+    # as C59 in C59 x A5, no longer fits under it
+    Mutant(
+        "soluble-radical-bound-too-tight",
+        "src/tdlclab/permgrp.py",
+        "g.order if g.is_soluble() else g.order // 60",
+        "g.order if g.is_soluble() else g.order // 120",
+        ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
+    ),
+    # the soluble radical bounded by |G| / 60 even when G is soluble
+    Mutant(
+        "soluble-radical-bound-drops-the-soluble-case",
+        "src/tdlclab/permgrp.py",
+        "g.order if g.is_soluble() else g.order // 60",
+        "g.order // 60",
         ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
     ),
     # Melnikov meets G'G^p for the least prime of |G:G'| only
