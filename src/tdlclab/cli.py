@@ -34,11 +34,12 @@ go to stderr, or replace the report entirely under ``--format text``.
 Exit codes: 0 verified, 1 refuted at this depth, 2 malformed input (a
 point outside any cycle, ``--depth`` or ``--word-bound`` below 1,
 ``--seed`` below 0 and a negative certify bound included; an unwritable
-report too), 3 closure cap exceeded, 4 search exhausted or a ball table
-asked past its precision (PrecisionExhausted), 70 internal fault, such
-as a KeyError or TypeError.  Only the hyperbolic and portrait elements
-act as dynamics generators; a word adds nothing to the group they
-generate and is reached with ``--element``.
+report too), 3 closure cap exceeded or out of memory (MemoryError), 4
+search exhausted or a ball table asked past its precision
+(PrecisionExhausted), 70 internal fault, such as a KeyError, a
+TypeError or a failed self-check.  Only the hyperbolic and portrait
+elements act as dynamics generators; a word adds nothing to the group
+they generate and is reached with ``--element``.
 """
 from __future__ import annotations
 
@@ -860,6 +861,8 @@ _HANDLERS = {
 _EXITS = (
     (SpecFileError, EXIT_PARSE, "spec error: "),
     (ClosureCapExceeded, EXIT_CAP, "cap exceeded: "),
+    # a bound the host sets, not a defect
+    (MemoryError, EXIT_CAP, "out of memory: "),
     (SearchExhausted, EXIT_EXHAUSTED, ""),
     # a ValueError, but a bound ran out: not a spec error
     (PrecisionExhausted, EXIT_EXHAUSTED, "precision exhausted: "),

@@ -829,6 +829,14 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     its reason.  A rotation search whose orbit closes within the bound
     with no such r is refuted at depth.  Either search cut off by the
     word bound raises SearchExhausted.
+
+    Every entry of ``checks`` holds by construction, so a false one
+    raises AssertionError.  The skewering search found g.alpha < alpha.
+    The rotation search stopped on r with r.alpha = alpha and r.g.alpha
+    inside beta and off g.alpha; r^-1 fixes alpha too, so h.alpha =
+    r.g.alpha.  Prefix containment and distinct images then follow by
+    ping-pong (Tits, "Free subgroups in linear groups", *J. Algebra* 20,
+    1972).
     """
     if length_bound < 0:
         raise ValueError(f"length bound must be at least 0, got {length_bound}")
@@ -900,8 +908,12 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
         "h_prefix_containment": h_first_ok,
         "all_images_distinct": distinct,
     }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        # a fault (exit 70), raised whether or not asserts are compiled in
+        raise AssertionError(f"free-semigroup checks fail: {', '.join(failed)}")
     return {
-        "verdict": "verified" if all(checks.values()) else "refuted_at_depth",
+        "verdict": "verified",
         "g": list(g_word),
         "h": list(h_word),
         "rotation": " ".join(r_word),

@@ -11,16 +11,14 @@ time (Dimino's algorithm; Butler, *Fundamental Algorithms for
 Permutation Groups*, 1991), and it resumes from a closed set:
 ``FiniteGroup`` closes from the identity with it, and ``normal_closure``
 grows one set over its rounds instead of closing again from nothing.
-Normal subgroups are found as product-closed unions of conjugacy classes
-without closing any of them element by element: each unordered pair of
-classes is multiplied once, from the smaller class, and each join in the
-lattice is read as the product of two normal subgroups.  Cores grow class
-by class through normal closures capped at the largest order the core can
-have, and residuals from generating sets.  A composition step of prime
-index p below 60 takes a hyperplane of G/G'G^p, and the Melnikov subgroup
-starts from the meet of the G'G^p over the primes p dividing |G:G'|.  Only
-perfect steps, larger primes and the maximal normal subgroups with a
-non-abelian quotient read the lattice.  No Schreier-Sims machinery: the
+No normal-subgroup lattice is built.  Cores grow class by class through
+normal closures capped at the largest order the core can have, and
+residuals from generating sets.  The maximal normal subgroups with a
+non-abelian quotient grow class by class the same way, one per round,
+each round avoiding a normal subgroup of the soluble residual.  A
+composition step of prime index p takes a hyperplane of G/G'G^p, and the
+Melnikov subgroup meets the G'G^p over the primes p dividing |G:G'| with
+the maximals of non-abelian quotient.  No Schreier-Sims machinery: the
 one use of Schreier's lemma is tree.congruence_kernel, which generates a
 level group's congruence kernel from Schreier generators without closing
 the level group.  Determinism everywhere, with ties broken by the
@@ -283,8 +281,9 @@ class FiniteGroup:
     @cached_property
     def pruned_gens(self) -> tuple[Perm, ...]:
         """Non-redundant generating subset found while closing."""
-        # The closure runs even for a normal-lattice member, as it picks the
-        # generators; the member keeps the image set it was given.
+        # The closure runs even for a group handed its image set, such as
+        # the Melnikov subgroup, as it picks the generators; the group
+        # keeps the image set it was given.
         self.__dict__.setdefault("image_set", self._close())
         return self.__dict__["pruned_gens"]
 
@@ -341,7 +340,7 @@ class FiniteGroup:
             self.invariant_memo[key] = FiniteGroup(self.degree, elems, cap=self.cap)
         return self.invariant_memo[key]
 
-    # -- conjugacy and the normal lattice ---------------------------------------
+    # -- conjugacy and normality ----------------------------------------------
 
     @cached_property
     def _conjugators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -383,66 +382,6 @@ class FiniteGroup:
 
     def subgroup_from_elements(self, elems) -> "FiniteGroup":
         return FiniteGroup(self.degree, tuple(sorted(elems)), cap=self.cap)
-
-    @cached_property
-    def normal_subgroups(self) -> tuple["FiniteGroup", ...]:
-        """All normal subgroups, found as unions of conjugacy classes.
-
-        A normal subgroup is a union of classes closed under products.
-        ``_class_products`` tabulates, as class masks, the classes met by
-        each product C_i C_j, multiplying each unordered pair of classes
-        once from the smaller class.  The closure of a single class is a
-        fixpoint on that table.  Every other member is a join K M of a
-        member K found already and a class closure M, and the product of
-        two normal subgroups is their join: K M is K together with C_j K
-        for each class j of M outside K, so each join is a few ORs of
-        K's row of masks C_j K, built once per member.  The lattice is
-        searched breadth first from the trivial group, joining each member
-        found with each class closure in class order.  A member's
-        generators are the class generators along its search path, and
-        its element set is the union of its classes.  Members come sorted
-        by order, then by element list.
-        """
-        classes = self._classes
-        bit_of = {x: 1 << i for i, cls in enumerate(classes) for x in cls}
-        support = _class_products(classes, bit_of)
-        trivial = bit_of[_identity_images(self.degree)]
-        class_closures: dict[int, tuple[Perm, ...]] = {}
-        for i, cls in enumerate(classes):
-            mask = _class_closure(support, trivial, 1 << i)
-            if mask not in class_closures:
-                class_closures[mask] = tuple(map(Perm._trusted, sorted(cls)))
-        lattice: dict[int, tuple[Perm, ...]] = {trivial: ()}
-        frontier = [trivial]
-        while frontier:
-            fresh = []
-            for known in frontier:
-                inside = _bits(known)
-                times_known = []
-                for row in support:
-                    product = 0
-                    for i in inside:
-                        product |= row[i]
-                    times_known.append(product)
-                for mask, gens in class_closures.items():
-                    outside = mask & ~known
-                    if outside == 0:
-                        continue
-                    joined = known
-                    for j in _bits(outside):
-                        joined |= times_known[j]
-                    if joined not in lattice:
-                        lattice[joined] = lattice[known] + gens
-                        fresh.append(joined)
-            frontier = fresh
-        members = []
-        for mask, gens in lattice.items():
-            member = self.subgroup(gens)
-            member.__dict__["image_set"] = frozenset().union(
-                *(cls for i, cls in enumerate(classes) if mask >> i & 1)
-            )
-            members.append(member)
-        return _by_order_then_elements(members)
 
     def normalises(self, other: "FiniteGroup") -> bool:
         """Every element of self conjugates other onto itself.
@@ -525,56 +464,6 @@ class FiniteGroup:
         return {}
 
 
-def _class_products(
-    classes: tuple[frozenset[tuple[int, ...]], ...],
-    bit_of: dict[tuple[int, ...], int],
-) -> list[list[int]]:
-    """``support[i][j]``, the mask of the classes in C_i C_j.
-
-    Classes are normal sets, so ``C_i C_j == C_j C_i`` and one entry
-    fills both.  Conjugating a product can move either factor onto its
-    class representative, so every class in the product is met by the
-    representative of one class times the elements of the other: the
-    larger class's representative times the smaller class, which is
-    min(|C_i|, |C_j|) products for the pair.
-    """
-    reps = [next(iter(cls)) for cls in classes]
-    support = [[0] * len(classes) for _ in classes]
-    for i, ci in enumerate(classes):
-        for j in range(i, len(classes)):
-            cj = classes[j]
-            rep, elems = (reps[j], ci) if len(ci) <= len(cj) else (reps[i], cj)
-            mask = 0
-            for x in elems:
-                mask |= bit_of[tuple([rep[y] for y in x])]
-            support[i][j] = support[j][i] = mask
-    return support
-
-
-def _class_closure(support: list[list[int]], closed: int, extra: int) -> int:
-    """Smallest product-closed class mask holding a closed mask and extra.
-
-    ``normal_subgroups`` uses it for the closure of a single class, which
-    is not a subgroup; joins of subgroups are read as products instead.
-    ``support[i][j]`` is the mask of classes in the product of classes i
-    and j.  Each class outside ``closed`` is taken once, when it joins
-    the mask, and multiplied with everything already in it.  So every
-    pair meets in one order at least, and one order is enough: classes
-    are normal sets, so ``C_i C_j == C_j C_i``.
-    """
-    mask = closed | extra
-    todo = _bits(extra & ~closed)
-    while todo:
-        row = support[todo.pop()]
-        new = 0
-        for j in _bits(mask):
-            new |= row[j]
-        new &= ~mask
-        mask |= new
-        todo.extend(_bits(new))
-    return mask
-
-
 def _grow(
     seen: dict[tuple[int, ...], None],
     kept: list[Perm],
@@ -622,16 +511,6 @@ def _add_coset(seen: dict, group: list, y: tuple[int, ...], cap: int) -> None:
         seen[tuple([h[i] for i in y])] = None
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits, lowest first, one step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # -- number-theoretic helpers ----------------------------------------------
 
 
@@ -652,57 +531,54 @@ def is_pi_number(n: int, pi: frozenset[int] | set[int]) -> bool:
     return all(p in pi for p in prime_factors(n))
 
 
-# -- lattice-driven invariants ----------------------------------------------
+# -- normal structure by class closures ---------------------------------------
 
 
-def _by_order_then_elements(groups: list[FiniteGroup]) -> tuple[FiniteGroup, ...]:
-    """Groups sorted by order, then by their sorted image tuples, which
-    compare as ``element_list`` does.  Element lists are built only among
-    groups of equal order."""
-    by_order: dict[int, list[FiniteGroup]] = {}
-    for n in groups:
-        by_order.setdefault(n.order, []).append(n)
-    out: list[FiniteGroup] = []
-    for order in sorted(by_order):
-        tied = by_order[order]
-        if len(tied) > 1:
-            tied.sort(key=lambda n: sorted(n.image_set))
-        out += tied
-    return tuple(out)
-
-
-def _radical(g: FiniteGroup, key: tuple, keep, admits, bound) -> FiniteGroup:
-    """The largest normal subgroup of g passing ``keep``, memoised under
-    key, grown class by class without the lattice.
-
-    For the properties used here, being a pi-group and being soluble, a
-    product of two normal subgroups that pass passes again, and so does
-    every subgroup of one that passes.  So x lies in the radical exactly
-    when its normal closure passes, and a class outside the radical R
-    found so far joins it when the normal closure of R and the class's
-    least element passes.  That closure grows from a copy of R's set
-    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-    2005, section 3.3) up to the cap ``bound()``, at most |g| and read on
-    a memo miss, past which no radical grows: a closure that raises is
-    rejected.  ``admits`` holds on the radical, as a pi-core holds only
-    pi-elements, so a class whose least element fails it is skipped.
+def _grow_by_classes(g: FiniteGroup, keep, admits, cap: int) -> FiniteGroup:
+    """A normal subgroup N of g grown greedily class by class from the
+    trivial one: for each class in the order of least elements, whose
+    least element x is outside N and passes ``admits``, the normal
+    closure of N and x replaces N when it passes ``keep``.  That closure
+    grows from a copy of N's set (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 3.3) up to ``cap``, and
+    one that raises is rejected.  Say ``admits`` holds on every element of
+    a normal subgroup that passes, and ``keep`` fails on every normal
+    subgroup past the cap and on every one holding one that fails.  Then
+    N is maximal among the normal subgroups that pass: one holding N
+    properly holds a class outside N, and with it the closure tried at
+    that class's round, which would have passed.
     """
-    if key in g.invariant_memo:
-        return g.invariant_memo[key]
-    radical, cap = g.normal_closure(()), bound()
+    n = g.normal_closure(())
     for cls in g._classes:
         rep = min(cls)
-        if rep in radical.image_set or not admits(rep):
+        if rep in n.image_set or not admits(rep):
             continue
-        seen, kept = dict.fromkeys(radical.image_set), list(radical.pruned_gens)
+        seen, kept = dict.fromkeys(n.image_set), list(n.pruned_gens)
         try:
             grown = g._normal_closure_over(seen, kept, (Perm._trusted(rep),), cap)
         except ClosureCapExceeded:
             continue
         if keep(grown):
-            radical = grown
-    g.invariant_memo[key] = radical
-    return radical
+            n = grown
+    return n
+
+
+def _radical(g: FiniteGroup, key: tuple, keep, admits, bound) -> FiniteGroup:
+    """The largest normal subgroup of g passing ``keep``, memoised under
+    key, grown by ``_grow_by_classes``.
+
+    For the properties used here, being a pi-group and being soluble, a
+    product of two normal subgroups that pass passes again, and so does
+    every subgroup of one that passes.  So the greedy growth ends at the
+    largest one: x lies in the radical exactly when its normal closure
+    passes.  The cap ``bound()``, at most |g| and read on a memo miss,
+    is an order past which no radical grows.  ``admits`` holds on the
+    radical, as a pi-core holds only pi-elements, so a class whose least
+    element fails it is skipped.
+    """
+    if key not in g.invariant_memo:
+        g.invariant_memo[key] = _grow_by_classes(g, keep, admits, bound())
+    return g.invariant_memo[key]
 
 
 def pi_core(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
@@ -718,10 +594,10 @@ def pi_residual(g: FiniteGroup, pi: set[int] | frozenset[int]) -> FiniteGroup:
 
     Generated by all pi'-elements: their images in any pi-quotient are
     trivial, and the quotient by their span has pi order by Cauchy.
-    This avoids materialising the lattice, which explodes on elementary
-    abelian sections.  The span grows while the elements are scanned in
-    order, and an element already in it is skipped untested; the
-    generators are the pi'-elements kept on the way.
+    This needs no search over normal subgroups, whose number explodes on
+    elementary abelian sections.  The span grows while the elements are
+    scanned in order, and an element already in it is skipped untested;
+    the generators are the pi'-elements kept on the way.
     """
     pi = frozenset(pi)
     seen = {_identity_images(g.degree): None}
@@ -748,8 +624,7 @@ def prosoluble_residual(g: FiniteGroup) -> FiniteGroup:
 
     This is the stable term of the derived series: quotients by later
     terms are soluble by construction, and any normal subgroup with a
-    soluble quotient absorbs every term.  Computed by iteration, so no
-    lattice is needed.
+    soluble quotient absorbs every term.  Computed by iteration.
     """
     current = g
     while True:
@@ -759,19 +634,38 @@ def prosoluble_residual(g: FiniteGroup) -> FiniteGroup:
         current = nxt
 
 
-def maximal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
-    """Proper normal subgroups that no larger proper one contains.  By
-    Lagrange a subgroup's order divides that of any group holding it, so
-    only such pairs compare elements."""
-    proper = [n for n in g.normal_subgroups if n.order < g.order]
-    out = []
-    for n in proper:
-        if not any(
-            m.order > n.order and m.order % n.order == 0 and m.contains_group(n)
-            for m in proper
-        ):
-            out.append(n)
-    return out
+def _non_abelian_maximals(g: FiniteGroup) -> list[FiniteGroup]:
+    """The maximal normal subgroups of g with a non-abelian quotient, in
+    the order found.
+
+    Let P be the soluble residual.  A maximal normal subgroup has a
+    simple quotient, and it has a non-abelian one exactly when it does
+    not contain P.  Let I be the meet of the ones found so far, and
+    T = I n P.  A further one M is new exactly when it does not contain
+    T: G/I is the direct product of the simple quotients found, so M
+    holds I only if it is one of them, and otherwise IM = PM = G, so the
+    image of [I, P], inside T, is that of [G, G] in the perfect G/M.
+
+    Every normal X that does not contain T has a non-soluble G/X, of
+    order 60 at least, so each trial closure is capped at |G|/60.  A
+    round grows N class by class while it does not contain T
+    (``_grow_by_classes``).  Then N is maximal among such subgroups, and
+    TN/N is the only minimal normal subgroup of G/N.  N is a new maximal
+    when TN = G, that is when |T| |N| = |G| |T n N|.  Otherwise every
+    new maximal M has MN = G, as N is not inside M, and G/M is perfect,
+    so M misses part of [T, N], which lies in T n N.  Either way T n N
+    replaces T.  It is strictly smaller each round, and a trivial T ends
+    the search.
+    """
+    t = prosoluble_residual(g).image_set
+    cap = g.order // 60
+    found = []
+    while len(t) > 1:
+        n = _grow_by_classes(g, lambda n, t=t: not t <= n.image_set, lambda x: True, cap)
+        if len(t) * n.order == g.order * len(t & n.image_set):
+            found.append(n)
+        t = t & n.image_set
+    return found
 
 
 _ALTERNATING_ORDERS = {60: 5, 360: 6, 2520: 7}
@@ -801,16 +695,18 @@ def _power_kernel(g: FiniteGroup, p: int) -> tuple[dict[tuple[int, ...], None], 
 
 
 def _greatest_prime_index_normal(g: FiniteGroup) -> FiniteGroup | None:
-    """The greatest maximal normal subgroup of g, by order and then by
-    sorted element list, when its index is a prime below 60; else None.
+    """The greatest normal subgroup of g of prime index, by order and then
+    by sorted element list; None when g is perfect.
 
     A maximal normal subgroup has a simple quotient: C_q for a prime q
     dividing |G:G'|, or a non-abelian simple group, of order 60 at least.
-    So when G' < G and the least prime p of |G:G'| is below 60, the
-    largest maximal normal subgroups have index p.  Each contains
-    E = G' G^p, and they are the preimages of the hyperplanes of G/E, a
-    vector space over F_p (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 8).
+    The largest of prime index have index p, the least prime of |G:G'|,
+    so they are the greatest maximal normal subgroups when p is below 60.
+    Each contains E = G' G^p, and they are the preimages of the
+    hyperplanes of G/E, a vector space over F_p (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 8).  Under the
+    default cap of 2**20 elements, G/E has dimension at most 3 when p is
+    61 or more, so the candidates below stay few.
 
     One ascending walk over the elements picks a basis: an element
     outside the span of the cosets so far is the next w_i, and every
@@ -827,8 +723,6 @@ def _greatest_prime_index_normal(g: FiniteGroup) -> FiniteGroup | None:
     if derived.order == g.order:
         return None
     p = min(prime_factors(g.order // derived.order))
-    if p >= 60:
-        return None
     seen, kept = _power_kernel(g, p)
     elements = sorted(g.image_set)
     coords: dict[tuple[int, ...], tuple[int, ...]] = dict.fromkeys(seen, ())
@@ -868,19 +762,22 @@ def composition_factors(g: FiniteGroup) -> list[str]:
     """Jordan-Holder factor labels, outermost factor first.
 
     Each step descends to the maximal normal subgroup of largest order,
-    greatest element list first on ties.  When that subgroup has a prime
-    index below 60, ``_greatest_prime_index_normal`` finds it from G/G'G^p
-    without the lattice; perfect steps and larger primes take the last
-    maximal member of the sorted lattice.  The quotient by a maximal
-    normal subgroup is simple, so its label is read off its order and no
-    quotient is built.
+    greatest sorted element list first on ties.  When G is not perfect,
+    ``_greatest_prime_index_normal`` finds the greatest of prime index p
+    from G/G'G^p, and when p is below 60 no maximal normal subgroup is
+    larger.  When G is perfect or p is above 60, the step takes the
+    greatest of that subgroup and the maximals with a non-abelian
+    quotient, by order and then by sorted element list.  The quotient by
+    a maximal normal subgroup is simple, so its label is read off its
+    order and no quotient is built.
     """
     out: list[str] = []
     current = g
     while current.order > 1:
         n = _greatest_prime_index_normal(current)
-        if n is None:
-            n = maximal_normal_subgroups(current)[-1]
+        if n is None or current.order // n.order > 60:
+            candidates = _non_abelian_maximals(current) + ([n] if n else [])
+            n = max(candidates, key=lambda m: (m.order, sorted(m.image_set)))
         out.append(_simple_label_of_order(current.order // n.order))
         current = n
     return out
@@ -892,27 +789,23 @@ def melnikov_subgroup(g: FiniteGroup) -> FiniteGroup:
     A maximal normal subgroup M has a simple quotient.  When that is C_p,
     M holds G'G^p, and the M of index p meet in G'G^p, as the hyperplanes
     of the F_p-space G/G'G^p meet in zero.  So the abelian part is the
-    meet of G'G^p over the primes p dividing |G:G'|.  A non-abelian
-    simple quotient needs G non-soluble, and only then is the lattice
-    read, for the maximal members of non-prime index.  Each must cut the
+    meet of G'G^p over the primes p dividing |G:G'|, and the rest is the
+    meet with ``_non_abelian_maximals``.  Each of those must cut the
     running intersection I by its full index or not at all: if I is not
-    inside M, then IM = G and |I : I n M| = |G : M|.  A member that
+    inside M, then IM = G and |I : I n M| = |G : M|.  A subgroup that
     fails this is no maximal normal subgroup, and the check raises.
     """
     derived = g.derived_subgroup()
     meet = g.image_set
     for p in prime_factors(g.order // derived.order):
         meet = meet.intersection(_power_kernel(g, p)[0])
-    if not g.is_soluble():
-        for m in maximal_normal_subgroups(g):
-            index = g.order // m.order
-            if prime_factors(index) == {index: 1}:
-                continue
-            cut = meet & m.image_set
-            if len(cut) != len(meet) and len(cut) * index != len(meet):
-                ratio = len(meet) // len(cut)
-                raise AssertionError(f"a maximal of index {index} cuts the meet by {ratio}")
-            meet = cut
+    for m in _non_abelian_maximals(g):
+        index = g.order // m.order
+        cut = meet & m.image_set
+        if len(cut) != len(meet) and len(cut) * index != len(meet):
+            ratio = len(meet) // len(cut)
+            raise AssertionError(f"a maximal of index {index} cuts the meet by {ratio}")
+        meet = cut
     result = g.subgroup_from_elements(map(Perm._trusted, meet))
     result.__dict__["image_set"] = meet
     return result

@@ -3,18 +3,19 @@
 The normal-subgroup oracle enumerates every union of conjugacy classes
 and keeps the ones that happen to be subgroups.  That is exhaustive and
 plainly correct (a normal subgroup is exactly a class-closed subgroup),
-and it shares no code path with the engine's class-mask lattice.
-The join-of-closures oracle is the lattice search the engine used
-before it moved to class masks: it closes the subgroup generated by
-each class, then closes every join along a breadth-first search.  It
-builds the same members with the same generators in the same order,
-so it pins down the engine's output object for object.  The class-product
-oracles are the table and search the engine used before it multiplied
-each pair of classes once and read joins as products: a k * |G| table,
-one representative of each class times all of G, and every join a
-fixpoint on it.  They must give the same table and the same class mask
-and generators for every member.  The descent oracle reads composition
-factors off the join-of-closures lattice.
+and it shares no code path with the class-mask lattice.  The class-mask
+lattice, ``oracle_normal_lattice``, is the normal-subgroup lattice the
+engine built before its maximal normal subgroups grew by class
+closures: it multiplies each pair of classes once and reads each join
+as a product of two normal subgroups.  It is the fast reference for the
+maximals, the composition factors and the Melnikov subgroup.  The
+join-of-closures oracle is the lattice search used before class masks:
+it closes the subgroup generated by each class, then closes every join
+along a breadth-first search.  It builds the same members with the same
+generators in the same order, so it pins down the class-mask lattice
+object for object, but it is too slow to be the only reference.  The
+descent oracle reads composition factors off the join-of-closures
+lattice.
 The derived-series oracle closes over all commutators, not just
 generator commutators.  The pi'-span oracle is ``pi_residual`` as it
 was before it skipped elements already in the residual: it spans every
@@ -199,8 +200,7 @@ from tdlclab.localstruct import (
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
-    _class_closure,
-    maximal_normal_subgroups,
+    _identity_images,
     prime_factors,
 )
 from tdlclab.tree import (
@@ -350,48 +350,163 @@ def oracle_lattice_by_joins(g: FiniteGroup) -> tuple[FiniteGroup, ...]:
     return tuple(sorted(lattice.values(), key=lambda s: (s.order, s.element_list)))
 
 
-def oracle_class_products(g: FiniteGroup) -> list[list[int]]:
-    """The class-product table as ``normal_subgroups`` built it before it
-    multiplied each pair of classes once: row i multiplies one
-    representative of class i by every element of G, k * |G| products."""
-    classes = g._classes
-    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
-    support = []
-    for cls in classes:
-        rep = next(iter(cls))
-        row = [0] * len(classes)
-        for xs, j in class_of.items():
-            row[j] |= 1 << class_of[tuple([rep[y] for y in xs])]
-        support.append(row)
-    return support
+def oracle_normal_lattice(g: FiniteGroup) -> tuple[FiniteGroup, ...]:
+    """All normal subgroups, found as unions of conjugacy classes, as the
+    engine's ``FiniteGroup.normal_subgroups`` built them before the
+    maximal normal subgroups grew by class closures; memoised in
+    ``g.invariant_memo``.
 
-
-def oracle_lattice_masks(g: FiniteGroup) -> dict[int, tuple[Perm, ...]]:
-    """Class mask to generators of every normal subgroup, in search order,
-    as ``normal_subgroups`` found them before it read joins as products:
-    every join is the fixpoint ``_class_closure`` on the k * |G| table."""
+    A normal subgroup is a union of classes closed under products.
+    ``_class_products`` tabulates, as class masks, the classes met by
+    each product C_i C_j, multiplying each unordered pair of classes
+    once from the smaller class.  The closure of a single class is a
+    fixpoint on that table.  Every other member is a join K M of a
+    member K found already and a class closure M, and the product of
+    two normal subgroups is their join: K M is K together with C_j K
+    for each class j of M outside K, so each join is a few ORs of
+    K's row of masks C_j K, built once per member.  The lattice is
+    searched breadth first from the trivial group, joining each member
+    found with each class closure in class order.  A member's
+    generators are the class generators along its search path, and
+    its element set is the union of its classes.  Members come sorted
+    by order, then by element list.
+    """
+    key = ("oracle_normal_lattice",)
+    if key in g.invariant_memo:
+        return g.invariant_memo[key]
     classes = g._classes
-    support = oracle_class_products(g)
-    trivial = next(1 << i for i, cls in enumerate(classes) if tuple(range(g.degree)) in cls)
+    bit_of = {x: 1 << i for i, cls in enumerate(classes) for x in cls}
+    support = _class_products(classes, bit_of)
+    trivial = bit_of[_identity_images(g.degree)]
     class_closures: dict[int, tuple[Perm, ...]] = {}
     for i, cls in enumerate(classes):
         mask = _class_closure(support, trivial, 1 << i)
         if mask not in class_closures:
-            class_closures[mask] = tuple(map(Perm, sorted(cls)))
+            class_closures[mask] = tuple(map(Perm._trusted, sorted(cls)))
     lattice: dict[int, tuple[Perm, ...]] = {trivial: ()}
     frontier = [trivial]
     while frontier:
         fresh = []
         for known in frontier:
+            inside = _bits(known)
+            times_known = []
+            for row in support:
+                product = 0
+                for i in inside:
+                    product |= row[i]
+                times_known.append(product)
             for mask, gens in class_closures.items():
-                if mask & ~known == 0:
+                outside = mask & ~known
+                if outside == 0:
                     continue
-                joined = _class_closure(support, known, mask)
+                joined = known
+                for j in _bits(outside):
+                    joined |= times_known[j]
                 if joined not in lattice:
                     lattice[joined] = lattice[known] + gens
                     fresh.append(joined)
         frontier = fresh
-    return lattice
+    members = []
+    for mask, gens in lattice.items():
+        member = g.subgroup(gens)
+        member.__dict__["image_set"] = frozenset().union(
+            *(cls for i, cls in enumerate(classes) if mask >> i & 1)
+        )
+        members.append(member)
+    g.invariant_memo[key] = _by_order_then_elements(members)
+    return g.invariant_memo[key]
+
+
+def _class_products(
+    classes: tuple[frozenset[tuple[int, ...]], ...],
+    bit_of: dict[tuple[int, ...], int],
+) -> list[list[int]]:
+    """``support[i][j]``, the mask of the classes in C_i C_j.
+
+    Classes are normal sets, so ``C_i C_j == C_j C_i`` and one entry
+    fills both.  Conjugating a product can move either factor onto its
+    class representative, so every class in the product is met by the
+    representative of one class times the elements of the other: the
+    larger class's representative times the smaller class, which is
+    min(|C_i|, |C_j|) products for the pair.
+    """
+    reps = [next(iter(cls)) for cls in classes]
+    support = [[0] * len(classes) for _ in classes]
+    for i, ci in enumerate(classes):
+        for j in range(i, len(classes)):
+            cj = classes[j]
+            rep, elems = (reps[j], ci) if len(ci) <= len(cj) else (reps[i], cj)
+            mask = 0
+            for x in elems:
+                mask |= bit_of[tuple([rep[y] for y in x])]
+            support[i][j] = support[j][i] = mask
+    return support
+
+
+def _class_closure(support: list[list[int]], closed: int, extra: int) -> int:
+    """Smallest product-closed class mask holding a closed mask and extra.
+
+    ``oracle_normal_lattice`` uses it for the closure of a single class, which
+    is not a subgroup; joins of subgroups are read as products instead.
+    ``support[i][j]`` is the mask of classes in the product of classes i
+    and j.  Each class outside ``closed`` is taken once, when it joins
+    the mask, and multiplied with everything already in it.  So every
+    pair meets in one order at least, and one order is enough: classes
+    are normal sets, so ``C_i C_j == C_j C_i``.
+    """
+    mask = closed | extra
+    todo = _bits(extra & ~closed)
+    while todo:
+        row = support[todo.pop()]
+        new = 0
+        for j in _bits(mask):
+            new |= row[j]
+        new &= ~mask
+        mask |= new
+        todo.extend(_bits(new))
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, lowest first, one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _by_order_then_elements(groups: list[FiniteGroup]) -> tuple[FiniteGroup, ...]:
+    """Groups sorted by order, then by their sorted image tuples, which
+    compare as ``element_list`` does.  Element lists are built only among
+    groups of equal order."""
+    by_order: dict[int, list[FiniteGroup]] = {}
+    for n in groups:
+        by_order.setdefault(n.order, []).append(n)
+    out: list[FiniteGroup] = []
+    for order in sorted(by_order):
+        tied = by_order[order]
+        if len(tied) > 1:
+            tied.sort(key=lambda n: sorted(n.image_set))
+        out += tied
+    return tuple(out)
+
+
+def oracle_maximal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
+    """Proper normal subgroups that no larger proper one contains.  By
+    Lagrange a subgroup's order divides that of any group holding it, so
+    only such pairs compare elements."""
+    proper = [n for n in oracle_normal_lattice(g) if n.order < g.order]
+    out = []
+    for n in proper:
+        if not any(
+            m.order > n.order and m.order % n.order == 0 and m.contains_group(n)
+            for m in proper
+        ):
+            out.append(n)
+    return out
+
 
 
 def oracle_element_set(g: FiniteGroup) -> frozenset[Perm]:
@@ -524,20 +639,20 @@ def oracle_melnikov(g: FiniteGroup) -> frozenset[Perm]:
 
 def oracle_largest_normal(g: FiniteGroup, keep) -> FiniteGroup:
     """The cores as ``pi_core`` and ``prosoluble_core`` read them off the
-    engine's lattice before they grew class by class: the greatest member
+    class-mask lattice before they grew class by class: the greatest member
     passing ``keep``, checked to contain every other one."""
-    candidates = [n for n in g.normal_subgroups if keep(n)]
+    candidates = [n for n in oracle_normal_lattice(g) if keep(n)]
     best = candidates[-1]
     assert all(best.contains_group(n) for n in candidates)
     return best
 
 
 def _oracle_is_simple(g: FiniteGroup) -> bool:
-    return g.order > 1 and len(g.normal_subgroups) == 2
+    return g.order > 1 and len(oracle_normal_lattice(g)) == 2
 
 
 def _oracle_minimal_normal_subgroups(g: FiniteGroup) -> list[FiniteGroup]:
-    nontrivial = [n for n in g.normal_subgroups if n.order > 1]
+    nontrivial = [n for n in oracle_normal_lattice(g) if n.order > 1]
     return [
         n
         for n in nontrivial
@@ -565,20 +680,19 @@ def _oracle_is_semisimple(g: FiniteGroup) -> bool:
 
 def oracle_melnikov_by_quotient(g: FiniteGroup) -> frozenset[tuple[int, ...]]:
     """``melnikov_subgroup`` as it was before it met G'G^p: the meet of
-    every maximal member of the engine's lattice, whose quotient is
+    every maximal member of the class-mask lattice, whose quotient is
     checked to be a direct product of simple groups.  A trivial meet
     has G itself for its quotient, so G is checked instead of its action
     on |G| cosets."""
     meet = g.image_set
-    for m in maximal_normal_subgroups(g):
+    for m in oracle_maximal_normal_subgroups(g):
         meet &= m.image_set
     result = g.subgroup(tuple(map(Perm._trusted, sorted(meet))))
     assert _oracle_is_semisimple(g if len(meet) == 1 else oracle_quotient(g, result))
     return meet
 
 
-def _oracle_label(g: FiniteGroup, elems: frozenset[Perm]) -> str:
-    n = len(elems)
+def _oracle_label(n: int) -> str:
     fac = prime_factors(n)
     if len(fac) == 1 and sum(fac.values()) == 1:
         return f"C{n}"
@@ -598,7 +712,7 @@ def oracle_composition_factors(g: FiniteGroup) -> list[str]:
         ]
         n = max(maximals, key=lambda m: (len(m), sorted(p.images for p in m)))
         sub = current.subgroup_from_elements(n)
-        out.append(_oracle_label(current, oracle_quotient(current, sub).element_set))
+        out.append(_oracle_label(oracle_quotient(current, sub).order))
         current = sub
     return out
 
@@ -1407,7 +1521,20 @@ def oracle_composition_factors_by_joins(g: FiniteGroup) -> list[str]:
             if not any(m.order > n.order and n.element_set <= m.element_set for m in proper)
         ]
         n = max(maximals, key=lambda m: (m.order, m.element_list))
-        out.append(_oracle_label(current, oracle_quotient(current, n).element_set))
+        out.append(_oracle_label(oracle_quotient(current, n).order))
+        current = n
+    return out
+
+
+def oracle_composition_factors_by_lattice(g: FiniteGroup) -> list[str]:
+    """Factor labels by descent through ``oracle_normal_lattice``, as
+    ``composition_factors`` read them before its perfect steps left the
+    lattice: each step takes the last maximal member."""
+    out: list[str] = []
+    current = g
+    while current.order > 1:
+        n = oracle_maximal_normal_subgroups(current)[-1]
+        out.append(_oracle_label(current.order // n.order))
         current = n
     return out
 

@@ -9,11 +9,12 @@ import sys
 
 import pytest
 
-from tdlclab import cli, permgrp
+from tdlclab import cli, dynamics, permgrp
 from tdlclab.certificates import canonical_json, normalise
 from tdlclab.errors import (
     ClosureCapExceeded, NotSkewering, PrecisionExhausted, SearchExhausted, SpecFileError,
 )
+from tdlclab.tree import SpecWord
 
 US3 = """\
 [tree]
@@ -537,6 +538,22 @@ def test_certify_free_semigroup_refutes_on_rotations(spec_file, capsys, tmp_path
     assert cert["checks"] == {"reason": report["results"]["reason"]}
 
 
+def test_certify_free_semigroup_failed_check_exits_70_without_certificate(
+    spec_file, capsys, tmp_path, monkeypatch
+):
+    # every check holds by construction, so one made to fail is a fault:
+    # here g and h are built as the identity, so h.alpha = alpha misses beta
+    monkeypatch.setattr(dynamics.ActionContext, "word", lambda self, names: SpecWord(self.shape, ()))
+    out = tmp_path / "free.cert.json"
+    code, report, captured = run_cli(
+        capsys, "certify", "free-semigroup", spec_file(US3), "--out", str(out)
+    )
+    assert (code, report, out.exists()) == (70, None, False)
+    assert captured.err.startswith(
+        "internal error: AssertionError: free-semigroup checks fail: h_alpha_inside_leftover"
+    )
+
+
 def test_certify_free_semigroup_rotation_search_exit_codes(spec_file, capsys, tmp_path):
     # g = t0 skewers, but no word in the base-fixing generators rho and
     # u1 separates g.alpha from it: their orbit on the pair closes at
@@ -839,7 +856,7 @@ def test_cap_only_tightens(spec_file, capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("fault", [AssertionError("broken invariant"), MemoryError()])
+@pytest.mark.parametrize("fault", [AssertionError("broken invariant")])
 def test_internal_fault_exits_70_not_refuted(spec_file, capsys, monkeypatch, fault):
     def handler(args, spec):
         raise fault
@@ -857,7 +874,7 @@ def test_a_failed_melnikov_order_check_exits_70(spec_file, capsys, monkeypatch):
     # index 120, so the order check raises
     spec = ROOTED_BINARY.replace("degree = 2", "degree = 7").replace(
         "(0 1)", "(0 1 2), (2 3 4), (5 6)")
-    monkeypatch.setattr(permgrp, "maximal_normal_subgroups", lambda g: [g.subgroup(())])
+    monkeypatch.setattr(permgrp, "_non_abelian_maximals", lambda g: [g.subgroup(())])
     code, report, captured = run_cli(capsys, "report-local", spec_file(spec), "--depths", "1..2")
     assert (code, report) == (70, None)
     assert captured.err.startswith("internal error: AssertionError: a maximal of index 120 cuts the meet by 60")
@@ -868,6 +885,9 @@ def test_a_failed_melnikov_order_check_exits_70(spec_file, capsys, monkeypatch):
     [
         (SpecFileError("bad key", 3), 2, "spec error: line 3, column 1: bad key"),
         (ClosureCapExceeded(4), 3, "cap exceeded: element closure exceeded cap 4"),
+        # the host's memory is a bound, not a program fault; no test
+        # allocates to provoke it
+        (MemoryError(), 3, "out of memory: "),
         (SearchExhausted("pair", 6), 4, "search exhausted: pair (bound 6)"),
         (PrecisionExhausted("ball"), 4, "precision exhausted: ball"),
         (NotSkewering("fixed"), 1, "refuted: fixed"),

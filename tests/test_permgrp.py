@@ -1,4 +1,4 @@
-"""Group engine: closure, lattice, cores, factors, named lemmas.
+"""Group engine: closure, cores, maximals, factors, named lemmas.
 
 Derived expected values were computed with the oracles in oracles.py
 (exhaustive class-union scan, brute-force commutator closure) and then
@@ -6,6 +6,7 @@ frozen; the oracle calls stay in the tests so drift is caught.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -17,18 +18,16 @@ from tdlclab.errors import ClosureCapExceeded
 from tdlclab.permgrp import (
     FiniteGroup,
     Perm,
-    _bits,
-    _class_products,
     _greatest_prime_index_normal,
     _grow,
     _identity_images,
+    _non_abelian_maximals,
     alternating_group,
     composition_factors,
     cyclic_group,
     dihedral_group,
     direct_product,
     is_pi_number,
-    maximal_normal_subgroups,
     melnikov_subgroup,
     parse_perm,
     pi_core,
@@ -46,20 +45,21 @@ from tdlclab.tree import level_group, level_order
 from oracles import (
     _oracle_soluble,
     corpus,
-    oracle_class_products,
     oracle_close,
     oracle_composition_factors,
     oracle_composition_factors_by_joins,
+    oracle_composition_factors_by_lattice,
     oracle_conjugacy_classes,
     oracle_element_set,
     oracle_derived,
     oracle_grow,
     oracle_largest_normal,
     oracle_lattice_by_joins,
-    oracle_lattice_masks,
+    oracle_maximal_normal_subgroups,
     oracle_melnikov,
     oracle_melnikov_by_quotient,
     oracle_normal_closure,
+    oracle_normal_lattice,
     oracle_normal_subgroups,
     oracle_pi_core,
     oracle_pi_prime_span,
@@ -208,13 +208,13 @@ def test_quaternion_is_not_dihedral():
     assert sum(1 for p in d8.element_set if p.order() == 2) == 5
 
 
-# -- normal lattice vs oracle ----------------------------------------------------
+# -- the class-mask lattice reference vs oracles ---------------------------------
 
 
 def test_normal_lattice_matches_oracle_on_corpus():
     for name, g in corpus().items():
         mine = sorted(
-            (n.element_set for n in g.normal_subgroups),
+            (n.element_set for n in oracle_normal_lattice(g)),
             key=lambda s: (len(s), sorted(p.images for p in s)),
         )
         theirs = oracle_normal_subgroups(g)
@@ -228,7 +228,7 @@ def test_normal_lattice_matches_the_join_of_closures_oracle():
         level1296=level_group(rooted(3), symmetric_group(3), 2),
     )
     for name, g in groups.items():
-        mine = g.normal_subgroups
+        mine = oracle_normal_lattice(g)
         theirs = oracle_lattice_by_joins(g)
         assert [(n.order, n.element_list, n.gens) for n in mine] == [
             (n.order, n.element_list, n.gens) for n in theirs
@@ -237,37 +237,11 @@ def test_normal_lattice_matches_the_join_of_closures_oracle():
             assert n.pruned_gens == FiniteGroup(n.degree, n.gens).pruned_gens, name
 
 
-def test_normal_lattice_closes_no_member(monkeypatch):
-    groups = [symmetric_group(4), wreath_c2_tower(3)]
-    for g in groups:
-        g.conjugacy_classes
-    monkeypatch.setattr(FiniteGroup, "_close", lambda self: pytest.fail("closed a member"))
-    assert [len(g.normal_subgroups) for g in groups] == [4, 28]
-
-
 def _bench_level_groups() -> dict[str, FiniteGroup]:
     return {
         "level1296": level_group(rooted(3), symmetric_group(3), 2),
         "level3072": level_group(regular(3), symmetric_group(3), 3),
     }
-
-
-def test_class_products_and_lattice_masks_match_the_full_table_oracle():
-    groups = dict(corpus(), C2wr3=wreath_c2_tower(3), **_bench_level_groups())
-    for name, g in groups.items():
-        bit_of = {x: 1 << i for i, cls in enumerate(g._classes) for x in cls}
-        assert _class_products(g._classes, bit_of) == oracle_class_products(g), name
-        members = g.normal_subgroups
-        mine = {}
-        for n in members:
-            mask = 0
-            for x in n.image_set:
-                mask |= bit_of[x]
-            mine[mask] = n.gens
-        assert mine == oracle_lattice_masks(g), name
-        assert list(members) == sorted(
-            members, key=lambda n: (n.order, n.element_list)
-        ), name
 
 
 def test_composition_factors_pinned_on_the_bench_level_groups():
@@ -325,42 +299,62 @@ def _seeded_groups(count: int, seed: int) -> list[FiniteGroup]:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    return prime_factors(n) == {n: 1}
+
+
+@functools.cache
+def _named_groups() -> dict[str, FiniteGroup]:
+    """The named groups of the lattice comparisons, built once, so that
+    each lattice reference is built once too: it takes seconds on
+    C59 x A5 and A5 x C61."""
+    a5, s5, c3, c5 = alternating_group(5), symmetric_group(5), cyclic_group(3), cyclic_group(5)
+    return dict(
+        A5xC2=direct_product(a5, cyclic_group(2)),
+        A5xC4=direct_product(a5, cyclic_group(4)),
+        A5xA5=direct_product(a5, a5),
+        A5xS3=direct_product(a5, symmetric_group(3)),
+        S5=s5,
+        S5xA5=direct_product(s5, a5),
+        S5xS5=direct_product(s5, s5),
+        A6=alternating_group(6),
+        A4xC3=direct_product(alternating_group(4), c3),
+        C4=cyclic_group(4),
+        C3cubed=direct_product(direct_product(c3, c3), c3),
+        C5squared=direct_product(c5, c5),
+        C2wr3=wreath_c2_tower(3),
+        **_bench_level_groups(),
+        C59xA5=direct_product(cyclic_group(59), a5),
+        A5xC61=direct_product(a5, cyclic_group(61)),
+    )
+
+
 def _prime_index_steps_match_the_lattice(g: FiniteGroup) -> int:
     """Descend g through the lattice's greatest maximal member, checking
-    the prime-index step against it wherever the step applies; the step
-    declines only on perfect groups and primes of 60 and above.  Returns
-    the number of steps that applied."""
+    the prime-index step at each step against the greatest maximal member
+    of prime index; the step declines only on perfect groups.  Returns the
+    number of steps that applied."""
     applied = 0
     current = g
     while current.order > 1:
         mine = _greatest_prime_index_normal(current)
-        want = maximal_normal_subgroups(current)[-1]
+        maximals = oracle_maximal_normal_subgroups(current)
+        of_prime_index = [m for m in maximals if _is_prime(current.order // m.order)]
         if mine is None:
-            index = current.order // current.derived_subgroup().order
-            assert index == 1 or min(prime_factors(index)) >= 60
+            assert of_prime_index == []
         else:
-            assert mine.image_set == want.image_set
+            assert mine.image_set == of_prime_index[-1].image_set
             assert mine.pruned_gens == FiniteGroup(g.degree, mine.gens).pruned_gens
             applied += 1
-        current = want
+        current = maximals[-1]
     return applied
 
 
 def test_prime_index_step_matches_the_lattice_on_corpus_and_named_cases():
-    c3, c5 = cyclic_group(3), cyclic_group(5)
-    groups = dict(
-        corpus(),
-        C4=cyclic_group(4),
-        C3cubed=direct_product(direct_product(c3, c3), c3),
-        C5squared=direct_product(c5, c5),
-        S5=symmetric_group(5),
-        A5xC2=direct_product(alternating_group(5), cyclic_group(2)),
-        A4xC3=direct_product(alternating_group(4), c3),
-        C2wr3=wreath_c2_tower(3),
-        **_bench_level_groups(),
-    )
+    groups = dict(corpus(), **_named_groups())
     applied = {name: _prime_index_steps_match_the_lattice(g) for name, g in groups.items()}
     assert applied["A5"] == 0 and applied["C3cubed"] == 3 and applied["level3072"] == 11
+    assert applied["A5xC61"] == 2 and applied["S5xA5"] == 1
 
 
 def test_prime_index_step_matches_the_lattice_on_seeded_groups():
@@ -379,27 +373,41 @@ def test_prime_index_step_takes_index_59_below_the_order_of_a5():
     assert composition_factors(g) == ["C59", "A5"]
 
 
-def test_prime_index_step_declines_primes_of_60_and_above():
-    # A5 x C61: the greatest maximal normal subgroup is C61, of index 60,
-    # not A5 of the prime index 61.  The lattice is not built.
-    assert _greatest_prime_index_normal(direct_product(alternating_group(5), cyclic_group(61))) is None
-    assert _greatest_prime_index_normal(alternating_group(5)) is None
+def test_prime_index_61_loses_to_the_maximal_of_index_60():
+    # A5 x C61: the step takes A5, of the prime index 61, but the greatest
+    # maximal normal subgroup is C61, of index 60, so the series descends
+    # to C61 first.  A perfect group has no subgroup of prime index.
+    a5 = alternating_group(5)
+    g = direct_product(a5, cyclic_group(61))
+    a5_inside = FiniteGroup(66, [Perm(p.images + tuple(range(5, 66))) for p in a5.gens])
+    assert _greatest_prime_index_normal(g).image_set == a5_inside.image_set
+    assert composition_factors(g) == ["A5", "C61"]
+    assert _greatest_prime_index_normal(a5) is None
 
 
-def test_bits_list_set_positions_lowest_first_seeded():
-    rng = random.Random(29)
-    masks = [0, 1, 2, 3, 1 << 70, (1 << 70) - 1] + [rng.getrandbits(rng.randint(1, 90)) for _ in range(300)]
-    for mask in masks:
-        assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1], mask
+def _assert_maximals_and_factors_match_the_lattice(g: FiniteGroup, name) -> None:
+    want = {
+        m.image_set for m in oracle_maximal_normal_subgroups(g) if not _is_prime(g.order // m.order)
+    }
+    mine = [m.image_set for m in _non_abelian_maximals(g)]
+    assert len(set(mine)) == len(mine) and set(mine) == want, name
+    assert composition_factors(g) == oracle_composition_factors_by_lattice(g), name
 
 
-def test_maximal_normal_subgroups_match_the_containment_scan():
-    # every pair of proper members compared on its element sets, with no order test
-    groups = dict(corpus(), C2wr3=wreath_c2_tower(3), level1296=_bench_level_groups()["level1296"])
+def test_non_abelian_maximals_and_factors_match_the_lattice_on_corpus_and_named_groups():
+    groups = dict(corpus(), **_named_groups())
     for name, g in groups.items():
-        proper = [n for n in g.normal_subgroups if n.order < g.order]
-        want = [n for n in proper if not any(n.image_set < m.image_set for m in proper)]
-        assert maximal_normal_subgroups(g) == want, name
+        _assert_maximals_and_factors_match_the_lattice(g, name)
+    # S5 x A5: the first round grows to 1 x A5, which holds no new maximal,
+    # so T shrinks to 1 x A5 before S5 x 1 is found
+    s5xa5 = _named_groups()["S5xA5"]
+    assert [m.order for m in _non_abelian_maximals(s5xa5)] == [120]
+    assert composition_factors(s5xa5) == ["C2", "A5", "A5"]
+
+
+def test_non_abelian_maximals_and_factors_match_the_lattice_on_seeded_groups():
+    for i, g in enumerate(_seeded_groups(300, 45)):
+        _assert_maximals_and_factors_match_the_lattice(g, i)
 
 
 def test_normal_closure_examples():
@@ -629,38 +637,22 @@ def test_melnikov_examples():
     assert melnikov_subgroup(alternating_group(5)).order == 1
 
 
-def _assert_cores_and_melnikov_match_the_lattice_route(
-    g: FiniteGroup, name: str, melnikov: bool = True
-) -> None:
+def _assert_cores_and_melnikov_match_the_lattice_route(g: FiniteGroup, name) -> None:
     for pi in ({2}, {3}, {2, 3}, {5}):
         want = oracle_largest_normal(g, lambda n: is_pi_number(n.order, pi))
         assert pi_core(g, pi).image_set == want.image_set, (name, pi)
     want = oracle_largest_normal(g, FiniteGroup.is_soluble)
     assert prosoluble_core(g).image_set == want.image_set, name
-    if melnikov:
-        assert melnikov_subgroup(g).image_set == oracle_melnikov_by_quotient(g), name
+    assert melnikov_subgroup(g).image_set == oracle_melnikov_by_quotient(g), name
 
 
 def test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups():
-    a5, c2 = alternating_group(5), cyclic_group(2)
-    groups = dict(
-        corpus(),
-        A5xC2=direct_product(a5, c2),
-        A5xC4=direct_product(a5, cyclic_group(4)),
-        A5xA5=direct_product(a5, a5),
-        S5=symmetric_group(5),
-        A4xC3=direct_product(alternating_group(4), cyclic_group(3)),
-        C2wr3=wreath_c2_tower(3),
-        level1296=_bench_level_groups()["level1296"],
-    )
+    groups = dict(corpus(), **_named_groups())
     for name, g in groups.items():
         _assert_cores_and_melnikov_match_the_lattice_route(g, name)
-    # the cores alone: a radical of order 59 whose class closures stop at
-    # the bound |G| / 60 = 59; the quotient oracle for Melnikov would act
-    # on 3,540 cosets
-    c59xa5 = direct_product(cyclic_group(59), a5)
-    _assert_cores_and_melnikov_match_the_lattice_route(c59xa5, "C59xA5", melnikov=False)
-    assert prosoluble_core(c59xa5).order == 59
+    # a radical of order 59 whose class closures stop at the bound
+    # |G| / 60 = 59
+    assert prosoluble_core(groups["C59xA5"]).order == 59
 
 
 def test_cores_and_melnikov_match_the_lattice_route_on_seeded_groups():
@@ -675,7 +667,7 @@ def test_melnikov_order_check_refuses_a_normal_subgroup_that_is_not_maximal(monk
     # subgroup, cuts the meet G'G^2 = A5 by 60, not by its index 120
     a5xc2 = direct_product(alternating_group(5), cyclic_group(2))
     assert melnikov_subgroup(a5xc2).order == 1
-    monkeypatch.setattr(permgrp, "maximal_normal_subgroups", lambda g: [g.subgroup(())])
+    monkeypatch.setattr(permgrp, "_non_abelian_maximals", lambda g: [g.subgroup(())])
     with pytest.raises(AssertionError, match="a maximal of index 120 cuts the meet by 60"):
         melnikov_subgroup(direct_product(alternating_group(5), cyclic_group(2)))
 
@@ -707,7 +699,7 @@ def test_invariants_match_oracle_on_corpus():
 def test_is_soluble_matches_oracle_on_corpus():
     verdicts = set()
     for name, g in corpus().items():
-        for sub in (g, *g.normal_subgroups):
+        for sub in (g, *map(g.subgroup_from_elements, oracle_normal_subgroups(g))):
             want = _oracle_soluble(sub, sub.element_set)
             assert sub.is_soluble() == want, name
             verdicts.add(want)
@@ -823,7 +815,7 @@ def test_normalises_matches_elementwise_oracle_on_corpus():
     outcomes = set()
     for name, g in corpus().items():
         cyclic = [g.subgroup([x]) for x in rng.sample(g.element_list, 4)]
-        subs = [g, *g.normal_subgroups, *cyclic]
+        subs = [g, *map(g.subgroup_from_elements, oracle_normal_subgroups(g)), *cyclic]
         for outer in subs:
             for inner in subs:
                 want = _oracle_normalises(outer, inner)

@@ -49,6 +49,11 @@ ROOTED_A4XC3 = ROOTED_SYM5.replace("degree = 5", "degree = 7").replace(
 # G'G^2 = A5 x C2 with the maximal C4 of index 60
 ROOTED_A5XC4 = ROOTED_SYM5.replace("degree = 5", "degree = 9").replace(
     "(0 1), (0 1 2 3 4)", "(0 1 2), (2 3 4), (5 6 7 8)")
+# a rooted degree-10 tree over S5 x A5, whose local factors C2, A5, A5
+# take a perfect step, and whose non-abelian maximal S5 x 1 is found
+# after a round that grows to 1 x A5 and finds none
+ROOTED_S5XA5 = ROOTED_SYM5.replace("degree = 5", "degree = 10").replace(
+    "(0 1), (0 1 2 3 4)", "(0 1), (0 1 2 3 4), (5 6 7), (7 8 9)")
 # US3_ELEMENTS plus u2, a witness at (1, 0) on the repelling side of g:
 # its conjugates by g^k read the ball about g^-k(v0) from inside the
 # subtree at (1, 0), the reversed half-tree
@@ -61,7 +66,7 @@ README_SPEC = re.search(r"```ini\n(.*?)```", (HERE / "README.md").read_text(), r
 SPECS = {"readme": README_SPEC, "elements": US3_ELEMENTS, "rooted-binary": ROOTED_BINARY,
          "regular-sym3": US3, "two-copy": TWOCOPY, "lone-axis": LONE_AXIS, "word": US3_WORD,
          "rooted-sym5": ROOTED_SYM5, "rooted-alt5": ROOTED_ALT5, "rooted-a4xc3": ROOTED_A4XC3,
-         "rooted-a5xc4": ROOTED_A5XC4,
+         "rooted-a5xc4": ROOTED_A5XC4, "rooted-s5xa5": ROOTED_S5XA5,
          "reversed": US3_REVERSED, "rotation-only": ROTONLY,
          # [limits] entries the spec parser refuses: a value below its
          # minimum and an unknown key
@@ -107,7 +112,7 @@ def cases() -> list[tuple[str, list[str]]]:
     # with the order check on its non-abelian maximals, and A5 factors
     for spec in ("rooted-sym5", "rooted-alt5"):
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..3"]))
-    for spec in ("rooted-a4xc3", "rooted-a5xc4"):
+    for spec in ("rooted-a4xc3", "rooted-a5xc4", "rooted-s5xa5"):
         out.append((spec, ["report-local", "spec.ini", "--depths", "1..2"]))
     for spec in ("elements", "regular-sym3"):
         for depth in (2, 3):

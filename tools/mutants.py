@@ -182,22 +182,6 @@ MUTANTS = (
         "if len(seen) + len(group) >= cap:",
         ("tests/test_permgrp.py::test_closure_cap_is_the_largest_order_that_closes",),
     ),
-    # the class-product table filled above its diagonal only
-    Mutant(
-        "class-products-one-triangle",
-        "src/tdlclab/permgrp.py",
-        "support[i][j] = support[j][i] = mask",
-        "support[i][j] = mask",
-        ("tests/test_permgrp.py::test_class_products_and_lattice_masks_match_the_full_table_oracle",),
-    ),
-    # a lattice join read as the products C_j K without K itself
-    Mutant(
-        "lattice-join-drops-the-member",
-        "src/tdlclab/permgrp.py",
-        "                    joined = known\n",
-        "                    joined = 0\n",
-        ("tests/test_permgrp.py::test_class_products_and_lattice_masks_match_the_full_table_oracle",),
-    ),
     # the composition series descends to the first candidate hyperplane,
     # not to the greatest one the selection walk leaves
     Mutant(
@@ -225,20 +209,30 @@ MUTANTS = (
         "_grow(seen, kept, [], g.cap)",
         ("tests/test_permgrp.py::test_prime_index_step_matches_the_lattice_on_corpus_and_named_cases",),
     ),
-    # the step also takes a prime index of 61, past the order of A5
+    # a step of prime index 61 no longer meets the maximals of index 60,
+    # so A5 x C61 descends to A5 first
     Mutant(
         "prime-index-threshold-raised",
         "src/tdlclab/permgrp.py",
-        "    if p >= 60:\n",
-        "    if p >= 62:\n",
-        ("tests/test_permgrp.py::test_prime_index_step_declines_primes_of_60_and_above",),
+        "if n is None or current.order // n.order > 60:",
+        "if n is None or current.order // n.order > 61:",
+        ("tests/test_permgrp.py::test_prime_index_61_loses_to_the_maximal_of_index_60",),
+    ),
+    # a step of prime index never meets the maximals with a non-abelian
+    # quotient, whatever its index
+    Mutant(
+        "composition-skips-the-index-60-comparison",
+        "src/tdlclab/permgrp.py",
+        "if n is None or current.order // n.order > 60:",
+        "if n is None:",
+        ("tests/test_permgrp.py::test_prime_index_61_loses_to_the_maximal_of_index_60",),
     ),
     # the radical grown from the class alone, so each class that passes
     # replaces the radical found so far instead of joining it
     Mutant(
         "radical-restarts-from-the-class-alone",
         "src/tdlclab/permgrp.py",
-        "seen, kept = dict.fromkeys(radical.image_set), list(radical.pruned_gens)",
+        "seen, kept = dict.fromkeys(n.image_set), list(n.pruned_gens)",
         "seen, kept = {_identity_images(g.degree): None}, []",
         ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
     ),
@@ -267,13 +261,31 @@ MUTANTS = (
         "    for p in list(prime_factors(g.order // derived.order))[:1]:\n",
         ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
     ),
-    # Melnikov never reads the maximal normal subgroups of non-prime index
+    # Melnikov never meets the maximal normal subgroups of non-abelian quotient
     Mutant(
         "melnikov-skips-the-non-abelian-maximals",
         "src/tdlclab/permgrp.py",
-        "    if not g.is_soluble():\n",
-        "    if False:\n",
+        "    for m in _non_abelian_maximals(g):\n",
+        "    for m in _non_abelian_maximals(g)[:0]:\n",
         ("tests/test_permgrp.py::test_cores_and_melnikov_match_the_lattice_route_on_corpus_and_named_groups",),
+    ),
+    # a round that finds no new maximal ends the search instead of
+    # shrinking T: S5 x A5 grows to 1 x A5 first and loses S5 x 1
+    Mutant(
+        "non-abelian-maximals-stop-at-a-stuck-round",
+        "src/tdlclab/permgrp.py",
+        "            found.append(n)\n",
+        "            found.append(n)\n        else:\n            break\n",
+        ("tests/test_permgrp.py::test_non_abelian_maximals_and_factors_match_the_lattice_on_corpus_and_named_groups",),
+    ),
+    # trial closures capped at |G|/120: the maximal C2 of A5 x C2, of
+    # order exactly |G|/60, no longer fits
+    Mutant(
+        "non-abelian-maximals-cap-too-tight",
+        "src/tdlclab/permgrp.py",
+        "    cap = g.order // 60\n",
+        "    cap = g.order // 120\n",
+        ("tests/test_permgrp.py::test_non_abelian_maximals_and_factors_match_the_lattice_on_corpus_and_named_groups",),
     ),
     # the order check on a non-abelian maximal passes whatever it cuts
     Mutant(
@@ -490,6 +502,23 @@ MUTANTS = (
         '_LIMIT_MINIMUMS = {"depth": 1, "word_bound": 1, "seed": 0}',
         '_LIMIT_MINIMUMS = {"depth": 1, "word_bound": 1, "seed": 1}',
         ("tests/test_cli.py::test_limits_and_their_flags_share_each_minimum",),
+    ),
+    # a false free-semigroup check passes unraised, so a broken
+    # construction exits 0 with a certificate
+    Mutant(
+        "free-semigroup-failed-check-passes",
+        "src/tdlclab/dynamics.py",
+        "    if failed:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_certify_free_semigroup_failed_check_exits_70_without_certificate",),
+    ),
+    # a MemoryError falls through to the fault line and exits 70
+    Mutant(
+        "memory-error-is-a-fault",
+        "src/tdlclab/cli.py",
+        '    (MemoryError, EXIT_CAP, "out of memory: "),\n',
+        "",
+        ("tests/test_cli.py", "-k", "exit_table"),
     ),
 )
 
