@@ -14,10 +14,11 @@ A clopen subset of the boundary is a finite union of cylinders and is
 stored canonically: a finite antichain of addresses in which every
 complete sibling family has been merged into its parent, kept in
 lexicographic address order as well as a set; its complement is built
-on first use and then kept with it.  The full boundary is the
-distinguished TOP value (all length-1 addresses merged once more); it
-is not itself an address.  The empty set is the empty cover.  All
-arithmetic is exact; measures are Fractions, never floats.
+on first use, by one walk down the trie of the cover, and then kept
+with it.  The full boundary is the distinguished TOP value (all
+length-1 addresses merged once more); it is not itself an address.
+The empty set is the empty cover.  All arithmetic is exact; measures
+are Fractions, never floats.
 """
 from __future__ import annotations
 
@@ -60,17 +61,6 @@ class TreeShape:
             for last in every
         ]
         object.__setattr__(self, "_after", (*after, every))
-        # _before[c][x] and _beyond[c][x] are the letters that may follow c
-        # and sort before or after x, as one-letter suffixes, indexed as
-        # _after is.
-        object.__setattr__(self, "_before", tuple(
-            tuple(tuple((c,) for c in letters if c < x) for x in every)
-            for letters in self._after
-        ))
-        object.__setattr__(self, "_beyond", tuple(
-            tuple(tuple((c,) for c in letters if c > x) for x in every)
-            for letters in self._after
-        ))
 
     # -- address structure ------------------------------------------------
 
@@ -189,9 +179,11 @@ def _slice(shape: TreeShape, v: Address, c: Address, r: int) -> Iterator[Address
 # cover in address order is a sorted antichain.  ``meet``, ``leq`` and
 # ``meets`` are one two-pointer merge of two such covers (``_meeting``).
 # ``join`` merges the two sorted runs and runs the canonical pass over
-# them.  ``complement`` walks the cover once, from each address to the
-# next, the first time it is asked for.  Every result comes out in address
-# order, so no operation sorts; only ``from_addresses`` sorts its input.
+# them.  ``complement`` walks the trie of the cover once, top down, the
+# first time it is asked for: below a node, its extensions are one run,
+# and a child letter that no address of the run passes through is a gap.
+# Every result comes out in address order, so no operation sorts; only
+# ``from_addresses`` sorts its input.
 
 
 def covered(addr: Address, cover: frozenset[Address]) -> bool:
@@ -383,52 +375,33 @@ class CylinderClopen:
         return comp
 
     def _gaps(self) -> list[Address]:
-        """The cover's gaps in address order.
+        """The cover's gaps in address order, by one walk down the trie
+        of the cover on a stack of its own, so no cover is too deep.
 
-        Between one cover address and the next, the gaps are the letters
-        after the first on the way up to their fork, the letters between
-        the two at the fork, and the letters before the second on the way
-        down; the walk starts and ends at the root.
+        Each child letter of a node takes the part of the node's run that
+        passes through it: none makes the child a gap, and anything but
+        the child itself is walked in turn.  Children go on the stack last
+        letter first, so the gaps come out in address order.
         """
-        order = self._order
-        if not order:
-            return [ROOT]
-        if order[0] == ROOT:
+        if self.is_top():
             return []
-        before, beyond = self.shape._before, self.shape._beyond
+        order, after = self._order, self.shape._after
         out: list[Address] = []
-        add = out.append
-        prev: Address = ()
-        for cur in chain(order, [()]):
-            # k is the fork, the length of the common prefix
-            k = 0
-            if prev and cur:
-                while prev[k] == cur[k]:
-                    k += 1
-            for d in range(len(prev) - 1, k, -1):
-                gaps = beyond[prev[d - 1]][prev[d]]
-                if gaps:
-                    node = prev[:d]
-                    for t in gaps:
-                        add(node + t)
-            end = cur or prev
-            node, last = end[:k], end[k - 1] if k else -1
-            if not prev:
-                gaps = before[last][cur[k]]
-            elif not cur:
-                gaps = beyond[last][prev[k]]
-            else:
-                # before cur[k], less prev[k] and the letters before it
-                gaps = before[last][cur[k]][len(before[last][prev[k]]) + 1 :]
-            for t in gaps:
-                add(node + t)
-            for d in range(k + 1, len(cur)):
-                gaps = before[cur[d - 1]][cur[d]]
-                if gaps:
-                    node = cur[:d]
-                    for t in gaps:
-                        add(node + t)
-            prev = cur
+        # (node, i, end): order[i:end] is node's run, the cover below it
+        stack = [(ROOT, 0, len(order))]
+        while stack:
+            node, i, end = stack.pop()
+            if i == end:
+                out.append(node)
+                continue
+            n = len(node)
+            for c in reversed(after[node[-1] if node else -1]):
+                k = end
+                while k > i and order[k - 1][n] == c:
+                    k -= 1
+                if end - k != 1 or len(order[k]) > n + 1:
+                    stack.append((node + (c,), k, end))
+                end = k
         return out
 
     def leq(self, other: "CylinderClopen") -> bool:

@@ -769,18 +769,22 @@ def composition_factors(g: FiniteGroup) -> list[str]:
     greatest of that subgroup and the maximals with a non-abelian
     quotient, by order and then by sorted element list.  The quotient by
     a maximal normal subgroup is simple, so its label is read off its
-    order and no quotient is built.
+    order and no quotient is built.  The labels are memoised on g, and
+    each call returns a new list.
     """
-    out: list[str] = []
-    current = g
-    while current.order > 1:
-        n = _greatest_prime_index_normal(current)
-        if n is None or current.order // n.order > 60:
-            candidates = _non_abelian_maximals(current) + ([n] if n else [])
-            n = max(candidates, key=lambda m: (m.order, sorted(m.image_set)))
-        out.append(_simple_label_of_order(current.order // n.order))
-        current = n
-    return out
+    key = ("composition_factors",)
+    if key not in g.invariant_memo:
+        out: list[str] = []
+        current = g
+        while current.order > 1:
+            n = _greatest_prime_index_normal(current)
+            if n is None or current.order // n.order > 60:
+                candidates = _non_abelian_maximals(current) + ([n] if n else [])
+                n = max(candidates, key=lambda m: (m.order, sorted(m.image_set)))
+            out.append(_simple_label_of_order(current.order // n.order))
+            current = n
+        g.invariant_memo[key] = out
+    return g.invariant_memo[key].copy()
 
 
 def melnikov_subgroup(g: FiniteGroup) -> FiniteGroup:
@@ -873,40 +877,12 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """Q8 in its regular representation on 8 points."""
-    # elements 1, -1, i, -i, j, -j, k, -k indexed 0..7
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    table = {
-        ("i", "i"): "-1",
-        ("j", "j"): "-1",
-        ("k", "k"): "-1",
-        ("i", "j"): "k",
-        ("j", "k"): "i",
-        ("k", "i"): "j",
-        ("j", "i"): "-k",
-        ("k", "j"): "-i",
-        ("i", "k"): "-j",
-    }
+    """Q8 in its regular representation on 8 points.
 
-    def mul(a: int, b: int) -> int:
-        sign = (a & 1) ^ (b & 1)
-        base_a, base_b = names[a & ~1], names[b & ~1]
-        if base_a == "1":
-            out = base_b
-        elif base_b == "1":
-            out = base_a
-        elif base_a == base_b:
-            out = "-1"
-        else:
-            out = table[(base_a, base_b)]
-        idx = names.index(out.lstrip("-"))
-        if out.startswith("-"):
-            sign ^= 1
-        return idx ^ sign
-
-    i_perm = Perm(tuple(mul(2, b) for b in range(8)))
-    j_perm = Perm(tuple(mul(4, b) for b in range(8)))
-    return FiniteGroup(8, [i_perm, j_perm])
+    The points 0..7 are the elements 1, -1, i, -i, j, -j, k, -k, and the
+    generators are left multiplication by i and by j.
+    """
+    return FiniteGroup(8, [Perm((2, 3, 1, 0, 6, 7, 5, 4)), Perm((4, 5, 7, 6, 1, 0, 2, 3))])
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

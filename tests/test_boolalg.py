@@ -203,15 +203,24 @@ def _assert_canonical(shape, cover):
             assert present != _letters(shape, parent), f"full family under {parent}"
 
 
+# (shape, depth): rooted(2) for deeper covers, and degrees 5 and 11 for
+# wider nodes and dotted addresses, each as deep as its sphere stays small
+_SET_MODEL_SHAPES = (
+    (T3, 6), (R2, 6), (rooted(3), 6), (regular(4), 6), (R2, 8), (regular(5), 4), (regular(11), 2)
+)
+
+
 def test_algebra_matches_set_model_to_depth_6():
     rng = random.Random(19)
-    for shape in (T3, R2, rooted(3), regular(4)):
+    for shape, depth in _SET_MODEL_SHAPES:
         # zero and TOP meet every operand, both ways round, with the rest
         pool = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
-        pool += [random_clopen(rng, shape, 6) for _ in range(8)]
+        pool += [random_clopen(rng, shape, depth) for _ in range(8)]
         pairs = [(a, b) for a in pool[:2] for b in pool]
         pairs += [(b, a) for a in pool[:2] for b in pool[2:]]
-        pairs += [(random_clopen(rng, shape, 6), random_clopen(rng, shape, 6)) for _ in range(60)]
+        pairs += [
+            (random_clopen(rng, shape, depth), random_clopen(rng, shape, depth)) for _ in range(60)
+        ]
         for a, b in pairs:
             n = max(a.depth, b.depth)
             ea, eb = expand(a, n), expand(b, n)
@@ -238,7 +247,7 @@ def test_algebra_matches_set_model_to_depth_6():
             assert a.meets(a) == bool(ea)
         for _ in range(60):
             # mixed-depth input with shadowed and complete-family addresses
-            k = rng.randint(1, 6)
+            k = rng.randint(1, depth)
             sphere = sorted(_expand_addresses(shape, [()], k))
             addrs = [x for x in sphere if rng.random() < 0.5]
             for _ in range(rng.randint(0, 3)):
@@ -283,6 +292,19 @@ def test_depth_12_cylinders_at_degree_12():
         assert CylinderClopen.from_addresses(shape, family + [deep]) == CylinderClopen.cylinder(
             shape, deep[:11]
         )
+
+
+def test_a_cylinder_1500_letters_deep_complements_exactly():
+    # the walk down the trie keeps its own stack: a recursive walk would
+    # pass Python's recursion limit long before this depth
+    for shape in (R2, T3, regular(5)):
+        deep = tuple(i % 2 for i in range(1500))
+        a = CylinderClopen.cylinder(shape, deep)
+        comp = a.complement()
+        # the siblings of every proper prefix's next letter
+        assert len(comp.cover) == shape.degree - 1 + 1499 * (len(_letters(shape, deep[:1])) - 1)
+        assert comp.sorted_cover() == sorted(comp.cover)
+        assert not comp.meets(a) and a.join(comp).is_top()
 
 
 def test_shadow_matches_set_model_and_cylinder_scan():

@@ -206,6 +206,11 @@ def test_quaternion_is_not_dihedral():
     # Q8 has a single element of order 2, D8 has five
     assert sum(1 for p in q8.element_set if p.order() == 2) == 1
     assert sum(1 for p in d8.element_set if p.order() == 2) == 5
+    # the presentation <i, j | i^4 = 1, i^2 = j^2, j i j^-1 = i^-1>
+    i, j = q8.gens
+    assert (i**4).is_identity() and i**2 == j**2 and not (i**2).is_identity()
+    assert j * i * j.inverse() == i.inverse()
+    assert q8.order == 8
 
 
 # -- the class-mask lattice reference vs oracles ---------------------------------
@@ -684,6 +689,18 @@ def test_composition_factors_examples():
     # the least element list at each step would give C3, C2, C2, C3
     a4xc3 = direct_product(alternating_group(4), cyclic_group(3))
     assert composition_factors(a4xc3) == ["C3", "C3", "C2", "C2"]
+
+
+def test_composition_factors_run_once_per_group_and_hand_out_new_lists(monkeypatch):
+    g = direct_product(alternating_group(4), cyclic_group(3))
+    first = composition_factors(g)
+    first.append("C7")
+
+    def no_second_descent(h):
+        raise AssertionError("composition factors computed twice")
+
+    monkeypatch.setattr(permgrp, "_greatest_prime_index_normal", no_second_descent)
+    assert composition_factors(g) == ["C3", "C3", "C2", "C2"]
 
 
 def test_invariants_match_oracle_on_corpus():

@@ -191,6 +191,14 @@ MUTANTS = (
         "        if len(candidates) >= 1:\n",
         ("tests/test_permgrp.py::test_prime_index_step_matches_the_lattice_on_seeded_groups",),
     ),
+    # the memoised labels handed out as they are kept, open to a caller
+    Mutant(
+        "composition-memo-hands-out-its-list",
+        "src/tdlclab/permgrp.py",
+        "    return g.invariant_memo[key].copy()\n",
+        "    return g.invariant_memo[key]\n",
+        ("tests/test_permgrp.py::test_composition_factors_run_once_per_group_and_hand_out_new_lists",),
+    ),
     # the selection walk keeps the candidates whose kernel holds the
     # element, so the least element list wins
     Mutant(
@@ -393,6 +401,35 @@ MUTANTS = (
         "(Fraction(k, size(d)) for d, k in counts.items())",
         "(Fraction(1, size(d)) for d, k in counts.items())",
         ("tests/test_boolalg.py::test_measure_matches_the_per_address_sum_seeded",),
+    ),
+    # the complement walk: a run of one address deeper than its child is
+    # taken for the child itself and not walked
+    Mutant(
+        "complement-walk-skips-a-deeper-single",
+        "src/tdlclab/boolalg.py",
+        "                if end - k != 1 or len(order[k]) > n + 1:\n",
+        "                if end - k != 1:\n",
+        ("tests/test_boolalg.py::test_algebra_matches_set_model_to_depth_6",),
+    ),
+    # children pushed first letter first: the right gaps, out of order
+    Mutant(
+        "complement-walk-pushes-first-letter-first",
+        "src/tdlclab/boolalg.py",
+        "            for c in reversed(after[node[-1] if node else -1]):\n"
+        "                k = end\n"
+        "                while k > i and order[k - 1][n] == c:\n"
+        "                    k -= 1\n"
+        "                if end - k != 1 or len(order[k]) > n + 1:\n"
+        "                    stack.append((node + (c,), k, end))\n"
+        "                end = k\n",
+        "            for c in after[node[-1] if node else -1]:\n"
+        "                k = i\n"
+        "                while k < end and order[k][n] == c:\n"
+        "                    k += 1\n"
+        "                if k - i != 1 or len(order[i]) > n + 1:\n"
+        "                    stack.append((node + (c,), i, k))\n"
+        "                i = k\n",
+        ("tests/test_boolalg.py::test_algebra_matches_set_model_to_depth_6",),
     ),
     # PR 35's mutants: witnesses written in witness-length order
     Mutant(
