@@ -13,10 +13,11 @@ Two tree shapes are supported.
 A clopen subset of the boundary is a finite union of cylinders and is
 stored canonically: a finite antichain of addresses in which every
 complete sibling family has been merged into its parent, kept in
-lexicographic address order as well as a set; its complement is built
-on first use, by one walk down the trie of the cover, and then kept
-with it.  The full boundary is the distinguished TOP value (all
-length-1 addresses merged once more); it is not itself an address.
+lexicographic address order as well as a set; its complement, by one
+walk down the trie of the cover, its text and its hash are each built
+on first use and then kept with it.  The full boundary is the
+distinguished TOP value (all length-1 addresses merged once more); it
+is not itself an address.
 The empty set is the empty cover.  All arithmetic is exact; measures
 are Fractions, never floats.
 """
@@ -261,12 +262,21 @@ class CylinderClopen:
     operations merge and walk that order as above, build their results
     in it, and ``sorted_cover()`` and ``format_clopen`` read it.  The
     set is built at construction, not on first read, because hashing on
-    the read path needs it.  The complement is built once and then kept,
-    outside the fields, as ``Perm.inverse`` keeps its inverse.
+    the read path needs it.  The complement, the text and the hash are
+    each built once and then kept, outside the fields, as
+    ``Perm.inverse`` keeps its inverse.
     """
 
     shape: TreeShape
     cover: frozenset[Address]
+
+    def __hash__(self) -> int:
+        # the dataclass's hash, built on first use and then kept
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = hash((self.shape, self.cover))
+            return h
 
     def __post_init__(self) -> None:
         # Not a field: equality, hashing and repr see shape and cover.  A
@@ -465,14 +475,33 @@ def parse_address(shape: TreeShape, text: str) -> Address:
     return addr
 
 
+# letters 0..9 as ASCII digits and back, for one bytes pass over a cover
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def format_clopen(clopen: CylinderClopen) -> str:
+    """The clopen's text, built on first use and then kept with it.
+
+    Rendering assumes every letter is below the degree, as every checked
+    constructor and every Boolean operation guarantees: up to degree 10
+    the cover's addresses are written as bytes, one letter each, and
+    translated to digits in one pass.
+    """
+    try:
+        return clopen._text
+    except AttributeError:
+        text = clopen.__dict__["_text"] = _cover_text(clopen)
+        return text
+
+
+def _cover_text(clopen: CylinderClopen) -> str:
     if clopen.is_top():
         return "TOP"
-    if clopen.is_zero():
-        return "{}"
+    if clopen.shape.degree <= 10:
+        return "{" + b",".join(map(bytes, clopen._order)).translate(_DIGITS).decode() + "}"
     # format_address's rule, inline
-    sep = "" if clopen.shape.degree <= 10 else "."
-    return "{" + ",".join([sep.join(map(str, a)) for a in clopen._order]) + "}"
+    return "{" + ",".join([".".join(map(str, a)) for a in clopen._order]) + "}"
 
 
 def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:
@@ -485,13 +514,16 @@ def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:
     if not body:
         return CylinderClopen.zero(shape)
     # from_addresses checks every address's legality, once.  Up to degree
-    # 10 one digit is one letter, so all-digit tokens are read in bulk; any
-    # other token sends the whole text through read_address and its errors.
-    tokens = [tok.strip() for tok in body.split(",")]
-    if shape.degree <= 10 and all(map(str.isdecimal, tokens)):
-        addrs = [tuple(map(int, tok)) for tok in tokens]
-    else:
-        addrs = [read_address(shape, tok) for tok in tokens]
+    # 10 one digit is one letter, so an ASCII body of digits and commas is
+    # read in one bytes pass, each part's bytes its letters; anything else,
+    # an empty part too, goes through read_address and its errors.
+    if shape.degree <= 10 and body.isascii():
+        raw = body.encode()
+        if not raw.translate(None, b"0123456789,"):
+            parts = raw.translate(_LETTERS).split(b",")
+            if all(parts):
+                return CylinderClopen.from_addresses(shape, parts)
+    addrs = [read_address(shape, tok) for tok in body.split(",")]
     return CylinderClopen.from_addresses(shape, addrs)
 
 

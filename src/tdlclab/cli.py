@@ -804,7 +804,9 @@ def _add_common(sub) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tdlclab",
         description="Finite-depth laboratory for groups acting on tree boundaries.",

@@ -400,7 +400,8 @@ class _ActionGraph:
 
     def _images(self, i: int) -> tuple:
         """Each generator's image of id i, in ``gen_names`` order: read
-        from the edges when i is expanded, and kept nowhere new."""
+        from the edges when i is expanded.  A deeper node expands its
+        parent first, so each id's images are computed once."""
         got = self.edges[i]
         if got is not None:
             return got
@@ -410,7 +411,7 @@ class _ActionGraph:
             kids, degree = self.kids, self._degree
             return tuple([
                 j if (j := kids[q * degree + y]) >= 0 else self._child(q, y)
-                for q, y in zip(self._images(self.parent[i]), row)
+                for q, y in zip(self.neighbours(self.parent[i]), row)
             ])
         state, step = self._spell(i), self.ctx.step
         return tuple([self._id(step(name, state)) for name in self._names])

@@ -500,6 +500,8 @@ MALFORMED = [
     "{0.1}", "{0..1}", "{.01}", "{01.}", "{0.1,2}", "{2, 0.1}",
     "{\u0663}", "{\u0660\u0661}", "{\u0661\u0660}", "{\u00b2}", "{01",
     "01}", "TOP,", "{}", "{  }", "  TOP  ", "{10}", "{1.11}", "{11.1,1}", "{12}",
+    # whitespace inside the braces, and a NUL byte, which is letter 0 as a byte
+    "{01\n,02}", "{\t01}", "{0\x001}",
 ]
 
 
@@ -511,7 +513,8 @@ def test_parse_clopen_matches_per_token_reading():
             return type(exc), str(exc)
 
     rng = random.Random(37)
-    shapes = WRITE_SHAPES + (regular(12), rooted(11), rooted(10))
+    # degree 10 reads and writes the digit 9
+    shapes = WRITE_SHAPES + (regular(12), rooted(11), rooted(10), regular(10))
     for shape in shapes:
         # a depth-3 sphere of degree 12 already has 1,452 addresses
         depth = 5 if shape.degree <= 4 else 2
@@ -546,8 +549,20 @@ def test_complement_is_kept_and_stays_out_of_the_fields():
             # the complement keeps no link back to c
             assert all(v is not c for v in vars(comp).values())
             assert c == fresh and hash(c) == hash(fresh) == hash((c.shape, c.cover))
+            # the text and the hash are kept the same way
+            assert str(c) is str(c) and hash(c) == hash(c)
             assert repr(c) == text
             assert [f.name for f in dataclasses.fields(c)] == ["shape", "cover"]
+        # a kept text or hash is its own clopen's, never another cover's
+        for c in pool:
+            assert str(c) == _rendered(c) and hash(c) == hash((c.shape, c.cover))
+
+
+def _rendered(c):
+    """The text of ``c``, address by address."""
+    if ROOT in c.cover:
+        return "TOP"
+    return "{" + ",".join(format_address(c.shape, a) for a in sorted(c.cover)) + "}"
 
 
 def test_covered_matches_the_prefix_scan_seeded():

@@ -1024,6 +1024,34 @@ def test_limits_and_their_flags_share_each_minimum(spec_file, capsys):
         assert (code, captured.err) == (2, f"error: {flag} must be at least {least}\n")
 
 
+def test_one_process_answers_as_fresh_runs(spec_file, capsys):
+    # the parser is built once per process; a usage error in between
+    # leaves it as it was, so each call answers as a fresh interpreter does
+    path = spec_file(US3)
+    calls = (
+        ["report-local", path, "--depths", "1..2"],
+        ["dynamics", "nonsense", path],
+        ["dynamics", "minimal", path, "--depth", "2"],
+    )
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tdlclab.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (fresh.returncode, fresh.stdout), argv
+        assert captured.err.splitlines()[-1:] == fresh.stderr.splitlines()[-1:]
+        codes.append(code)
+    assert codes == [0, 2, 0] and fresh.stdout and cli._build_parser() is cli._build_parser()
+
+
 def test_console_entry_point_subprocess(spec_file):
     proc = subprocess.run(
         [sys.executable, "-m", "tdlclab.cli", "dynamics", "minimal", spec_file(US3)],

@@ -837,6 +837,30 @@ def test_first_words_do_not_depend_on_start_order(name):
             assert got == want, inside
 
 
+def test_graph_computes_each_ids_images_once(monkeypatch):
+    # a node below the section depth steps by its parent's images, which
+    # are then kept as the parent's edges, not computed again for each of
+    # its children, however deep the recursion runs
+    calls: dict[int, int] = {}
+    images = dy._ActionGraph._images
+
+    def counted(self, i):
+        if self.edges[i] is None:
+            calls[i] = calls.get(i, 0) + 1
+        return images(self, i)
+
+    monkeypatch.setattr(dy._ActionGraph, "_images", counted)
+    ctx = dy.translation_rotation_context(S3, depth=5)
+    graph = dy._ActionGraph(ctx)
+    for a in graph.starts:
+        dy._first_words(graph, a)
+    assert max(calls.values()) == 1
+    assert sum(e is not None for e in graph.edges) == len(calls)
+    # the recursion ran, through more than one level below the anchors
+    deep = [i for i in calls if graph.depth[i] > graph._reach + 1]
+    assert deep and all(graph.edges[graph.parent[i]] is not None for i in deep)
+
+
 def test_search_frees_its_graph_without_the_cycle_collector(monkeypatch):
     # a graph and the per-start search tables must go when the call
     # returns, not at some later collection, or they add to peak memory

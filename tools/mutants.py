@@ -321,6 +321,14 @@ MUTANTS = (
         "    index = {a: len(points) - 1 - i for i, a in enumerate(points)}\n",
         ("tests/test_tree.py", "-k", "site_permutations_match"),
     ),
+    # an unexpanded parent's images computed again for each child
+    Mutant(
+        "graph-recomputes-an-unexpanded-parent",
+        "src/tdlclab/dynamics.py",
+        "for q, y in zip(self.neighbours(self.parent[i]), row)",
+        "for q, y in zip(self._images(self.parent[i]), row)",
+        ("tests/test_dynamics.py::test_graph_computes_each_ids_images_once",),
+    ),
     # the first-word search skips whichever generator is listed last
     Mutant(
         "first-words-skip-the-last-generator",
@@ -370,13 +378,45 @@ MUTANTS = (
         '            comp = self.shape.__dict__["_complement"] =',
         ("tests/test_boolalg.py::test_complement_is_kept_and_stays_out_of_the_fields",),
     ),
-    # dotted tokens read in bulk, one digit per letter
+    # dotted bodies read in bulk, each dot read as a letter
     Mutant(
         "bulk-parse-takes-dotted-tokens",
         "src/tdlclab/boolalg.py",
-        "if shape.degree <= 10 and all(map(str.isdecimal, tokens)):",
-        'if shape.degree <= 10 and all(t.replace(".", "").isdecimal() for t in tokens):',
+        'if not raw.translate(None, b"0123456789,"):',
+        'if not raw.translate(None, b"0123456789,."):',
         ("tests/test_boolalg.py::test_parse_clopen_matches_per_token_reading",),
+    ),
+    # an empty part read in bulk as the root, so {01,,2} reads as TOP
+    Mutant(
+        "bulk-parse-takes-an-empty-part",
+        "src/tdlclab/boolalg.py",
+        "            if all(parts):\n",
+        "            if True:\n",
+        ("tests/test_boolalg.py::test_parse_clopen_matches_per_token_reading",),
+    ),
+    # the text and the hash kept on the shape, stale for every other
+    # clopen on it
+    Mutant(
+        "clopen-text-kept-on-the-shape",
+        "src/tdlclab/boolalg.py",
+        "        return clopen._text\n"
+        "    except AttributeError:\n"
+        '        text = clopen.__dict__["_text"] =',
+        "        return clopen.shape._text\n"
+        "    except AttributeError:\n"
+        '        text = clopen.shape.__dict__["_text"] =',
+        ("tests/test_boolalg.py::test_complement_is_kept_and_stays_out_of_the_fields",),
+    ),
+    Mutant(
+        "clopen-hash-kept-on-the-shape",
+        "src/tdlclab/boolalg.py",
+        "            return self._hash\n"
+        "        except AttributeError:\n"
+        '            h = self.__dict__["_hash"] =',
+        "            return self.shape._hash\n"
+        "        except AttributeError:\n"
+        '            h = self.shape.__dict__["_hash"] =',
+        ("tests/test_boolalg.py::test_complement_is_kept_and_stays_out_of_the_fields",),
     ),
     # the canonical pass keeps the parent as its last address
     Mutant(
