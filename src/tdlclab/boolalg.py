@@ -23,6 +23,7 @@ are Fractions, never floats.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,8 +171,8 @@ def _slice(shape: TreeShape, v: Address, c: Address, r: int) -> Iterator[Address
 # (itself included) of every cylinder inside its clopen: otherwise the
 # deepest cover address below that cylinder would have its whole sibling
 # family in the cover, and a canonical cover never does.  So the cylinder
-# at ``addr`` lies inside a clopen exactly when ``covered(addr, cover)``,
-# and no operation needs a depth-n expansion.
+# at ``addr`` lies inside a clopen exactly when ``covered`` finds a prefix
+# of ``addr`` in its cover, and no operation needs a depth-n expansion.
 #
 # Address order is lexicographic order on letter tuples: a prefix comes
 # first, and its extensions follow it as one contiguous run.  So an
@@ -187,12 +188,12 @@ def _slice(shape: TreeShape, v: Address, c: Address, r: int) -> Iterator[Address
 # ``from_addresses`` sorts its input.
 
 
-def covered(addr: Address, cover: frozenset[Address]) -> bool:
-    """Whether some prefix of ``addr``, itself included, is in ``cover``."""
-    for k in range(len(addr) + 1):
-        if addr[:k] in cover:
-            return True
-    return False
+def covered(addr: Address, order: list[Address]) -> bool:
+    """Whether some prefix of ``addr``, itself included, is in the cover
+    ``order``, a sorted antichain: only its last address at or before
+    ``addr`` can be one."""
+    i = bisect_right(order, addr)
+    return i > 0 and addr[: len(order[i - 1])] == order[i - 1]
 
 
 def _canonical(shape: TreeShape, ordered: Iterable[Address]) -> list[Address]:

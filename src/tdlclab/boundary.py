@@ -14,7 +14,6 @@ from .boolalg import (
     ROOT,
     Address,
     CylinderClopen,
-    TreeShape,
     covered,
     format_address,
 )
@@ -34,7 +33,7 @@ from .tree import (
 
 def inside(region: CylinderClopen, v: Address) -> bool:
     """Whole subtree below v contained in the region."""
-    return covered(v, region.cover)
+    return covered(v, region._order)
 
 
 def region_vertices(region: CylinderClopen, max_depth: int) -> list[Address]:
@@ -96,26 +95,6 @@ def tables_commute(family_a, family_b) -> bool:
                 if fu(y, y) != fv(z, z):
                     return False
     return True
-
-
-def half_tree_fixator(
-    shape: TreeShape, local: FiniteGroup, colour: int, max_depth: int
-) -> dict:
-    """Realized pointwise stabiliser of one half-tree.
-
-    An empty generator list is a finite-depth triviality verdict: at
-    every vertex of the region the local group pins the return colour's
-    stabiliser, so no single-site witness exists down to max_depth.
-    """
-    region = CylinderClopen.cylinder(shape, (colour,))
-    gens = rist_generators(local, region, max_depth)
-    return {
-        "region": str(region),
-        "depth": max_depth,
-        "generators": gens,
-        "generator_count": len(gens),
-        "verdict": "nontrivial" if gens else "trivial",
-    }
 
 
 def contraction_certificates(

@@ -546,6 +546,12 @@ def run_report_local(args, spec: GroupSpec) -> tuple[dict, int]:
         factors[n] = _level_factors(shape, local, n)
         if level_order(shape, local, n) <= min(spec.cap, _FACTOR_CHECK_BOUND):
             factor_checks[n] = sorted(composition_factors(level(n))) == factors[n]
+    # each check compares a realised group with the structural model, a
+    # theorem, so a false one is a fault (exit 70), raised unconditionally
+    failed = [f"kernel orbits at depth {n}" for n, c in kernel_checks.items() if not c["matches_structural"]]
+    failed += [f"composition factors at depth {n}" for n, ok in factor_checks.items() if not ok]
+    if failed:
+        raise AssertionError(f"report-local checks fail: {', '.join(failed)}")
 
     eta = sorted(content["growing_primes"])
     pi = frozenset(eta)

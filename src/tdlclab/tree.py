@@ -15,8 +15,7 @@ factor, so it stays exact too; a factor that is itself a word is spelled
 out when the SpecWord is built, so its factors are always atoms, and a
 one-letter word, an atom or its inverse, applies that atom's own map.
 BallIsometry is the table of an exact element on a ball about the base
-vertex; products and inverses are formed exactly before tabulating, and
-a local action past the precision raises PrecisionExhausted.
+vertex; products and inverses are formed exactly before tabulating.
 
 Legality of an address is checked once, at the public entry:
 IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
@@ -25,11 +24,11 @@ legal address is legal.  SpecWord applies its factors through the
 unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
 address check at all: _moved reads ball vertices, legal by construction,
 through the unchecked _apply.  An exact element is an isometry at every
-depth, so realize and conjugate_families wrap its table unchecked, through
-BallIsometry._trusted, as Perm._trusted wraps a product.  A table handed
-to the public constructor is validated (domain, injectivity, legal
-images, adjacency), and the check path in the tests rebuilds every table
-the certificates read that way.
+depth, so realize and conjugate_families hand its table to BallIsometry,
+which stores it unchecked, as Perm._trusted wraps a product.  The check
+path in the tests rebuilds every table the certificates read over its
+whole ball and checks it there (domain, injectivity, legal images,
+adjacency) before building the same BallIsometry.
 spec_image_clopen likewise checks only that the clopen lives on the
 recipe's shape, then applies the clopen's atoms, legal by construction,
 through _apply; CylinderClopen.from_addresses still rejects any illegal
@@ -130,14 +129,6 @@ def step(shape: TreeShape, addr: Address, colour: int) -> Address:
     return addr + (colour,)
 
 
-def _adjacent(u: Address, v: Address) -> bool:
-    if len(u) == len(v) + 1:
-        return u[:-1] == v
-    if len(v) == len(u) + 1:
-        return v[:-1] == u
-    return False
-
-
 # -- ball tables ---------------------------------------------------------------
 
 
@@ -145,81 +136,25 @@ class BallIsometry:
     """Table of an exact element on the radius ``precision`` ball.
 
     ``moved`` maps each ball vertex the element moves to its image; every
-    other ball vertex is fixed.  The table given to the constructor may
-    list fixed vertices too, and they are dropped.  A witness's table is
-    as large as the part of the ball it moves, a displacing element's
-    lists most of the ball.  Products and inverses are formed exactly,
-    as a SpecWord, before tabulating; a table is a read-only result.
-    The constructor validates the table it is given; ``_trusted`` wraps
-    the table of an exact element unchecked.
+    other ball vertex is fixed.  The constructor stores the table it is
+    given unchecked: it lists exactly the moved vertices of an exact
+    element, an isometry at every depth, as ``_moved`` and
+    ``_conjugate_moves`` yield them.  A witness's table is as large as
+    the part of the ball it moves, a displacing element's lists most of
+    the ball.  Products and inverses are formed exactly, as a SpecWord,
+    before tabulating; a table is a read-only result.
     """
 
     __slots__ = ("shape", "precision", "moved")
 
-    def __init__(self, shape: TreeShape, precision: int, table: dict) -> None:
+    def __init__(self, shape: TreeShape, precision: int, moved: dict) -> None:
         if precision < 0:
             raise PrecisionExhausted("negative precision")
-        # a ball vertex is a legal address no longer than the radius
-        legal = shape.is_legal
-        if not all(len(a) <= precision and legal(a) for a in table):
-            raise ValueError("table domain is not inside the stated ball")
-        self.shape = shape
-        self.precision = precision
-        self.moved = {a: b for a, b in table.items() if a != b}
-        self._validate()
-
-    @classmethod
-    def _trusted(cls, shape: TreeShape, precision: int, moved: dict) -> "BallIsometry":
-        """Wrap the moved points of an exact element on the ball, unchecked.
-
-        ``moved`` lists exactly the ball vertices the element moves, with
-        their images, as ``_moved`` and ``_conjugate_moves`` yield them.
-        An exact element is an isometry at every depth, so its table
-        needs no proof; the check path rebuilds such tables through the
-        validating constructor.
-        """
-        if precision < 0:
-            raise PrecisionExhausted("negative precision")
-        iso = object.__new__(cls)
-        iso.shape, iso.precision, iso.moved = shape, precision, moved
-        return iso
-
-    def _validate(self) -> None:
-        """Injective with legal images, and adjacent on every edge that
-        touches a moved vertex; an edge with both ends fixed is adjacent
-        already.  A moved image must miss every fixed ball vertex."""
-        shape, moved, r = self.shape, self.moved, self.precision
-        legal = shape.is_legal
-        images = set(moved.values())
-        if len(images) != len(moved) or any(
-            b not in moved and len(b) <= r and legal(b) for b in images
-        ):
-            raise ValueError("table is not injective")
-        for b in images:
-            shape.require_legal(b)
-        if shape.kind == "rooted" and ROOT in moved:
-            raise ValueError("rooted isometries must fix the root")
-        get = moved.get
-        for b, image in moved.items():
-            if b and not _adjacent(get(b[:-1], b[:-1]), image):
-                raise ValueError(f"images of edge at {b!r} are not adjacent")
-            if len(b) < r:
-                for child in shape.children(b):
-                    if child not in moved and not _adjacent(image, child):
-                        raise ValueError(
-                            f"images of edge at {child!r} are not adjacent"
-                        )
+        self.shape, self.precision, self.moved = shape, precision, moved
 
     @property
     def displacement(self) -> int:
         return len(self.moved.get(ROOT, ROOT))
-
-    def local_action(self, v: Address) -> Perm:
-        """Colour permutation induced at vertex v."""
-        v = tuple(v)
-        if len(v) + 1 > self.precision:
-            raise PrecisionExhausted(f"no room around {v!r}")
-        return Perm(self._local_images(v))
 
     def _local_images(self, v: Address) -> tuple[int, ...]:
         """Image tuple of the local action at a vertex inside the ball."""
@@ -423,7 +358,7 @@ class IsometrySpec:
         return tuple(out)
 
     def realize(self, r: int) -> BallIsometry:
-        return BallIsometry._trusted(self.shape, r, dict(_moved(self, ROOT, r)))
+        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
 
 
 def _one_site(shape: TreeShape, v: Address, images: tuple[int, ...]):
@@ -493,13 +428,6 @@ def hyperbolic_isometry(shape: TreeShape, axis) -> IsometrySpec:
     if axis[0] == axis[-1]:
         raise ValueError("axis word is not cyclically reduced")
     return IsometrySpec(shape, word=axis)
-
-
-def colour_word_isometry(shape: TreeShape, word) -> IsometrySpec:
-    """Left multiplication by a colour word; every local action is trivial."""
-    if shape.kind != "regular":
-        raise ValueError("translations need a regular shape")
-    return IsometrySpec(shape, word=free_reduce(word))
 
 
 @dataclass(frozen=True)
@@ -574,7 +502,7 @@ class SpecWord:
         return None
 
     def realize(self, r: int) -> BallIsometry:
-        return BallIsometry._trusted(self.shape, r, dict(_moved(self, ROOT, r)))
+        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
 
     def is_identity_on(self, r: int) -> bool:
         return next(_moved(self, ROOT, r), None) is None
@@ -610,12 +538,12 @@ def _conjugate_moves(g, k: int, r: int):
 def conjugate_families(g, ks, us, r: int) -> dict:
     """Radius-r ball tables of the conjugates g^k u g^-k, one list per
     power k in ks, keyed by k, one table per u: the moved points that
-    ``_conjugate_moves`` yields, as a trusted BallIsometry.
+    ``_conjugate_moves`` yields, as a BallIsometry.
     """
     out: dict = {}
     for k in set(ks):
         moves = _conjugate_moves(g, k, r)
-        out[k] = [BallIsometry._trusted(g.shape, r, dict(moves(u))) for u in us]
+        out[k] = [BallIsometry(g.shape, r, dict(moves(u))) for u in us]
     return out
 
 

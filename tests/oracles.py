@@ -73,19 +73,21 @@ The table oracles read ball tables as they were before tables listed
 only their moved vertices: ``full_table`` spells a table out over the
 whole ball, the validation oracle checks a whole-ball dict edge by
 edge, and the membership oracle reads the local action at every vertex
-of the ball, where ``BallIsometry`` and ``in_universal_group`` read only
-the moved vertices and the edges and neighbours around them.
+of the ball, where ``in_universal_group`` reads only the parents of the
+moved vertices.  ``checked_table`` is the one check of a ball table: it
+spells a table out over its ball, rejects it with the validation
+oracle's reason, and only then builds the ``BallIsometry``, whose
+constructor stores the tables of exact elements unchecked.
 
 The ball-witness check path, ``check_ball_witnesses``, reruns the checks
 of ``certify goodshrink``, ``nub``, ``tits-core`` and ``contraction`` on
 tables it builds itself: each element, or each conjugate g^k u g^-k read
 through the pull-back of the recursive ball, is applied at every vertex
-of that ball, and the whole-ball dict goes through the public,
-validating ``BallIsometry`` constructor, as the library's tables of exact
-elements do not.  Witnesses are listed from the recursive ball and the
-region's cover, supports, local actions and commutation are read by the
-whole-ball oracles above, and the nub shift is read through the pull-back
-of the depth ball against a validated table of g.  It shares no walk, no
+of that ball, and the whole-ball dict goes through ``checked_table``.
+Witnesses are listed from the recursive ball and the region's cover,
+supports, local actions and commutation are read by the whole-ball
+oracles above, and the nub shift is read through the pull-back of the
+depth ball against a checked table of g.  It shares no walk, no
 moved-point reading and no trusted table with the commands, and must
 reach their checks and verdict.
 
@@ -187,7 +189,7 @@ from tdlclab.dynamics import (
     minorising_set,
     reachable_images,
 )
-from tdlclab.errors import ClosureCapExceeded
+from tdlclab.errors import ClosureCapExceeded, PrecisionExhausted
 from tdlclab.localstruct import (
     _REALIZE_CAP,
     LocalClass,
@@ -1123,13 +1125,10 @@ def full_table(iso) -> dict:
     return {a: get(a, a) for a in oracle_ball(iso.shape, iso.precision)}
 
 
-def oracle_ball_table_error(shape, precision: int, table: dict):
-    """The message a whole-ball table fails validation with, else None:
-    domain equal to the ball, injective, legal images, the root fixed on
-    rooted shapes, and every edge of the ball adjacent."""
-    ball = set(shape.ball(precision))
-    if table.keys() != ball:
-        return "domain"
+def oracle_ball_table_error(shape, table: dict):
+    """The message a table over the whole ball fails validation with, else
+    None: injective, legal images, the root fixed on rooted shapes, and
+    every edge of the ball adjacent."""
     images = set(table.values())
     if len(images) != len(table):
         return "not injective"
@@ -1137,7 +1136,7 @@ def oracle_ball_table_error(shape, precision: int, table: dict):
         return "illegal address"
     if shape.kind == "rooted" and table[ROOT] != ROOT:
         return "must fix the root"
-    for b in ball:
+    for b in table:
         if b and not _edge(table[b[:-1]], table[b]):
             return "not adjacent"
     return None
@@ -1145,6 +1144,22 @@ def oracle_ball_table_error(shape, precision: int, table: dict):
 
 def _edge(u, v) -> bool:
     return (len(u) == len(v) + 1 and u[:-1] == v) or (len(v) == len(u) + 1 and v[:-1] == u)
+
+
+def checked_table(shape, r: int, table: dict) -> BallIsometry:
+    """The radius-r ``BallIsometry`` of ``table``, which fixes every ball
+    vertex it does not list, once it passes ``oracle_ball_table_error``
+    spelled out over the whole ball."""
+    if r < 0:
+        raise PrecisionExhausted("negative precision")
+    ball = list(oracle_ball(shape, r))
+    if not table.keys() <= set(ball):
+        raise ValueError("table domain is not inside the stated ball")
+    whole = {a: table.get(a, a) for a in ball}
+    error = oracle_ball_table_error(shape, whole)
+    if error is not None:
+        raise ValueError(error)
+    return BallIsometry(shape, r, {a: b for a, b in whole.items() if a != b})
 
 
 def oracle_in_universal_group(iso, local) -> bool:
@@ -1211,10 +1226,10 @@ def oracle_support_in(iso, region) -> bool:
 
 def validated_table(mover, r: int) -> tuple:
     """The radius-r ball table of an exact element, read at every vertex
-    of the recursive ball and handed to the validating ``BallIsometry``
-    constructor: (the table, its whole-ball dict)."""
+    of the recursive ball and checked by ``checked_table``: (the table,
+    its whole-ball dict)."""
     table = oracle_realize(mover, r)
-    return BallIsometry(mover.shape, r, table), table
+    return checked_table(mover.shape, r, table), table
 
 
 def _witnesses(local, region, depth: int) -> list:
@@ -1243,7 +1258,7 @@ def conjugate_tables(g, k: int, r: int):
         for a, y in zip(ball, pulled):
             z = u.apply(y)
             whole[a] = a if z == y else forth(z)
-        return BallIsometry(g.shape, r, whole), whole
+        return checked_table(g.shape, r, whole), whole
 
     return table
 

@@ -11,7 +11,6 @@ from tdlclab.boundary import (
     conjugation_shifts,
     contraction_certificates,
     goodshrink_construct,
-    half_tree_fixator,
     inside,
     nub_window,
     rist_generators,
@@ -37,6 +36,7 @@ from tdlclab.tree import (
 
 from oracles import (
     check_ball_witnesses,
+    checked_table,
     full_table,
     oracle_conjugation_shifts,
     oracle_contraction_certificate,
@@ -193,14 +193,13 @@ def test_weakly_branch_every_proper_cylinder_has_witnesses():
 
 
 def test_half_tree_fixator_verdicts():
-    rep = half_tree_fixator(T3, S3, 0, 3)
-    assert rep["verdict"] == "nontrivial"
-    assert rep["generator_count"] == 7
-    assert ((0,), SWAP12) in sites_of(rep["generators"])
+    gens = rist_generators(S3, HALF0, 3)
+    assert len(gens) == 7
+    assert ((0,), SWAP12) in sites_of(gens)
 
     # regular (simply transitive) local action pins every decoration
-    assert half_tree_fixator(T3, C3, 0, 3)["verdict"] == "trivial"
-    assert half_tree_fixator(T3, S3, 0, 0)["verdict"] == "trivial"
+    assert rist_generators(C3, HALF0, 3) == []
+    assert rist_generators(S3, HALF0, 0) == []
 
 
 def test_inside_is_prefix_containment():
@@ -449,16 +448,15 @@ def test_conjugation_shifts_match_the_whole_ball_oracle(g):
 
 @pytest.fixture
 def trusted_tables(monkeypatch):
-    """Every table ``BallIsometry._trusted`` wraps while the test runs."""
+    """Every table ``BallIsometry`` is built with while the test runs."""
     built = []
-    wrap = BallIsometry._trusted
+    init = BallIsometry.__init__
 
-    def record(shape, precision, moved):
-        iso = wrap(shape, precision, moved)
+    def record(iso, shape, precision, moved):
+        init(iso, shape, precision, moved)
         built.append(iso)
-        return iso
 
-    monkeypatch.setattr(BallIsometry, "_trusted", staticmethod(record))
+    monkeypatch.setattr(BallIsometry, "__init__", record)
     return built
 
 
@@ -471,13 +469,13 @@ _SHAPES = {
 
 
 @pytest.mark.parametrize("name", list(_SHAPES))
-def test_exact_tables_pass_the_validating_constructor_seeded(name, trusted_tables):
-    # realize and conjugate_families wrap their tables unchecked; every
+def test_exact_tables_pass_checked_table_seeded(name, trusted_tables):
+    # realize and conjugate_families build their tables unchecked; every
     # table they build for the goodshrink, nub and tits-core families,
     # for contraction's powers and checked radius, for the mixed specs
-    # and for seeded portraits and words in them passes the validating
-    # constructor unchanged.  On rooted shapes the conjugator is a
-    # seeded portrait, as rooted shapes admit no translation
+    # and for seeded portraits and words in them passes the whole-ball
+    # check of checked_table unchanged.  On rooted shapes the conjugator
+    # is a seeded portrait, as rooted shapes admit no translation
     shape, local = _SHAPES[name]
     rng = random.Random(37)
     depth = 3
@@ -510,8 +508,9 @@ def test_exact_tables_pass_the_validating_constructor_seeded(name, trusted_table
     assert len(trusted_tables) > 200
     assert any(iso.moved for iso in trusted_tables)
     assert any(not iso.moved for iso in trusted_tables)
-    for iso in trusted_tables:
-        assert BallIsometry(shape, iso.precision, iso.moved).moved == iso.moved, iso
+    # checked_table builds a BallIsometry too, which the fixture records
+    for iso in list(trusted_tables):
+        assert checked_table(shape, iso.precision, iso.moved).moved == iso.moved, iso
     assert verdicts == {"verified"}
 
 

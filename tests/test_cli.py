@@ -313,6 +313,23 @@ def test_report_local_eta_and_orbit_bounds(spec_file, capsys):
     assert report["spec_hash"]
 
 
+@pytest.mark.parametrize(
+    "target, fake, failed",
+    [  # the structural factors gain a C2; the structural kernel bound drops to 1
+        ("_level_factors", lambda real: lambda *a: real(*a) + ["C2"], "composition factors"),
+        ("child_orbits", lambda real: lambda *a: [(0,)], "kernel orbits"),
+    ],
+    ids=["factors", "kernel"],
+)
+def test_report_local_failed_check_exits_70_without_report(spec_file, capsys, monkeypatch, target, fake, failed):
+    # both checks hold by the structure theory, so a false one is a fault
+    monkeypatch.setattr(cli, target, fake(getattr(cli, target)))
+    code, report, captured = run_cli(capsys, "report-local", spec_file(US3), "--depths", "1..2")
+    assert (code, report) == (70, None)
+    assert captured.err.startswith(
+        f"internal error: AssertionError: report-local checks fail: {failed} at depth 1, {failed} at depth 2")
+
+
 def test_report_local_rooted_binary(spec_file, capsys):
     code, report, _ = run_cli(
         capsys, "report-local", spec_file(ROOTED_BINARY), "--depths", "1..3"

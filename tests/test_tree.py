@@ -1,6 +1,6 @@
 import random
 import re
-from functools import reduce
+from functools import partial, reduce
 from math import prod
 
 import pytest
@@ -27,13 +27,11 @@ from tdlclab.permgrp import (
 from tdlclab import cli
 from tdlclab import localstruct as ls
 from tdlclab.tree import (
-    BallIsometry,
     _join_reduced,
     IsometrySpec,
     SpecWord,
     cayley_abels_dot,
     child_orbits,
-    colour_word_isometry,
     congruence_kernel,
     conjugate_families,
     free_reduce,
@@ -51,6 +49,7 @@ from tdlclab.tree import (
     sphere_orbit_classes,
 )
 from oracles import (
+    checked_table,
     full_table,
     oracle_ball,
     oracle_ball_table_error,
@@ -81,6 +80,11 @@ R2 = rooted(2)
 S3 = symmetric_group(3)
 C3 = cyclic_group(3)
 C2 = cyclic_group(2)
+
+
+def local_action(iso, v):
+    """The colour permutation a ball table induces at a vertex inside it."""
+    return Perm(iso._local_images(v))
 
 
 # -- portrait semantics --------------------------------------------------------
@@ -118,9 +122,9 @@ def test_root_site_recolours_letterwise():
     tau = Perm((1, 2, 0))
     p = IsometrySpec(T3, sites=((ROOT, tau),))
     assert p.apply((0, 1, 0, 2)) == (1, 2, 1, 0)
-    assert p.realize(4).local_action(ROOT) == tau
+    assert local_action(p.realize(4), ROOT) == tau
     # inherited all the way down
-    assert p.realize(4).local_action((0, 1)) == tau
+    assert local_action(p.realize(4), (0, 1)) == tau
 
 
 def test_deep_site_overrides_inherited():
@@ -179,7 +183,7 @@ def test_local_actions_match_oracle_seeded():
         p = random_regular_portrait(rng, T3, S3, 2)
         iso = p.realize(5)
         for v in T3.ball(3):
-            assert iso.local_action(v) == oracle_local_action(
+            assert local_action(iso, v) == oracle_local_action(
                 T3, p.apply, v
             )
 
@@ -226,9 +230,13 @@ def test_precision_exhaustion_raises():
     t0 = hyperbolic_isometry(T3, (0,))
     iso = t0.realize(2)
     with pytest.raises(PrecisionExhausted):
-        iso.local_action((0, 1))
-    with pytest.raises(PrecisionExhausted):
-        BallIsometry(T3, -1, {})
+        checked_table(T3, -1, {})
+    # the one guard of the BallIsometry constructor, from each builder
+    witness = IsometrySpec(T3, sites=(((0, 1), Perm((2, 1, 0))),))
+    conjugates = partial(conjugate_families, t0, [1], [witness, t0])
+    for build in (witness.realize, SpecWord.of(t0, witness).realize, conjugates):
+        with pytest.raises(PrecisionExhausted):
+            build(-1)
     # table powers run out of base vertex; exact powers never do
     table = full_table(iso)
     power, k = table, 1
@@ -246,7 +254,7 @@ def test_cocycle_identity_seeded():
     pool = [
         hyperbolic_isometry(T3, (0,)),
         hyperbolic_isometry(T3, (1,)),
-        colour_word_isometry(T3, (0, 1)),
+        IsometrySpec(T3, word=(0, 1)),
     ]
     checked = 0
     for _ in range(100):
@@ -265,14 +273,14 @@ def test_cocycle_identity_seeded():
         composed = oracle_compose_tables(table_g, table_h)
         assert all(table_gh[a] == b for a, b in composed.items())
         for v in T3.ball(3):
-            lhs = gh.local_action(v)
-            rhs = g.local_action(table_h[v]) * h.local_action(v)
+            lhs = local_action(gh, v)
+            rhs = local_action(g, table_h[v]) * local_action(h, v)
             assert lhs == rhs
             checked += 1
     assert checked >= 500
 
 
-# -- table validation: every ball table passes one gate ---------------------------
+# -- table checking: every ball table passes one whole-ball check ------------------
 
 
 @pytest.mark.parametrize(
@@ -288,9 +296,9 @@ def test_cocycle_identity_seeded():
 )
 def test_ball_table_rejections(shape, precision, changes, message):
     table = {a: a for a in shape.ball(precision)}
-    BallIsometry(shape, precision, table)  # the unchanged table passes
+    checked_table(shape, precision, table)  # the unchanged table passes
     with pytest.raises(ValueError, match=message):
-        BallIsometry(shape, precision, {**table, **changes})
+        checked_table(shape, precision, {**table, **changes})
 
 
 SWAP02 = Perm((2, 1, 0))
@@ -303,17 +311,17 @@ def test_sparse_table_rejects_one_corrupted_entry():
     assert moved[(0, 1, 0)] == (0, 1, 2) and (0, 1) not in moved
     # the edge from the fixed site to a moved child, one level below it
     with pytest.raises(ValueError, match="not adjacent"):
-        BallIsometry(T3, r, {**moved, (0, 1, 0): (1, 0, 1, 0, 1)})
+        checked_table(T3, r, {**moved, (0, 1, 0): (1, 0, 1, 0, 1)})
     # the edge from a moved vertex to a child the table leaves fixed
     pruned = {a: b for a, b in moved.items() if a not in ((0, 1, 0, 1), (0, 1, 2, 1))}
     with pytest.raises(ValueError, match="not adjacent"):
-        BallIsometry(T3, r, pruned)
+        checked_table(T3, r, pruned)
     # an image that lands on a fixed vertex of the ball
     with pytest.raises(ValueError, match="not injective"):
-        BallIsometry(T3, r, {**moved, (0, 1, 0): (2,)})
+        checked_table(T3, r, {**moved, (0, 1, 0): (2,)})
     with pytest.raises(ValueError, match="illegal address"):
-        BallIsometry(T3, r, {**moved, (0, 1, 0): (0, 1, 1)})
-    BallIsometry(T3, r, moved)  # the table itself passes
+        checked_table(T3, r, {**moved, (0, 1, 0): (0, 1, 1)})
+    checked_table(T3, r, moved)  # the table itself passes
 
 
 def _seeded_tables(rng):
@@ -322,7 +330,7 @@ def _seeded_tables(rng):
     out = []
     t0 = hyperbolic_isometry(T3, (0,))
     for r in (2, 3, 4):
-        movers = [t0, colour_word_isometry(T3, (1, 2)), IsometrySpec(T3)]
+        movers = [t0, IsometrySpec(T3, word=(1, 2)), IsometrySpec(T3)]
         movers += [random_regular_portrait(rng, T3, S3, 2) for _ in range(3)]
         movers += [random_rooted_portrait(rng, R2, 2) for _ in range(3)]
         for v in [(0, 1), (2,), (1, 0, 2)]:
@@ -332,27 +340,27 @@ def _seeded_tables(rng):
     return out
 
 
-def test_sparse_validation_matches_the_whole_ball_oracle_seeded():
-    # one entry of a whole-ball table is changed at random; the sparse
-    # table raises exactly when the whole-ball check fails, for the same
-    # reason
+def test_checked_table_matches_the_whole_ball_oracle_seeded():
+    # every seeded table passes; one entry of its whole-ball table is
+    # changed at random, and checked_table raises exactly when the whole-
+    # ball check fails, for the same reason, else keeps the moved entries
     rng = random.Random(53)
     reasons = set()
     for shape, iso in _seeded_tables(rng):
         table = full_table(iso)
-        assert oracle_ball_table_error(shape, iso.precision, table) is None
+        assert oracle_ball_table_error(shape, table) is None
         targets = list(shape.ball(iso.precision + 1)) + [(0, 0), (shape.degree,)]
         for _ in range(6):
             bad = {**table, rng.choice(list(table)): rng.choice(targets)}
-            want = oracle_ball_table_error(shape, iso.precision, bad)
+            want = oracle_ball_table_error(shape, bad)
             reasons.add(want)
             if want is None:
-                assert BallIsometry(shape, iso.precision, bad).moved == {
+                assert checked_table(shape, iso.precision, bad).moved == {
                     a: b for a, b in bad.items() if a != b
                 }
             else:
                 with pytest.raises(ValueError, match=want):
-                    BallIsometry(shape, iso.precision, bad)
+                    checked_table(shape, iso.precision, bad)
     assert reasons >= {None, "not injective", "illegal address", "not adjacent"}
 
 
@@ -446,7 +454,7 @@ def test_unit_translation_images():
 
 def test_unit_translation_square_is_word():
     t0 = hyperbolic_isometry(T3, (0,))
-    m01 = colour_word_isometry(T3, (0, 1)).realize(7)
+    m01 = IsometrySpec(T3, word=(0, 1)).realize(7)
     square = SpecWord(T3, ((t0, 2),)).realize(7)
     assert full_table(square) == full_table(m01)
     assert t0.realize(7).displacement == 1
@@ -459,7 +467,7 @@ def test_unit_translation_square_is_word():
 def test_unit_translation_local_actions_constant():
     t0 = hyperbolic_isometry(T3, (0,)).realize(6)
     swap = Perm((1, 0, 2))
-    assert all(t0.local_action(v) == swap for v in T3.ball(5))
+    assert all(local_action(t0, v) == swap for v in T3.ball(5))
 
 
 def test_translation_matches_oracle_seeded():
@@ -470,7 +478,7 @@ def test_translation_matches_oracle_seeded():
             options = [c for c in range(3) if c != w[-1]]
             w.append(rng.choice(options))
         word = tuple(w)
-        m = colour_word_isometry(T3, word)
+        m = IsometrySpec(T3, word=word)
         for v in T3.ball(4):
             assert m.apply(v) == oracle_translation_apply(word, v)
 
@@ -491,7 +499,7 @@ def test_hyperbolic_rejections():
 def test_displacements():
     assert hyperbolic_isometry(T3, (0,)).displacement == 1
     assert hyperbolic_isometry(T3, (0, 1)).displacement == 2
-    assert colour_word_isometry(T3, (0, 1, 0)).displacement == 3
+    assert IsometrySpec(T3, word=(0, 1, 0)).displacement == 3
 
 
 # -- cylinder transport ------------------------------------------------------------
@@ -520,7 +528,7 @@ def test_image_clopen_respects_boolean_structure_seeded():
     rng = random.Random(17)
     t0 = hyperbolic_isometry(T3, (0,))
     rho = IsometrySpec(T3, sites=((ROOT, Perm((2, 0, 1))),))
-    m12 = colour_word_isometry(T3, (1, 2))
+    m12 = IsometrySpec(T3, word=(1, 2))
     movers = [
         t0,
         m12,
@@ -577,7 +585,7 @@ def test_membership_in_universal_groups():
     t0 = hyperbolic_isometry(T3, (0,)).realize(5)
     assert in_universal_group(t0, S3)
     assert not in_universal_group(t0, C3)  # a swap is not a 3-cycle
-    m0 = colour_word_isometry(T3, (0,)).realize(5)
+    m0 = IsometrySpec(T3, word=(0,)).realize(5)
     trivial = FiniteGroup(3, [])
     assert in_universal_group(m0, trivial)
     rho = IsometrySpec(T3, sites=((ROOT, Perm((1, 2, 0))),)).realize(5)
@@ -590,8 +598,8 @@ def test_universal_membership_matches_local_actions_seeded():
     tables = [
         swap_site,
         hyperbolic_isometry(T3, (0,)).realize(5),
-        colour_word_isometry(T3, (0, 1)).realize(5),
-        BallIsometry(R2, 0, {ROOT: ROOT}),
+        IsometrySpec(T3, word=(0, 1)).realize(5),
+        checked_table(R2, 0, {ROOT: ROOT}),
     ]
     for _ in range(12):
         local = rng.choice([S3, C3])
@@ -604,7 +612,7 @@ def test_universal_membership_matches_local_actions_seeded():
         pools = (S3, C3, FiniteGroup(3, [])) if iso.shape == T3 else (C2, FiniteGroup(2, []))
         for local in pools:
             want = all(
-                iso.local_action(v) in local
+                local_action(iso, v) in local
                 for v in iso.shape.ball(iso.precision - 1)
             )
             assert in_universal_group(iso, local) == want
@@ -822,7 +830,7 @@ def test_apply_inverse_roundtrip_seeded():
     specs = [
         hyperbolic_isometry(T3, (0,)),
         hyperbolic_isometry(T3, (1, 2)),
-        colour_word_isometry(T3, (2, 0, 2)),
+        IsometrySpec(T3, word=(2, 0, 2)),
     ]
     for _ in range(30):
         p = random_regular_portrait(rng, T3, S3, 2)
@@ -1204,7 +1212,7 @@ def test_site_group_matches_the_return_colour_rule(shape, local):
         for p in local.element_list:
             if p in want:
                 iso = IsometrySpec(shape, sites=((v, p),)).realize(len(v) + 2)
-                BallIsometry(shape, iso.precision, iso.moved)  # validates it
+                checked_table(shape, iso.precision, iso.moved)  # checks it on the whole ball
                 assert support_in(iso, cylinder), (v, p)
             else:
                 with pytest.raises(ValueError):

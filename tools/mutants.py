@@ -42,7 +42,8 @@ class Mutant:
 
 MUTANTS = (
     # an exact table missing one moved point is no isometry; tables of
-    # exact elements are trusted, so the seeded validation test catches it
+    # exact elements are built unchecked, so the seeded test that checks
+    # each of them on the whole ball catches it
     Mutant(
         "moved-drops-its-last-point",
         "src/tdlclab/tree.py",
@@ -52,7 +53,16 @@ MUTANTS = (
         "            yield x, y\n",
         "    pairs = [(x, y) for x in points for y in (image(x),) if y != x]\n"
         "    yield from pairs[:-1]\n",
-        ("tests/test_boundary.py::test_exact_tables_pass_the_validating_constructor_seeded",),
+        ("tests/test_boundary.py::test_exact_tables_pass_checked_table_seeded",),
+    ),
+    # the one ball-table constructor accepts a negative radius
+    Mutant(
+        "ball-table-takes-negative-precision",
+        "src/tdlclab/tree.py",
+        "        if precision < 0:\n"
+        "            raise PrecisionExhausted(\"negative precision\")\n",
+        "",
+        ("tests/test_tree.py::test_precision_exhaustion_raises",),
     ),
     # force a row when both sides are live, not when exactly one is
     Mutant(
@@ -426,12 +436,12 @@ MUTANTS = (
         "        last, n = a[:-1], len(a) - 1\n",
         ("tests/test_boolalg.py::test_canonical_pass_matches_the_previous_pass_seeded",),
     ),
-    # covered tests the proper prefixes only, not the address itself
+    # covered accepts a proper prefix only, not the address itself
     Mutant(
         "covered-skips-the-address-itself",
         "src/tdlclab/boolalg.py",
-        "    for k in range(len(addr) + 1):\n        if addr[:k] in cover:\n",
-        "    for k in range(len(addr)):\n        if addr[:k] in cover:\n",
+        "    return i > 0 and addr[: len(order[i - 1])] == order[i - 1]\n",
+        "    return i > 0 and addr[: len(order[i - 1])] == order[i - 1] != addr\n",
         ("tests/test_boolalg.py::test_covered_matches_the_prefix_scan_seeded",),
     ),
     # the measure counts one address per depth
@@ -588,6 +598,15 @@ MUTANTS = (
         "    if failed:\n",
         "    if False:\n",
         ("tests/test_cli.py::test_certify_free_semigroup_failed_check_exits_70_without_certificate",),
+    ),
+    # a false realised check of report-local passes unraised, so a broken
+    # level group or kernel exits 0 with a "verified" report
+    Mutant(
+        "report-local-passes-a-false-check",
+        "src/tdlclab/cli.py",
+        "    if failed:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_report_local_failed_check_exits_70_without_report",),
     ),
     # a MemoryError falls through to the fault line and exits 70
     Mutant(
