@@ -110,6 +110,7 @@ class ActionContext:
         self._displacement = {name: w.displacement for name, w in self._gens.items()}
         self.max_displacement = max(self._displacement.values())
         self._image_memo: dict[tuple[str, CylinderClopen], CylinderClopen] = {}
+        self._cylinders: dict[tuple, CylinderClopen] = {}
 
     def generator(self, name: str) -> SpecWord:
         return self._gens[name]
@@ -124,9 +125,13 @@ class ActionContext:
         return sphere_list(self.shape, self.depth)
 
     def state_clopen(self, state) -> CylinderClopen:
-        """The clopen of a search state: a vertex stands for its cylinder."""
+        """The clopen of a search state: a vertex stands for its cylinder,
+        built once and then kept, so the image memo meets one object."""
         if type(state) is tuple:
-            return CylinderClopen.cylinder(self.shape, state)
+            got = self._cylinders.get(state)
+            if got is None:
+                got = self._cylinders[state] = CylinderClopen.cylinder(self.shape, state)
+            return got
         return state
 
     def state_label(self, state) -> str:

@@ -19,6 +19,7 @@ from tdlclab.boolalg import (
     CylinderClopen,
     TreeShape,
     _canonical,
+    _meeting,
     covered,
     format_address,
     format_clopen,
@@ -331,6 +332,47 @@ def test_leq_matches_set_model_seeded():
         b = random_clopen(rng, shape, 4)
         n = max(a.depth, b.depth, 1)
         assert a.leq(b) == (expand(a, n) <= expand(b, n))
+
+
+def test_leq_of_one_cylinder_matches_the_merge_seeded():
+    # one address, zero and TOP as self, against zero, TOP and seeded
+    # covers both deeper and shallower than it: the one-bisect rule, the
+    # merge it replaces, the prefix oracle, the set model and "misses
+    # the complement" all agree
+    rng = random.Random(53)
+    answers = set()
+    for shape in WRITE_SHAPES:
+        ball = list(shape.ball(5))
+        others = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
+        others += [random_clopen(rng, shape, 4) for _ in range(20)]
+        for y in others:
+            selves = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
+            selves += [CylinderClopen.cylinder(shape, a) for a in rng.sample(ball, 25)]
+            selves += [CylinderClopen.cylinder(shape, a) for a in list(y.cover)[:3]]
+            for x in selves:
+                got = x.leq(y)
+                merged = list(_meeting(x._order, y._order)) == x._order
+                n = max(x.depth, y.depth, 1)
+                # x lies inside y exactly when it meets no gap of y
+                gaps = oracle_complement(y)
+                misses = not any(
+                    _oracle_covered(a, {g}) or _oracle_covered(g, {a}) for a in x.cover for g in gaps
+                )
+                assert got == merged == oracle_leq(x, y) == (expand(x, n) <= expand(y, n)) == misses
+                answers.add((len(x.cover), got))
+    assert answers == {(0, True), (1, True), (1, False)}
+
+
+def test_shapes_are_shared_per_degree():
+    for make, kind in ((rooted, "rooted"), (regular, "regular")):
+        for q in (3, 4, 12):
+            assert make(q) is make(q)
+            built = TreeShape(kind, q)
+            # a shape built by hand keeps value equality with the shared one
+            assert built is not make(q) and built == make(q) and hash(built) == hash(make(q))
+            x = CylinderClopen.cylinder(built, (0,))
+            assert x.leq(CylinderClopen.top(make(q))) and x.meet(CylinderClopen.top(make(q))) == x
+    assert rooted(3) != regular(3)
 
 
 # -- measure -------------------------------------------------------------------

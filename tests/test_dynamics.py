@@ -1023,6 +1023,44 @@ def test_pair_compression_seeded_deep_pairs():
             assert ctx.word_image(tuple(schedule["word"]), ctx.state_clopen(state)).leq(target)
 
 
+def test_state_clopen_keeps_one_cylinder_per_vertex():
+    ctx = dy.translation_rotation_context(S3, depth=3)
+    vertices = list(T3.ball(3))
+    for v in vertices + vertices[::-1]:
+        got = ctx.state_clopen(v)
+        assert got is ctx.state_clopen(v) and got == CylinderClopen.cylinder(T3, v)
+    # one kept cylinder per vertex asked about, and a clopen is its own state
+    assert len(ctx._cylinders) == len(vertices)
+    other = CylinderClopen.from_addresses(T3, [(0, 1), (1,)])
+    assert ctx.state_clopen(other) is other and len(ctx._cylinders) == len(vertices)
+
+
+def _report_or_exhaustion(ctx, xi, eta, target) -> str:
+    try:
+        return canonical_json(dy.pair_compression(ctx, xi, eta, target))
+    except SearchExhausted as exc:
+        return f"exhausted: {exc}"
+
+
+def test_pair_compression_reports_match_on_warm_and_fresh_contexts_seeded():
+    # one context answering every query in turn, its kept cylinders and
+    # images warm, against a fresh context per query
+    warm = dy.translation_rotation_context(S3, depth=4, word_bound=6)
+    rng = random.Random(29)
+    states = warm.states()
+    targets = [CylinderClopen.cylinder(T3, a) for k in (1, 2, 3) for a in T3.sphere(k)]
+    targets.append(CylinderClopen.from_addresses(T3, [(0, 1), (2, 0, 1)]))
+    texts = []
+    for _ in range(30):
+        xi, eta, target = rng.choice(states), rng.choice(states), rng.choice(targets)
+        fresh = dy.translation_rotation_context(S3, depth=4, word_bound=6)
+        texts.append(_report_or_exhaustion(warm, xi, eta, target))
+        assert texts[-1] == _report_or_exhaustion(fresh, xi, eta, target)
+    # the sample reaches the powers, a rotation schedule and the pair BFS
+    for strategy in ("power", "power+rotation", "bfs"):
+        assert any(f'"strategy":"{strategy}"' in t for t in texts)
+
+
 def test_pair_compression_power_then_rotation_replays_seeded():
     # depth-1..3 cylinder targets send some pairs past the plain powers and
     # rotation-first schedules to a power followed by one base-fixing

@@ -444,6 +444,28 @@ MUTANTS = (
         "    return i > 0 and addr[: len(order[i - 1])] == order[i - 1] != addr\n",
         ("tests/test_boolalg.py::test_covered_matches_the_prefix_scan_seeded",),
     ),
+    # leq of one cylinder answers whether it meets other, not whether
+    # it lies inside
+    Mutant(
+        "one-cylinder-leq-answers-meets",
+        "src/tdlclab/boolalg.py",
+        "            return covered(mine[0], other._order)\n",
+        "            return next(_meeting(mine, other._order), None) is not None\n",
+        ("tests/test_boolalg.py::test_leq_of_one_cylinder_matches_the_merge_seeded",),
+    ),
+    # the kept cylinders are keyed on the vertex's depth, so a second
+    # vertex at one depth gets the first one's cylinder
+    Mutant(
+        "cylinder-kept-per-depth",
+        "src/tdlclab/dynamics.py",
+        "            got = self._cylinders.get(state)\n"
+        "            if got is None:\n"
+        "                got = self._cylinders[state] = CylinderClopen.cylinder(self.shape, state)\n",
+        "            got = self._cylinders.get(len(state))\n"
+        "            if got is None:\n"
+        "                got = self._cylinders[len(state)] = CylinderClopen.cylinder(self.shape, state)\n",
+        ("tests/test_dynamics.py::test_state_clopen_keeps_one_cylinder_per_vertex",),
+    ),
     # the measure counts one address per depth
     Mutant(
         "measure-one-address-per-depth",
