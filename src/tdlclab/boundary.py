@@ -20,7 +20,6 @@ from .boolalg import (
 from .errors import DisjointnessFailure, NotSkewering
 from .permgrp import FiniteGroup
 from .tree import (
-    BallIsometry,
     IsometrySpec,
     SpecWord,
     _conjugate_moves,
@@ -37,8 +36,26 @@ def inside(region: CylinderClopen, v: Address) -> bool:
 
 
 def region_vertices(region: CylinderClopen, max_depth: int) -> list[Address]:
-    shape = region.shape
-    return [v for v in shape.ball(max_depth) if inside(region, v)]
+    """The vertices of the radius-``max_depth`` ball inside the region, in
+    ``shape.ball`` order: level by level, each level in lexicographic order.
+
+    A vertex lies inside exactly when one of its prefixes is a cover
+    address, so each cover address spreads over its subtree's vertices
+    at its own level and every level down to ``max_depth``.  The cover is
+    a sorted antichain, so the runs it puts on one level follow each
+    other in lexicographic order.
+    """
+    children = region.shape.children
+    levels: list[list[Address]] = [[] for _ in range(max_depth + 1)]
+    for a in region._order:
+        if len(a) > max_depth:
+            continue
+        run = [a]
+        levels[len(a)] += run
+        for d in range(len(a) + 1, max_depth + 1):
+            run = [b for v in run for b in children(v)]
+            levels[d] += run
+    return [v for level in levels for v in level]
 
 
 def rist_generators(
@@ -52,15 +69,17 @@ def rist_generators(
     return site_decorations(shape, local, region_vertices(region, max_depth))
 
 
-def support_in(iso: BallIsometry, region: CylinderClopen) -> bool:
+def support_in(table: dict, region: CylinderClopen) -> bool:
     """The table fixes every vertex that is not strictly inside the region.
 
     Fixing those vertices pins every ray to an end outside the region,
     so at the realized precision this is exactly "trivial off the
     region".  A table lists only the vertices it moves, so this reads
-    just those: each must lie inside the region.
+    just those: each must lie inside the region.  A vertex below one
+    inside the region is inside too, so only the listed vertices whose
+    parent is not listed are tested.
     """
-    return all(inside(region, v) for v in iso.moved)
+    return all(inside(region, v) for v in table if not (v and v[:-1] in table))
 
 
 def tables_commute(family_a, family_b) -> bool:
@@ -68,14 +87,14 @@ def tables_commute(family_a, family_b) -> bool:
 
     A table is a dict that lists at least the points it moves, with
     their images, and fixes every point it does not list, such as the
-    ``moved`` part of a ball table of an isometry fixing the base
-    vertex.  The tables must be permutations of one common domain.  Two
-    permutations whose moved sets are disjoint commute, so such a pair
-    is never looked at: the second family's tables are indexed by the
-    points they move, and each table of the first meets only those that
-    share a moved point with it.  Such a pair is checked on the union of
-    the two moved sets, since both sides of fu(fv(x)) = fv(fu(x)) are x
-    at a point that neither moves.
+    ball table of an isometry fixing the base vertex.  The tables must
+    be permutations of one common domain.  Two permutations whose moved
+    sets are disjoint commute, so such a pair is never looked at: the
+    second family's tables are indexed by the points they move, and each
+    table of the first meets only those that share a moved point with
+    it.  Such a pair is checked on the union of the two moved sets,
+    since both sides of fu(fv(x)) = fv(fu(x)) are x at a point that
+    neither moves.
     """
 
     def moved(family):
@@ -218,24 +237,19 @@ def goodshrink_construct(
     kappa_gens = rist_generators(local, kappa, depth)
     check_radius = depth + 2
 
-    conj_isos = conjugate_families(g, (1,), kappa_gens, check_radius)[1]
-    conj_into_kappa = [
-        support_in(tab, kappa) and in_universal_group(tab, local)
-        for tab in conj_isos
-    ]
-    conj_tables = [tab.moved for tab in conj_isos]
+    conj_tables = conjugate_families(g, (1,), kappa_gens, check_radius)[1]
+    conj_into_kappa = all(
+        support_in(tab, kappa) and in_universal_group(g.shape, tab, local)
+        for tab in conj_tables
+    )
 
     gn0_beta = beta
     for _ in range(n0):
         gn0_beta = spec_image_clopen(g, gn0_beta)
     product_inside = gn0_beta.leq(kappa)
     beta_factor_gens = rist_generators(local, gn0_beta, depth)
-    beta_tables = []
-    product_gens_inside = []
-    for v in beta_factor_gens:
-        tab = v.realize(check_radius)
-        product_gens_inside.append(support_in(tab, kappa))
-        beta_tables.append(tab.moved)
+    beta_tables = [v.realize(check_radius) for v in beta_factor_gens]
+    product_gens_inside = all(support_in(tab, kappa) for tab in beta_tables)
 
     # the product factors are the conjugated kappa witnesses and the
     # g^n0.beta witnesses; when every witness fixes the base vertex the
@@ -250,8 +264,8 @@ def goodshrink_construct(
     checks = {
         "image_strictly_inside": True,
         "chain_strictly_shrinking": len(chain) == 2 * depth + 1,
-        "conjugation_preserves_kappa": all(conj_into_kappa),
-        "product_inclusion": product_inside and all(product_gens_inside),
+        "conjugation_preserves_kappa": conj_into_kappa,
+        "product_inclusion": product_inside and product_gens_inside,
         "factors_commute": commute,
         "kappa_witnesses_contract": all(
             c["verdict"] == "contracts" for c in contractions
@@ -281,14 +295,14 @@ def conjugation_shifts(g, reach: int, depth: int, families) -> bool:
     """Whether conjugating each family by g gives the next family on the
     depth ball: g f g^-1 = f' for the tables f, f' at one position.
 
-    Tables are the moved parts of radius-``reach`` ball tables fixing
-    the base vertex, and g must carry the depth ball's pull-back inside
-    that ball: each pull-back y = g^-1(x) of a depth-ball point x is
-    exact, so this asks only that |y| <= reach.  After that g f g^-1
-    fixes x wherever f fixes y, so only the points f moves and those f'
-    moves are read, and g is read through its exact map, once per point
-    f moves.  A legal address lies in the depth ball exactly when it is
-    at most ``depth`` letters long.
+    Tables are radius-``reach`` ball tables fixing the base vertex, and
+    g must carry the depth ball's pull-back inside that ball: each
+    pull-back y = g^-1(x) of a depth-ball point x is exact, so this asks
+    only that |y| <= reach.  After that g f g^-1 fixes x wherever f
+    fixes y, so only the points f moves and those f' moves are read, and
+    g is read through its exact map, once per point f moves.  A legal
+    address lies in the depth ball exactly when it is at most ``depth``
+    letters long.
     """
     back = SpecWord(g.shape, ((g, -1),))._apply
     if any(len(back(x)) > reach for x in g.shape.ball(depth)):
@@ -325,9 +339,9 @@ def nub_window(
     translates of beta are pairwise disjoint, witnesses from different
     factors commute on the whole depth ball, and conjugating the i-th
     family by g reproduces the (i+1)-st within the realized ball.  All
-    factor checks run on the ball tables' moved parts; the witnesses
-    fix the base vertex, so their tables permute each sphere and compose
-    without precision loss.  The families come from
+    factor checks run on the ball tables, which list moved points only;
+    the witnesses fix the base vertex, so their tables permute each
+    sphere and compose without precision loss.  The families come from
     ``conjugate_families``, so each witness reads only the points of
     the ball about g^-i(v0) strictly below its sites, and the
     commutation checks look only at pairs of tables that share a moved
@@ -357,13 +371,12 @@ def nub_window(
     # witness tables and g's forward table are realized at depth + d; g^-1
     # on the depth ball is its first exact pull-back
     reach = depth + max(1, g.displacement)
-    realized = conjugate_families(g, idx, beta_gens, reach)
-    if any(iso.displacement != 0 for i in idx for iso in realized[i]):
+    tables = conjugate_families(g, idx, beta_gens, reach)
+    if any(ROOT in t for i in idx for t in tables[i]):
         raise ValueError("witness does not fix the base vertex")
     supports_ok = all(
-        support_in(iso, translates[i]) for i in idx for iso in realized[i]
+        support_in(t, translates[i]) for i in idx for t in tables[i]
     )
-    tables = {i: [iso.moved for iso in realized[i]] for i in idx}
 
     # a table moves a point of the depth ball only inside it, so the
     # commutation on that ball is read off the moved points there
@@ -472,7 +485,7 @@ def tits_core_generators(
     }
     if rotations:
         checks["cone_rotations_normalise"] = all(
-            support_in(tab, beta_f) and in_universal_group(tab, local)
+            support_in(tab, beta_f) and in_universal_group(shape, tab, local)
             for rho in rotations
             for tab in conjugate_families(rho, (1,), gens_f, depth + 2)[1]
         )

@@ -7,15 +7,17 @@ the vertex set is the free product of degree many involutions, stepping
 along colour c from word w is free reduction of w plus c, and isometries
 may move the base vertex.
 
-Three element carriers live here.  IsometrySpec is the exact atom: a
+Two element classes live here.  IsometrySpec is the exact atom: a
 portrait, which decorates finitely many sites with colour permutations,
 followed by a word translation; it applies to addresses of any depth.
 SpecWord is a formal product of powers of atoms, evaluated factor by
 factor, so it stays exact too; a factor that is itself a word is spelled
 out when the SpecWord is built, so its factors are always atoms, and a
 one-letter word, an atom or its inverse, applies that atom's own map.
-BallIsometry is the table of an exact element on a ball about the base
-vertex; products and inverses are formed exactly before tabulating.
+A ball table is no class: it is the dict from each vertex of a ball
+about the base vertex that an exact element moves to its image.
+Products and inverses are formed exactly, as a SpecWord, before
+tabulating; a table has neither.
 
 Legality of an address is checked once, at the public entry:
 IsometrySpec.apply and apply_inverse and SpecWord.apply raise ValueError
@@ -24,11 +26,12 @@ legal address is legal.  SpecWord applies its factors through the
 unchecked IsometrySpec._apply and _apply_inverse.  Ball tables need no
 address check at all: _moved reads ball vertices, legal by construction,
 through the unchecked _apply.  An exact element is an isometry at every
-depth, so realize and conjugate_families hand its table to BallIsometry,
-which stores it unchecked, as Perm._trusted wraps a product.  The check
-path in the tests rebuilds every table the certificates read over its
-whole ball and checks it there (domain, injectivity, legal images,
-adjacency) before building the same BallIsometry.
+depth, so realize and conjugate_families store its table unchecked, as
+Perm._trusted wraps a product, through _table, whose one guard rejects a
+negative radius.  The check path in the tests rebuilds every table the
+certificates read over its whole ball and checks it there (domain,
+injectivity, legal images, adjacency), with the radius and shape it was
+built for beside it.
 spec_image_clopen likewise checks only that the clopen lives on the
 recipe's shape, then applies the clopen's atoms, legal by construction,
 through _apply; CylinderClopen.from_addresses still rejects any illegal
@@ -48,7 +51,9 @@ reads only the points strictly below u's sites, or the whole ball about
 c when u states no support.  realize tabulates it about the base vertex,
 so a rigid-stabiliser witness's table is as large as the part of the
 ball it moves, and SpecWord.is_identity_on stops at its first point.  A
-displacing element's table lists most of the ball; it is the same class.
+displacing element's table lists most of the ball; it is the same dict.
+A table moves the base vertex exactly when it lists it, and its local
+actions are read by in_universal_group, which takes the shape beside it.
 
 Conjugates g^k u g^-k take a shorter path than walking every letter of
 the word at every ball vertex: the conjugate fixes a exactly when u
@@ -132,49 +137,14 @@ def step(shape: TreeShape, addr: Address, colour: int) -> Address:
 # -- ball tables ---------------------------------------------------------------
 
 
-class BallIsometry:
-    """Table of an exact element on the radius ``precision`` ball.
-
-    ``moved`` maps each ball vertex the element moves to its image; every
-    other ball vertex is fixed.  The constructor stores the table it is
-    given unchecked: it lists exactly the moved vertices of an exact
-    element, an isometry at every depth, as ``_moved`` and
-    ``_conjugate_moves`` yield them.  A witness's table is as large as
-    the part of the ball it moves, a displacing element's lists most of
-    the ball.  Products and inverses are formed exactly, as a SpecWord,
-    before tabulating; a table is a read-only result.
+def _table(r: int, moves) -> dict:
+    """The radius-r ball table of an exact element: each ball vertex it
+    moves, from the (vertex, image) pairs ``moves`` yields, mapped to its
+    image.  The pairs are stored unchecked; the radius is the one guard.
     """
-
-    __slots__ = ("shape", "precision", "moved")
-
-    def __init__(self, shape: TreeShape, precision: int, moved: dict) -> None:
-        if precision < 0:
-            raise PrecisionExhausted("negative precision")
-        self.shape, self.precision, self.moved = shape, precision, moved
-
-    @property
-    def displacement(self) -> int:
-        return len(self.moved.get(ROOT, ROOT))
-
-    def _local_images(self, v: Address) -> tuple[int, ...]:
-        """Image tuple of the local action at a vertex inside the ball."""
-        get, shape = self.moved.get, self.shape
-        if shape.kind == "rooted":
-            return tuple([get(b, b)[-1] for b in shape.children(v)])
-        iv = get(v, v)
-        below = len(iv) + 1
-        out = []
-        for c in shape.colours():
-            nb = step(shape, v, c)
-            inb = get(nb, nb)
-            out.append(inb[-1] if len(inb) == below else iv[-1])
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return (
-            f"BallIsometry({self.shape.kind}{self.shape.degree}, "
-            f"precision={self.precision}, moves {self.moved.get(ROOT, ROOT)!r})"
-        )
+    if r < 0:
+        raise PrecisionExhausted("negative precision")
+    return dict(moves)
 
 
 # -- exact recipes -------------------------------------------------------------
@@ -357,8 +327,8 @@ class IsometrySpec:
         out.extend(tail if site is None else [site[1][z] for z in tail])
         return tuple(out)
 
-    def realize(self, r: int) -> BallIsometry:
-        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
+    def realize(self, r: int) -> dict:
+        return _table(r, _moved(self, ROOT, r))
 
 
 def _one_site(shape: TreeShape, v: Address, images: tuple[int, ...]):
@@ -501,8 +471,8 @@ class SpecWord:
         """A product states no support: it may move anything."""
         return None
 
-    def realize(self, r: int) -> BallIsometry:
-        return BallIsometry(self.shape, r, dict(_moved(self, ROOT, r)))
+    def realize(self, r: int) -> dict:
+        return _table(r, _moved(self, ROOT, r))
 
     def is_identity_on(self, r: int) -> bool:
         return next(_moved(self, ROOT, r), None) is None
@@ -538,12 +508,12 @@ def _conjugate_moves(g, k: int, r: int):
 def conjugate_families(g, ks, us, r: int) -> dict:
     """Radius-r ball tables of the conjugates g^k u g^-k, one list per
     power k in ks, keyed by k, one table per u: the moved points that
-    ``_conjugate_moves`` yields, as a BallIsometry.
+    ``_conjugate_moves`` yields.
     """
     out: dict = {}
     for k in set(ks):
         moves = _conjugate_moves(g, k, r)
-        out[k] = [BallIsometry(g.shape, r, dict(moves(u))) for u in us]
+        out[k] = [_table(r, moves(u)) for u in us]
     return out
 
 
@@ -568,8 +538,8 @@ def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
 # -- the universal group at finite depth ----------------------------------------
 
 
-def in_universal_group(iso: BallIsometry, local: FiniteGroup) -> bool:
-    """All realized local actions lie in the given colour group.
+def in_universal_group(shape: TreeShape, table: dict, local: FiniteGroup) -> bool:
+    """All local actions a ball table realizes lie in the given colour group.
 
     The local action at a vertex reads the images of the vertex and its
     neighbours, so it is the identity, which the group holds, unless the
@@ -577,13 +547,28 @@ def in_universal_group(iso: BallIsometry, local: FiniteGroup) -> bool:
     neighbour permutes its neighbours, so it moves a child; a moved
     vertex moves a child too, as two vertices of a tree share at most
     one neighbour.  So only the parents of moved vertices are read.
-    Local actions are compared as image tuples, so no Perm is built.
+    Local actions are compared as image tuples, so no Perm is built: on
+    rooted shapes the last letters of the children's images, on regular
+    shapes, per colour, the last letter of the neighbour's image when it
+    lies below the vertex's image, else the last letter of that image.
     """
-    if local.degree != iso.shape.degree:
+    if local.degree != shape.degree:
         raise ValueError("local group degree does not match the shape")
-    allowed = local.image_set
-    parents = {b[:-1] for b in iso.moved if b}
-    return all(iso._local_images(v) in allowed for v in parents)
+    allowed, get = local.image_set, table.get
+    for v in {b[:-1] for b in table if b}:
+        if shape.kind == "rooted":
+            images = [get(b, b)[-1] for b in shape.children(v)]
+        else:
+            iv = get(v, v)
+            below = len(iv) + 1
+            images = []
+            for c in shape.colours():
+                nb = step(shape, v, c)
+                inb = get(nb, nb)
+                images.append(inb[-1] if len(inb) == below else iv[-1])
+        if tuple(images) not in allowed:
+            return False
+    return True
 
 
 def site_group(shape: TreeShape, local: FiniteGroup, v: Address) -> FiniteGroup:

@@ -64,20 +64,24 @@ made before they read only the points ``_moved`` yields: it applies the
 element at every vertex of that ball.  The commutation oracle checks
 every point of the domain, and the support oracle every vertex of the
 ball outside the region, where ``tables_commute`` and ``support_in``
-read only the points a table moves.  The shift oracle reads g's table
-and both families' tables at every point of the depth ball, where
-``conjugation_shifts`` reads g's table once there and the families only
-where they move.
+read only the points a table moves.  The region-vertex oracle scans
+the whole ball and tests each vertex prefix by prefix, where
+``region_vertices`` spreads each cover address down to the radius.  The
+shift oracle reads g's table and both families' tables at every point
+of the depth ball, where ``conjugation_shifts`` reads g's table once
+there and the families only where they move.
 
 The table oracles read ball tables as they were before tables listed
 only their moved vertices: ``full_table`` spells a table out over the
 whole ball, the validation oracle checks a whole-ball dict edge by
 edge, and the membership oracle reads the local action at every vertex
 of the ball, where ``in_universal_group`` reads only the parents of the
-moved vertices.  ``checked_table`` is the one check of a ball table: it
-spells a table out over its ball, rejects it with the validation
-oracle's reason, and only then builds the ``BallIsometry``, whose
-constructor stores the tables of exact elements unchecked.
+moved vertices.  A ball table is a dict of the vertices it moves and
+carries no radius, so these oracles take the shape and radius beside it.
+``checked_table`` is the one check of a ball table: it spells a table
+out over its ball, rejects it with the validation oracle's reason, and
+only then returns its moved entries, where ``realize`` and
+``conjugate_families`` store the tables of exact elements unchecked.
 
 The ball-witness check path, ``check_ball_witnesses``, reruns the checks
 of ``certify goodshrink``, ``nub``, ``tits-core`` and ``contraction`` on
@@ -206,7 +210,6 @@ from tdlclab.permgrp import (
     prime_factors,
 )
 from tdlclab.tree import (
-    BallIsometry,
     IsometrySpec,
     SpecWord,
     congruence_kernel,
@@ -1119,10 +1122,11 @@ def oracle_walked_contraction_certificates(g, us, ball_radius: int, direction: i
     return out
 
 
-def full_table(iso) -> dict:
-    """A ball table spelled out over its whole ball, fixed vertices listed."""
-    get = iso.moved.get
-    return {a: get(a, a) for a in oracle_ball(iso.shape, iso.precision)}
+def full_table(shape, r: int, table: dict) -> dict:
+    """A radius-r ball table spelled out over its whole ball, fixed
+    vertices listed."""
+    get = table.get
+    return {a: get(a, a) for a in oracle_ball(shape, r)}
 
 
 def oracle_ball_table_error(shape, table: dict):
@@ -1146,10 +1150,10 @@ def _edge(u, v) -> bool:
     return (len(u) == len(v) + 1 and u[:-1] == v) or (len(v) == len(u) + 1 and v[:-1] == u)
 
 
-def checked_table(shape, r: int, table: dict) -> BallIsometry:
-    """The radius-r ``BallIsometry`` of ``table``, which fixes every ball
-    vertex it does not list, once it passes ``oracle_ball_table_error``
-    spelled out over the whole ball."""
+def checked_table(shape, r: int, table: dict) -> dict:
+    """The moved entries of the radius-r ball table ``table``, which fixes
+    every ball vertex it does not list, once it passes
+    ``oracle_ball_table_error`` spelled out over the whole ball."""
     if r < 0:
         raise PrecisionExhausted("negative precision")
     ball = list(oracle_ball(shape, r))
@@ -1159,16 +1163,16 @@ def checked_table(shape, r: int, table: dict) -> BallIsometry:
     error = oracle_ball_table_error(shape, whole)
     if error is not None:
         raise ValueError(error)
-    return BallIsometry(shape, r, {a: b for a, b in whole.items() if a != b})
+    return {a: b for a, b in whole.items() if a != b}
 
 
-def oracle_in_universal_group(iso, local) -> bool:
-    """Every local action inside the ball, read off the whole table."""
-    table = full_table(iso)
-    shape = iso.shape
+def oracle_in_universal_group(shape, r: int, table: dict, local) -> bool:
+    """Every local action inside the radius-r ball, read off the whole
+    table."""
+    table = full_table(shape, r, table)
     allowed = set(local.element_set)
     for v in table:
-        if len(v) > iso.precision - 1:
+        if len(v) > r - 1:
             continue
         iv = table[v]
         images = []
@@ -1187,7 +1191,7 @@ def oracle_in_universal_group(iso, local) -> bool:
 def oracle_conjugation_shifts(g, reach: int, depth: int, families) -> bool:
     """``boundary.conjugation_shifts`` on whole-ball tables, read at every
     point x of the depth ball through its pull-back y: g(f(y)) = f'(x)."""
-    g_fwd = full_table(g.realize(reach))
+    g_fwd = full_table(g.shape, reach, g.realize(reach))
     ball = list(g.shape.ball(depth))
     back = SpecWord(g.shape, ((g, -1),))
     g_inv = [back.apply(x) for x in ball]
@@ -1210,10 +1214,11 @@ def oracle_tables_commute(family_a, family_b, domain) -> bool:
     )
 
 
-def oracle_support_in(iso, region) -> bool:
-    """Every ball vertex outside the region is fixed, checked one by one."""
+def oracle_support_in(shape, r: int, table: dict, region) -> bool:
+    """Every radius-r ball vertex outside the region is fixed, checked
+    one by one."""
     cover = region.cover
-    table = full_table(iso)
+    table = full_table(shape, r, table)
     return all(
         table[v] == v
         for v in table
@@ -1232,15 +1237,24 @@ def validated_table(mover, r: int) -> tuple:
     return checked_table(mover.shape, r, table), table
 
 
+def oracle_region_vertices(region, depth: int) -> list:
+    """The vertices of the recursive radius-``depth`` ball whose cylinder
+    lies inside the region, tested prefix by prefix."""
+    cover = region.cover
+    return [
+        v for v in oracle_ball(region.shape, depth)
+        if any(v[:k] in cover for k in range(len(v) + 1))
+    ]
+
+
 def _witnesses(local, region, depth: int) -> list:
     """Single-site witnesses of the rigid stabiliser of a region: one
-    per generator of the site group at each vertex down to ``depth``
-    whose cylinder lies inside the region, tested prefix by prefix."""
-    cover, shape = region.cover, region.shape
+    per generator of the site group at each vertex of
+    ``oracle_region_vertices``."""
+    shape = region.shape
     return [
         IsometrySpec(shape, sites=((v, perm),))
-        for v in oracle_ball(shape, depth)
-        if any(v[:k] in cover for k in range(len(v) + 1))
+        for v in oracle_region_vertices(region, depth)
         for perm in site_group(shape, local, v).pruned_gens
     ]
 
@@ -1272,7 +1286,7 @@ def check_contraction(g, us, ball_radius: int, direction: int = 1) -> list:
     def trivial(u, k: int) -> bool:
         if k not in powers:
             powers[k] = conjugate_tables(g, direction * k, r)
-        return not powers[k](u)[0].moved
+        return not powers[k](u)[0]
 
     out = []
     for u in us:
@@ -1293,12 +1307,13 @@ def check_contraction(g, us, ball_radius: int, direction: int = 1) -> list:
     return out
 
 
-def _allowed_in(tables, region, local) -> bool:
-    """Every validated table is supported in the region and its local
-    actions lie in the local group."""
+def _allowed_in(shape, r: int, tables, region, local) -> bool:
+    """Every validated radius-r table is supported in the region and its
+    local actions lie in the local group."""
     return all(
-        oracle_support_in(iso, region) and oracle_in_universal_group(iso, local)
-        for iso, _ in tables
+        oracle_support_in(shape, r, t, region)
+        and oracle_in_universal_group(shape, r, t, local)
+        for t, _ in tables
     )
 
 
@@ -1325,9 +1340,9 @@ def check_goodshrink(local, g, alpha, depth: int, n0=None) -> dict:
     return _report({
         "image_strictly_inside": chain[1].lt(alpha),
         "chain_strictly_shrinking": all(b.lt(a) for a, b in zip(chain, chain[1:])),
-        "conjugation_preserves_kappa": _allowed_in(conj, kappa, local),
+        "conjugation_preserves_kappa": _allowed_in(g.shape, r, conj, kappa, local),
         "product_inclusion": gn0_beta.leq(kappa)
-        and all(oracle_support_in(iso, kappa) for iso, _ in beta_tables),
+        and all(oracle_support_in(g.shape, r, t, kappa) for t, _ in beta_tables),
         "factors_commute": all(t[ROOT] == ROOT for t in whole)
         and oracle_tables_commute([t for _, t in conj], [t for _, t in beta_tables], ball),
         "kappa_witnesses_contract": all(
@@ -1353,7 +1368,7 @@ def check_nub(local, g, beta, v_level: int, m: int, depth: int) -> dict:
     return _report({
         "translates_disjoint": not any(translates[i].meets(translates[j]) for i, j in pairs),
         "supports_inside_translates": all(
-            oracle_support_in(iso, translates[i]) for i in idx for iso, _ in tables[i]
+            oracle_support_in(shape, reach, t, translates[i]) for i in idx for t, _ in tables[i]
         ),
         "cross_factor_commutators_trivial": all(t[ROOT] == ROOT for w in whole for t in w)
         and all(oracle_tables_commute(whole[i + m], whole[j + m], ball) for i, j in pairs),
@@ -1404,7 +1419,9 @@ def check_tits_core(local, g, depth: int) -> dict:
     }
     if rotations:
         checks["cone_rotations_normalise"] = all(
-            _allowed_in(map(conjugate_tables(rho, 1, depth + 2), gens_f), beta_f, local)
+            _allowed_in(
+                shape, depth + 2, map(conjugate_tables(rho, 1, depth + 2), gens_f), beta_f, local
+            )
             for rho in rotations
         )
     return _report(checks)

@@ -13,6 +13,7 @@ from tdlclab.boundary import (
     goodshrink_construct,
     inside,
     nub_window,
+    region_vertices,
     rist_generators,
     support_in,
     tables_commute,
@@ -22,8 +23,8 @@ from tdlclab.certificates import canonical_json
 from tdlclab.cli import parse_spec_text
 from tdlclab.errors import DisjointnessFailure, NotSkewering
 from tdlclab.permgrp import Perm, cyclic_group, symmetric_group
+from tdlclab import tree
 from tdlclab.tree import (
-    BallIsometry,
     IsometrySpec,
     SpecWord,
     _conjugate_moves,
@@ -41,6 +42,7 @@ from oracles import (
     oracle_conjugation_shifts,
     oracle_contraction_certificate,
     oracle_pulled_moves,
+    oracle_region_vertices,
     oracle_support_in,
     oracle_tables_commute,
     oracle_walked_contraction_certificates,
@@ -73,6 +75,27 @@ def test_rist_generator_counts():
     assert rist_generators(S3, zero, 4) == []
 
 
+@pytest.mark.parametrize(
+    "shape", [rooted(2), rooted(3), T3, regular(4)], ids=["rooted2", "rooted3", "regular3", "regular4"]
+)
+def test_region_vertices_match_the_whole_ball_scan_seeded(shape):
+    # the vertices each cover address spreads to, against a scan of the
+    # whole ball, in the same order, at radii 0 to 5, for seeded regions
+    # with cover addresses of mixed depths (some deeper than the radius),
+    # and for the top and zero clopens
+    rng = random.Random(73)
+    regions = [CylinderClopen.top(shape), CylinderClopen.zero(shape)]
+    regions += [random_clopen(rng, shape, 4).join(random_clopen(rng, shape, 4)) for _ in range(40)]
+    deepest = set()
+    for region in regions:
+        for d in range(6):
+            got = region_vertices(region, d)
+            assert got == oracle_region_vertices(region, d), (region, d)
+            deepest.add(any(len(v) == d for v in got))
+    assert len({len(a) for r in regions for a in r.cover}) >= 4
+    assert deepest == {True, False}
+
+
 def test_rist_generators_fix_complement_pointwise():
     gens = rist_generators(S3, HALF0, 3)
     ray = [(1,), (1, 0), (1, 0, 1), (1, 0, 1, 0)]
@@ -92,16 +115,17 @@ def test_support_in_matches_full_ball_oracle_seeded():
     inside_half = [g.realize(radius) for g in gens]
     inside_half += conjugate_families(T0, (1,), gens, radius)[1]
     rho = IsometrySpec(T3, sites=(((), SWAP01),))
-    isos = inside_half + [g.realize(r) for g in (T0, rho) for r in (1, 2, radius)]
+    tables = [(radius, t) for t in inside_half]
+    tables += [(r, g.realize(r)) for g in (T0, rho) for r in (1, 2, radius)]
     verdicts = set()
     for _ in range(12):
         region = random_clopen(rng, T3, 3)
-        for iso in isos:
-            got = support_in(iso, region)
-            assert got == oracle_support_in(iso, region)
+        for r, table in tables:
+            got = support_in(table, region)
+            assert got == oracle_support_in(T3, r, table, region)
             verdicts.add(got)
-    for iso in inside_half:
-        assert support_in(iso, HALF0) and oracle_support_in(iso, HALF0)
+    for table in inside_half:
+        assert support_in(table, HALF0) and oracle_support_in(T3, radius, table, HALF0)
     assert verdicts == {True, False}
 
 
@@ -115,8 +139,8 @@ def test_rist_of_disjoint_regions_commutes_elementwise():
     assert sites_of(rist_generators(S3, HALF0, 4)) <= sites_of(gens_a)
     radius = 7
     ball = list(T3.ball(radius))
-    tabs_a = [full_table(g.realize(radius)) for g in gens_a]
-    tabs_b = [full_table(g.realize(radius)) for g in gens_b]
+    tabs_a = [full_table(T3, radius, g.realize(radius)) for g in gens_a]
+    tabs_b = [full_table(T3, radius, g.realize(radius)) for g in gens_b]
     for fu in tabs_a:
         for fv in tabs_b:
             assert all(fu[fv[x]] == fv[fu[x]] for x in ball)
@@ -127,12 +151,12 @@ def test_tables_commute_refutes_witnesses_at_one_vertex():
     # not commute; disjointly supported witnesses do commute
     radius = 4
     for shape, v in ((T3, ROOT), (rooted(3), (1,))):
-        a = IsometrySpec(shape, sites=((v, SWAP01),)).realize(radius).moved
-        b = IsometrySpec(shape, sites=((v, SWAP12),)).realize(radius).moved
+        a = IsometrySpec(shape, sites=((v, SWAP01),)).realize(radius)
+        b = IsometrySpec(shape, sites=((v, SWAP12),)).realize(radius)
         assert not tables_commute([a], [b])
         assert tables_commute([a], [a])
-    u = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(radius).moved
-    w = IsometrySpec(T3, sites=(((0, 2), SWAP01),)).realize(radius).moved
+    u = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(radius)
+    w = IsometrySpec(T3, sites=(((0, 2), SWAP01),)).realize(radius)
     assert u.keys().isdisjoint(w.keys())
     assert tables_commute([u], [w])
     assert tables_commute([u, w], [u, w])
@@ -151,12 +175,12 @@ def test_tables_commute_matches_full_domain_oracle_seeded():
     verdicts = set()
     for fa in families:
         for fb in families:
-            got = tables_commute([t.moved for t in fa], [t.moved for t in fb])
+            got = tables_commute(fa, fb)
             # whole-ball tables, fixed points listed, give the same verdict
-            assert got == tables_commute(list(map(full_table, fa)), list(map(full_table, fb)))
-            assert got == oracle_tables_commute(
-                list(map(full_table, fa)), list(map(full_table, fb)), ball
-            )
+            whole_a = [full_table(T3, radius, t) for t in fa]
+            whole_b = [full_table(T3, radius, t) for t in fb]
+            assert got == tables_commute(whole_a, whole_b)
+            assert got == oracle_tables_commute(whole_a, whole_b, ball)
             verdicts.add(got)
     rng = random.Random(41)
     perms = [tuple(rng.sample(range(4), 4)) for _ in range(12)]
@@ -352,7 +376,7 @@ def test_contraction_onsets_are_the_first_empty_conjugate_tables(depth, directio
         powers = [direction * k for k in range(n + 5)]
         tables = conjugate_families(T0, powers, us, n + 1)
         for i, cert in enumerate(contraction_certificates(T0, us, n, direction)):
-            empty = [k for k, p in enumerate(powers) if not tables[p][i].moved]
+            empty = [k for k, p in enumerate(powers) if not tables[p][i]]
             assert cert["k"] == (empty[0] if empty else None), (n, us[i])
             onsets.add(cert["k"])
     assert {0, None} < onsets
@@ -370,10 +394,10 @@ def test_indexed_conjugate_tables_match_the_walk_on_goodshrink_witnesses(depth):
         pulled = next(islice(pullbacks(T0, 1 if k > 0 else -1, r), abs(k), None))
         forth = SpecWord(T3, ((T0, k),)).apply
         got = conjugate_families(T0, (k,), us, r)[k]
-        for u, iso in zip(us, got):
+        for u, table in zip(us, got):
             want = {a: forth(u.apply(x)) for a, x in zip(ball, pulled) if u.apply(x) != x}
-            assert iso.moved == want, (k, u)
-    assert in_universal_group(got[0], S3)
+            assert table == want, (k, u)
+    assert in_universal_group(T3, got[0], S3)
 
 
 # single-site witnesses on T0's axis on either side of the base vertex:
@@ -426,9 +450,8 @@ def test_conjugation_shifts_match_the_whole_ball_oracle(g):
     gens = rist_generators(S3, beta, 3)
     depth = 4
     reach = depth + g.displacement
-    realized = conjugate_families(g, range(-2, 3), gens, reach)
-    moved = {i: [iso.moved for iso in realized[i]] for i in realized}
-    whole = {i: [full_table(iso) for iso in realized[i]] for i in realized}
+    moved = conjugate_families(g, range(-2, 3), gens, reach)
+    whole = {i: [full_table(T3, reach, t) for t in moved[i]] for i in moved}
     identity = {a: a for a in T3.ball(reach)}
     windows = [[-2, -1, 0, 1, 2], [0, 2], [1, 0], [-1, 1]]
     verdicts = set()
@@ -448,15 +471,16 @@ def test_conjugation_shifts_match_the_whole_ball_oracle(g):
 
 @pytest.fixture
 def trusted_tables(monkeypatch):
-    """Every table ``BallIsometry`` is built with while the test runs."""
+    """Every (radius, table) that ``tree._table`` builds while the test runs."""
     built = []
-    init = BallIsometry.__init__
+    build = tree._table
 
-    def record(iso, shape, precision, moved):
-        init(iso, shape, precision, moved)
-        built.append(iso)
+    def record(r, moves):
+        table = build(r, moves)
+        built.append((r, table))
+        return table
 
-    monkeypatch.setattr(BallIsometry, "__init__", record)
+    monkeypatch.setattr(tree, "_table", record)
     return built
 
 
@@ -506,11 +530,10 @@ def test_exact_tables_pass_checked_table_seeded(name, trusted_tables):
         for r in range(5):
             mover.realize(r)
     assert len(trusted_tables) > 200
-    assert any(iso.moved for iso in trusted_tables)
-    assert any(not iso.moved for iso in trusted_tables)
-    # checked_table builds a BallIsometry too, which the fixture records
-    for iso in list(trusted_tables):
-        assert checked_table(shape, iso.precision, iso.moved).moved == iso.moved, iso
+    assert any(table for _, table in trusted_tables)
+    assert any(not table for _, table in trusted_tables)
+    for r, table in trusted_tables:
+        assert checked_table(shape, r, table) == table, (r, table)
     assert verdicts == {"verified"}
 
 

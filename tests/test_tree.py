@@ -82,9 +82,14 @@ C3 = cyclic_group(3)
 C2 = cyclic_group(2)
 
 
-def local_action(iso, v):
+def local_action(shape, table, v):
     """The colour permutation a ball table induces at a vertex inside it."""
-    return Perm(iso._local_images(v))
+    return oracle_local_action(shape, lambda a: table.get(a, a), v)
+
+
+def whole(mover, r):
+    """The radius-r table ``realize`` builds, spelled out over the ball."""
+    return full_table(mover.shape, r, mover.realize(r))
 
 
 # -- portrait semantics --------------------------------------------------------
@@ -122,9 +127,9 @@ def test_root_site_recolours_letterwise():
     tau = Perm((1, 2, 0))
     p = IsometrySpec(T3, sites=((ROOT, tau),))
     assert p.apply((0, 1, 0, 2)) == (1, 2, 1, 0)
-    assert local_action(p.realize(4), ROOT) == tau
+    assert local_action(T3, p.realize(4), ROOT) == tau
     # inherited all the way down
-    assert local_action(p.realize(4), (0, 1)) == tau
+    assert local_action(T3, p.realize(4), (0, 1)) == tau
 
 
 def test_deep_site_overrides_inherited():
@@ -183,7 +188,7 @@ def test_local_actions_match_oracle_seeded():
         p = random_regular_portrait(rng, T3, S3, 2)
         iso = p.realize(5)
         for v in T3.ball(3):
-            assert local_action(iso, v) == oracle_local_action(
+            assert local_action(T3, iso, v) == oracle_local_action(
                 T3, p.apply, v
             )
 
@@ -197,11 +202,9 @@ def test_compose_matches_pointwise():
         g = random_regular_portrait(rng, T3, S3, 2)
         h = random_regular_portrait(rng, T3, S3, 2)
         gh = SpecWord.of(g, h).realize(6)
-        assert gh.precision == 6
-        table = full_table(gh)
-        assert table == oracle_compose_tables(
-            full_table(g.realize(6)), full_table(h.realize(6))
-        )
+        assert checked_table(T3, 6, gh) == gh  # a radius-6 table
+        table = full_table(T3, 6, gh)
+        assert table == oracle_compose_tables(whole(g, 6), whole(h, 6))
         for v in T3.ball(6):
             assert table[v] == g.apply(h.apply(v))
 
@@ -212,16 +215,16 @@ def test_inverse_roundtrip_and_precision():
     inv = SpecWord(T3, ((t0, -1),)).realize(6)
     # the exact inverse keeps the whole ball; the inverted table reaches
     # only the radius the displacement leaves
-    assert inv.precision == 6
-    table_inv = oracle_invert_table(full_table(fwd))
+    assert checked_table(T3, 6, inv) == inv  # a radius-6 table
+    table_inv = oracle_invert_table(full_table(T3, 6, fwd))
     assert set(T3.ball(5)) <= set(table_inv)
     assert not set(T3.ball(6)) <= set(table_inv)
-    table_fwd, table_back = full_table(fwd), full_table(inv)
+    table_fwd, table_back = full_table(T3, 6, fwd), full_table(T3, 6, inv)
     assert all(table_back[a] == table_inv[a] for a in T3.ball(5))
     after = oracle_compose_tables(table_back, table_fwd)
     before = oracle_compose_tables(table_fwd, table_back)
     assert all(after[a] == a == before[a] for a in T3.ball(4))
-    assert full_table(SpecWord(T3, ((t0, 1), (t0, -1))).realize(6)) == {
+    assert whole(SpecWord(T3, ((t0, 1), (t0, -1))), 6) == {
         a: a for a in T3.ball(6)
     }
 
@@ -231,20 +234,20 @@ def test_precision_exhaustion_raises():
     iso = t0.realize(2)
     with pytest.raises(PrecisionExhausted):
         checked_table(T3, -1, {})
-    # the one guard of the BallIsometry constructor, from each builder
+    # the one guard of the ball-table builder _table, from each builder
     witness = IsometrySpec(T3, sites=(((0, 1), Perm((2, 1, 0))),))
     conjugates = partial(conjugate_families, t0, [1], [witness, t0])
     for build in (witness.realize, SpecWord.of(t0, witness).realize, conjugates):
         with pytest.raises(PrecisionExhausted):
             build(-1)
     # table powers run out of base vertex; exact powers never do
-    table = full_table(iso)
+    table = full_table(T3, 2, iso)
     power, k = table, 1
     while ROOT in power:
         power, k = oracle_compose_tables(power, table), k + 1
     assert k == 4  # the radius-2 table of t0^4 no longer covers the base
     for e in range(1, k + 3):
-        assert SpecWord(T3, ((t0, e),)).realize(2).displacement == e
+        assert len(SpecWord(T3, ((t0, e),)).realize(2)[ROOT]) == e
 
 
 def test_cocycle_identity_seeded():
@@ -269,12 +272,12 @@ def test_cocycle_identity_seeded():
         g_spec, h_spec = rng.choice(specs), rng.choice(specs)
         g, h = g_spec.realize(8), h_spec.realize(8)
         gh = SpecWord.of(g_spec, h_spec).realize(8)
-        table_g, table_h, table_gh = full_table(g), full_table(h), full_table(gh)
+        table_g, table_h, table_gh = (full_table(T3, 8, t) for t in (g, h, gh))
         composed = oracle_compose_tables(table_g, table_h)
         assert all(table_gh[a] == b for a, b in composed.items())
         for v in T3.ball(3):
-            lhs = local_action(gh, v)
-            rhs = local_action(g, table_h[v]) * local_action(h, v)
+            lhs = local_action(T3, gh, v)
+            rhs = local_action(T3, g, table_h[v]) * local_action(T3, h, v)
             assert lhs == rhs
             checked += 1
     assert checked >= 500
@@ -307,7 +310,7 @@ SWAP02 = Perm((2, 1, 0))
 def test_sparse_table_rejects_one_corrupted_entry():
     # a witness at (0, 1) swaps the subtrees below (0, 1, 0) and (0, 1, 2)
     r = 4
-    moved = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(r).moved
+    moved = IsometrySpec(T3, sites=(((0, 1), SWAP02),)).realize(r)
     assert moved[(0, 1, 0)] == (0, 1, 2) and (0, 1) not in moved
     # the edge from the fixed site to a moved child, one level below it
     with pytest.raises(ValueError, match="not adjacent"):
@@ -326,7 +329,7 @@ def test_sparse_table_rejects_one_corrupted_entry():
 
 def _seeded_tables(rng):
     """Ball tables of witnesses, portraits, translations and conjugates,
-    as (shape, table) pairs."""
+    as (shape, radius, table) triples."""
     out = []
     t0 = hyperbolic_isometry(T3, (0,))
     for r in (2, 3, 4):
@@ -335,8 +338,8 @@ def _seeded_tables(rng):
         movers += [random_rooted_portrait(rng, R2, 2) for _ in range(3)]
         for v in [(0, 1), (2,), (1, 0, 2)]:
             movers.append(IsometrySpec(T3, sites=((v, site_group(T3, S3, v).gens[0]),)))
-        out += [(m.shape, m.realize(r)) for m in movers]
-        out += [(T3, iso) for iso in conjugate_families(t0, (2,), movers[3:6], r)[2]]
+        out += [(m.shape, r, m.realize(r)) for m in movers]
+        out += [(T3, r, t) for t in conjugate_families(t0, (2,), movers[3:6], r)[2]]
     return out
 
 
@@ -346,21 +349,21 @@ def test_checked_table_matches_the_whole_ball_oracle_seeded():
     # ball check fails, for the same reason, else keeps the moved entries
     rng = random.Random(53)
     reasons = set()
-    for shape, iso in _seeded_tables(rng):
-        table = full_table(iso)
+    for shape, r, moved in _seeded_tables(rng):
+        table = full_table(shape, r, moved)
         assert oracle_ball_table_error(shape, table) is None
-        targets = list(shape.ball(iso.precision + 1)) + [(0, 0), (shape.degree,)]
+        targets = list(shape.ball(r + 1)) + [(0, 0), (shape.degree,)]
         for _ in range(6):
             bad = {**table, rng.choice(list(table)): rng.choice(targets)}
             want = oracle_ball_table_error(shape, bad)
             reasons.add(want)
             if want is None:
-                assert checked_table(shape, iso.precision, bad).moved == {
+                assert checked_table(shape, r, bad) == {
                     a: b for a, b in bad.items() if a != b
                 }
             else:
                 with pytest.raises(ValueError, match=want):
-                    checked_table(shape, iso.precision, bad)
+                    checked_table(shape, r, bad)
     assert reasons >= {None, "not injective", "illegal address", "not adjacent"}
 
 
@@ -368,10 +371,10 @@ def test_universal_membership_matches_the_whole_ball_oracle_seeded():
     rng = random.Random(59)
     locals_ = {T3: [S3, C3, FiniteGroup(3, ())], R2: [C2, FiniteGroup(2, ())]}
     verdicts = set()
-    for shape, iso in _seeded_tables(rng):
+    for shape, r, table in _seeded_tables(rng):
         for local in locals_[shape]:
-            got = in_universal_group(iso, local)
-            assert got == oracle_in_universal_group(iso, local)
+            got = in_universal_group(shape, table, local)
+            assert got == oracle_in_universal_group(shape, r, table, local)
             verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -416,7 +419,7 @@ def test_supported_realize_matches_the_whole_ball_walk_seeded(shape):
         kinds.add(spec.support is None)
         for r in range(6):
             want = {a: b for a in shape.ball(r) if (b := spec.apply(a)) != a}
-            assert spec.realize(r).moved == want, (spec, r)
+            assert spec.realize(r) == want, (spec, r)
     assert kinds == {True, False}
 
 
@@ -456,10 +459,10 @@ def test_unit_translation_square_is_word():
     t0 = hyperbolic_isometry(T3, (0,))
     m01 = IsometrySpec(T3, word=(0, 1)).realize(7)
     square = SpecWord(T3, ((t0, 2),)).realize(7)
-    assert full_table(square) == full_table(m01)
-    assert t0.realize(7).displacement == 1
-    assert square.displacement == 2
-    table_t0, table_m01 = full_table(t0.realize(7)), full_table(m01)
+    assert full_table(T3, 7, square) == full_table(T3, 7, m01)
+    assert len(t0.realize(7)[ROOT]) == 1
+    assert len(square[ROOT]) == 2
+    table_t0, table_m01 = whole(t0, 7), full_table(T3, 7, m01)
     table_square = oracle_compose_tables(table_t0, table_t0)
     assert all(table_square[a] == table_m01[a] for a in T3.ball(6))
 
@@ -467,7 +470,7 @@ def test_unit_translation_square_is_word():
 def test_unit_translation_local_actions_constant():
     t0 = hyperbolic_isometry(T3, (0,)).realize(6)
     swap = Perm((1, 0, 2))
-    assert all(local_action(t0, v) == swap for v in T3.ball(5))
+    assert all(local_action(T3, t0, v) == swap for v in T3.ball(5))
 
 
 def test_translation_matches_oracle_seeded():
@@ -510,17 +513,17 @@ def test_translation_moves_half_tree_inside_itself():
     alpha = CylinderClopen.cylinder(T3, (0,))
     moved = spec_image_clopen(t0, alpha)
     assert moved == parse_clopen(T3, "{01}")
-    assert moved == oracle_image_clopen(full_table(t0.realize(6)), alpha)
+    assert moved == oracle_image_clopen(whole(t0, 6), alpha)
     assert moved.lt(alpha)
     beta = alpha.minus(moved)
     assert beta == parse_clopen(T3, "{02}")
     back = spec_image_clopen(SpecWord(T3, ((t0, -1),)), moved)
     assert back == alpha
     assert back == oracle_image_clopen(
-        full_table(SpecWord(T3, ((t0, -1),)).realize(6)), moved
+        whole(SpecWord(T3, ((t0, -1),)), 6), moved
     )
     assert back == oracle_image_clopen(
-        oracle_invert_table(full_table(t0.realize(6))), moved
+        oracle_invert_table(whole(t0, 6)), moved
     )
 
 
@@ -539,7 +542,7 @@ def test_image_clopen_respects_boolean_structure_seeded():
     ]
     for _ in range(40):
         g = rng.choice(movers)
-        table = full_table(g.realize(8))
+        table = whole(g, 8)
         atoms = [a for a in T3.sphere(2) if rng.random() < 0.5]
         c = CylinderClopen.from_addresses(T3, atoms)
         img = spec_image_clopen(g, c)
@@ -561,7 +564,7 @@ def test_image_clopen_identity_and_top():
     t0 = hyperbolic_isometry(T3, (0,))
     for mover in (t0, SpecWord.of(t0, t0)):
         assert spec_image_clopen(mover, top) == top
-        assert oracle_image_clopen(full_table(mover.realize(5)), top) == top
+        assert oracle_image_clopen(whole(mover, 5), top) == top
         assert spec_image_clopen(mover, zero).is_zero()
     half = CylinderClopen.cylinder(T3, (1,))
     assert spec_image_clopen(identity, half) == half
@@ -583,42 +586,44 @@ def test_image_clopen_rejects_a_clopen_of_another_shape():
 
 def test_membership_in_universal_groups():
     t0 = hyperbolic_isometry(T3, (0,)).realize(5)
-    assert in_universal_group(t0, S3)
-    assert not in_universal_group(t0, C3)  # a swap is not a 3-cycle
+    assert in_universal_group(T3, t0, S3)
+    assert not in_universal_group(T3, t0, C3)  # a swap is not a 3-cycle
     m0 = IsometrySpec(T3, word=(0,)).realize(5)
     trivial = FiniteGroup(3, [])
-    assert in_universal_group(m0, trivial)
+    assert in_universal_group(T3, m0, trivial)
     rho = IsometrySpec(T3, sites=((ROOT, Perm((1, 2, 0))),)).realize(5)
-    assert in_universal_group(rho, C3)
+    assert in_universal_group(T3, rho, C3)
 
 
 def test_universal_membership_matches_local_actions_seeded():
     rng = random.Random(31)
     swap_site = IsometrySpec(T3, sites=((ROOT, Perm((1, 0, 2))),)).realize(4)
     tables = [
-        swap_site,
-        hyperbolic_isometry(T3, (0,)).realize(5),
-        IsometrySpec(T3, word=(0, 1)).realize(5),
-        checked_table(R2, 0, {ROOT: ROOT}),
+        (T3, 4, swap_site),
+        (T3, 5, hyperbolic_isometry(T3, (0,)).realize(5)),
+        (T3, 5, IsometrySpec(T3, word=(0, 1)).realize(5)),
+        (R2, 0, checked_table(R2, 0, {ROOT: ROOT})),
     ]
     for _ in range(12):
         local = rng.choice([S3, C3])
         portrait = random_regular_portrait(rng, T3, local, 2)
-        tables.append(portrait.realize(rng.randint(1, 5)))
+        r = rng.randint(1, 5)
+        tables.append((T3, r, portrait.realize(r)))
     for _ in range(6):
-        tables.append(random_rooted_portrait(rng, R2, 2).realize(rng.randint(1, 4)))
+        r = rng.randint(1, 4)
+        tables.append((R2, r, random_rooted_portrait(rng, R2, 2).realize(r)))
     verdicts = []
-    for iso in tables:
-        pools = (S3, C3, FiniteGroup(3, [])) if iso.shape == T3 else (C2, FiniteGroup(2, []))
+    for shape, r, table in tables:
+        pools = (S3, C3, FiniteGroup(3, [])) if shape == T3 else (C2, FiniteGroup(2, []))
         for local in pools:
             want = all(
-                local_action(iso, v) in local
-                for v in iso.shape.ball(iso.precision - 1)
+                local_action(shape, table, v) in local
+                for v in shape.ball(r - 1)
             )
-            assert in_universal_group(iso, local) == want
+            assert in_universal_group(shape, table, local) == want
             verdicts.append(want)
     assert True in verdicts and False in verdicts
-    assert not in_universal_group(swap_site, C3)  # a transposition is not in C3
+    assert not in_universal_group(T3, swap_site, C3)  # a transposition is not in C3
 
 
 def test_universal_membership_closed_under_product_seeded():
@@ -627,14 +632,15 @@ def test_universal_membership_closed_under_product_seeded():
         g = random_regular_portrait(rng, T3, S3, 2)
         h = random_regular_portrait(rng, T3, S3, 2)
         gt, ht = g.realize(6), h.realize(6)
-        assert in_universal_group(gt, S3)
+        assert in_universal_group(T3, gt, S3)
         product = SpecWord.of(g, h).realize(6)
         inverse = SpecWord(T3, ((g, -1),)).realize(6)
-        assert in_universal_group(product, S3)
-        assert in_universal_group(inverse, S3)
+        assert in_universal_group(T3, product, S3)
+        assert in_universal_group(T3, inverse, S3)
         # portraits fix the base vertex, so the table algebra keeps the ball
-        assert full_table(product) == oracle_compose_tables(full_table(gt), full_table(ht))
-        assert full_table(inverse) == oracle_invert_table(full_table(gt))
+        product, inverse, gt, ht = (full_table(T3, 6, t) for t in (product, inverse, gt, ht))
+        assert product == oracle_compose_tables(gt, ht)
+        assert inverse == oracle_invert_table(gt)
 
 
 def test_level_orders_match_sitewise_count():
@@ -912,20 +918,20 @@ def test_spec_word_matches_table_algebra():
     t0 = hyperbolic_isometry(T3, (0,))
     rho = IsometrySpec(T3, sites=((ROOT, Perm((2, 0, 1))),))
     w = SpecWord.conjugate(t0, rho, 2)
-    forward = full_table(t0.realize(9))
+    forward = whole(t0, 9)
     tables = reduce(
         oracle_compose_tables,
         [
             forward,
             forward,
-            full_table(rho.realize(9)),
+            whole(rho, 9),
             oracle_invert_table(forward),
-            oracle_invert_table(full_table(t0.realize(8))),
+            oracle_invert_table(whole(t0, 8)),
         ],
     )
     exact = w.realize(6)
-    assert exact.displacement == 4
-    assert full_table(exact) == {a: tables[a] for a in T3.ball(6)}
+    assert len(exact[ROOT]) == 4
+    assert full_table(T3, 6, exact) == {a: tables[a] for a in T3.ball(6)}
     assert not set(T3.ball(7)) <= set(tables)
     assert w.inverse().apply(w.apply((0, 2, 1))) == (0, 2, 1)
 
@@ -988,7 +994,7 @@ def test_realize_and_identity_check_match_checked_apply_seeded(shape):
         for r in range(5 if shape is T3 else 6):
             want = oracle_realize(mover, r)
             assert want == {a: mover.apply(a) for a in want}
-            assert full_table(mover.realize(r)) == want, (mover, r)
+            assert whole(mover, r) == want, (mover, r)
             if isinstance(mover, SpecWord):
                 fixed = all(a == b for a, b in want.items())
                 assert mover.is_identity_on(r) == fixed, (mover, r)
@@ -1128,8 +1134,8 @@ def test_conjugate_tables_match_walked_conjugates_seeded(shape):
     moved = set()
     for g in _conjugators(rng, shape):
         for k in range(-3, 4):
-            got = [full_table(iso) for iso in conjugate_families(g, (k,), us, r)[k]]
-            want = [full_table(SpecWord.conjugate(g, u, k).realize(r)) for u in us]
+            got = [full_table(shape, r, t) for t in conjugate_families(g, (k,), us, r)[k]]
+            want = [whole(SpecWord.conjugate(g, u, k), r) for u in us]
             assert got == want, (g, k)
             moved.update(any(a != b for a, b in t.items()) for t in got)
     assert moved == {True, False}
@@ -1146,8 +1152,8 @@ def test_conjugate_families_equal_realize_of_the_conjugate_word_seeded(shape):
             families = conjugate_families(g, ks, us, 3)
             assert sorted(families) == sorted(set(ks))
             for k in ks:
-                want = [SpecWord.conjugate(g, u, k).realize(3).moved for u in us]
-                assert [iso.moved for iso in families[k]] == want, (g, k)
+                want = [SpecWord.conjugate(g, u, k).realize(3) for u in us]
+                assert families[k] == want, (g, k)
 
 
 def _apply_power(mover, e, addr):
@@ -1186,7 +1192,7 @@ def test_spec_image_clopen_matches_table_transport():
     t0 = hyperbolic_isometry(T3, (0,))
     alpha = CylinderClopen.cylinder(T3, (0,))
     assert spec_image_clopen(t0, alpha) == oracle_image_clopen(
-        full_table(t0.realize(6)), alpha
+        whole(t0, 6), alpha
     )
     w = SpecWord.of(t0, t0)
     assert spec_image_clopen(w, alpha) == parse_clopen(T3, "{010}")
@@ -1211,9 +1217,9 @@ def test_site_group_matches_the_return_colour_rule(shape, local):
         cylinder = CylinderClopen.cylinder(shape, v)
         for p in local.element_list:
             if p in want:
-                iso = IsometrySpec(shape, sites=((v, p),)).realize(len(v) + 2)
-                checked_table(shape, iso.precision, iso.moved)  # checks it on the whole ball
-                assert support_in(iso, cylinder), (v, p)
+                table = IsometrySpec(shape, sites=((v, p),)).realize(len(v) + 2)
+                checked_table(shape, len(v) + 2, table)  # checks it on the whole ball
+                assert support_in(table, cylinder), (v, p)
             else:
                 with pytest.raises(ValueError):
                     IsometrySpec(shape, sites=((v, p),))

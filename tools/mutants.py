@@ -55,14 +55,40 @@ MUTANTS = (
         "    yield from pairs[:-1]\n",
         ("tests/test_boundary.py::test_exact_tables_pass_checked_table_seeded",),
     ),
-    # the one ball-table constructor accepts a negative radius
+    # the one ball-table builder accepts a negative radius
     Mutant(
         "ball-table-takes-negative-precision",
         "src/tdlclab/tree.py",
-        "        if precision < 0:\n"
-        "            raise PrecisionExhausted(\"negative precision\")\n",
+        "    if r < 0:\n"
+        "        raise PrecisionExhausted(\"negative precision\")\n",
         "",
         ("tests/test_tree.py::test_precision_exhaustion_raises",),
+    ),
+    # a regular local action that reads every neighbour's colour as
+    # fixed where the neighbour's image lies toward the base vertex
+    Mutant(
+        "universal-group-reads-the-return-colour-as-fixed",
+        "src/tdlclab/tree.py",
+        "images.append(inb[-1] if len(inb) == below else iv[-1])",
+        "images.append(inb[-1] if len(inb) == below else c)",
+        ("tests/test_tree.py::test_universal_membership_matches_the_whole_ball_oracle_seeded",),
+    ),
+    # a support test that takes the base vertex for a child of itself,
+    # so a table that moves it tests nothing
+    Mutant(
+        "support-in-skips-the-base-vertex",
+        "src/tdlclab/boundary.py",
+        "if not (v and v[:-1] in table)",
+        "if v[:-1] not in table",
+        ("tests/test_boundary.py::test_support_in_matches_full_ball_oracle_seeded",),
+    ),
+    # region vertices that stop one level above the radius
+    Mutant(
+        "region-vertices-drop-the-deepest-level",
+        "src/tdlclab/boundary.py",
+        "for d in range(len(a) + 1, max_depth + 1):",
+        "for d in range(len(a) + 1, max_depth):",
+        ("tests/test_boundary.py", "-k", "region_vertices_match"),
     ),
     # force a row when both sides are live, not when exactly one is
     Mutant(

@@ -14,12 +14,16 @@ wall time, the command's own peak RSS (from ``os.wait4``; see
 certificate that ``certify`` writes.
 
 It prints per case the median time and peak RSS of each side and the
-pairs in which the change was lower, then per wall the change at n + 1
-against the base at n.  The runs and the machine (``nproc``, Python
-version, platform) go to FILE as JSON.  The exit code is 1 when any
-pair differs in a hash or an exit code, and 0 otherwise.  The full
-ladder takes about 100 s per pair on a 2-core host; ``--only`` keeps the
-cases whose label contains SUBSTR.
+pairs in which the change was lower, with each side's wall-time range
+(min-max over its runs) beside the medians.  A wall-time move is
+``unresolved`` when the medians differ by no more than the base side's
+own spread (max - min; 0 with one pair), else ``lower`` or ``higher``.
+Then it prints per wall the change at n + 1 against the base at n.  The
+runs, the ranges, the base spread, each move's reading and the machine
+(``nproc``, Python version, platform) go to FILE as JSON.  The exit
+code is 1 when any pair differs in a hash or an exit code, and 0
+otherwise.  The full ladder takes about 100 s per pair on a 2-core
+host; ``--only`` keeps the cases whose label contains SUBSTR.
 """
 from __future__ import annotations
 
@@ -129,8 +133,15 @@ def measure(base: Path, case: dict, pairs: int, tmp: Path, index: int) -> dict:
               for side, rs in runs.items()}
     lower = {m: sum(c[m] < b[m] for b, c in zip(runs["base"], runs["change"]))
              for m in ("wall_s", "peak_rss_mb")}
+    walls = {side: [r["wall_s"] for r in rs] for side, rs in runs.items()}
+    wall_range = {side: [min(w), max(w)] for side, w in walls.items()}
+    move = median["change"]["wall_s"] - median["base"]["wall_s"]
+    base_spread = wall_range["base"][1] - wall_range["base"][0]
+    wall_move = ("unresolved" if abs(move) <= base_spread
+                 else "lower" if move < 0 else "higher")
     return {"label": case["label"], "argv": case["argv"], "identical": identical,
-            "median": median, "change_lower_in": lower, "runs": runs}
+            "median": median, "change_lower_in": lower, "wall_range": wall_range,
+            "base_wall_spread": round(base_spread, 4), "wall_move": wall_move, "runs": runs}
 
 
 def main() -> int:
@@ -155,8 +166,10 @@ def main() -> int:
             got = measure(args.base.resolve(), case, args.pairs, Path(tmp), i)
             results.append(got)
             b, c = got["median"]["base"], got["median"]["change"]
+            (b_lo, b_hi), (c_lo, c_hi) = got["wall_range"]["base"], got["wall_range"]["change"]
             status = "same" if got["identical"] else "DIFFER"
-            print(f"{status:<7} {case['label']}: {b['wall_s']:.3f} -> {c['wall_s']:.3f} s "
+            print(f"{status:<7} {case['label']}: {b['wall_s']:.3f} ({b_lo:.3f}-{b_hi:.3f}) -> "
+                  f"{c['wall_s']:.3f} ({c_lo:.3f}-{c_hi:.3f}) s, {got['wall_move']} "
                   f"(lower in {got['change_lower_in']['wall_s']}/{args.pairs}), "
                   f"{b['peak_rss_mb']:.1f} -> {c['peak_rss_mb']:.1f} MB "
                   f"(lower in {got['change_lower_in']['peak_rss_mb']}/{args.pairs})", flush=True)
