@@ -12,10 +12,10 @@ Two tree shapes are supported.
 
 A clopen subset of the boundary is a finite union of cylinders and is
 stored canonically: a finite antichain of addresses in which every
-complete sibling family has been merged into its parent, kept in
-lexicographic address order as well as a set; its complement, by one
-walk down the trie of the cover, its text and its hash are each built
-on first use and then kept with it.  The full boundary is the
+complete sibling family has been merged into its parent, kept as one
+tuple in lexicographic address order; its complement, by one walk down
+the trie of the cover, its text and its hash are each built on first
+use and then kept with it.  The full boundary is the
 distinguished TOP value (all length-1 addresses merged once more); it
 is not itself an address.
 The empty set is the empty cover.  All arithmetic is exact; measures
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import eq
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PrecisionError
 
@@ -169,14 +169,15 @@ def _slice(shape: TreeShape, v: Address, c: Address, r: int) -> Iterator[Address
 
 # -- canonical covers ----------------------------------------------------
 #
-# Every operation works on the canonical covers themselves, read in
-# lexicographic address order.  Two cylinders meet exactly when one
-# address is a prefix of the other, and a canonical cover holds a prefix
-# (itself included) of every cylinder inside its clopen: otherwise the
-# deepest cover address below that cylinder would have its whole sibling
-# family in the cover, and a canonical cover never does.  So the cylinder
-# at ``addr`` lies inside a clopen exactly when ``covered`` finds a prefix
-# of ``addr`` in its cover, and no operation needs a depth-n expansion.
+# A clopen is its canonical cover, one tuple in lexicographic address
+# order, and every operation works on those tuples.  Two cylinders meet
+# exactly when one address is a prefix of the other, and a canonical
+# cover holds a prefix (itself included) of every cylinder inside its
+# clopen: otherwise the deepest cover address below that cylinder would
+# have its whole sibling family in the cover, and a canonical cover
+# never does.  So the cylinder at ``addr`` lies inside a clopen exactly
+# when ``covered`` finds a prefix of ``addr`` in its cover, and no
+# operation needs a depth-n expansion.
 #
 # Address order is lexicographic order on letter tuples: a prefix comes
 # first, and its extensions follow it as one contiguous run.  So an
@@ -193,7 +194,7 @@ def _slice(shape: TreeShape, v: Address, c: Address, r: int) -> Iterator[Address
 # ``from_addresses`` sorts its input.
 
 
-def covered(addr: Address, order: list[Address]) -> bool:
+def covered(addr: Address, order: Sequence[Address]) -> bool:
     """Whether some prefix of ``addr``, itself included, is in the cover
     ``order``, a sorted antichain: only its last address at or before
     ``addr`` can be one."""
@@ -236,7 +237,7 @@ def _canonical(shape: TreeShape, ordered: Iterable[Address]) -> list[Address]:
     return kept
 
 
-def _meeting(a: list[Address], b: list[Address]) -> Iterator[Address]:
+def _meeting(a: Sequence[Address], b: Sequence[Address]) -> Iterator[Address]:
     """The deeper address of each meeting pair of two sorted antichains,
     in address order: the cover of their meet."""
     i = j = 0
@@ -256,62 +257,59 @@ def _meeting(a: list[Address], b: list[Address]) -> Iterator[Address]:
             j += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CylinderClopen:
     """Canonical clopen subset of the boundary of ``shape``.
 
-    ``cover`` is a canonical antichain; TOP is stored as the singleton
-    cover {()} and rendered as the distinguished value.  The cover is the
-    only representation, and equality, hashing and text only ever see it.
-    The same addresses are also kept in address order, derived once at
-    construction and sharing the cover's address objects: the Boolean
-    operations merge and walk that order as above, build their results
-    in it, and ``sorted_cover()`` and ``format_clopen`` read it.  The
-    set is built at construction, not on first read, because hashing on
-    the read path needs it.  The complement, the text and the hash are
-    each built once and then kept, outside the fields, as
-    ``Perm.inverse`` keeps its inverse.
+    ``addresses`` is the canonical antichain as a tuple in address order,
+    the only representation: equality, hashing and text only ever see it,
+    and the Boolean operations merge and walk it as above and build their
+    results in it.  TOP is stored as ``(ROOT,)`` and rendered as the
+    distinguished value.  ``cover`` is the same addresses as a frozenset,
+    built on each read and never kept.  The complement, the text and the
+    hash are each built once and then kept, outside the fields, as
+    ``Perm.inverse`` keeps its inverse.  There is no ``__init__``: the
+    constructors below build every clopen.
     """
 
     shape: TreeShape
-    cover: frozenset[Address]
+    addresses: tuple[Address, ...]
 
     def __hash__(self) -> int:
         # the dataclass's hash, built on first use and then kept
         try:
             return self._hash
         except AttributeError:
-            h = self.__dict__["_hash"] = hash((self.shape, self.cover))
+            h = self.__dict__["_hash"] = hash((self.shape, self.addresses))
             return h
 
-    def __post_init__(self) -> None:
-        # Not a field: equality, hashing and repr see shape and cover.  A
-        # list that is never changed, so ``_ordered`` takes over the lists
-        # that the operations build without a copy.
-        object.__setattr__(self, "_order", sorted(self.cover))
-
     @classmethod
-    def _ordered(cls, shape: TreeShape, order: list[Address]) -> "CylinderClopen":
-        """Take over a fresh list holding a canonical cover in address
-        order, unchecked."""
+    def _ordered(cls, shape: TreeShape, order: Iterable[Address]) -> "CylinderClopen":
+        """A canonical cover given in address order, taken unchecked."""
         c = object.__new__(cls)
-        c.__dict__.update(shape=shape, cover=frozenset(order), _order=order)
+        c.__dict__.update(shape=shape, addresses=tuple(order))
         return c
+
+    @property
+    def cover(self) -> frozenset[Address]:
+        """The cover as a set, built on each read."""
+        return frozenset(self.addresses)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(shape: TreeShape) -> "CylinderClopen":
-        return CylinderClopen._ordered(shape, [])
+        return CylinderClopen._ordered(shape, ())
 
     @staticmethod
     def top(shape: TreeShape) -> "CylinderClopen":
-        return CylinderClopen._ordered(shape, [ROOT])
+        return CylinderClopen._ordered(shape, (ROOT,))
 
     @staticmethod
     def cylinder(shape: TreeShape, addr: Address) -> "CylinderClopen":
+        addr = tuple(addr)
         shape.require_legal(addr)
-        return CylinderClopen._ordered(shape, [addr])
+        return CylinderClopen._ordered(shape, (addr,))
 
     @staticmethod
     def from_addresses(shape: TreeShape, addrs: Iterable[Address]) -> "CylinderClopen":
@@ -325,14 +323,14 @@ class CylinderClopen:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.cover
+        return not self.addresses
 
     def is_top(self) -> bool:
-        return ROOT in self.cover
+        return self.addresses == (ROOT,)
 
     @property
     def depth(self) -> int:
-        return max((len(a) for a in self.cover), default=0)
+        return max(map(len, self.addresses), default=0)
 
     # -- refinement ---------------------------------------------------------
 
@@ -355,7 +353,7 @@ class CylinderClopen:
         prefix, shallower ones spread over their depth-n descendants.
         """
         out: set[Address] = set()
-        for a in self.cover:
+        for a in self.addresses:
             level = [a[:n]]
             for _ in range(n - len(a)):
                 level = [b + (c,) for b in level for c in self.shape.child_letters(b)]
@@ -370,13 +368,12 @@ class CylinderClopen:
 
     def meet(self, other: "CylinderClopen") -> "CylinderClopen":
         self._same_shape(other)
-        return CylinderClopen._ordered(self.shape, list(_meeting(self._order, other._order)))
+        return CylinderClopen._ordered(self.shape, _meeting(self.addresses, other.addresses))
 
     def join(self, other: "CylinderClopen") -> "CylinderClopen":
         # sorting two sorted runs is one linear merge
         self._same_shape(other)
-        merged = self._order + other._order
-        merged.sort()
+        merged = sorted(self.addresses + other.addresses)
         return CylinderClopen._ordered(self.shape, _canonical(self.shape, merged))
 
     def minus(self, other: "CylinderClopen") -> "CylinderClopen":
@@ -400,7 +397,7 @@ class CylinderClopen:
         """
         if self.is_top():
             return []
-        order, after = self._order, self.shape._after
+        order, after = self.addresses, self.shape._after
         out: list[Address] = []
         # (node, i, end): order[i:end] is node's run, the cover below it
         stack = [(ROOT, 0, len(order))]
@@ -423,11 +420,11 @@ class CylinderClopen:
         # the meet is self exactly when it yields self's addresses in
         # order; the None after it fails a meet that stops short
         self._same_shape(other)
-        mine = self._order
+        mine = self.addresses
         if len(mine) == 1:
             # one cylinder lies inside other exactly when covered
-            return covered(mine[0], other._order)
-        run = chain(_meeting(mine, other._order), (None,))
+            return covered(mine[0], other.addresses)
+        run = chain(_meeting(mine, other.addresses), (None,))
         return all(map(eq, mine, run))
 
     def lt(self, other: "CylinderClopen") -> bool:
@@ -435,13 +432,13 @@ class CylinderClopen:
 
     def meets(self, other: "CylinderClopen") -> bool:
         self._same_shape(other)
-        return next(_meeting(self._order, other._order), None) is not None
+        return next(_meeting(self.addresses, other.addresses), None) is not None
 
     # -- measure --------------------------------------------------------------
 
     def measure(self) -> Fraction:
         # one weight per depth, times the number of cover addresses there
-        counts = Counter(map(len, self.cover))
+        counts = Counter(map(len, self.addresses))
         size = self.shape.sphere_size
         return sum((Fraction(k, size(d)) for d, k in counts.items()), Fraction(0))
 
@@ -449,10 +446,6 @@ class CylinderClopen:
 
     def __str__(self) -> str:
         return format_clopen(self)
-
-    def sorted_cover(self) -> list[Address]:
-        """The cover in address order, as a new list."""
-        return self._order.copy()
 
 
 # -- textual form -----------------------------------------------------------
@@ -507,9 +500,9 @@ def _cover_text(clopen: CylinderClopen) -> str:
     if clopen.is_top():
         return "TOP"
     if clopen.shape.degree <= 10:
-        return "{" + b",".join(map(bytes, clopen._order)).translate(_DIGITS).decode() + "}"
+        return "{" + b",".join(map(bytes, clopen.addresses)).translate(_DIGITS).decode() + "}"
     # format_address's rule, inline
-    return "{" + ",".join([".".join(map(str, a)) for a in clopen._order]) + "}"
+    return "{" + ",".join([".".join(map(str, a)) for a in clopen.addresses]) + "}"
 
 
 def parse_clopen(shape: TreeShape, text: str) -> CylinderClopen:

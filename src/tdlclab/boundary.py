@@ -32,7 +32,7 @@ from .tree import (
 
 def inside(region: CylinderClopen, v: Address) -> bool:
     """Whole subtree below v contained in the region."""
-    return covered(v, region._order)
+    return covered(v, region.addresses)
 
 
 def region_vertices(region: CylinderClopen, max_depth: int) -> list[Address]:
@@ -47,7 +47,7 @@ def region_vertices(region: CylinderClopen, max_depth: int) -> list[Address]:
     """
     children = region.shape.children
     levels: list[list[Address]] = [[] for _ in range(max_depth + 1)]
-    for a in region._order:
+    for a in region.addresses:
         if len(a) > max_depth:
             continue
         run = [a]
@@ -424,7 +424,7 @@ def _attracting_half_tree(
 def _cone_vertex(region: CylinderClopen) -> Address:
     """Longest common prefix of the cover: the vertex whose subtree is
     the smallest cylinder containing the region."""
-    addrs = region.sorted_cover()
+    addrs = region.addresses
     if not addrs:
         raise ValueError("empty region has no cone vertex")
     first, last = addrs[0], addrs[-1]

@@ -159,9 +159,8 @@ class ActionContext:
         if type(state) is tuple and len(state) > self._displacement[name]:
             return self._gens[name]._apply(state)
         image = self.image(name, self.state_clopen(state))
-        if len(image.cover) == 1:
-            (vertex,) = image.cover
-            return vertex
+        if len(image.addresses) == 1:
+            return image.addresses[0]
         return image
 
     def _strictly_inside(self, state, addr) -> bool:
@@ -1100,7 +1099,7 @@ def _invariance_rows(ctx: ActionContext) -> tuple[list, int]:
             if type(image) is tuple:
                 image = below(image)
             else:
-                image = {j for v in image.cover for j in below(v)}
+                image = {j for v in image.addresses for j in below(v)}
             plus = [j for j in image if j not in inside]
             minus = [j for j in inside if j not in image]
             if plus or minus:

@@ -1397,7 +1397,7 @@ def check_tits_core(local, g, depth: int) -> dict:
     beta_f = beta_of(g)
     gens_f = _witnesses(local, beta_f, depth)
     gens_b = _witnesses(local, beta_of(SpecWord(shape, ((g, -1),))), depth)
-    cover = beta_f.sorted_cover()
+    cover = beta_f.addresses
     cone = cover[0]
     while any(a[: len(cone)] != cone for a in cover):
         cone = cone[:-1]

@@ -80,6 +80,16 @@ def test_shadowed_addresses_are_absorbed():
     assert clop(R2, (0,), (0, 1, 1)) == clop(R2, (0,))
 
 
+def test_cylinder_takes_any_address_sequence():
+    # a list address is stored as its tuple, as from_addresses stores it
+    for shape, addr in ((T3, (0, 1)), (R2, (1, 0, 1)), (T3, ())):
+        got = CylinderClopen.cylinder(shape, list(addr))
+        want = CylinderClopen.cylinder(shape, addr)
+        assert got == want == clop(shape, list(addr))
+        assert hash(got) == hash(want) and str(got) == str(want)
+        assert got.addresses == (addr,) and type(got.addresses[0]) is tuple
+
+
 # -- spec'd pointwise examples (set-model oracle, frozen) --------------------
 
 
@@ -231,7 +241,7 @@ def test_algebra_matches_set_model_to_depth_6():
             # canonical form is unique, so this pins the cover itself down too
             for got in (comp, meet, join, minus):
                 _assert_canonical(shape, got.cover)
-                assert got.sorted_cover() == sorted(got.cover)
+                assert list(got.addresses) == sorted(got.cover)
             # the prefix-rule algebra, cover for cover
             assert comp.cover == oracle_complement(a)
             assert meet.cover == oracle_meet(a, b)
@@ -256,7 +266,7 @@ def test_algebra_matches_set_model_to_depth_6():
                 addrs.append(rng.choice(shallower))
             got = CylinderClopen.from_addresses(shape, addrs)
             _assert_canonical(shape, got.cover)
-            assert got.sorted_cover() == sorted(got.cover)
+            assert list(got.addresses) == sorted(got.cover)
             assert got.cover == oracle_canonical(shape, addrs)
             assert expand(got, k) == _expand_addresses(shape, addrs, k)
             # input order and repeats do not matter
@@ -304,7 +314,7 @@ def test_a_cylinder_1500_letters_deep_complements_exactly():
         comp = a.complement()
         # the siblings of every proper prefix's next letter
         assert len(comp.cover) == shape.degree - 1 + 1499 * (len(_letters(shape, deep[:1])) - 1)
-        assert comp.sorted_cover() == sorted(comp.cover)
+        assert list(comp.addresses) == sorted(comp.cover)
         assert not comp.meets(a) and a.join(comp).is_top()
 
 
@@ -351,7 +361,7 @@ def test_leq_of_one_cylinder_matches_the_merge_seeded():
             selves += [CylinderClopen.cylinder(shape, a) for a in list(y.cover)[:3]]
             for x in selves:
                 got = x.leq(y)
-                merged = list(_meeting(x._order, y._order)) == x._order
+                merged = tuple(_meeting(x.addresses, y.addresses)) == x.addresses
                 n = max(x.depth, y.depth, 1)
                 # x lies inside y exactly when it meets no gap of y
                 gaps = oracle_complement(y)
@@ -566,7 +576,8 @@ def test_parse_clopen_matches_per_token_reading():
             assert outcome(parse_clopen, shape, text) == want, (shape, text)
         for _ in range(40):
             x = random_clopen(rng, shape, depth)
-            words = [format_address(shape, a) for a in x.sorted_cover()]
+            assert list(x.addresses) == sorted(x.cover)
+            words = [format_address(shape, a) for a in sorted(x.cover)]
             if not x.is_top():
                 assert format_clopen(x) == "{" + ",".join(words) + "}"
     # the dotted and non-ASCII forms reach both paths with a result
@@ -580,7 +591,7 @@ def test_complement_is_kept_and_stays_out_of_the_fields():
         pool = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
         pool += [random_clopen(rng, shape, 6) for _ in range(30)]
         for c in pool:
-            text = f"CylinderClopen(shape={c.shape!r}, cover={c.cover!r})"
+            text = f"CylinderClopen(shape={c.shape!r}, addresses={c.addresses!r})"
             assert repr(c) == text
             comp = c.complement()
             assert comp is c.complement()
@@ -590,14 +601,14 @@ def test_complement_is_kept_and_stays_out_of_the_fields():
             assert comp.complement() == c and comp.complement() is comp.complement()
             # the complement keeps no link back to c
             assert all(v is not c for v in vars(comp).values())
-            assert c == fresh and hash(c) == hash(fresh) == hash((c.shape, c.cover))
+            assert c == fresh and hash(c) == hash(fresh) == hash((c.shape, c.addresses))
             # the text and the hash are kept the same way
             assert str(c) is str(c) and hash(c) == hash(c)
             assert repr(c) == text
-            assert [f.name for f in dataclasses.fields(c)] == ["shape", "cover"]
+            assert [f.name for f in dataclasses.fields(c)] == ["shape", "addresses"]
         # a kept text or hash is its own clopen's, never another cover's
         for c in pool:
-            assert str(c) == _rendered(c) and hash(c) == hash((c.shape, c.cover))
+            assert str(c) == _rendered(c) and hash(c) == hash((c.shape, c.addresses))
 
 
 def _rendered(c):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
@@ -1079,3 +1080,61 @@ def test_console_entry_point_subprocess(spec_file):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["command"] == "dynamics minimal"
+
+
+# the spec of README's example
+README_SPEC = """\
+[tree]
+kind = regular
+degree = 3
+
+[local_group]
+generators = (0 1 2), (0 1)
+
+[limits]
+depth = 4
+word_bound = 8
+seed = 0
+"""
+
+_SEEDED_RUNS = (
+    (README_SPEC, ["dynamics", "minimal", "--depth", "2"]),
+    (TWOCOPY, ["dynamics", "degree", "--depth", "2"]),
+    # the exact LP reaches the simplex
+    (LONE_AXIS, ["dynamics", "measure", "--depth", "2"]),
+    (US3_ELEMENTS, ["certify", "goodshrink", "--element", "g", "--depth", "4"]),
+    (US3, ["certify", "free-semigroup", "--L", "4"]),
+    (US3, ["certify", "orbit-join", "--alpha", "01"]),
+    (US3, ["export", "stone-orbit", "--depth", "2"]),
+)
+
+
+def test_bytes_do_not_depend_on_the_hash_seed(spec_file, tmp_path):
+    # sets of clopens and of strings iterate in hash order, so each
+    # command runs in a fresh interpreter under three hash seeds, the
+    # three at once, and must answer with the same exit code, stdout and
+    # certificate bytes
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for i, (text, (verb, sub, *rest)) in enumerate(_SEEDED_RUNS):
+        spec = spec_file(text, f"{i}.spec")
+        runs = []
+        # stdout names the certificate: the same relative path in its own
+        # directory per seed
+        argv = [verb, sub, spec, *rest] + (["--out", "cert.json"] if verb != "export" else [])
+        for seed in (0, 1, 2):
+            cwd = tmp_path / f"{i}-{seed}"
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "tdlclab.cli", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, cwd=cwd,
+            )
+            runs.append((proc, cwd / "cert.json"))
+        got = []
+        for proc, out in runs:
+            stdout = proc.communicate(timeout=120)[0]
+            got.append((proc.returncode, stdout, out.read_bytes() if out.exists() else None))
+        assert got[0][0] in (0, 1) and got[0][1], (verb, sub)
+        assert verb == "export" or got[0][2], (verb, sub)
+        assert got[1:] == got[:1] * 2, (verb, sub)

@@ -475,9 +475,27 @@ MUTANTS = (
     Mutant(
         "one-cylinder-leq-answers-meets",
         "src/tdlclab/boolalg.py",
-        "            return covered(mine[0], other._order)\n",
-        "            return next(_meeting(mine, other._order), None) is not None\n",
+        "            return covered(mine[0], other.addresses)\n",
+        "            return next(_meeting(mine, other.addresses), None) is not None\n",
         ("tests/test_boolalg.py::test_leq_of_one_cylinder_matches_the_merge_seeded",),
+    ),
+    # the depth read off the last address in address order, which need
+    # not be the deepest
+    Mutant(
+        "depth-reads-the-last-address",
+        "src/tdlclab/boolalg.py",
+        "        return max(map(len, self.addresses), default=0)\n",
+        "        return len(self.addresses[-1]) if self.addresses else 0\n",
+        ("tests/test_boolalg.py::test_refine_roundtrip_seeded",),
+    ),
+    # a cylinder stores the address sequence it was given, so a list
+    # address is kept as a list
+    Mutant(
+        "cylinder-keeps-the-given-sequence",
+        "src/tdlclab/boolalg.py",
+        "        addr = tuple(addr)\n",
+        "",
+        ("tests/test_boolalg.py::test_cylinder_takes_any_address_sequence",),
     ),
     # the kept cylinders are keyed on the vertex's depth, so a second
     # vertex at one depth gets the first one's cylinder
