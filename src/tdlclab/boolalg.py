@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import eq
-from typing import Iterable, Iterator, Sequence
 
 from .errors import PrecisionError
 
@@ -39,30 +38,67 @@ Address = tuple[int, ...]
 ROOT: Address = ()
 
 
-@dataclass(frozen=True)
-class TreeShape:
+class _Record:
+    """A record of the named ``_fields``: equal to a record of its own
+    class alone with the same field tuple, printed as
+    ``Name(field=value, ...)``, and unhashable, for it defines ``__eq__``
+    and no ``__hash__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record that hashes as its field tuple and refuses to set or
+    delete an attribute; its constructors write ``__dict__`` directly, and
+    so does whatever it keeps after construction."""
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TreeShape(_Frozen):
     """Shape descriptor: kind 'rooted' or 'regular' plus the degree."""
 
-    kind: str
-    degree: int
+    _fields = ("kind", "degree")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("rooted", "regular"):
-            raise ValueError(f"unknown tree kind {self.kind!r}")
-        if self.degree < 2:
+    def __init__(self, kind: str, degree: int) -> None:
+        if kind not in ("rooted", "regular"):
+            raise ValueError(f"unknown tree kind {kind!r}")
+        if degree < 2:
             raise ValueError("degree must be at least 2")
-        if self.kind == "regular" and self.degree < 3:
+        if kind == "regular" and degree < 3:
             # q = 2 leaves every vertex with a single child and no branching;
             # nothing in scope needs it and several constructions assume q >= 3.
             raise ValueError("regular shape needs degree >= 3")
         # _after[c] lists the letters that may follow c, _after[-1] those at
         # v0.  Not a field: equality, hashing and repr see kind and degree.
-        every = tuple(range(self.degree))
+        every = tuple(range(degree))
         after = [
-            every if self.kind == "rooted" else tuple(c for c in every if c != last)
+            every if kind == "rooted" else tuple(c for c in every if c != last)
             for last in every
         ]
-        object.__setattr__(self, "_after", (*after, every))
+        self.__dict__.update(kind=kind, degree=degree, _after=(*after, every))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.degree))
 
     # -- address structure ------------------------------------------------
 
@@ -257,26 +293,33 @@ def _meeting(a: Sequence[Address], b: Sequence[Address]) -> Iterator[Address]:
             j += 1
 
 
-@dataclass(frozen=True, init=False)
-class CylinderClopen:
+class CylinderClopen(_Frozen):
     """Canonical clopen subset of the boundary of ``shape``.
 
     ``addresses`` is the canonical antichain as a tuple in address order,
-    the only representation: equality, hashing and text only ever see it,
-    and the Boolean operations merge and walk it as above and build their
-    results in it.  TOP is stored as ``(ROOT,)`` and rendered as the
-    distinguished value.  ``cover`` is the same addresses as a frozenset,
-    built on each read and never kept.  The complement, the text and the
-    hash are each built once and then kept, outside the fields, as
+    the only representation: equality, hashing and repr see ``shape`` and
+    ``addresses``, text sees ``addresses``, and the Boolean operations
+    merge and walk it as above and build their results in it.  ``__eq__``
+    is written out rather than inherited because every law check runs it.
+    TOP is stored as ``(ROOT,)`` and rendered as the distinguished value.
+    ``cover`` is the same addresses as a frozenset, built on each read and
+    never kept.  The complement, the text and the hash are each built
+    once and then kept in ``__dict__``, outside the fields, as
     ``Perm.inverse`` keeps its inverse.  There is no ``__init__``: the
     constructors below build every clopen.
     """
 
     shape: TreeShape
     addresses: tuple[Address, ...]
+    _fields = ("shape", "addresses")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.shape, self.addresses) == (other.shape, other.addresses)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # the dataclass's hash, built on first use and then kept
+        # the field tuple's hash, built on first use and then kept
         try:
             return self._hash
         except AttributeError:

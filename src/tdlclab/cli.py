@@ -50,7 +50,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -59,6 +58,7 @@ from .boolalg import (
     Address,
     CylinderClopen,
     TreeShape,
+    _Record,
     parse_address,
     read_address,
     regular,
@@ -162,19 +162,28 @@ def _split_outside_parens(text: str) -> list[tuple[int, str]]:
     return tokens
 
 
-@dataclass
-class GroupSpec:
+class GroupSpec(_Record):
     """Parsed spec file: the tree, the local group, named movers, limits."""
 
-    kind: str
-    shape: TreeShape
-    local: FiniteGroup
-    elements: dict[str, object] = field(default_factory=dict)
-    depth: int = 4
-    word_bound: int = 8
-    seed: int = 0
-    cap: int = DEFAULT_CAP
-    text: str = ""
+    _fields = ("kind", "shape", "local", "elements", "depth", "word_bound", "seed", "cap", "text")
+
+    def __init__(
+        self,
+        kind: str,
+        shape: TreeShape,
+        local: FiniteGroup,
+        elements: dict[str, object] | None = None,
+        depth: int = 4,
+        word_bound: int = 8,
+        seed: int = 0,
+        cap: int = DEFAULT_CAP,
+        text: str = "",
+    ) -> None:
+        elements = {} if elements is None else elements
+        self.__dict__.update(
+            kind=kind, shape=shape, local=local, elements=elements, depth=depth,
+            word_bound=word_bound, seed=seed, cap=cap, text=text,
+        )
 
 
 # -- spec file parsing ----------------------------------------------------------

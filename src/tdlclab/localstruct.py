@@ -15,11 +15,10 @@ invariant blocks, which the context's action graph finds once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .boolalg import ROOT, CylinderClopen, TreeShape, format_address
+from .boolalg import ROOT, CylinderClopen, TreeShape, _Frozen, format_address
 from .boundary import region_vertices, rist_generators, tables_commute
 from .dynamics import ActionContext, _ActionGraph, orbit_join
 from .permgrp import FiniteGroup
@@ -36,16 +35,17 @@ from .tree import (
 _REALIZE_CAP = 5000
 
 
-@dataclass(frozen=True, eq=False)
-class LocalClass:
+class LocalClass(_Frozen):
     """Commensurability class carried by a canonical clopen region.
 
     Identity is the region alone; the depth tag is serialization
     metadata recording the truncation the class was produced at.
     """
 
-    region: CylinderClopen
-    depth: int
+    _fields = ("region", "depth")
+
+    def __init__(self, region: CylinderClopen, depth: int) -> None:
+        self.__dict__.update(region=region, depth=depth)
 
     @property
     def kind(self) -> str:

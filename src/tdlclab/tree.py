@@ -91,7 +91,6 @@ the standard dynamics contexts and the CLI's rooted default included, and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 
@@ -100,6 +99,7 @@ from .boolalg import (
     Address,
     CylinderClopen,
     TreeShape,
+    _Frozen,
     _slice,
     format_address,
     sphere_list,
@@ -158,8 +158,7 @@ def _inherited(site_map: dict, prefix: Address):
     return None
 
 
-@dataclass(frozen=True)
-class IsometrySpec:
+class IsometrySpec(_Frozen):
     """Word translation after a portrait, exact at every depth.
 
     ``sites`` pairs each decorated vertex with its colour permutation and
@@ -175,18 +174,20 @@ class IsometrySpec:
     or a site at the base vertex.
     """
 
-    shape: TreeShape
-    word: tuple[int, ...] = ()
-    sites: tuple[tuple[Address, Perm], ...] = ()
-    site_map: dict = field(init=False, repr=False, compare=False)
+    _fields = ("shape", "word", "sites")
+    # built by __init__ and not fields: equality, hashing and repr see the three above
+    site_map: dict
     # depth of the deepest decorated site; no lookup can match below it
-    depth: int = field(init=False, repr=False, compare=False)
-    support: tuple[Address, ...] | None = field(init=False, repr=False, compare=False)
+    depth: int
+    support: tuple[Address, ...] | None
 
-    def __post_init__(self) -> None:
-        shape = self.shape
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    def __init__(
+        self,
+        shape: TreeShape,
+        word: tuple[int, ...] = (),
+        sites: tuple[tuple[Address, Perm], ...] = (),
+    ) -> None:
+        word = tuple(word)
         if word:
             if shape.kind == "rooted":
                 raise ValueError("rooted shapes admit no translations")
@@ -196,7 +197,7 @@ class IsometrySpec:
             if free_reduce(word) != word:
                 raise ValueError("word is not freely reduced")
         site_map = {}
-        for addr, perm in self.sites:
+        for addr, perm in sites:
             try:
                 shape.require_legal(addr)
             except ValueError as exc:
@@ -224,8 +225,6 @@ class IsometrySpec:
             addr: (perm.images, perm.inverse().images)
             for addr, perm in site_map.items()
         }
-        object.__setattr__(self, "site_map", compiled)
-        object.__setattr__(self, "depth", max(map(len, site_map), default=0))
         support = None
         if not word and ROOT not in site_map:
             # in address order a site follows every site above it
@@ -234,11 +233,14 @@ class IsometrySpec:
                 if not support or addr[: len(support[-1])] != support[-1]:
                     support.append(addr)
             support = tuple(support)
-        object.__setattr__(self, "support", support)
+        self.__dict__.update(
+            shape=shape, word=word, sites=sites, site_map=compiled,
+            depth=max(map(len, site_map), default=0), support=support,
+        )
         if not word and len(compiled) == 1:
             # one site, as every rigid-stabiliser witness: skip the loop
             (site, (images, _)), = compiled.items()
-            object.__setattr__(self, "_apply", _one_site(shape, site, images))
+            self.__dict__["_apply"] = _one_site(shape, site, images)
 
     @property
     def displacement(self) -> int:
@@ -400,8 +402,7 @@ def hyperbolic_isometry(shape: TreeShape, axis) -> IsometrySpec:
     return IsometrySpec(shape, word=axis)
 
 
-@dataclass(frozen=True)
-class SpecWord:
+class SpecWord(_Frozen):
     """Formal product of spec powers, applied rightmost factor first.
 
     Conjugates and commutators of recipes stay exactly evaluable at any
@@ -412,21 +413,20 @@ class SpecWord:
     factors repeated -e times, so ``factors`` holds IsometrySpec atoms.
     """
 
-    shape: TreeShape
-    factors: tuple[tuple[IsometrySpec, int], ...]
+    _fields = ("shape", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, shape: TreeShape, factors: tuple[tuple[IsometrySpec, int], ...]) -> None:
         atoms: list = []
-        for f, e in self.factors:
+        for f, e in factors:
             if isinstance(f, SpecWord):
                 atoms.extend((f if e >= 0 else f.inverse()).factors * abs(e))
             else:
                 atoms.append((f, e))
-        object.__setattr__(self, "factors", tuple(atoms))
+        self.__dict__.update(shape=shape, factors=tuple(atoms))
         if len(atoms) == 1 and abs(atoms[0][1]) == 1:
             # one letter, as each ActionContext generator is: skip the loop
             spec, e = atoms[0]
-            object.__setattr__(self, "_apply", spec._apply if e == 1 else spec._apply_inverse)
+            self.__dict__["_apply"] = spec._apply if e == 1 else spec._apply_inverse
 
     @classmethod
     def of(cls, *specs: IsometrySpec) -> "SpecWord":

@@ -7,7 +7,6 @@ then frozen.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -605,7 +604,12 @@ def test_complement_is_kept_and_stays_out_of_the_fields():
             # the text and the hash are kept the same way
             assert str(c) is str(c) and hash(c) == hash(c)
             assert repr(c) == text
-            assert [f.name for f in dataclasses.fields(c)] == ["shape", "addresses"]
+            # with the complement, text and hash kept, equality, hash and
+            # repr still see shape and addresses alone
+            assert {"_complement", "_text", "_hash"} <= vars(c).keys()
+            bare = CylinderClopen._ordered(c.shape, c.addresses)
+            assert vars(bare).keys() == {"shape", "addresses"}
+            assert (bare, hash(bare), repr(bare)) == (c, hash(c), text)
         # a kept text or hash is its own clopen's, never another cover's
         for c in pool:
             assert str(c) == _rendered(c) and hash(c) == hash((c.shape, c.addresses))

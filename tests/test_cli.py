@@ -135,6 +135,14 @@ def spec_file(tmp_path):
     return write
 
 
+def src_env(**extra):
+    """The caller's environment with ``src`` first on ``PYTHONPATH``, so a
+    fresh interpreter imports this checkout's package however pytest runs."""
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -1058,6 +1066,7 @@ def test_one_process_answers_as_fresh_runs(spec_file, capsys):
             capture_output=True,
             text=True,
             timeout=120,
+            env=src_env(),
         )
         try:
             code = cli.main(argv)
@@ -1076,10 +1085,29 @@ def test_console_entry_point_subprocess(spec_file):
         capture_output=True,
         text=True,
         timeout=120,
+        env=src_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["command"] == "dynamics minimal"
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # start-up cost: the three and what they pull in are most of a bare
+    # import's time.  -S, because a .pth file under site-packages may load
+    # typing before the package is imported
+    probe = (
+        "import sys, tdlclab.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # the spec of README's example
@@ -1114,8 +1142,6 @@ def test_bytes_do_not_depend_on_the_hash_seed(spec_file, tmp_path):
     # command runs in a fresh interpreter under three hash seeds, the
     # three at once, and must answer with the same exit code, stdout and
     # certificate bytes
-    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for i, (text, (verb, sub, *rest)) in enumerate(_SEEDED_RUNS):
         spec = spec_file(text, f"{i}.spec")
         runs = []
@@ -1125,7 +1151,7 @@ def test_bytes_do_not_depend_on_the_hash_seed(spec_file, tmp_path):
         for seed in (0, 1, 2):
             cwd = tmp_path / f"{i}-{seed}"
             cwd.mkdir()
-            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+            env = src_env(PYTHONHASHSEED=str(seed))
             proc = subprocess.Popen(
                 [sys.executable, "-m", "tdlclab.cli", *argv],
                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, cwd=cwd,

@@ -3,7 +3,6 @@ compression, free subsemigroups, orbit joins, invariant measures."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import gc
 import random
@@ -613,6 +612,13 @@ def test_raising_the_word_bound_keeps_every_first_word():
     assert all(kept.values()), kept
 
 
+def _with_word_bound(spec, word_bound):
+    """A copy of the parsed spec with ``word_bound`` set."""
+    out = copy.copy(spec)
+    out.word_bound = word_bound
+    return out
+
+
 def test_orbit_join_exhausts_only_when_the_bound_cuts_its_search():
     """``orbit_join`` raises ``SearchExhausted`` only when its bound cuts a
     search.  The fixpoint raises when the saturation needs more passes
@@ -631,10 +637,10 @@ def test_orbit_join_exhausts_only_when_the_bound_cuts_its_search():
         spec = cli.parse_spec_text(text)
         alphas = [CylinderClopen.cylinder(spec.shape, a) for n in (1, 2) for a in spec.shape.sphere(n)]
         alphas += [a.complement() for a in alphas]
-        free = cli.build_context(dataclasses.replace(spec, word_bound=12))
+        free = cli.build_context(_with_word_bound(spec, 12))
         joins = {alpha: dy.orbit_join(free, alpha) for alpha in alphas}
         for bound in range(1, 7):
-            ctx = cli.build_context(dataclasses.replace(spec, word_bound=bound))
+            ctx = cli.build_context(_with_word_bound(spec, bound))
             for alpha in alphas:
                 passes = joins[alpha]["rounds"]
                 try:

@@ -454,6 +454,15 @@ MUTANTS = (
         '            h = self.shape.__dict__["_hash"] =',
         ("tests/test_boolalg.py::test_complement_is_kept_and_stays_out_of_the_fields",),
     ),
+    # record equality reads the last field alone, so a shape compares by
+    # its degree and rooted(3) == regular(3)
+    Mutant(
+        "record-equality-reads-the-last-field",
+        "src/tdlclab/boolalg.py",
+        "            return self._key() == other._key()\n",
+        "            return self._key()[-1:] == other._key()[-1:]\n",
+        ("tests/test_records.py::test_tree_shape",),
+    ),
     # the canonical pass keeps the parent as its last address
     Mutant(
         "canonical-keeps-the-parent-as-last",
@@ -569,7 +578,7 @@ MUTANTS = (
         "portrait-error-at-the-first-site",
         "src/tdlclab/tree.py",
         "                raise SiteError(str(exc), addr) from None\n",
-        "                raise SiteError(str(exc), self.sites[0][0]) from None\n",
+        "                raise SiteError(str(exc), sites[0][0]) from None\n",
         ("tests/test_tree.py::test_site_faults_name_the_site_that_failed",),
     ),
     # the return-colour fault raised as a plain ValueError, with no site
