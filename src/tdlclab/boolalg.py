@@ -227,7 +227,7 @@ def _slice(shape: TreeShape, v: Address, c: Address, r: int) -> Iterator[Address
 # first time it is asked for: below a node, its extensions are one run,
 # and a child letter that no address of the run passes through is a gap.
 # Every result comes out in address order, so no operation sorts; only
-# ``from_addresses`` sorts its input.
+# ``from_addresses`` and ``tree.spec_image_clopen`` sort their input.
 
 
 def covered(addr: Address, order: Sequence[Address]) -> bool:

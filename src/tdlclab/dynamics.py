@@ -215,11 +215,11 @@ def _bfs(names, bound, step, start, cut=None):
     value; ``step(name, state)`` is one step and words of length
     ``bound`` are not expanded.
 
-    Given a list ``cut``, the search decides whether the bound cut its
-    orbit off: once every pair is yielded, the states at the bound are
+    Given an empty list ``cut``, the search decides whether the bound cut
+    its orbit off: once every pair is yielded, the states at the bound are
     stepped once more, only to test for an unseen image, and the first
     one found is appended to ``cut``.  An empty ``cut`` after the last
-    pair means the orbit closed within the bound.
+    pair means the orbit closed within the bound; a nonempty one is kept.
     """
     seen = {start: ()}
     queue = deque([start])
@@ -234,9 +234,9 @@ def _bfs(names, bound, step, start, cut=None):
         for name in names:
             y = step(name, x)
             if y not in seen:
-                seen[y] = w + (name,)
+                seen[y] = wy = w + (name,)
                 queue.append(y)
-                yield y, w + (name,)
+                yield y, wy
 
 
 def reachable_images(ctx, start):
@@ -570,22 +570,13 @@ def skewering_search(ctx) -> dict:
     a bound that cuts an orbit off, a word at the bound stepping to an
     unseen image, reports exhaustion instead.
     """
-    shape = ctx.shape
-    if ctx.all_fix_base():
-        return {
-            "verdict": "refuted_at_depth",
-            "reason": (
-                "every generator fixes the base vertex, so word images "
-                "preserve sphere measures and never shrink strictly"
-            ),
-            "depth": ctx.depth,
-            "word_bound": ctx.word_bound,
-            "candidates_tested": 0,
-        }
-    candidates = [addr for k in range(1, ctx.depth + 1) for addr in sphere_list(shape, k)]
-    all_saturated = True
+    fix_base = ctx.all_fix_base()
+    candidates = [] if fix_base else [
+        addr for k in range(1, ctx.depth + 1) for addr in sphere_list(ctx.shape, k)
+    ]
+    # once a search is cut off, later ones need not test for a cut
+    cut: list = []
     for a in candidates:
-        cut: list = []
         for state, word in _bfs(ctx.gen_names, ctx.word_bound, ctx.step, a, cut):
             if word and ctx._strictly_inside(state, a):
                 alpha = ctx.state_clopen(a)
@@ -600,19 +591,18 @@ def skewering_search(ctx) -> dict:
                     "depth": ctx.depth,
                     "word_bound": ctx.word_bound,
                 }
-        if cut:
-            all_saturated = False
-    if all_saturated:
-        return {
-            "verdict": "refuted_at_depth",
-            "reason": "every candidate's image orbit closed within the bound",
-            "depth": ctx.depth,
-            "word_bound": ctx.word_bound,
-            "candidates_tested": len(candidates),
-        }
+    if fix_base:
+        reason = (
+            "every generator fixes the base vertex, so word images "
+            "preserve sphere measures and never shrink strictly"
+        )
+    elif cut:
+        reason = "word bound reached with unexplored images left"
+    else:
+        reason = "every candidate's image orbit closed within the bound"
     return {
-        "verdict": "not-found-within-bounds",
-        "reason": "word bound reached with unexplored images left",
+        "verdict": "not-found-within-bounds" if cut else "refuted_at_depth",
+        "reason": reason,
         "depth": ctx.depth,
         "word_bound": ctx.word_bound,
         "candidates_tested": len(candidates),
@@ -735,11 +725,18 @@ def minorising_degree(ctx) -> dict:
     }
 
 
+def _pair_step(ctx):
+    """The step of a pair of clopens: each through the image memo."""
+    image = ctx.image
+    return lambda name, pair: (image(name, pair[0]), image(name, pair[1]))
+
+
 def _schedule(ctx, xi, eta, target, word, strategy) -> dict:
+    step = _pair_step(ctx)
     trace = []
     cur = (ctx.state_clopen(xi), ctx.state_clopen(eta))
     for name in word:
-        cur = (ctx.image(name, cur[0]), ctx.image(name, cur[1]))
+        cur = step(name, cur)
         trace.append([str(cur[0]), str(cur[1])])
     if not (cur[0].leq(target) and cur[1].leq(target)):
         # a search handed over a word that misses the target: a fault
@@ -769,9 +766,7 @@ def pair_compression(ctx, xi, eta, target) -> dict:
     if target.is_zero():
         raise ValueError("target clopen is zero")
     start = (ctx.state_clopen(xi), ctx.state_clopen(eta))
-
-    def step(name, pair):
-        return ctx.image(name, pair[0]), ctx.image(name, pair[1])
+    step = _pair_step(ctx)
 
     def done(pair) -> bool:
         return pair[0].leq(target) and pair[1].leq(target)
@@ -786,7 +781,7 @@ def pair_compression(ctx, xi, eta, target) -> dict:
             if done(cur):
                 return _schedule(ctx, xi, eta, target, (name,) * k, "power")
 
-    for rot in [n for n in ctx.gen_names if ctx.generator(n).displacement == 0]:
+    for rot in [n for n in ctx.gen_names if ctx._displacement[n] == 0]:
         for name in ctx.gen_names:
             if name == rot:
                 continue
@@ -856,11 +851,8 @@ def free_semigroup_certificate(ctx, length_bound: int = 8) -> dict:
     beta = alpha.minus(galpha)
     g = ctx.word(g_word)
 
-    fixers = [name for name in ctx.gen_names if ctx.generator(name).displacement == 0]
-
-    def step(name, pair):
-        return ctx.image(name, pair[0]), ctx.image(name, pair[1])
-
+    fixers = [name for name in ctx.gen_names if ctx._displacement[name] == 0]
+    step = _pair_step(ctx)
     r_word, cut = None, []
     for (ralpha, moved), word in _bfs(fixers, ctx.word_bound, step, (alpha, galpha), cut):
         if word and ralpha == alpha and moved.leq(beta) and not moved.meets(galpha):
@@ -1131,31 +1123,24 @@ def invariant_measure_search(ctx: ActionContext) -> dict:
     rows, nvars = _invariance_rows(ctx)
     atoms = sphere_list(shape, level)
 
-    if all(len(plus) == len(minus) for plus, minus in rows):
-        uniform = Fraction(1, nvars)
+    one, zero = Fraction(1), Fraction(0)
+    feasible = uniform = all(len(plus) == len(minus) for plus, minus in rows)
+    if uniform:
+        solution = dict.fromkeys(range(nvars), Fraction(1, nvars))
+    elif _forcing_order(rows, nvars)[1]:
+        system = [(dict.fromkeys(range(nvars), one), one)]
+        system += [({**dict.fromkeys(p, one), **dict.fromkeys(m, -one)}, zero) for p, m in rows]
+        feasible, solution = _phase_one_feasible(system, nvars)
+    if feasible:
         return {
             "verdict": "feasible",
             "depth": depth,
             "atom_level": level,
-            "uniform": True,
-            "weights": {format_address(shape, a): uniform for a in atoms},
+            "uniform": uniform,
+            "weights": {
+                format_address(shape, a): solution.get(j, zero) for j, a in enumerate(atoms)
+            },
         }
-
-    if _forcing_order(rows, nvars)[1]:
-        one, zero = Fraction(1), Fraction(0)
-        system = [(dict.fromkeys(range(nvars), one), one)]
-        system += [({**dict.fromkeys(p, one), **dict.fromkeys(m, -one)}, zero) for p, m in rows]
-        feasible, solution = _phase_one_feasible(system, nvars)
-        if feasible:
-            return {
-                "verdict": "feasible",
-                "depth": depth,
-                "atom_level": level,
-                "uniform": False,
-                "weights": {
-                    format_address(shape, a): solution.get(j, zero) for j, a in enumerate(atoms)
-                },
-            }
 
     certificate: dict = {
         "note": (

@@ -33,13 +33,14 @@ certificates read over its whole ball and checks it there (domain,
 injectivity, legal images, adjacency), with the radius and shape it was
 built for beside it.
 spec_image_clopen likewise checks only that the clopen lives on the
-recipe's shape, then applies the clopen's atoms, legal by construction,
-through _apply; CylinderClopen.from_addresses still rejects any illegal
-image.  Each portrait site is compiled once, when the spec is built, to
-the forward and inverse image tuples of its colour permutation; below
-the deepest site no lookup is made, and a spec with one site and no
-word, as every rigid-stabiliser witness, compares an address's prefix
-with its site once instead of walking it letter by letter.
+recipe's shape, applies the clopen's atoms, legal by construction,
+through _apply, and sorts their images into boolalg's unchecked
+canonical pass; CylinderClopen.from_addresses checks outside input.
+Each portrait site is compiled once, when the spec is built, to the
+forward and inverse image tuples of its colour permutation; below the
+deepest site no lookup is made, and a spec with one site and no word,
+as every rigid-stabiliser witness, compares an address's prefix with
+its site once instead of walking it letter by letter.
 
 A ball table lists only the vertices its element moves, with their
 images; every other vertex of the ball is fixed.  An IsometrySpec with
@@ -100,6 +101,7 @@ from .boolalg import (
     CylinderClopen,
     TreeShape,
     _Frozen,
+    _canonical,
     _slice,
     format_address,
     sphere_list,
@@ -527,12 +529,12 @@ def spec_image_clopen(mover, clopen: CylinderClopen) -> CylinderClopen:
     the image clopen is covered by the images of the atoms.  Exact
     application means depth never runs out.
     """
-    if clopen.shape != mover.shape:
+    if clopen.shape is not mover.shape and clopen.shape != mover.shape:
         raise ValueError("clopen and recipe live on different shapes")
     image = mover._apply  # atoms of a canonical clopen are legal addresses
     depth = max(clopen.depth, len(image(ROOT)) + 1)
-    images = [image(atom) for atom in clopen.refine(depth)]
-    return CylinderClopen.from_addresses(clopen.shape, images)
+    images = sorted(map(image, clopen.refine(depth)))
+    return CylinderClopen._ordered(clopen.shape, _canonical(clopen.shape, images))
 
 
 # -- the universal group at finite depth ----------------------------------------

@@ -329,6 +329,43 @@ def test_skewering_refuted_by_orbit_saturation():
     assert "orbit closed" in report["reason"]
 
 
+def _cut_before_closed_context():
+    # an edge inversion and two deeper site swaps: the bound cuts off the
+    # orbits of {01} and {02}, and every later candidate's orbit closes
+    gens = {
+        "s0": IsometrySpec(T3, sites=(((1, 0), Perm((0, 2, 1))),)),
+        "s1": IsometrySpec(T3, sites=(((0,), Perm((0, 2, 1))),)),
+        "m2": IsometrySpec(T3, word=(1,)),
+    }
+    return dy.ActionContext(T3, gens, depth=2, word_bound=1)
+
+
+def test_skewering_cut_before_a_closed_candidate_reports_exhaustion():
+    ctx = _cut_before_closed_context()
+    report = dy.skewering_search(ctx)
+    assert report["verdict"] == "not-found-within-bounds"
+    assert report["candidates_tested"] == 9
+    assert oracle_skewering(ctx) == {"saturated": False}
+
+
+def test_skewering_outcomes_keep_one_key_order():
+    # --format text prints a result's keys in insertion order, so the
+    # three no-witness outcomes share one
+    keys = ["verdict", "reason", "depth", "word_bound", "candidates_tested"]
+    inversion = dy.ActionContext(T3, {"m0": IsometrySpec(T3, word=(0,))}, depth=2, word_bound=4)
+    got = {}
+    for ctx in (dy.rotation_context(S3), inversion, _cut_before_closed_context()):
+        report = dy.skewering_search(ctx)
+        assert list(report) == keys
+        got[report["reason"]] = (report["verdict"], report["candidates_tested"])
+    assert got == {
+        "every generator fixes the base vertex, so word images "
+        "preserve sphere measures and never shrink strictly": ("refuted_at_depth", 0),
+        "every candidate's image orbit closed within the bound": ("refuted_at_depth", 9),
+        "word bound reached with unexplored images left": ("not-found-within-bounds", 9),
+    }
+
+
 # ----------------------------------------------------------- minorising data
 
 
@@ -1235,6 +1272,23 @@ def test_averaged_point_mass_survives_a_lone_axis():
     assert sum(weights.values()) == 1
     assert weights["010"] == Fraction(1, 2)
     assert weights["101"] == Fraction(1, 2)
+
+
+def test_feasible_measures_keep_one_key_order(monkeypatch):
+    # the simplex and uniform outcomes share their keys and their order;
+    # the uniform one is read off the rows, with no simplex run
+    keys = ["verdict", "depth", "atom_level", "uniform", "weights"]
+    simplex = dy.invariant_measure_search(_lone_axis_context())
+    assert (simplex["verdict"], simplex["uniform"], list(simplex)) == ("feasible", False, keys)
+
+    def refuse(*system):
+        raise AssertionError("the simplex was run")
+
+    monkeypatch.setattr(dy, "_phase_one_feasible", refuse)
+    uniform = dy.invariant_measure_search(dy.rotation_context(S3))
+    assert (uniform["verdict"], uniform["uniform"], list(uniform)) == ("feasible", True, keys)
+    weights = uniform["weights"]
+    assert set(weights.values()) == {Fraction(1, len(weights))}
 
 
 def _random_system(rng):

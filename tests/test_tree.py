@@ -8,6 +8,7 @@ import pytest
 from tdlclab.boolalg import (
     ROOT,
     CylinderClopen,
+    TreeShape,
     _slice,
     parse_clopen,
     regular,
@@ -73,7 +74,7 @@ from tree_oracles import (
     oracle_rooted_apply,
     oracle_translation_apply,
 )
-from util import random_regular_portrait, random_rooted_portrait
+from util import random_clopen, random_regular_portrait, random_rooted_portrait
 
 T3 = regular(3)
 R2 = rooted(2)
@@ -577,8 +578,54 @@ def test_image_clopen_rejects_a_clopen_of_another_shape():
     t0 = hyperbolic_isometry(T3, (0,))
     for mover in (rho, t0, SpecWord.of(t0, rho)):
         for clopen in (CylinderClopen.cylinder(rooted(3), (0,)), CylinderClopen.top(R2)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="different shapes"):
                 spec_image_clopen(mover, clopen)
+        # a shape equal by value but built apart is the same shape
+        twin = TreeShape("regular", 3)
+        assert twin is not T3
+        half = spec_image_clopen(mover, CylinderClopen.cylinder(twin, (1,)))
+        assert half == spec_image_clopen(mover, CylinderClopen.cylinder(T3, (1,)))
+    with pytest.raises(ValueError, match="different shapes"):
+        spec_image_clopen(IsometrySpec(R2, sites=((ROOT, Perm((1, 0))),)), CylinderClopen.top(T3))
+
+
+@pytest.mark.parametrize("shape", [T3, regular(4), R2, rooted(3)],
+                         ids=["regular3", "regular4", "rooted2", "rooted3"])
+def test_unchecked_image_matches_the_checked_constructor_seeded(shape):
+    # spec_image_clopen hands the images of its atoms, sorted, to the
+    # canonical pass unchecked; from_addresses on the checked images is
+    # the reference.  Specs with and without a word, with one site and
+    # with many, and products and inverses of them, on seeded clopens
+    rng = random.Random(61)
+    local = symmetric_group(shape.degree)
+    is_regular = shape.kind == "regular"
+
+    def many_sites():
+        while True:
+            spec = (random_regular_portrait(rng, shape, local, 2) if is_regular
+                    else random_rooted_portrait(rng, shape, 2))
+            if len(spec.sites) > 1:
+                return spec
+
+    for _ in range(4):
+        v = rng.choice(list(shape.ball(2)))
+        one, many = rng.choice(site_decorations(shape, local, (v,))), many_sites()
+        specs = [one, many]
+        if is_regular:
+            w = rng.choice(list(shape.sphere(rng.randint(1, 2))))
+            specs += [IsometrySpec(shape, word=w, sites=s) for s in ((), one.sites, many.sites)]
+        a, b = rng.sample(specs, 2)
+        movers = specs + [
+            SpecWord(shape, ((a, 1), (b, -1))),
+            SpecWord(shape, ((a, -2),)),
+            SpecWord.of(a, b).inverse(),
+        ]
+        for mover in movers:
+            for clopen in (random_clopen(rng, shape, 3), CylinderClopen.top(shape)):
+                depth = max(clopen.depth, len(mover.apply(ROOT)) + 1)
+                images = [mover.apply(x) for x in clopen.refine(depth)]
+                want = CylinderClopen.from_addresses(shape, images)
+                assert spec_image_clopen(mover, clopen) == want, (mover, clopen)
 
 
 # -- universal groups at finite depth -----------------------------------------------

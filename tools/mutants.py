@@ -683,6 +683,59 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_cli.py::test_report_local_failed_check_exits_70_without_report",),
     ),
+    # an exact image kept as the sorted images of the atoms, with no
+    # canonical pass: a complete family is not merged into its parent
+    Mutant(
+        "image-skips-the-canonical-pass",
+        "src/tdlclab/tree.py",
+        "    return CylinderClopen._ordered(clopen.shape, _canonical(clopen.shape, images))\n",
+        "    return CylinderClopen._ordered(clopen.shape, images)\n",
+        ("tests/test_tree.py", "-k", "unchecked_image"),
+    ),
+    # the image's shape check by identity alone refuses a clopen on an
+    # equal shape built apart
+    Mutant(
+        "image-shape-check-by-identity",
+        "src/tdlclab/tree.py",
+        "    if clopen.shape is not mover.shape and clopen.shape != mover.shape:\n",
+        "    if clopen.shape is not mover.shape:\n",
+        ("tests/test_tree.py::test_image_clopen_rejects_a_clopen_of_another_shape",),
+    ),
+    # each skewering candidate starts a cut of its own, so a cut candidate
+    # followed by a closed one reports every orbit closed
+    Mutant(
+        "skewering-closed-after-a-cut-candidate",
+        "src/tdlclab/dynamics.py",
+        "_bfs(ctx.gen_names, ctx.word_bound, ctx.step, a, cut)",
+        "_bfs(ctx.gen_names, ctx.word_bound, ctx.step, a, (cut := []))",
+        ("tests/test_dynamics.py::test_skewering_cut_before_a_closed_candidate_reports_exhaustion",),
+    ),
+    # a measure found by the simplex reported as the uniform one
+    Mutant(
+        "measure-simplex-reads-uniform",
+        "src/tdlclab/dynamics.py",
+        '            "uniform": uniform,\n',
+        '            "uniform": True,\n',
+        ("tests/test_dynamics.py::test_feasible_measures_keep_one_key_order",),
+    ),
+    # the free semigroup's rotation search takes a generator that moves
+    # the base vertex one step
+    Mutant(
+        "fixers-take-a-displacing-generator",
+        "src/tdlclab/dynamics.py",
+        "if ctx._displacement[name] == 0]",
+        "if ctx._displacement[name] <= 1]",
+        ("tests/test_cli.py::test_certify_free_semigroup_rotation_search_exit_codes",),
+    ),
+    # pair compression's rotations take a generator that moves the base
+    # vertex one step
+    Mutant(
+        "rotations-take-a-displacing-generator",
+        "src/tdlclab/dynamics.py",
+        "if ctx._displacement[n] == 0]",
+        "if ctx._displacement[n] <= 1]",
+        ("tests/test_dynamics.py::test_pair_compression_power_then_rotation_replays_seeded",),
+    ),
     # a MemoryError falls through to the fault line and exits 70
     Mutant(
         "memory-error-is-a-fault",
