@@ -153,10 +153,6 @@ class TreeShape(_Frozen):
             yield ROOT
             yield from _slice(self, ROOT, ROOT, n)
 
-    def address_weight(self, addr: Address) -> Fraction:
-        """Uniform-measure weight of the cylinder at ``addr``."""
-        return Fraction(1, self.sphere_size(len(addr)))
-
 
 # One shared shape per degree, so clopens built apart pass ``_same_shape``
 # on identity; ``TreeShape(...)`` itself still compares by value.

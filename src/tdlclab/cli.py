@@ -519,7 +519,7 @@ def _level_factors(shape: TreeShape, local: FiniteGroup, n: int) -> list[str]:
     return sorted(f for group, count in pools for f in composition_factors(group) * count)
 
 
-def run_report_local(args, spec: GroupSpec) -> tuple[dict, int]:
+def run_report_local(args, spec: GroupSpec) -> dict:
     window = args.depths or f"1..{spec.depth}"
     m = _WINDOW_RE.match(window)
     if not m:
@@ -593,10 +593,7 @@ def run_report_local(args, spec: GroupSpec) -> tuple[dict, int]:
         },
         "local": local_data,
     }
-    report = _envelope(
-        "report-local", spec, {"depths": [first, last]}, results
-    )
-    return report, EXIT_VERIFIED
+    return _envelope("report-local", spec, {"depths": [first, last]}, results)
 
 
 # -- dynamics -------------------------------------------------------------------
@@ -604,7 +601,7 @@ def run_report_local(args, spec: GroupSpec) -> tuple[dict, int]:
 _TWO_COPY_CHECKS = ("minimal", "minorising", "degree")
 
 
-def run_dynamics(args, spec: GroupSpec) -> tuple[dict, int]:
+def run_dynamics(args, spec: GroupSpec) -> dict:
     ctx = build_context(spec)
     if spec.kind == "two-copy" and args.check not in _TWO_COPY_CHECKS:
         raise ValueError(
@@ -636,8 +633,7 @@ def run_dynamics(args, spec: GroupSpec) -> tuple[dict, int]:
         results = dynamics.invariant_measure_search(ctx)
     else:  # argparse guards; defensive
         raise ValueError(f"unknown dynamics check {args.check!r}")
-    report = _envelope(f"dynamics {args.check}", spec, parameters, results)
-    return report, _VERDICT_EXIT[results["verdict"]]
+    return _envelope(f"dynamics {args.check}", spec, parameters, results)
 
 
 # -- certify --------------------------------------------------------------------
@@ -651,17 +647,15 @@ def _refuted_on(error: type[Exception], compute) -> dict:
         return {"verdict": "refuted_at_depth", "error": error.__name__, "reason": str(exc)}
 
 
-def _results_certificate(spec: GroupSpec, kind: str, parameters: dict, results: dict, out) -> dict:
-    """Certificate of a result: its checks, or the reason it was refuted."""
-    checks = results.get("checks", {"reason": results.get("reason", "")})
-    return _write_certificate(spec, kind, parameters, checks, results["verdict"], out)
-
-
-def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
+def run_certify(args, spec: GroupSpec) -> dict:
+    """A certificate goes with each answer the run stands behind: exit 0
+    writes verdict verified, exit 1 refuted_at_depth, and a search that
+    ran out (exit 4) writes none.  Its checks are those a branch sets,
+    else the result's own, else the reason the result was refuted."""
     if spec.kind == "two-copy":
         raise ValueError("certificates work on single-tree specs only")
     kind = args.kind
-    certs: list[dict] = []
+    checks = None
     if kind == "contraction":
         g = _resolve_element(spec, args.element, displacing=True)
         if args.u is None:
@@ -670,38 +664,24 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
         ball = args.ball if args.ball is not None else spec.depth
         parameters = {"element": args.element, "u": args.u, "ball": ball}
         results = contraction_certificates(g, [u], ball)[0]
-        if results["verdict"] == "contracts":
-            certs.append(
-                _write_certificate(
-                    spec, kind, parameters,
-                    {k: results[k] for k in ("k", "ball", "checked_radius", "onset_monotone")},
-                    "verified", args.out,
-                )
-            )
+        checks = {k: results[k] for k in ("k", "ball", "checked_radius", "onset_monotone")}
     elif kind == "goodshrink":
         g = _resolve_element(spec, args.element, displacing=True)
         alpha = _attracting_clopen(spec, g, args.alpha)
         parameters = {"element": args.element, "alpha": str(alpha), "n0": args.n0}
-
-        def construct() -> dict:
-            kappa, results = goodshrink_construct(spec.local, g, alpha, spec.depth, n0=args.n0)
-            return {**results, "kappa": str(kappa)}
-
-        results = _refuted_on(NotSkewering, construct)
-        certs.append(_results_certificate(spec, kind, parameters, results, args.out))
+        results = _refuted_on(
+            NotSkewering,
+            lambda: goodshrink_construct(spec.local, g, alpha, spec.depth, n0=args.n0)[1],
+        )
     elif kind == "nub":
         g = _resolve_element(spec, args.element, displacing=True)
-        if args.alpha is not None:
-            beta = CylinderClopen.cylinder(spec.shape, _parse_address(args.alpha, spec.shape))
-        else:
-            alpha = _attracting_clopen(spec, g, None)
-            beta = alpha.minus(spec_image_clopen(g, alpha))
+        alpha = _attracting_clopen(spec, g, args.alpha)
+        beta = alpha if args.alpha is not None else alpha.minus(spec_image_clopen(g, alpha))
         parameters = {"element": args.element, "beta": str(beta), "m": args.m, "v_level": args.v_level}
         results = _refuted_on(
             DisjointnessFailure,
             lambda: nub_window(spec.local, g, beta, args.v_level, args.m, spec.depth),
         )
-        certs.append(_results_certificate(spec, kind, parameters, results, args.out))
     elif kind == "free-semigroup":
         ctx = build_context(spec)
         bound = args.length_bound if args.length_bound is not None else 8
@@ -709,12 +689,10 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
         results = _refuted_on(
             NotSkewering, lambda: dynamics.free_semigroup_certificate(ctx, length_bound=bound)
         )
-        certified = results
         if "checks" in results:
             # the certificate records the image table beside the checks
             table = {k: results[k] for k in ("image_count", "expected_images", "word_table")}
-            certified = {**results, "checks": {**results["checks"], **table}}
-        certs.append(_results_certificate(spec, kind, parameters, certified, args.out))
+            checks = {**results["checks"], **table}
     elif kind == "tits-core":
         g = _resolve_element(spec, args.element, displacing=True)
         parameters = {"element": args.element}
@@ -724,26 +702,21 @@ def run_certify(args, spec: GroupSpec) -> tuple[dict, int]:
             return {**results, "generator_count": len(gens)}
 
         results = _refuted_on(NotSkewering, core)
-        certs.append(_results_certificate(spec, kind, parameters, results, args.out))
     else:  # orbit-join
         ctx = build_context(spec)
         addr = _parse_address(args.alpha, spec.shape) if args.alpha else sphere_list(spec.shape, 1)[0]
         alpha = CylinderClopen.cylinder(spec.shape, addr)
         parameters = {"alpha": str(alpha)}
         results = dynamics.orbit_join(ctx, alpha)
-        certs.append(
-            _write_certificate(
-                spec, kind, parameters,
-                {
-                    "alpha_star": str(results["alpha_star"]),
-                    "is_top": results["is_top"],
-                    "witness_count": results["witness_count"],
-                },
-                results["verdict"], args.out,
-            )
-        )
-    report = _envelope(f"certify {kind}", spec, parameters, results, certs)
-    return report, _VERDICT_EXIT[results["verdict"]]
+        checks = {k: results[k] for k in ("alpha_star", "is_top", "witness_count")}
+    code = _VERDICT_EXIT[results["verdict"]]
+    certs = []
+    if code != EXIT_EXHAUSTED:
+        if checks is None:
+            checks = results.get("checks", {"reason": results.get("reason", "")})
+        verdict = "verified" if code == EXIT_VERIFIED else "refuted_at_depth"
+        certs.append(_write_certificate(spec, kind, parameters, checks, verdict, args.out))
+    return _envelope(f"certify {kind}", spec, parameters, results, certs)
 
 
 # -- export ---------------------------------------------------------------------
@@ -772,7 +745,7 @@ def _stone_orbit_dot(ctx) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_export(args, spec: GroupSpec) -> tuple[dict, int]:
+def run_export(args, spec: GroupSpec) -> dict | None:
     if args.what == "cayley-abels":
         dot = cayley_abels_dot(spec.shape, spec.local, spec.depth)
     elif args.what == "schreier":
@@ -784,10 +757,9 @@ def run_export(args, spec: GroupSpec) -> tuple[dict, int]:
     if args.dot:
         Path(args.dot).write_text(dot)
         results = {"verdict": "verified", "nodes": nodes, "edges": edges, "path": args.dot}
-        report = _envelope(f"export {args.what}", spec, {"what": args.what}, results)
-        return report, EXIT_VERIFIED
+        return _envelope(f"export {args.what}", spec, {"what": args.what}, results)
     sys.stdout.write(dot)
-    return {}, EXIT_VERIFIED
+    return None
 
 
 # -- entry point ----------------------------------------------------------------
@@ -904,9 +876,11 @@ def main(argv: list[str] | None = None) -> int:
                         flag = "--" + key.replace("_", "-")
                         raise ValueError(f"{flag} must be at least {minimum}")
                     setattr(spec, key, value)
-            report, code = _HANDLERS[args.command](args, spec)
-            if report:
-                _emit(report, args)
+            report = _HANDLERS[args.command](args, spec)
+            if report is None:  # DOT written to stdout
+                return EXIT_VERIFIED
+            code = _VERDICT_EXIT[report["results"]["verdict"]]
+            _emit(report, args)
         except Exception as exc:
             for types, exit_code, prefix in _EXITS:
                 if isinstance(exc, types):

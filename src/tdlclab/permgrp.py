@@ -901,27 +901,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 def wreath_c2_tower(levels: int) -> FiniteGroup:
     """Iterated C2-wreath tower acting on 2**levels leaves."""
     n = 2**levels
-    gens = []
-    for depth in range(levels):
-        width = 2 ** (levels - depth - 1)
-        start = 0
-        images = list(range(n))
-        for x in range(width):
-            images[start + x], images[start + width + x] = (
-                start + width + x,
-                start + x,
-            )
-        gens.append(Perm(tuple(images)))
+    blocks = [(2 ** (levels - depth - 1), 0) for depth in range(levels)]
     # swapping below other prefixes arises from conjugation; add one deep swap
     # per level anchored at the last block to generate the full tower
-    for depth in range(1, levels):
-        width = 2 ** (levels - depth - 1)
-        start = n - 2 * width
-        images = list(range(n))
-        for x in range(width):
-            images[start + x], images[start + width + x] = (
-                start + width + x,
-                start + x,
-            )
-        gens.append(Perm(tuple(images)))
+    blocks += [(width, n - 2 * width) for width, _ in blocks[1:]]
+    gens = []
+    for width, start in blocks:
+        mid, end = start + width, start + 2 * width
+        gens.append(Perm((*range(start), *range(mid, end), *range(start, mid), *range(end, n))))
     return FiniteGroup(n, gens)

@@ -390,7 +390,7 @@ def test_shapes_are_shared_per_degree():
 def test_measure_weights_sum_to_one():
     for shape in (T3, R2, rooted(3)):
         for n in (1, 2, 3):
-            weights = [shape.address_weight(a) for a in shape.sphere(n)]
+            weights = [CylinderClopen.cylinder(shape, a).measure() for a in shape.sphere(n)]
             assert sum(weights) == 1
 
 
@@ -640,6 +640,6 @@ def test_measure_matches_the_per_address_sum_seeded():
         pool = [CylinderClopen.zero(shape), CylinderClopen.top(shape)]
         pool += [random_clopen(rng, shape, 5 if shape.degree <= 4 else 2) for _ in range(30)]
         for x in pool:
-            want = sum((shape.address_weight(a) for a in x.cover), Fraction(0))
+            want = sum((Fraction(1, shape.sphere_size(len(a))) for a in x.cover), Fraction(0))
             got = x.measure()
             assert type(got) is Fraction and got == want

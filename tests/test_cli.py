@@ -536,6 +536,18 @@ def test_certify_goodshrink_elliptic_refutes(spec_file, capsys, tmp_path):
     assert cert["verdict"] == "refuted_at_depth"
 
 
+@pytest.mark.parametrize("n0, kappa", [([], "{01}"), (["--n0", "2"], "{010}")], ids=["n0-1", "n0-2"])
+def test_certify_goodshrink_reports_kappa(spec_file, capsys, tmp_path, n0, kappa):
+    # kappa is g^n0.alpha, here alpha = {0} and g translates along 0 1 0 1 ...
+    code, report, _ = run_cli(
+        capsys,
+        "certify", "goodshrink", spec_file(US3_ELEMENTS), "--element", "g", *n0,
+        "--out", str(tmp_path / "gs.cert.json"),
+    )
+    assert code == 0
+    assert report["results"]["kappa"] == kappa
+
+
 def test_certify_free_semigroup_word_table(spec_file, capsys, tmp_path):
     out = tmp_path / "free.cert.json"
     code, report, _ = run_cli(
@@ -749,6 +761,58 @@ def test_certify_tits_core_length_two_translation_exits_zero(
     assert report["results"]["rotation_count"] == 0
     assert "cone_rotations_normalise" not in report["results"]["checks"]
     assert "cone_rotations_normalise" not in json.loads(out.read_text())["checks"]
+
+
+_GOODSHRINK_CHECKS = (
+    "image_strictly_inside", "chain_strictly_shrinking", "conjugation_preserves_kappa",
+    "product_inclusion", "factors_commute", "kappa_witnesses_contract",
+)
+_FREE_CHECKS = (
+    "g_alpha_strictly_inside", "h_alpha_inside_leftover", "first_letter_images_disjoint",
+    "g_prefix_containment", "h_prefix_containment", "all_images_distinct",
+)
+
+
+@pytest.mark.parametrize(
+    "spec, argv, code, verdict, checks",
+    [
+        (US3_ELEMENTS, ["contraction", "--element", "g", "--u", "u1", "--ball", "4"], 0,
+         "verified", ("k", "ball", "checked_radius", "onset_monotone")),
+        # the search ran out: no certificate
+        (US3_ELEMENTS, ["contraction", "--element", "g", "--u", "rho"], 4, None, None),
+        (US3_ELEMENTS, ["goodshrink", "--element", "g"], 0, "verified", _GOODSHRINK_CHECKS),
+        (US3_ELEMENTS, ["goodshrink", "--element", "rho"], 1, "refuted_at_depth", ("reason",)),
+        (US3_ELEMENTS, ["nub", "--element", "g"], 0, "verified",
+         ("translates_disjoint", "supports_inside_translates",
+          "cross_factor_commutators_trivial", "conjugation_shifts_families")),
+        (US3, ["free-semigroup", "--L", "3"], 0, "verified",
+         _FREE_CHECKS + ("image_count", "expected_images", "word_table")),
+        (ROTONLY, ["free-semigroup"], 1, "refuted_at_depth", ("reason",)),
+        (US3_ELEMENTS, ["tits-core", "--element", "g"], 0, "verified",
+         ("forward_witnesses_contract", "backward_witnesses_contract",
+          "witness_families_nonempty", "cone_rotations_normalise")),
+        (US3, ["orbit-join", "--alpha", "01"], 0, "verified",
+         ("alpha_star", "is_top", "witness_count")),
+    ],
+    ids=["contraction", "contraction-exhausted", "goodshrink", "goodshrink-refuted", "nub",
+         "free-semigroup", "free-semigroup-refuted", "tits-core", "orbit-join"],
+)
+def test_certify_writes_one_certificate_on_exit_0_or_1_only(
+    spec_file, capsys, tmp_path, spec, argv, code, verdict, checks
+):
+    out = tmp_path / "c.cert.json"
+    got, report, _ = run_cli(capsys, "certify", argv[0], spec_file(spec), *argv[1:], "--out", str(out))
+    assert got == code
+    assert out.exists() == (verdict is not None)
+    if verdict is None:
+        assert report["certificates"] == []
+        return
+    cert = json.loads(out.read_text())
+    assert report["certificates"] == [{"kind": argv[0], "path": str(out), "verdict": cert["verdict"]}]
+    assert cert["verdict"] == verdict
+    assert sorted(cert["checks"]) == sorted(checks)
+    if checks == ("reason",):
+        assert cert["checks"]["reason"] == report["results"]["reason"]
 
 
 # ------------------------------------------------------------ serialisation
@@ -973,10 +1037,14 @@ def test_main_runs_without_the_collector_and_restores_it(spec_file, capsys, monk
     ids=["report-local", "minimal", "minorising", "degree", "measure", "proximal",
          "goodshrink", "tits-core", "stone-orbit", "cayley-abels"],
 )
-def test_verdict_paths_leave_no_more_cycles_one_level_deeper(spec_file, capsys, family):
+def test_verdict_paths_leave_no_more_cycles_one_level_deeper(
+    spec_file, capsys, tmp_path, monkeypatch, family
+):
     """The CLI runs with the cyclic collector off, so a verdict path that
     built reference cycles would hold their memory until exit.  Setup
     leaves a fixed number; one level deeper must leave no more."""
+    # certify writes its default certificate path into the working directory
+    monkeypatch.chdir(tmp_path)
     was = gc.isenabled()
     gc.disable()
     try:

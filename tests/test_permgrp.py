@@ -195,6 +195,18 @@ def test_orders_of_standard_groups():
     assert wreath_c2_tower(3).order == 2**7
 
 
+def test_wreath_tower_generators_in_order():
+    # one swap per level at the first block, then one per level below the
+    # top at the last block; the bench's certify pool uses this group
+    assert [g.images for g in wreath_c2_tower(3).gens] == [
+        (4, 5, 6, 7, 0, 1, 2, 3),
+        (2, 3, 0, 1, 4, 5, 6, 7),
+        (1, 0, 2, 3, 4, 5, 6, 7),
+        (0, 1, 2, 3, 6, 7, 4, 5),
+        (0, 1, 2, 3, 4, 5, 7, 6),
+    ]
+
+
 def test_closure_cap_trips():
     with pytest.raises(ClosureCapExceeded):
         FiniteGroup(8, symmetric_group(8).gens, cap=100).element_set

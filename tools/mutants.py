@@ -744,6 +744,30 @@ MUTANTS = (
         "",
         ("tests/test_cli.py", "-k", "exit_table"),
     ),
+    # a search that ran out (exit 4) still writes a certificate
+    Mutant(
+        "certificate-written-on-exit-4",
+        "src/tdlclab/cli.py",
+        "    if code != EXIT_EXHAUSTED:\n",
+        "    if True:\n",
+        ("tests/test_cli.py::test_certify_writes_one_certificate_on_exit_0_or_1_only",),
+    ),
+    # a refutation's certificate reads verified
+    Mutant(
+        "refuted-certificate-reads-verified",
+        "src/tdlclab/cli.py",
+        'verdict = "verified" if code == EXIT_VERIFIED else "refuted_at_depth"',
+        'verdict = "verified"',
+        ("tests/test_cli.py::test_certify_writes_one_certificate_on_exit_0_or_1_only",),
+    ),
+    # goodshrink's report drops kappa, which the CLI no longer adds back
+    Mutant(
+        "goodshrink-report-loses-kappa",
+        "src/tdlclab/boundary.py",
+        '        "kappa": str(kappa),\n',
+        "",
+        ("tests/test_cli.py::test_certify_goodshrink_reports_kappa",),
+    ),
 )
 
 
