@@ -414,19 +414,21 @@ def build_context(spec: GroupSpec):
     return dynamics.ActionContext(spec.shape, site_gens, spec.depth, spec.word_bound)
 
 
-def _resolve_element(spec: GroupSpec, name: str | None, displacing: bool):
+def _resolve_element(spec: GroupSpec, name: str | None):
+    """The element named by the flag, else the spec's first element with
+    nonzero displacement, else on a regular tree the colour-0
+    translation."""
     if name is not None:
         element = spec.elements.get(name)
         if element is None:
             raise ValueError(f"unknown element {name!r}; define it under [elements]")
         return element
     for element in spec.elements.values():
-        if bool(element.displacement) == displacing:
+        if element.displacement:
             return element
-    if displacing and spec.shape.kind == "regular":
+    if spec.shape.kind == "regular":
         return hyperbolic_isometry(spec.shape, (0,))
-    kind = "translating" if displacing else "base-fixing"
-    raise ValueError(f"spec defines no {kind} element; name one with the flag")
+    raise ValueError("spec defines no translating element; name one with the flag")
 
 
 def _parse_address(text: str, shape: TreeShape) -> Address:
@@ -657,16 +659,16 @@ def run_certify(args, spec: GroupSpec) -> dict:
     kind = args.kind
     checks = None
     if kind == "contraction":
-        g = _resolve_element(spec, args.element, displacing=True)
+        g = _resolve_element(spec, args.element)
         if args.u is None:
             raise ValueError("contraction needs --u naming the contracted element")
-        u = _resolve_element(spec, args.u, displacing=False)
+        u = _resolve_element(spec, args.u)
         ball = args.ball if args.ball is not None else spec.depth
         parameters = {"element": args.element, "u": args.u, "ball": ball}
         results = contraction_certificates(g, [u], ball)[0]
         checks = {k: results[k] for k in ("k", "ball", "checked_radius", "onset_monotone")}
     elif kind == "goodshrink":
-        g = _resolve_element(spec, args.element, displacing=True)
+        g = _resolve_element(spec, args.element)
         alpha = _attracting_clopen(spec, g, args.alpha)
         parameters = {"element": args.element, "alpha": str(alpha), "n0": args.n0}
         results = _refuted_on(
@@ -674,7 +676,7 @@ def run_certify(args, spec: GroupSpec) -> dict:
             lambda: goodshrink_construct(spec.local, g, alpha, spec.depth, n0=args.n0)[1],
         )
     elif kind == "nub":
-        g = _resolve_element(spec, args.element, displacing=True)
+        g = _resolve_element(spec, args.element)
         alpha = _attracting_clopen(spec, g, args.alpha)
         beta = alpha if args.alpha is not None else alpha.minus(spec_image_clopen(g, alpha))
         parameters = {"element": args.element, "beta": str(beta), "m": args.m, "v_level": args.v_level}
@@ -694,7 +696,7 @@ def run_certify(args, spec: GroupSpec) -> dict:
             table = {k: results[k] for k in ("image_count", "expected_images", "word_table")}
             checks = {**results["checks"], **table}
     elif kind == "tits-core":
-        g = _resolve_element(spec, args.element, displacing=True)
+        g = _resolve_element(spec, args.element)
         parameters = {"element": args.element}
 
         def core() -> dict:

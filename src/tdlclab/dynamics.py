@@ -403,12 +403,9 @@ class _ActionGraph:
         return rows
 
     def _images(self, i: int) -> tuple:
-        """Each generator's image of id i, in ``gen_names`` order: read
-        from the edges when i is expanded.  A deeper node expands its
-        parent first, so each id's images are computed once."""
-        got = self.edges[i]
-        if got is not None:
-            return got
+        """Each generator's image of id i, in ``gen_names`` order, for
+        ``neighbours`` to store when it first expands i.  A deeper node
+        expands its parent first, so each id's images are computed once."""
         if self.depth[i] > self._reach:
             # the recursion on the parent's images
             row = self._section(self.anchor[i])[self.letter[i]]

@@ -93,7 +93,10 @@ supports, local actions and commutation are read by the whole-ball
 oracles above, and the nub shift is read through the pull-back of the
 depth ball against a checked table of g.  It shares no walk, no
 moved-point reading and no trusted table with the commands, and must
-reach their checks and verdict.
+reach their checks and verdict.  ``oracle_shrinking_chain`` is the
+goodshrink chain as it was built before the one shrinking test moved
+into ``chain_strictly_shrinking``: each image g^i alpha is tested
+against the one before as it is made, and a stall or an escape raises.
 
 The first-words and skewering oracles are the word-image searches as
 they were before one-cylinder states became vertices: every state is a
@@ -193,7 +196,7 @@ from tdlclab.dynamics import (
     minorising_set,
     reachable_images,
 )
-from tdlclab.errors import ClosureCapExceeded, PrecisionExhausted
+from tdlclab.errors import ClosureCapExceeded, NotSkewering, PrecisionExhausted
 from tdlclab.localstruct import (
     _REALIZE_CAP,
     LocalClass,
@@ -1319,6 +1322,23 @@ def _allowed_in(shape, r: int, tables, region, local) -> bool:
 
 def _report(checks: dict) -> dict:
     return {"checks": checks, "verdict": "verified" if all(checks.values()) else "refuted_at_depth"}
+
+
+def oracle_shrinking_chain(g, alpha, window: int) -> list:
+    """The images g^i alpha for i = 0..window, each tested against the
+    one before as ``goodshrink_construct`` once tested them step by step:
+    equality means the chain has stalled on a periodic clopen, and
+    incomparability means alpha was not moved inside itself."""
+    chain = [alpha]
+    for i in range(1, window + 1):
+        nxt, prev = spec_image_clopen(g, chain[-1]), chain[-1]
+        if nxt.lt(prev):
+            chain.append(nxt)
+        elif nxt == prev:
+            raise NotSkewering(f"image chain stalls at step {i}")
+        else:
+            raise NotSkewering(f"image chain leaves the region at step {i}")
+    return chain
 
 
 def check_goodshrink(local, g, alpha, depth: int, n0=None) -> dict:

@@ -7,7 +7,9 @@ from itertools import islice
 import pytest
 
 from tdlclab.boolalg import ROOT, CylinderClopen, regular, rooted
+from tdlclab import boundary
 from tdlclab.boundary import (
+    _attracting_half_tree,
     conjugation_shifts,
     contraction_certificates,
     goodshrink_construct,
@@ -43,6 +45,7 @@ from oracles import (
     oracle_contraction_certificate,
     oracle_pulled_moves,
     oracle_region_vertices,
+    oracle_shrinking_chain,
     oracle_support_in,
     oracle_tables_commute,
     oracle_walked_contraction_certificates,
@@ -628,6 +631,51 @@ def test_goodshrink_rejects_unmoved_or_escaping_alpha():
         goodshrink_construct(S3, T0, HALF0, 3, n0=0)
     with pytest.raises(ValueError):
         goodshrink_construct(S3, T0, HALF0, 3, n0=99)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("axis", [(0,), (0, 1), (0, 1, 2), (1, 0)])
+def test_goodshrink_chain_matches_the_step_by_step_oracle(axis, depth):
+    # the oracle re-tests each step as the chain is built; g is a
+    # bijection, so g^n0.beta is the difference of two chain entries
+    g = hyperbolic_isometry(T3, axis)
+    alpha = CylinderClopen.cylinder(T3, axis[:1])
+    chain = oracle_shrinking_chain(g, alpha, 2 * depth + 1)
+    for n0 in sorted({1, 2, 2 * depth}):
+        kappa, rep = goodshrink_construct(S3, g, alpha, depth, n0=n0)
+        gn0_beta = chain[n0].minus(chain[n0 + 1])
+        assert kappa == chain[n0]
+        assert rep["kappa"] == str(chain[n0])
+        assert rep["chain_measures"] == [c.measure() for c in chain[:-1]]
+        assert rep["attracting_core"] == str(chain[-2])
+        assert rep["beta_factor_generators"] == len(rist_generators(S3, gn0_beta, depth))
+        assert rep["checks"] == dict.fromkeys(rep["checks"], True)
+
+
+def test_goodshrink_reports_a_stalled_chain_as_refuted(monkeypatch):
+    # a chain that stops shrinking at step 2 fails the check that states
+    # it, and the run is refuted at depth
+    real = boundary.spec_image_clopen
+    galpha = real(T0, HALF0)
+    monkeypatch.setattr(
+        boundary, "spec_image_clopen",
+        lambda word, region: region if region == galpha else real(word, region),
+    )
+    _, rep = goodshrink_construct(S3, T0, HALF0, 3)
+    assert rep["checks"]["chain_strictly_shrinking"] is False
+    assert rep["verdict"] == "refuted_at_depth"
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize(
+    "g", [T0, T01, T012, hyperbolic_isometry(T3, (1, 0)), T0T0],
+    ids=["t0", "t01", "t012", "t10", "h"],
+)
+def test_attracting_half_tree_hands_over_beta(g, direction):
+    alpha, beta = _attracting_half_tree(g, direction)
+    image = spec_image_clopen(SpecWord(T3, ((g, direction),)), alpha)
+    assert image.lt(alpha)
+    assert beta == alpha.minus(image)
 
 
 def test_nub_window_m3_translates_and_checks():

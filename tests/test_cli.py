@@ -815,6 +815,45 @@ def test_certify_writes_one_certificate_on_exit_0_or_1_only(
         assert cert["checks"]["reason"] == report["results"]["reason"]
 
 
+def _certify_results(capsys, spec_path, kind, *argv):
+    code, report, _ = run_cli(capsys, "certify", kind, spec_path, *argv)
+    return code, report["results"]
+
+
+def test_certify_goodshrink_defaults_to_the_first_translation(spec_file, capsys):
+    # with no --element the first element that moves the base vertex is
+    # taken, and a regular spec naming none takes the colour-0 translation,
+    # which is what US3_ELEMENTS names g
+    named = _certify_results(capsys, spec_file(US3_ELEMENTS), "goodshrink", "--element", "g")
+    assert named[0] == 0
+    assert _certify_results(capsys, spec_file(US3_ELEMENTS), "goodshrink") == named
+    assert _certify_results(capsys, spec_file(US3), "goodshrink") == named
+    assert named[1]["alpha"] == "{0}"
+
+
+def test_certify_goodshrink_alpha_0_is_the_default(spec_file, capsys):
+    path = spec_file(US3_ELEMENTS)
+    default = _certify_results(capsys, path, "goodshrink", "--element", "g")
+    assert _certify_results(capsys, path, "goodshrink", "--element", "g", "--alpha", "0") == default
+
+
+@pytest.mark.parametrize("alpha", ["1", "root"])
+def test_certify_goodshrink_alpha_off_the_attracting_end_refutes(spec_file, capsys, alpha):
+    code, results = _certify_results(
+        capsys, spec_file(US3_ELEMENTS), "goodshrink", "--element", "g", "--alpha", alpha
+    )
+    assert code == 1
+    assert results["error"] == "NotSkewering"
+
+
+def test_certify_nub_takes_alpha_as_beta(spec_file, capsys):
+    code, report, _ = run_cli(
+        capsys, "certify", "nub", spec_file(US3_ELEMENTS), "--element", "g", "--alpha", "02"
+    )
+    assert code == 0
+    assert report["parameters"]["beta"] == "{02}"
+
+
 # ------------------------------------------------------------ serialisation
 
 
@@ -944,6 +983,42 @@ def test_cap_only_tightens(spec_file, capsys, monkeypatch):
     monkeypatch.setenv("TDLC_CAP", str(2**30))
     code, _, _ = run_cli(capsys, "dynamics", "minimal", spec_file(US3))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "spec, head, tail, env, err",
+    [
+        (US3, ["report-local"], ["--depths", "x"], {}, "--depths wants 'a..b', got 'x'"),
+        (US3, ["report-local"], ["--depths", "3..1"], {},
+         "--depths window '3..1' is empty or starts below 1"),
+        (TWOCOPY, ["certify", "goodshrink"], [], {},
+         "certificates work on single-tree specs only"),
+        (US3_ELEMENTS, ["certify", "contraction"], ["--element", "g"], {},
+         "contraction needs --u naming the contracted element"),
+        (US3_ELEMENTS, ["certify", "goodshrink"], ["--element", "nope"], {},
+         "unknown element 'nope'; define it under [elements]"),
+        (ROOTED_BINARY, ["certify", "goodshrink"], [], {},
+         "spec defines no translating element; name one with the flag"),
+        (ROOTED_BINARY, ["certify", "tits-core"], [], {},
+         "spec defines no translating element; name one with the flag"),
+        (US3, ["dynamics", "minimal"], [], {"TDLC_CAP": "abc"},
+         "TDLC_CAP must be an integer, got 'abc'"),
+        (US3, ["dynamics", "minimal"], [], {"TDLC_CAP": "0"}, "TDLC_CAP must be positive, got 0"),
+    ],
+    ids=["depths-unparsed", "depths-empty", "two-copy", "no-u", "unknown-element",
+         "rooted-goodshrink", "rooted-tits-core", "cap-not-integer", "cap-zero"],
+)
+def test_input_faults_exit_2_with_their_message(
+    spec_file, capsys, monkeypatch, tmp_path, spec, head, tail, env, err
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "cert.json"
+    if head[0] == "certify":
+        tail = [*tail, "--out", str(out)]
+    code, report, captured = run_cli(capsys, *head, spec_file(spec), *tail)
+    assert (code, report, captured.err) == (2, None, f"error: {err}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", [AssertionError("broken invariant")])

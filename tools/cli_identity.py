@@ -94,6 +94,26 @@ def cases() -> list[tuple[str, list[str]]]:
     for ball in ("2", "4", "6"):
         out.append(("reversed", ["certify", "contraction", "spec.ini",
                                  "--element", "g", "--u", "u2", "--ball", ball]))
+    # the shrinking chain and the half-trees at depths 3 and 5: kappa at
+    # n0 1, 2 and 2*depth, clopen overrides that verify or refute (exit
+    # 1), the word h at depth 3 (depth 5 is above), and the colour-0
+    # translation taken when no element is named
+    for depth in (3, 5):
+        d = ["--depth", str(depth)]
+        for n0 in (1, 2, 2 * depth):
+            out.append(("elements", ["certify", "goodshrink", "spec.ini", "--element", "g",
+                                     "--n0", str(n0), *d]))
+        for alpha in ("0", "1", "01", "2", "root"):
+            for kind in ("goodshrink", "nub"):
+                out.append(("elements", ["certify", kind, "spec.ini", "--element", "g",
+                                         "--alpha", alpha, *d]))
+        for kind in ("goodshrink", "tits-core"):
+            if depth == 3:
+                out.append(("word", ["certify", kind, "spec.ini", "--element", "h", *d]))
+            out.append(("regular-sym3", ["certify", kind, "spec.ini", *d]))
+    # a rooted spec has no translation to default to (exit 2)
+    for kind in ("goodshrink", "tits-core"):
+        out.append(("rooted-binary", ["certify", kind, "spec.ini"]))
     # the witness checks at depth 8 and at depth 10, where the half-tree
     # slices and the sparse tables read the largest balls
     for kind in ("goodshrink", "tits-core"):

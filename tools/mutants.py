@@ -90,6 +90,31 @@ MUTANTS = (
         "for d in range(len(a) + 1, max_depth):",
         ("tests/test_boundary.py", "-k", "region_vertices_match"),
     ),
+    # the shrinking check reads only the first step of the chain, so a
+    # chain that stalls later still reports shrinking
+    Mutant(
+        "chain-rechecks-only-the-first-step",
+        "src/tdlclab/boundary.py",
+        "zip(chain, chain[1:])",
+        "zip(chain, chain[1:2])",
+        ("tests/test_boundary.py::test_goodshrink_reports_a_stalled_chain_as_refuted",),
+    ),
+    # the chain stops one image before the end of its 2*depth window
+    Mutant(
+        "chain-one-image-short",
+        "src/tdlclab/boundary.py",
+        "while len(chain) < 2 * depth + 1:",
+        "while len(chain) < 2 * depth:",
+        ("tests/test_boundary.py", "-k", "step_by_step_oracle"),
+    ),
+    # tits-core handed the attracting half-tree's image, not beta
+    Mutant(
+        "half-tree-hands-over-the-image",
+        "src/tdlclab/boundary.py",
+        "return a, a.minus(image)",
+        "return a, image",
+        ("tests/test_boundary.py", "-k", "hands_over_beta"),
+    ),
     # force a row when both sides are live, not when exactly one is
     Mutant(
         "forcing-on-both-sides",
